@@ -22,9 +22,9 @@ import numpy as np
 from . import gof as gof_mod
 from .efficiency import are_table
 from .errors import DomainError, InvalidGrid, QlsError
-from .estimators import fit_sample
+from .estimators import FitPlan, fit_gqls, fit_sample
 from .families import FAMILIES, ParamMode, Params, get_family, parse_mode
-from .quantiles import design_matrix, empirical_quantiles, make_grid, sigma_star
+from .quantiles import empirical_quantiles, make_grid
 from .robustness import breakdown_point, influence_curve
 from .simulate import (
     ContaminationSpec,
@@ -227,13 +227,12 @@ def _cmd_fit(args) -> int:
 
 
 def _gof_one(fam, data, args, grid) -> dict:
-    fit = fit_sample(data, fam, grid, "gqls", ParamMode.LOCATION_SCALE)
+    plan = FitPlan.for_family(fam, grid, "gqls")
+    y = empirical_quantiles(data, grid)
+    fit = fit_gqls(y, plan.x, None, plan=plan)
     row = {"family": fam.name, "mu": fit.mu, "sigma": fit.sigma}
     if args.test == "w":
-        y = empirical_quantiles(data, grid)
-        x = design_matrix(fam, grid)
-        s = sigma_star(fam, grid)
-        res = gof_mod.w_test(y, x, s, fit)
+        res = gof_mod.plan_w_test(plan, y, fit)
         row.update({"test": "w", "statistic": res.statistic, "dof": res.dof,
                     "p_value": res.p_value})
     else:

@@ -15,8 +15,9 @@ import numpy as np
 
 from .errors import Unavailable
 from .families import Family, ParamMode
-from .linalg import det, solve_spd, spd_factorize
-from .quantiles import QuantileGrid, design_matrix, make_grid, sigma_star
+from .estimators import FitPlan
+from .linalg import det
+from .quantiles import QuantileGrid, make_grid
 
 __all__ = ["AreResult", "are", "are_table", "are_curve", "standardized_cov"]
 
@@ -35,21 +36,7 @@ class AreResult:
 
 def standardized_cov(kind: str, fam: Family, grid, mode: ParamMode) -> np.ndarray:
     """Parameter-free asymptotic covariance (sigma^2 and 1/n stripped)."""
-    x = design_matrix(fam, grid, mode)
-    s = sigma_star(fam, grid)
-    m = x.shape[1]
-    if kind == "gqls":
-        ls = spd_factorize(s)
-        a = solve_spd(ls, x)
-        g = spd_factorize(x.T @ a)
-        return solve_spd(g, np.eye(m))
-    if kind == "oqls":
-        g = spd_factorize(x.T @ x)
-        mid = x.T @ s @ x
-        t1 = solve_spd(g, mid)
-        cov = solve_spd(g, t1.T)
-        return 0.5 * (cov + cov.T)
-    raise ValueError(f"unknown estimator kind {kind!r}")
+    return FitPlan.for_family(fam, grid, kind).solver(mode)[1]
 
 
 def are(kind: str, fam: Family, grid, mode: ParamMode = ParamMode.LOCATION_SCALE) -> AreResult:

@@ -1,19 +1,22 @@
 """Ordinary and generalized quantile least squares fits, plus MLE baselines.
 
-With Y the vector of sample quantiles and X = [1, Q0(p)] the standardized
-design, the two regression estimators are
+With Y the vector of sample quantiles, X = [1, Q0(p)] the standardized
+design, S the standardized quantile covariance and P = S^-1 its precision,
+the two regression estimators are
 
     oQLS:  beta = (X'X)^-1 X'Y
-    gQLS:  beta = (X' S^-1 X)^-1 X' S^-1 Y        (S the standardized
-                                                   quantile covariance)
+    gQLS:  beta = (X'PX)^-1 X'PY
 
 with per-observation asymptotic covariances
 
     oQLS:  (sigma^2/n) (X'X)^-1 X' S X (X'X)^-1
-    gQLS:  (sigma^2/n) (X' S^-1 X)^-1
+    gQLS:  (sigma^2/n) (X'PX)^-1
 
-where sigma^2 is plugged in as the squared scale estimate.  The gQLS path is
-solved through Cholesky factors; S is never inverted explicitly.
+where sigma^2 is plugged in as the squared scale estimate.  For a fixed
+design and covariance each estimator is a fixed linear map beta = W Y.  A
+FitPlan holds that map with the pieces it is built from; a plan for a family
+takes P in closed form (``quantiles.precision_star``), and only a plan for a
+caller-supplied S factorizes it.
 """
 from __future__ import annotations
 
@@ -21,7 +24,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 from scipy import special
 
@@ -30,13 +32,13 @@ from .errors import (
     DomainError,
     EmptySample,
     NoConvergence,
-    NotPositiveDefinite,
+    QlsError,
     RankDeficient,
     Unavailable,
 )
 from .families import Family, ParamMode, Params
 from .linalg import SpdFactor, solve_spd, spd_factorize
-from .quantiles import QuantileGrid, QuantileResponse, design_matrix, empirical_quantiles, make_grid, sigma_star
+from .quantiles import QuantileGrid, QuantileResponse, design_matrix, empirical_quantiles, make_grid, precision_star, sigma_star
 
 __all__ = [
     "QlsFit",
@@ -50,6 +52,11 @@ __all__ = [
 ]
 
 DEFAULT_GRID = (0.05, 0.95, 25)
+
+_EPS = float(np.finfo(float).eps)
+
+# design columns estimated in each single-parameter mode
+_MODE_COLS = {ParamMode.LOCATION_ONLY: slice(0, 1), ParamMode.SCALE_ONLY: slice(1, 2)}
 
 
 @dataclass(frozen=True)
@@ -83,20 +90,13 @@ class QlsFit:
         return np.sqrt(np.diag(self.asy_cov))
 
 
-def _spd_or_rank_deficient(m: np.ndarray) -> SpdFactor:
-    try:
-        return spd_factorize(m)
-    except NotPositiveDefinite as exc:
-        raise RankDeficient(f"design is rank deficient: {exc}") from exc
-
-
-def _response(y, n):
+def _response(y, n) -> tuple[np.ndarray, int, tuple[str, ...]]:
+    """Quantile values, source sample size and warning tags of a response."""
     if isinstance(y, QuantileResponse):
         return np.asarray(y.values, dtype=float), y.n, tuple(y.warnings)
-    vals = np.asarray(y, dtype=float).ravel()
     if n is None:
         raise ValueError("n is required when the response is a bare array")
-    return vals, int(n), ()
+    return np.asarray(y, dtype=float).ravel(), int(n), ()
 
 
 def _full_design(x) -> np.ndarray:
@@ -108,14 +108,15 @@ def _full_design(x) -> np.ndarray:
         )
     return x
 
-def _effective(yv: np.ndarray, x: np.ndarray, mode: ParamMode,
-               known_mu: float, known_sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Response/design actually regressed, after absorbing known parameters."""
+
+def _absorb_known(yv: np.ndarray, x: np.ndarray, mode: ParamMode,
+                  known_mu: float, known_sigma: float) -> np.ndarray:
+    """Response actually regressed, after absorbing the known parameter."""
     if mode is ParamMode.LOCATION_SCALE:
-        return yv, x
+        return yv
     if mode is ParamMode.LOCATION_ONLY:
-        return yv - known_sigma * x[:, 1], x[:, :1]
-    return yv - known_mu, x[:, 1:]
+        return yv - known_sigma * x[:, 1]
+    return yv - known_mu
 
 
 def _assemble_params(beta: np.ndarray, mode: ParamMode,
@@ -132,6 +133,138 @@ def _assemble_params(beta: np.ndarray, mode: ParamMode,
     return params, warn
 
 
+def _solve(kind: str, xm: np.ndarray, gram: np.ndarray,
+           sigma: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and standardized covariance of the fit on the columns of xm.
+
+    Raises RankDeficient when a Cholesky pivot of the Gram falls at or below
+    the dimension-scaled tolerance m * eps * max|gram|.
+    """
+    tol = gram.shape[0] * _EPS * float(np.max(np.abs(gram)))
+    try:
+        pivots = np.linalg.cholesky(gram).diagonal() ** 2
+    except np.linalg.LinAlgError:
+        pivots = np.zeros(1)
+    if not float(pivots.min()) > tol:
+        raise RankDeficient(f"design is rank deficient: pivot {pivots.min():.3e}")
+    ginv = np.linalg.inv(gram)
+    ginv = 0.5 * (ginv + ginv.T)
+    w = ginv @ xm
+    if kind == "gqls" or sigma is None:
+        return w, ginv
+    cov = w @ sigma @ w.T
+    return w, 0.5 * (cov + cov.T)
+
+
+@dataclass(frozen=True, eq=False)
+class FitPlan:
+    """One estimator kind on one k x m design and quantile covariance.
+
+    xm is X'P (gQLS) or X' (oQLS) and gram = xm X.  weights W (beta = W Y)
+    and cov, the standardized covariance of beta, belong to the joint fit and
+    are None when the joint Gram is singular.  gQLS takes P = S^-1 as the
+    closed-form precision of a family plan or as the Cholesky factor of a
+    caller-supplied S; sigma is S where a consumer needs it.  A
+    single-parameter mode uses its sub-block of the Gram.
+    """
+
+    kind: str
+    x: np.ndarray
+    xm: np.ndarray
+    gram: np.ndarray
+    weights: np.ndarray | None
+    cov: np.ndarray | None
+    precision: np.ndarray | None = None
+    factor: SpdFactor | None = None
+    sigma: np.ndarray | None = None
+
+    @classmethod
+    def for_family(cls, fam: Family, grid, kind: str) -> FitPlan:
+        """Plan for a family on a grid: P in closed form, nothing k x k is
+        factorized or inverted."""
+        x = design_matrix(fam, grid)
+        if kind == "gqls":
+            prec = precision_star(fam, grid)
+            return cls._build(kind, x, (prec @ x).T, precision=prec)
+        if kind == "oqls":
+            return cls._build(kind, x, x.T, sigma=sigma_star(fam, grid))
+        raise ValueError(f"unknown estimator kind {kind!r}")
+
+    @classmethod
+    def from_matrices(cls, kind: str, x, sigma_star_mat) -> FitPlan:
+        """Plan for a caller-supplied design and quantile covariance; the one
+        place where S is factorized (gQLS solves against it)."""
+        x = np.asarray(x, dtype=float)
+        s = None if sigma_star_mat is None else np.asarray(sigma_star_mat, dtype=float)
+        if kind == "oqls":
+            return cls._build(kind, x, x.T, sigma=s)
+        if kind != "gqls":
+            raise ValueError(f"unknown estimator kind {kind!r}")
+        if s is None:
+            raise ValueError("gqls requires the quantile covariance")
+        factor = spd_factorize(s)
+        return cls._build(kind, x, solve_spd(factor, x).T, factor=factor, sigma=s)
+
+    @classmethod
+    def _build(cls, kind, x, xm, **mats) -> FitPlan:
+        gram = xm @ x
+        gram = 0.5 * (gram + gram.T)
+        try:
+            weights, cov = _solve(kind, xm, gram, mats.get("sigma"))
+        except RankDeficient:  # a single-parameter mode may still be estimable
+            weights = cov = None
+        return cls(kind=kind, x=x, xm=xm, gram=gram, weights=weights, cov=cov, **mats)
+
+    def solver(self, mode: ParamMode = ParamMode.LOCATION_SCALE) -> tuple[np.ndarray, np.ndarray]:
+        """(W, C) for a mode: beta = W Y over the estimated columns and C the
+        standardized covariance of beta (sigma^2 and 1/n stripped; S = I for
+        an oQLS plan without S).  RankDeficient if the mode's Gram is singular."""
+        if mode is ParamMode.LOCATION_SCALE and self.weights is not None:
+            return self.weights, self.cov
+        cols = _MODE_COLS.get(mode, slice(None))
+        return _solve(self.kind, self.xm[cols], self.gram[cols, cols], self.sigma)
+
+    def fit(self, y, mode: ParamMode = ParamMode.LOCATION_SCALE, *, n: int | None = None,
+            known_mu: float = 0.0, known_sigma: float = 1.0) -> QlsFit:
+        """Fit a quantile response (a QuantileResponse, or bare values with n)."""
+        yv, n_obs, warns = _response(y, n)
+        w, cov = self.solver(mode)
+        beta = np.atleast_1d(w @ _absorb_known(yv, self.x, mode, known_mu, known_sigma))
+        params, scale_warn = _assemble_params(beta, mode, known_mu, known_sigma)
+        # an oQLS fit has a covariance only when S is known
+        known_cov = self.kind == "gqls" or self.sigma is not None
+        asy_cov = (params.sigma ** 2 / n_obs) * cov if known_cov else None
+        return QlsFit(kind=self.kind, params=params, mode=mode, asy_cov=asy_cov,
+                      response=y if isinstance(y, QuantileResponse) else None,
+                      warnings=warns + scale_warn)
+
+    def quad(self, e: np.ndarray) -> float:
+        """The quadratic form e' P e."""
+        pe = self.precision @ e if self.factor is None else solve_spd(self.factor, e)
+        return float(e @ pe)
+
+    def w_statistic(self, yv: np.ndarray, beta: np.ndarray, n: int) -> float:
+        """(n / sigma^2) e' P e with e = Y - X beta and sigma = beta[1]: W on
+        the estimation levels, W_out on validation levels."""
+        return n / beta[1] ** 2 * self.quad(yv - self.x @ beta)
+
+    def q_split(self, yv: np.ndarray, beta_hat: np.ndarray,
+                beta_true: np.ndarray, n: int) -> tuple[float, float, float]:
+        """Q at the true parameters, Q1 at the fitted ones, and the
+        parameter-error part Q2 = (n/sigma^2) d' X'PX d with d = bhat - b."""
+        c = n / beta_true[1] ** 2
+        diff = beta_hat - beta_true
+        return (c * self.quad(yv - self.x @ beta_true),
+                c * self.quad(yv - self.x @ beta_hat),
+                c * float(diff @ self.gram @ diff))
+
+    def projection_covs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Standardized residual and fitted covariances, S - H and H, with
+        H = X (X'PX)^-1 X'."""
+        hat = self.x @ self.solver()[1] @ self.x.T
+        return self.sigma - hat, hat
+
+
 def asymptotic_cov(kind: str, x: np.ndarray, sigma_star_mat: np.ndarray | None,
                    sigma_hat: float, n: int) -> np.ndarray:
     """Asymptotic covariance of the fitted parameters, divided by n.
@@ -139,88 +272,41 @@ def asymptotic_cov(kind: str, x: np.ndarray, sigma_star_mat: np.ndarray | None,
     x is the effective design (k x m).  For "oqls" the standardized quantile
     covariance is required; identity is assumed when it is None.
     """
-    x = np.asarray(x, dtype=float)
-    k, m = x.shape
-    scale2 = float(sigma_hat) ** 2 / n
-    if kind == "gqls":
-        if sigma_star_mat is None:
-            raise ValueError("gqls covariance requires the quantile covariance")
-        ls = spd_factorize(sigma_star_mat)
-        xw = scipy.linalg.solve_triangular(ls.lower, x, lower=True)
-        g = _spd_or_rank_deficient(xw.T @ xw)
-        cov = scale2 * solve_spd(g, np.eye(m))
-    elif kind == "oqls":
-        g = _spd_or_rank_deficient(x.T @ x)
-        if sigma_star_mat is None:
-            cov = scale2 * solve_spd(g, np.eye(m))
-        else:
-            mid = x.T @ np.asarray(sigma_star_mat, dtype=float) @ x
-            t1 = solve_spd(g, mid)
-            cov = scale2 * solve_spd(g, t1.T)
-    else:
-        raise ValueError(f"no asymptotic covariance rule for kind {kind!r}")
-    return 0.5 * (cov + cov.T)
+    cov = FitPlan.from_matrices(kind, x, sigma_star_mat).solver()[1]
+    return float(sigma_hat) ** 2 / n * cov
 
 
 def fit_oqls(y, x, sigma_star_mat: np.ndarray | None = None, *,
              n: int | None = None, mode: ParamMode = ParamMode.LOCATION_SCALE,
-             known_mu: float = 0.0, known_sigma: float = 1.0) -> QlsFit:
+             known_mu: float = 0.0, known_sigma: float = 1.0,
+             plan: FitPlan | None = None) -> QlsFit:
     """Ordinary least squares on the quantile regression; x is the full
     k x 2 design.  The covariance is evaluated only when sigma_star_mat is
-    given (it enters the sandwich)."""
-    yv, n_obs, warns = _response(y, n)
-    x = _full_design(x)
-    resp, xe = _effective(yv, x, mode, known_mu, known_sigma)
-    g = _spd_or_rank_deficient(xe.T @ xe)
-    beta = np.atleast_1d(solve_spd(g, xe.T @ resp))
-    params, scale_warn = _assemble_params(beta, mode, known_mu, known_sigma)
-    cov = None
-    if sigma_star_mat is not None:
-        cov = asymptotic_cov("oqls", xe, sigma_star_mat, params.sigma, n_obs)
-    return QlsFit(kind="oqls", params=params, mode=mode, asy_cov=cov,
-                  response=y if isinstance(y, QuantileResponse) else None,
-                  warnings=warns + scale_warn)
+    given (it enters the sandwich).  A prebuilt oQLS plan, when given,
+    stands in for x and sigma_star_mat."""
+    if plan is None:
+        plan = FitPlan.from_matrices("oqls", _full_design(x), sigma_star_mat)
+    return plan.fit(y, mode, n=n, known_mu=known_mu, known_sigma=known_sigma)
 
 
 def fit_gqls(y, x, sigma_star_mat: np.ndarray, *,
              n: int | None = None, mode: ParamMode = ParamMode.LOCATION_SCALE,
-             known_mu: float = 0.0, known_sigma: float = 1.0) -> QlsFit:
-    """Generalized least squares weighted by the standardized quantile
-    covariance, solved via its Cholesky factor."""
-    yv, n_obs, warns = _response(y, n)
-    x = _full_design(x)
-    resp, xe = _effective(yv, x, mode, known_mu, known_sigma)
-    ls = spd_factorize(sigma_star_mat)
-    xw = scipy.linalg.solve_triangular(ls.lower, xe, lower=True)
-    rw = scipy.linalg.solve_triangular(ls.lower, resp, lower=True)
-    g = _spd_or_rank_deficient(xw.T @ xw)
-    beta = np.atleast_1d(solve_spd(g, xw.T @ rw))
-    params, scale_warn = _assemble_params(beta, mode, known_mu, known_sigma)
-    m = xe.shape[1]
-    cov = (params.sigma ** 2 / n_obs) * solve_spd(g, np.eye(m))
-    cov = 0.5 * (cov + cov.T)
-    return QlsFit(kind="gqls", params=params, mode=mode, asy_cov=cov,
-                  response=y if isinstance(y, QuantileResponse) else None,
-                  warnings=warns + scale_warn)
+             known_mu: float = 0.0, known_sigma: float = 1.0,
+             plan: FitPlan | None = None) -> QlsFit:
+    """Generalized least squares weighted by the inverse of the standardized
+    quantile covariance.  A prebuilt gQLS plan, when given, stands in for x
+    and sigma_star_mat."""
+    if plan is None:
+        plan = FitPlan.from_matrices("gqls", _full_design(x), sigma_star_mat)
+    return plan.fit(y, mode, n=n, known_mu=known_mu, known_sigma=known_sigma)
 
 
 def qls_weights(kind: str, x: np.ndarray, sigma_star_mat: np.ndarray | None = None) -> np.ndarray:
     """The m x k weight matrix W with beta = W @ Y.
 
-    oQLS: (X'X)^-1 X'; gQLS: (X'S^-1 X)^-1 X'S^-1.
+    oQLS: (X'X)^-1 X'; gQLS: (X'PX)^-1 X'P.
     """
-    x = np.asarray(x, dtype=float)
-    if kind == "oqls":
-        g = _spd_or_rank_deficient(x.T @ x)
-        return solve_spd(g, x.T)
-    if kind == "gqls":
-        if sigma_star_mat is None:
-            raise ValueError("gqls weights require the quantile covariance")
-        ls = spd_factorize(sigma_star_mat)
-        a = solve_spd(ls, x)  # S^-1 X
-        g = _spd_or_rank_deficient(x.T @ a)
-        return solve_spd(g, a.T)
-    raise ValueError(f"unknown estimator kind {kind!r}")
+    return FitPlan.from_matrices(kind, x, sigma_star_mat).solver()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +456,7 @@ def _mle_init(fam: Family, data: np.ndarray) -> np.ndarray:
         init = fit_sample(data, fam, make_grid(a, b, min(k, max(2, data.size))), method="gqls")
         if init.sigma > 0 and np.isfinite(init.mu) and np.isfinite(init.sigma):
             return np.array([init.mu, init.sigma])
-    except Exception:
+    except QlsError:
         pass
     return _robust_init(fam, data)
 
@@ -432,17 +518,14 @@ def fit_mle(fam: Family, data, mode: ParamMode = ParamMode.LOCATION_SCALE, *,
 def fit_sample(data, fam: Family, grid: QuantileGrid, method: str = "gqls",
                mode: ParamMode = ParamMode.LOCATION_SCALE, *,
                known_mu: float = 0.0, known_sigma: float = 1.0) -> QlsFit:
-    """Fit raw data: extract quantiles, build the design and quantile
-    covariance for the family, and dispatch on the method."""
+    """Fit raw data: extract quantiles, plan the method for the family on the
+    grid, and fit."""
     if method == "mle":
         return fit_mle(fam, data, mode, known_mu=known_mu)
     y = empirical_quantiles(data, grid)
-    x = design_matrix(fam, grid, ParamMode.LOCATION_SCALE)
-    s = sigma_star(fam, grid)
-    if method == "oqls":
-        fit = fit_oqls(y, x, s, mode=mode, known_mu=known_mu, known_sigma=known_sigma)
-    elif method == "gqls":
-        fit = fit_gqls(y, x, s, mode=mode, known_mu=known_mu, known_sigma=known_sigma)
-    else:
+    if method not in ("oqls", "gqls"):
         raise ValueError(f"unknown method {method!r}")
+    plan = FitPlan.for_family(fam, grid, method)
+    fit = (fit_gqls if method == "gqls" else fit_oqls)(
+        y, plan.x, plan.sigma, mode=mode, known_mu=known_mu, known_sigma=known_sigma, plan=plan)
     return replace(fit, grid=grid)

@@ -2,9 +2,9 @@
 
 Two tests:
 
-* In-sample: W = (n / sigma_hat^2) e' S^-1 e with e the quantile residuals
-  at the estimation levels; approximately chi-square with k - 2 degrees of
-  freedom under the null.
+* In-sample: W = (n / sigma_hat^2) e' P e with e the quantile residuals
+  at the estimation levels and P = S^-1 the precision; approximately
+  chi-square with k - 2 degrees of freedom under the null.
 * Out-of-sample: the same quadratic form evaluated on a separate set of
   levels (default 0.01, 0.03, ..., 0.99), calibrated by a parametric
   bootstrap because its null distribution is intractable for mismatched
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from scipy import special
 
 from .errors import (
@@ -27,18 +26,9 @@ from .errors import (
     InvalidGrid,
     NonPositiveScale,
 )
-from .estimators import QlsFit
+from .estimators import FitPlan, QlsFit, _response
 from .families import Family, ParamMode, Params
-from .linalg import solve_spd, spd_factorize
-from .quantiles import (
-    QuantileGrid,
-    QuantileResponse,
-    _ranks,
-    design_matrix,
-    empirical_quantiles,
-    levels_of,
-    sigma_star,
-)
+from .quantiles import QuantileGrid, _ranks, empirical_quantiles, levels_of
 
 __all__ = [
     "GofResult",
@@ -122,19 +112,6 @@ def _require_gqls(fit: QlsFit, op: str) -> None:
         raise NonPositiveScale(f"{op} requires a positive scale estimate")
 
 
-def _values_n(y, n):
-    if isinstance(y, QuantileResponse):
-        return np.asarray(y.values, dtype=float), y.n
-    if n is None:
-        raise ValueError("n is required when the response is a bare array")
-    return np.asarray(y, dtype=float).ravel(), int(n)
-
-
-def _quad_form(resid: np.ndarray, lower: np.ndarray) -> float:
-    half = scipy.linalg.solve_triangular(lower, resid, lower=True)
-    return float(half @ half)
-
-
 @dataclass(frozen=True)
 class ResidualDiagnostics:
     residuals: np.ndarray
@@ -153,22 +130,16 @@ def residual_analysis(y, x, fit: QlsFit, sigma_star_mat: np.ndarray,
     the pairs supports a predicted-versus-residual diagnostic plot.
     """
     _require_gqls(fit, "residual analysis")
-    yv, n_obs = _values_n(y, n)
-    x = np.asarray(x, dtype=float)
-    s = np.asarray(sigma_star_mat, dtype=float)
-    beta = np.array([fit.mu, fit.sigma])
-    fitted = x @ beta
-    resid = yv - fitted
-    ls = spd_factorize(s)
-    a = solve_spd(ls, x)               # S^-1 X
-    g = spd_factorize(x.T @ a)
-    core = x @ solve_spd(g, x.T)       # X (X'S^-1X)^-1 X'
+    yv, n_obs, _ = _response(y, n)
+    plan = FitPlan.from_matrices("gqls", x, sigma_star_mat)
+    fitted = plan.x @ np.array([fit.mu, fit.sigma])
+    resid_cov, fitted_cov = plan.projection_covs()
     scale2 = fit.sigma ** 2 / n_obs
     return ResidualDiagnostics(
-        residuals=resid,
-        residual_cov=scale2 * (s - core),
+        residuals=yv - fitted,
+        residual_cov=scale2 * resid_cov,
         fitted=fitted,
-        fitted_cov=scale2 * core,
+        fitted_cov=scale2 * fitted_cov,
     )
 
 
@@ -182,34 +153,29 @@ def q_decomposition(y, x, sigma_star_mat: np.ndarray, beta_true: Params,
     and Q = Q1 + Q2 by the gQLS normal equations.
     """
     _require_gqls(fit, "quadratic-form decomposition")
-    yv, n_obs = _values_n(y, n)
-    x = np.asarray(x, dtype=float)
+    yv, n_obs, _ = _response(y, n)
     if not beta_true.sigma > 0:
         raise NonPositiveScale("true sigma must be positive")
-    ls = spd_factorize(np.asarray(sigma_star_mat, dtype=float))
-    beta_hat = np.array([fit.mu, fit.sigma])
-    beta0 = np.array([beta_true.mu, beta_true.sigma])
-    c = n_obs / beta_true.sigma ** 2
-    q = c * _quad_form(yv - x @ beta0, ls.lower)
-    q1 = c * _quad_form(yv - x @ beta_hat, ls.lower)
-    xw = scipy.linalg.solve_triangular(ls.lower, x, lower=True)
-    diff = beta_hat - beta0
-    q2 = c * float(diff @ (xw.T @ xw) @ diff)
-    return q, q1, q2
+    plan = FitPlan.from_matrices("gqls", x, sigma_star_mat)
+    return plan.q_split(yv, np.array([fit.mu, fit.sigma]),
+                        np.array([beta_true.mu, beta_true.sigma]), n_obs)
 
 
 def w_test(y, x, sigma_star_mat: np.ndarray, fit: QlsFit, n: int | None = None,
            alphas=DEFAULT_ALPHAS) -> GofResult:
     """In-sample test: W = (n/sigma_hat^2) e' S^-1 e, chi-square k-2 dof."""
+    return plan_w_test(FitPlan.from_matrices("gqls", x, sigma_star_mat), y, fit, n, alphas)
+
+
+def plan_w_test(plan: FitPlan, y, fit: QlsFit, n: int | None = None,
+                alphas=DEFAULT_ALPHAS) -> GofResult:
+    """``w_test`` on a gQLS plan of the estimation levels."""
     _require_gqls(fit, "the in-sample test")
-    yv, n_obs = _values_n(y, n)
-    x = np.asarray(x, dtype=float)
+    yv, n_obs, _ = _response(y, n)
     k = yv.shape[0]
     if k < 3:
         raise InsufficientDof("need k >= 3 levels for a k-2 dof statistic")
-    ls = spd_factorize(np.asarray(sigma_star_mat, dtype=float))
-    resid = yv - x @ np.array([fit.mu, fit.sigma])
-    stat = n_obs / fit.sigma ** 2 * _quad_form(resid, ls.lower)
+    stat = plan.w_statistic(yv, np.array([fit.mu, fit.sigma]), n_obs)
     dof = k - 2
     p = chi2_sf(stat, dof)
     return GofResult(statistic=stat, kind="in-sample", p_value=p, dof=dof,
@@ -223,11 +189,8 @@ def w_out_statistic(data, fit: QlsFit, fam: Family, out_grid: OutGrid,
     data = np.asarray(data, dtype=float).ravel()
     n_obs = data.shape[0] if n is None else int(n)
     y_out = empirical_quantiles(data, out_grid).values
-    x_out = design_matrix(fam, out_grid, ParamMode.LOCATION_SCALE)
-    s_out = sigma_star(fam, out_grid)
-    ls = spd_factorize(s_out)
-    resid = y_out - x_out @ np.array([fit.mu, fit.sigma])
-    return n_obs / fit.sigma ** 2 * _quad_form(resid, ls.lower)
+    plan_out = FitPlan.for_family(fam, out_grid, "gqls")
+    return plan_out.w_statistic(y_out, np.array([fit.mu, fit.sigma]), n_obs)
 
 
 def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
@@ -244,10 +207,11 @@ def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
        observed one (ties count as non-exceedances); reject when
        p-hat <= alpha.
 
-    Replicate b draws from a generator seeded with seed XOR b, so runs are
-    reproducible and replicates are independent.  Replicates whose refit
-    fails (e.g. non-positive scale) are dropped and the replicate count
-    adjusted; more than ``max_failure_fraction`` failures aborts.
+    Replicate b draws from a generator seeded with the pair (seed, b), so
+    runs are reproducible, replicates are independent, and distinct seeds
+    give distinct replicate streams.  Replicates whose refit fails (e.g.
+    non-positive scale) are dropped and the replicate count adjusted; more
+    than ``max_failure_fraction`` failures aborts.
     """
     if B < 1:
         raise ValueError("need at least one bootstrap replicate")
@@ -256,16 +220,9 @@ def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
     data = np.asarray(data, dtype=float).ravel()
     n = data.shape[0]
 
-    x = design_matrix(fam, grid, ParamMode.LOCATION_SCALE)
-    s = sigma_star(fam, grid)
-    ls = spd_factorize(s)
-    xw = scipy.linalg.solve_triangular(ls.lower, x, lower=True)
-    g = spd_factorize(xw.T @ xw)
     # beta = weights @ Y for fast refits inside the loop
-    weights = solve_spd(g, solve_spd(ls, x).T)
-
-    x_out = design_matrix(fam, out_grid, ParamMode.LOCATION_SCALE)
-    ls_out = spd_factorize(sigma_star(fam, out_grid))
+    weights = FitPlan.for_family(fam, grid, "gqls").solver()[0]
+    plan_out = FitPlan.for_family(fam, out_grid, "gqls")
     # one sort per replicate serves both level sets
     idx_fit = _ranks(n, levels_of(grid))[0] - 1
     idx_out = _ranks(n, levels_of(out_grid))[0] - 1
@@ -275,8 +232,7 @@ def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
         beta = weights @ srt[idx_fit]
         if not beta[1] > 0:
             return None
-        resid = srt[idx_out] - x_out @ beta
-        return n / beta[1] ** 2 * _quad_form(resid, ls_out.lower), beta
+        return plan_out.w_statistic(srt[idx_out], beta, n), beta
 
     first = refit_and_stat(data)
     if first is None:
@@ -287,7 +243,7 @@ def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
     exceed = 0
     failures = 0
     for b in range(1, B + 1):
-        rng = np.random.default_rng(seed ^ b)
+        rng = np.random.default_rng([seed, b])
         sample = fam.sample(fitted, n, rng)
         result = refit_and_stat(sample)
         if result is None:

@@ -2,25 +2,24 @@
 
 All matrices are plain row-major ``numpy.ndarray`` values.  Sizes here are
 k x k with k up to a few hundred, so LAPACK-backed dense routines are the
-right tool: Cholesky on the SPD paths (which doubles as a definiteness
-certificate), LU with partial pivoting for general inverse/determinant.
+right tool: Cholesky on the SPD path (which doubles as a definiteness
+certificate), LU with partial pivoting for the determinant.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, NotPositiveDefinite, Singular
+from .errors import DimensionMismatch, NotPositiveDefinite
 
 __all__ = [
     "SpdFactor",
     "spd_factorize",
     "solve_spd",
-    "inverse",
     "det",
-    "matmul",
 ]
 
 _EPS = float(np.finfo(float).eps)
@@ -35,11 +34,6 @@ def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _pivot_tol(a: np.ndarray) -> float:
-    # dimension * machine epsilon * max |entry|: scale-aware singularity guard
-    return max(a.shape) * _EPS * float(np.max(np.abs(a)))
-
-
 @dataclass(frozen=True)
 class SpdFactor:
     """Lower-triangular Cholesky factor L with source = L @ L.T."""
@@ -49,12 +43,6 @@ class SpdFactor:
     @property
     def dim(self) -> int:
         return self.lower.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        return self.lower @ self.lower.T
-
-    def logdet(self) -> float:
-        return 2.0 * float(np.sum(np.log(self.lower.diagonal())))
 
 
 def spd_factorize(m) -> SpdFactor:
@@ -77,7 +65,7 @@ def spd_factorize(m) -> SpdFactor:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
-    tol = _pivot_tol(a)
+    tol = n * _EPS * scale  # dimension-scaled singularity guard
     pivots = lower.diagonal() ** 2
     if float(pivots.min()) <= tol:
         raise NotPositiveDefinite(
@@ -96,42 +84,15 @@ def solve_spd(f: SpdFactor, b) -> np.ndarray:
     return scipy.linalg.cho_solve((f.lower, True), rhs)
 
 
-def _lu(a: np.ndarray):
-    import warnings
-
-    with warnings.catch_warnings():
-        # exact-singularity is reported through our Singular/0-det contract
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        return scipy.linalg.lu_factor(a, check_finite=False)
-
-
-def inverse(m) -> np.ndarray:
-    """Invert a square matrix via LU with partial pivoting."""
-    a = _as_matrix(m)
-    n, p = a.shape
-    if n != p:
-        raise DimensionMismatch(f"expected square matrix, got {a.shape}")
-    lu, piv = _lu(a)
-    tol = _pivot_tol(a)
-    if float(np.min(np.abs(lu.diagonal()))) < tol:
-        raise Singular(f"pivot below tolerance {tol:.3e}")
-    return scipy.linalg.lu_solve((lu, piv), np.eye(n), check_finite=False)
-
-
 def det(m) -> float:
     """Determinant via LU with partial pivoting (0.0 for singular input)."""
     a = _as_matrix(m)
     n, p = a.shape
     if n != p:
         raise DimensionMismatch(f"expected square matrix, got {a.shape}")
-    lu, piv = _lu(a)
+    with warnings.catch_warnings():
+        # exact singularity is reported as a zero determinant
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
     sign = 1.0 if (np.arange(n) != piv).sum() % 2 == 0 else -1.0
     return sign * float(np.prod(lu.diagonal()))
-
-
-def matmul(a, b) -> np.ndarray:
-    x = _as_matrix(a, "a")
-    y = _as_matrix(b, "b")
-    if x.shape[1] != y.shape[0]:
-        raise DimensionMismatch(f"cannot multiply {x.shape} by {y.shape}")
-    return x @ y

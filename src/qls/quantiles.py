@@ -6,7 +6,8 @@ we assemble the standardized covariance of sample quantiles
 
     s_ij = p_i (1 - p_j) / (f0(Q0(p_i)) f0(Q0(p_j)))   for i <= j,
 
-and the regression design whose columns are 1 and Q0(p_i).
+its closed-form tridiagonal inverse (the precision), and the regression
+design whose columns are 1 and Q0(p_i).
 """
 from __future__ import annotations
 
@@ -29,13 +30,9 @@ __all__ = [
     "make_grid",
     "empirical_quantiles",
     "sigma_star",
+    "precision_star",
     "design_matrix",
 ]
-
-# beyond this size, pull the needed order statistics by selection instead of
-# sorting the whole sample; keeping one algorithm across the 1e6..1e9 range
-# also keeps the cost curve homogeneous there
-_SORT_CUTOFF = 100_000
 
 
 @dataclass(frozen=True)
@@ -106,11 +103,8 @@ def _ranks(n: int, levels: np.ndarray) -> tuple[np.ndarray, list[str]]:
 
 
 def empirical_quantiles(sample, grid) -> QuantileResponse:
-    """Extract the ceil(n*p)-th order statistics at each grid level.
-
-    Large samples are handled by multi-rank selection (introselect) rather
-    than a full sort.
-    """
+    """Extract the ceil(n*p)-th order statistics at each grid level from one
+    full sort of the sample."""
     data = np.asarray(sample, dtype=float)
     if data.ndim != 1:
         data = data.ravel()
@@ -119,14 +113,26 @@ def empirical_quantiles(sample, grid) -> QuantileResponse:
         raise EmptySample("cannot take quantiles of an empty sample")
     levels = levels_of(grid)
     ranks, warns = _ranks(n, levels)
-    idx = ranks - 1
-    if n > _SORT_CUTOFF:
-        kth = np.unique(idx)
-        part = np.partition(data, kth)
-        values = part[idx]
-    else:
-        values = np.sort(data)[idx]
+    values = np.sort(data)[ranks - 1]
     return QuantileResponse(values=values, n=n, warnings=tuple(warns))
+
+
+def level_density(fam: Family, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Levels p, standard quantiles Q0(p) and standard densities f0(Q0(p)).
+
+    Raises InvalidGrid unless every level is interior to (0, 1), and
+    DegenerateDensity where the density is non-positive or non-finite.
+    """
+    p = levels_of(grid)
+    if np.any((p <= 0.0) | (p >= 1.0)):
+        raise InvalidGrid("all levels must be interior to (0, 1)")
+    q = np.atleast_1d(np.asarray(fam.qf(p), dtype=float))
+    f = np.atleast_1d(np.asarray(fam.pdf(q), dtype=float))
+    if np.any(~np.isfinite(f)) or np.any(f <= 0.0):
+        raise DegenerateDensity(
+            f"{fam.name}: standard density non-positive at a grid quantile"
+        )
+    return p, q, f
 
 
 def sigma_star(fam: Family, grid) -> np.ndarray:
@@ -135,18 +141,31 @@ def sigma_star(fam: Family, grid) -> np.ndarray:
     Symmetric and positive definite whenever the levels are distinct and the
     standard density is positive at each grid quantile.
     """
-    p = levels_of(grid)
-    if np.any((p <= 0.0) | (p >= 1.0)):
-        raise InvalidGrid("all levels must be interior to (0, 1)")
-    q = fam.qf(p)
-    f = np.atleast_1d(np.asarray(fam.pdf(q), dtype=float))
-    if np.any(~np.isfinite(f)) or np.any(f <= 0.0):
-        raise DegenerateDensity(
-            f"{fam.name}: standard density non-positive at a grid quantile"
-        )
-    pmin = np.minimum.outer(p, p)
-    pmax = np.maximum.outer(p, p)
-    return pmin * (1.0 - pmax) / np.outer(f, f)
+    p, _, f = level_density(fam, grid)
+    return np.minimum.outer(p, p) * (1.0 - np.maximum.outer(p, p)) / np.outer(f, f)
+
+
+def precision_star(fam: Family, grid) -> np.ndarray:
+    """Inverse of ``sigma_star`` in closed form (Ogawa 1951; Lloyd 1952).
+
+    By the Markov structure of order statistics it is D P0 D, D = diag(f),
+    with P0 tridiagonal: diagonal 1/d_i + 1/d_(i+1), off-diagonal -1/d_(i+1),
+    d_i = p_i - p_(i-1), p_0 = 0, p_(k+1) = 1, over the levels in increasing
+    order; unsorted levels permute its rows and columns.  Raises InvalidGrid
+    on repeated levels, where S is singular.
+    """
+    p, _, f = level_density(fam, grid)
+    order = np.argsort(p, kind="stable")
+    p, f = p[order], f[order]
+    if np.any(np.diff(p) <= 0.0):
+        raise InvalidGrid("the precision needs distinct levels")
+    inv_d = 1.0 / np.diff(np.concatenate(([0.0], p, [1.0])))
+    off = -inv_d[1:-1] * f[:-1] * f[1:]
+    prec = np.diag((inv_d[:-1] + inv_d[1:]) * f * f) + np.diag(off, 1) + np.diag(off, -1)
+    if np.any(np.diff(order) < 0):
+        back = np.argsort(order)
+        prec = prec[np.ix_(back, back)]
+    return prec
 
 
 def design_matrix(fam: Family, grid, mode: ParamMode = ParamMode.LOCATION_SCALE) -> np.ndarray:

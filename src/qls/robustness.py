@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDensity
-from .estimators import qls_weights
-from .families import Family, ParamMode, Params
-from .quantiles import QuantileGrid, design_matrix, levels_of, sigma_star
+from .estimators import FitPlan
+from .families import Family, Params
+from .quantiles import QuantileGrid, level_density
 
 __all__ = [
     "BreakdownPoint",
@@ -46,14 +45,6 @@ def breakdown_point(grid: QuantileGrid) -> BreakdownPoint:
     return BreakdownPoint(lower=lbp, upper=ubp, value=min(lbp, ubp))
 
 
-def _density_at_levels(fam: Family, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    q = np.atleast_1d(np.asarray(fam.qf(p), dtype=float))
-    f = np.atleast_1d(np.asarray(fam.pdf(q), dtype=float))
-    if np.any(~np.isfinite(f)) or np.any(f <= 0.0):
-        raise DegenerateDensity(f"{fam.name}: density non-positive at a quantile")
-    return q, f
-
-
 def if_quantile(x, p: float, fam: Family, params: Params):
     """Influence of a point mass at x on the sample quantile at level p.
 
@@ -61,7 +52,7 @@ def if_quantile(x, p: float, fam: Family, params: Params):
     sigma / f0(Q0(p)) at the population quantile (the indicator is
     inclusive: 1{x <= quantile}).
     """
-    q, f = _density_at_levels(fam, np.asarray([p], dtype=float))
+    _, q, f = level_density(fam, np.asarray([p], dtype=float))
     jump = params.mu + params.sigma * q[0]
     xv = np.asarray(x, dtype=float)
     ind = (xv <= jump).astype(float)
@@ -74,11 +65,8 @@ def if_estimator(x, kind: str, fam: Family, params: Params, grid: QuantileGrid):
 
     Returns a pair of floats for scalar x, else a pair of arrays.
     """
-    p = levels_of(grid)
-    q, f = _density_at_levels(fam, p)
-    xdes = design_matrix(fam, grid, ParamMode.LOCATION_SCALE)
-    s = sigma_star(fam, grid) if kind == "gqls" else None
-    w = qls_weights(kind, xdes, s)  # 2 x k
+    p, q, f = level_density(fam, grid)
+    w = FitPlan.for_family(fam, grid, kind).solver()[0]  # 2 x k
     jumps = params.mu + params.sigma * q
     xv = np.asarray(x, dtype=float)
     scalar = xv.ndim == 0
@@ -110,8 +98,7 @@ def influence_curve(kind: str, fam: Family, params: Params, grid: QuantileGrid,
     lo, hi = float(x_range[0]), float(x_range[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError("x_range must be a finite increasing pair")
-    p = levels_of(grid)
-    q, _ = _density_at_levels(fam, p)
+    _, q, _ = level_density(fam, grid)
     jumps = params.mu + params.sigma * q
     eps = 1e-9 * params.sigma
     xs = np.concatenate([

@@ -18,8 +18,8 @@ import numpy as np
 from . import gof
 from .errors import QlsError
 from .families import Family, ParamMode, Params
-from .quantiles import QuantileGrid, design_matrix, empirical_quantiles, make_grid, sigma_star
-from .estimators import fit_gqls, fit_sample
+from .quantiles import QuantileGrid, empirical_quantiles, make_grid
+from .estimators import FitPlan, fit_gqls, fit_mle, fit_oqls, fit_sample
 
 __all__ = [
     "ContaminationSpec",
@@ -153,9 +153,14 @@ class McSummary:
         return rows
 
 
-def _fit_estimates(est: EstimatorSpec, fam: Family, data: np.ndarray) -> tuple[float, ...]:
-    fit = fit_sample(data, fam, est.grid, est.method, est.mode,
-                     known_mu=est.known_mu, known_sigma=est.known_sigma)
+def _fit_estimates(est: EstimatorSpec, plan: FitPlan | None, fam: Family,
+                   data: np.ndarray) -> tuple[float, ...]:
+    if plan is None:
+        fit = fit_mle(fam, data, est.mode, known_mu=est.known_mu)
+    else:
+        fit = (fit_gqls if est.method == "gqls" else fit_oqls)(
+            empirical_quantiles(data, est.grid), plan.x, plan.sigma, mode=est.mode,
+            known_mu=est.known_mu, known_sigma=est.known_sigma, plan=plan)
     if est.mode is not ParamMode.LOCATION_ONLY and not fit.sigma > 0:
         raise QlsError("non-positive scale estimate")
     if est.mode is ParamMode.LOCATION_ONLY:
@@ -165,7 +170,7 @@ def _fit_estimates(est: EstimatorSpec, fam: Family, data: np.ndarray) -> tuple[f
     return (fit.mu, fit.sigma)
 
 
-def _mc_chunk(config: McConfig, rep_range: range) -> np.ndarray:
+def _mc_chunk(config: McConfig, plans: list, rep_range: range) -> np.ndarray:
     fam = config.spec.base_family
     n_est = len(config.estimators)
     out = np.full((len(rep_range), n_est, 2), np.nan)
@@ -174,7 +179,7 @@ def _mc_chunk(config: McConfig, rep_range: range) -> np.ndarray:
         data = sample_contaminated(config.spec, config.n, rng)
         for j, est in enumerate(config.estimators):
             try:
-                vals = _fit_estimates(est, fam, data)
+                vals = _fit_estimates(est, plans[j], fam, data)
             except QlsError:
                 continue
             for c, v in enumerate(vals):
@@ -192,16 +197,20 @@ def run_mc(config: McConfig) -> McSummary:
     base parameters.  Replicates whose fit fails (non-convergence or a
     non-positive scale) are excluded from the summaries and counted."""
     m = config.m
+    # one plan per QLS estimator, shared by every replicate
+    fam = config.spec.base_family
+    plans = [None if est.method == "mle" else FitPlan.for_family(fam, est.grid, est.method)
+             for est in config.estimators]
     if config.workers > 1:
         chunks = np.array_split(np.arange(m), config.workers)
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             parts = list(pool.map(
-                lambda idx: _mc_chunk(config, range(int(idx[0]), int(idx[-1]) + 1)),
+                lambda idx: _mc_chunk(config, plans, range(int(idx[0]), int(idx[-1]) + 1)),
                 [c for c in chunks if c.size],
             ))
         estimates = np.concatenate(parts, axis=0)
     else:
-        estimates = _mc_chunk(config, range(m))
+        estimates = _mc_chunk(config, plans, range(m))
 
     truth = {"mu": config.spec.base_params.mu, "sigma": config.spec.base_params.sigma}
     stats: dict = {}
@@ -264,8 +273,7 @@ def run_power_study(h0_families, generators, grids, n: int, m: int,
     for i_h0, h0 in enumerate(h0_families):
         for i_gen, gen in enumerate(generators):
             for i_grid, grid in enumerate(grids):
-                x = design_matrix(h0, grid, ParamMode.LOCATION_SCALE)
-                s = sigma_star(h0, grid)
+                plan = FitPlan.for_family(h0, grid, "gqls") if test == "w" else None
                 rejections = 0
                 failures = 0
                 used = 0
@@ -278,8 +286,7 @@ def run_power_study(h0_families, generators, grids, n: int, m: int,
                     try:
                         if test == "w":
                             y = empirical_quantiles(data, grid)
-                            fit = fit_gqls(y, x, s)
-                            res = gof.w_test(y, x, s, fit)
+                            res = gof.plan_w_test(plan, y, fit_gqls(y, plan.x, None, plan=plan))
                         else:
                             res = gof.bootstrap_pvalue(
                                 data, h0, grid, out_grid, B=B, seed=int(rep_seeds[r])

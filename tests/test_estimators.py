@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qls import estimators, linalg
+from qls.efficiency import are, standardized_cov
 from qls.errors import (
     WARN_NON_POSITIVE_SCALE,
     DomainError,
@@ -11,6 +13,7 @@ from qls.errors import (
     Unavailable,
 )
 from qls.estimators import (
+    FitPlan,
     asymptotic_cov,
     fit_gqls,
     fit_mle,
@@ -18,7 +21,8 @@ from qls.estimators import (
     fit_sample,
     qls_weights,
 )
-from qls.families import ParamMode, Params, get_family
+from qls.families import FAMILIES, ParamMode, Params, get_family
+from qls.gof import bootstrap_pvalue
 from qls.linalg import det
 from qls.quantiles import (
     QuantileResponse,
@@ -36,6 +40,11 @@ S = sigma_star(NORMAL, GRID)
 
 def response_from(values, n=1000):
     return QuantileResponse(values=np.sort(np.asarray(values, float)), n=n)
+
+
+def _max_rel(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
 def test_oqls_exact_fit_recovers_beta():
@@ -128,6 +137,49 @@ def test_single_parameter_modes():
     assert sc.mu == 2.0
 
 
+def test_single_parameter_fit_needs_only_its_column():
+    # a constant quantile column makes the joint Gram singular, but each
+    # single-parameter mode still has a nonsingular 1 x 1 block
+    x_flat = np.column_stack([np.ones(25), np.full(25, 0.5)])
+    y = QuantileResponse(values=2.0 + 3.0 * x_flat[:, 1], n=400)
+    for fit_kind in (fit_oqls, fit_gqls):
+        with pytest.raises(RankDeficient):
+            fit_kind(y, x_flat, S)
+        loc = fit_kind(y, x_flat, S, mode=ParamMode.LOCATION_ONLY, known_sigma=3.0)
+        assert loc.mu == pytest.approx(2.0, abs=1e-10)
+        sc = fit_kind(y, x_flat, S, mode=ParamMode.SCALE_ONLY, known_mu=2.0)
+        assert sc.sigma == pytest.approx(3.0, abs=1e-10)
+
+
+def test_weights_and_cov_take_wider_designs():
+    # the (X, S) helpers accept any full-rank k x m design
+    x3 = np.column_stack([X, X[:, 1] ** 2])
+    p = np.linalg.inv(S)
+    g_inv = np.linalg.inv(x3.T @ p @ x3)
+    assert np.allclose(qls_weights("gqls", x3, S), g_inv @ x3.T @ p, rtol=1e-9, atol=1e-12)
+    assert np.allclose(asymptotic_cov("gqls", x3, S, sigma_hat=2.0, n=50), 4.0 / 50 * g_inv,
+                       rtol=1e-9, atol=1e-12)
+    x_bad = np.column_stack([X, X[:, 1]])
+    with pytest.raises(RankDeficient):
+        qls_weights("oqls", x_bad)
+
+
+def test_family_plans_ignore_level_order():
+    # raw level arrays need not be sorted: the gQLS covariance and weights
+    # are those of the sorted levels, permuted
+    fam = get_family("logistic")
+    levels = np.linspace(0.05, 0.95, 12)
+    order = np.random.default_rng(1).permutation(12)
+    for kind in ("oqls", "gqls"):
+        for mode in ParamMode:
+            a = standardized_cov(kind, fam, levels, mode)
+            b = standardized_cov(kind, fam, levels[order], mode)
+            assert _max_rel(b, a) <= 1e-12
+        w = FitPlan.for_family(fam, levels, kind).solver()[0]
+        w_shuffled = FitPlan.for_family(fam, levels[order], kind).solver()[0]
+        assert _max_rel(w_shuffled, w[:, order]) <= 1e-12
+
+
 def test_asymptotic_cov_formulas():
     # location-only scalar case: cov = sigma^2 * c / n for X = 1, S = [c]
     ones = np.ones((1, 1))
@@ -163,6 +215,58 @@ def test_affine_equivariance(c, d, seed):
         moved = fit_sample(c * data + d, NORMAL, GRID, method)
         assert moved.mu == pytest.approx(c * base.mu + d, rel=1e-9, abs=1e-9)
         assert moved.sigma == pytest.approx(c * base.sigma, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(FAMILIES)),
+       st.sampled_from(["oqls", "gqls"]),
+       st.sampled_from(list(ParamMode)),
+       st.integers(min_value=3, max_value=60),
+       st.integers(min_value=0, max_value=9999))
+def test_family_plan_matches_matrix_path(name, kind, mode, k, seed):
+    # the closed-form family plan against the plan factorizing sigma_star
+    fam = get_family(name)
+    grid = make_grid(0.05, 0.95, k)
+    data = fam.sample(Params(0.4, 1.3), 500, np.random.default_rng(seed))
+    y = empirical_quantiles(data, grid)
+    known = dict(known_mu=0.4, known_sigma=1.3)
+    plan_fit = fit_sample(data, fam, grid, kind, mode, **known)
+    fit_xs = fit_gqls if kind == "gqls" else fit_oqls
+    ref = fit_xs(y, design_matrix(fam, grid), sigma_star(fam, grid), mode=mode, **known)
+    assert _max_rel([plan_fit.mu, plan_fit.sigma], [ref.mu, ref.sigma]) <= 1e-10
+    assert _max_rel(plan_fit.asy_cov, ref.asy_cov) <= 1e-10
+
+
+def test_family_paths_factorize_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a family path factorized a k x k matrix")
+
+    for module in (estimators, linalg):
+        monkeypatch.setattr(module, "spd_factorize", refuse)
+    fam = get_family("logistic")
+    data = fam.sample(Params(), 300, np.random.default_rng(3))
+    for kind in ("oqls", "gqls"):
+        fit_sample(data, fam, GRID, kind)
+        are(kind, fam, GRID)
+    bootstrap_pvalue(data, fam, GRID, B=5, seed=1)
+
+
+def test_mle_init_falls_back_only_on_package_errors(monkeypatch):
+    cauchy = get_family("cauchy")
+    data = cauchy.sample(Params(), 200, np.random.default_rng(5))
+
+    def qls_failure(*args, **kwargs):
+        raise RankDeficient("forced")
+
+    monkeypatch.setattr(estimators, "fit_sample", qls_failure)
+    assert fit_mle(cauchy, data).sigma > 0  # robust starting point instead
+
+    def bug(*args, **kwargs):
+        raise KeyError("a programming error")
+
+    monkeypatch.setattr(estimators, "fit_sample", bug)
+    with pytest.raises(KeyError):
+        fit_mle(cauchy, data)
 
 
 # ---------------------------------------------------------------------------

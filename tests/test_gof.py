@@ -259,6 +259,25 @@ def test_bootstrap_seed_reproducible():
     assert a.p_value == b.p_value and a.statistic == b.statistic
 
 
+def test_bootstrap_seeds_give_disjoint_replicate_streams(monkeypatch):
+    data, _, _ = normal_fit(n=200, seed=52)
+    seen = []
+    real = np.random.default_rng
+
+    def recording(seed=None):
+        seen.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    streams = {}
+    for seed in (6, 7):
+        seen.clear()
+        bootstrap_pvalue(data, NORMAL, GRID, B=50, seed=seed)
+        streams[seed] = {repr(s) for s in seen}
+    assert len(streams[6]) == len(streams[7]) == 50
+    assert streams[6].isdisjoint(streams[7])
+
+
 def test_bootstrap_rejects_wrong_model():
     # heavy-tailed data tested against a normal null: decisive rejection
     cauchy = get_family("cauchy")

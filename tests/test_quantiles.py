@@ -14,7 +14,13 @@ from qls.errors import (
 )
 from qls.families import FAMILIES, ParamMode, Params, get_family
 from qls.linalg import spd_factorize
-from qls.quantiles import design_matrix, empirical_quantiles, make_grid, sigma_star
+from qls.quantiles import (
+    design_matrix,
+    empirical_quantiles,
+    make_grid,
+    precision_star,
+    sigma_star,
+)
 
 
 def test_make_grid_values():
@@ -102,7 +108,29 @@ def test_sigma_star_exact_symmetry():
 def test_sigma_star_is_spd(name, bounds):
     fam = get_family(name)
     for k in (2, 3, 10, 25, 60, 200):
-        spd_factorize(sigma_star(fam, make_grid(*bounds, k)))  # must not raise
+        grid = make_grid(*bounds, k)
+        s = sigma_star(fam, grid)
+        spd_factorize(s)  # must not raise
+        # the closed-form precision inverts S to rounding, scaled by cond(S)
+        tol = 100.0 * np.finfo(float).eps * np.linalg.cond(s)
+        assert np.max(np.abs(precision_star(fam, grid) @ s - np.eye(k))) <= tol
+
+
+def test_precision_star_is_symmetric_tridiagonal():
+    p = precision_star(get_family("normal"), make_grid(0.05, 0.95, 12))
+    assert np.array_equal(p, p.T)
+    assert np.all(np.triu(p, 2) == 0.0)
+
+
+def test_precision_star_follows_level_order():
+    fam = get_family("normal")
+    levels = [0.5, 0.2, 0.8, 0.35]
+    assert np.allclose(precision_star(fam, levels) @ sigma_star(fam, levels), np.eye(4),
+                       atol=1e-12)
+    with pytest.raises(InvalidGrid):
+        precision_star(fam, [0.2, 0.5, 0.2])
+    with pytest.raises(InvalidGrid):
+        precision_star(fam, [0.0, 0.5])
 
 
 def test_sigma_star_rejects_boundary_levels():
