@@ -28,7 +28,8 @@ def main() -> None:
     parser.add_argument("--n", type=int, default=1000)
     parser.add_argument("--m", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=20240817)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; does not change the speed")
     parser.add_argument("--out", default="results/contamination.csv")
     args = parser.parse_args()
 

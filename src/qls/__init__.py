@@ -21,10 +21,12 @@ from .errors import (
     InsufficientDof,
     InvalidGrid,
     NoConvergence,
+    NonFiniteData,
     NonPositiveScale,
     NotPositiveDefinite,
     QlsError,
     RankDeficient,
+    ScaleOverflow,
     Singular,
     Unavailable,
 )
@@ -99,6 +101,7 @@ __all__ = [
     "McConfig",
     "McSummary",
     "NoConvergence",
+    "NonFiniteData",
     "NonPositiveScale",
     "NotPositiveDefinite",
     "OutGrid",
@@ -109,6 +112,7 @@ __all__ = [
     "QuantileGrid",
     "QuantileResponse",
     "RankDeficient",
+    "ScaleOverflow",
     "Singular",
     "Unavailable",
     "are",

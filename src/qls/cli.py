@@ -4,8 +4,9 @@ Subcommands: fit, gof, are, influence, simulate, bench.  Exit codes: 0 on
 success, 1 for usage errors, 2 for input/parse failures, 3 for numeric or
 estimation failures.  Output goes to stdout (or --out) as text, JSON, or
 CSV; runs that consume randomness take --seed and are fully reproducible.
-The QLS_THREADS environment variable sets the default worker count for
-simulation studies.
+simulate still accepts --threads and the QLS_THREADS environment variable,
+but neither changes its speed or output: studies run on a single-threaded
+batch engine.
 """
 from __future__ import annotations
 
@@ -209,7 +210,7 @@ def _cmd_fit(args) -> int:
         "mu": fit.mu,
         "sigma": fit.sigma,
         "breakdown_point": bp.value,
-        "warnings": list(fit.warnings),
+        "warnings": list(data.warnings) + list(fit.warnings),
     }
     if se is not None:
         names = ("mu", "sigma") if mode is ParamMode.LOCATION_SCALE else (
@@ -443,7 +444,8 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
     p_sim.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: QLS_THREADS or 1)")
+                       help="accepted for compatibility; does not change "
+                            "the speed or the output (default: QLS_THREADS or 1)")
     for flag, kw in common.items():
         p_sim.add_argument(flag, **{**kw, **({"default": "csv"} if flag == "--format" else {})})
     p_sim.set_defaults(func=_cmd_simulate)

@@ -33,6 +33,15 @@ class EmptySample(QlsError, ValueError):
     """An empty data vector was supplied."""
 
 
+class NonFiniteData(QlsError, ValueError):
+    """The sample holds NaN or infinite values."""
+
+
+class ScaleOverflow(QlsError, ArithmeticError):
+    """A result derived from the scale estimate (such as the squared scale
+    in the covariance) exceeds the floating-point range."""
+
+
 class DegenerateDensity(QlsError):
     """Standard density vanishes (or is non-finite) at a grid quantile."""
 

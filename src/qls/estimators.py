@@ -15,8 +15,10 @@ with per-observation asymptotic covariances
 where sigma^2 is plugged in as the squared scale estimate.  For a fixed
 design and covariance each estimator is a fixed linear map beta = W Y.  A
 FitPlan holds that map with the pieces it is built from; a plan for a family
-takes P in closed form (``quantiles.precision_star``), and only a plan for a
-caller-supplied S factorizes it.
+takes P in closed form as its tridiagonal band (``quantiles.precision_band``),
+and only a plan for a caller-supplied S factorizes it.  A plan fits and tests
+a batch of quantile responses, one per row, in one call; a single fit is a
+batch of one row.
 """
 from __future__ import annotations
 
@@ -34,11 +36,20 @@ from .errors import (
     NoConvergence,
     QlsError,
     RankDeficient,
+    ScaleOverflow,
     Unavailable,
 )
 from .families import Family, ParamMode, Params
-from .linalg import SpdFactor, solve_spd, spd_factorize
-from .quantiles import QuantileGrid, QuantileResponse, design_matrix, empirical_quantiles, make_grid, precision_star, sigma_star
+from .linalg import SpdFactor, row_products, solve_spd, spd_factorize
+from .quantiles import (
+    QuantileGrid,
+    QuantileResponse,
+    design_matrix,
+    empirical_quantiles,
+    make_grid,
+    precision_band,
+    sigma_star,
+)
 
 __all__ = [
     "QlsFit",
@@ -111,7 +122,8 @@ def _full_design(x) -> np.ndarray:
 
 def _absorb_known(yv: np.ndarray, x: np.ndarray, mode: ParamMode,
                   known_mu: float, known_sigma: float) -> np.ndarray:
-    """Response actually regressed, after absorbing the known parameter."""
+    """Responses actually regressed (one per row), after absorbing the known
+    parameter."""
     if mode is ParamMode.LOCATION_SCALE:
         return yv
     if mode is ParamMode.LOCATION_ONLY:
@@ -156,6 +168,30 @@ def _solve(kind: str, xm: np.ndarray, gram: np.ndarray,
     return w, 0.5 * (cov + cov.T)
 
 
+def _band_matmul(band, x: np.ndarray) -> np.ndarray:
+    """P @ x for the precision given as ``quantiles.precision_band``."""
+    order, main, off = band
+    xs = x if order is None else x[order]
+    px = main[:, None] * xs
+    px[:-1] += off[:, None] * xs[1:]
+    px[1:] += off[:, None] * xs[:-1]
+    if order is None:
+        return px
+    out = np.empty_like(px)
+    out[order] = px
+    return out
+
+
+def _band_quad(band, e: np.ndarray) -> np.ndarray:
+    """Row-wise e' P e for the precision given as ``quantiles.precision_band``:
+    sum_i main_i e_i^2 + 2 sum_i off_i e_i e_(i+1) over increasing levels."""
+    order, main, off = band
+    if order is not None:
+        e = e[:, order]
+    terms = np.concatenate([e * e, 2.0 * e[:, :-1] * e[:, 1:]], axis=1)
+    return row_products(terms, np.concatenate([main, off])[None])[:, 0]
+
+
 @dataclass(frozen=True, eq=False)
 class FitPlan:
     """One estimator kind on one k x m design and quantile covariance.
@@ -163,9 +199,15 @@ class FitPlan:
     xm is X'P (gQLS) or X' (oQLS) and gram = xm X.  weights W (beta = W Y)
     and cov, the standardized covariance of beta, belong to the joint fit and
     are None when the joint Gram is singular.  gQLS takes P = S^-1 as the
-    closed-form precision of a family plan or as the Cholesky factor of a
+    closed-form tridiagonal band of a family plan (``band``, see
+    ``quantiles.precision_band``) or as the Cholesky factor of a
     caller-supplied S; sigma is S where a consumer needs it.  A
     single-parameter mode uses its sub-block of the Gram.
+
+    ``solve`` and ``w_statistics`` work on a batch of responses, one per
+    row, and every other fit or statistic goes through them.  Their sums run
+    in a fixed order (``linalg.row_products``), so a row's result is the same
+    bits whichever batch it is in.
     """
 
     kind: str
@@ -174,7 +216,7 @@ class FitPlan:
     gram: np.ndarray
     weights: np.ndarray | None
     cov: np.ndarray | None
-    precision: np.ndarray | None = None
+    band: tuple | None = None
     factor: SpdFactor | None = None
     sigma: np.ndarray | None = None
 
@@ -184,8 +226,8 @@ class FitPlan:
         factorized or inverted."""
         x = design_matrix(fam, grid)
         if kind == "gqls":
-            prec = precision_star(fam, grid)
-            return cls._build(kind, x, (prec @ x).T, precision=prec)
+            band = precision_band(fam, grid)
+            return cls._build(kind, x, _band_matmul(band, x).T, band=band)
         if kind == "oqls":
             return cls._build(kind, x, x.T, sigma=sigma_star(fam, grid))
         raise ValueError(f"unknown estimator kind {kind!r}")
@@ -224,29 +266,47 @@ class FitPlan:
         cols = _MODE_COLS.get(mode, slice(None))
         return _solve(self.kind, self.xm[cols], self.gram[cols, cols], self.sigma)
 
+    def solve(self, y: np.ndarray, mode: ParamMode = ParamMode.LOCATION_SCALE, *,
+              known_mu: float = 0.0, known_sigma: float = 1.0) -> np.ndarray:
+        """beta for each row of y (rows x k quantile values): a rows x m
+        array over the parameters the mode estimates, (mu, sigma) jointly."""
+        w = self.solver(mode)[0]
+        return row_products(_absorb_known(y, self.x, mode, known_mu, known_sigma), w)
+
     def fit(self, y, mode: ParamMode = ParamMode.LOCATION_SCALE, *, n: int | None = None,
             known_mu: float = 0.0, known_sigma: float = 1.0) -> QlsFit:
-        """Fit a quantile response (a QuantileResponse, or bare values with n)."""
+        """Fit a quantile response (a QuantileResponse, or bare values with n).
+        Raises ScaleOverflow when the squared scale estimate in the
+        covariance exceeds the floating-point range."""
         yv, n_obs, warns = _response(y, n)
-        w, cov = self.solver(mode)
-        beta = np.atleast_1d(w @ _absorb_known(yv, self.x, mode, known_mu, known_sigma))
+        beta = self.solve(yv[None, :], mode, known_mu=known_mu, known_sigma=known_sigma)[0]
         params, scale_warn = _assemble_params(beta, mode, known_mu, known_sigma)
+        asy_cov = None
         # an oQLS fit has a covariance only when S is known
-        known_cov = self.kind == "gqls" or self.sigma is not None
-        asy_cov = (params.sigma ** 2 / n_obs) * cov if known_cov else None
+        if self.kind == "gqls" or self.sigma is not None:
+            try:
+                scale2 = params.sigma ** 2 / n_obs
+            except OverflowError:
+                raise ScaleOverflow(
+                    f"squared scale estimate {params.sigma:.6g}^2 overflows; "
+                    "rescale the data") from None
+            asy_cov = scale2 * self.solver(mode)[1]
         return QlsFit(kind=self.kind, params=params, mode=mode, asy_cov=asy_cov,
                       response=y if isinstance(y, QuantileResponse) else None,
                       warnings=warns + scale_warn)
 
-    def quad(self, e: np.ndarray) -> float:
-        """The quadratic form e' P e."""
-        pe = self.precision @ e if self.factor is None else solve_spd(self.factor, e)
-        return float(e @ pe)
+    def quad(self, e: np.ndarray) -> np.ndarray:
+        """The quadratic form e' P e of each row of e."""
+        if self.band is not None:
+            return _band_quad(self.band, e)
+        pe = solve_spd(self.factor, e.T).T
+        return row_products(e * pe, np.ones((1, e.shape[1])))[:, 0]
 
-    def w_statistic(self, yv: np.ndarray, beta: np.ndarray, n: int) -> float:
-        """(n / sigma^2) e' P e with e = Y - X beta and sigma = beta[1]: W on
-        the estimation levels, W_out on validation levels."""
-        return n / beta[1] ** 2 * self.quad(yv - self.x @ beta)
+    def w_statistics(self, y: np.ndarray, beta: np.ndarray, n: int) -> np.ndarray:
+        """(n / sigma^2) e' P e for each row, with e = y - X beta and
+        sigma = beta[:, 1]: W on the estimation levels, W_out on validation
+        levels."""
+        return n / beta[:, 1] ** 2 * self.quad(y - row_products(beta, self.x))
 
     def q_split(self, yv: np.ndarray, beta_hat: np.ndarray,
                 beta_true: np.ndarray, n: int) -> tuple[float, float, float]:
@@ -254,9 +314,8 @@ class FitPlan:
         parameter-error part Q2 = (n/sigma^2) d' X'PX d with d = bhat - b."""
         c = n / beta_true[1] ** 2
         diff = beta_hat - beta_true
-        return (c * self.quad(yv - self.x @ beta_true),
-                c * self.quad(yv - self.x @ beta_hat),
-                c * float(diff @ self.gram @ diff))
+        q, q1 = c * self.quad(yv - row_products(np.stack([beta_true, beta_hat]), self.x))
+        return float(q), float(q1), c * float(diff @ self.gram @ diff)
 
     def projection_covs(self) -> tuple[np.ndarray, np.ndarray]:
         """Standardized residual and fitted covariances, S - H and H, with

@@ -279,7 +279,12 @@ class Family:
             raise DomainError("sample size must be >= 1")
         if not params.sigma > 0:
             raise DomainError("sigma must be positive to sample")
-        u = rng.random(n)
+        return self._from_uniform(params, rng.random(n))
+
+    def _from_uniform(self, params: Params, u: np.ndarray) -> np.ndarray:
+        """mu + sigma * Q0(u), clipping u in place.  The map is nondecreasing,
+        so applied to sorted uniforms it gives the order statistics of the
+        sample those uniforms would draw."""
         # keep the quantile function finite at the edges
         np.clip(u, _U_FLOOR, _U_CEIL, out=u)
         return params.mu + params.sigma * self._qf(u)

@@ -24,11 +24,19 @@ from .errors import (
     BootstrapDegenerate,
     InsufficientDof,
     InvalidGrid,
+    NonFiniteData,
     NonPositiveScale,
 )
 from .estimators import FitPlan, QlsFit, _response
 from .families import Family, ParamMode, Params
-from .quantiles import QuantileGrid, _ranks, empirical_quantiles, levels_of
+from .quantiles import (
+    QuantileGrid,
+    _ranks,
+    empirical_quantiles,
+    finite_rows,
+    levels_of,
+    replicate_blocks,
+)
 
 __all__ = [
     "GofResult",
@@ -175,7 +183,7 @@ def plan_w_test(plan: FitPlan, y, fit: QlsFit, n: int | None = None,
     k = yv.shape[0]
     if k < 3:
         raise InsufficientDof("need k >= 3 levels for a k-2 dof statistic")
-    stat = plan.w_statistic(yv, np.array([fit.mu, fit.sigma]), n_obs)
+    stat = float(plan.w_statistics(yv[None, :], np.array([[fit.mu, fit.sigma]]), n_obs)[0])
     dof = k - 2
     p = chi2_sf(stat, dof)
     return GofResult(statistic=stat, kind="in-sample", p_value=p, dof=dof,
@@ -190,7 +198,41 @@ def w_out_statistic(data, fit: QlsFit, fam: Family, out_grid: OutGrid,
     n_obs = data.shape[0] if n is None else int(n)
     y_out = empirical_quantiles(data, out_grid).values
     plan_out = FitPlan.for_family(fam, out_grid, "gqls")
-    return plan_out.w_statistic(y_out, np.array([fit.mu, fit.sigma]), n_obs)
+    return float(plan_out.w_statistics(y_out[None, :], np.array([[fit.mu, fit.sigma]]), n_obs)[0])
+
+
+def w_pvalues(plan: FitPlan, y: np.ndarray, n: int) -> np.ndarray:
+    """In-sample test p-values of many samples at once: row i of y holds the
+    quantiles of one sample of size n at the plan's levels.  A row whose
+    joint gQLS fit has non-positive scale gets NaN, as does every row when
+    k < 3 (``w_test`` raises in both cases)."""
+    k = y.shape[1]
+    p = np.full(y.shape[0], np.nan)
+    if k < 3:
+        return p
+    beta = plan.solve(y)
+    ok = beta[:, 1] > 0
+    stats = plan.w_statistics(y[ok], beta[ok], n)
+    p[ok] = [chi2_sf(stat, k - 2) for stat in stats]
+    return p
+
+
+def _bootstrap_order_statistics(fam: Family, params: Params, n: int, seed: int,
+                                replicates: range, idx: list[np.ndarray]):
+    """Order statistics at the 0-based positions ``idx`` of the bootstrap
+    samples, one block of replicates at a time.
+
+    Replicate b draws the same uniforms from ``default_rng([seed, b])`` as
+    ``fam.sample(params, n, ...)`` would.  The family's quantile map is
+    nondecreasing, so it is applied to the sorted uniforms at the wanted
+    positions only, never to the whole sample.
+    """
+    for block in replicate_blocks(replicates, n):
+        u = np.empty((len(block), n))
+        for row, b in zip(u, block):
+            np.random.default_rng([seed, b]).random(out=row)
+        u.sort(axis=1)
+        yield [fam._from_uniform(params, u[:, i]) for i in idx]
 
 
 def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
@@ -220,37 +262,29 @@ def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
     data = np.asarray(data, dtype=float).ravel()
     n = data.shape[0]
 
-    # beta = weights @ Y for fast refits inside the loop
-    weights = FitPlan.for_family(fam, grid, "gqls").solver()[0]
+    plan = FitPlan.for_family(fam, grid, "gqls")
     plan_out = FitPlan.for_family(fam, out_grid, "gqls")
-    # one sort per replicate serves both level sets
+    # one sort per sample serves both level sets
     idx_fit = _ranks(n, levels_of(grid))[0] - 1
     idx_out = _ranks(n, levels_of(out_grid))[0] - 1
 
-    def refit_and_stat(sample: np.ndarray) -> tuple[float, np.ndarray] | None:
-        srt = np.sort(sample)
-        beta = weights @ srt[idx_fit]
-        if not beta[1] > 0:
-            return None
-        return plan_out.w_statistic(srt[idx_out], beta, n), beta
-
-    first = refit_and_stat(data)
-    if first is None:
+    srt = np.sort(data)
+    if not finite_rows(srt):
+        raise NonFiniteData("bootstrap data hold NaN or infinite values")
+    beta0 = plan.solve(srt[None, idx_fit])
+    if not beta0[0, 1] > 0:
         raise NonPositiveScale("gQLS fit on the data has non-positive scale")
-    observed, beta0 = first
-    fitted = Params(mu=float(beta0[0]), sigma=float(beta0[1]))
+    observed = float(plan_out.w_statistics(srt[None, idx_out], beta0, n)[0])
+    fitted = Params(mu=float(beta0[0, 0]), sigma=float(beta0[0, 1]))
 
     exceed = 0
     failures = 0
-    for b in range(1, B + 1):
-        rng = np.random.default_rng([seed, b])
-        sample = fam.sample(fitted, n, rng)
-        result = refit_and_stat(sample)
-        if result is None:
-            failures += 1
-            continue
-        if result[0] > observed:
-            exceed += 1
+    for y_fit, y_out in _bootstrap_order_statistics(
+            fam, fitted, n, seed, range(1, B + 1), [idx_fit, idx_out]):
+        beta = plan.solve(y_fit)
+        ok = beta[:, 1] > 0
+        failures += int(np.count_nonzero(~ok))
+        exceed += int(np.count_nonzero(plan_out.w_statistics(y_out[ok], beta[ok], n) > observed))
     b_eff = B - failures
     if failures > max_failure_fraction * B or b_eff == 0:
         raise BootstrapDegenerate(

@@ -3,7 +3,10 @@
 All matrices are plain row-major ``numpy.ndarray`` values.  Sizes here are
 k x k with k up to a few hundred, so LAPACK-backed dense routines are the
 right tool: Cholesky on the SPD path (which doubles as a definiteness
-certificate), LU with partial pivoting for the determinant.
+certificate), LU with partial pivoting for the determinant.  Products that
+fit many replicate rows at once use ``row_products``, which sums over the k
+levels in a fixed order, so a row's result does not depend on how many rows
+share the call.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ __all__ = [
     "spd_factorize",
     "solve_spd",
     "det",
+    "row_products",
 ]
 
 _EPS = float(np.finfo(float).eps)
@@ -96,3 +100,14 @@ def det(m) -> float:
         lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
     sign = 1.0 if (np.arange(n) != piv).sum() % 2 == 0 else -1.0
     return sign * float(np.prod(lu.diagonal()))
+
+
+def row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b.T for a (rows x k) and b (m x k), each sum taken left to right.
+
+    Every entry adds its k products in the order 0..k-1: a running sum
+    (``cumsum``) has no other order.  A BLAS product or a pairwise reduction
+    may order the sum differently for one row than for many, which would make
+    a replicate's result depend on the size of its batch.
+    """
+    return np.cumsum(a[:, None, :] * b[None, :, :], axis=2)[:, :, -1]

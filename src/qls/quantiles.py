@@ -7,10 +7,13 @@ we assemble the standardized covariance of sample quantiles
     s_ij = p_i (1 - p_j) / (f0(Q0(p_i)) f0(Q0(p_j)))   for i <= j,
 
 its closed-form tridiagonal inverse (the precision), and the regression
-design whose columns are 1 and Q0(p_i).
+design whose columns are 1 and Q0(p_i).  Replicate studies take order
+statistics from row-sorted blocks of replicates, split by
+``replicate_blocks`` so that each block stays within 1 MiB.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +24,7 @@ from .errors import (
     DegenerateDensity,
     EmptySample,
     InvalidGrid,
+    NonFiniteData,
 )
 from .families import Family, ParamMode
 
@@ -33,6 +37,9 @@ __all__ = [
     "precision_star",
     "design_matrix",
 ]
+
+# float64 values in one block of replicate rows: 1 MiB
+_BLOCK_VALUES = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -102,9 +109,23 @@ def _ranks(n: int, levels: np.ndarray) -> tuple[np.ndarray, list[str]]:
     return ranks, warns
 
 
+def finite_rows(srt: np.ndarray):
+    """Whether each row of a row-sorted array is free of NaN and infinities.
+    NaN sorts last and -inf first, so the two end values decide."""
+    return np.isfinite(srt[..., 0]) & np.isfinite(srt[..., -1])
+
+
+def replicate_blocks(replicates: range, n: int) -> Iterator[range]:
+    """Split replicate numbers into consecutive runs whose (rows, n) float64
+    block holds at most 1 MiB (one row when a single sample is larger)."""
+    rows = max(1, _BLOCK_VALUES // n)
+    return (replicates[i:i + rows] for i in range(0, len(replicates), rows))
+
+
 def empirical_quantiles(sample, grid) -> QuantileResponse:
     """Extract the ceil(n*p)-th order statistics at each grid level from one
-    full sort of the sample."""
+    full sort of the sample.  Raises NonFiniteData when the sample holds NaN
+    or an infinity."""
     data = np.asarray(sample, dtype=float)
     if data.ndim != 1:
         data = data.ravel()
@@ -113,8 +134,11 @@ def empirical_quantiles(sample, grid) -> QuantileResponse:
         raise EmptySample("cannot take quantiles of an empty sample")
     levels = levels_of(grid)
     ranks, warns = _ranks(n, levels)
-    values = np.sort(data)[ranks - 1]
-    return QuantileResponse(values=values, n=n, warnings=tuple(warns))
+    srt = np.sort(data)
+    if not finite_rows(srt):
+        raise NonFiniteData(
+            f"sample holds NaN or infinite values (sorted from {srt[0]} to {srt[-1]})")
+    return QuantileResponse(values=srt[ranks - 1], n=n, warnings=tuple(warns))
 
 
 def level_density(fam: Family, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -145,14 +169,16 @@ def sigma_star(fam: Family, grid) -> np.ndarray:
     return np.minimum.outer(p, p) * (1.0 - np.maximum.outer(p, p)) / np.outer(f, f)
 
 
-def precision_star(fam: Family, grid) -> np.ndarray:
-    """Inverse of ``sigma_star`` in closed form (Ogawa 1951; Lloyd 1952).
+def precision_band(fam: Family, grid) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """The closed-form precision as (order, main, off): its main and first
+    off-diagonal over the levels in increasing order, and the permutation
+    ``order`` that sorts the levels (None when they are already increasing).
 
-    By the Markov structure of order statistics it is D P0 D, D = diag(f),
-    with P0 tridiagonal: diagonal 1/d_i + 1/d_(i+1), off-diagonal -1/d_(i+1),
-    d_i = p_i - p_(i-1), p_0 = 0, p_(k+1) = 1, over the levels in increasing
-    order; unsorted levels permute its rows and columns.  Raises InvalidGrid
-    on repeated levels, where S is singular.
+    By the Markov structure of order statistics (Ogawa 1951; Lloyd 1952) the
+    precision is D P0 D, D = diag(f), with P0 tridiagonal: diagonal
+    1/d_i + 1/d_(i+1), off-diagonal -1/d_(i+1), d_i = p_i - p_(i-1),
+    p_0 = 0, p_(k+1) = 1.  Raises InvalidGrid on repeated levels, where S is
+    singular.
     """
     p, _, f = level_density(fam, grid)
     order = np.argsort(p, kind="stable")
@@ -160,9 +186,18 @@ def precision_star(fam: Family, grid) -> np.ndarray:
     if np.any(np.diff(p) <= 0.0):
         raise InvalidGrid("the precision needs distinct levels")
     inv_d = 1.0 / np.diff(np.concatenate(([0.0], p, [1.0])))
+    main = (inv_d[:-1] + inv_d[1:]) * f * f
     off = -inv_d[1:-1] * f[:-1] * f[1:]
-    prec = np.diag((inv_d[:-1] + inv_d[1:]) * f * f) + np.diag(off, 1) + np.diag(off, -1)
-    if np.any(np.diff(order) < 0):
+    return (order if np.any(np.diff(order) < 0) else None), main, off
+
+
+def precision_star(fam: Family, grid) -> np.ndarray:
+    """Inverse of ``sigma_star`` in closed form: the dense matrix of
+    ``precision_band``, tridiagonal over increasing levels; unsorted levels
+    permute its rows and columns."""
+    order, main, off = precision_band(fam, grid)
+    prec = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+    if order is not None:
         back = np.argsort(order)
         prec = prec[np.ix_(back, back)]
     return prec

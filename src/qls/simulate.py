@@ -4,13 +4,19 @@ studies for the goodness-of-fit tests, and timing benchmarks.
 Data are drawn from the mixture (1 - eps) F0 + eps G; bias and root-MSE are
 always measured against the parameters of the clean component F0.  Every
 study is deterministic given its seed: replicate r uses a generator seeded
-from (seed, r), and the reduction order is fixed, so worker scheduling
-cannot change the summaries.
+from (seed, r), and the reduction order is fixed.
+
+Replicates run as a batch engine.  Consecutive replicates fill the rows of
+one block, sized from n so that it holds at most 1 MiB of float64
+(``quantiles.replicate_blocks``).  The MLE is fitted on each row as drawn;
+the block is then sorted once along its rows, every QLS estimator reads its
+rank columns from that sort, and one row-batched product per estimator
+(``FitPlan.solve``) fits all the rows.  A row's estimates do not depend on
+the block it falls in, so the summaries are the same for any block size.
 """
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +24,8 @@ import numpy as np
 from . import gof
 from .errors import QlsError
 from .families import Family, ParamMode, Params
-from .quantiles import QuantileGrid, empirical_quantiles, make_grid
-from .estimators import FitPlan, fit_gqls, fit_mle, fit_oqls, fit_sample
+from .quantiles import QuantileGrid, _ranks, finite_rows, make_grid, replicate_blocks
+from .estimators import FitPlan, fit_mle, fit_sample
 
 __all__ = [
     "ContaminationSpec",
@@ -113,7 +119,7 @@ class McConfig:
     m: int
     estimators: tuple[EstimatorSpec, ...]
     seed: int = 0
-    workers: int = 1
+    workers: int = 1  # accepted for compatibility; the batch engine is single-threaded
 
     def __post_init__(self):
         if self.m < 1:
@@ -153,38 +159,25 @@ class McSummary:
         return rows
 
 
-def _fit_estimates(est: EstimatorSpec, plan: FitPlan | None, fam: Family,
-                   data: np.ndarray) -> tuple[float, ...]:
-    if plan is None:
-        fit = fit_mle(fam, data, est.mode, known_mu=est.known_mu)
-    else:
-        fit = (fit_gqls if est.method == "gqls" else fit_oqls)(
-            empirical_quantiles(data, est.grid), plan.x, plan.sigma, mode=est.mode,
-            known_mu=est.known_mu, known_sigma=est.known_sigma, plan=plan)
-    if est.mode is not ParamMode.LOCATION_ONLY and not fit.sigma > 0:
-        raise QlsError("non-positive scale estimate")
-    if est.mode is ParamMode.LOCATION_ONLY:
-        return (fit.mu,)
-    if est.mode is ParamMode.SCALE_ONLY:
-        return (fit.sigma,)
-    return (fit.mu, fit.sigma)
+def _sorted_blocks(spec: ContaminationSpec, n: int, replicates: range,
+                   seed_prefix: tuple, each_row=None):
+    """Replicates as row-sorted (rows, n) blocks: yields (replicates, block,
+    finite), finite marking the rows free of NaN and infinities.  Replicate
+    r draws from ``default_rng([*seed_prefix, r])``; ``each_row(r, draws)``
+    sees each replicate's draws before the sort."""
+    for reps in replicate_blocks(replicates, n):
+        block = np.empty((len(reps), n))
+        for row, r in zip(block, reps):
+            row[:] = sample_contaminated(spec, n, np.random.default_rng([*seed_prefix, r]))
+            if each_row is not None:
+                each_row(r, row)
+        block.sort(axis=1)
+        yield reps, block, finite_rows(block)
 
 
-def _mc_chunk(config: McConfig, plans: list, rep_range: range) -> np.ndarray:
-    fam = config.spec.base_family
-    n_est = len(config.estimators)
-    out = np.full((len(rep_range), n_est, 2), np.nan)
-    for row, r in enumerate(rep_range):
-        rng = np.random.default_rng([config.seed, r])
-        data = sample_contaminated(config.spec, config.n, rng)
-        for j, est in enumerate(config.estimators):
-            try:
-                vals = _fit_estimates(est, plans[j], fam, data)
-            except QlsError:
-                continue
-            for c, v in enumerate(vals):
-                out[row, j, c] = v
-    return out
+def _scale_ok(est: EstimatorSpec, sigma):
+    """A replicate fails on a non-positive scale unless the scale was known."""
+    return est.mode is ParamMode.LOCATION_ONLY or sigma > 0
 
 
 def _five_number(v: np.ndarray) -> tuple[float, float, float, float, float]:
@@ -192,26 +185,52 @@ def _five_number(v: np.ndarray) -> tuple[float, float, float, float, float]:
     return tuple(float(t) for t in q)
 
 
+def _mc_estimates(config: McConfig) -> np.ndarray:
+    """Estimates of every replicate: an (m, estimators, 2) array holding each
+    estimator's parameters in ``param_names`` order, NaN where its fit
+    failed."""
+    m = config.m
+    fam = config.spec.base_family
+    estimates = np.full((m, len(config.estimators), 2), np.nan)
+    mles = [(j, est) for j, est in enumerate(config.estimators) if est.method == "mle"]
+    # one plan and one set of ranks per QLS estimator, shared by every replicate
+    qls = [(j, est, FitPlan.for_family(fam, est.grid, est.method),
+            _ranks(config.n, est.grid.levels)[0] - 1)
+           for j, est in enumerate(config.estimators) if est.method != "mle"]
+
+    def fit_mles(r: int, draws: np.ndarray) -> None:
+        for j, est in mles:
+            try:
+                fit = fit_mle(fam, draws, est.mode, known_mu=est.known_mu)
+            except QlsError:
+                continue
+            if _scale_ok(est, fit.sigma):
+                estimates[r, j, :len(est.param_names)] = [
+                    getattr(fit, name) for name in est.param_names]
+
+    for reps, block, finite in _sorted_blocks(config.spec, config.n, range(m),
+                                              (config.seed,), fit_mles):
+        for j, est, plan, idx in qls:
+            try:
+                beta = plan.solve(block[:, idx], est.mode, known_mu=est.known_mu,
+                                  known_sigma=est.known_sigma)
+            except QlsError:  # the mode's Gram is singular: every replicate fails
+                continue
+            ok = finite & _scale_ok(est, beta[:, -1])
+            estimates[reps.start:reps.stop, j, :beta.shape[1]] = np.where(
+                ok[:, None], beta, np.nan)
+    return estimates
+
+
 def run_mc(config: McConfig) -> McSummary:
     """Fit every estimator on every replicate; summarize against the clean
-    base parameters.  Replicates whose fit fails (non-convergence or a
-    non-positive scale) are excluded from the summaries and counted."""
+    base parameters.  Replicates whose fit fails (non-convergence, data that
+    are not finite, or a non-positive scale) are excluded from the summaries
+    and counted.  ``config.workers`` is accepted for compatibility and does
+    not change the result or the speed: replicates run on the batch engine
+    in one thread."""
     m = config.m
-    # one plan per QLS estimator, shared by every replicate
-    fam = config.spec.base_family
-    plans = [None if est.method == "mle" else FitPlan.for_family(fam, est.grid, est.method)
-             for est in config.estimators]
-    if config.workers > 1:
-        chunks = np.array_split(np.arange(m), config.workers)
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            parts = list(pool.map(
-                lambda idx: _mc_chunk(config, plans, range(int(idx[0]), int(idx[-1]) + 1)),
-                [c for c in chunks if c.size],
-            ))
-        estimates = np.concatenate(parts, axis=0)
-    else:
-        estimates = _mc_chunk(config, plans, range(m))
-
+    estimates = _mc_estimates(config)
     truth = {"mu": config.spec.base_params.mu, "sigma": config.spec.base_params.sigma}
     stats: dict = {}
     failures: dict = {}
@@ -273,30 +292,14 @@ def run_power_study(h0_families, generators, grids, n: int, m: int,
     for i_h0, h0 in enumerate(h0_families):
         for i_gen, gen in enumerate(generators):
             for i_grid, grid in enumerate(grids):
-                plan = FitPlan.for_family(h0, grid, "gqls") if test == "w" else None
-                rejections = 0
-                failures = 0
-                used = 0
-                rep_seeds = np.random.default_rng(
-                    [seed, i_h0, i_gen, i_grid]
-                ).integers(0, 2 ** 62, size=m)
-                for r in range(m):
-                    rng = np.random.default_rng([seed, i_h0, i_gen, i_grid, r])
-                    data = sample_contaminated(gen, n, rng)
-                    try:
-                        if test == "w":
-                            y = empirical_quantiles(data, grid)
-                            res = gof.plan_w_test(plan, y, fit_gqls(y, plan.x, None, plan=plan))
-                        else:
-                            res = gof.bootstrap_pvalue(
-                                data, h0, grid, out_grid, B=B, seed=int(rep_seeds[r])
-                            )
-                    except QlsError:
-                        failures += 1
-                        continue
-                    used += 1
-                    if res.p_value <= alpha:
-                        rejections += 1
+                cell_seed = (seed, i_h0, i_gen, i_grid)
+                if test == "w":
+                    pvals = _w_cell(h0, gen, grid, n, m, cell_seed)
+                else:
+                    pvals = _wout_cell(h0, gen, grid, out_grid, n, m, B, cell_seed)
+                failures = int(np.count_nonzero(np.isnan(pvals)))
+                used = m - failures
+                rejections = int(np.count_nonzero(pvals <= alpha))
                 rate = rejections / used if used else float("nan")
                 cells.append(PowerCell(
                     h0_family=h0.name, generator=gen.label, a=grid.a, b=grid.b,
@@ -304,6 +307,37 @@ def run_power_study(h0_families, generators, grids, n: int, m: int,
                     rejection_rate=rate, failures=failures,
                 ))
     return cells
+
+
+def _w_cell(h0: Family, gen: ContaminationSpec, grid: QuantileGrid, n: int, m: int,
+            cell_seed: tuple) -> np.ndarray:
+    """In-sample test p-values of a cell's m replicates on the batch engine;
+    NaN marks a failed replicate."""
+    plan = FitPlan.for_family(h0, grid, "gqls")
+    idx = _ranks(n, grid.levels)[0] - 1
+    pvals = np.full(m, np.nan)
+    for reps, block, finite in _sorted_blocks(gen, n, range(m), cell_seed):
+        p = np.full(len(reps), np.nan)
+        p[finite] = gof.w_pvalues(plan, block[:, idx][finite], n)
+        pvals[reps.start:reps.stop] = p
+    return pvals
+
+
+def _wout_cell(h0: Family, gen: ContaminationSpec, grid: QuantileGrid,
+               out_grid: gof.OutGrid, n: int, m: int, B: int,
+               cell_seed: tuple) -> np.ndarray:
+    """Bootstrap out-of-sample p-values of a cell's m replicates; NaN marks
+    a failed replicate."""
+    rep_seeds = np.random.default_rng(list(cell_seed)).integers(0, 2 ** 62, size=m)
+    pvals = np.full(m, np.nan)
+    for r in range(m):
+        data = sample_contaminated(gen, n, np.random.default_rng([*cell_seed, r]))
+        try:
+            pvals[r] = gof.bootstrap_pvalue(data, h0, grid, out_grid, B=B,
+                                            seed=int(rep_seeds[r])).p_value
+        except QlsError:
+            pass
+    return pvals
 
 
 # ---------------------------------------------------------------------------

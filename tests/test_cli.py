@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from qls.cli import main, read_data, InputError
+from qls import cli
+from qls.cli import Dataset, main, read_data, InputError
 from qls.families import Params, get_family
 
 
@@ -87,6 +88,40 @@ def test_fit_missing_file_is_input_error(capsys):
     code, _, err = run_cli(capsys, "fit", "--family", "normal",
                            "--data", "/nonexistent/file.csv")
     assert code == 2
+
+
+def test_fit_reports_the_skipped_header(capsys, tmp_path):
+    p = tmp_path / "h.csv"
+    values = get_family("normal").sample(Params(0.0, 1.0), 500, np.random.default_rng(3))
+    p.write_text("value\n" + "\n".join(f"{v:.10f}" for v in values) + "\n")
+    code, out, _ = run_cli(capsys, "fit", "--family", "normal", "--data", str(p),
+                           "--format", "json")
+    assert code == 0
+    warnings = json.loads(out)["warnings"]
+    assert len(warnings) == 1 and "header skipped" in warnings[0]
+
+
+def test_fit_non_finite_values_past_the_reader_exit_3(capsys, monkeypatch):
+    # the reader rejects NaN itself; data reaching the library anyway are
+    # refused there, and the CLI reports a numeric failure
+    data = np.linspace(-2.0, 2.0, 200)
+    data[7] = np.nan
+    monkeypatch.setattr(cli, "read_data", lambda path: Dataset(values=data, source=path))
+    code, out, err = run_cli(capsys, "fit", "--family", "normal", "--data", "x.csv")
+    assert code == 3 and out == ""
+    assert "NonFiniteData" in err
+
+
+@pytest.mark.parametrize("method", ["gqls", "oqls"])
+def test_fit_extreme_magnitudes_exit_3_with_a_message(capsys, tmp_path, method):
+    values = get_family("normal").sample(Params(0.0, 1.0), 500, np.random.default_rng(5))
+    p = tmp_path / "big.csv"
+    p.write_text("\n".join(f"{v * 1e300!r}" for v in values.tolist()) + "\n")
+    code, out, err = run_cli(capsys, "fit", "--family", "normal", "--data", str(p),
+                             "--method", method)
+    assert code == 3 and out == ""
+    assert "ScaleOverflow" in err and "rescale the data" in err
+    assert "Traceback" not in err
 
 
 def test_fit_mu_within_reported_se(capsys, normal_file):

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from qls import quantiles
 from qls.errors import (
     BootstrapDegenerate,
     InsufficientDof,
     InvalidGrid,
+    NonFiniteData,
     NonPositiveScale,
 )
 from qls.estimators import fit_gqls, fit_mle, fit_sample
-from qls.families import ParamMode, Params, get_family
+from qls.families import FAMILIES, ParamMode, Params, get_family
 from qls.gof import (
+    _bootstrap_order_statistics,
     bootstrap_pvalue,
     chi2_sf,
     default_out_grid,
@@ -26,6 +29,7 @@ from qls.quantiles import (
     QuantileResponse,
     design_matrix,
     empirical_quantiles,
+    _ranks,
     make_grid,
     sigma_star,
 )
@@ -289,3 +293,46 @@ def test_bootstrap_rejects_wrong_model():
 def test_bootstrap_requires_positive_scale():
     with pytest.raises(NonPositiveScale):
         bootstrap_pvalue(np.zeros(100), NORMAL, GRID, B=10, seed=0)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_bootstrap_order_statistics_equal_sorted_samples(name, monkeypatch):
+    # the quantile map applied to sorted uniforms at the read ranks gives the
+    # same bits as sorting the whole sample; one-row blocks and many-row
+    # blocks give the same rows
+    fam = get_family(name)
+    params = Params(0.3, 1.7)
+    n = 2000
+    idx = np.unique(np.concatenate([
+        _ranks(n, GRID.levels)[0] - 1, _ranks(n, default_out_grid().levels)[0] - 1, [0, n - 1]]))
+    reps = range(1, 41)
+    want = np.array([np.sort(fam.sample(params, n, np.random.default_rng([9, b])))[idx]
+                     for b in reps])
+    got = np.concatenate([blk[0] for blk in _bootstrap_order_statistics(fam, params, n, 9, reps, [idx])])
+    assert np.array_equal(got, want)
+    monkeypatch.setattr(quantiles, "_BLOCK_VALUES", n)
+    one_row = np.concatenate([blk[0] for blk in _bootstrap_order_statistics(fam, params, n, 9, reps, [idx])])
+    assert np.array_equal(one_row, want)
+
+
+def test_bootstrap_matches_a_replicate_loop():
+    # the batched bootstrap against sample -> sort -> fit -> statistic per replicate
+    data, _, _ = normal_fit(n=500, seed=53)
+    out_grid = default_out_grid()
+    res = bootstrap_pvalue(data, NORMAL, GRID, out_grid, B=80, seed=12)
+    fit = fit_gqls(empirical_quantiles(data, GRID), X, S)
+    observed = w_out_statistic(data, fit, NORMAL, out_grid)
+    assert res.statistic == pytest.approx(observed, rel=1e-12)
+    exceed = 0
+    for b in range(1, 81):
+        sample = NORMAL.sample(fit.params, 500, np.random.default_rng([12, b]))
+        refit = fit_gqls(empirical_quantiles(sample, GRID), X, S)
+        exceed += w_out_statistic(sample, refit, NORMAL, out_grid) > observed
+    assert res.p_value == exceed / 80 and res.failures == 0
+
+
+def test_bootstrap_rejects_non_finite_data():
+    data, _, _ = normal_fit(n=300, seed=54)
+    data[3] = np.inf
+    with pytest.raises(NonFiniteData):
+        bootstrap_pvalue(data, NORMAL, GRID, B=10, seed=0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qls.errors import DimensionMismatch, NotPositiveDefinite
-from qls.linalg import det, solve_spd, spd_factorize
+from qls.linalg import det, row_products, solve_spd, spd_factorize
 
 
 def random_spd(k, rng, jitter=0.5):
@@ -89,3 +89,15 @@ def test_det_is_multiplicative(seed):
     lhs = det(a @ b)
     rhs = det(a) * det(b)
     assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-10)
+
+
+def test_row_products_rows_do_not_depend_on_the_batch():
+    rng = np.random.default_rng(3)
+    for rows, k, m in ((1, 1, 1), (7, 25, 2), (131, 99, 1), (400, 8, 2)):
+        a = rng.standard_normal((rows, k)) * 10.0 ** rng.uniform(-3, 3, (rows, k))
+        b = rng.standard_normal((m, k))
+        out = row_products(a, b)
+        assert out.shape == (rows, m)
+        assert np.allclose(out, a @ b.T, rtol=1e-12, atol=1e-12 * np.abs(a).max())
+        for i in (0, rows // 2, rows - 1):
+            assert np.array_equal(row_products(a[i:i + 1], b)[0], out[i])

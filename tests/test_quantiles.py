@@ -11,9 +11,12 @@ from qls.errors import (
     DegenerateDensity,
     EmptySample,
     InvalidGrid,
+    NonFiniteData,
+    QlsError,
 )
 from qls.families import FAMILIES, ParamMode, Params, get_family
 from qls.linalg import spd_factorize
+from qls.estimators import fit_sample
 from qls.quantiles import (
     design_matrix,
     empirical_quantiles,
@@ -56,6 +59,17 @@ def test_empirical_quantiles_single_point_and_empty():
     assert np.all(resp.values == 5.0)
     with pytest.raises(EmptySample):
         empirical_quantiles([], make_grid(0.1, 0.9, 4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_empirical_quantiles_reject_non_finite_samples(bad):
+    data = get_family("normal").sample(Params(), 400, np.random.default_rng(4))
+    data[::20] = bad  # 5% of the sample
+    with pytest.raises(NonFiniteData, match="NaN or infinite"):
+        empirical_quantiles(data, make_grid(0.05, 0.95, 25))
+    for method in ("gqls", "oqls"):
+        with pytest.raises(QlsError):
+            fit_sample(data, get_family("normal"), make_grid(0.05, 0.95, 25), method)
 
 
 def test_empirical_quantiles_warnings():

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qls.families import ParamMode, Params, get_family
-from qls.quantiles import make_grid
+from qls import quantiles
+from qls.estimators import FitPlan, fit_sample
+from qls.families import FAMILIES, ParamMode, Params, get_family
+from qls.gof import plan_w_test
+from qls.quantiles import empirical_quantiles, make_grid
 from qls.simulate import (
     ContaminationSpec,
     EstimatorSpec,
     McConfig,
+    _mc_estimates,
     run_mc,
     run_power_study,
     run_timing,
@@ -170,3 +176,121 @@ def test_run_timing_timeout_marker():
     rows = run_timing([NORMAL], ["gqls"], [50_000], repeats=3, timeout=0.0, seed=2)
     assert rows[0].timed_out
     assert rows[0].repeats == 1  # stopped after the first over-budget fit
+
+
+# ---------------------------------------------------------------------------
+# batch engine
+# ---------------------------------------------------------------------------
+
+ENGINE_ESTIMATORS = (
+    EstimatorSpec("gqls", GRID),
+    EstimatorSpec("oqls", make_grid(0.10, 0.90, 25)),
+    EstimatorSpec("gqls", make_grid(0.10, 0.90, 15), mode=ParamMode.LOCATION_ONLY),
+    EstimatorSpec("oqls", GRID, mode=ParamMode.SCALE_ONLY),
+    EstimatorSpec("mle"),
+)
+
+
+@pytest.mark.parametrize("n, one_row_blocks", [(1000, False), (1000, True), (40, True)])
+def test_replicate_estimates_do_not_depend_on_the_study_size(n, one_row_blocks, monkeypatch):
+    # n = 1000 gives 131-row blocks, so m = 300 spans three blocks and m = 10
+    # one partial block; capping a block at n values gives one-row blocks
+    def study(m):
+        return _mc_estimates(McConfig(spec=contaminated(0.05), n=n, m=m,
+                                      estimators=ENGINE_ESTIMATORS, seed=21))
+
+    big = study(300)
+    if one_row_blocks:
+        monkeypatch.setattr(quantiles, "_BLOCK_VALUES", n)
+    small = study(10)
+    assert np.array_equal(big[:10], small, equal_nan=True)
+    assert np.isfinite(big[:, :, 0]).all()
+
+
+def test_block_rows_stay_within_one_mebibyte():
+    for n in (1, 7, 1000, 2 ** 17, 2 ** 17 + 1, 10 ** 6):
+        blocks = list(quantiles.replicate_blocks(range(5, 2005), n))
+        assert [r for b in blocks for r in b] == list(range(5, 2005))
+        assert all(len(b) == 1 or len(b) * n * 8 <= 2 ** 20 for b in blocks)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_batched_estimates_match_single_fits(name):
+    fam = get_family(name)
+    specs = [ContaminationSpec(base_family=fam, base_params=Params(0.4, 1.3))]
+    if name == "normal":
+        specs.append(contaminated(0.1))
+    grid = make_grid(0.05, 0.95, 20)
+    known = dict(known_mu=0.4, known_sigma=1.3)
+    ests = tuple(EstimatorSpec(kind, grid, mode=mode, **known)
+                 for kind in ("gqls", "oqls") for mode in ParamMode)
+    for spec in specs:
+        cfg = McConfig(spec=spec, n=300, m=12, estimators=ests, seed=8)
+        batched = _mc_estimates(cfg)
+        for r in range(cfg.m):
+            draws = sample_contaminated(spec, cfg.n, np.random.default_rng([cfg.seed, r]))
+            for j, est in enumerate(ests):
+                fit = fit_sample(draws, fam, grid, est.method, est.mode, **known)
+                want = [getattr(fit, p) for p in est.param_names]
+                got = batched[r, j, :len(want)]
+                assert np.all(np.abs(got - want) <= 1e-12 * spec.base_params.sigma), (r, est)
+
+
+def test_batched_failures_follow_the_single_fit_rules():
+    # with the location known to lie far above the data, a scale-only fit on
+    # upper levels (all Q0(p) > 0) gives sigma < 0: every replicate fails,
+    # while a location-only fit never fails on its known scale
+    upper = make_grid(0.5, 0.95, 10)
+    ests = (EstimatorSpec("gqls", upper, mode=ParamMode.SCALE_ONLY, known_mu=100.0),
+            EstimatorSpec("gqls", upper, mode=ParamMode.LOCATION_ONLY, known_sigma=-1.0,
+                          label="loc"),
+            EstimatorSpec("oqls", upper))
+    cfg = McConfig(spec=clean(), n=200, m=5, estimators=ests, seed=1)
+    s = run_mc(cfg)
+    assert list(s.failures.values()) == [5, 0, 0]
+    assert "sigma" not in s.stats[ests[0].label]
+    draws = sample_contaminated(clean(), 200, np.random.default_rng([1, 0]))
+    assert fit_sample(draws, NORMAL, upper, mode=ParamMode.SCALE_ONLY, known_mu=100.0).sigma < 0
+
+
+def test_power_w_matches_single_tests():
+    gen = contaminated(0.1)
+    cells = run_power_study([NORMAL], [gen], [GRID], n=400, m=30, alpha=0.2, test="w", seed=4)
+    plan = FitPlan.for_family(NORMAL, GRID, "gqls")
+    rejections = 0
+    for r in range(30):
+        data = sample_contaminated(gen, 400, np.random.default_rng([4, 0, 0, 0, r]))
+        y = empirical_quantiles(data, GRID)
+        rejections += plan_w_test(plan, y, plan.fit(y)).p_value <= 0.2
+    assert cells[0].rejection_rate == rejections / 30
+    assert cells[0].failures == 0
+
+
+def test_power_w_counts_every_replicate_failed_below_three_levels():
+    cells = run_power_study([NORMAL], [clean()], [make_grid(0.1, 0.9, 2)], n=100, m=7,
+                            test="w", seed=2)
+    assert cells[0].failures == 7 and np.isnan(cells[0].rejection_rate)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(FAMILIES)),
+       st.sampled_from(["oqls", "gqls"]),
+       st.floats(min_value=-100.0, max_value=100.0),
+       st.floats(min_value=0.01, max_value=100.0),
+       st.integers(min_value=0, max_value=9999))
+def test_fit_is_location_scale_equivariant(name, kind, a, b, seed):
+    # fit(a + b x) = a + b fit(x), for single fits and for a batch of rows
+    fam = get_family(name)
+    grid = make_grid(0.05, 0.95, 25)
+    data = fam.sample(Params(0.0, 1.0), 300, np.random.default_rng(seed))
+    y = empirical_quantiles(data, grid).values
+    tol = 1e-10 * (abs(a) + b * float(np.max(np.abs(y))))
+    base = fit_sample(data, fam, grid, kind)
+    moved = fit_sample(a + b * data, fam, grid, kind)
+    assert abs(moved.mu - (a + b * base.mu)) <= tol
+    assert abs(moved.sigma - b * base.sigma) <= tol
+    plan = FitPlan.for_family(fam, grid, kind)
+    rows = np.stack([y, y[::-1] * -1.0])
+    beta = plan.solve(rows)
+    beta_moved = plan.solve(a + b * rows)
+    assert np.all(np.abs(beta_moved - (np.array([a, 0.0]) + b * beta)) <= tol)
