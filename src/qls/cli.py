@@ -252,6 +252,8 @@ def _gof_one(fam, data, args, grid) -> dict:
 
 def _cmd_gof(args) -> int:
     data = read_data(args.data)
+    for warning in data.warnings:  # the gof rows have no warnings column
+        print(f"warning: {warning}", file=sys.stderr)
     grid = make_grid(args.a, args.b, args.k)
     fams = ([get_family(n) for n in ALL_GOF_FAMILIES]
             if args.family.strip().lower() == "all" else [get_family(args.family)])

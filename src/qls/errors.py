@@ -71,3 +71,5 @@ class BootstrapDegenerate(QlsError):
 WARN_NON_POSITIVE_SCALE = "non_positive_scale"
 WARN_DEGENERATE_GRID = "degenerate_grid"
 WARN_RANK_CLAMPED = "rank_clamped_to_first_order_statistic"
+# two levels at distinct ranks read the same order statistic (discrete data)
+WARN_TIED_QUANTILES = "tied_quantiles"

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.optimize
 from scipy import special
 
 from .errors import (
@@ -34,12 +33,13 @@ from .errors import (
     DomainError,
     EmptySample,
     NoConvergence,
+    NonFiniteData,
     QlsError,
     RankDeficient,
     ScaleOverflow,
     Unavailable,
 )
-from .families import Family, ParamMode, Params
+from .families import FAMILIES, Family, ParamMode, Params
 from .linalg import SpdFactor, row_products, solve_spd, spd_factorize
 from .quantiles import (
     QuantileGrid,
@@ -143,6 +143,15 @@ def _assemble_params(beta: np.ndarray, mode: ParamMode,
     if mode is ParamMode.LOCATION_ONLY:
         warn = ()  # scale was supplied, not estimated
     return params, warn
+
+
+def _squared_scale(sigma: float) -> float:
+    """sigma ** 2; ScaleOverflow when it exceeds the floating-point range."""
+    try:
+        return sigma ** 2
+    except OverflowError:
+        raise ScaleOverflow(
+            f"squared scale estimate {sigma:.6g}^2 overflows; rescale the data") from None
 
 
 def _solve(kind: str, xm: np.ndarray, gram: np.ndarray,
@@ -284,13 +293,7 @@ class FitPlan:
         asy_cov = None
         # an oQLS fit has a covariance only when S is known
         if self.kind == "gqls" or self.sigma is not None:
-            try:
-                scale2 = params.sigma ** 2 / n_obs
-            except OverflowError:
-                raise ScaleOverflow(
-                    f"squared scale estimate {params.sigma:.6g}^2 overflows; "
-                    "rescale the data") from None
-            asy_cov = scale2 * self.solver(mode)[1]
+            asy_cov = _squared_scale(params.sigma) / n_obs * self.solver(mode)[1]
         return QlsFit(kind=self.kind, params=params, mode=mode, asy_cov=asy_cov,
                       response=y if isinstance(y, QuantileResponse) else None,
                       warnings=warns + scale_warn)
@@ -487,6 +490,8 @@ def _newton_mle(ll, score, theta0, x):
 
 
 def _simplex_mle(ll, theta0, x):
+    import scipy.optimize  # only this fallback needs it, and it is costly to import
+
     def neg(t):
         if t[1] <= 0:
             return np.inf
@@ -520,6 +525,82 @@ def _mle_init(fam: Family, data: np.ndarray) -> np.ndarray:
     return _robust_init(fam, data)
 
 
+# inverse standardized Fisher information of each joint MLE, inverted once
+_INV_INFO = {name: np.linalg.inv(FAMILIES[name].fisher_info())
+             for name in ("normal", "laplace", *_NUMERIC_MLE)}
+
+
+def _numeric_mle(fam: Family, x: np.ndarray, init) -> np.ndarray:
+    ll, score = _NUMERIC_MLE[fam.name]
+    theta0 = np.asarray(init, dtype=float) if init is not None else _mle_init(fam, x)
+    try:
+        return _newton_mle(ll, score, theta0, x)
+    except NoConvergence:
+        return _simplex_mle(ll, theta0, x)
+
+
+def _mle_rows(fam: Family, rows: np.ndarray, mode: ParamMode = ParamMode.LOCATION_SCALE,
+              known_mu: float = 0.0, *, init=None) -> tuple[np.ndarray, dict[int, QlsError]]:
+    """Maximum likelihood (mu, sigma) of each row of a (rows, n) sample array
+    (see ``fit_mle``; a scale-only fit reports known_mu as mu), and the error
+    of each row whose fit failed, keyed by row.  A failed row reads NaN.
+
+    The closed forms run once on all rows, with the same sums per row as on
+    one row; the numeric families are maximized row by row.  A row fails
+    with NonFiniteData when it holds NaN or an infinity, with ScaleOverflow
+    when its estimates are not finite, and with the error of its own fit
+    otherwise.  Raises for the whole batch when n < 2 or the family has no
+    MLE in this mode.
+    """
+    n = rows.shape[1]
+    if n < 2:
+        raise EmptySample("MLE needs at least two observations")
+    scale_only = fam.name in ("exponential", "levy")
+    if scale_only and mode is not ParamMode.SCALE_ONLY:
+        raise Unavailable(
+            f"{fam.name}: joint MLE is unavailable; use scale-only mode "
+            "with the location supplied"
+        )
+    if not scale_only and mode is not ParamMode.LOCATION_SCALE:
+        raise Unavailable(f"{fam.name}: MLE is implemented for the joint mode only")
+
+    finite = np.isfinite(rows).all(axis=1)
+    errors: dict[int, QlsError] = {
+        int(i): NonFiniteData("sample holds NaN or infinite values")
+        for i in np.flatnonzero(~finite)}
+    theta = np.empty((rows.shape[0], 2))
+    # failed rows may overflow or divide by zero here; they are set to NaN below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if scale_only:
+            shifted = rows - known_mu
+            for i in np.flatnonzero(finite & np.any(shifted <= 0.0, axis=1)):
+                errors[int(i)] = DomainError(
+                    f"{fam.name}: all data must exceed the known location")
+            theta[:, 0] = known_mu
+            if fam.name == "exponential":
+                theta[:, 1] = np.mean(shifted, axis=1)
+            else:
+                theta[:, 1] = n / np.sum(1.0 / shifted, axis=1)
+        elif fam.name == "normal":
+            theta[:, 0] = np.mean(rows, axis=1)
+            theta[:, 1] = np.std(rows, axis=1)
+        elif fam.name == "laplace":
+            med = np.median(rows, axis=1)
+            theta[:, 0] = med
+            theta[:, 1] = np.mean(np.abs(rows - med[:, None]), axis=1)
+        else:
+            for i in np.flatnonzero(finite):
+                try:
+                    theta[i] = _numeric_mle(fam, rows[i], init)
+                except QlsError as exc:
+                    errors[int(i)] = exc
+    for i in np.flatnonzero(~np.isfinite(theta).all(axis=1)):
+        errors.setdefault(int(i), ScaleOverflow(
+            "MLE estimates exceed the floating-point range; rescale the data"))
+    theta[list(errors)] = np.nan
+    return theta, errors
+
+
 def fit_mle(fam: Family, data, mode: ParamMode = ParamMode.LOCATION_SCALE, *,
             known_mu: float = 0.0, init=None) -> QlsFit:
     """Maximum likelihood fit.
@@ -529,48 +610,21 @@ def fit_mle(fam: Family, data, mode: ParamMode = ParamMode.LOCATION_SCALE, *,
     location supplied.  Cauchy, logistic, and gumbel are maximized
     numerically (Newton on the analytic score, simplex fallback), started
     at the gQLS fit.  The joint exponential/levy MLE is not defined here
-    (the location parameter sits on the support boundary).
+    (the location parameter sits on the support boundary).  Raises
+    NonFiniteData when the data hold NaN or an infinity, and ScaleOverflow
+    when the scale estimate or its square exceeds the floating-point range.
     """
     x = np.asarray(data, dtype=float).ravel()
-    if x.size < 2:
-        raise EmptySample("MLE needs at least two observations")
-
-    if fam.name in ("exponential", "levy"):
-        if mode is not ParamMode.SCALE_ONLY:
-            raise Unavailable(
-                f"{fam.name}: joint MLE is unavailable; use scale-only mode "
-                "with the location supplied"
-            )
-        shifted = x - known_mu
-        if np.any(shifted <= 0.0):
-            raise DomainError(f"{fam.name}: all data must exceed the known location")
-        if fam.name == "exponential":
-            sigma_hat = float(np.mean(shifted))
-        else:
-            sigma_hat = x.size / float(np.sum(1.0 / shifted))
-        params = Params(mu=known_mu, sigma=sigma_hat)
-        cov = np.array([[sigma_hat ** 2 / (x.size * fam.fisher_info(mode)[0, 0])]])
-        return QlsFit(kind="mle", params=params, mode=mode, asy_cov=cov)
-
-    if mode is not ParamMode.LOCATION_SCALE:
-        raise Unavailable(f"{fam.name}: MLE is implemented for the joint mode only")
-
-    if fam.name == "normal":
-        params = Params(mu=float(np.mean(x)), sigma=float(np.std(x)))
-    elif fam.name == "laplace":
-        med = float(np.median(x))
-        params = Params(mu=med, sigma=float(np.mean(np.abs(x - med))))
+    theta, errors = _mle_rows(fam, x[None, :], mode, known_mu, init=init)
+    if errors:
+        raise errors[0]
+    sigma = float(theta[0, 1])
+    if mode is ParamMode.SCALE_ONLY:
+        params = Params(mu=known_mu, sigma=sigma)
+        cov = np.array([[_squared_scale(sigma) / (x.size * fam.fisher_info(mode)[0, 0])]])
     else:
-        ll, score = _NUMERIC_MLE[fam.name]
-        theta0 = np.asarray(init, dtype=float) if init is not None else _mle_init(fam, x)
-        try:
-            theta = _newton_mle(ll, score, theta0, x)
-        except NoConvergence:
-            theta = _simplex_mle(ll, theta0, x)
-        params = Params(mu=float(theta[0]), sigma=float(theta[1]))
-
-    info = fam.fisher_info(ParamMode.LOCATION_SCALE)
-    cov = params.sigma ** 2 / x.size * np.linalg.inv(info)
+        params = Params(mu=float(theta[0, 0]), sigma=sigma)
+        cov = _squared_scale(sigma) / x.size * _INV_INFO[fam.name]
     return QlsFit(kind="mle", params=params, mode=mode, asy_cov=cov)
 
 

@@ -223,6 +223,14 @@ def _levy_qf(u):
 # family descriptor
 # ---------------------------------------------------------------------------
 
+def check_sampling(params: Params, n: int) -> None:
+    """Raise DomainError unless n >= 1 draws with a positive scale are asked for."""
+    if n < 1:
+        raise DomainError("sample size must be >= 1")
+    if not params.sigma > 0:
+        raise DomainError("sigma must be positive to sample")
+
+
 @dataclass(frozen=True)
 class Family:
     """Descriptor for one location-scale family in standard form."""
@@ -275,10 +283,7 @@ class Family:
 
     def sample(self, params: Params, n: int, rng: np.random.Generator) -> np.ndarray:
         """n i.i.d. draws by inversion: mu + sigma * Q0(U), U uniform(0,1)."""
-        if n < 1:
-            raise DomainError("sample size must be >= 1")
-        if not params.sigma > 0:
-            raise DomainError("sigma must be positive to sample")
+        check_sampling(params, n)
         return self._from_uniform(params, rng.random(n))
 
     def _from_uniform(self, params: Params, u: np.ndarray) -> np.ndarray:

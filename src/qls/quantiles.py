@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     WARN_DEGENERATE_GRID,
     WARN_RANK_CLAMPED,
+    WARN_TIED_QUANTILES,
     DegenerateDensity,
     EmptySample,
     InvalidGrid,
@@ -125,7 +126,8 @@ def replicate_blocks(replicates: range, n: int) -> Iterator[range]:
 def empirical_quantiles(sample, grid) -> QuantileResponse:
     """Extract the ceil(n*p)-th order statistics at each grid level from one
     full sort of the sample.  Raises NonFiniteData when the sample holds NaN
-    or an infinity."""
+    or an infinity; tags the response ``tied_quantiles`` when two levels at
+    distinct ranks read equal values."""
     data = np.asarray(sample, dtype=float)
     if data.ndim != 1:
         data = data.ravel()
@@ -138,7 +140,10 @@ def empirical_quantiles(sample, grid) -> QuantileResponse:
     if not finite_rows(srt):
         raise NonFiniteData(
             f"sample holds NaN or infinite values (sorted from {srt[0]} to {srt[-1]})")
-    return QuantileResponse(values=srt[ranks - 1], n=n, warnings=tuple(warns))
+    values = srt[ranks - 1]
+    if np.any((np.diff(values) == 0.0) & (np.diff(ranks) != 0)):
+        warns.append(WARN_TIED_QUANTILES)
+    return QuantileResponse(values=values, n=n, warnings=tuple(warns))
 
 
 def level_density(fam: Family, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -8,11 +8,14 @@ from (seed, r), and the reduction order is fixed.
 
 Replicates run as a batch engine.  Consecutive replicates fill the rows of
 one block, sized from n so that it holds at most 1 MiB of float64
-(``quantiles.replicate_blocks``).  The MLE is fitted on each row as drawn;
-the block is then sorted once along its rows, every QLS estimator reads its
-rank columns from that sort, and one row-batched product per estimator
-(``FitPlan.solve``) fits all the rows.  A row's estimates do not depend on
-the block it falls in, so the summaries are the same for any block size.
+(``quantiles.replicate_blocks``).  The loop over a block's replicates only
+draws uniforms from each replicate's generator; the quantile transform then
+runs once per family on the whole block.  Each MLE column is fitted on the
+block as drawn, in one row-batched call; the block is then sorted once along
+its rows, every QLS estimator reads its rank columns from that sort, and one
+row-batched product per estimator (``FitPlan.solve``) fits all the rows.  A
+row's estimates do not depend on the block it falls in, so the summaries are
+the same for any block size.
 """
 from __future__ import annotations
 
@@ -23,9 +26,9 @@ import numpy as np
 
 from . import gof
 from .errors import QlsError
-from .families import Family, ParamMode, Params
+from .families import Family, ParamMode, Params, check_sampling
 from .quantiles import QuantileGrid, _ranks, finite_rows, make_grid, replicate_blocks
-from .estimators import FitPlan, fit_mle, fit_sample
+from .estimators import FitPlan, _mle_rows, fit_sample
 
 __all__ = [
     "ContaminationSpec",
@@ -69,12 +72,37 @@ class ContaminationSpec:
 def sample_contaminated(spec: ContaminationSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n observations from the mixture.  With epsilon = 0 the stream of
     uniforms consumed is identical to plain base-family sampling."""
-    x = spec.base_family.sample(spec.base_params, n, rng)
-    if spec.epsilon > 0.0:
-        mask = rng.random(n) < spec.epsilon
-        hits = int(mask.sum())
-        if hits:
-            x[mask] = spec.contaminant_family.sample(spec.contaminant_params, hits, rng)
+    return _draw_rows(spec, n, [rng], 1)[0]
+
+
+def _draw_rows(spec: ContaminationSpec, n: int, rngs, rows: int) -> np.ndarray:
+    """A (rows, n) array whose row i holds n draws from the mixture made with
+    the i-th of the ``rows`` generators in ``rngs``.
+
+    Each generator gives, in order, n base uniforms, then (epsilon > 0) n
+    uniforms that pick the contaminated entries at probability epsilon and
+    one uniform per contaminated entry.  Only the draws are made row by row:
+    each family's quantile transform runs once on all its uniforms, so a row
+    is the same bits whatever rows it is drawn with."""
+    check_sampling(spec.base_params, n)
+    u = np.empty((rows, n))
+    mixed = spec.epsilon > 0.0
+    mask = np.empty((rows, n), dtype=bool) if mixed else None
+    picked = []
+    for i, rng in enumerate(rngs):
+        rng.random(out=u[i])
+        if mixed:
+            np.less(rng.random(n), spec.epsilon, out=mask[i])
+            hits = int(np.count_nonzero(mask[i]))
+            if hits:
+                picked.append(rng.random(hits))
+    x = spec.base_family._from_uniform(spec.base_params, u)
+    if picked:
+        uc = np.concatenate(picked)
+        check_sampling(spec.contaminant_params, uc.size)
+        # boolean assignment fills the masked entries in row-major order,
+        # which is the order their uniforms were drawn in
+        x[mask] = spec.contaminant_family._from_uniform(spec.contaminant_params, uc)
     return x
 
 
@@ -159,20 +187,12 @@ class McSummary:
         return rows
 
 
-def _sorted_blocks(spec: ContaminationSpec, n: int, replicates: range,
-                   seed_prefix: tuple, each_row=None):
-    """Replicates as row-sorted (rows, n) blocks: yields (replicates, block,
-    finite), finite marking the rows free of NaN and infinities.  Replicate
-    r draws from ``default_rng([*seed_prefix, r])``; ``each_row(r, draws)``
-    sees each replicate's draws before the sort."""
+def _draw_blocks(spec: ContaminationSpec, n: int, replicates: range, seed_prefix: tuple):
+    """Replicates as (rows, n) blocks of draws, unsorted: yields (replicates,
+    block).  Replicate r draws from ``default_rng([*seed_prefix, r])``."""
     for reps in replicate_blocks(replicates, n):
-        block = np.empty((len(reps), n))
-        for row, r in zip(block, reps):
-            row[:] = sample_contaminated(spec, n, np.random.default_rng([*seed_prefix, r]))
-            if each_row is not None:
-                each_row(r, row)
-        block.sort(axis=1)
-        yield reps, block, finite_rows(block)
+        rngs = (np.random.default_rng([*seed_prefix, r]) for r in reps)
+        yield reps, _draw_rows(spec, n, rngs, len(reps))
 
 
 def _scale_ok(est: EstimatorSpec, sigma):
@@ -192,24 +212,25 @@ def _mc_estimates(config: McConfig) -> np.ndarray:
     m = config.m
     fam = config.spec.base_family
     estimates = np.full((m, len(config.estimators), 2), np.nan)
-    mles = [(j, est) for j, est in enumerate(config.estimators) if est.method == "mle"]
+    # the MLE gives (mu, sigma); keep the columns the estimator reports
+    mles = [(j, est, [("mu", "sigma").index(name) for name in est.param_names])
+            for j, est in enumerate(config.estimators) if est.method == "mle"]
     # one plan and one set of ranks per QLS estimator, shared by every replicate
     qls = [(j, est, FitPlan.for_family(fam, est.grid, est.method),
             _ranks(config.n, est.grid.levels)[0] - 1)
            for j, est in enumerate(config.estimators) if est.method != "mle"]
 
-    def fit_mles(r: int, draws: np.ndarray) -> None:
-        for j, est in mles:
+    for reps, block in _draw_blocks(config.spec, config.n, range(m), (config.seed,)):
+        rows = slice(reps.start, reps.stop)
+        for j, est, cols in mles:  # on the draws as made: sums run in draw order
             try:
-                fit = fit_mle(fam, draws, est.mode, known_mu=est.known_mu)
-            except QlsError:
+                theta = _mle_rows(fam, block, est.mode, est.known_mu)[0]
+            except QlsError:  # no MLE for this family and mode: every replicate fails
                 continue
-            if _scale_ok(est, fit.sigma):
-                estimates[r, j, :len(est.param_names)] = [
-                    getattr(fit, name) for name in est.param_names]
-
-    for reps, block, finite in _sorted_blocks(config.spec, config.n, range(m),
-                                              (config.seed,), fit_mles):
+            ok = _scale_ok(est, theta[:, 1])
+            estimates[rows, j, :len(cols)] = np.where(ok[:, None], theta[:, cols], np.nan)
+        block.sort(axis=1)
+        finite = finite_rows(block)
         for j, est, plan, idx in qls:
             try:
                 beta = plan.solve(block[:, idx], est.mode, known_mu=est.known_mu,
@@ -217,8 +238,7 @@ def _mc_estimates(config: McConfig) -> np.ndarray:
             except QlsError:  # the mode's Gram is singular: every replicate fails
                 continue
             ok = finite & _scale_ok(est, beta[:, -1])
-            estimates[reps.start:reps.stop, j, :beta.shape[1]] = np.where(
-                ok[:, None], beta, np.nan)
+            estimates[rows, j, :beta.shape[1]] = np.where(ok[:, None], beta, np.nan)
     return estimates
 
 
@@ -316,7 +336,9 @@ def _w_cell(h0: Family, gen: ContaminationSpec, grid: QuantileGrid, n: int, m: i
     plan = FitPlan.for_family(h0, grid, "gqls")
     idx = _ranks(n, grid.levels)[0] - 1
     pvals = np.full(m, np.nan)
-    for reps, block, finite in _sorted_blocks(gen, n, range(m), cell_seed):
+    for reps, block in _draw_blocks(gen, n, range(m), cell_seed):
+        block.sort(axis=1)
+        finite = finite_rows(block)
         p = np.full(len(reps), np.nan)
         p[finite] = gof.w_pvalues(plan, block[:, idx][finite], n)
         pvals[reps.start:reps.stop] = p

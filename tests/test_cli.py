@@ -112,7 +112,7 @@ def test_fit_non_finite_values_past_the_reader_exit_3(capsys, monkeypatch):
     assert "NonFiniteData" in err
 
 
-@pytest.mark.parametrize("method", ["gqls", "oqls"])
+@pytest.mark.parametrize("method", ["gqls", "oqls", "mle"])
 def test_fit_extreme_magnitudes_exit_3_with_a_message(capsys, tmp_path, method):
     values = get_family("normal").sample(Params(0.0, 1.0), 500, np.random.default_rng(5))
     p = tmp_path / "big.csv"
@@ -122,6 +122,16 @@ def test_fit_extreme_magnitudes_exit_3_with_a_message(capsys, tmp_path, method):
     assert code == 3 and out == ""
     assert "ScaleOverflow" in err and "rescale the data" in err
     assert "Traceback" not in err
+
+
+def test_fit_reports_tied_quantiles(capsys, tmp_path):
+    values = get_family("normal").sample(Params(0.0, 1.0), 1000, np.random.default_rng(3))
+    p = tmp_path / "rounded.csv"
+    p.write_text("\n".join(f"{v:.0f}" for v in values) + "\n")
+    code, out, _ = run_cli(capsys, "fit", "--family", "normal", "--data", str(p),
+                           "--format", "json")
+    assert code == 0
+    assert "tied_quantiles" in json.loads(out)["warnings"]
 
 
 def test_fit_mu_within_reported_se(capsys, normal_file):
@@ -180,6 +190,18 @@ def test_gof_rejects_wrong_model(capsys, tmp_path):
                            "--data", str(p), "--format", "json")
     assert code == 0
     assert json.loads(out)[0]["p_value"] < 0.05
+
+
+def test_gof_reports_the_skipped_header_on_stderr(capsys, tmp_path, normal_file):
+    with_header = tmp_path / "h.csv"
+    with open(normal_file) as fh:
+        with_header.write_text("value\n" + fh.read())
+    args = ("gof", "--family", "all", "--format", "csv")
+    code, plain, err = run_cli(capsys, *args, "--data", normal_file)
+    assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, *args, "--data", str(with_header))
+    assert code == 0 and out == plain
+    assert err.startswith("warning: ") and "header skipped" in err
 
 
 def test_gof_wout_seeded(capsys, normal_file):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +14,11 @@ from qls.errors import (
     WARN_NON_POSITIVE_SCALE,
     DomainError,
     EmptySample,
+    NoConvergence,
+    NonFiniteData,
+    QlsError,
     RankDeficient,
+    ScaleOverflow,
     Unavailable,
 )
 from qls.estimators import (
@@ -354,3 +363,116 @@ def test_mle_recovers_truth_roughly():
         fit = fit_mle(fam, data)
         assert fit.mu == pytest.approx(-1.0, abs=0.15)
         assert fit.sigma == pytest.approx(2.5, abs=0.15)
+
+
+# closed-form MLE families with the mode and known location they are fitted in
+CLOSED_FORM_MLE = {
+    "normal": (ParamMode.LOCATION_SCALE, 0.0),
+    "laplace": (ParamMode.LOCATION_SCALE, 0.0),
+    "exponential": (ParamMode.SCALE_ONLY, 0.4),
+    "levy": (ParamMode.SCALE_ONLY, 0.4),
+}
+
+
+def _closed_form_reference(name, x, known_mu):
+    """The closed forms on one 1-D sample, as written before the row batch."""
+    if name == "normal":
+        return float(np.mean(x)), float(np.std(x))
+    if name == "laplace":
+        med = float(np.median(x))
+        return med, float(np.mean(np.abs(x - med)))
+    shifted = x - known_mu
+    if name == "exponential":
+        return known_mu, float(np.mean(shifted))
+    return known_mu, x.size / float(np.sum(1.0 / shifted))
+
+
+def _mle_rows_and_single_fits(fam, rows, mode, known_mu):
+    theta, errors = estimators._mle_rows(fam, rows, mode, known_mu)
+    for i, row in enumerate(rows):
+        try:
+            fit = fit_mle(fam, row, mode, known_mu=known_mu)
+        except QlsError as exc:
+            assert type(exc) is type(errors[i]), i
+            assert np.isnan(theta[i]).all(), i
+            continue
+        assert i not in errors
+        yield i, theta[i], fit
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_MLE))
+def test_mle_rows_match_single_fits_bit_for_bit(name):
+    fam = get_family(name)
+    mode, known_mu = CLOSED_FORM_MLE[name]
+    rows = fam.sample(Params(0.4, 1.3), 7 * 301, np.random.default_rng(6)).reshape(7, 301)
+    rows[2, 17] = -5.0  # below the known location: a DomainError row for exponential/levy
+    rows[4, 3] = np.nan
+    rows[5, 0] = -np.inf
+    fitted = list(_mle_rows_and_single_fits(fam, rows, mode, known_mu))
+    expected_failures = {2, 4, 5} if mode is ParamMode.SCALE_ONLY else {4, 5}
+    assert {i for i, _, _ in fitted} == set(range(7)) - expected_failures
+    for i, theta, fit in fitted:
+        assert theta[0] == fit.mu and theta[1] == fit.sigma
+        assert (fit.mu, fit.sigma) == _closed_form_reference(name, rows[i], known_mu)
+
+
+@pytest.mark.parametrize("name", ["cauchy", "logistic", "gumbel"])
+def test_mle_rows_match_single_fits_numeric(name):
+    fam = get_family(name)
+    rows = fam.sample(Params(0.4, 1.3), 3 * 200, np.random.default_rng(6)).reshape(3, 200)
+    rows[1, 9] = np.inf
+    fitted = list(_mle_rows_and_single_fits(fam, rows, ParamMode.LOCATION_SCALE, 0.0))
+    assert [i for i, _, _ in fitted] == [0, 2]
+    for _, theta, fit in fitted:
+        assert theta[0] == fit.mu and theta[1] == fit.sigma
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_mle_refuses_non_finite_data(name, bad):
+    fam = get_family(name)
+    mode, known_mu = CLOSED_FORM_MLE.get(name, (ParamMode.LOCATION_SCALE, 0.0))
+    data = fam.sample(Params(0.4, 1.3), 200, np.random.default_rng(2))
+    data[10] = bad
+    with pytest.raises(NonFiniteData):
+        fit_mle(fam, data, mode, known_mu=known_mu)
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e200])
+def test_mle_scale_overflow(scale):
+    # at 1e300 the std itself overflows; at 1e200 only its square does
+    data = NORMAL.sample(Params(0.0, 1.0), 500, np.random.default_rng(5)) * scale
+    with pytest.raises(ScaleOverflow, match="rescale the data"):
+        fit_mle(NORMAL, data)
+    expo = get_family("exponential")
+    with pytest.raises(ScaleOverflow):
+        fit_mle(expo, np.abs(data), ParamMode.SCALE_ONLY, known_mu=0.0)
+
+
+def test_mle_asy_cov_uses_the_inverse_information():
+    data = get_family("gumbel").sample(Params(0.4, 1.3), 400, np.random.default_rng(3))
+    fit = fit_mle(get_family("gumbel"), data)
+    info = get_family("gumbel").fisher_info()
+    assert np.array_equal(fit.asy_cov, fit.sigma ** 2 / 400 * np.linalg.inv(info))
+
+
+def test_mle_simplex_fallback_converges(monkeypatch):
+    cauchy = get_family("cauchy")
+    data = cauchy.sample(Params(0.3, 1.7), 2_000, np.random.default_rng(12))
+    newton = fit_mle(cauchy, data)
+
+    def no_newton(*args, **kwargs):
+        raise NoConvergence("forced")
+
+    monkeypatch.setattr(estimators, "_newton_mle", no_newton)
+    simplex = fit_mle(cauchy, data)
+    assert simplex.mu == pytest.approx(newton.mu, abs=1e-7)
+    assert simplex.sigma == pytest.approx(newton.sigma, rel=1e-7)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(estimators.__file__).resolve().parents[1])
+    code = "import sys, qls; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

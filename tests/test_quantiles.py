@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qls.errors import (
     WARN_DEGENERATE_GRID,
     WARN_RANK_CLAMPED,
+    WARN_TIED_QUANTILES,
     DegenerateDensity,
     EmptySample,
     InvalidGrid,
@@ -79,6 +80,17 @@ def test_empirical_quantiles_warnings():
     # duplicated ranks on a tiny sample
     resp = empirical_quantiles(np.arange(4.0), make_grid(0.4, 0.6, 5))
     assert WARN_DEGENERATE_GRID in resp.warnings
+    # repeated ranks on distinct values are not ties
+    assert WARN_TIED_QUANTILES not in resp.warnings
+
+
+def test_tied_quantiles_tagged_on_discrete_data():
+    grid = make_grid(0.05, 0.95, 25)
+    data = get_family("normal").sample(Params(0.0, 1.0), 1000, np.random.default_rng(4))
+    assert empirical_quantiles(data, grid).warnings == ()
+    rounded = np.round(data)  # seven distinct values over 25 levels
+    assert WARN_TIED_QUANTILES in empirical_quantiles(rounded, grid).warnings
+    assert WARN_TIED_QUANTILES in fit_sample(rounded, get_family("normal"), grid).warnings
 
 
 def test_empirical_quantiles_selection_path_matches_sort():

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qls import quantiles
-from qls.estimators import FitPlan, fit_sample
+from qls.errors import DomainError, QlsError
+from qls.estimators import FitPlan, fit_mle, fit_sample
 from qls.families import FAMILIES, ParamMode, Params, get_family
 from qls.gof import plan_w_test
 from qls.quantiles import empirical_quantiles, make_grid
@@ -12,6 +13,7 @@ from qls.simulate import (
     ContaminationSpec,
     EstimatorSpec,
     McConfig,
+    _draw_blocks,
     _mc_estimates,
     run_mc,
     run_power_study,
@@ -67,6 +69,18 @@ def test_contaminant_fraction_binomial():
     x = sample_contaminated(spec, 100_000, np.random.default_rng(11))
     frac = np.mean(x > 50.0)  # contaminant support starts at 100
     assert abs(frac - 0.05) < 0.005
+
+
+def test_sampling_checks_size_and_scales():
+    with pytest.raises(DomainError):
+        sample_contaminated(clean(), 0, np.random.default_rng(1))
+    with pytest.raises(DomainError):
+        sample_contaminated(clean(sigma=0.0), 10, np.random.default_rng(1))
+    bad_contaminant = ContaminationSpec(
+        base_family=NORMAL, contaminant_family=NORMAL,
+        contaminant_params=Params(0.0, -1.0), epsilon=1.0)
+    with pytest.raises(DomainError):
+        sample_contaminated(bad_contaminant, 10, np.random.default_rng(1))
 
 
 def test_run_mc_deterministic_and_clean():
@@ -205,6 +219,7 @@ def test_replicate_estimates_do_not_depend_on_the_study_size(n, one_row_blocks, 
     small = study(10)
     assert np.array_equal(big[:10], small, equal_nan=True)
     assert np.isfinite(big[:, :, 0]).all()
+    assert np.isfinite(big[:, ENGINE_ESTIMATORS.index(EstimatorSpec("mle"))]).all()
 
 
 def test_block_rows_stay_within_one_mebibyte():
@@ -212,6 +227,41 @@ def test_block_rows_stay_within_one_mebibyte():
         blocks = list(quantiles.replicate_blocks(range(5, 2005), n))
         assert [r for b in blocks for r in b] == list(range(5, 2005))
         assert all(len(b) == 1 or len(b) * n * 8 <= 2 ** 20 for b in blocks)
+
+
+def _one_draw_at_a_time(spec, n, rng):
+    """Reference sampler: the base sample, then the contamination mask, then
+    the contaminant draws, each through the public ``Family.sample``."""
+    x = spec.base_family.sample(spec.base_params, n, rng)
+    if spec.epsilon > 0.0:
+        mask = rng.random(n) < spec.epsilon
+        hits = int(mask.sum())
+        if hits:
+            x[mask] = spec.contaminant_family.sample(spec.contaminant_params, hits, rng)
+    return x
+
+
+@pytest.mark.parametrize("one_row_blocks", [False, True])
+@pytest.mark.parametrize("epsilon", [0.0, 0.1])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_block_sampler_rows_equal_single_draws(name, epsilon, one_row_blocks, monkeypatch):
+    # n = 300 gives 436-row blocks, so 500 replicates span two blocks
+    n, m, seed = 300, 500, 13
+    spec = ContaminationSpec(
+        base_family=get_family(name), base_params=Params(0.4, 1.3),
+        contaminant_family=get_family("gumbel"), contaminant_params=Params(2.0, 3.0),
+        epsilon=epsilon)
+    if one_row_blocks:
+        monkeypatch.setattr(quantiles, "_BLOCK_VALUES", n)
+        m = 5
+    blocks = list(_draw_blocks(spec, n, range(m), (seed,)))
+    assert len(blocks) == (m if one_row_blocks else 2)
+    for reps, block in blocks:
+        for r, row in zip(reps, block):
+            single = sample_contaminated(spec, n, np.random.default_rng([seed, r]))
+            assert np.array_equal(row, single)
+            assert np.array_equal(row, _one_draw_at_a_time(
+                spec, n, np.random.default_rng([seed, r])))
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -224,8 +274,11 @@ def test_batched_estimates_match_single_fits(name):
     known = dict(known_mu=0.4, known_sigma=1.3)
     ests = tuple(EstimatorSpec(kind, grid, mode=mode, **known)
                  for kind in ("gqls", "oqls") for mode in ParamMode)
+    # the MLE where it exists (joint, or scale-only with the location known)
+    mles = (EstimatorSpec("mle", mode=ParamMode.LOCATION_SCALE),
+            EstimatorSpec("mle", mode=ParamMode.SCALE_ONLY, known_mu=0.4, label="mle-scale"))
     for spec in specs:
-        cfg = McConfig(spec=spec, n=300, m=12, estimators=ests, seed=8)
+        cfg = McConfig(spec=spec, n=300, m=12, estimators=ests + mles, seed=8)
         batched = _mc_estimates(cfg)
         for r in range(cfg.m):
             draws = sample_contaminated(spec, cfg.n, np.random.default_rng([cfg.seed, r]))
@@ -234,6 +287,14 @@ def test_batched_estimates_match_single_fits(name):
                 want = [getattr(fit, p) for p in est.param_names]
                 got = batched[r, j, :len(want)]
                 assert np.all(np.abs(got - want) <= 1e-12 * spec.base_params.sigma), (r, est)
+            for j, est in enumerate(mles, len(ests)):
+                got = batched[r, j, :len(est.param_names)]
+                try:
+                    fit = fit_mle(fam, draws, est.mode, known_mu=est.known_mu)
+                except QlsError:
+                    assert np.isnan(got).all(), (r, est)
+                    continue
+                assert np.array_equal(got, [getattr(fit, p) for p in est.param_names]), (r, est)
 
 
 def test_batched_failures_follow_the_single_fit_rules():
