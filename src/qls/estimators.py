@@ -65,6 +65,7 @@ __all__ = [
 DEFAULT_GRID = (0.05, 0.95, 25)
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # smallest normal float64
 
 # design columns estimated in each single-parameter mode
 _MODE_COLS = {ParamMode.LOCATION_ONLY: slice(0, 1), ParamMode.SCALE_ONLY: slice(1, 2)}
@@ -158,12 +159,20 @@ def _solve(kind: str, xm: np.ndarray, gram: np.ndarray,
            sigma: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Weights and standardized covariance of the fit on the columns of xm.
 
-    Raises RankDeficient when a Cholesky pivot of the Gram falls at or below
-    the dimension-scaled tolerance m * eps * max|gram|.
+    Raises RankDeficient when a Cholesky pivot of the Gram equilibrated by
+    its diagonal, D^-1/2 gram D^-1/2 (unit diagonal), falls at or below
+    k * m * eps, the rounding of its k-term sums over m columns.  The test
+    therefore does not depend on the scale of each column: the constant
+    column and a quantile column of order 1e8 at extreme levels are judged
+    alike.
     """
-    tol = gram.shape[0] * _EPS * float(np.max(np.abs(gram)))
+    tol = xm.shape[1] * gram.shape[0] * _EPS
+    diag = gram.diagonal()
     try:
-        pivots = np.linalg.cholesky(gram).diagonal() ** 2
+        if not np.all(diag > 0.0):
+            raise np.linalg.LinAlgError("non-positive diagonal")
+        d = 1.0 / np.sqrt(diag)
+        pivots = np.linalg.cholesky(gram * d[:, None] * d[None, :]).diagonal() ** 2
     except np.linalg.LinAlgError:
         pivots = np.zeros(1)
     if not float(pivots.min()) > tol:
@@ -531,6 +540,8 @@ _INV_INFO = {name: np.linalg.inv(FAMILIES[name].fisher_info())
 
 
 def _numeric_mle(fam: Family, x: np.ndarray, init) -> np.ndarray:
+    if x.min() == x.max():  # constant data: sigma = 0 (see _mle_rows), no search
+        return np.array([x[0], 0.0])
     ll, score = _NUMERIC_MLE[fam.name]
     theta0 = np.asarray(init, dtype=float) if init is not None else _mle_init(fam, x)
     try:
@@ -539,37 +550,16 @@ def _numeric_mle(fam: Family, x: np.ndarray, init) -> np.ndarray:
         return _simplex_mle(ll, theta0, x)
 
 
-def _mle_rows(fam: Family, rows: np.ndarray, mode: ParamMode = ParamMode.LOCATION_SCALE,
-              known_mu: float = 0.0, *, init=None) -> tuple[np.ndarray, dict[int, QlsError]]:
-    """Maximum likelihood (mu, sigma) of each row of a (rows, n) sample array
-    (see ``fit_mle``; a scale-only fit reports known_mu as mu), and the error
-    of each row whose fit failed, keyed by row.  A failed row reads NaN.
-
-    The closed forms run once on all rows, with the same sums per row as on
-    one row; the numeric families are maximized row by row.  A row fails
-    with NonFiniteData when it holds NaN or an infinity, with ScaleOverflow
-    when its estimates are not finite, and with the error of its own fit
-    otherwise.  Raises for the whole batch when n < 2 or the family has no
-    MLE in this mode.
-    """
+def _mle_estimates(fam: Family, rows: np.ndarray, finite: np.ndarray,
+                   errors: dict[int, QlsError], scale_only: bool, known_mu: float,
+                   init) -> np.ndarray:
+    """(mu, sigma) of each row by the family's MLE; records each failed
+    row's error in ``errors``.  The closed forms run once on all rows, with
+    the same sums per row as on one row; the numeric families are maximized
+    row by row."""
     n = rows.shape[1]
-    if n < 2:
-        raise EmptySample("MLE needs at least two observations")
-    scale_only = fam.name in ("exponential", "levy")
-    if scale_only and mode is not ParamMode.SCALE_ONLY:
-        raise Unavailable(
-            f"{fam.name}: joint MLE is unavailable; use scale-only mode "
-            "with the location supplied"
-        )
-    if not scale_only and mode is not ParamMode.LOCATION_SCALE:
-        raise Unavailable(f"{fam.name}: MLE is implemented for the joint mode only")
-
-    finite = np.isfinite(rows).all(axis=1)
-    errors: dict[int, QlsError] = {
-        int(i): NonFiniteData("sample holds NaN or infinite values")
-        for i in np.flatnonzero(~finite)}
     theta = np.empty((rows.shape[0], 2))
-    # failed rows may overflow or divide by zero here; they are set to NaN below
+    # failed rows may overflow or divide by zero here; the caller sets them to NaN
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if scale_only:
             shifted = rows - known_mu
@@ -594,6 +584,56 @@ def _mle_rows(fam: Family, rows: np.ndarray, mode: ParamMode = ParamMode.LOCATIO
                     theta[i] = _numeric_mle(fam, rows[i], init)
                 except QlsError as exc:
                     errors[int(i)] = exc
+    return theta
+
+
+def _mle_rows(fam: Family, rows: np.ndarray, mode: ParamMode = ParamMode.LOCATION_SCALE,
+              known_mu: float = 0.0, *, init=None) -> tuple[np.ndarray, dict[int, QlsError]]:
+    """Maximum likelihood (mu, sigma) of each row of a (rows, n) sample array
+    (see ``fit_mle``; a scale-only fit reports known_mu as mu), and the error
+    of each row whose fit failed, keyed by row.  A failed row reads NaN.
+
+    A row fails with NonFiniteData when it holds NaN or an infinity, with
+    ScaleOverflow when its estimates are not finite, and with the error of
+    its own fit otherwise.  A scale estimate at or below n * eps * |mu|, or
+    below the normal floating-point range, is checked on its row alone: a
+    joint fit of constant data has sigma = 0 (which ``fit_mle`` tags
+    ``non_positive_scale``), and a scale that underflowed is refitted on the
+    row scaled by a power of two, which loses no bits.  Other rows keep the
+    estimates of the plain formulas.  Raises for the whole batch when n < 2
+    or the family has no MLE in this mode.
+    """
+    n = rows.shape[1]
+    if n < 2:
+        raise EmptySample("MLE needs at least two observations")
+    scale_only = fam.name in ("exponential", "levy")
+    if scale_only and mode is not ParamMode.SCALE_ONLY:
+        raise Unavailable(
+            f"{fam.name}: joint MLE is unavailable; use scale-only mode "
+            "with the location supplied"
+        )
+    if not scale_only and mode is not ParamMode.LOCATION_SCALE:
+        raise Unavailable(f"{fam.name}: MLE is implemented for the joint mode only")
+
+    finite = np.isfinite(rows).all(axis=1)
+    errors: dict[int, QlsError] = {
+        int(i): NonFiniteData("sample holds NaN or infinite values")
+        for i in np.flatnonzero(~finite)}
+    theta = _mle_estimates(fam, rows, finite, errors, scale_only, known_mu, init)
+    low = ~(theta[:, 1] > np.maximum(_TINY, n * _EPS * np.abs(theta[:, 0])))
+    for i in np.flatnonzero(finite & low):
+        if int(i) in errors:
+            continue
+        x = rows[i] - known_mu if scale_only else rows[i]
+        if not scale_only and x.min() == x.max():
+            # the likelihood of constant data grows without bound as sigma -> 0
+            theta[i] = x[0], 0.0
+        elif theta[i, 1] < _TINY:
+            s = math.ldexp(1.0, math.frexp(float(np.max(np.abs(x))))[1])
+            row_init = None if init is None else np.asarray(init, dtype=float) / s
+            t = _mle_estimates(fam, x[None, :] / s, finite[i:i + 1], {}, scale_only, 0.0,
+                               row_init)[0]
+            theta[i] = (known_mu if scale_only else t[0] * s), t[1] * s
     for i in np.flatnonzero(~np.isfinite(theta).all(axis=1)):
         errors.setdefault(int(i), ScaleOverflow(
             "MLE estimates exceed the floating-point range; rescale the data"))
@@ -613,6 +653,8 @@ def fit_mle(fam: Family, data, mode: ParamMode = ParamMode.LOCATION_SCALE, *,
     (the location parameter sits on the support boundary).  Raises
     NonFiniteData when the data hold NaN or an infinity, and ScaleOverflow
     when the scale estimate or its square exceeds the floating-point range.
+    A joint fit of constant data returns sigma = 0 tagged
+    ``non_positive_scale``, as a QLS fit does.
     """
     x = np.asarray(data, dtype=float).ravel()
     theta, errors = _mle_rows(fam, x[None, :], mode, known_mu, init=init)
@@ -625,7 +667,8 @@ def fit_mle(fam: Family, data, mode: ParamMode = ParamMode.LOCATION_SCALE, *,
     else:
         params = Params(mu=float(theta[0, 0]), sigma=sigma)
         cov = _squared_scale(sigma) / x.size * _INV_INFO[fam.name]
-    return QlsFit(kind="mle", params=params, mode=mode, asy_cov=cov)
+    warn = () if sigma > 0 else (WARN_NON_POSITIVE_SCALE,)
+    return QlsFit(kind="mle", params=params, mode=mode, asy_cov=cov, warnings=warn)
 
 
 def fit_sample(data, fam: Family, grid: QuantileGrid, method: str = "gqls",

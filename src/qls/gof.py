@@ -217,22 +217,47 @@ def w_pvalues(plan: FitPlan, y: np.ndarray, n: int) -> np.ndarray:
     return p
 
 
-def _bootstrap_order_statistics(fam: Family, params: Params, n: int, seed: int,
-                                replicates: range, idx: list[np.ndarray]):
-    """Order statistics at the 0-based positions ``idx`` of the bootstrap
-    samples, one block of replicates at a time.
+# The last word of every bootstrap generator's key, [seed, _BOOTSTRAP_KEY].
+# SeedSequence splits an integer key into 32-bit words and drops trailing
+# zero words ([s], [s, 0] and s give one stream), so a small tag such as
+# 2**32 + 1 ([s, 1, 1]) would replay a power-study key.  Both words of this
+# one exceed any replicate or cell index, so no run_mc ([seed, r]) or
+# power-study ([seed, i_h0, i_gen, i_grid, r]) key reaches it.
+_BOOTSTRAP_KEY = 0x9E3779B97F4A7C15
 
-    Replicate b draws the same uniforms from ``default_rng([seed, b])`` as
-    ``fam.sample(params, n, ...)`` would.  The family's quantile map is
-    nondecreasing, so it is applied to the sorted uniforms at the wanted
-    positions only, never to the whole sample.
+
+def _bootstrap_order_statistics(fam: Family, params: Params, n: int, seed: int,
+                                B: int, idx: list[np.ndarray]):
+    """Order statistics at the 0-based positions ``idx`` of B samples of
+    size n from ``fam`` at ``params``, one block of replicates at a time.
+
+    Only the wanted order statistics are drawn, from gamma spacings (Renyi
+    1953; David and Nagaraja, Order Statistics, 3rd ed., 2.5): with G_j a
+    running sum of n + 1 standard exponentials, the r-th of n sorted
+    uniforms is G_r / G_(n+1).  For the sorted wanted ranks r_1 < ... < r_m
+    the jumps of G are Gamma(r_i - r_(i-1)) draws plus the tail
+    Gamma(n + 1 - r_m), so a replicate costs m + 1 draws whatever n is.  The
+    family's quantile map is nondecreasing, so applied to these uniforms it
+    gives the sample's order statistics.
+
+    All replicates draw, one row each in replicate order, from the single
+    generator ``default_rng([seed, _BOOTSTRAP_KEY])``.  A block of rows
+    takes the same draws as its rows one by one, so a replicate's values do
+    not depend on the block size, and a run of B' < B replicates is the
+    first B' rows of a run of B.  A block keeps about ten values per wanted
+    position and row live (draws, their sums, both gathered level sets, and
+    the temporaries of the fit and the statistic), within the budget of
+    ``replicate_blocks``.
     """
-    for block in replicate_blocks(replicates, n):
-        u = np.empty((len(block), n))
-        for row, b in zip(u, block):
-            np.random.default_rng([seed, b]).random(out=row)
-        u.sort(axis=1)
-        yield [fam._from_uniform(params, u[:, i]) for i in idx]
+    pos = np.unique(np.concatenate(idx))
+    shapes = np.diff(np.concatenate(([0], pos + 1, [n + 1]))).astype(float)
+    cols = [np.searchsorted(pos, i) for i in idx]
+    rng = np.random.default_rng([seed, _BOOTSTRAP_KEY])
+    for block in replicate_blocks(range(B), 10 * sum(i.size for i in idx)):
+        g = rng.standard_gamma(shapes, size=(len(block), shapes.size))
+        np.cumsum(g, axis=1, out=g)
+        x = fam._from_uniform(params, g[:, :-1] / g[:, -1:])
+        yield [x[:, c] for c in cols]
 
 
 def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
@@ -249,11 +274,14 @@ def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
        observed one (ties count as non-exceedances); reject when
        p-hat <= alpha.
 
-    Replicate b draws from a generator seeded with the pair (seed, b), so
-    runs are reproducible, replicates are independent, and distinct seeds
-    give distinct replicate streams.  Replicates whose refit fails (e.g.
-    non-positive scale) are dropped and the replicate count adjusted; more
-    than ``max_failure_fraction`` failures aborts.
+    A replicate draws only the order statistics at the two level sets, from
+    gamma spacings (``_bootstrap_order_statistics``), so its cost does not
+    grow with n.  The replicates are rows of one stream from a generator
+    keyed by seed: runs are reproducible, distinct seeds give distinct
+    streams, and the first B' replicates of a run of B are those of a run of
+    B'.  Replicates whose refit fails (e.g. non-positive scale) are dropped
+    and the replicate count adjusted; more than ``max_failure_fraction``
+    failures aborts.
     """
     if B < 1:
         raise ValueError("need at least one bootstrap replicate")
@@ -264,7 +292,6 @@ def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
 
     plan = FitPlan.for_family(fam, grid, "gqls")
     plan_out = FitPlan.for_family(fam, out_grid, "gqls")
-    # one sort per sample serves both level sets
     idx_fit = _ranks(n, levels_of(grid))[0] - 1
     idx_out = _ranks(n, levels_of(out_grid))[0] - 1
 
@@ -280,7 +307,7 @@ def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
     exceed = 0
     failures = 0
     for y_fit, y_out in _bootstrap_order_statistics(
-            fam, fitted, n, seed, range(1, B + 1), [idx_fit, idx_out]):
+            fam, fitted, n, seed, B, [idx_fit, idx_out]):
         beta = plan.solve(y_fit)
         ok = beta[:, 1] > 0
         failures += int(np.count_nonzero(~ok))

@@ -60,8 +60,10 @@ class ContaminationSpec:
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
-        if self.epsilon > 0.0 and self.contaminant_family is None:
-            raise ValueError("a contaminant is required when epsilon > 0")
+        if self.epsilon > 0.0 and (self.contaminant_family is None
+                                   or self.contaminant_params is None):
+            raise ValueError("a contaminant family and its parameters are required "
+                             "when epsilon > 0")
         if not self.label:
             lab = self.base_family.name
             if self.epsilon > 0.0:

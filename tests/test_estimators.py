@@ -126,6 +126,19 @@ def test_rank_deficient_raises():
         fit_oqls(y, x_bad, np.eye(10))
 
 
+def test_rank_test_ignores_column_scale():
+    # at levels 1e-9 .. 1 - 1e-9 the cauchy quantile column reaches 3e8, so
+    # the oQLS Gram spans 17 orders of magnitude without being singular
+    cell = are("oqls", get_family("cauchy"), make_grid(1e-9, 1 - 1e-9, 50))
+    assert np.isfinite(cell.are) and 0.0 < cell.are < 1.0
+    # proportional columns stay singular at any column scale
+    for scale in (1.0, 1e8, 1e-8):
+        x_bad = np.column_stack([np.ones(50), np.full(50, scale)])
+        for kind in ("oqls", "gqls"):
+            with pytest.raises(RankDeficient):
+                qls_weights(kind, x_bad, np.eye(50))
+
+
 def test_non_positive_scale_tagged_not_clamped():
     # a constant response has regression slope exactly 0, which is returned
     # as-is with the warning tag rather than being clamped
@@ -447,6 +460,42 @@ def test_mle_scale_overflow(scale):
     expo = get_family("exponential")
     with pytest.raises(ScaleOverflow):
         fit_mle(expo, np.abs(data), ParamMode.SCALE_ONLY, known_mu=0.0)
+
+
+@pytest.mark.parametrize("value", [1.0, 0.1, -3e-200])
+@pytest.mark.parametrize("name", ["normal", "laplace", "cauchy", "logistic", "gumbel"])
+def test_mle_of_constant_data_is_a_tagged_zero_scale(name, value):
+    # np.std of 100 copies of 0.1 reads 2.8e-17 and the numeric families
+    # stopped at sigma = 5e-324; the likelihood has no maximum, so sigma = 0
+    fit = fit_mle(get_family(name), np.full(100, value))
+    assert fit.mu == value and fit.sigma == 0.0
+    assert WARN_NON_POSITIVE_SCALE in fit.warnings
+    assert WARN_NON_POSITIVE_SCALE not in fit_mle(get_family(name), [value, 2.0]).warnings
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-310])
+def test_mle_scale_does_not_underflow(scale):
+    # squares of deviations near 1e-300 underflow: np.std read 0.0 there
+    data = NORMAL.sample(Params(0.0, 1.0), 100, np.random.default_rng(7))
+    for name, mode, x in (("normal", ParamMode.LOCATION_SCALE, data),
+                          ("laplace", ParamMode.LOCATION_SCALE, data),
+                          ("levy", ParamMode.SCALE_ONLY, np.abs(data) + 0.1)):
+        ref = fit_mle(get_family(name), x, mode)
+        fit = fit_mle(get_family(name), x * scale, mode)
+        assert fit.sigma / scale == pytest.approx(ref.sigma, rel=1e-12), name
+        assert not fit.warnings
+
+
+def test_mle_rows_degenerate_rows_leave_the_others_alone():
+    rows = NORMAL.sample(Params(0.4, 1.3), 5 * 200, np.random.default_rng(9)).reshape(5, 200)
+    rows[1] = 0.1
+    rows[3] *= 1e-300
+    theta, errors = estimators._mle_rows(NORMAL, rows)
+    assert not errors
+    for i in (0, 2, 4):
+        assert tuple(theta[i]) == _closed_form_reference("normal", rows[i], 0.0)
+    assert tuple(theta[1]) == (0.1, 0.0)
+    assert theta[3, 1] == pytest.approx(1e-300 * np.std(rows[3] * 1e300), rel=1e-12)
 
 
 def test_mle_asy_cov_uses_the_inverse_information():

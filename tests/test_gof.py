@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from qls import quantiles
 from qls.errors import (
@@ -264,22 +264,32 @@ def test_bootstrap_seed_reproducible():
 
 
 def test_bootstrap_seeds_give_disjoint_replicate_streams(monkeypatch):
+    # one generator per call; seeds 6 and 7 give different streams, and
+    # neither replays the generator that run_mc ([seed, r]) or a power
+    # study ([seed, i_h0, i_gen, i_grid, r]) builds from the same seed
     data, _, _ = normal_fit(n=200, seed=52)
-    seen = []
+    keys = []
     real = np.random.default_rng
 
     def recording(seed=None):
-        seen.append(seed)
+        keys.append(seed)
         return real(seed)
 
     monkeypatch.setattr(np.random, "default_rng", recording)
-    streams = {}
+    states = {}
     for seed in (6, 7):
-        seen.clear()
+        keys.clear()
         bootstrap_pvalue(data, NORMAL, GRID, B=50, seed=seed)
-        streams[seed] = {repr(s) for s in seen}
-    assert len(streams[6]) == len(streams[7]) == 50
-    assert streams[6].isdisjoint(streams[7])
+        assert len(keys) == 1
+        states[seed] = np.random.SeedSequence(keys[0]).generate_state(8)
+        for other in (seed, [seed, 0], [seed, 1], [seed, 1, 1], [seed, 1, 1, 0, 0]):
+            assert not np.array_equal(states[seed],
+                                      np.random.SeedSequence(other).generate_state(8))
+    assert not np.array_equal(states[6], states[7])
+    idx = [_ranks(200, GRID.levels)[0] - 1]
+    draws = [next(_bootstrap_order_statistics(NORMAL, Params(0, 1), 200, seed, 50, idx))[0]
+             for seed in (6, 7)]
+    assert not np.any(draws[0] == draws[1])
 
 
 def test_bootstrap_rejects_wrong_model():
@@ -295,40 +305,83 @@ def test_bootstrap_requires_positive_scale():
         bootstrap_pvalue(np.zeros(100), NORMAL, GRID, B=10, seed=0)
 
 
+def _bootstrap_rows(fam, params, n, seed, B, idx):
+    """Every replicate's order statistics, one array per position set."""
+    return [np.concatenate(c) for c in zip(*_bootstrap_order_statistics(
+        fam, params, n, seed, B, idx))]
+
+
 @pytest.mark.parametrize("name", sorted(FAMILIES))
-def test_bootstrap_order_statistics_equal_sorted_samples(name, monkeypatch):
-    # the quantile map applied to sorted uniforms at the read ranks gives the
-    # same bits as sorting the whole sample; one-row blocks and many-row
-    # blocks give the same rows
+def test_bootstrap_order_statistics_equal_sorted_samples(name):
+    # the spacing draw has the law of a sorted sample: mapped back through
+    # the cdf, the r-th of n order statistics is Beta(r, n + 1 - r).
+    # Kolmogorov-Smirnov over 20 000 replicates at ranks 1, n/2 and n; the
+    # extreme ranks stay finite
     fam = get_family(name)
     params = Params(0.3, 1.7)
+    n = 1000
+    pos = np.array([0, n // 2 - 1, n - 1])
+    x = _bootstrap_rows(fam, params, n, 11, 20_000, [pos])[0]
+    assert x.shape == (20_000, 3) and np.all(np.isfinite(x))
+    u = np.asarray(fam.cdf((x - params.mu) / params.sigma))
+    for col, r in enumerate(pos + 1):
+        assert stats.kstest(u[:, col], stats.beta(r, n + 1 - r).cdf).pvalue > 0.01, r
+
+
+def test_bootstrap_replicates_are_a_prefix_of_longer_runs():
+    # B = 50 (one block) gives the first 50 rows of B = 1000 (several blocks)
+    fam, params, n = get_family("logistic"), Params(0.1, 0.9), 10_000
+    idx = [_ranks(n, GRID.levels)[0] - 1, _ranks(n, default_out_grid().levels)[0] - 1]
+    short = _bootstrap_rows(fam, params, n, 3, 50, idx)
+    long = _bootstrap_rows(fam, params, n, 3, 1000, idx)
+    assert len(list(_bootstrap_order_statistics(fam, params, n, 3, 1000, idx))) > 1
+    for s, l in zip(short, long):
+        assert np.array_equal(s, l[:50])
+
+
+def test_bootstrap_one_row_blocks_give_the_same_rows(monkeypatch):
     n = 2000
-    idx = np.unique(np.concatenate([
-        _ranks(n, GRID.levels)[0] - 1, _ranks(n, default_out_grid().levels)[0] - 1, [0, n - 1]]))
-    reps = range(1, 41)
-    want = np.array([np.sort(fam.sample(params, n, np.random.default_rng([9, b])))[idx]
-                     for b in reps])
-    got = np.concatenate([blk[0] for blk in _bootstrap_order_statistics(fam, params, n, 9, reps, [idx])])
-    assert np.array_equal(got, want)
-    monkeypatch.setattr(quantiles, "_BLOCK_VALUES", n)
-    one_row = np.concatenate([blk[0] for blk in _bootstrap_order_statistics(fam, params, n, 9, reps, [idx])])
-    assert np.array_equal(one_row, want)
+    idx = [_ranks(n, GRID.levels)[0] - 1, _ranks(n, default_out_grid().levels)[0] - 1]
+    blocks = list(_bootstrap_order_statistics(NORMAL, Params(0.3, 1.7), n, 9, 300, idx))
+    assert len(blocks[0][0]) > 1
+    want = _bootstrap_rows(NORMAL, Params(0.3, 1.7), n, 9, 300, idx)
+    monkeypatch.setattr(quantiles, "_BLOCK_VALUES", 1)
+    assert all(len(blk[0]) == 1 for blk in
+               _bootstrap_order_statistics(NORMAL, Params(0.3, 1.7), n, 9, 300, idx))
+    got = _bootstrap_rows(NORMAL, Params(0.3, 1.7), n, 9, 300, idx)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def test_bootstrap_matches_a_replicate_loop():
-    # the batched bootstrap against sample -> sort -> fit -> statistic per replicate
-    data, _, _ = normal_fit(n=500, seed=53)
+    # the batched bootstrap against a loop that draws each replicate's gamma
+    # spacings in turn from the stream keyed [seed, 0x9E3779B97F4A7C15],
+    # then gathers, refits and tests that replicate alone
+    n, B, seed = 500, 80, 12
+    data, _, _ = normal_fit(n=n, seed=53)
     out_grid = default_out_grid()
-    res = bootstrap_pvalue(data, NORMAL, GRID, out_grid, B=80, seed=12)
-    fit = fit_gqls(empirical_quantiles(data, GRID), X, S)
+    res = bootstrap_pvalue(data, NORMAL, GRID, out_grid, B=B, seed=seed)
+    fit = fit_sample(data, NORMAL, GRID, "gqls")  # the bootstrap's fitted model, same bits
     observed = w_out_statistic(data, fit, NORMAL, out_grid)
     assert res.statistic == pytest.approx(observed, rel=1e-12)
+    idx_fit = _ranks(n, GRID.levels)[0] - 1
+    idx_out = _ranks(n, out_grid.levels)[0] - 1
+    batched = _bootstrap_rows(NORMAL, fit.params, n, seed, B, [idx_fit, idx_out])
+    ranks = np.unique(np.concatenate([idx_fit, idx_out])) + 1
+    shapes = np.diff(np.concatenate([[0], ranks, [n + 1]])).astype(float)
+    x_out, s_out = design_matrix(NORMAL, out_grid), sigma_star(NORMAL, out_grid)
+    rng = np.random.default_rng([seed, 0x9E3779B97F4A7C15])
     exceed = 0
-    for b in range(1, 81):
-        sample = NORMAL.sample(fit.params, 500, np.random.default_rng([12, b]))
-        refit = fit_gqls(empirical_quantiles(sample, GRID), X, S)
-        exceed += w_out_statistic(sample, refit, NORMAL, out_grid) > observed
-    assert res.p_value == exceed / 80 and res.failures == 0
+    for b in range(B):
+        g = np.cumsum(rng.standard_gamma(shapes))
+        y = NORMAL._from_uniform(fit.params, g[:-1] / g[-1])
+        y_fit = y[np.searchsorted(ranks, idx_fit + 1)]
+        y_out = y[np.searchsorted(ranks, idx_out + 1)]
+        assert np.array_equal(y_fit, batched[0][b]) and np.array_equal(y_out, batched[1][b])
+        refit = fit_gqls(QuantileResponse(values=y_fit, n=n), X, S)
+        e = y_out - x_out @ np.array([refit.mu, refit.sigma])
+        exceed += n / refit.sigma ** 2 * (e @ np.linalg.solve(s_out, e)) > observed
+    assert res.p_value == exceed / B and res.failures == 0
 
 
 def test_bootstrap_rejects_non_finite_data():

@@ -46,6 +46,16 @@ def test_spec_validation():
     assert contaminated(0.05).label.startswith("0.95*normal")
 
 
+def test_spec_requires_contaminant_parameters():
+    # a contaminant family without parameters is refused when the spec is
+    # built, not with an AttributeError when it is first sampled
+    with pytest.raises(ValueError, match="parameters are required"):
+        ContaminationSpec(base_family=NORMAL, contaminant_family=NORMAL, epsilon=0.1)
+    # at epsilon = 0 the contaminant is never drawn, so none is needed
+    spec = ContaminationSpec(base_family=NORMAL, contaminant_family=NORMAL)
+    assert sample_contaminated(spec, 5, np.random.default_rng(1)).shape == (5,)
+
+
 def test_epsilon_zero_matches_plain_sampling():
     rng1 = np.random.default_rng(42)
     rng2 = np.random.default_rng(42)
