@@ -27,7 +27,6 @@ from .errors import (
     QlsError,
     RankDeficient,
     ScaleOverflow,
-    Singular,
     Unavailable,
 )
 from .families import FAMILIES, Family, ParamMode, Params, family_names, get_family
@@ -113,7 +112,6 @@ __all__ = [
     "QuantileResponse",
     "RankDeficient",
     "ScaleOverflow",
-    "Singular",
     "Unavailable",
     "are",
     "are_curve",

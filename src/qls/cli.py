@@ -5,8 +5,8 @@ success, 1 for usage errors, 2 for input/parse failures, 3 for numeric or
 estimation failures.  Output goes to stdout (or --out) as text, JSON, or
 CSV; runs that consume randomness take --seed and are fully reproducible.
 simulate still accepts --threads and the QLS_THREADS environment variable,
-but neither changes its speed or output: studies run on a single-threaded
-batch engine.
+but neither has an effect (it says so on stderr): studies run on a
+single-threaded batch engine.
 """
 from __future__ import annotations
 
@@ -292,7 +292,7 @@ def _cmd_influence(args) -> int:
     return EXIT_OK
 
 
-def _study_from_config(cfg: dict, seed_override: int | None, workers: int):
+def _study_from_config(cfg: dict, seed_override: int | None):
     seed = int(cfg.get("seed", 0)) if seed_override is None else seed_override
     base = get_family(cfg["family"])
     base_params = Params(float(cfg.get("mu", 0.0)), float(cfg.get("sigma", 1.0)))
@@ -324,7 +324,7 @@ def _study_from_config(cfg: dict, seed_override: int | None, workers: int):
                 known_sigma=float(e.get("known_sigma", 1.0)),
             ))
         config = McConfig(spec=spec, n=int(cfg["n"]), m=int(cfg["M"]),
-                          estimators=tuple(estimators), seed=seed, workers=workers)
+                          estimators=tuple(estimators), seed=seed)
         return run_mc(config).as_rows()
     if kind == "power":
         h0 = [get_family(name) for name in cfg["h0_families"]]
@@ -339,13 +339,6 @@ def _study_from_config(cfg: dict, seed_override: int | None, workers: int):
     raise DomainError(f"unknown study kind {kind!r}")
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("QLS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _cmd_simulate(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -354,8 +347,11 @@ def _cmd_simulate(args) -> int:
         raise InputError(f"cannot read {args.config}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{args.config}: invalid JSON: {exc}") from exc
-    threads = args.threads if args.threads is not None else _default_threads()
-    rows = _study_from_config(cfg, args.seed, threads)
+    threads = args.threads if args.threads is not None else os.environ.get("QLS_THREADS")
+    if threads is not None:
+        print(f"warning: threads={threads} has no effect: studies run on the "
+              "single-threaded batch engine", file=sys.stderr)
+    rows = _study_from_config(cfg, args.seed)
     _emit_rows(rows, args.format, args.out)
     return EXIT_OK
 
@@ -446,8 +442,8 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
     p_sim.add_argument("--threads", type=int, default=None,
-                       help="accepted for compatibility; does not change "
-                            "the speed or the output (default: QLS_THREADS or 1)")
+                       help="accepted for compatibility; has no effect "
+                            "(nor has QLS_THREADS)")
     for flag, kw in common.items():
         p_sim.add_argument(flag, **{**kw, **({"default": "csv"} if flag == "--format" else {})})
     p_sim.set_defaults(func=_cmd_simulate)

@@ -13,10 +13,6 @@ class NotPositiveDefinite(QlsError):
     """A matrix expected to be SPD has a pivot at or below tolerance."""
 
 
-class Singular(QlsError):
-    """LU pivot magnitude fell below the dimension-scaled tolerance."""
-
-
 class DomainError(QlsError, ValueError):
     """Argument outside the mathematical domain of the function."""
 

@@ -14,11 +14,11 @@ with per-observation asymptotic covariances
 
 where sigma^2 is plugged in as the squared scale estimate.  For a fixed
 design and covariance each estimator is a fixed linear map beta = W Y.  A
-FitPlan holds that map with the pieces it is built from; a plan for a family
-takes P in closed form as its tridiagonal band (``quantiles.precision_band``),
-and only a plan for a caller-supplied S factorizes it.  A plan fits and tests
-a batch of quantile responses, one per row, in one call; a single fit is a
-batch of one row.
+FitPlan holds that map with the pieces it is built from.  A family plan of
+either kind holds P as its closed-form band (``quantiles.precision_band``)
+and nothing k x k: gQLS multiplies by it, the oQLS sandwich solves against
+it.  Only a plan for a caller-supplied S keeps and factorizes the matrix.  A
+plan fits and tests a batch of quantile responses, one per row, in one call.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg
 from scipy import special
 
 from .errors import (
@@ -34,6 +35,7 @@ from .errors import (
     EmptySample,
     NoConvergence,
     NonFiniteData,
+    NotPositiveDefinite,
     QlsError,
     RankDeficient,
     ScaleOverflow,
@@ -44,11 +46,10 @@ from .linalg import SpdFactor, row_products, solve_spd, spd_factorize
 from .quantiles import (
     QuantileGrid,
     QuantileResponse,
-    design_matrix,
     empirical_quantiles,
+    level_density,
     make_grid,
     precision_band,
-    sigma_star,
 )
 
 __all__ = [
@@ -155,9 +156,10 @@ def _squared_scale(sigma: float) -> float:
             f"squared scale estimate {sigma:.6g}^2 overflows; rescale the data") from None
 
 
-def _solve(kind: str, xm: np.ndarray, gram: np.ndarray,
+def _solve(kind: str, xm: np.ndarray, gram: np.ndarray, band: tuple | None,
            sigma: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and standardized covariance of the fit on the columns of xm.
+    """Weights and standardized covariance of the fit on the columns of xm;
+    the oQLS sandwich W S W' takes S from the band, else sigma, else I.
 
     Raises RankDeficient when a Cholesky pivot of the Gram equilibrated by
     its diagonal, D^-1/2 gram D^-1/2 (unit diagonal), falls at or below
@@ -180,32 +182,39 @@ def _solve(kind: str, xm: np.ndarray, gram: np.ndarray,
     ginv = np.linalg.inv(gram)
     ginv = 0.5 * (ginv + ginv.T)
     w = ginv @ xm
-    if kind == "gqls" or sigma is None:
+    if kind == "gqls" or (band is None and sigma is None):
         return w, ginv
-    cov = w @ sigma @ w.T
+    cov = w @ _band_solve(band, w.T) if band is not None else w @ sigma @ w.T
     return w, 0.5 * (cov + cov.T)
 
 
 def _band_matmul(band, x: np.ndarray) -> np.ndarray:
     """P @ x for the precision given as ``quantiles.precision_band``."""
-    order, main, off = band
-    xs = x if order is None else x[order]
-    px = main[:, None] * xs
-    px[:-1] += off[:, None] * xs[1:]
-    px[1:] += off[:, None] * xs[:-1]
-    if order is None:
-        return px
-    out = np.empty_like(px)
-    out[order] = px
-    return out
+    main, off = band
+    px = main[:, None] * x
+    px[:-1] += off[:, None] * x[1:]
+    px[1:] += off[:, None] * x[:-1]
+    return px
+
+
+def _band_solve(band, x: np.ndarray) -> np.ndarray:
+    """P^-1 @ x = S @ x for the precision given as
+    ``quantiles.precision_band``, by one banded Cholesky solve.  Raises
+    NotPositiveDefinite when the band is not numerically positive definite."""
+    main, off = band
+    upper = np.vstack([np.concatenate(([0.0], off)), main])
+    if not np.all(np.isfinite(upper)):
+        raise NotPositiveDefinite("precision band is not finite")
+    try:
+        return scipy.linalg.solveh_banded(upper, x, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"precision band: {exc}") from None
 
 
 def _band_quad(band, e: np.ndarray) -> np.ndarray:
     """Row-wise e' P e for the precision given as ``quantiles.precision_band``:
-    sum_i main_i e_i^2 + 2 sum_i off_i e_i e_(i+1) over increasing levels."""
-    order, main, off = band
-    if order is not None:
-        e = e[:, order]
+    sum_i main_i e_i^2 + 2 sum_i off_i e_i e_(i+1)."""
+    main, off = band
     terms = np.concatenate([e * e, 2.0 * e[:, :-1] * e[:, 1:]], axis=1)
     return row_products(terms, np.concatenate([main, off])[None])[:, 0]
 
@@ -216,11 +225,12 @@ class FitPlan:
 
     xm is X'P (gQLS) or X' (oQLS) and gram = xm X.  weights W (beta = W Y)
     and cov, the standardized covariance of beta, belong to the joint fit and
-    are None when the joint Gram is singular.  gQLS takes P = S^-1 as the
-    closed-form tridiagonal band of a family plan (``band``, see
-    ``quantiles.precision_band``) or as the Cholesky factor of a
-    caller-supplied S; sigma is S where a consumer needs it.  A
-    single-parameter mode uses its sub-block of the Gram.
+    are None when the joint Gram is singular.  A family plan of either kind
+    holds S only as its precision band (``band``, see
+    ``quantiles.precision_band``): gQLS multiplies by it and the oQLS
+    sandwich solves against it.  A plan for a caller-supplied S holds the
+    matrix as sigma and, for gQLS, its Cholesky factor.  A single-parameter
+    mode uses its sub-block of the Gram.
 
     ``solve`` and ``w_statistics`` work on a batch of responses, one per
     row, and every other fit or statistic goes through them.  Their sums run
@@ -234,21 +244,22 @@ class FitPlan:
     gram: np.ndarray
     weights: np.ndarray | None
     cov: np.ndarray | None
-    band: tuple | None = None
+    band: tuple[np.ndarray, np.ndarray] | None = None
     factor: SpdFactor | None = None
     sigma: np.ndarray | None = None
 
     @classmethod
     def for_family(cls, fam: Family, grid, kind: str) -> FitPlan:
-        """Plan for a family on a grid: P in closed form, nothing k x k is
-        factorized or inverted."""
-        x = design_matrix(fam, grid)
-        if kind == "gqls":
-            band = precision_band(fam, grid)
-            return cls._build(kind, x, _band_matmul(band, x).T, band=band)
-        if kind == "oqls":
-            return cls._build(kind, x, x.T, sigma=sigma_star(fam, grid))
-        raise ValueError(f"unknown estimator kind {kind!r}")
+        """Plan for a family on a grid from one evaluation of Q0 and f0:
+        the design [1, Q0(p)] and P in closed form as its band.  Nothing
+        k x k is built, factorized or inverted."""
+        if kind not in ("oqls", "gqls"):
+            raise ValueError(f"unknown estimator kind {kind!r}")
+        p, q, f = level_density(fam, grid)
+        x = np.column_stack([np.ones_like(q), q])
+        band = precision_band(p, f)
+        return cls._build(kind, x, _band_matmul(band, x).T if kind == "gqls" else x.T,
+                          band=band)
 
     @classmethod
     def from_matrices(cls, kind: str, x, sigma_star_mat) -> FitPlan:
@@ -270,7 +281,7 @@ class FitPlan:
         gram = xm @ x
         gram = 0.5 * (gram + gram.T)
         try:
-            weights, cov = _solve(kind, xm, gram, mats.get("sigma"))
+            weights, cov = _solve(kind, xm, gram, mats.get("band"), mats.get("sigma"))
         except RankDeficient:  # a single-parameter mode may still be estimable
             weights = cov = None
         return cls(kind=kind, x=x, xm=xm, gram=gram, weights=weights, cov=cov, **mats)
@@ -282,7 +293,7 @@ class FitPlan:
         if mode is ParamMode.LOCATION_SCALE and self.weights is not None:
             return self.weights, self.cov
         cols = _MODE_COLS.get(mode, slice(None))
-        return _solve(self.kind, self.xm[cols], self.gram[cols, cols], self.sigma)
+        return _solve(self.kind, self.xm[cols], self.gram[cols, cols], self.band, self.sigma)
 
     def solve(self, y: np.ndarray, mode: ParamMode = ParamMode.LOCATION_SCALE, *,
               known_mu: float = 0.0, known_sigma: float = 1.0) -> np.ndarray:
@@ -300,8 +311,8 @@ class FitPlan:
         beta = self.solve(yv[None, :], mode, known_mu=known_mu, known_sigma=known_sigma)[0]
         params, scale_warn = _assemble_params(beta, mode, known_mu, known_sigma)
         asy_cov = None
-        # an oQLS fit has a covariance only when S is known
-        if self.kind == "gqls" or self.sigma is not None:
+        # a fit has a covariance only when S is known
+        if self.band is not None or self.sigma is not None:
             asy_cov = _squared_scale(params.sigma) / n_obs * self.solver(mode)[1]
         return QlsFit(kind=self.kind, params=params, mode=mode, asy_cov=asy_cov,
                       response=y if isinstance(y, QuantileResponse) else None,
@@ -331,7 +342,7 @@ class FitPlan:
 
     def projection_covs(self) -> tuple[np.ndarray, np.ndarray]:
         """Standardized residual and fitted covariances, S - H and H, with
-        H = X (X'PX)^-1 X'."""
+        H = X (X'PX)^-1 X', for a plan that holds the dense S."""
         hat = self.x @ self.solver()[1] @ self.x.T
         return self.sigma - hat, hat
 

@@ -23,7 +23,6 @@ from scipy import special
 from .errors import (
     BootstrapDegenerate,
     InsufficientDof,
-    InvalidGrid,
     NonFiniteData,
     NonPositiveScale,
 )
@@ -62,13 +61,7 @@ class OutGrid:
     levels: np.ndarray
 
     def __post_init__(self):
-        lv = np.asarray(self.levels, dtype=float)
-        if lv.ndim != 1 or lv.size == 0:
-            raise InvalidGrid("out-levels must be a non-empty 1-D array")
-        if np.any((lv <= 0.0) | (lv >= 1.0)):
-            raise InvalidGrid("out-levels must be interior to (0, 1)")
-        if np.any(np.diff(lv) <= 0.0):
-            raise InvalidGrid("out-levels must be strictly increasing")
+        lv = levels_of(self.levels, interior=True)
         lv.setflags(write=False)
         object.__setattr__(self, "levels", lv)
 

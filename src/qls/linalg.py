@@ -3,14 +3,13 @@
 All matrices are plain row-major ``numpy.ndarray`` values.  Sizes here are
 k x k with k up to a few hundred, so LAPACK-backed dense routines are the
 right tool: Cholesky on the SPD path (which doubles as a definiteness
-certificate), LU with partial pivoting for the determinant.  Products that
+certificate) and numpy's LU-based determinant.  Products that
 fit many replicate rows at once use ``row_products``, which sums over the k
 levels in a fixed order, so a row's result does not depend on how many rows
 share the call.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,17 +88,11 @@ def solve_spd(f: SpdFactor, b) -> np.ndarray:
 
 
 def det(m) -> float:
-    """Determinant via LU with partial pivoting (0.0 for singular input)."""
+    """Determinant of a finite square matrix (0.0 for singular input)."""
     a = _as_matrix(m)
-    n, p = a.shape
-    if n != p:
+    if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got {a.shape}")
-    with warnings.catch_warnings():
-        # exact singularity is reported as a zero determinant
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    sign = 1.0 if (np.arange(n) != piv).sum() % 2 == 0 else -1.0
-    return sign * float(np.prod(lu.diagonal()))
+    return float(np.linalg.det(a))
 
 
 def row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:

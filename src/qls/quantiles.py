@@ -1,14 +1,15 @@
 """Quantile grids, empirical quantiles, and the standardized regression pieces.
 
-The grid places k levels equally spaced on [a, b]; the empirical quantile at
-level p is the ceil(n*p)-th order statistic.  From a family's standard forms
-we assemble the standardized covariance of sample quantiles
+The grid places k levels equally spaced on [a, b]; any level array must
+increase strictly.  The empirical quantile at level p is the ceil(n*p)-th
+order statistic.  From a family's standard forms we assemble the
+standardized covariance of sample quantiles
 
     s_ij = p_i (1 - p_j) / (f0(Q0(p_i)) f0(Q0(p_j)))   for i <= j,
 
-its closed-form tridiagonal inverse (the precision), and the regression
-design whose columns are 1 and Q0(p_i).  Replicate studies take order
-statistics from row-sorted blocks of replicates, split by
+its closed-form tridiagonal inverse (the precision) as two bands, all that a
+fit plan uses, and the design whose columns are 1 and Q0(p_i).  Replicate
+studies take order statistics from row-sorted blocks of replicates, split by
 ``replicate_blocks`` so that each block stays within 1 MiB.
 """
 from __future__ import annotations
@@ -35,7 +36,7 @@ __all__ = [
     "make_grid",
     "empirical_quantiles",
     "sigma_star",
-    "precision_star",
+    "precision_band",
     "design_matrix",
 ]
 
@@ -65,11 +66,17 @@ def make_grid(a: float, b: float, k: int) -> QuantileGrid:
     return QuantileGrid(a=float(a), b=float(b), k=int(k), levels=np.linspace(a, b, int(k)))
 
 
-def levels_of(grid) -> np.ndarray:
-    """Accept a QuantileGrid, an OutGrid-like object, or a raw level array."""
+def levels_of(grid, interior: bool = False) -> np.ndarray:
+    """Levels of a QuantileGrid, an OutGrid-like object or a raw array;
+    InvalidGrid unless they form a non-empty, strictly increasing 1-D array,
+    all in (0, 1) when ``interior``."""
     levels = np.asarray(getattr(grid, "levels", grid), dtype=float)
     if levels.ndim != 1 or levels.size == 0:
         raise InvalidGrid("levels must be a non-empty 1-D array")
+    if not np.all(np.diff(levels) > 0.0):
+        raise InvalidGrid("levels must be strictly increasing")
+    if interior and not np.all((levels > 0.0) & (levels < 1.0)):
+        raise InvalidGrid("all levels must be interior to (0, 1)")
     return levels
 
 
@@ -152,9 +159,7 @@ def level_density(fam: Family, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray
     Raises InvalidGrid unless every level is interior to (0, 1), and
     DegenerateDensity where the density is non-positive or non-finite.
     """
-    p = levels_of(grid)
-    if np.any((p <= 0.0) | (p >= 1.0)):
-        raise InvalidGrid("all levels must be interior to (0, 1)")
+    p = levels_of(grid, interior=True)
     q = np.atleast_1d(np.asarray(fam.qf(p), dtype=float))
     f = np.atleast_1d(np.asarray(fam.pdf(q), dtype=float))
     if np.any(~np.isfinite(f)) or np.any(f <= 0.0):
@@ -167,45 +172,27 @@ def level_density(fam: Family, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def sigma_star(fam: Family, grid) -> np.ndarray:
     """Standardized covariance matrix of the sample quantiles at the grid.
 
-    Symmetric and positive definite whenever the levels are distinct and the
-    standard density is positive at each grid quantile.
+    Symmetric and positive definite whenever the standard density is
+    positive at each grid quantile.  No fit for a family builds it: plans
+    use its inverse as ``precision_band``.
     """
     p, _, f = level_density(fam, grid)
     return np.minimum.outer(p, p) * (1.0 - np.maximum.outer(p, p)) / np.outer(f, f)
 
 
-def precision_band(fam: Family, grid) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """The closed-form precision as (order, main, off): its main and first
-    off-diagonal over the levels in increasing order, and the permutation
-    ``order`` that sorts the levels (None when they are already increasing).
+def precision_band(p: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-form precision S^-1 at increasing levels p with standard
+    densities f, as (main, off): its main and first off-diagonal.
 
     By the Markov structure of order statistics (Ogawa 1951; Lloyd 1952) the
     precision is D P0 D, D = diag(f), with P0 tridiagonal: diagonal
     1/d_i + 1/d_(i+1), off-diagonal -1/d_(i+1), d_i = p_i - p_(i-1),
-    p_0 = 0, p_(k+1) = 1.  Raises InvalidGrid on repeated levels, where S is
-    singular.
+    p_0 = 0, p_(k+1) = 1.
     """
-    p, _, f = level_density(fam, grid)
-    order = np.argsort(p, kind="stable")
-    p, f = p[order], f[order]
-    if np.any(np.diff(p) <= 0.0):
-        raise InvalidGrid("the precision needs distinct levels")
     inv_d = 1.0 / np.diff(np.concatenate(([0.0], p, [1.0])))
     main = (inv_d[:-1] + inv_d[1:]) * f * f
     off = -inv_d[1:-1] * f[:-1] * f[1:]
-    return (order if np.any(np.diff(order) < 0) else None), main, off
-
-
-def precision_star(fam: Family, grid) -> np.ndarray:
-    """Inverse of ``sigma_star`` in closed form: the dense matrix of
-    ``precision_band``, tridiagonal over increasing levels; unsorted levels
-    permute its rows and columns."""
-    order, main, off = precision_band(fam, grid)
-    prec = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
-    if order is not None:
-        back = np.argsort(order)
-        prec = prec[np.ix_(back, back)]
-    return prec
+    return main, off
 
 
 def design_matrix(fam: Family, grid, mode: ParamMode = ParamMode.LOCATION_SCALE) -> np.ndarray:

@@ -313,12 +313,17 @@ def test_simulate_threads_env_default(capsys, tmp_path, monkeypatch):
            "estimators": [{"method": "gqls"}]}
     path = tmp_path / "s.json"
     path.write_text(json.dumps(cfg))
-    code, serial, _ = run_cli(capsys, "simulate", "--config", str(path))
-    assert code == 0
+    monkeypatch.delenv("QLS_THREADS", raising=False)
+    code, serial, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 0 and err == ""
     monkeypatch.setenv("QLS_THREADS", "3")
-    code, threaded, _ = run_cli(capsys, "simulate", "--config", str(path))
-    assert code == 0
-    assert serial == threaded  # worker count never changes the results
+    for flags in ((), ("--threads", "2")):
+        code, threaded, err = run_cli(capsys, "simulate", "--config", str(path), *flags)
+        assert code == 0
+        assert threaded == serial  # the thread count never changes the output
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: ")
+        assert "no effect" in lines[0]
 
 
 def test_bench_csv(capsys):

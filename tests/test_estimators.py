@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qls import estimators, linalg
-from qls.efficiency import are, standardized_cov
+import qls
+from qls import estimators, linalg, quantiles
+from qls.efficiency import are
 from qls.errors import (
     WARN_NON_POSITIVE_SCALE,
     DomainError,
     EmptySample,
     NoConvergence,
     NonFiniteData,
+    NotPositiveDefinite,
     QlsError,
     RankDeficient,
     ScaleOverflow,
@@ -30,7 +32,7 @@ from qls.estimators import (
     fit_sample,
     qls_weights,
 )
-from qls.families import FAMILIES, ParamMode, Params, get_family
+from qls.families import FAMILIES, Family, ParamMode, Params, get_family
 from qls.gof import bootstrap_pvalue
 from qls.linalg import det
 from qls.quantiles import (
@@ -40,6 +42,7 @@ from qls.quantiles import (
     make_grid,
     sigma_star,
 )
+from qls.simulate import ContaminationSpec, EstimatorSpec, McConfig, run_mc, run_power_study
 
 NORMAL = get_family("normal")
 GRID = make_grid(0.05, 0.95, 25)
@@ -186,22 +189,6 @@ def test_weights_and_cov_take_wider_designs():
         qls_weights("oqls", x_bad)
 
 
-def test_family_plans_ignore_level_order():
-    # raw level arrays need not be sorted: the gQLS covariance and weights
-    # are those of the sorted levels, permuted
-    fam = get_family("logistic")
-    levels = np.linspace(0.05, 0.95, 12)
-    order = np.random.default_rng(1).permutation(12)
-    for kind in ("oqls", "gqls"):
-        for mode in ParamMode:
-            a = standardized_cov(kind, fam, levels, mode)
-            b = standardized_cov(kind, fam, levels[order], mode)
-            assert _max_rel(b, a) <= 1e-12
-        w = FitPlan.for_family(fam, levels, kind).solver()[0]
-        w_shuffled = FitPlan.for_family(fam, levels[order], kind).solver()[0]
-        assert _max_rel(w_shuffled, w[:, order]) <= 1e-12
-
-
 def test_asymptotic_cov_formulas():
     # location-only scalar case: cov = sigma^2 * c / n for X = 1, S = [c]
     ones = np.ones((1, 1))
@@ -261,16 +248,64 @@ def test_family_plan_matches_matrix_path(name, kind, mode, k, seed):
 
 def test_family_paths_factorize_nothing(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a family path factorized a k x k matrix")
+        raise AssertionError("a family path built or factorized a k x k matrix")
 
-    for module in (estimators, linalg):
-        monkeypatch.setattr(module, "spd_factorize", refuse)
+    for module in (qls, quantiles, estimators, linalg):
+        for name in ("spd_factorize", "sigma_star"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    qf_calls = []
+    family_qf = Family.qf
+
+    def counting_qf(self, u):
+        qf_calls.append(self.name)
+        return family_qf(self, u)
+
+    monkeypatch.setattr(Family, "qf", counting_qf)
     fam = get_family("logistic")
+    for kind in ("oqls", "gqls"):
+        qf_calls.clear()
+        FitPlan.for_family(fam, GRID, kind)
+        assert qf_calls == ["logistic"]  # one evaluation of Q0 per plan
     data = fam.sample(Params(), 300, np.random.default_rng(3))
     for kind in ("oqls", "gqls"):
-        fit_sample(data, fam, GRID, kind)
-        are(kind, fam, GRID)
+        for mode in ParamMode:
+            fit_sample(data, fam, GRID, kind, mode)
+            are(kind, fam, GRID, mode)
     bootstrap_pvalue(data, fam, GRID, B=5, seed=1)
+    spec = ContaminationSpec(base_family=fam, base_params=Params())
+    run_mc(McConfig(spec=spec, n=100, m=4, estimators=(
+        EstimatorSpec("gqls", GRID), EstimatorSpec("oqls", GRID))))
+    run_power_study([fam], [spec], [GRID], n=100, m=4, test="w")
+
+
+@pytest.mark.parametrize("mode", list(ParamMode))
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_oqls_band_sandwich_matches_dense(name, mode):
+    # the family oQLS covariance W (P^-1 W') against W S W' on the same W
+    fam = get_family(name)
+    for bounds in ((0.05, 0.95), (1e-4, 1 - 1e-4), (1e-9, 1 - 1e-9)):
+        for k in (2, 3, 25, 200, 500):
+            grid = make_grid(*bounds, k)
+            w, cov = FitPlan.for_family(fam, grid, "oqls").solver(mode)
+            dense = w @ sigma_star(fam, grid) @ w.T
+            assert _max_rel(cov, dense) <= 1e-11, (bounds, k)
+
+
+def test_band_solve_failure_is_a_package_error():
+    # an indefinite band: the banded Cholesky fails on the second pivot
+    band = (np.array([1.0, -1.0]), np.array([0.5]))
+    with pytest.raises(NotPositiveDefinite):
+        estimators._band_solve(band, np.eye(2))
+    # a shape mismatch is a caller's error, not a numeric failure
+    with pytest.raises(ValueError) as info:
+        estimators._band_solve((np.array([2.0, 2.0]), np.array([0.5])), np.eye(3))
+    assert not isinstance(info.value, NotPositiveDefinite)
+    # level gaps of one subnormal step put infinities in the band
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        plan = FitPlan.for_family(get_family("exponential"), [5e-324, 1e-323], "oqls")
+    with pytest.raises(NotPositiveDefinite):
+        plan.solver(ParamMode.LOCATION_ONLY)
 
 
 def test_mle_init_falls_back_only_on_package_errors(monkeypatch):

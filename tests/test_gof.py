@@ -217,8 +217,9 @@ def test_default_out_grid_levels():
     assert og.levels[-1] == pytest.approx(0.99)
     with pytest.raises(InvalidGrid):
         make_out_grid([0.2, 0.2, 0.5])
-    with pytest.raises(InvalidGrid):
-        make_out_grid([0.0, 0.5])
+    for levels in ([0.0, 0.5], [0.3, np.nan], [0.5, 0.2], []):
+        with pytest.raises(InvalidGrid):
+            make_out_grid(levels)
 
 
 def test_w_out_equals_w_on_matching_grid():

@@ -17,14 +17,22 @@ from qls.errors import (
 )
 from qls.families import FAMILIES, ParamMode, Params, get_family
 from qls.linalg import spd_factorize
-from qls.estimators import fit_sample
+from qls.efficiency import are
+from qls.estimators import FitPlan, fit_sample
 from qls.quantiles import (
     design_matrix,
     empirical_quantiles,
+    level_density,
     make_grid,
-    precision_star,
+    precision_band,
     sigma_star,
 )
+
+
+def _dense_precision(fam, grid):
+    p, _, f = level_density(fam, grid)
+    main, off = precision_band(p, f)
+    return np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def test_make_grid_values():
@@ -139,29 +147,36 @@ def test_sigma_star_is_spd(name, bounds):
         spd_factorize(s)  # must not raise
         # the closed-form precision inverts S to rounding, scaled by cond(S)
         tol = 100.0 * np.finfo(float).eps * np.linalg.cond(s)
-        assert np.max(np.abs(precision_star(fam, grid) @ s - np.eye(k))) <= tol
+        assert np.max(np.abs(_dense_precision(fam, grid) @ s - np.eye(k))) <= tol
 
 
 def test_precision_star_is_symmetric_tridiagonal():
-    p = precision_star(get_family("normal"), make_grid(0.05, 0.95, 12))
-    assert np.array_equal(p, p.T)
-    assert np.all(np.triu(p, 2) == 0.0)
-
-
-def test_precision_star_follows_level_order():
+    # the dense inverse of S is the tridiagonal matrix of the band
     fam = get_family("normal")
-    levels = [0.5, 0.2, 0.8, 0.35]
-    assert np.allclose(precision_star(fam, levels) @ sigma_star(fam, levels), np.eye(4),
-                       atol=1e-12)
-    with pytest.raises(InvalidGrid):
-        precision_star(fam, [0.2, 0.5, 0.2])
-    with pytest.raises(InvalidGrid):
-        precision_star(fam, [0.0, 0.5])
+    grid = make_grid(0.05, 0.95, 12)
+    inv = np.linalg.inv(sigma_star(fam, grid))
+    assert np.max(np.abs(inv - _dense_precision(fam, grid))) <= 1e-12 * np.max(np.abs(inv))
+
+
+@pytest.mark.parametrize("levels", [[0.5, 0.2, 0.8], [0.2, 0.5, 0.5, 0.8], [0.3, np.nan]])
+def test_levels_must_increase_strictly(levels):
+    fam = get_family("logistic")
+    data = fam.sample(Params(), 200, np.random.default_rng(0))
+    for call in (lambda: FitPlan.for_family(fam, levels, "gqls"),
+                 lambda: FitPlan.for_family(fam, levels, "oqls"),
+                 lambda: are("gqls", fam, levels),
+                 lambda: sigma_star(fam, levels),
+                 lambda: empirical_quantiles(data, levels)):
+        with pytest.raises(InvalidGrid):
+            call()
 
 
 def test_sigma_star_rejects_boundary_levels():
-    with pytest.raises(InvalidGrid):
-        sigma_star(get_family("normal"), [0.0, 0.5])
+    for levels in ([0.0, 0.5], [0.5, 1.0], [np.nan]):
+        with pytest.raises(InvalidGrid):
+            sigma_star(get_family("normal"), levels)
+        with pytest.raises(InvalidGrid):
+            FitPlan.for_family(get_family("normal"), levels, "oqls")
 
 
 def test_design_matrix_shapes_and_values():
