@@ -12,6 +12,7 @@ import argparse
 import csv
 import pathlib
 
+from qls.cli import warn_threads_ignored
 from qls.families import Params, get_family
 from qls.quantiles import make_grid
 from qls.simulate import ContaminationSpec, EstimatorSpec, McConfig, run_mc
@@ -28,10 +29,12 @@ def main() -> None:
     parser.add_argument("--n", type=int, default=1000)
     parser.add_argument("--m", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=20240817)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; does not change the speed")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--out", default="results/contamination.csv")
     args = parser.parse_args()
+    if args.threads is not None:
+        warn_threads_ignored(args.threads)
 
     base = get_family(args.family)
     contaminant = get_family(args.contaminant)
@@ -52,7 +55,7 @@ def main() -> None:
             )
             summary = run_mc(McConfig(spec=spec, n=args.n, m=args.m,
                                       estimators=tuple(estimators),
-                                      seed=args.seed, workers=args.threads))
+                                      seed=args.seed))
             for row in summary.as_rows():
                 row = {"epsilon": eps, **row}
                 if writer is None:

@@ -339,6 +339,13 @@ def _study_from_config(cfg: dict, seed_override: int | None):
     raise DomainError(f"unknown study kind {kind!r}")
 
 
+def warn_threads_ignored(threads) -> None:
+    """The one stderr line for a thread count given to a study, which runs
+    on the single-threaded batch engine whatever the count."""
+    print(f"warning: threads={threads} has no effect: studies run on the "
+          "single-threaded batch engine", file=sys.stderr)
+
+
 def _cmd_simulate(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -349,8 +356,7 @@ def _cmd_simulate(args) -> int:
         raise InputError(f"{args.config}: invalid JSON: {exc}") from exc
     threads = args.threads if args.threads is not None else os.environ.get("QLS_THREADS")
     if threads is not None:
-        print(f"warning: threads={threads} has no effect: studies run on the "
-              "single-threaded batch engine", file=sys.stderr)
+        warn_threads_ignored(threads)
     rows = _study_from_config(cfg, args.seed)
     _emit_rows(rows, args.format, args.out)
     return EXIT_OK

@@ -535,11 +535,15 @@ def _robust_init(fam: Family, data: np.ndarray) -> np.ndarray:
 
 
 def _mle_init(fam: Family, data: np.ndarray) -> np.ndarray:
+    """The joint gQLS estimate on ``DEFAULT_GRID`` (no covariance, so a
+    scale whose square overflows still starts here), else ``_robust_init``."""
     try:
         a, b, k = DEFAULT_GRID
-        init = fit_sample(data, fam, make_grid(a, b, min(k, max(2, data.size))), method="gqls")
-        if init.sigma > 0 and np.isfinite(init.mu) and np.isfinite(init.sigma):
-            return np.array([init.mu, init.sigma])
+        grid = make_grid(a, b, min(k, max(2, data.size)))
+        init = FitPlan.for_family(fam, grid, "gqls").solve(
+            empirical_quantiles(data, grid).values[None, :])[0]
+        if init[1] > 0 and np.all(np.isfinite(init)):
+            return init
     except QlsError:
         pass
     return _robust_init(fam, data)
@@ -550,15 +554,31 @@ _INV_INFO = {name: np.linalg.inv(FAMILIES[name].fisher_info())
              for name in ("normal", "laplace", *_NUMERIC_MLE)}
 
 
+def _unit_power(scale: float) -> float:
+    """The power of two nearest ``scale`` > 0 on a log scale; scaling by it
+    loses no bits."""
+    frac, exp = math.frexp(scale)  # scale = frac 2^exp, 0.5 <= frac < 1
+    return math.ldexp(1.0, exp if frac >= math.sqrt(0.5) else exp - 1)
+
+
 def _numeric_mle(fam: Family, x: np.ndarray, init) -> np.ndarray:
+    """Newton, else the simplex, on x / s with s the power of two nearest
+    the starting scale, so that the fixed steps and tolerances of both are
+    relative to the data's scale: the fit of x 2^j is 2^j times the fit of
+    x while no value leaves the normal range, and a row with s = 1 runs on
+    the data as given."""
     if x.min() == x.max():  # constant data: sigma = 0 (see _mle_rows), no search
         return np.array([x[0], 0.0])
     ll, score = _NUMERIC_MLE[fam.name]
     theta0 = np.asarray(init, dtype=float) if init is not None else _mle_init(fam, x)
+    s = _unit_power(float(theta0[1])) if 0.0 < theta0[1] < math.inf else 1.0
+    if s != 1.0:
+        x, theta0 = x / s, theta0 / s
     try:
-        return _newton_mle(ll, score, theta0, x)
+        theta = _newton_mle(ll, score, theta0, x)
     except NoConvergence:
-        return _simplex_mle(ll, theta0, x)
+        theta = _simplex_mle(ll, theta0, x)
+    return theta if s == 1.0 else theta * s
 
 
 def _mle_estimates(fam: Family, rows: np.ndarray, finite: np.ndarray,

@@ -30,9 +30,9 @@ from .estimators import FitPlan, QlsFit, _response
 from .families import Family, ParamMode, Params
 from .quantiles import (
     QuantileGrid,
+    _order_statistics,
     _ranks,
     empirical_quantiles,
-    finite_rows,
     levels_of,
     replicate_blocks,
 )
@@ -288,13 +288,15 @@ def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
     idx_fit = _ranks(n, levels_of(grid))[0] - 1
     idx_out = _ranks(n, levels_of(out_grid))[0] - 1
 
-    srt = np.sort(data)
-    if not finite_rows(srt):
+    pos = np.union1d(idx_fit, idx_out)
+    values, first, last = _order_statistics(data, pos)
+    if not (np.isfinite(first) and np.isfinite(last)):
         raise NonFiniteData("bootstrap data hold NaN or infinite values")
-    beta0 = plan.solve(srt[None, idx_fit])
+    beta0 = plan.solve(values[None, np.searchsorted(pos, idx_fit)])
     if not beta0[0, 1] > 0:
         raise NonPositiveScale("gQLS fit on the data has non-positive scale")
-    observed = float(plan_out.w_statistics(srt[None, idx_out], beta0, n)[0])
+    observed = float(plan_out.w_statistics(values[None, np.searchsorted(pos, idx_out)],
+                                           beta0, n)[0])
     fitted = Params(mu=float(beta0[0, 0]), sigma=float(beta0[0, 1]))
 
     exceed = 0

@@ -2,7 +2,8 @@
 
 The grid places k levels equally spaced on [a, b]; any level array must
 increase strictly.  The empirical quantile at level p is the ceil(n*p)-th
-order statistic.  From a family's standard forms we assemble the
+order statistic, read from one sort of the sample, or above 1 MiB from two
+halves sorted on two threads.  From a family's standard forms we assemble the
 standardized covariance of sample quantiles
 
     s_ij = p_i (1 - p_j) / (f0(Q0(p_i)) f0(Q0(p_j)))   for i <= j,
@@ -14,6 +15,8 @@ studies take order statistics from row-sorted blocks of replicates, split by
 """
 from __future__ import annotations
 
+import math
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -40,7 +43,8 @@ __all__ = [
     "design_matrix",
 ]
 
-# float64 values in one block of replicate rows: 1 MiB
+# float64 values in one block of replicate rows: 1 MiB; a larger single
+# sample is sorted as two halves on two threads (``_order_statistics``)
 _BLOCK_VALUES = 2 ** 17
 
 
@@ -69,14 +73,26 @@ def make_grid(a: float, b: float, k: int) -> QuantileGrid:
 def levels_of(grid, interior: bool = False) -> np.ndarray:
     """Levels of a QuantileGrid, an OutGrid-like object or a raw array;
     InvalidGrid unless they form a non-empty, strictly increasing 1-D array,
-    all in (0, 1) when ``interior``."""
+    all in (0, 1) and with a finite reciprocal of every gap of [0, p, 1]
+    when ``interior``."""
     levels = np.asarray(getattr(grid, "levels", grid), dtype=float)
     if levels.ndim != 1 or levels.size == 0:
         raise InvalidGrid("levels must be a non-empty 1-D array")
-    if not np.all(np.diff(levels) > 0.0):
+    steps = np.diff(levels)
+    if not np.all(steps > 0.0):
         raise InvalidGrid("levels must be strictly increasing")
-    if interior and not np.all((levels > 0.0) & (levels < 1.0)):
-        raise InvalidGrid("all levels must be interior to (0, 1)")
+    if interior:
+        if not np.all((levels > 0.0) & (levels < 1.0)):
+            raise InvalidGrid("all levels must be interior to (0, 1)")
+        # ``precision_band`` divides by each gap of [0, p, 1].  Doubles at or
+        # above 2^-969 lie at least 2^-1021 apart and 1 - p_k >= 2^-53, so
+        # only a level below 2^-969 can make a gap whose reciprocal is inf
+        # (which a Python division returns without a warning).
+        if levels[0] < 2.0 ** -969 and not math.isfinite(
+                1.0 / float(min(levels[0], steps.min(initial=1.0)))):
+            raise InvalidGrid(
+                f"levels closer than {1.0 / np.finfo(float).max:.3g} to each other "
+                "or to 0 have no finite precision")
     return levels
 
 
@@ -130,24 +146,82 @@ def replicate_blocks(replicates: range, n: int) -> Iterator[range]:
     return (replicates[i:i + rows] for i in range(0, len(replicates), rows))
 
 
+def _sorted_halves(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two halves of the sample, each sorted: the first on a helper
+    thread while the caller sorts the second (``np.sort`` releases the GIL).
+    The helper is joined before this returns or raises, and its exception,
+    if any, is raised here."""
+    h = data.shape[0] // 2
+    out: dict = {}
+
+    def sort_first():
+        try:
+            out["first"] = np.sort(data[:h])
+        except BaseException as exc:  # handed to the caller below
+            out["error"] = exc
+
+    helper = threading.Thread(target=sort_first, name="qls-sort-half")
+    helper.start()
+    try:
+        second = np.sort(data[h:])
+    finally:
+        helper.join()
+    if "error" in out:
+        raise out["error"]
+    return out["first"], second
+
+
+def _order_statistics(data: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Values at the 0-based sorted positions of a non-empty 1-D sample, and
+    its first and last sorted values (NaN sorts last, so the two decide
+    whether the sample is finite); EmptySample for an empty one.
+
+    Up to ``_BLOCK_VALUES`` values this is one ``np.sort``.  A larger sample
+    is sorted as two halves (``_sorted_halves``), and the value at position
+    r is the r-th smallest of the two runs a and b: with i of the r + 1
+    smallest taken from a and j = r + 1 - i from b, the right i is the
+    least one with a[i] >= b[j - 1], found by a binary search vectorized
+    over the positions, and the value is max(a[i - 1], b[j - 1]).  Either
+    way the values are elements of the sample, the same as a full sort's
+    (up to the sign of a zero where the sample holds both 0.0 and -0.0,
+    which compare equal and which no sort keeps in order).
+    """
+    if data.shape[0] == 0:
+        raise EmptySample("cannot take quantiles of an empty sample")
+    if data.shape[0] <= _BLOCK_VALUES:
+        srt = np.sort(data)
+        return srt[positions], float(srt[0]), float(srt[-1])
+    a, b = _sorted_halves(data)
+    h, m = a.shape[0], b.shape[0]
+    lo = np.maximum(positions + 1 - m, 0)
+    hi = np.minimum(positions + 1, h)
+    while np.any(active := lo < hi):
+        mid = (lo + hi) // 2
+        # a lane that has converged may point past an end: clip, then mask
+        more = active & (a[np.minimum(mid, h - 1)] < b[np.clip(positions - mid, 0, m - 1)])
+        lo = np.where(more, mid + 1, lo)
+        hi = np.where(active & ~more, mid, hi)
+    i, j = lo, positions + 1 - lo
+    from_a = a[np.maximum(i - 1, 0)]
+    from_b = b[np.maximum(j - 1, 0)]
+    values = np.where(i == 0, from_b, np.where(j == 0, from_a, np.maximum(from_a, from_b)))
+    return values, float(np.fmin(a[0], b[0])), float(np.maximum(a[-1], b[-1]))
+
+
 def empirical_quantiles(sample, grid) -> QuantileResponse:
-    """Extract the ceil(n*p)-th order statistics at each grid level from one
-    full sort of the sample.  Raises NonFiniteData when the sample holds NaN
-    or an infinity; tags the response ``tied_quantiles`` when two levels at
-    distinct ranks read equal values."""
+    """Extract the ceil(n*p)-th order statistics at each grid level, as a
+    full sort would give them (``_order_statistics``).  Raises NonFiniteData
+    when the sample holds NaN or an infinity; tags the response
+    ``tied_quantiles`` when two levels at distinct ranks read equal values."""
     data = np.asarray(sample, dtype=float)
     if data.ndim != 1:
         data = data.ravel()
     n = data.shape[0]
-    if n == 0:
-        raise EmptySample("cannot take quantiles of an empty sample")
-    levels = levels_of(grid)
-    ranks, warns = _ranks(n, levels)
-    srt = np.sort(data)
-    if not finite_rows(srt):
+    ranks, warns = _ranks(n, levels_of(grid))
+    values, first, last = _order_statistics(data, ranks - 1)
+    if not (np.isfinite(first) and np.isfinite(last)):
         raise NonFiniteData(
-            f"sample holds NaN or infinite values (sorted from {srt[0]} to {srt[-1]})")
-    values = srt[ranks - 1]
+            f"sample holds NaN or infinite values (sorted from {first} to {last})")
     if np.any((np.diff(values) == 0.0) & (np.diff(ranks) != 0)):
         warns.append(WARN_TIED_QUANTILES)
     return QuantileResponse(values=values, n=n, warnings=tuple(warns))

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,6 +328,23 @@ def test_simulate_threads_env_default(capsys, tmp_path, monkeypatch):
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("warning: ")
         assert "no effect" in lines[0]
+
+
+def test_contamination_study_threads_only_warns(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "contamination_study.py"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = tmp_path / "study.csv"
+    runs = []
+    for flags in ((), ("--threads", "3")):
+        proc = subprocess.run([sys.executable, str(script), "--n", "60", "--m", "12",
+                               "--out", str(out), *flags],
+                              capture_output=True, env=env, timeout=300, check=True)
+        runs.append((proc.stdout, proc.stderr, out.read_bytes()))
+    (plain_out, plain_err, plain_csv), (threads_out, threads_err, threads_csv) = runs
+    assert plain_err == b""
+    assert threads_err.decode().splitlines() == [
+        "warning: threads=3 has no effect: studies run on the single-threaded batch engine"]
+    assert threads_out == plain_out and threads_csv == plain_csv
 
 
 def test_bench_csv(capsys):

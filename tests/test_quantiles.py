@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -15,11 +18,14 @@ from qls.errors import (
     NonFiniteData,
     QlsError,
 )
+from qls import quantiles
 from qls.families import FAMILIES, ParamMode, Params, get_family
 from qls.linalg import spd_factorize
 from qls.efficiency import are
 from qls.estimators import FitPlan, fit_sample
+from qls.gof import bootstrap_pvalue
 from qls.quantiles import (
+    QuantileResponse,
     design_matrix,
     empirical_quantiles,
     level_density,
@@ -68,6 +74,8 @@ def test_empirical_quantiles_single_point_and_empty():
     assert np.all(resp.values == 5.0)
     with pytest.raises(EmptySample):
         empirical_quantiles([], make_grid(0.1, 0.9, 4))
+    with pytest.raises(EmptySample):  # an IndexError traceback before
+        bootstrap_pvalue([], get_family("normal"), make_grid(0.1, 0.9, 4), B=10)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -179,6 +187,23 @@ def test_sigma_star_rejects_boundary_levels():
             FitPlan.for_family(get_family("normal"), levels, "oqls")
 
 
+def test_subnormal_level_gaps_are_an_invalid_grid():
+    # 1/gap overflows for a gap of [0, p, 1] below about 5.6e-309: the
+    # precision band would hold infinities
+    expo = get_family("exponential")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for levels in ([5e-324, 1e-323], [1e-320, 0.5]):
+            with pytest.raises(InvalidGrid, match="no finite precision"):
+                FitPlan.for_family(expo, levels, "oqls")
+            with pytest.raises(InvalidGrid):
+                are("gqls", expo, levels, ParamMode.SCALE_ONLY)
+        # a gap whose reciprocal is finite stays a grid
+        assert quantiles.levels_of([1e-300, 0.5], interior=True).tolist() == [1e-300, 0.5]
+    # the interior rule alone judges the gaps: data levels are not refused
+    assert empirical_quantiles([1.0, 2.0], [5e-324, 1e-323]).values.tolist() == [1.0, 1.0]
+
+
 def test_design_matrix_shapes_and_values():
     fam = get_family("logistic")
     x = design_matrix(fam, make_grid(0.05, 0.95, 25))
@@ -212,3 +237,125 @@ def test_quantiles_are_order_statistics(n, seed):
         rank = max(int(math.ceil(n * p - 1e-9)), 1)
         assert v == srt[rank - 1]
     assert np.all(np.diff(resp.values) >= 0)
+
+
+# ---------------------------------------------------------------------------
+# order statistics of one large sample: two halves sorted on two threads
+# ---------------------------------------------------------------------------
+
+SPLIT_SIZES = [2 ** 17, 2 ** 17 + 1, 2 ** 17 + 2, 10 ** 6 + 3]
+
+
+def _full_sort_quantiles(data, levels):
+    """The response as read from one full sort of the sample (the reference)."""
+    ranks, warns = quantiles._ranks(data.size, np.asarray(levels, dtype=float))
+    values = np.sort(data)[ranks - 1]
+    if np.any((np.diff(values) == 0.0) & (np.diff(ranks) != 0)):
+        warns.append(WARN_TIED_QUANTILES)
+    return values, tuple(warns)
+
+
+@pytest.mark.parametrize("n", SPLIT_SIZES)
+@pytest.mark.parametrize("shape", ["draws", "rounded", "sorted", "reversed", "halves_apart"])
+def test_split_sort_reads_the_full_sort_order_statistics(n, shape):
+    rng = np.random.default_rng(n)
+    data = rng.standard_normal(n)
+    if shape == "rounded":
+        data = np.round(data)  # about nine distinct values: ties across the halves
+    elif shape == "sorted":
+        data.sort()
+    elif shape == "reversed":
+        data = -np.sort(data)
+    elif shape == "halves_apart":
+        data[: n // 2] += 100.0  # every value of the first half exceeds the second
+    grids = [make_grid(0.05, 0.95, 25), make_grid(0.001, 0.999, 999),
+             [0.1 / n, 0.5, 1.0 - 1e-12],  # rank clamped to 1, and rank n
+             [0.4, 0.4 + 0.1 / n, 0.6]]  # two levels at one rank
+    for grid in grids:
+        resp = empirical_quantiles(data, grid)
+        values, warns = _full_sort_quantiles(data, quantiles.levels_of(grid))
+        assert np.array_equal(resp.values, values)
+        assert resp.warnings == warns
+    if shape == "rounded":
+        assert WARN_TIED_QUANTILES in empirical_quantiles(data, grids[0]).warnings
+    # every position, both ends included
+    pos = np.unique(np.concatenate(([0, n // 2 - 1, n // 2, n - 1],
+                                    rng.integers(0, n, 500))))
+    got, first, last = quantiles._order_statistics(data, pos)
+    srt = np.sort(data)
+    assert np.array_equal(got, srt[pos])
+    assert (first, last) == (srt[0], srt[-1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("half", ["first", "second"])
+def test_split_sort_refuses_non_finite_values_in_either_half(bad, half):
+    n = 2 ** 17 + 1
+    data = np.random.default_rng(3).standard_normal(n)
+    data[5 if half == "first" else n - 5] = bad
+    logistic = get_family("logistic")
+    with pytest.raises(NonFiniteData, match="NaN or infinite"):
+        empirical_quantiles(data, make_grid(0.05, 0.95, 25))
+    with pytest.raises(NonFiniteData):
+        fit_sample(data, logistic, make_grid(0.05, 0.95, 25))
+    with pytest.raises(NonFiniteData):
+        bootstrap_pvalue(data, logistic, make_grid(0.05, 0.95, 25), B=10)
+
+
+def test_split_sort_leaves_no_thread_behind(monkeypatch):
+    normal = get_family("normal")
+    grid = make_grid(0.05, 0.95, 25)
+    data = np.random.default_rng(1).standard_normal(2 ** 18)
+    before = threading.active_count()
+    fit_sample(data, normal, grid)
+    assert threading.active_count() == before
+    bad = data.copy()
+    bad[7] = np.nan
+    with pytest.raises(NonFiniteData):
+        fit_sample(bad, normal, grid)
+    assert threading.active_count() == before
+
+    # an error in the helper thread reaches the caller, after the join
+    plain_sort = np.sort
+
+    def failing_sort(a, *args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("sorting the first half")
+        return plain_sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(quantiles.np, "sort", failing_sort)
+    with pytest.raises(MemoryError, match="first half"):
+        fit_sample(data, normal, grid)
+    assert threading.active_count() == before
+
+
+def _fit_in_child(data, queue):
+    queue.put(fit_sample(data, get_family("cauchy"), make_grid(0.05, 0.95, 25)).response.values)
+
+
+def test_split_sort_works_in_a_fork_child():
+    data = get_family("cauchy").sample(Params(0.3, 2.0), 2 ** 18, np.random.default_rng(2))
+    parent = fit_sample(data, get_family("cauchy"), make_grid(0.05, 0.95, 25)).response.values
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_fit_in_child, args=(data, queue))
+    child.start()
+    try:
+        values = queue.get(timeout=120)  # drained before the join
+    finally:
+        child.join(timeout=120)
+    assert not child.is_alive() and child.exitcode == 0
+    assert np.array_equal(values, parent)
+
+
+@pytest.mark.parametrize("name", ["normal", "cauchy"])
+@pytest.mark.parametrize("method", ["gqls", "oqls"])
+def test_split_sort_fits_equal_full_sort_fits(name, method):
+    fam = get_family(name)
+    grid = make_grid(0.05, 0.95, 25)
+    data = fam.sample(Params(0.3, 2.0), 10 ** 6, np.random.default_rng(11))
+    fit = fit_sample(data, fam, grid, method)
+    values, _ = _full_sort_quantiles(data, grid.levels)
+    ref = FitPlan.for_family(fam, grid, method).fit(QuantileResponse(values, data.size))
+    assert (fit.mu, fit.sigma) == (ref.mu, ref.sigma)
+    assert np.array_equal(fit.asy_cov, ref.asy_cov)
