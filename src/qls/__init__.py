@@ -20,6 +20,7 @@ from .errors import (
     EmptySample,
     InsufficientDof,
     InvalidGrid,
+    InvalidSeed,
     NoConvergence,
     NonFiniteData,
     NonPositiveScale,
@@ -97,6 +98,7 @@ __all__ = [
     "InfluenceCurve",
     "InsufficientDof",
     "InvalidGrid",
+    "InvalidSeed",
     "McConfig",
     "McSummary",
     "NoConvergence",

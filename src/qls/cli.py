@@ -24,7 +24,7 @@ from . import gof as gof_mod
 from .efficiency import are_table
 from .errors import DomainError, InvalidGrid, QlsError
 from .estimators import FitPlan, fit_gqls, fit_sample
-from .families import FAMILIES, ParamMode, Params, get_family, parse_mode
+from .families import FAMILIES, ParamMode, Params, check_seed, get_family, parse_mode
 from .quantiles import empirical_quantiles, make_grid
 from .robustness import breakdown_point, influence_curve
 from .simulate import (
@@ -151,6 +151,15 @@ def _grid_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", type=float, default=0.05, help="lowest level (default 0.05)")
     p.add_argument("--b", type=float, default=0.95, help="highest level (default 0.95)")
     p.add_argument("--k", type=int, default=25, help="number of levels (default 25)")
+
+
+def _seed_arg(text: str) -> int:
+    """--seed: a non-negative integer, else a usage error before any work."""
+    try:
+        return check_seed(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer, got {text!r}") from None
 
 
 def _parse_levels(text: str) -> np.ndarray:
@@ -293,7 +302,9 @@ def _cmd_influence(args) -> int:
 
 
 def _study_from_config(cfg: dict, seed_override: int | None):
-    seed = int(cfg.get("seed", 0)) if seed_override is None else seed_override
+    """The study's output rows and its warning lines.  A config seed must be
+    a JSON integer; the library refuses any other as InvalidSeed."""
+    seed = cfg.get("seed", 0) if seed_override is None else seed_override
     base = get_family(cfg["family"])
     base_params = Params(float(cfg.get("mu", 0.0)), float(cfg.get("sigma", 1.0)))
     cont = cfg.get("contaminant")
@@ -325,7 +336,9 @@ def _study_from_config(cfg: dict, seed_override: int | None):
             ))
         config = McConfig(spec=spec, n=int(cfg["n"]), m=int(cfg["M"]),
                           estimators=tuple(estimators), seed=seed)
-        return run_mc(config).as_rows()
+        summary = run_mc(config)
+        return summary.as_rows(), [f"{label}: {tag}" for label, tags in summary.warnings.items()
+                                   for tag in tags]
     if kind == "power":
         h0 = [get_family(name) for name in cfg["h0_families"]]
         grids = [make_grid(float(g.get("a", 0.05)), float(g.get("b", 0.95)),
@@ -335,7 +348,7 @@ def _study_from_config(cfg: dict, seed_override: int | None):
             alpha=float(cfg.get("alpha", 0.05)), test=cfg.get("test", "w"),
             B=int(cfg.get("B", 1000)), seed=seed,
         )
-        return [cell.__dict__ for cell in cells]
+        return [cell.__dict__ for cell in cells], []
     raise DomainError(f"unknown study kind {kind!r}")
 
 
@@ -357,7 +370,9 @@ def _cmd_simulate(args) -> int:
     threads = args.threads if args.threads is not None else os.environ.get("QLS_THREADS")
     if threads is not None:
         warn_threads_ignored(threads)
-    rows = _study_from_config(cfg, args.seed)
+    rows, warnings = _study_from_config(cfg, args.seed)
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     _emit_rows(rows, args.format, args.out)
     return EXIT_OK
 
@@ -415,7 +430,7 @@ def _build_parser() -> _Parser:
     p_gof.add_argument("--out-levels", dest="out_levels", default=None,
                        help="comma-separated validation levels (default 0.01..0.99 step 0.02)")
     p_gof.add_argument("--alpha", type=float, default=0.05)
-    p_gof.add_argument("--seed", type=int, default=0)
+    p_gof.add_argument("--seed", type=_seed_arg, default=0)
     for flag, kw in common.items():
         p_gof.add_argument(flag, **kw)
     p_gof.set_defaults(func=_cmd_gof)
@@ -445,7 +460,7 @@ def _build_parser() -> _Parser:
 
     p_sim = sub.add_parser("simulate", help="run a study described by a JSON config")
     p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--seed", type=int, default=None,
+    p_sim.add_argument("--seed", type=_seed_arg, default=None,
                        help="override the config seed")
     p_sim.add_argument("--threads", type=int, default=None,
                        help="accepted for compatibility; has no effect "
@@ -460,7 +475,7 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("--sizes", default="1e6", help="ascending comma list")
     p_bench.add_argument("--repeats", type=int, default=3)
     p_bench.add_argument("--timeout", type=float, default=None)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=_seed_arg, default=0)
     _grid_args(p_bench)
     for flag, kw in common.items():
         p_bench.add_argument(flag, **{**kw, **({"default": "csv"} if flag == "--format" else {})})

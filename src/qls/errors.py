@@ -21,6 +21,11 @@ class Unavailable(QlsError):
     """Requested quantity is undefined for this family/mode combination."""
 
 
+class InvalidSeed(DomainError):
+    """A seed is negative or not an integer (numpy's SeedSequence takes
+    non-negative integers only)."""
+
+
 class InvalidGrid(QlsError, ValueError):
     """Quantile grid violates 0 < a < b < 1 or k >= 2."""
 

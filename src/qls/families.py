@@ -18,13 +18,14 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, Unavailable
+from .errors import DomainError, InvalidSeed, Unavailable
 
 __all__ = [
     "EULER_GAMMA",
@@ -229,6 +230,18 @@ def check_sampling(params: Params, n: int) -> None:
         raise DomainError("sample size must be >= 1")
     if not params.sigma > 0:
         raise DomainError("sigma must be positive to sample")
+
+
+def check_seed(seed) -> int:
+    """The seed as an int; raise InvalidSeed unless it is a non-negative
+    integer (a float, even an integral one, is refused as numpy does)."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise InvalidSeed(f"seed must be a non-negative integer, got {seed!r}") from None
+    if value < 0:
+        raise InvalidSeed(f"seed must be a non-negative integer, got {value}")
+    return value
 
 
 @dataclass(frozen=True)

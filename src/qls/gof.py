@@ -27,7 +27,7 @@ from .errors import (
     NonPositiveScale,
 )
 from .estimators import FitPlan, QlsFit, _response
-from .families import Family, ParamMode, Params
+from .families import Family, ParamMode, Params, check_seed
 from .quantiles import (
     QuantileGrid,
     _order_statistics,
@@ -274,8 +274,9 @@ def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
     streams, and the first B' replicates of a run of B are those of a run of
     B'.  Replicates whose refit fails (e.g. non-positive scale) are dropped
     and the replicate count adjusted; more than ``max_failure_fraction``
-    failures aborts.
+    failures aborts.  A negative or non-integer seed raises InvalidSeed.
     """
+    check_seed(seed)
     if B < 1:
         raise ValueError("need at least one bootstrap replicate")
     if out_grid is None:

@@ -16,17 +16,25 @@ its rows, every QLS estimator reads its rank columns from that sort, and one
 row-batched product per estimator (``FitPlan.solve``) fits all the rows.  A
 row's estimates do not depend on the block it falls in, so the summaries are
 the same for any block size.
+
+A block's replicate generators are seeded in one vectorized pass of numpy's
+SeedSequence hash (``_replicate_generators``): replicate r's generator is
+``Generator(PCG64(...))`` on the state words that ``SeedSequence([*prefix,
+r])`` would give, so its stream is that of ``default_rng([*prefix, r])`` bit
+for bit.  The first generator of every block is compared with
+``default_rng`` itself, and a ``QlsError`` is raised if they ever differ.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import gof
 from .errors import QlsError
-from .families import Family, ParamMode, Params, check_sampling
+from .families import Family, ParamMode, Params, check_sampling, check_seed
 from .quantiles import QuantileGrid, _ranks, finite_rows, make_grid, replicate_blocks
 from .estimators import FitPlan, _mle_rows, fit_sample
 
@@ -144,6 +152,9 @@ class EstimatorSpec:
 
 @dataclass(frozen=True)
 class McConfig:
+    """One Monte Carlo study.  ``seed`` must be a non-negative integer
+    (InvalidSeed otherwise); replicate r draws from ``default_rng([seed, r])``."""
+
     spec: ContaminationSpec
     n: int
     m: int
@@ -154,6 +165,7 @@ class McConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("need at least one replicate")
+        check_seed(self.seed)
         object.__setattr__(self, "estimators", tuple(self.estimators))
 
 
@@ -175,6 +187,7 @@ class McSummary:
     config: McConfig
     stats: dict  # label -> param -> ParamSummary
     failures: dict  # label -> count
+    warnings: dict = field(default_factory=dict)  # label -> tags of its grid at n
 
     def as_rows(self) -> list[dict]:
         rows = []
@@ -189,12 +202,111 @@ class McSummary:
         return rows
 
 
+# numpy.random.SeedSequence's hash at its default pool size; its output is
+# frozen by numpy's stream-compatibility policy (NEP 19)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+def _seed_words(values) -> list[int]:
+    """The uint32 entropy words SeedSequence makes of a sequence of ints:
+    each value in little-endian 32-bit words, 0 as one word."""
+    words = []
+    for v in map(check_seed, values):
+        while True:
+            words.append(v & _MASK32)
+            v >>= 32
+            if not v:
+                break
+    return words
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of a
+    (rows, L) uint32 array of entropy words, as a (rows, 4) array.  The hash
+    constants depend only on the step, so each step is one column operation."""
+    rows, length = entropy.shape
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> _XSHIFT)
+
+    zero = np.zeros(rows, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < length else zero) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(_POOL_SIZE, length):
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[:, i_src]))
+
+    hash_const = _INIT_B
+    state = np.empty((rows, 8), dtype=np.uint32)
+    for i_dst in range(8):
+        value = pool[i_dst % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, i_dst] = value ^ (value >> _XSHIFT)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedState(ISeedSequence):
+    """A seed sequence whose ``generate_state(4, np.uint64)`` words were
+    computed ahead; PCG64 asks for nothing else."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self._words
+
+
+def _replicate_generators(seed_prefix: tuple, reps: range) -> list[np.random.Generator]:
+    """The generators ``default_rng([*seed_prefix, r])`` for r in ``reps`` (not
+    empty), seeded in one vectorized SeedSequence pass.  Raises QlsError if
+    the first one differs from numpy's own."""
+    head = _seed_words(seed_prefix)
+    states = []
+    # r takes one entropy word below 2^32 and two from there on
+    cut = min(max(reps.start, 2 ** 32), reps.stop)
+    for part in (range(reps.start, cut), range(cut, reps.stop)):
+        if not part:
+            continue
+        r = np.arange(part.start, part.stop, dtype=np.uint64)
+        tail = [r & _MASK32] + ([r >> 32] if part.start >= 2 ** 32 else [])
+        entropy = np.empty((len(part), len(head) + len(tail)), dtype=np.uint32)
+        entropy[:, :len(head)] = head
+        for j, col in enumerate(tail, len(head)):
+            entropy[:, j] = col
+        states.append(_seed_states(entropy))
+    rngs = [np.random.Generator(np.random.PCG64(_SeedState(w))) for w in np.concatenate(states)]
+    reference = np.random.default_rng([*seed_prefix, reps.start])
+    if rngs[0].bit_generator.state != reference.bit_generator.state:
+        raise QlsError(f"vectorized seeding of replicate {reps.start} differs from "
+                       f"numpy's default_rng({[*seed_prefix, reps.start]})")
+    return rngs
+
+
 def _draw_blocks(spec: ContaminationSpec, n: int, replicates: range, seed_prefix: tuple):
     """Replicates as (rows, n) blocks of draws, unsorted: yields (replicates,
     block).  Replicate r draws from ``default_rng([*seed_prefix, r])``."""
     for reps in replicate_blocks(replicates, n):
-        rngs = (np.random.default_rng([*seed_prefix, r]) for r in reps)
-        yield reps, _draw_rows(spec, n, rngs, len(reps))
+        yield reps, _draw_rows(spec, n, _replicate_generators(seed_prefix, reps), len(reps))
 
 
 def _scale_ok(est: EstimatorSpec, sigma):
@@ -248,14 +360,18 @@ def run_mc(config: McConfig) -> McSummary:
     """Fit every estimator on every replicate; summarize against the clean
     base parameters.  Replicates whose fit fails (non-convergence, data that
     are not finite, or a non-positive scale) are excluded from the summaries
-    and counted.  ``config.workers`` is accepted for compatibility and does
-    not change the result or the speed: replicates run on the batch engine
-    in one thread."""
+    and counted.  A QLS estimator whose grid reads clamped or repeated ranks
+    at this n carries those tags in ``warnings``, as ``fit_sample`` would.
+    ``config.workers`` is accepted for compatibility and does not change the
+    result or the speed: replicates run on the batch engine in one thread."""
     m = config.m
     estimates = _mc_estimates(config)
     truth = {"mu": config.spec.base_params.mu, "sigma": config.spec.base_params.sigma}
     stats: dict = {}
     failures: dict = {}
+    warnings = {est.label: () if est.method == "mle"
+                else tuple(_ranks(config.n, est.grid.levels)[1])
+                for est in config.estimators}
     for j, est in enumerate(config.estimators):
         per_param: dict = {}
         n_fail = 0
@@ -274,7 +390,7 @@ def run_mc(config: McConfig) -> McSummary:
                                             maximum=mx, n_used=ok.size)
         stats[est.label] = per_param
         failures[est.label] = n_fail
-    return McSummary(config=config, stats=stats, failures=failures)
+    return McSummary(config=config, stats=stats, failures=failures, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +420,10 @@ def run_power_study(h0_families, generators, grids, n: int, m: int,
     generators are ContaminationSpec values (epsilon = 0 gives a pure
     family).  test "w" uses the in-sample statistic at its chi-square
     critical value; "wout" calibrates the out-of-sample statistic with a
-    B-replicate parametric bootstrap per Monte Carlo replicate.
+    B-replicate parametric bootstrap per Monte Carlo replicate.  A negative
+    or non-integer seed raises InvalidSeed.
     """
+    check_seed(seed)
     if test not in ("w", "wout"):
         raise ValueError(f"unknown test {test!r}")
     if out_grid is None:
@@ -354,13 +472,13 @@ def _wout_cell(h0: Family, gen: ContaminationSpec, grid: QuantileGrid,
     a failed replicate."""
     rep_seeds = np.random.default_rng(list(cell_seed)).integers(0, 2 ** 62, size=m)
     pvals = np.full(m, np.nan)
-    for r in range(m):
-        data = sample_contaminated(gen, n, np.random.default_rng([*cell_seed, r]))
-        try:
-            pvals[r] = gof.bootstrap_pvalue(data, h0, grid, out_grid, B=B,
-                                            seed=int(rep_seeds[r])).p_value
-        except QlsError:
-            pass
+    for reps, block in _draw_blocks(gen, n, range(m), cell_seed):
+        for r, data in zip(reps, block):
+            try:
+                pvals[r] = gof.bootstrap_pvalue(data, h0, grid, out_grid, B=B,
+                                                seed=int(rep_seeds[r])).p_value
+            except QlsError:
+                pass
     return pvals
 
 
@@ -385,6 +503,7 @@ def run_timing(families, methods, sizes, repeats: int = 3,
     """Median wall-clock sampling and fitting times.  Sampling time is kept
     separate from fitting time; a cell whose single fit exceeds the timeout
     is marked and not repeated further (its partial median is reported)."""
+    check_seed(seed)
     if grid is None:
         grid = make_grid(0.05, 0.95, 25)
     rows: list[TimingRow] = []

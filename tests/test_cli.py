@@ -305,6 +305,49 @@ def test_simulate_power_config(capsys, tmp_path):
     assert 0.0 <= float(rows[0]["rejection_rate"]) <= 0.25
 
 
+def _one_error_line(err):
+    lines = [line for line in err.splitlines() if "error:" in line]
+    return len(lines) == 1 and "Traceback" not in err and "seed" in lines[0]
+
+
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_bad_seeds_are_usage_errors(capsys, tmp_path, normal_file, seed):
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps({"study": "mc", "family": "normal", "n": 50, "M": 4,
+                                "estimators": [{"method": "gqls"}]}))
+    for argv in (("simulate", "--config", str(path)),
+                 ("gof", "--family", "normal", "--data", normal_file, "--test", "wout"),
+                 ("bench", "--families", "normal", "--sizes", "100")):
+        code, out, err = run_cli(capsys, *argv, "--seed", seed)
+        assert code == 1 and out == "" and _one_error_line(err), (argv, err)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, "3"])
+def test_bad_config_seeds_are_usage_errors(capsys, tmp_path, seed):
+    for study in ({"study": "mc", "estimators": [{"method": "mle"}]},
+                  {"study": "power", "h0_families": ["normal"], "test": "wout"}):
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({**study, "family": "normal", "n": 50, "M": 4,
+                                    "seed": seed}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 1 and out == "" and _one_error_line(err), err
+
+
+def test_simulate_prints_grid_tags_as_warnings(capsys, tmp_path):
+    cfg = {"study": "mc", "family": "normal", "n": 2, "M": 5, "seed": 1,
+           "estimators": [{"method": "gqls", "k": 25}, {"method": "mle"}]}
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 0
+    assert err.splitlines() == [
+        "warning: gqls(0.05,0.95,k=25): rank_clamped_to_first_order_statistic",
+        "warning: gqls(0.05,0.95,k=25): degenerate_grid",
+    ]
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert all(r["failures"] == "0" for r in rows)
+
+
 def test_simulate_bad_config(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

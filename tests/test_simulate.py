@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qls import quantiles
-from qls.errors import DomainError, QlsError
+from qls import gof, quantiles, simulate
+from qls.errors import DomainError, InvalidSeed, QlsError
 from qls.estimators import FitPlan, fit_mle, fit_sample
 from qls.families import FAMILIES, ParamMode, Params, get_family
 from qls.gof import plan_w_test
@@ -15,6 +15,10 @@ from qls.simulate import (
     McConfig,
     _draw_blocks,
     _mc_estimates,
+    _replicate_generators,
+    _seed_states,
+    _seed_words,
+    _wout_cell,
     run_mc,
     run_power_study,
     run_timing,
@@ -272,6 +276,113 @@ def test_block_sampler_rows_equal_single_draws(name, epsilon, one_row_blocks, mo
             assert np.array_equal(row, single)
             assert np.array_equal(row, _one_draw_at_a_time(
                 spec, n, np.random.default_rng([seed, r])))
+
+
+def test_wout_cell_data_equal_single_draws(monkeypatch):
+    # each bootstrap of a wout cell gets the sample default_rng([*cell_seed, r])
+    # draws, and the seed its cell stream gives replicate r
+    n, m, cell_seed = 300, 500, (2 ** 33 + 5, 1, 0, 2)
+    spec = contaminated(0.1)
+    calls = []
+
+    def record(data, fam, grid, out_grid, B, seed):
+        calls.append((data.copy(), seed))
+        return gof.GofResult(statistic=0.0, kind="out-of-sample", p_value=0.5)
+
+    monkeypatch.setattr(gof, "bootstrap_pvalue", record)
+    pvals = _wout_cell(NORMAL, spec, GRID, gof.default_out_grid(), n, m, 10, cell_seed)
+    assert len(calls) == m and np.all(pvals == 0.5)
+    rep_seeds = np.random.default_rng(list(cell_seed)).integers(0, 2 ** 62, size=m)
+    for r, (data, seed) in enumerate(calls):
+        single = sample_contaminated(spec, n, np.random.default_rng([*cell_seed, r]))
+        assert np.array_equal(data, single)
+        assert seed == rep_seeds[r]
+
+
+def _numpy_states(prefix, reps):
+    return np.array([np.random.SeedSequence([*prefix, r]).generate_state(4, np.uint64)
+                     for r in reps])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2 ** 70 - 1), min_size=1, max_size=5),
+       st.one_of(st.just(0), st.integers(min_value=0, max_value=2 ** 32 - 1)),
+       st.integers(min_value=1, max_value=4))
+def test_vectorized_seeding_equals_seed_sequence(prefix, r, rows):
+    # multi-word ints and prefixes longer than the pool of 4 words included
+    reps = range(r, min(r + rows, 2 ** 32))
+    words = np.array([_seed_words([*prefix, i]) for i in reps], dtype=np.uint32)
+    assert np.array_equal(_seed_states(words), _numpy_states(prefix, reps))
+    for i, rng in zip(reps, _replicate_generators(tuple(prefix), reps)):
+        want = np.random.default_rng([*prefix, i]).random(5)
+        assert np.array_equal(rng.random(5), want)
+
+
+def test_vectorized_seeding_across_two_word_replicate_numbers():
+    # r = 2^32 is the first replicate number with two entropy words
+    for prefix in ((0,), (7, 1, 2, 3), (2 ** 64 + 1, 0, 0, 0, 9)):
+        reps = range(2 ** 32 - 3, 2 ** 32 + 3)
+        rngs = _replicate_generators(prefix, reps)
+        assert [g.bit_generator.state for g in rngs] == [
+            np.random.default_rng([*prefix, r]).bit_generator.state for r in reps]
+
+
+def test_seed_words_follow_numpy():
+    assert _seed_words([0]) == [0]
+    assert _seed_words([2 ** 32, 5]) == [0, 1, 5]
+    assert _seed_words([np.int64(3), 2 ** 64 - 1]) == [3, 2 ** 32 - 1, 2 ** 32 - 1]
+    for bad in (-1, 1.5, 2.0, "3", None):
+        with pytest.raises(InvalidSeed):
+            _seed_words([bad])
+
+
+def test_seeding_guard_raises_when_numpy_disagrees(monkeypatch):
+    cfg = McConfig(spec=clean(), n=50, m=4, estimators=(EstimatorSpec("gqls", GRID),), seed=1)
+    monkeypatch.setattr(simulate, "_INIT_B", simulate._INIT_B ^ 1)
+    with pytest.raises(QlsError, match="differs from numpy"):
+        run_mc(cfg)
+    with pytest.raises(QlsError, match="differs from numpy"):
+        run_power_study([NORMAL], [clean()], [GRID], n=50, m=3, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, -2 ** 40, 1.5, 2.0, "3", None])
+def test_negative_and_non_integer_seeds_are_refused_up_front(seed, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the seed was checked")
+
+    monkeypatch.setattr(simulate, "_draw_blocks", no_work)
+    monkeypatch.setattr(gof, "_order_statistics", no_work)
+    with pytest.raises(InvalidSeed):
+        McConfig(spec=clean(), n=10, m=2, estimators=(EstimatorSpec("mle"),), seed=seed)
+    for test in ("w", "wout"):
+        with pytest.raises(InvalidSeed):
+            run_power_study([NORMAL], [clean()], [GRID], n=50, m=2, test=test, seed=seed)
+    with pytest.raises(InvalidSeed):
+        gof.bootstrap_pvalue(np.arange(100.0), NORMAL, GRID, B=10, seed=seed)
+    with pytest.raises(InvalidSeed):
+        run_timing([NORMAL], ["gqls"], [100], seed=seed)
+    assert issubclass(InvalidSeed, DomainError) and issubclass(InvalidSeed, ValueError)
+
+
+def test_run_mc_keeps_the_grid_tags():
+    # at n = 2 a 25-level grid clamps its first rank and repeats ranks
+    ests = (EstimatorSpec("gqls", GRID), EstimatorSpec("oqls", make_grid(0.5, 0.9, 2)),
+            EstimatorSpec("mle"))
+    s = run_mc(McConfig(spec=clean(), n=2, m=5, estimators=ests, seed=3))
+    data = sample_contaminated(clean(), 2, np.random.default_rng([3, 0]))
+    assert s.warnings == {
+        **{est.label: fit_sample(data, NORMAL, est.grid, est.method).warnings
+           for est in ests[:2]},
+        "mle": (),
+    }
+    assert s.warnings[ests[1].label] == ()
+    assert s.warnings[ests[0].label] == ("rank_clamped_to_first_order_statistic",
+                                         "degenerate_grid")
+    assert list(s.as_rows()[0]) == ["estimator", "parameter", "mean", "bias", "sqrt_mse",
+                                    "min", "q1", "median", "q3", "max", "n_used",
+                                    "failures"]
+    big = run_mc(McConfig(spec=clean(), n=200, m=2, estimators=ests, seed=3))
+    assert all(tags == () for tags in big.warnings.values())
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
