@@ -11,6 +11,7 @@ Usage: python scripts/power_study.py --test w --n 1000 --m 2000
 import argparse
 import csv
 import pathlib
+import sys
 
 from qls.families import Params, get_family
 from qls.quantiles import make_grid
@@ -53,10 +54,13 @@ def main() -> None:
     path = pathlib.Path(out)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(cells[0].__dict__.keys()))
+        writer = csv.DictWriter(fh, fieldnames=list(cells[0].as_row()))
         writer.writeheader()
         for c in cells:
-            writer.writerow(c.__dict__)
+            writer.writerow(c.as_row())
+    for c in cells:
+        for tag in c.warnings:
+            print(f"warning: {c.label}: {tag}", file=sys.stderr)
     print(f"wrote {path} ({len(cells)} cells)")
 
 

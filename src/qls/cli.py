@@ -5,8 +5,8 @@ success, 1 for usage errors, 2 for input/parse failures, 3 for numeric or
 estimation failures.  Output goes to stdout (or --out) as text, JSON, or
 CSV; runs that consume randomness take --seed and are fully reproducible.
 simulate still accepts --threads and the QLS_THREADS environment variable,
-but neither has an effect (it says so on stderr): studies run on a
-single-threaded batch engine.
+but neither has an effect (it says so on stderr): on the batch engine the
+caller and one helper thread take whole blocks.
 """
 from __future__ import annotations
 
@@ -348,15 +348,17 @@ def _study_from_config(cfg: dict, seed_override: int | None):
             alpha=float(cfg.get("alpha", 0.05)), test=cfg.get("test", "w"),
             B=int(cfg.get("B", 1000)), seed=seed,
         )
-        return [cell.__dict__ for cell in cells], []
+        return [cell.as_row() for cell in cells], [
+            f"{cell.label}: {tag}" for cell in cells for tag in cell.warnings]
     raise DomainError(f"unknown study kind {kind!r}")
 
 
 def warn_threads_ignored(threads) -> None:
-    """The one stderr line for a thread count given to a study, which runs
-    on the single-threaded batch engine whatever the count."""
-    print(f"warning: threads={threads} has no effect: studies run on the "
-          "single-threaded batch engine", file=sys.stderr)
+    """The one stderr line for a thread count given to a study: on the batch
+    engine the caller and one helper thread take whole blocks whatever the
+    count."""
+    print(f"warning: threads={threads} has no effect: the caller and one helper "
+          "thread take whole blocks", file=sys.stderr)
 
 
 def _cmd_simulate(args) -> int:

@@ -604,7 +604,9 @@ def _mle_estimates(fam: Family, rows: np.ndarray, finite: np.ndarray,
                 theta[:, 1] = n / np.sum(1.0 / shifted, axis=1)
         elif fam.name == "normal":
             theta[:, 0] = np.mean(rows, axis=1)
-            theta[:, 1] = np.std(rows, axis=1)
+            # reuse the mean (np.std's mean= needs NumPy 2.0): the same sum
+            # and division as np.std's own pass
+            theta[:, 1] = np.std(rows, axis=1, mean=theta[:, :1])
         elif fam.name == "laplace":
             med = np.median(rows, axis=1)
             theta[:, 0] = med

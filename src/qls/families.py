@@ -305,7 +305,12 @@ class Family:
         sample those uniforms would draw."""
         # keep the quantile function finite at the edges
         np.clip(u, _U_FLOOR, _U_CEIL, out=u)
-        return params.mu + params.sigma * self._qf(u)
+        # every _qf returns a fresh array: scale and shift it in place (the
+        # same bits as mu + sigma * q, without two more temporaries)
+        q = self._qf(u)
+        q *= params.sigma
+        q += params.mu
+        return q
 
 
 _INF = float("inf")

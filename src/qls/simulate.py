@@ -9,13 +9,15 @@ from (seed, r), and the reduction order is fixed.
 Replicates run as a batch engine.  Consecutive replicates fill the rows of
 one block, sized from n so that it holds at most 1 MiB of float64
 (``quantiles.replicate_blocks``).  The loop over a block's replicates only
-draws uniforms from each replicate's generator; the quantile transform then
-runs once per family on the whole block.  Each MLE column is fitted on the
-block as drawn, in one row-batched call; the block is then sorted once along
-its rows, every QLS estimator reads its rank columns from that sort, and one
-row-batched product per estimator (``FitPlan.solve``) fits all the rows.  A
-row's estimates do not depend on the block it falls in, so the summaries are
-the same for any block size.
+fills one row of uniforms from each replicate's generator; the quantile
+transform then runs once per family on the whole block.  Each MLE column is
+fitted on the block as drawn, in one row-batched call; the block is then
+sorted once along its rows, every QLS estimator reads its rank columns from
+that sort, and one row-batched product per estimator (``FitPlan.solve``)
+fits all the rows.  A row's estimates do not depend on the block it falls
+in, so the summaries are the same for any block size, and the caller and
+one helper thread take whole blocks (``_run_blocks``) with no change to any
+result.
 
 A block's replicate generators are seeded in one vectorized pass of numpy's
 SeedSequence hash (``_replicate_generators``): replicate r's generator is
@@ -26,6 +28,8 @@ for bit.  The first generator of every block is compared with
 """
 from __future__ import annotations
 
+import contextvars
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -82,37 +86,38 @@ class ContaminationSpec:
 def sample_contaminated(spec: ContaminationSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n observations from the mixture.  With epsilon = 0 the stream of
     uniforms consumed is identical to plain base-family sampling."""
-    return _draw_rows(spec, n, [rng], 1)[0]
+    return _draw_rows(spec, n, [rng])[0]
 
 
-def _draw_rows(spec: ContaminationSpec, n: int, rngs, rows: int) -> np.ndarray:
-    """A (rows, n) array whose row i holds n draws from the mixture made with
-    the i-th of the ``rows`` generators in ``rngs``.
+def _draw_rows(spec: ContaminationSpec, n: int, rngs: list) -> np.ndarray:
+    """A (len(rngs), n) array whose row i holds n draws from the mixture made
+    with the generator ``rngs[i]``.
 
     Each generator gives, in order, n base uniforms, then (epsilon > 0) n
     uniforms that pick the contaminated entries at probability epsilon and
-    one uniform per contaminated entry.  Only the draws are made row by row:
-    each family's quantile transform runs once on all its uniforms, so a row
-    is the same bits whatever rows it is drawn with."""
+    one uniform per contaminated entry.  The first 2n come from one fill per
+    row (successive doubles of a stream concatenate, so this is the stream
+    two separate draws would take), the contaminant uniforms from one more
+    draw per row that has hits.  Each family's quantile transform runs once
+    on all its uniforms, so a row is the same bits whatever rows it is drawn
+    with."""
     check_sampling(spec.base_params, n)
-    u = np.empty((rows, n))
     mixed = spec.epsilon > 0.0
-    mask = np.empty((rows, n), dtype=bool) if mixed else None
-    picked = []
-    for i, rng in enumerate(rngs):
-        rng.random(out=u[i])
-        if mixed:
-            np.less(rng.random(n), spec.epsilon, out=mask[i])
-            hits = int(np.count_nonzero(mask[i]))
-            if hits:
-                picked.append(rng.random(hits))
-    x = spec.base_family._from_uniform(spec.base_params, u)
-    if picked:
-        uc = np.concatenate(picked)
-        check_sampling(spec.contaminant_params, uc.size)
-        # boolean assignment fills the masked entries in row-major order,
-        # which is the order their uniforms were drawn in
-        x[mask] = spec.contaminant_family._from_uniform(spec.contaminant_params, uc)
+    buf = np.empty((len(rngs), 2 * n if mixed else n))
+    for rng, row in zip(rngs, buf):
+        rng.random(out=row)
+    x = spec.base_family._from_uniform(spec.base_params, buf[:, :n])
+    if mixed:
+        mask = buf[:, n:] < spec.epsilon
+        del buf
+        hits = np.count_nonzero(mask, axis=1).tolist()
+        picked = [rng.random(h) for rng, h in zip(rngs, hits) if h]
+        if picked:
+            uc = np.concatenate(picked)
+            check_sampling(spec.contaminant_params, uc.size)
+            # boolean assignment fills the masked entries in row-major order,
+            # which is the order their uniforms were drawn in
+            x[mask] = spec.contaminant_family._from_uniform(spec.contaminant_params, uc)
     return x
 
 
@@ -160,7 +165,8 @@ class McConfig:
     m: int
     estimators: tuple[EstimatorSpec, ...]
     seed: int = 0
-    workers: int = 1  # accepted for compatibility; the batch engine is single-threaded
+    workers: int = 1  # accepted for compatibility and ignored: the caller and one
+    # helper thread take whole blocks
 
     def __post_init__(self):
         if self.m < 1:
@@ -302,11 +308,43 @@ def _replicate_generators(seed_prefix: tuple, reps: range) -> list[np.random.Gen
     return rngs
 
 
-def _draw_blocks(spec: ContaminationSpec, n: int, replicates: range, seed_prefix: tuple):
-    """Replicates as (rows, n) blocks of draws, unsorted: yields (replicates,
-    block).  Replicate r draws from ``default_rng([*seed_prefix, r])``."""
-    for reps in replicate_blocks(replicates, n):
-        yield reps, _draw_rows(spec, n, _replicate_generators(seed_prefix, reps), len(reps))
+def _run_blocks(spec: ContaminationSpec, n: int, replicates: range, seed_prefix: tuple,
+                work) -> None:
+    """Draw the replicates in (rows, n) blocks and call ``work(reps, block)``
+    on each; replicate r draws from ``default_rng([*seed_prefix, r])``.
+
+    The caller and one helper thread each take the next block until none is
+    left, so ``work`` must write only its own replicates' results.  The
+    helper runs in a copy of the caller's context, which holds numpy's
+    error state from NumPy 2.0 on, and is joined before this returns or raises.  After the first
+    error neither takes another block, and that error is raised here.  A
+    worker holds one block at a time: its draw buffer is gone before
+    ``work`` runs, and its block before the next one is drawn."""
+    blocks = replicate_blocks(replicates, n)
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def take():
+        with lock:
+            return None if errors else next(blocks, None)
+
+    def run():
+        try:
+            while (reps := take()) is not None:
+                block = _draw_rows(spec, n, _replicate_generators(seed_prefix, reps))
+                work(reps, block)
+                del block
+        except BaseException as exc:  # stops both workers; raised by the caller
+            with lock:
+                errors.append(exc)
+
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(run,),
+                              name="qls-blocks")
+    helper.start()
+    run()
+    helper.join()
+    if errors:
+        raise errors[0]
 
 
 def _scale_ok(est: EstimatorSpec, sigma):
@@ -334,7 +372,7 @@ def _mc_estimates(config: McConfig) -> np.ndarray:
             _ranks(config.n, est.grid.levels)[0] - 1)
            for j, est in enumerate(config.estimators) if est.method != "mle"]
 
-    for reps, block in _draw_blocks(config.spec, config.n, range(m), (config.seed,)):
+    def fit(reps, block):
         rows = slice(reps.start, reps.stop)
         for j, est, cols in mles:  # on the draws as made: sums run in draw order
             try:
@@ -353,6 +391,8 @@ def _mc_estimates(config: McConfig) -> np.ndarray:
                 continue
             ok = finite & _scale_ok(est, beta[:, -1])
             estimates[rows, j, :beta.shape[1]] = np.where(ok[:, None], beta, np.nan)
+
+    _run_blocks(config.spec, config.n, range(m), (config.seed,), fit)
     return estimates
 
 
@@ -363,7 +403,8 @@ def run_mc(config: McConfig) -> McSummary:
     and counted.  A QLS estimator whose grid reads clamped or repeated ranks
     at this n carries those tags in ``warnings``, as ``fit_sample`` would.
     ``config.workers`` is accepted for compatibility and does not change the
-    result or the speed: replicates run on the batch engine in one thread."""
+    result or the speed: on the batch engine the caller and one helper
+    thread take whole blocks."""
     m = config.m
     estimates = _mc_estimates(config)
     truth = {"mu": config.spec.base_params.mu, "sigma": config.spec.base_params.sigma}
@@ -410,6 +451,16 @@ class PowerCell:
     alpha: float
     rejection_rate: float
     failures: int
+    warnings: tuple = ()  # tags of the grid at n, as fit_sample gives them
+
+    @property
+    def label(self) -> str:
+        """The null family and grid, as the cell's warning lines name them."""
+        return f"{self.h0_family}/({self.a:g},{self.b:g},k={self.k})"
+
+    def as_row(self) -> dict:
+        """The cell's output columns; its warnings are reported apart."""
+        return {name: value for name, value in self.__dict__.items() if name != "warnings"}
 
 
 def run_power_study(h0_families, generators, grids, n: int, m: int,
@@ -420,8 +471,10 @@ def run_power_study(h0_families, generators, grids, n: int, m: int,
     generators are ContaminationSpec values (epsilon = 0 gives a pure
     family).  test "w" uses the in-sample statistic at its chi-square
     critical value; "wout" calibrates the out-of-sample statistic with a
-    B-replicate parametric bootstrap per Monte Carlo replicate.  A negative
-    or non-integer seed raises InvalidSeed.
+    B-replicate parametric bootstrap per Monte Carlo replicate.  A cell
+    whose grid reads clamped or repeated ranks at this n carries those tags
+    in ``warnings``, as ``fit_sample`` would.  A negative or non-integer
+    seed raises InvalidSeed.
     """
     check_seed(seed)
     if test not in ("w", "wout"):
@@ -445,6 +498,7 @@ def run_power_study(h0_families, generators, grids, n: int, m: int,
                     h0_family=h0.name, generator=gen.label, a=grid.a, b=grid.b,
                     k=grid.k, n=n, m=m, test=test, alpha=alpha,
                     rejection_rate=rate, failures=failures,
+                    warnings=tuple(_ranks(n, grid.levels)[1]),
                 ))
     return cells
 
@@ -456,12 +510,15 @@ def _w_cell(h0: Family, gen: ContaminationSpec, grid: QuantileGrid, n: int, m: i
     plan = FitPlan.for_family(h0, grid, "gqls")
     idx = _ranks(n, grid.levels)[0] - 1
     pvals = np.full(m, np.nan)
-    for reps, block in _draw_blocks(gen, n, range(m), cell_seed):
+
+    def block_pvalues(reps, block):
         block.sort(axis=1)
         finite = finite_rows(block)
         p = np.full(len(reps), np.nan)
         p[finite] = gof.w_pvalues(plan, block[:, idx][finite], n)
         pvals[reps.start:reps.stop] = p
+
+    _run_blocks(gen, n, range(m), cell_seed, block_pvalues)
     return pvals
 
 
@@ -472,13 +529,16 @@ def _wout_cell(h0: Family, gen: ContaminationSpec, grid: QuantileGrid,
     a failed replicate."""
     rep_seeds = np.random.default_rng(list(cell_seed)).integers(0, 2 ** 62, size=m)
     pvals = np.full(m, np.nan)
-    for reps, block in _draw_blocks(gen, n, range(m), cell_seed):
+
+    def block_pvalues(reps, block):
         for r, data in zip(reps, block):
             try:
                 pvals[r] = gof.bootstrap_pvalue(data, h0, grid, out_grid, B=B,
                                                 seed=int(rep_seeds[r])).p_value
             except QlsError:
                 pass
+
+    _run_blocks(gen, n, range(m), cell_seed, block_pvalues)
     return pvals
 
 

@@ -348,6 +348,21 @@ def test_simulate_prints_grid_tags_as_warnings(capsys, tmp_path):
     assert all(r["failures"] == "0" for r in rows)
 
 
+def test_simulate_prints_power_grid_tags_as_warnings(capsys, tmp_path):
+    cfg = {"study": "power", "family": "normal", "n": 2, "M": 5, "seed": 1,
+           "h0_families": ["normal"], "grids": [{"k": 25}, {"a": 0.5, "b": 0.9, "k": 2}]}
+    path = tmp_path / "tiny_power.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 0
+    assert err.splitlines() == [
+        "warning: normal/(0.05,0.95,k=25): rank_clamped_to_first_order_statistic",
+        "warning: normal/(0.05,0.95,k=25): degenerate_grid",
+    ]
+    assert out.splitlines()[0] == ("h0_family,generator,a,b,k,n,m,test,alpha,"
+                                   "rejection_rate,failures")
+
+
 def test_simulate_bad_config(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -386,7 +401,7 @@ def test_contamination_study_threads_only_warns(tmp_path):
     (plain_out, plain_err, plain_csv), (threads_out, threads_err, threads_csv) = runs
     assert plain_err == b""
     assert threads_err.decode().splitlines() == [
-        "warning: threads=3 has no effect: studies run on the single-threaded batch engine"]
+        "warning: threads=3 has no effect: the caller and one helper thread take whole blocks"]
     assert threads_out == plain_out and threads_csv == plain_csv
 
 

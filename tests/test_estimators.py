@@ -562,6 +562,29 @@ def test_mle_rows_degenerate_rows_leave_the_others_alone():
     assert theta[3, 1] == pytest.approx(1e-300 * np.std(rows[3] * 1e300), rel=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300])
+@pytest.mark.parametrize("n", [2, 3, 1000])
+def test_normal_mle_std_reuses_the_mean_bit_for_bit(n, scale):
+    # the normal MLE passes its row means to np.std: the same bits as
+    # np.std's own mean pass, for constant rows, extreme scales and rows whose
+    # squares overflow (which then fail with ScaleOverflow)
+    rows = NORMAL.sample(Params(0.4, 1.3), 4 * n, np.random.default_rng(n)).reshape(4, n)
+    rows[1] = 0.1
+    rows[2] = -7.0
+    rows *= scale
+    finite = np.ones(4, dtype=bool)
+    theta = estimators._mle_estimates(NORMAL, rows, finite, {}, False, 0.0, None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert theta[:, 0].tobytes() == np.mean(rows, axis=1).tobytes()
+        assert theta[:, 1].tobytes() == np.std(rows, axis=1).tobytes()
+    fitted, errors = estimators._mle_rows(NORMAL, rows)
+    if scale == 1e300:
+        assert all(isinstance(errors.get(i), ScaleOverflow) for i in (0, 3))
+        assert np.isnan(fitted[[0, 3]]).all()
+    else:
+        assert not errors and np.isfinite(fitted).all()
+
+
 def test_mle_asy_cov_uses_the_inverse_information():
     data = get_family("gumbel").sample(Params(0.4, 1.3), 400, np.random.default_rng(3))
     fit = fit_mle(get_family("gumbel"), data)

@@ -1,9 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qls import gof, quantiles, simulate
+from qls import families, gof, quantiles, simulate
 from qls.errors import DomainError, InvalidSeed, QlsError
 from qls.estimators import FitPlan, fit_mle, fit_sample
 from qls.families import FAMILIES, ParamMode, Params, get_family
@@ -13,9 +16,9 @@ from qls.simulate import (
     ContaminationSpec,
     EstimatorSpec,
     McConfig,
-    _draw_blocks,
     _mc_estimates,
     _replicate_generators,
+    _run_blocks,
     _seed_states,
     _seed_words,
     _wout_cell,
@@ -268,7 +271,8 @@ def test_block_sampler_rows_equal_single_draws(name, epsilon, one_row_blocks, mo
     if one_row_blocks:
         monkeypatch.setattr(quantiles, "_BLOCK_VALUES", n)
         m = 5
-    blocks = list(_draw_blocks(spec, n, range(m), (seed,)))
+    blocks = []
+    _run_blocks(spec, n, range(m), (seed,), lambda reps, block: blocks.append((reps, block)))
     assert len(blocks) == (m if one_row_blocks else 2)
     for reps, block in blocks:
         for r, row in zip(reps, block):
@@ -280,7 +284,8 @@ def test_block_sampler_rows_equal_single_draws(name, epsilon, one_row_blocks, mo
 
 def test_wout_cell_data_equal_single_draws(monkeypatch):
     # each bootstrap of a wout cell gets the sample default_rng([*cell_seed, r])
-    # draws, and the seed its cell stream gives replicate r
+    # draws, and the seed its cell stream gives replicate r; two workers take
+    # blocks, so the calls are matched to replicates by their seeds
     n, m, cell_seed = 300, 500, (2 ** 33 + 5, 1, 0, 2)
     spec = contaminated(0.1)
     calls = []
@@ -293,10 +298,12 @@ def test_wout_cell_data_equal_single_draws(monkeypatch):
     pvals = _wout_cell(NORMAL, spec, GRID, gof.default_out_grid(), n, m, 10, cell_seed)
     assert len(calls) == m and np.all(pvals == 0.5)
     rep_seeds = np.random.default_rng(list(cell_seed)).integers(0, 2 ** 62, size=m)
-    for r, (data, seed) in enumerate(calls):
+    replicate = {int(seed): r for r, seed in enumerate(rep_seeds)}
+    assert sorted(replicate[seed] for _, seed in calls) == list(range(m))
+    for data, seed in calls:
+        r = replicate[seed]
         single = sample_contaminated(spec, n, np.random.default_rng([*cell_seed, r]))
         assert np.array_equal(data, single)
-        assert seed == rep_seeds[r]
 
 
 def _numpy_states(prefix, reps):
@@ -350,7 +357,7 @@ def test_negative_and_non_integer_seeds_are_refused_up_front(seed, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the seed was checked")
 
-    monkeypatch.setattr(simulate, "_draw_blocks", no_work)
+    monkeypatch.setattr(simulate, "_run_blocks", no_work)
     monkeypatch.setattr(gof, "_order_statistics", no_work)
     with pytest.raises(InvalidSeed):
         McConfig(spec=clean(), n=10, m=2, estimators=(EstimatorSpec("mle"),), seed=seed)
@@ -476,3 +483,170 @@ def test_fit_is_location_scale_equivariant(name, kind, a, b, seed):
     beta = plan.solve(rows)
     beta_moved = plan.solve(a + b * rows)
     assert np.all(np.abs(beta_moved - (np.array([a, 0.0]) + b * beta)) <= tol)
+
+
+# ---------------------------------------------------------------------------
+# two-worker engine
+# ---------------------------------------------------------------------------
+
+def _serial_blocks(spec, n, replicates, seed_prefix, work):
+    """One-thread reference for ``_run_blocks``: the same blocks in order,
+    each row drawn on its own by the reference sampler."""
+    for reps in quantiles.replicate_blocks(replicates, n):
+        work(reps, np.array([_one_draw_at_a_time(spec, n, np.random.default_rng([*seed_prefix, r]))
+                             for r in reps]))
+
+
+def _engine_and_reference(cfg, monkeypatch):
+    engine = _mc_estimates(cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "_run_blocks", _serial_blocks)
+        reference = _mc_estimates(cfg)
+    return engine, reference
+
+
+def _both_workers(work):
+    """``work`` wrapped so that the caller's first block waits until the
+    helper has taken one: both workers then run at least one block."""
+    helper_ran = threading.Event()
+
+    def wrapped(reps, block):
+        if threading.current_thread() is threading.main_thread():
+            assert helper_ran.wait(timeout=30), "the helper took no block"
+        else:
+            helper_ran.set()
+        work(reps, block)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.05, 1.0])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_engine_equals_a_one_thread_reference(name, epsilon, monkeypatch):
+    # 10-row blocks, so 55 replicates give six blocks for the two workers
+    fam = get_family(name)
+    spec = ContaminationSpec(base_family=fam, base_params=Params(0.4, 1.3),
+                             contaminant_family=get_family("gumbel"),
+                             contaminant_params=Params(2.0, 3.0), epsilon=epsilon)
+    ests = (EstimatorSpec("mle"), EstimatorSpec("mle", mode=ParamMode.SCALE_ONLY, known_mu=-50.0),
+            EstimatorSpec("gqls", GRID), EstimatorSpec("oqls", make_grid(0.10, 0.90, 15)))
+    n = 120
+    monkeypatch.setattr(quantiles, "_BLOCK_VALUES", 10 * n)
+    cfg = McConfig(spec=spec, n=n, m=55, estimators=ests, seed=2 ** 40 + 3)
+    engine, reference = _engine_and_reference(cfg, monkeypatch)
+    assert engine.tobytes() == reference.tobytes()
+    assert np.isfinite(engine[:, 2:]).all()
+
+
+def test_engine_single_block_with_many_hits(monkeypatch):
+    # one block of seven rows at epsilon = 0.3: about 120 contaminant
+    # uniforms per row, each row's drawn from its own stream after its mask
+    cfg = McConfig(spec=contaminated(0.3), n=400, m=7, seed=5,
+                   estimators=(EstimatorSpec("mle"), EstimatorSpec("gqls", GRID)))
+    assert len(list(quantiles.replicate_blocks(range(cfg.m), cfg.n))) == 1
+    engine, reference = _engine_and_reference(cfg, monkeypatch)
+    assert engine.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.05, 1.0])
+def test_sample_contaminated_does_not_overdraw(epsilon):
+    # a caller's generator ends where the three separate draws leave it
+    spec = ContaminationSpec(base_family=NORMAL, contaminant_family=CAUCHY,
+                             contaminant_params=Params(0.0, 2.0), epsilon=epsilon)
+    rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+    for n in (1, 50, 999):
+        assert sample_contaminated(spec, n, rng).tobytes() == _one_draw_at_a_time(
+            spec, n, ref).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("failing", ["helper", "caller"])
+def test_engine_error_reaches_the_caller_and_stops_both_workers(failing):
+    threads_before = threading.active_count()
+    taken = []
+
+    def work(reps, block):
+        taken.append(reps)
+        on_helper = threading.current_thread() is not threading.main_thread()
+        if on_helper == (failing == "helper"):
+            raise ZeroDivisionError(f"block {reps.start}")
+
+    with pytest.raises(ZeroDivisionError, match="block"):
+        _run_blocks(clean(), 1000, range(20 * 131), (1,), _both_workers(work))
+    assert threading.active_count() == threads_before
+    # the workers stop at the error instead of running out the 20 blocks
+    assert 2 <= len(taken) < 10
+
+
+def test_engine_stress_takes_every_block_once(monkeypatch):
+    # three studies at once (six workers on fewer cores), one-row blocks and a
+    # tiny switch interval: a lost update to a study's block queue would skip
+    # or repeat a replicate, or hand it another study's draws
+    n, m = 50, 300
+    monkeypatch.setattr(quantiles, "_BLOCK_VALUES", n)
+    taken = {seed: [] for seed in (3, 4, 5)}
+
+    def study(seed):
+        _run_blocks(clean(), n, range(m), (seed,),
+                    lambda reps, block: taken[seed].append((reps.start, block[0, 0])))
+
+    callers = [threading.Thread(target=study, args=(seed,)) for seed in taken]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for seed, rows in taken.items():
+        assert sorted(r for r, _ in rows) == list(range(m))
+        for r, first in rows:
+            assert first == NORMAL.sample(Params(), n, np.random.default_rng([seed, r]))[0]
+
+
+def test_engine_workers_share_the_callers_error_state():
+    seen = []
+
+    def work(reps, block):
+        seen.append((threading.current_thread().name, np.geterr()))
+
+    with np.errstate(divide="raise", over="ignore"):
+        caller = np.geterr()
+        _run_blocks(clean(), 1000, range(6 * 131), (2,), _both_workers(work))
+    assert len(seen) == 6 and len({name for name, _ in seen}) == 2
+    assert all(state == caller for _, state in seen)
+    assert caller["divide"] == "raise" and np.geterr()["divide"] != "raise"
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_from_uniform_bits_and_no_aliasing(name):
+    fam = get_family(name)
+    u = np.random.default_rng(6).random((4, 300))
+    u[0, :3] = 0.0, 1.0, 5e-324
+    params = Params(-2.5, 3.75)
+    kept = u.copy()
+    with np.errstate(divide="ignore"):  # levy's quantile at u = 5e-324 is 0 via inf ** -2
+        out = fam._from_uniform(params, u)
+        want = params.mu + params.sigma * fam._qf(np.clip(kept, families._U_FLOOR,
+                                                          families._U_CEIL))
+    assert out.tobytes() == want.tobytes()
+    assert not np.shares_memory(out, u)
+
+
+def test_power_cells_keep_the_grid_tags():
+    # at n = 2 a 25-level grid clamps its first rank and repeats ranks: the
+    # cell reports it, as a fit on the same two points would
+    cells = run_power_study([NORMAL], [clean()], [GRID, make_grid(0.5, 0.9, 2)],
+                            n=2, m=5, test="w", seed=1)
+    data = sample_contaminated(clean(), 2, np.random.default_rng([1, 0, 0, 0, 0]))
+    assert cells[0].warnings == fit_sample(data, NORMAL, GRID).warnings == (
+        "rank_clamped_to_first_order_statistic", "degenerate_grid")
+    assert cells[1].warnings == ()
+    assert cells[0].label == "normal/(0.05,0.95,k=25)"
+    assert list(cells[0].as_row()) == ["h0_family", "generator", "a", "b", "k", "n", "m",
+                                       "test", "alpha", "rejection_rate", "failures"]
+    big = run_power_study([NORMAL], [clean()], [GRID], n=200, m=2, test="w", seed=1)
+    assert big[0].warnings == ()
