@@ -240,6 +240,8 @@ def _gof_one(fam, data, args, grid) -> dict:
     plan = FitPlan.for_family(fam, grid, "gqls")
     y = empirical_quantiles(data, grid)
     fit = fit_gqls(y, plan.x, None, plan=plan)
+    for tag in fit.warnings:  # the gof rows have no warnings column
+        print(f"warning: {fam.name}: {tag}", file=sys.stderr)
     row = {"family": fam.name, "mu": fit.mu, "sigma": fit.sigma}
     if args.test == "w":
         res = gof_mod.plan_w_test(plan, y, fit)

@@ -70,6 +70,9 @@ class BootstrapDegenerate(QlsError):
 # Warning tags carried on fits/responses. Plain strings so they serialize
 # cleanly into JSON/CSV reports.
 WARN_NON_POSITIVE_SCALE = "non_positive_scale"
+# a positive scale whose square falls below the normal floating-point range:
+# the covariance, and so every standard error, reads 0
+WARN_SCALE_UNDERFLOW = "scale_underflow"
 WARN_DEGENERATE_GRID = "degenerate_grid"
 WARN_RANK_CLAMPED = "rank_clamped_to_first_order_statistic"
 # two levels at distinct ranks read the same order statistic (discrete data)

@@ -15,9 +15,12 @@ with per-observation asymptotic covariances
 where sigma^2 is plugged in as the squared scale estimate.  For a fixed
 design and covariance each estimator is a fixed linear map beta = W Y.  A
 FitPlan holds that map with the pieces it is built from.  A family plan of
-either kind holds P as its closed-form band (``quantiles.precision_band``)
-and nothing k x k: gQLS multiplies by it, the oQLS sandwich solves against
-it.  Only a plan for a caller-supplied S keeps and factorizes the matrix.  A
+either kind holds S only through the levels p, their k + 1 spacings
+d_j = p_j - p_(j-1) (p_0 = 0, p_(k+1) = 1) and the densities f: the
+precision of Ogawa (1951) is the second-difference form of a Brownian
+bridge, z'Pz = sum_j Delta(z)_j^2 / d_j with Delta(z) = diff([0, f z, 0]),
+so X'PX, X'P, the oQLS sandwich and e'Pe are O(k) sums over the spacings.
+Only a plan for a caller-supplied S keeps and factorizes the matrix.  A
 plan fits and tests a batch of quantile responses, one per row, in one call.
 """
 from __future__ import annotations
@@ -26,11 +29,11 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 from scipy import special
 
 from .errors import (
     WARN_NON_POSITIVE_SCALE,
+    WARN_SCALE_UNDERFLOW,
     DomainError,
     EmptySample,
     NoConvergence,
@@ -49,7 +52,6 @@ from .quantiles import (
     empirical_quantiles,
     level_density,
     make_grid,
-    precision_band,
 )
 
 __all__ = [
@@ -141,10 +143,17 @@ def _assemble_params(beta: np.ndarray, mode: ParamMode,
         params = Params(mu=float(beta[0]), sigma=float(known_sigma))
     else:
         params = Params(mu=float(known_mu), sigma=float(beta[0]))
-    warn = () if params.sigma > 0 else (WARN_NON_POSITIVE_SCALE,)
-    if mode is ParamMode.LOCATION_ONLY:
-        warn = ()  # scale was supplied, not estimated
-    return params, warn
+    # the scale was supplied, not estimated, in the location-only mode
+    return params, () if mode is ParamMode.LOCATION_ONLY else _scale_tags(params.sigma)
+
+
+def _scale_tags(sigma: float) -> tuple[str, ...]:
+    """The tags of an estimated scale: ``non_positive_scale`` unless it is
+    positive, ``scale_underflow`` when its square falls below the normal
+    floating-point range (the covariance then reads 0)."""
+    if not sigma > 0:
+        return (WARN_NON_POSITIVE_SCALE,)
+    return (WARN_SCALE_UNDERFLOW,) if sigma * sigma < _TINY else ()
 
 
 def _squared_scale(sigma: float) -> float:
@@ -156,10 +165,10 @@ def _squared_scale(sigma: float) -> float:
             f"squared scale estimate {sigma:.6g}^2 overflows; rescale the data") from None
 
 
-def _solve(kind: str, xm: np.ndarray, gram: np.ndarray, band: tuple | None,
+def _solve(kind: str, xm: np.ndarray, gram: np.ndarray, spacing: tuple | None,
            sigma: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Weights and standardized covariance of the fit on the columns of xm;
-    the oQLS sandwich W S W' takes S from the band, else sigma, else I.
+    the oQLS sandwich W S W' takes S from the spacings, else sigma, else I.
 
     Raises RankDeficient when a Cholesky pivot of the Gram equilibrated by
     its diagonal, D^-1/2 gram D^-1/2 (unit diagonal), falls at or below
@@ -182,60 +191,70 @@ def _solve(kind: str, xm: np.ndarray, gram: np.ndarray, band: tuple | None,
     ginv = np.linalg.inv(gram)
     ginv = 0.5 * (ginv + ginv.T)
     w = ginv @ xm
-    if kind == "gqls" or (band is None and sigma is None):
+    if kind == "gqls" or (spacing is None and sigma is None):
         return w, ginv
-    cov = w @ _band_solve(band, w.T) if band is not None else w @ sigma @ w.T
+    cov = _sandwich(spacing, w) if spacing is not None else w @ sigma @ w.T
     return w, 0.5 * (cov + cov.T)
 
 
-def _band_matmul(band, x: np.ndarray) -> np.ndarray:
-    """P @ x for the precision given as ``quantiles.precision_band``."""
-    main, off = band
-    px = main[:, None] * x
-    px[:-1] += off[:, None] * x[1:]
-    px[1:] += off[:, None] * x[:-1]
-    return px
+def _level_diffs(f: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Delta(z) = diff([0, f z, 0]) of each row of z: the k + 1 jumps of f z
+    (np.diff with prepend= and append= gives the same bits at several times
+    the cost on these short rows)."""
+    fz = np.zeros(z.shape[:-1] + (z.shape[-1] + 2,))
+    np.multiply(z, f, out=fz[..., 1:-1])
+    return fz[..., 1:] - fz[..., :-1]
 
 
-def _band_solve(band, x: np.ndarray) -> np.ndarray:
-    """P^-1 @ x = S @ x for the precision given as
-    ``quantiles.precision_band``, by one banded Cholesky solve.  Raises
-    NotPositiveDefinite when the band is not numerically positive definite."""
-    main, off = band
-    upper = np.vstack([np.concatenate(([0.0], off)), main])
-    if not np.all(np.isfinite(upper)):
-        raise NotPositiveDefinite("precision band is not finite")
-    try:
-        return scipy.linalg.solveh_banded(upper, x, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"precision band: {exc}") from None
+def _sandwich(spacing, w: np.ndarray) -> np.ndarray:
+    """W S W' = sum_j d_j u_j u_j' over the spacings (p, d, f).  S is
+    D^-1 S0 D^-1, D = diag(f) and S0 the covariance of a Brownian bridge at
+    p, so with v = W / f, u_j = R_j - c where R is the reverse cumulative
+    sum of v (R_(k+1) = 0) and c = v p.  u_j is summed as
+    sum_(i >= j) v_i (1 - p_i) - sum_(i < j) v_i p_i, the same number
+    without R_j cancelling c where f is small.  Raises NotPositiveDefinite
+    when the result is not finite."""
+    p, d, f = spacing
+    u = np.zeros((w.shape[0], d.shape[0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = w / f
+        u[:, :-1] = np.cumsum((v * (1.0 - p))[:, ::-1], axis=1)[:, ::-1]
+        u[:, 1:] -= np.cumsum(v * p, axis=1)
+        cov = (u * d) @ u.T
+    if not np.all(np.isfinite(cov)):
+        raise NotPositiveDefinite("quantile covariance of the levels is not finite")
+    return cov
 
 
-def _band_quad(band, e: np.ndarray) -> np.ndarray:
-    """Row-wise e' P e for the precision given as ``quantiles.precision_band``:
-    sum_i main_i e_i^2 + 2 sum_i off_i e_i e_(i+1)."""
-    main, off = band
-    terms = np.concatenate([e * e, 2.0 * e[:, :-1] * e[:, 1:]], axis=1)
-    return row_products(terms, np.concatenate([main, off])[None])[:, 0]
+def _fitted(beta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """X beta for each row of beta, one vector op per design column in
+    column order: the same bits as ``row_products(beta, x)``, whose running
+    sum would go over the short parameter axis once per (row, level)."""
+    out = beta[:, :1] * x[:, 0]
+    for j in range(1, x.shape[1]):
+        out += beta[:, j:j + 1] * x[:, j]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class FitPlan:
     """One estimator kind on one k x m design and quantile covariance.
 
-    xm is X'P (gQLS) or X' (oQLS) and gram = xm X.  weights W (beta = W Y)
-    and cov, the standardized covariance of beta, belong to the joint fit and
-    are None when the joint Gram is singular.  A family plan of either kind
-    holds S only as its precision band (``band``, see
-    ``quantiles.precision_band``): gQLS multiplies by it and the oQLS
-    sandwich solves against it.  A plan for a caller-supplied S holds the
-    matrix as sigma and, for gQLS, its Cholesky factor.  A single-parameter
-    mode uses its sub-block of the Gram.
+    xm is X'P (gQLS) or X' (oQLS) and gram = X'PX or X'X.  weights W
+    (beta = W Y) and cov, the standardized covariance of beta, belong to
+    the joint fit and are None when the joint Gram is singular.  A family
+    plan of either kind holds S only as ``spacing`` = (p, d, f), the levels,
+    their k + 1 spacings and the standard densities: gQLS sums X'PX and X'P
+    over the spacings, the oQLS sandwich is a sum over them
+    (``_sandwich``), and so is ``quad``.  A plan for a caller-supplied S
+    holds the matrix as sigma and, for gQLS, its Cholesky factor.  A
+    single-parameter mode uses its sub-block of the Gram.
 
     ``solve`` and ``w_statistics`` work on a batch of responses, one per
     row, and every other fit or statistic goes through them.  Their sums run
-    in a fixed order (``linalg.row_products``), so a row's result is the same
-    bits whichever batch it is in.
+    in a fixed order (``linalg.row_products``, and the fitted values one
+    design column at a time), so a row's result is the same bits whichever
+    batch it is in.
     """
 
     kind: str
@@ -244,22 +263,29 @@ class FitPlan:
     gram: np.ndarray
     weights: np.ndarray | None
     cov: np.ndarray | None
-    band: tuple[np.ndarray, np.ndarray] | None = None
+    spacing: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     factor: SpdFactor | None = None
     sigma: np.ndarray | None = None
 
     @classmethod
     def for_family(cls, fam: Family, grid, kind: str) -> FitPlan:
         """Plan for a family on a grid from one evaluation of Q0 and f0:
-        the design [1, Q0(p)] and P in closed form as its band.  Nothing
+        the design [1, Q0(p)] and the spacings (p, d, f), d = diff([0, p, 1]).
+        gQLS takes X'PX = sum_j Delta(x_a)_j Delta(x_b)_j / d_j and X'P from
+        the same Delta of the two design columns (``_level_diffs``).  Nothing
         k x k is built, factorized or inverted."""
         if kind not in ("oqls", "gqls"):
             raise ValueError(f"unknown estimator kind {kind!r}")
         p, q, f = level_density(fam, grid)
         x = np.column_stack([np.ones_like(q), q])
-        band = precision_band(p, f)
-        return cls._build(kind, x, _band_matmul(band, x).T if kind == "gqls" else x.T,
-                          band=band)
+        spacing = (p, np.diff(np.concatenate(([0.0], p, [1.0]))), f)
+        if kind == "oqls":
+            return cls._build(kind, x, x.T, spacing=spacing)
+        dx = _level_diffs(f, x.T)
+        dx_d = dx / spacing[1]
+        # x_a' P = f Delta'(Delta(x_a) / d), and (Delta' u)_i = u_i - u_(i+1)
+        return cls._build(kind, x, (dx_d[:, :-1] - dx_d[:, 1:]) * f, gram=dx @ dx_d.T,
+                          spacing=spacing)
 
     @classmethod
     def from_matrices(cls, kind: str, x, sigma_star_mat) -> FitPlan:
@@ -277,11 +303,11 @@ class FitPlan:
         return cls._build(kind, x, solve_spd(factor, x).T, factor=factor, sigma=s)
 
     @classmethod
-    def _build(cls, kind, x, xm, **mats) -> FitPlan:
-        gram = xm @ x
+    def _build(cls, kind, x, xm, gram=None, **mats) -> FitPlan:
+        gram = xm @ x if gram is None else gram
         gram = 0.5 * (gram + gram.T)
         try:
-            weights, cov = _solve(kind, xm, gram, mats.get("band"), mats.get("sigma"))
+            weights, cov = _solve(kind, xm, gram, mats.get("spacing"), mats.get("sigma"))
         except RankDeficient:  # a single-parameter mode may still be estimable
             weights = cov = None
         return cls(kind=kind, x=x, xm=xm, gram=gram, weights=weights, cov=cov, **mats)
@@ -293,7 +319,7 @@ class FitPlan:
         if mode is ParamMode.LOCATION_SCALE and self.weights is not None:
             return self.weights, self.cov
         cols = _MODE_COLS.get(mode, slice(None))
-        return _solve(self.kind, self.xm[cols], self.gram[cols, cols], self.band, self.sigma)
+        return _solve(self.kind, self.xm[cols], self.gram[cols, cols], self.spacing, self.sigma)
 
     def solve(self, y: np.ndarray, mode: ParamMode = ParamMode.LOCATION_SCALE, *,
               known_mu: float = 0.0, known_sigma: float = 1.0) -> np.ndarray:
@@ -312,33 +338,41 @@ class FitPlan:
         params, scale_warn = _assemble_params(beta, mode, known_mu, known_sigma)
         asy_cov = None
         # a fit has a covariance only when S is known
-        if self.band is not None or self.sigma is not None:
+        if self.spacing is not None or self.sigma is not None:
             asy_cov = _squared_scale(params.sigma) / n_obs * self.solver(mode)[1]
         return QlsFit(kind=self.kind, params=params, mode=mode, asy_cov=asy_cov,
                       response=y if isinstance(y, QuantileResponse) else None,
                       warnings=warns + scale_warn)
 
     def quad(self, e: np.ndarray) -> np.ndarray:
-        """The quadratic form e' P e of each row of e."""
-        if self.band is not None:
-            return _band_quad(self.band, e)
+        """The quadratic form e' P e of each row of e; for a family plan the
+        sum sum_j Delta(e)_j^2 / d_j over the k + 1 spacings."""
+        if self.spacing is not None:
+            _, d, f = self.spacing
+            de = _level_diffs(f, e)
+            return row_products(de * de, 1.0 / d[None])[:, 0]
         pe = solve_spd(self.factor, e.T).T
         return row_products(e * pe, np.ones((1, e.shape[1])))[:, 0]
 
     def w_statistics(self, y: np.ndarray, beta: np.ndarray, n: int) -> np.ndarray:
-        """(n / sigma^2) e' P e for each row, with e = y - X beta and
+        """n e' P e for each row, with e = (y - X beta) / sigma and
         sigma = beta[:, 1]: W on the estimation levels, W_out on validation
-        levels."""
-        return n / beta[:, 1] ** 2 * self.quad(y - row_products(beta, self.x))
+        levels.  No sigma^2 is formed, so the statistic of the data times 2^j
+        is the same bits as that of the data; one past the floating-point
+        range reads inf or NaN, without a warning, for the caller to refuse."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = y - _fitted(beta, self.x)
+            e /= beta[:, 1:2]
+            return n * self.quad(e)
 
     def q_split(self, yv: np.ndarray, beta_hat: np.ndarray,
                 beta_true: np.ndarray, n: int) -> tuple[float, float, float]:
         """Q at the true parameters, Q1 at the fitted ones, and the
         parameter-error part Q2 = (n/sigma^2) d' X'PX d with d = bhat - b."""
-        c = n / beta_true[1] ** 2
-        diff = beta_hat - beta_true
-        q, q1 = c * self.quad(yv - row_products(np.stack([beta_true, beta_hat]), self.x))
-        return float(q), float(q1), c * float(diff @ self.gram @ diff)
+        s = beta_true[1]
+        diff = (beta_hat - beta_true) / s
+        q, q1 = n * self.quad((yv - _fitted(np.stack([beta_true, beta_hat]), self.x)) / s)
+        return float(q), float(q1), n * float(diff @ self.gram @ diff)
 
     def projection_covs(self) -> tuple[np.ndarray, np.ndarray]:
         """Standardized residual and fitted covariances, S - H and H, with
@@ -687,7 +721,8 @@ def fit_mle(fam: Family, data, mode: ParamMode = ParamMode.LOCATION_SCALE, *,
     NonFiniteData when the data hold NaN or an infinity, and ScaleOverflow
     when the scale estimate or its square exceeds the floating-point range.
     A joint fit of constant data returns sigma = 0 tagged
-    ``non_positive_scale``, as a QLS fit does.
+    ``non_positive_scale``, and a positive scale whose square underflows is
+    tagged ``scale_underflow``, as in a QLS fit.
     """
     x = np.asarray(data, dtype=float).ravel()
     theta, errors = _mle_rows(fam, x[None, :], mode, known_mu, init=init)
@@ -700,8 +735,8 @@ def fit_mle(fam: Family, data, mode: ParamMode = ParamMode.LOCATION_SCALE, *,
     else:
         params = Params(mu=float(theta[0, 0]), sigma=sigma)
         cov = _squared_scale(sigma) / x.size * _INV_INFO[fam.name]
-    warn = () if sigma > 0 else (WARN_NON_POSITIVE_SCALE,)
-    return QlsFit(kind="mle", params=params, mode=mode, asy_cov=cov, warnings=warn)
+    return QlsFit(kind="mle", params=params, mode=mode, asy_cov=cov,
+                  warnings=_scale_tags(sigma))
 
 
 def fit_sample(data, fam: Family, grid: QuantileGrid, method: str = "gqls",

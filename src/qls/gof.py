@@ -11,7 +11,8 @@ Two tests:
   grids.  When the out-levels equal the estimation levels the statistic
   reduces to W.
 
-Both tests refuse fits other than a joint gQLS fit with positive scale.
+Both tests refuse fits other than a joint gQLS fit with positive scale, and
+raise ScaleOverflow when the observed statistic is not finite.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from .errors import (
     InsufficientDof,
     NonFiniteData,
     NonPositiveScale,
+    ScaleOverflow,
 )
 from .estimators import FitPlan, QlsFit, _response
 from .families import Family, ParamMode, Params, check_seed
@@ -104,6 +106,17 @@ def chi2_sf(x: float, dof: int) -> float:
     return float(special.gammaincc(dof / 2.0, x / 2.0))
 
 
+def _observed(plan: FitPlan, y: np.ndarray, beta, n: int, what: str) -> float:
+    """The statistic of one observed response at beta = (mu, sigma);
+    ScaleOverflow when it is not finite, so that no NaN or infinity reaches
+    a test decision."""
+    stat = float(plan.w_statistics(y[None, :], np.reshape(beta, (1, 2)), n)[0])
+    if not np.isfinite(stat):
+        raise ScaleOverflow(f"{what} is {stat}: the residuals over the scale estimate "
+                            "exceed the floating-point range; rescale the data")
+    return stat
+
+
 def _require_gqls(fit: QlsFit, op: str) -> None:
     if fit.kind != "gqls":
         raise ValueError(f"{op} is defined for gQLS fits only, got {fit.kind!r}")
@@ -176,7 +189,7 @@ def plan_w_test(plan: FitPlan, y, fit: QlsFit, n: int | None = None,
     k = yv.shape[0]
     if k < 3:
         raise InsufficientDof("need k >= 3 levels for a k-2 dof statistic")
-    stat = float(plan.w_statistics(yv[None, :], np.array([[fit.mu, fit.sigma]]), n_obs)[0])
+    stat = _observed(plan, yv, (fit.mu, fit.sigma), n_obs, "W")
     dof = k - 2
     p = chi2_sf(stat, dof)
     return GofResult(statistic=stat, kind="in-sample", p_value=p, dof=dof,
@@ -191,23 +204,23 @@ def w_out_statistic(data, fit: QlsFit, fam: Family, out_grid: OutGrid,
     n_obs = data.shape[0] if n is None else int(n)
     y_out = empirical_quantiles(data, out_grid).values
     plan_out = FitPlan.for_family(fam, out_grid, "gqls")
-    return float(plan_out.w_statistics(y_out[None, :], np.array([[fit.mu, fit.sigma]]), n_obs)[0])
+    return _observed(plan_out, y_out, (fit.mu, fit.sigma), n_obs, "W_out")
 
 
 def w_pvalues(plan: FitPlan, y: np.ndarray, n: int) -> np.ndarray:
     """In-sample test p-values of many samples at once: row i of y holds the
     quantiles of one sample of size n at the plan's levels.  A row whose
-    joint gQLS fit has non-positive scale gets NaN, as does every row when
-    k < 3 (``w_test`` raises in both cases)."""
+    joint gQLS fit has non-positive scale or whose W is not finite gets NaN,
+    as does every row when k < 3 (``w_test`` raises in each case)."""
     k = y.shape[1]
-    p = np.full(y.shape[0], np.nan)
+    stats = np.full(y.shape[0], np.nan)
     if k < 3:
-        return p
+        return stats
     beta = plan.solve(y)
     ok = beta[:, 1] > 0
-    stats = plan.w_statistics(y[ok], beta[ok], n)
-    p[ok] = [chi2_sf(stat, k - 2) for stat in stats]
-    return p
+    stats[ok] = plan.w_statistics(y[ok], beta[ok], n)
+    stats[~np.isfinite(stats)] = np.nan
+    return special.gammaincc((k - 2) / 2.0, stats / 2.0)  # chi2_sf of each row
 
 
 # The last word of every bootstrap generator's key, [seed, _BOOTSTRAP_KEY].
@@ -272,9 +285,11 @@ def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
     grow with n.  The replicates are rows of one stream from a generator
     keyed by seed: runs are reproducible, distinct seeds give distinct
     streams, and the first B' replicates of a run of B are those of a run of
-    B'.  Replicates whose refit fails (e.g. non-positive scale) are dropped
-    and the replicate count adjusted; more than ``max_failure_fraction``
-    failures aborts.  A negative or non-integer seed raises InvalidSeed.
+    B'.  Replicates whose refit fails (e.g. non-positive scale) or whose
+    statistic is not finite are dropped and the replicate count adjusted;
+    more than ``max_failure_fraction`` failures aborts.  A negative or
+    non-integer seed raises InvalidSeed, and an observed statistic that is
+    not finite ScaleOverflow.
     """
     check_seed(seed)
     if B < 1:
@@ -296,8 +311,7 @@ def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
     beta0 = plan.solve(values[None, np.searchsorted(pos, idx_fit)])
     if not beta0[0, 1] > 0:
         raise NonPositiveScale("gQLS fit on the data has non-positive scale")
-    observed = float(plan_out.w_statistics(values[None, np.searchsorted(pos, idx_out)],
-                                           beta0, n)[0])
+    observed = _observed(plan_out, values[np.searchsorted(pos, idx_out)], beta0, n, "W_out")
     fitted = Params(mu=float(beta0[0, 0]), sigma=float(beta0[0, 1]))
 
     exceed = 0
@@ -306,8 +320,10 @@ def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
             fam, fitted, n, seed, B, [idx_fit, idx_out]):
         beta = plan.solve(y_fit)
         ok = beta[:, 1] > 0
-        failures += int(np.count_nonzero(~ok))
-        exceed += int(np.count_nonzero(plan_out.w_statistics(y_out[ok], beta[ok], n) > observed))
+        stats = plan_out.w_statistics(y_out[ok], beta[ok], n)
+        stats = stats[np.isfinite(stats)]
+        failures += len(beta) - len(stats)
+        exceed += int(np.count_nonzero(stats > observed))
     b_eff = B - failures
     if failures > max_failure_fraction * B or b_eff == 0:
         raise BootstrapDegenerate(

@@ -8,8 +8,8 @@ standardized covariance of sample quantiles
 
     s_ij = p_i (1 - p_j) / (f0(Q0(p_i)) f0(Q0(p_j)))   for i <= j,
 
-its closed-form tridiagonal inverse (the precision) as two bands, all that a
-fit plan uses, and the design whose columns are 1 and Q0(p_i).  Replicate
+the levels and densities from which a fit plan sums its closed-form inverse
+(``level_density``), and the design whose columns are 1 and Q0(p_i).  Replicate
 studies take order statistics from row-sorted blocks of replicates, split by
 ``replicate_blocks`` so that each block stays within 1 MiB.
 """
@@ -39,7 +39,6 @@ __all__ = [
     "make_grid",
     "empirical_quantiles",
     "sigma_star",
-    "precision_band",
     "design_matrix",
 ]
 
@@ -84,7 +83,7 @@ def levels_of(grid, interior: bool = False) -> np.ndarray:
     if interior:
         if not np.all((levels > 0.0) & (levels < 1.0)):
             raise InvalidGrid("all levels must be interior to (0, 1)")
-        # ``precision_band`` divides by each gap of [0, p, 1].  Doubles at or
+        # a family plan divides by each gap of [0, p, 1].  Doubles at or
         # above 2^-969 lie at least 2^-1021 apart and 1 - p_k >= 2^-53, so
         # only a level below 2^-969 can make a gap whose reciprocal is inf
         # (which a Python division returns without a warning).
@@ -248,25 +247,10 @@ def sigma_star(fam: Family, grid) -> np.ndarray:
 
     Symmetric and positive definite whenever the standard density is
     positive at each grid quantile.  No fit for a family builds it: plans
-    use its inverse as ``precision_band``.
+    sum its inverse over the level spacings (``estimators.FitPlan``).
     """
     p, _, f = level_density(fam, grid)
     return np.minimum.outer(p, p) * (1.0 - np.maximum.outer(p, p)) / np.outer(f, f)
-
-
-def precision_band(p: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The closed-form precision S^-1 at increasing levels p with standard
-    densities f, as (main, off): its main and first off-diagonal.
-
-    By the Markov structure of order statistics (Ogawa 1951; Lloyd 1952) the
-    precision is D P0 D, D = diag(f), with P0 tridiagonal: diagonal
-    1/d_i + 1/d_(i+1), off-diagonal -1/d_(i+1), d_i = p_i - p_(i-1),
-    p_0 = 0, p_(k+1) = 1.
-    """
-    inv_d = 1.0 / np.diff(np.concatenate(([0.0], p, [1.0])))
-    main = (inv_d[:-1] + inv_d[1:]) * f * f
-    off = -inv_d[1:-1] * f[:-1] * f[1:]
-    return main, off
 
 
 def design_matrix(fam: Family, grid, mode: ParamMode = ParamMode.LOCATION_SCALE) -> np.ndarray:

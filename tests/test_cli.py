@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from qls import cli
 from qls.cli import Dataset, main, read_data, InputError
+from qls.estimators import FitPlan
 from qls.families import Params, get_family
 
 
@@ -28,6 +30,18 @@ def counting_file(tmp_path):
     path = tmp_path / "count.csv"
     path.write_text("\n".join(str(i) for i in range(1, 1001)) + "\n")
     return str(path)
+
+
+def _write(tmp_path, name, values):
+    path = tmp_path / name
+    path.write_text("\n".join(f"{v:.17g}" for v in values) + "\n")
+    return str(path)
+
+
+@pytest.fixture()
+def subnormal_file(tmp_path):
+    # N(0, 1) x 1e-310: every value subnormal, sigma^2 below the float range
+    return _write(tmp_path, "tiny.csv", np.random.default_rng(1).standard_normal(200) * 1e-310)
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +152,19 @@ def test_fit_reports_tied_quantiles(capsys, tmp_path):
     assert "tied_quantiles" in json.loads(out)["warnings"]
 
 
+@pytest.mark.parametrize("family,method", [("cauchy", "gqls"), ("cauchy", "oqls"),
+                                           ("cauchy", "mle"), ("normal", "gqls"),
+                                           ("normal", "mle")])
+def test_fit_tags_an_underflowed_scale(capsys, subnormal_file, family, method):
+    # sigma > 0 but sigma^2 below the normal range: the standard errors read 0
+    code, out, _ = run_cli(capsys, "fit", "--family", family, "--method", method,
+                           "--data", subnormal_file, "--format", "json")
+    assert code == 0
+    rep = json.loads(out)
+    assert 0.0 < rep["sigma"] < 1e-300 and rep["se_mu"] == rep["se_sigma"] == 0.0
+    assert rep["warnings"] == ["scale_underflow"]
+
+
 def test_fit_mu_within_reported_se(capsys, normal_file):
     code, out, _ = run_cli(capsys, "fit", "--family", "normal",
                            "--data", normal_file, "--format", "json")
@@ -218,6 +245,50 @@ def test_gof_wout_seeded(capsys, normal_file):
     row = json.loads(out1)[0]
     assert row["B"] == 40
     assert "p_display" in row
+
+
+def test_gof_on_subnormal_data_decides_on_finite_statistics(capsys, subnormal_file):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning either
+        code, out, err = run_cli(capsys, "gof", "--family", "all", "--data",
+                                 subnormal_file, "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        for row in rows:
+            assert np.isfinite(row["statistic"]) and 0.0 <= row["p_value"] <= 1.0
+            assert row["reject"] == (row["p_value"] <= 0.05)
+        assert err.splitlines() == [f"warning: {row['family']}: scale_underflow"
+                                    for row in rows]
+        code, out, err = run_cli(capsys, "gof", "--family", "normal", "--data",
+                                 subnormal_file, "--test", "wout", "--B", "50",
+                                 "--format", "json")
+        assert code == 0 and err == "warning: normal: scale_underflow\n"
+        row = json.loads(out)[0]
+        assert np.isfinite(row["statistic"]) and row["B"] <= 50
+        assert row["reject"] == (row["p_value"] <= 0.05)
+
+
+@pytest.mark.parametrize("test", ["w", "wout"])
+def test_gof_non_finite_statistic_exits_3(capsys, monkeypatch, normal_file, test):
+    monkeypatch.setattr(FitPlan, "w_statistics",
+                        lambda self, y, beta, n: np.full(len(y), np.inf))
+    code, out, err = run_cli(capsys, "gof", "--family", "normal", "--data", normal_file,
+                             "--test", test, "--B", "20")
+    assert code == 3 and out == "" and "ScaleOverflow" in err
+
+
+def test_gof_prints_the_fits_tags(capsys, tmp_path):
+    few = _write(tmp_path, "few.csv", [0.3, -1.2, 0.8, 2.1, -0.4])
+    code, out, err = run_cli(capsys, "gof", "--family", "normal", "--data", few,
+                             "--format", "json")
+    assert code == 0
+    assert err.splitlines() == ["warning: normal: rank_clamped_to_first_order_statistic",
+                                "warning: normal: degenerate_grid"]
+    assert list(json.loads(out)[0]) == ["family", "mu", "sigma", "test", "statistic",
+                                        "dof", "p_value", "reject"]
+    tied = _write(tmp_path, "tied.csv", np.repeat([1.0, 2.0], [600, 400]))
+    code, _, err = run_cli(capsys, "gof", "--family", "normal", "--data", tied)
+    assert code == 0 and err.splitlines() == ["warning: normal: tied_quantiles"]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -283,7 +284,7 @@ def test_family_paths_factorize_nothing(monkeypatch):
 @pytest.mark.parametrize("mode", list(ParamMode))
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_oqls_band_sandwich_matches_dense(name, mode):
-    # the family oQLS covariance W (P^-1 W') against W S W' on the same W
+    # the family oQLS sandwich over the spacings against W S W' on the same W
     fam = get_family(name)
     for bounds in ((0.05, 0.95), (1e-4, 1 - 1e-4), (1e-9, 1 - 1e-9)):
         for k in (2, 3, 25, 200, 500):
@@ -293,19 +294,104 @@ def test_oqls_band_sandwich_matches_dense(name, mode):
             assert _max_rel(cov, dense) <= 1e-11, (bounds, k)
 
 
-def test_band_solve_failure_is_a_package_error():
-    # an indefinite band: the banded Cholesky fails on the second pivot
-    band = (np.array([1.0, -1.0]), np.array([0.5]))
-    with pytest.raises(NotPositiveDefinite):
-        estimators._band_solve(band, np.eye(2))
-    # a shape mismatch is a caller's error, not a numeric failure
-    with pytest.raises(ValueError) as info:
-        estimators._band_solve((np.array([2.0, 2.0]), np.array([0.5])), np.eye(3))
-    assert not isinstance(info.value, NotPositiveDefinite)
-    # a band holding an infinity (family plans refuse the levels that would
-    # give one: test_subnormal_level_gaps_are_an_invalid_grid)
-    with pytest.raises(NotPositiveDefinite):
-        estimators._band_solve((np.array([np.inf, 2.0]), np.array([0.5])), np.eye(2))
+def test_sandwich_failure_is_a_package_error():
+    # the oQLS sandwich refuses a non-finite result (family plans refuse the
+    # levels and densities that would give one:
+    # test_subnormal_level_gaps_are_an_invalid_grid)
+    p = np.array([0.25, 0.75])
+    d = np.diff(p, prepend=0.0, append=1.0)
+    w = np.array([[0.5, 0.5], [-1.0, 1.0]])
+    for spacing in ((p, d, np.array([1e-320, 1.0])),
+                    (p, np.array([np.inf, 0.5, 0.25]), np.ones(2))):
+        with pytest.raises(NotPositiveDefinite):
+            estimators._sandwich(spacing, w)
+    # finite spacings give the finite W S W'
+    cov = estimators._sandwich((p, d, np.ones(2)), w)
+    s = np.minimum.outer(p, p) * (1.0 - np.maximum.outer(p, p))
+    assert _max_rel(cov, w @ s @ w.T) <= 1e-15
+
+
+def _exact_spacing_sum(d, u, v):
+    """sum_j d_j u_j v_j in exact rational arithmetic, rounded once."""
+    return float(sum(Fraction(dj) * uj * vj for dj, uj, vj in zip(d, u, v)))
+
+
+def _exact_delta(f, z):
+    """diff([0, f z, 0]) of the floats f and z, exactly."""
+    fz = [Fraction(a) * Fraction(b) for a, b in zip(f, z)]
+    return [b - a for a, b in zip([Fraction(0)] + fz, fz + [Fraction(0)])]
+
+
+@pytest.mark.parametrize("bounds", [(0.05, 0.95, 25), (1e-6, 1 - 1e-6, 200)])
+@pytest.mark.parametrize("name", ["normal", "cauchy", "gumbel"])
+def test_spacing_kernels_match_exact_sums(name, bounds):
+    # e'Pe and the oQLS sandwich against exact rational sums of the same
+    # floats (the plan's levels, spacings, densities and weights)
+    fam = get_family(name)
+    grid = make_grid(*bounds)
+    gplan = FitPlan.for_family(fam, grid, "gqls")
+    p, d, f = gplan.spacing
+    assert np.array_equal(d, np.diff(np.concatenate(([0.0], p, [1.0]))))
+    y = empirical_quantiles(fam.sample(Params(0.3, 2.0), 5000, np.random.default_rng(4)),
+                            grid).values
+    e = y - gplan.x @ gplan.solve(y[None])[0]
+    inv_d = [1 / Fraction(dj) for dj in d]
+    delta = _exact_delta(f, e)
+    exact_quad = float(sum(a * a * b for a, b in zip(delta, inv_d)))
+    assert abs(gplan.quad(e[None])[0] - exact_quad) <= 1e-13 * exact_quad
+
+    w, cov = FitPlan.for_family(fam, grid, "oqls").solver()
+    us = []
+    for row in w:
+        v = [Fraction(a) / Fraction(b) for a, b in zip(row, f)]
+        c = sum(vi * Fraction(pi) for vi, pi in zip(v, p))
+        tails = [sum(v[j:], Fraction(0)) for j in range(len(v))] + [Fraction(0)]
+        us.append([r - c for r in tails])
+    exact_cov = np.array([[_exact_spacing_sum(d, ua, ub) for ub in us] for ua in us])
+    assert _max_rel(cov, exact_cov) <= 1e-13
+
+
+def test_fitted_values_are_the_bits_of_row_products():
+    rng = np.random.default_rng(8)
+    for k, m in ((25, 2), (50, 2), (7, 1), (9, 3)):
+        x = rng.standard_normal((k, m)) * 10.0 ** rng.integers(-8, 8, (1, m))
+        beta = rng.standard_normal((174, m)) * 10.0 ** rng.integers(-5, 5, (174, 1))
+        assert estimators._fitted(beta, x).tobytes() == linalg.row_products(beta, x).tobytes()
+
+
+@pytest.mark.parametrize("name", ["normal", "logistic", "cauchy"])
+def test_plan_kernels_give_a_row_the_same_bytes_alone_and_in_a_block(name):
+    fam = get_family(name)
+    rng = np.random.default_rng(12)
+    rows = np.sort(fam.sample(Params(0.1, 0.9), 174 * 400, rng).reshape(174, 400), axis=1)
+    for grid in (GRID, make_grid(0.01, 0.99, 50)):
+        plan = FitPlan.for_family(fam, grid, "gqls")
+        idx = np.ceil(400 * grid.levels).astype(int) - 1
+        y = rows[:, idx]
+        beta = plan.solve(y)
+        fitted = estimators._fitted(beta, plan.x)
+        stats = plan.w_statistics(y, beta, 400)
+        for i in (0, 57, 173):
+            one = plan.solve(y[i:i + 1])
+            assert one.tobytes() == beta[i:i + 1].tobytes()
+            assert estimators._fitted(one, plan.x).tobytes() == fitted[i:i + 1].tobytes()
+            assert plan.w_statistics(y[i:i + 1], one, 400).tobytes() == stats[i:i + 1].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["normal", "cauchy", "gumbel", "laplace"]),
+       st.integers(3, 60), st.integers(0, 2 ** 32 - 1),
+       st.floats(-1e6, 1e6), st.floats(1e-6, 1e6))
+def test_w_statistics_are_never_negative(name, k, seed, mu, sigma):
+    fam = get_family(name)
+    plan = FitPlan.for_family(fam, make_grid(0.02, 0.98, k), "gqls")
+    rng = np.random.default_rng(seed)
+    y = np.sort(mu + sigma * rng.standard_normal((20, k)), axis=1)
+    beta = np.column_stack([rng.normal(mu, sigma, 20), sigma * rng.uniform(0.01, 10.0, 20)])
+    beta[:10] = plan.solve(y[:10])
+    beta[:10, 1] = np.abs(beta[:10, 1]) + sigma * 1e-3
+    stats = plan.w_statistics(y, beta, 100)
+    assert np.all(stats >= 0.0)
 
 
 def test_mle_init_falls_back_only_on_package_errors(monkeypatch):
@@ -518,7 +604,8 @@ def test_mle_scale_does_not_underflow(scale):
         ref = fit_mle(get_family(name), x, mode)
         fit = fit_mle(get_family(name), x * scale, mode)
         assert fit.sigma / scale == pytest.approx(ref.sigma, rel=1e-12), name
-        assert not fit.warnings
+        # the scale is right, but its square (and so the covariance) underflows
+        assert fit.warnings == ("scale_underflow",) and not fit.asy_cov.any()
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,8 +11,9 @@ from qls.errors import (
     InvalidGrid,
     NonFiniteData,
     NonPositiveScale,
+    ScaleOverflow,
 )
-from qls.estimators import fit_gqls, fit_mle, fit_sample
+from qls.estimators import FitPlan, QlsFit, fit_gqls, fit_mle, fit_sample
 from qls.families import FAMILIES, ParamMode, Params, get_family
 from qls.gof import (
     _bootstrap_order_statistics,
@@ -23,6 +24,7 @@ from qls.gof import (
     q_decomposition,
     residual_analysis,
     w_out_statistic,
+    w_pvalues,
     w_test,
 )
 from qls.quantiles import (
@@ -193,6 +195,66 @@ def test_w_affine_invariance():
     fit2 = fit_gqls(y2, X, S)
     moved = w_test(y2, X, S, fit2).statistic
     assert moved == pytest.approx(base, rel=1e-8)
+
+
+@pytest.mark.parametrize("j", [-600, -1, 1, 600])
+def test_w_statistics_are_exactly_invariant_under_powers_of_two(j):
+    # each residual is divided by its own scale before the quadratic form,
+    # so no sigma^2 is formed: at 2^600 it would overflow, at 2^-600 underflow
+    data, y, fit = normal_fit(n=400, seed=22)
+    scaled = np.ldexp(data, j)
+    y2 = empirical_quantiles(scaled, GRID)
+    plan = FitPlan.for_family(NORMAL, GRID, "gqls")
+    beta2 = plan.solve(y2.values[None])
+    assert np.array_equal(beta2, np.ldexp(plan.solve(y.values[None]), j))
+    # at 2^600 the covariance of a fit overflows (ScaleOverflow): fit without it
+    fit2 = QlsFit(kind="gqls", params=Params(*beta2[0]), mode=ParamMode.LOCATION_SCALE)
+    fit = QlsFit(kind="gqls", params=Params(*np.ldexp(beta2[0], -j)),
+                 mode=ParamMode.LOCATION_SCALE)
+    assert w_test(y2, X, S, fit2).statistic == w_test(y, X, S, fit).statistic
+    assert np.array_equal(plan.w_statistics(y2.values[None], beta2, 400),
+                          plan.w_statistics(y.values[None], np.ldexp(beta2, -j), 400))
+    out = default_out_grid()
+    assert (w_out_statistic(scaled, fit2, NORMAL, out)
+            == w_out_statistic(data, fit, NORMAL, out))
+    res, res2 = (bootstrap_pvalue(d, NORMAL, GRID, B=30, seed=4) for d in (data, scaled))
+    assert (res2.statistic, res2.p_value, res2.failures) == (
+        res.statistic, res.p_value, res.failures)
+
+
+def test_non_finite_observed_statistics_raise(monkeypatch):
+    data, y, fit = normal_fit(n=400, seed=23)
+    # a positive scale too small for the residuals: e / sigma overflows
+    tiny = QlsFit(kind="gqls", params=Params(fit.mu, 1e-300), mode=ParamMode.LOCATION_SCALE)
+    with pytest.raises(ScaleOverflow):
+        w_test(y, X, S, tiny)
+    with pytest.raises(ScaleOverflow):
+        w_out_statistic(data, tiny, NORMAL, default_out_grid())
+    monkeypatch.setattr(FitPlan, "w_statistics",
+                        lambda self, y, beta, n: np.full(len(y), np.nan))
+    with pytest.raises(ScaleOverflow):
+        bootstrap_pvalue(data, NORMAL, GRID, B=10, seed=0)
+
+
+def test_non_finite_replicate_statistics_are_failures(monkeypatch):
+    data, y, fit = normal_fit(n=400, seed=24)
+    plan = FitPlan.for_family(NORMAL, GRID, "gqls")
+    rows = np.stack([y.values] * 4)
+    w_statistics = FitPlan.w_statistics
+    spoiled = np.array([1.0, np.inf, np.nan, 1.0])
+
+    def spoil(self, y, beta, n):
+        stats = w_statistics(self, y, beta, n)
+        return stats if len(stats) == 1 else stats * np.resize(spoiled, len(stats))
+
+    monkeypatch.setattr(FitPlan, "w_statistics", spoil)
+    p = w_pvalues(plan, rows, 400)
+    assert np.isnan(p[1:3]).all()
+    stat = w_statistics(plan, rows[:1], plan.solve(rows[:1]), 400)[0]
+    assert p[0] == p[3] == chi2_sf(stat, 23)
+    # the bootstrap drops such replicates, as it drops failed refits
+    res = bootstrap_pvalue(data, NORMAL, GRID, B=20, seed=1, max_failure_fraction=0.5)
+    assert res.failures == 10 and res.b_replicates == 10
 
 
 def test_w_level_mini_calibration():

@@ -30,15 +30,18 @@ from qls.quantiles import (
     empirical_quantiles,
     level_density,
     make_grid,
-    precision_band,
     sigma_star,
 )
 
 
 def _dense_precision(fam, grid):
+    # the closed-form precision of Ogawa (1951), D Delta' diag(1/d) Delta D
+    # with D = diag(f), Delta the (k+1) x k difference operator and d the
+    # spacings of [0, p, 1]: the form a family plan sums without building it
     p, _, f = level_density(fam, grid)
-    main, off = precision_band(p, f)
-    return np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+    k = p.shape[0]
+    delta_f = (np.eye(k + 1, k) - np.eye(k + 1, k, -1)) * f
+    return delta_f.T @ (delta_f / np.diff(p, prepend=0.0, append=1.0)[:, None])
 
 
 def test_make_grid_values():
@@ -159,7 +162,7 @@ def test_sigma_star_is_spd(name, bounds):
 
 
 def test_precision_star_is_symmetric_tridiagonal():
-    # the dense inverse of S is the tridiagonal matrix of the band
+    # the dense inverse of S is the tridiagonal closed form
     fam = get_family("normal")
     grid = make_grid(0.05, 0.95, 12)
     inv = np.linalg.inv(sigma_star(fam, grid))
@@ -189,7 +192,7 @@ def test_sigma_star_rejects_boundary_levels():
 
 def test_subnormal_level_gaps_are_an_invalid_grid():
     # 1/gap overflows for a gap of [0, p, 1] below about 5.6e-309: the
-    # precision band would hold infinities
+    # spacing sums of a plan would be infinite
     expo = get_family("exponential")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
