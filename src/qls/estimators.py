@@ -65,7 +65,9 @@ __all__ = [
     "DEFAULT_GRID",
 ]
 
-DEFAULT_GRID = (0.05, 0.95, 25)
+# the grid of every numeric MLE's starting fit, shared so that its plans are
+# built once per process
+DEFAULT_GRID = make_grid(0.05, 0.95, 25)
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # smallest normal float64
@@ -143,8 +145,10 @@ def _assemble_params(beta: np.ndarray, mode: ParamMode,
         params = Params(mu=float(beta[0]), sigma=float(known_sigma))
     else:
         params = Params(mu=float(known_mu), sigma=float(beta[0]))
-    # the scale was supplied, not estimated, in the location-only mode
-    return params, () if mode is ParamMode.LOCATION_ONLY else _scale_tags(params.sigma)
+    tags = _scale_tags(params.sigma)
+    if mode is ParamMode.LOCATION_ONLY and tags == (WARN_NON_POSITIVE_SCALE,):
+        tags = ()  # a supplied scale is not an estimate; only its underflow is tagged
+    return params, tags
 
 
 def _scale_tags(sigma: float) -> tuple[str, ...]:
@@ -180,7 +184,7 @@ def _solve(kind: str, xm: np.ndarray, gram: np.ndarray, spacing: tuple | None,
     tol = xm.shape[1] * gram.shape[0] * _EPS
     diag = gram.diagonal()
     try:
-        if not np.all(diag > 0.0):
+        if not (diag > 0.0).all():
             raise np.linalg.LinAlgError("non-positive diagonal")
         d = 1.0 / np.sqrt(diag)
         pivots = np.linalg.cholesky(gram * d[:, None] * d[None, :]).diagonal() ** 2
@@ -221,7 +225,7 @@ def _sandwich(spacing, w: np.ndarray) -> np.ndarray:
         u[:, :-1] = np.cumsum((v * (1.0 - p))[:, ::-1], axis=1)[:, ::-1]
         u[:, 1:] -= np.cumsum(v * p, axis=1)
         cov = (u * d) @ u.T
-    if not np.all(np.isfinite(cov)):
+    if not np.isfinite(cov).all():
         raise NotPositiveDefinite("quantile covariance of the levels is not finite")
     return cov
 
@@ -252,9 +256,14 @@ class FitPlan:
 
     ``solve`` and ``w_statistics`` work on a batch of responses, one per
     row, and every other fit or statistic goes through them.  Their sums run
-    in a fixed order (``linalg.row_products``, and the fitted values one
-    design column at a time), so a row's result is the same bits whichever
-    batch it is in.
+    in an order fixed by the row alone (``linalg.row_products``, the fitted
+    values one design column at a time, and numpy's pairwise sum along each
+    C-contiguous row in ``quad``), so a row's result is the same bits
+    whichever batch it is in.
+
+    A QuantileGrid or OutGrid keeps each family plan built on it, keyed by
+    (family, kind), with every array read-only, so ``for_family`` builds it
+    once per grid object and hands the same plan out afterwards.
     """
 
     kind: str
@@ -269,6 +278,20 @@ class FitPlan:
 
     @classmethod
     def for_family(cls, fam: Family, grid, kind: str) -> FitPlan:
+        """The plan the grid object keeps for (fam, kind), built on first use
+        (``_family_plan``); a raw level array gets a new plan on every call."""
+        store = getattr(grid, "_plans", None)
+        if store is None:
+            return cls._family_plan(fam, grid, kind)
+        key = (fam, kind)
+        plan = store.get(key)
+        if plan is None:
+            # threads racing on a fresh grid all get the plan stored first
+            plan = store.setdefault(key, cls._family_plan(fam, grid, kind)._read_only())
+        return plan
+
+    @classmethod
+    def _family_plan(cls, fam: Family, grid, kind: str) -> FitPlan:
         """Plan for a family on a grid from one evaluation of Q0 and f0:
         the design [1, Q0(p)] and the spacings (p, d, f), d = diff([0, p, 1]).
         gQLS takes X'PX = sum_j Delta(x_a)_j Delta(x_b)_j / d_j and X'P from
@@ -312,6 +335,13 @@ class FitPlan:
             weights = cov = None
         return cls(kind=kind, x=x, xm=xm, gram=gram, weights=weights, cov=cov, **mats)
 
+    def _read_only(self) -> FitPlan:
+        """This plan, with every array it holds made read-only."""
+        for a in (self.x, self.xm, self.gram, self.weights, self.cov, *(self.spacing or ())):
+            if a is not None:
+                a.setflags(write=False)
+        return self
+
     def solver(self, mode: ParamMode = ParamMode.LOCATION_SCALE) -> tuple[np.ndarray, np.ndarray]:
         """(W, C) for a mode: beta = W Y over the estimated columns and C the
         standardized covariance of beta (sigma^2 and 1/n stripped; S = I for
@@ -346,11 +376,15 @@ class FitPlan:
 
     def quad(self, e: np.ndarray) -> np.ndarray:
         """The quadratic form e' P e of each row of e; for a family plan the
-        sum sum_j Delta(e)_j^2 / d_j over the k + 1 spacings."""
+        sum sum_j Delta(e)_j^2 / d_j over the k + 1 spacings, squared and
+        scaled in place and summed along each C-contiguous row (numpy's
+        pairwise sum, whose order depends on the row length alone)."""
         if self.spacing is not None:
             _, d, f = self.spacing
             de = _level_diffs(f, e)
-            return row_products(de * de, 1.0 / d[None])[:, 0]
+            de *= de
+            de *= 1.0 / d
+            return de.sum(axis=1)
         pe = solve_spd(self.factor, e.T).T
         return row_products(e * pe, np.ones((1, e.shape[1])))[:, 0]
 
@@ -361,7 +395,8 @@ class FitPlan:
         is the same bits as that of the data; one past the floating-point
         range reads inf or NaN, without a warning, for the caller to refuse."""
         with np.errstate(over="ignore", invalid="ignore"):
-            e = y - _fitted(beta, self.x)
+            e = _fitted(beta, self.x)
+            np.subtract(y, e, out=e)
             e /= beta[:, 1:2]
             return n * self.quad(e)
 
@@ -569,11 +604,13 @@ def _robust_init(fam: Family, data: np.ndarray) -> np.ndarray:
 
 
 def _mle_init(fam: Family, data: np.ndarray) -> np.ndarray:
-    """The joint gQLS estimate on ``DEFAULT_GRID`` (no covariance, so a
-    scale whose square overflows still starts here), else ``_robust_init``."""
+    """The joint gQLS estimate on ``DEFAULT_GRID``, or on as many levels as
+    there are data when n < k (no covariance, so a scale whose square
+    overflows still starts here), else ``_robust_init``."""
     try:
-        a, b, k = DEFAULT_GRID
-        grid = make_grid(a, b, min(k, max(2, data.size)))
+        grid = DEFAULT_GRID
+        if data.size < grid.k:
+            grid = make_grid(grid.a, grid.b, max(2, data.size))
         init = FitPlan.for_family(fam, grid, "gqls").solve(
             empirical_quantiles(data, grid).values[None, :])[0]
         if init[1] > 0 and np.all(np.isfinite(init)):

@@ -270,7 +270,7 @@ class Family:
     def qf(self, u):
         """Standard quantile function on the open interval (0, 1)."""
         arr = np.asarray(u, dtype=float)
-        if np.any((arr <= 0.0) | (arr >= 1.0)):
+        if ((arr <= 0.0) | (arr >= 1.0)).any():
             raise DomainError(f"{self.name}: quantile level must lie in (0, 1)")
         return self._qf(u)
 

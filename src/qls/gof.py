@@ -32,6 +32,7 @@ from .estimators import FitPlan, QlsFit, _response
 from .families import Family, ParamMode, Params, check_seed
 from .quantiles import (
     QuantileGrid,
+    _PlanStore,
     _order_statistics,
     _ranks,
     empirical_quantiles,
@@ -57,7 +58,7 @@ DEFAULT_ALPHAS = (0.01, 0.05, 0.10)
 
 
 @dataclass(frozen=True)
-class OutGrid:
+class OutGrid(_PlanStore):
     """Validation levels, decoupled from the estimation grid."""
 
     levels: np.ndarray
@@ -66,15 +67,20 @@ class OutGrid:
         lv = levels_of(self.levels, interior=True)
         lv.setflags(write=False)
         object.__setattr__(self, "levels", lv)
+        self._new_store()
 
     @property
     def r(self) -> int:
         return self.levels.shape[0]
 
 
+_DEFAULT_OUT_GRID = OutGrid(levels=0.01 + 0.02 * np.arange(50))
+
+
 def default_out_grid() -> OutGrid:
-    """Fifty levels 0.01 + 0.02 j, j = 0..49."""
-    return OutGrid(levels=0.01 + 0.02 * np.arange(50))
+    """Fifty levels 0.01 + 0.02 j, j = 0..49: one shared OutGrid, so its
+    plans are built once per process."""
+    return _DEFAULT_OUT_GRID
 
 
 def make_out_grid(levels=None) -> OutGrid:
@@ -232,10 +238,19 @@ def w_pvalues(plan: FitPlan, y: np.ndarray, n: int) -> np.ndarray:
 _BOOTSTRAP_KEY = 0x9E3779B97F4A7C15
 
 
+def _union_columns(idx: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The sorted union of the 0-based position sets ``idx``, and the columns
+    of each set in it."""
+    pos = np.unique(np.concatenate(idx))
+    return pos, [np.searchsorted(pos, i) for i in idx]
+
+
 def _bootstrap_order_statistics(fam: Family, params: Params, n: int, seed: int,
-                                B: int, idx: list[np.ndarray]):
-    """Order statistics at the 0-based positions ``idx`` of B samples of
-    size n from ``fam`` at ``params``, one block of replicates at a time.
+                                B: int, pos: np.ndarray, cols: list[np.ndarray]):
+    """Order statistics of B samples of size n from ``fam`` at ``params``,
+    one block of replicates at a time: for each block, the values at the
+    0-based positions ``pos[c]`` for each column set c in ``cols``, with
+    ``pos`` sorted and unique (``_union_columns``).
 
     Only the wanted order statistics are drawn, from gamma spacings (Renyi
     1953; David and Nagaraja, Order Statistics, 3rd ed., 2.5): with G_j a
@@ -255,14 +270,14 @@ def _bootstrap_order_statistics(fam: Family, params: Params, n: int, seed: int,
     the temporaries of the fit and the statistic), within the budget of
     ``replicate_blocks``.
     """
-    pos = np.unique(np.concatenate(idx))
     shapes = np.diff(np.concatenate(([0], pos + 1, [n + 1]))).astype(float)
-    cols = [np.searchsorted(pos, i) for i in idx]
     rng = np.random.default_rng([seed, _BOOTSTRAP_KEY])
-    for block in replicate_blocks(range(B), 10 * sum(i.size for i in idx)):
+    for block in replicate_blocks(range(B), 10 * sum(c.size for c in cols)):
         g = rng.standard_gamma(shapes, size=(len(block), shapes.size))
         np.cumsum(g, axis=1, out=g)
-        x = fam._from_uniform(params, g[:, :-1] / g[:, -1:])
+        u = g[:, :-1]
+        u /= g[:, -1:]
+        x = fam._from_uniform(params, u)
         yield [x[:, c] for c in cols]
 
 
@@ -301,26 +316,25 @@ def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
 
     plan = FitPlan.for_family(fam, grid, "gqls")
     plan_out = FitPlan.for_family(fam, out_grid, "gqls")
-    idx_fit = _ranks(n, levels_of(grid))[0] - 1
-    idx_out = _ranks(n, levels_of(out_grid))[0] - 1
-
-    pos = np.union1d(idx_fit, idx_out)
+    pos, cols = _union_columns([_ranks(n, levels_of(grid))[0] - 1,
+                                _ranks(n, levels_of(out_grid))[0] - 1])
     values, first, last = _order_statistics(data, pos)
     if not (np.isfinite(first) and np.isfinite(last)):
         raise NonFiniteData("bootstrap data hold NaN or infinite values")
-    beta0 = plan.solve(values[None, np.searchsorted(pos, idx_fit)])
+    beta0 = plan.solve(values[None, cols[0]])
     if not beta0[0, 1] > 0:
         raise NonPositiveScale("gQLS fit on the data has non-positive scale")
-    observed = _observed(plan_out, values[np.searchsorted(pos, idx_out)], beta0, n, "W_out")
+    observed = _observed(plan_out, values[cols[1]], beta0, n, "W_out")
     fitted = Params(mu=float(beta0[0, 0]), sigma=float(beta0[0, 1]))
 
     exceed = 0
     failures = 0
-    for y_fit, y_out in _bootstrap_order_statistics(
-            fam, fitted, n, seed, B, [idx_fit, idx_out]):
+    for y_fit, y_out in _bootstrap_order_statistics(fam, fitted, n, seed, B, pos, cols):
         beta = plan.solve(y_fit)
         ok = beta[:, 1] > 0
-        stats = plan_out.w_statistics(y_out[ok], beta[ok], n)
+        if not ok.all():
+            y_out, beta = y_out[ok], beta[ok]
+        stats = plan_out.w_statistics(y_out, beta, n)
         stats = stats[np.isfinite(stats)]
         failures += len(beta) - len(stats)
         exceed += int(np.count_nonzero(stats > observed))

@@ -32,7 +32,7 @@ def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 

@@ -47,8 +47,25 @@ __all__ = [
 _BLOCK_VALUES = 2 ** 17
 
 
+class _PlanStore:
+    """Base of the level grids: each grid object keeps the family plans built
+    on it (``FitPlan.for_family``), one per (family, kind).  The plans derive
+    from the levels, so a pickle or copy of the grid leaves them out and
+    starts a store of its own."""
+
+    def _new_store(self) -> None:
+        object.__setattr__(self, "_plans", {})
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_plans"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._new_store()
+
+
 @dataclass(frozen=True)
-class QuantileGrid:
+class QuantileGrid(_PlanStore):
     """k probability levels, equally spaced from a to b (inclusive)."""
 
     a: float
@@ -58,6 +75,7 @@ class QuantileGrid:
 
     def __post_init__(self):
         self.levels.setflags(write=False)
+        self._new_store()
 
 
 def make_grid(a: float, b: float, k: int) -> QuantileGrid:
@@ -78,10 +96,10 @@ def levels_of(grid, interior: bool = False) -> np.ndarray:
     if levels.ndim != 1 or levels.size == 0:
         raise InvalidGrid("levels must be a non-empty 1-D array")
     steps = np.diff(levels)
-    if not np.all(steps > 0.0):
+    if not (steps > 0.0).all():
         raise InvalidGrid("levels must be strictly increasing")
     if interior:
-        if not np.all((levels > 0.0) & (levels < 1.0)):
+        if not ((levels > 0.0) & (levels < 1.0)).all():
             raise InvalidGrid("all levels must be interior to (0, 1)")
         # a family plan divides by each gap of [0, p, 1].  Doubles at or
         # above 2^-969 lie at least 2^-1021 apart and 1 - p_k >= 2^-53, so
@@ -235,7 +253,7 @@ def level_density(fam: Family, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray
     p = levels_of(grid, interior=True)
     q = np.atleast_1d(np.asarray(fam.qf(p), dtype=float))
     f = np.atleast_1d(np.asarray(fam.pdf(q), dtype=float))
-    if np.any(~np.isfinite(f)) or np.any(f <= 0.0):
+    if not (np.isfinite(f) & (f > 0.0)).all():
         raise DegenerateDensity(
             f"{fam.name}: standard density non-positive at a grid quantile"
         )

@@ -165,6 +165,18 @@ def test_fit_tags_an_underflowed_scale(capsys, subnormal_file, family, method):
     assert rep["warnings"] == ["scale_underflow"]
 
 
+@pytest.mark.parametrize("method", ["gqls", "oqls"])
+def test_fit_tags_an_underflowed_supplied_scale(capsys, subnormal_file, method):
+    # a location-only fit given sigma = 1e-170: sigma^2 underflows, so se_mu reads 0
+    code, out, _ = run_cli(capsys, "fit", "--family", "normal", "--method", method,
+                           "--mode", "location", "--known-sigma", "1e-170",
+                           "--data", subnormal_file, "--format", "json")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["sigma"] == 1e-170 and rep["se_mu"] == 0.0
+    assert rep["warnings"] == ["scale_underflow"]
+
+
 def test_fit_mu_within_reported_se(capsys, normal_file):
     code, out, _ = run_cli(capsys, "fit", "--family", "normal",
                            "--data", normal_file, "--format", "json")

@@ -1,7 +1,10 @@
+import copy
 import math
 import os
+import pickle
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -378,6 +381,96 @@ def test_plan_kernels_give_a_row_the_same_bytes_alone_and_in_a_block(name):
             assert plan.w_statistics(y[i:i + 1], one, 400).tobytes() == stats[i:i + 1].tobytes()
 
 
+def _plan_arrays(plan):
+    return {"x": plan.x, "xm": plan.xm, "gram": plan.gram, "weights": plan.weights,
+            "cov": plan.cov, **{f"spacing{i}": a for i, a in enumerate(plan.spacing)}}
+
+
+def _plan_bytes(plan):
+    return {name: a.tobytes() for name, a in _plan_arrays(plan).items()}
+
+
+def test_a_grid_hands_out_one_plan_per_family_and_kind():
+    grid, out_grid = make_grid(0.05, 0.95, 25), qls.make_out_grid()
+    plans = {}
+    for g in (grid, out_grid):
+        for name in ("normal", "cauchy"):
+            for kind in ("gqls", "oqls"):
+                plan = FitPlan.for_family(get_family(name), g, kind)
+                assert FitPlan.for_family(get_family(name), g, kind) is plan
+                plans[id(g), name, kind] = plan
+    assert len({id(p) for p in plans.values()}) == 8
+    # a raw level array keeps no plans
+    levels = np.array(grid.levels)
+    assert FitPlan.for_family(NORMAL, levels, "gqls") is not FitPlan.for_family(
+        NORMAL, levels, "gqls")
+    assert levels.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["gqls", "oqls"])
+@pytest.mark.parametrize("name", ["normal", "cauchy", "gumbel"])
+def test_a_stored_plan_has_the_bytes_of_a_fresh_build(name, kind):
+    fam = get_family(name)
+    grid = make_grid(0.02, 0.97, 31)
+    stored = FitPlan.for_family(fam, grid, kind)
+    for other in (make_grid(0.02, 0.97, 31), grid.levels.copy()):
+        assert _plan_bytes(FitPlan.for_family(fam, other, kind)) == _plan_bytes(stored)
+    assert _plan_bytes(FitPlan._family_plan(fam, grid, kind)) == _plan_bytes(stored)
+
+
+@pytest.mark.parametrize("make", [lambda: make_grid(0.05, 0.95, 25), qls.make_out_grid])
+def test_copies_of_a_grid_start_their_own_plan_store(make):
+    grid = make()
+    plan = FitPlan.for_family(NORMAL, grid, "gqls")
+    for other in (pickle.loads(pickle.dumps(grid)), copy.deepcopy(grid), copy.copy(grid)):
+        assert other._plans == {} and np.array_equal(other.levels, grid.levels)
+        again = FitPlan.for_family(NORMAL, other, "gqls")
+        assert again is not plan and not again.weights.flags.writeable
+        assert _plan_bytes(again) == _plan_bytes(plan)
+    assert len(pickle.dumps(grid)) == len(pickle.dumps(make()))
+
+
+@pytest.mark.parametrize("kind", ["gqls", "oqls"])
+def test_stored_plan_arrays_are_read_only(kind):
+    grid = make_grid(0.05, 0.95, 12)
+    plan = FitPlan.for_family(NORMAL, grid, kind)
+    arrays = _plan_arrays(plan)
+    assert len(arrays) == 8
+    for name, a in arrays.items():
+        with pytest.raises(ValueError):
+            a[..., 0] = 1.0
+        assert not a.flags.writeable, name
+
+
+def test_plan_store_gives_threads_racing_on_a_fresh_grid_one_plan():
+    # eight threads ask one fresh grid for the same two plans at once, with
+    # the interpreter switching threads as often as it can
+    grid = make_grid(0.03, 0.97, 60)
+    keys = [(get_family("cauchy"), "gqls"), (NORMAL, "oqls")]
+    seen = [None] * 8
+    start = threading.Barrier(len(seen))
+
+    def build(i):
+        start.wait(timeout=30)
+        seen[i] = [FitPlan.for_family(fam, grid, kind) for fam, kind in keys[::1 - 2 * (i % 2)]]
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(len(seen))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    for i, plans in enumerate(seen):
+        for plan, (fam, kind) in zip(plans, keys[::1 - 2 * (i % 2)]):
+            assert plan is FitPlan.for_family(fam, grid, kind)
+            assert _plan_bytes(plan) == _plan_bytes(FitPlan._family_plan(fam, grid, kind))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(["normal", "cauchy", "gumbel", "laplace"]),
        st.integers(3, 60), st.integers(0, 2 ** 32 - 1),
@@ -410,6 +503,26 @@ def test_mle_init_falls_back_only_on_package_errors(monkeypatch):
     monkeypatch.setattr(estimators, "empirical_quantiles", bug)
     with pytest.raises(KeyError):
         fit_mle(cauchy, data)
+
+
+@pytest.mark.parametrize("n", [2, 10, 24, 25, 1000])
+@pytest.mark.parametrize("name", ["cauchy", "logistic", "gumbel"])
+def test_mle_init_matches_a_plan_built_for_its_row(name, n, monkeypatch):
+    # the start is the gQLS solve on min(25, n) levels; from n = 25 on it
+    # reads the shared DEFAULT_GRID, whose plan is built at most once
+    fam = get_family(name)
+    data = fam.sample(Params(0.4, 2.5), n, np.random.default_rng(n))
+    grid = make_grid(0.05, 0.95, min(25, n))
+    want = FitPlan._family_plan(fam, grid, "gqls").solve(
+        empirical_quantiles(data, grid).values[None, :])[0]
+    assert estimators._mle_init(fam, data).tobytes() == want.tobytes()
+    builds = []
+    build = FitPlan._family_plan
+    monkeypatch.setattr(FitPlan, "_family_plan",
+                        classmethod(lambda cls, *args: builds.append(args) or build(*args)))
+    for _ in range(3):
+        assert estimators._mle_init(fam, data).tobytes() == want.tobytes()
+    assert len(builds) == (0 if n >= 25 else 3)
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +719,20 @@ def test_mle_scale_does_not_underflow(scale):
         assert fit.sigma / scale == pytest.approx(ref.sigma, rel=1e-12), name
         # the scale is right, but its square (and so the covariance) underflows
         assert fit.warnings == ("scale_underflow",) and not fit.asy_cov.any()
+
+
+@pytest.mark.parametrize("method", ["gqls", "oqls"])
+def test_supplied_scale_that_underflows_is_tagged(method):
+    # a location-only fit estimates no scale, but a supplied one whose square
+    # underflows still zeroes the standard error; a non-positive one is not tagged
+    data = np.random.default_rng(1).standard_normal(200) * 1e-310
+    fit = fit_sample(data, NORMAL, GRID, method, ParamMode.LOCATION_ONLY, known_sigma=1e-170)
+    assert fit.sigma == 1e-170 and fit.stderr().tolist() == [0.0]
+    assert fit.warnings == ("scale_underflow",)
+    for known_sigma in (1e-150, -1e-170, 0.0):
+        fit = fit_sample(data, NORMAL, GRID, method, ParamMode.LOCATION_ONLY,
+                         known_sigma=known_sigma)
+        assert fit.warnings == ()
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from qls import quantiles
@@ -17,6 +19,7 @@ from qls.estimators import FitPlan, QlsFit, fit_gqls, fit_mle, fit_sample
 from qls.families import FAMILIES, ParamMode, Params, get_family
 from qls.gof import (
     _bootstrap_order_statistics,
+    _union_columns,
     bootstrap_pvalue,
     chi2_sf,
     default_out_grid,
@@ -350,7 +353,8 @@ def test_bootstrap_seeds_give_disjoint_replicate_streams(monkeypatch):
                                       np.random.SeedSequence(other).generate_state(8))
     assert not np.array_equal(states[6], states[7])
     idx = [_ranks(200, GRID.levels)[0] - 1]
-    draws = [next(_bootstrap_order_statistics(NORMAL, Params(0, 1), 200, seed, 50, idx))[0]
+    draws = [next(_bootstrap_order_statistics(NORMAL, Params(0, 1), 200, seed, 50,
+                                              *_union_columns(idx)))[0]
              for seed in (6, 7)]
     assert not np.any(draws[0] == draws[1])
 
@@ -368,10 +372,36 @@ def test_bootstrap_requires_positive_scale():
         bootstrap_pvalue(np.zeros(100), NORMAL, GRID, B=10, seed=0)
 
 
+_JOINT_FAMILIES = ("cauchy", "gumbel", "laplace", "logistic", "normal")
+_SCALED_DATA = {name: get_family(name).sample(Params(0.3, 1.7), 300, np.random.default_rng(61))
+                for name in _JOINT_FAMILIES}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_JOINT_FAMILIES), st.integers(-1000, 1000))
+def test_bootstrap_and_w_statistics_are_exact_under_powers_of_two(name, j):
+    # x 2^j scales every order statistic, fit and draw exactly, and the
+    # statistic divides each residual by its own scale: W_out, the bootstrap
+    # p-value and the batched W of the data and of the data times 2^j agree
+    # to the byte (about 1e-301 to 1e301 here, inside the normal range)
+    fam, data = get_family(name), _SCALED_DATA[name]
+    scaled = np.ldexp(data, j)
+    want = bootstrap_pvalue(data, fam, GRID, B=50, seed=8)
+    got = bootstrap_pvalue(scaled, fam, GRID, B=50, seed=8)
+    assert np.float64(got.statistic).tobytes() == np.float64(want.statistic).tobytes()
+    assert (got.p_value, got.failures) == (want.p_value, want.failures)
+    plan = FitPlan.for_family(fam, GRID, "gqls")
+    y = np.stack([empirical_quantiles(d, GRID).values for d in (data, -data[::-1])])
+    beta = plan.solve(y)
+    assert np.array_equal(plan.solve(np.ldexp(y, j)), np.ldexp(beta, j))
+    assert (plan.w_statistics(np.ldexp(y, j), np.ldexp(beta, j), 300).tobytes()
+            == plan.w_statistics(y, beta, 300).tobytes())
+
+
 def _bootstrap_rows(fam, params, n, seed, B, idx):
     """Every replicate's order statistics, one array per position set."""
     return [np.concatenate(c) for c in zip(*_bootstrap_order_statistics(
-        fam, params, n, seed, B, idx))]
+        fam, params, n, seed, B, *_union_columns(idx)))]
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -397,7 +427,8 @@ def test_bootstrap_replicates_are_a_prefix_of_longer_runs():
     idx = [_ranks(n, GRID.levels)[0] - 1, _ranks(n, default_out_grid().levels)[0] - 1]
     short = _bootstrap_rows(fam, params, n, 3, 50, idx)
     long = _bootstrap_rows(fam, params, n, 3, 1000, idx)
-    assert len(list(_bootstrap_order_statistics(fam, params, n, 3, 1000, idx))) > 1
+    assert len(list(_bootstrap_order_statistics(fam, params, n, 3, 1000,
+                                                *_union_columns(idx)))) > 1
     for s, l in zip(short, long):
         assert np.array_equal(s, l[:50])
 
@@ -405,12 +436,14 @@ def test_bootstrap_replicates_are_a_prefix_of_longer_runs():
 def test_bootstrap_one_row_blocks_give_the_same_rows(monkeypatch):
     n = 2000
     idx = [_ranks(n, GRID.levels)[0] - 1, _ranks(n, default_out_grid().levels)[0] - 1]
-    blocks = list(_bootstrap_order_statistics(NORMAL, Params(0.3, 1.7), n, 9, 300, idx))
+    blocks = list(_bootstrap_order_statistics(NORMAL, Params(0.3, 1.7), n, 9, 300,
+                                              *_union_columns(idx)))
     assert len(blocks[0][0]) > 1
     want = _bootstrap_rows(NORMAL, Params(0.3, 1.7), n, 9, 300, idx)
     monkeypatch.setattr(quantiles, "_BLOCK_VALUES", 1)
     assert all(len(blk[0]) == 1 for blk in
-               _bootstrap_order_statistics(NORMAL, Params(0.3, 1.7), n, 9, 300, idx))
+               _bootstrap_order_statistics(NORMAL, Params(0.3, 1.7), n, 9, 300,
+                                           *_union_columns(idx)))
     got = _bootstrap_rows(NORMAL, Params(0.3, 1.7), n, 9, 300, idx)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
