@@ -257,6 +257,9 @@ def _gof_one(fam, data, args, grid) -> dict:
                     "B": res.b_replicates, "p_value": res.p_value,
                     "p_display": (f"<{shown_p:.4g}" if res.p_value == 0
                                   else f"{res.p_value:.4g}")})
+    for tag in res.warnings:  # the out-levels' tags, which the fit does not see
+        if tag not in fit.warnings:
+            print(f"warning: {fam.name}: {tag}", file=sys.stderr)
     row["reject"] = bool(res.p_value <= args.alpha)
     return row
 

@@ -16,14 +16,16 @@ import numpy as np
 from .errors import Unavailable
 from .families import Family, ParamMode
 from .estimators import FitPlan
-from .linalg import det
 from .quantiles import QuantileGrid, make_grid
 
 __all__ = ["AreResult", "are", "are_table", "are_curve", "standardized_cov"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AreResult:
+    """One efficiency cell; ``are`` is None, with a note, where the cell has
+    no Fisher information.  Slotted, so tables of many cells stay small."""
+
     family: str
     kind: str
     mode: ParamMode
@@ -32,6 +34,12 @@ class AreResult:
     k: int
     are: float | None
     note: str = ""
+
+
+def _det2(m: np.ndarray) -> float:
+    """Determinant of a symmetric 2 x 2 matrix, in Python floats."""
+    (m00, m01), (_, m11) = m.tolist()
+    return m00 * m11 - m01 * m01
 
 
 def standardized_cov(kind: str, fam: Family, grid, mode: ParamMode) -> np.ndarray:
@@ -53,12 +61,14 @@ def are(kind: str, fam: Family, grid, mode: ParamMode = ParamMode.LOCATION_SCALE
     if mode is ParamMode.LOCATION_SCALE:
         info = fam.fisher_info(mode)  # raises Unavailable where undefined
         cov = standardized_cov(kind, fam, grid, mode)
-        value = float((1.0 / (det(info) * det(cov))) ** 0.5)
+        # in numpy floats a non-positive product gives inf or NaN, not an exception
+        value = float((1.0 / np.float64(_det2(info) * _det2(cov))) ** 0.5)
     else:
         idx = 0 if mode is ParamMode.LOCATION_ONLY else 1
         try:
             info = fam.fisher_info(ParamMode.LOCATION_SCALE)
-            mle_var = float(np.linalg.inv(info)[idx, idx])
+            # (I0^-1)_jj: the other diagonal entry of I0 over det(I0)
+            mle_var = float(info[1 - idx, 1 - idx]) / _det2(info)
             cov_jj = float(standardized_cov(kind, fam, grid,
                                             ParamMode.LOCATION_SCALE)[idx, idx])
         except Unavailable:

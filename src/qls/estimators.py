@@ -176,12 +176,52 @@ def _solve(kind: str, xm: np.ndarray, gram: np.ndarray, spacing: tuple | None,
 
     Raises RankDeficient when a Cholesky pivot of the Gram equilibrated by
     its diagonal, D^-1/2 gram D^-1/2 (unit diagonal), falls at or below
-    k * m * eps, the rounding of its k-term sums over m columns.  The test
-    therefore does not depend on the scale of each column: the constant
-    column and a quantile column of order 1e8 at extreme levels are judged
-    alike.
+    k * m * eps, the rounding of its k-term sums over m columns, or when the
+    Gram is not finite.  The test therefore does not depend on the scale of
+    each column: the constant column and a quantile column of order 1e8 at
+    extreme levels are judged alike.  A Gram of one or two columns (every
+    family plan and mode) is tested and inverted in closed form
+    (``_inverse_2x2``); only a wider caller design goes through LAPACK.
     """
     tol = xm.shape[1] * gram.shape[0] * _EPS
+    ginv = _inverse_2x2(gram, tol) if gram.shape[0] <= 2 else _inverse_lapack(gram, tol)
+    w = ginv @ xm
+    if kind == "gqls" or (spacing is None and sigma is None):
+        return w, ginv
+    cov = _sandwich(spacing, w) if spacing is not None else w @ sigma @ w.T
+    return w, 0.5 * (cov + cov.T)
+
+
+def _inverse_2x2(gram: np.ndarray, tol: float) -> np.ndarray:
+    """Inverse of a 1 x 1 or 2 x 2 Gram in Python floats, exactly symmetric.
+
+    The equilibrated Gram [[1, c], [c, 1]], c = g01 / sqrt(g00 g11), has the
+    pivots 1 and q = 1 - c^2 = 1 - (g01 / g00)(g01 / g11).  The inverse is
+    the adjugate over the determinant g00 g11 q, each entry divided through:
+    1 / (g00 q), 1 / (g11 q) and -(g01 / g00) / (g11 q), so that no product
+    of the two diagonal entries is formed (it could overflow where the
+    inverse does not)."""
+    g = gram.tolist()
+    g00 = g[0][0]
+    if not 0.0 < g00 < math.inf:
+        raise RankDeficient(f"design is rank deficient: diagonal {g00!r}")
+    if len(g) == 1:
+        return np.array([[1.0 / g00]])
+    g01, g11 = g[0][1], g[1][1]
+    if not 0.0 < g11 < math.inf:
+        raise RankDeficient(f"design is rank deficient: diagonal {g11!r}")
+    t = g01 / g00
+    q = 1.0 - t * (g01 / g11)
+    if not q > tol:  # also NaN, from a non-finite g01
+        raise RankDeficient(f"design is rank deficient: pivot {q:.3e}")
+    h = g11 * q
+    off = -t / h
+    return np.array([[1.0 / (g00 * q), off], [off, 1.0 / h]])
+
+
+def _inverse_lapack(gram: np.ndarray, tol: float) -> np.ndarray:
+    """``_inverse_2x2`` for a wider Gram: the rank test on the Cholesky
+    pivots of the equilibrated Gram, then LAPACK's inverse, symmetrized."""
     diag = gram.diagonal()
     try:
         if not (diag > 0.0).all():
@@ -193,12 +233,7 @@ def _solve(kind: str, xm: np.ndarray, gram: np.ndarray, spacing: tuple | None,
     if not float(pivots.min()) > tol:
         raise RankDeficient(f"design is rank deficient: pivot {pivots.min():.3e}")
     ginv = np.linalg.inv(gram)
-    ginv = 0.5 * (ginv + ginv.T)
-    w = ginv @ xm
-    if kind == "gqls" or (spacing is None and sigma is None):
-        return w, ginv
-    cov = _sandwich(spacing, w) if spacing is not None else w @ sigma @ w.T
-    return w, 0.5 * (cov + cov.T)
+    return 0.5 * (ginv + ginv.T)
 
 
 def _level_diffs(f: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -22,19 +22,21 @@ import numpy as np
 from scipy import special
 
 from .errors import (
+    WARN_TIED_QUANTILES,
     BootstrapDegenerate,
     InsufficientDof,
     NonFiniteData,
     NonPositiveScale,
     ScaleOverflow,
 )
-from .estimators import FitPlan, QlsFit, _response
+from .estimators import FitPlan, QlsFit, _response, _scale_tags
 from .families import Family, ParamMode, Params, check_seed
 from .quantiles import (
     QuantileGrid,
     _PlanStore,
     _order_statistics,
     _ranks,
+    _tied,
     empirical_quantiles,
     levels_of,
     replicate_blocks,
@@ -91,6 +93,9 @@ def make_out_grid(levels=None) -> OutGrid:
 
 @dataclass(frozen=True)
 class GofResult:
+    """A test's statistic and p-value; ``warnings`` holds the tags of the
+    data, the grids and the fit it was computed from."""
+
     statistic: float
     kind: str  # "in-sample" | "out-of-sample"
     p_value: float
@@ -98,6 +103,7 @@ class GofResult:
     b_replicates: int | None = None
     failures: int = 0
     decision_at: dict = field(default_factory=dict)
+    warnings: tuple[str, ...] = ()
 
     def reject(self, alpha: float = 0.05) -> bool:
         return self.p_value <= alpha
@@ -189,9 +195,10 @@ def w_test(y, x, sigma_star_mat: np.ndarray, fit: QlsFit, n: int | None = None,
 
 def plan_w_test(plan: FitPlan, y, fit: QlsFit, n: int | None = None,
                 alphas=DEFAULT_ALPHAS) -> GofResult:
-    """``w_test`` on a gQLS plan of the estimation levels."""
+    """``w_test`` on a gQLS plan of the estimation levels.  The result's
+    warnings are the response's tags followed by the fit's, each once."""
     _require_gqls(fit, "the in-sample test")
-    yv, n_obs, _ = _response(y, n)
+    yv, n_obs, warns = _response(y, n)
     k = yv.shape[0]
     if k < 3:
         raise InsufficientDof("need k >= 3 levels for a k-2 dof statistic")
@@ -199,7 +206,8 @@ def plan_w_test(plan: FitPlan, y, fit: QlsFit, n: int | None = None,
     dof = k - 2
     p = chi2_sf(stat, dof)
     return GofResult(statistic=stat, kind="in-sample", p_value=p, dof=dof,
-                     decision_at={a: p <= a for a in alphas})
+                     decision_at={a: p <= a for a in alphas},
+                     warnings=tuple(dict.fromkeys(warns + fit.warnings)))
 
 
 def w_out_statistic(data, fit: QlsFit, fam: Family, out_grid: OutGrid,
@@ -304,7 +312,10 @@ def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
     statistic is not finite are dropped and the replicate count adjusted;
     more than ``max_failure_fraction`` failures aborts.  A negative or
     non-integer seed raises InvalidSeed, and an observed statistic that is
-    not finite ScaleOverflow.
+    not finite ScaleOverflow.  The result's warnings hold, each once, the
+    rank tags of the estimation and the out-levels at n, ``tied_quantiles``
+    when either level set reads one value at distinct ranks of the data, and
+    the tags of the fitted scale.
     """
     check_seed(seed)
     if B < 1:
@@ -316,16 +327,21 @@ def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
 
     plan = FitPlan.for_family(fam, grid, "gqls")
     plan_out = FitPlan.for_family(fam, out_grid, "gqls")
-    pos, cols = _union_columns([_ranks(n, levels_of(grid))[0] - 1,
-                                _ranks(n, levels_of(out_grid))[0] - 1])
+    ranks, warns = _ranks(n, levels_of(grid))
+    ranks_out, warns_out = _ranks(n, levels_of(out_grid))
+    pos, cols = _union_columns([ranks - 1, ranks_out - 1])
     values, first, last = _order_statistics(data, pos)
     if not (np.isfinite(first) and np.isfinite(last)):
         raise NonFiniteData("bootstrap data hold NaN or infinite values")
+    warns += warns_out
+    if _tied(values[cols[0]], ranks) or _tied(values[cols[1]], ranks_out):
+        warns.append(WARN_TIED_QUANTILES)
     beta0 = plan.solve(values[None, cols[0]])
     if not beta0[0, 1] > 0:
         raise NonPositiveScale("gQLS fit on the data has non-positive scale")
     observed = _observed(plan_out, values[cols[1]], beta0, n, "W_out")
     fitted = Params(mu=float(beta0[0, 0]), sigma=float(beta0[0, 1]))
+    warns += _scale_tags(fitted.sigma)
 
     exceed = 0
     failures = 0
@@ -346,4 +362,5 @@ def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
     p = exceed / b_eff
     return GofResult(statistic=observed, kind="out-of-sample", p_value=p,
                      b_replicates=b_eff, failures=failures,
-                     decision_at={a: p <= a for a in alphas})
+                     decision_at={a: p <= a for a in alphas},
+                     warnings=tuple(dict.fromkeys(warns)))

@@ -1,19 +1,22 @@
-"""Dense kernels for small symmetric/general matrices.
+"""Dense kernels for the few places that hold a k x k matrix.
 
-All matrices are plain row-major ``numpy.ndarray`` values.  Sizes here are
-k x k with k up to a few hundred, so LAPACK-backed dense routines are the
-right tool: Cholesky on the SPD path (which doubles as a definiteness
-certificate) and numpy's LU-based determinant.  Products that
-fit many replicate rows at once use ``row_products``, which sums over the k
-levels in a fixed order, so a row's result does not depend on how many rows
-share the call.
+All matrices are plain row-major ``numpy.ndarray`` values.  No family path
+builds anything k x k: family plans are sums over the level spacings, and
+their 1 x 1 and 2 x 2 normal equations are tested and inverted in closed
+form (``estimators._inverse_2x2``), as are the determinants of the
+efficiency tables.  What is left here serves a quantile covariance S
+supplied by the caller: Cholesky on the SPD path (which doubles as a
+definiteness certificate) and the solve against it, whose ``scipy.linalg``
+is imported on first use, plus a determinant of a general square matrix.
+Products that fit many replicate rows at once use ``row_products``, which
+sums over the k levels in a fixed order, so a row's result does not depend
+on how many rows share the call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
@@ -79,6 +82,8 @@ def spd_factorize(m) -> SpdFactor:
 
 def solve_spd(f: SpdFactor, b) -> np.ndarray:
     """Solve (L L') x = b for one or many right-hand sides."""
+    import scipy.linalg  # only a caller-supplied S needs it, and it is costly to import
+
     rhs = np.asarray(b, dtype=float)
     if rhs.shape[0] != f.dim:
         raise DimensionMismatch(

@@ -99,7 +99,7 @@ def levels_of(grid, interior: bool = False) -> np.ndarray:
     if not (steps > 0.0).all():
         raise InvalidGrid("levels must be strictly increasing")
     if interior:
-        if not ((levels > 0.0) & (levels < 1.0)).all():
+        if not (levels[0] > 0.0 and levels[-1] < 1.0):  # they increase strictly
             raise InvalidGrid("all levels must be interior to (0, 1)")
         # a family plan divides by each gap of [0, p, 1].  Doubles at or
         # above 2^-969 lie at least 2^-1021 apart and 1 - p_k >= 2^-53, so
@@ -225,6 +225,12 @@ def _order_statistics(data: np.ndarray, positions: np.ndarray) -> tuple[np.ndarr
     return values, float(np.fmin(a[0], b[0])), float(np.maximum(a[-1], b[-1]))
 
 
+def _tied(values: np.ndarray, ranks: np.ndarray) -> bool:
+    """Whether two levels at distinct ranks read equal values (the
+    ``tied_quantiles`` tag)."""
+    return bool(((np.diff(values) == 0.0) & (np.diff(ranks) != 0)).any())
+
+
 def empirical_quantiles(sample, grid) -> QuantileResponse:
     """Extract the ceil(n*p)-th order statistics at each grid level, as a
     full sort would give them (``_order_statistics``).  Raises NonFiniteData
@@ -239,7 +245,7 @@ def empirical_quantiles(sample, grid) -> QuantileResponse:
     if not (np.isfinite(first) and np.isfinite(last)):
         raise NonFiniteData(
             f"sample holds NaN or infinite values (sorted from {first} to {last})")
-    if np.any((np.diff(values) == 0.0) & (np.diff(ranks) != 0)):
+    if _tied(values, ranks):
         warns.append(WARN_TIED_QUANTILES)
     return QuantileResponse(values=values, n=n, warnings=tuple(warns))
 

@@ -303,6 +303,21 @@ def test_gof_prints_the_fits_tags(capsys, tmp_path):
     assert code == 0 and err.splitlines() == ["warning: normal: tied_quantiles"]
 
 
+def test_gof_wout_prints_the_out_levels_tags(capsys, tmp_path):
+    # at n = 60 the estimation levels (from 0.05) have every rank, while the
+    # default out-levels (from 0.01) clamp their first one
+    sixty = _write(tmp_path, "sixty.csv", get_family("normal").sample(
+        Params(0.0, 1.0), 60, np.random.default_rng(3)))
+    code, _, err = run_cli(capsys, "gof", "--family", "normal", "--data", sixty)
+    assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, "gof", "--family", "normal", "--data", sixty,
+                             "--test", "wout", "--B", "50", "--format", "json")
+    assert code == 0
+    assert err.splitlines() == ["warning: normal: rank_clamped_to_first_order_statistic"]
+    assert list(json.loads(out)[0]) == ["family", "mu", "sigma", "test", "statistic", "B",
+                                        "p_value", "p_display", "reject"]
+
+
 # ---------------------------------------------------------------------------
 # are / influence
 # ---------------------------------------------------------------------------

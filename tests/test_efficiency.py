@@ -1,9 +1,12 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
-from qls.efficiency import are, are_curve, are_table
+from qls.efficiency import AreResult, are, are_curve, are_table, standardized_cov
 from qls.errors import Unavailable
-from qls.families import ParamMode, get_family
+from qls.families import FAMILIES, ParamMode, get_family
 from qls.quantiles import make_grid
 from reference_tables import GQLS_ARE, OQLS_ARE_JOINT
 
@@ -130,3 +133,48 @@ def test_reference_tables_have_expected_shape():
         for fam_block in block.values():
             assert sorted(fam_block) == ["loc-scale", "location", "scale"]
     assert len(OQLS_ARE_JOINT) == 5
+
+
+@pytest.mark.parametrize("kind", ["gqls", "oqls"])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_closed_form_determinants_match_lapack(name, kind):
+    # det(I0), det(C) and (I0^-1)_jj in closed form against numpy's LU
+    # determinant and inverse of the same matrices
+    fam = get_family(name)
+    for bounds, k in (((0.05, 0.95), 2), ((0.05, 0.95), 25), ((1e-6, 1 - 1e-6), 200),
+                      ((0.30, 0.30001), 40)):
+        grid = make_grid(*bounds, k)
+        for mode in ParamMode:
+            try:
+                got = are(kind, fam, grid, mode).are
+            except Unavailable:
+                continue
+            if fam._info is None:  # scale-only in the one-parameter model
+                want = 1.0 / float(fam.fisher_info(mode)[0, 0]) / float(
+                    standardized_cov(kind, fam, grid, mode)[0, 0])
+            elif mode is ParamMode.LOCATION_SCALE:
+                cov = standardized_cov(kind, fam, grid, mode)
+                want = (1.0 / (np.linalg.det(fam.fisher_info()) * np.linalg.det(cov))) ** 0.5
+            else:
+                j = 0 if mode is ParamMode.LOCATION_ONLY else 1
+                cov = standardized_cov(kind, fam, grid, ParamMode.LOCATION_SCALE)
+                want = np.linalg.inv(fam.fisher_info())[j, j] / cov[j, j]
+            assert got == pytest.approx(want, rel=1e-9), (bounds, k, mode)
+
+
+def test_are_result_is_a_frozen_slotted_value():
+    cell = are("gqls", get_family("normal"), make_grid(0.05, 0.95, 25))
+    missing = AreResult(family="levy", kind="oqls", mode=ParamMode.LOCATION_SCALE,
+                        a=0.05, b=0.95, k=15, are=None, note="no joint information")
+    assert not hasattr(cell, "__dict__")
+    for result in (cell, missing):
+        back = pickle.loads(pickle.dumps(result))
+        assert back == result and back is not result and hash(back) == hash(result)
+        assert type(back.mode) is ParamMode
+    other = dataclasses.replace(cell, k=26)
+    assert other != cell and other.k == 26 and other.are == cell.are
+    assert dataclasses.replace(other, k=25) == cell
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cell.are = 1.0
+    with pytest.raises((AttributeError, TypeError)):
+        cell.extra = 1

@@ -194,6 +194,129 @@ def test_weights_and_cov_take_wider_designs():
         qls_weights("oqls", x_bad)
 
 
+def _exact_inverse(gram):
+    """The inverse of a float Gram of one or two columns in exact rationals,
+    and its 2-norm condition number lambda_max^2 / det."""
+    g = [[Fraction(float(v)) for v in row] for row in gram]
+    if len(g) == 1:
+        return [[1 / g[0][0]]], 1.0
+    det_g = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+    tr = float(g[0][0] + g[1][1])
+    lam = 0.5 * (tr + math.sqrt(max(tr * tr - 4.0 * float(det_g), 0.0)))
+    inv = [[g[1][1] / det_g, -g[0][1] / det_g], [-g[1][0] / det_g, g[0][0] / det_g]]
+    return inv, lam * lam / float(det_g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(FAMILIES)), kind=st.sampled_from(["gqls", "oqls"]),
+       mode=st.sampled_from(list(ParamMode)), a=st.floats(1e-4, 0.97),
+       log_width=st.floats(-8.0, -0.5), k=st.integers(2, 80))
+def test_closed_form_inverse_matches_an_exact_rational_inverse(name, kind, mode, a,
+                                                               log_width, k):
+    # narrow grids make the two design columns nearly proportional: the
+    # error bound grows with the condition number, never past it
+    grid = make_grid(a, min(a + 10.0 ** log_width, 0.99), k)
+    plan = FitPlan.for_family(get_family(name), grid, kind)
+    cols = estimators._MODE_COLS.get(mode, slice(None))
+    gram = plan.gram[cols, cols]
+    try:
+        ginv = estimators._solve("gqls", plan.xm[cols], gram, None, None)[1]
+    except RankDeficient:
+        return
+    assert ginv.tobytes() == ginv.T.tobytes()
+    exact, cond = _exact_inverse(gram)
+    scale = max(abs(v) for row in exact for v in row)
+    err = max(abs(Fraction(float(ginv[i, j])) - exact[i][j])
+              for i in range(len(exact)) for j in range(len(exact)))
+    assert float(err / scale) <= 8.0 * cond * estimators._EPS, (grid.levels, cond)
+
+
+_COSINES = st.one_of(
+    st.floats(-1.25, 1.25),
+    st.builds(lambda sign, e: sign * (1.0 - 10.0 ** e), st.sampled_from([-1.0, 1.0]),
+              st.floats(-17.0, -8.0)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(e00=st.floats(-40.0, 40.0), e11=st.floats(-40.0, 40.0), c=_COSINES,
+       k=st.integers(2, 500))
+def test_rank_decision_matches_the_equilibrated_cholesky(e00, e11, c, k):
+    # the closed-form pivot 1 - g01^2 / (g00 g11) against LAPACK's Cholesky
+    # of the equilibrated Gram (the path a wider design still takes), both
+    # at the tolerance k * m * eps, wherever the exact pivot is not within
+    # rounding of it
+    g00, g11 = 10.0 ** e00, 10.0 ** e11
+    g01 = c * math.sqrt(g00) * math.sqrt(g11)
+    gram = np.array([[g00, g01], [g01, g11]])
+    tol = 2 * k * estimators._EPS
+    pivot = 1 - Fraction(g01) ** 2 / (Fraction(g00) * Fraction(g11))
+    if abs(pivot - Fraction(tol)) <= 16 * Fraction(estimators._EPS):
+        return
+    decisions = []
+    for inverse in (estimators._inverse_2x2, estimators._inverse_lapack):
+        try:
+            inverse(gram, tol)
+            decisions.append(False)
+        except RankDeficient:
+            decisions.append(True)
+    assert decisions[0] == decisions[1] == (pivot <= tol), (gram, float(pivot))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 1)])
+def test_non_finite_gram_raises_rank_deficient(where, bad):
+    gram = np.array([[2.0, 0.5], [0.5, 3.0]])
+    gram[where] = gram[where[::-1]] = bad
+    with pytest.raises(RankDeficient):
+        estimators._solve("gqls", np.ones((2, 5)), gram, None, None)
+    x = X.copy()
+    x[3, where[1]] = bad
+    with pytest.raises(RankDeficient):  # X'X of a non-finite caller design
+        qls_weights("oqls", x, S)
+
+
+@pytest.mark.parametrize("diag", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_non_positive_or_non_finite_diagonal_raises_rank_deficient(diag):
+    for gram in ([[diag]], [[diag, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, diag]]):
+        gram = np.array(gram)
+        with pytest.raises(RankDeficient):
+            estimators._solve("gqls", np.ones((gram.shape[0], 5)), gram, None, None)
+
+
+def test_import_leaves_scipy_linalg_unloaded_until_a_dense_solve():
+    # only a caller-supplied S is solved against with scipy.linalg; the
+    # family paths and importing the package never load it
+    src = str(Path(estimators.__file__).resolve().parents[1])
+    code = (
+        "import sys, numpy as np, qls\n"
+        "from qls.quantiles import design_matrix, sigma_star, make_grid\n"
+        "print('scipy.linalg' in sys.modules)\n"
+        "fam, grid = qls.get_family('normal'), qls.make_grid(0.05, 0.95, 25)\n"
+        "data = fam.sample(qls.Params(0.0, 1.0), 500, np.random.default_rng(5))\n"
+        "qls.fit_sample(data, fam, grid); qls.are('oqls', fam, grid)\n"
+        "qls.bootstrap_pvalue(data, fam, grid, B=5, seed=1)\n"
+        "print('scipy.linalg' in sys.modules)\n"
+        "fit = qls.fit_gqls(qls.empirical_quantiles(data, grid), design_matrix(fam, grid),\n"
+        "                   sigma_star(fam, grid))\n"
+        "print('scipy.linalg' in sys.modules)\n"
+        "print(np.array([fit.mu, fit.sigma, *fit.asy_cov.ravel()]).tobytes().hex())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    before, after_family, after_dense, fit_hex = out.stdout.split()
+    assert (before, after_family, after_dense) == ("False", "False", "True")
+    import scipy.linalg
+
+    data = NORMAL.sample(Params(0.0, 1.0), 500, np.random.default_rng(5))
+    fit = fit_gqls(empirical_quantiles(data, GRID), X, S)
+    assert np.array([fit.mu, fit.sigma, *fit.asy_cov.ravel()]).tobytes().hex() == fit_hex
+    # the solve against S is scipy's cho_solve on the Cholesky factor, as before
+    plan = FitPlan.from_matrices("gqls", X, S)
+    want = scipy.linalg.cho_solve((np.linalg.cholesky(S), True), X).T
+    assert plan.xm.tobytes() == want.tobytes()
+
+
 def test_asymptotic_cov_formulas():
     # location-only scalar case: cov = sigma^2 * c / n for X = 1, S = [c]
     ones = np.ones((1, 1))

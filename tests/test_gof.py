@@ -8,6 +8,10 @@ from scipy import integrate, stats
 
 from qls import quantiles
 from qls.errors import (
+    WARN_DEGENERATE_GRID,
+    WARN_RANK_CLAMPED,
+    WARN_SCALE_UNDERFLOW,
+    WARN_TIED_QUANTILES,
     BootstrapDegenerate,
     InsufficientDof,
     InvalidGrid,
@@ -370,6 +374,39 @@ def test_bootstrap_rejects_wrong_model():
 def test_bootstrap_requires_positive_scale():
     with pytest.raises(NonPositiveScale):
         bootstrap_pvalue(np.zeros(100), NORMAL, GRID, B=10, seed=0)
+
+
+def test_w_test_carries_the_response_and_fit_tags():
+    _, y, fit = normal_fit()
+    assert w_test(y, X, S, fit).warnings == ()
+    y_few = empirical_quantiles([0.3, -1.2, 0.8, 2.1, -0.4], GRID)
+    fit_few = fit_gqls(y_few, X, S)
+    assert w_test(y_few, X, S, fit_few).warnings == (WARN_RANK_CLAMPED, WARN_DEGENERATE_GRID)
+    assert w_test(y_few, X, S, fit).warnings == (WARN_RANK_CLAMPED, WARN_DEGENERATE_GRID)
+    # bare values carry no tags of their own; the fit's still reach the result
+    assert w_test(y_few.values, X, S, fit_few, n=5).warnings == fit_few.warnings
+    tiny = NORMAL.sample(Params(), 200, np.random.default_rng(1)) * 1e-310
+    y_tiny = empirical_quantiles(tiny, GRID)
+    assert w_test(y_tiny, X, S, fit_gqls(y_tiny, X, S)).warnings == (WARN_SCALE_UNDERFLOW,)
+
+
+def test_bootstrap_carries_the_tags_of_both_level_sets():
+    data = NORMAL.sample(Params(), 1000, np.random.default_rng(4))
+    assert bootstrap_pvalue(data, NORMAL, GRID, B=20, seed=1).warnings == ()
+    # at n = 60 only the out-levels, from 0.01, clamp their first rank
+    sixty = data[:60]
+    assert empirical_quantiles(sixty, GRID).warnings == ()
+    res = bootstrap_pvalue(sixty, NORMAL, GRID, B=20, seed=1)
+    assert res.warnings == (WARN_RANK_CLAMPED,)
+    # the lowest 30 values tied: out-levels 0.01 and 0.03 read one value,
+    # the estimation levels (from 0.05, rank 50) see no tie
+    tied = np.sort(data)
+    tied[:30] = tied[0]
+    assert empirical_quantiles(tied, GRID).warnings == ()
+    assert bootstrap_pvalue(tied, NORMAL, GRID, B=20, seed=1).warnings == (WARN_TIED_QUANTILES,)
+    tiny = data[:200] * 1e-310
+    assert bootstrap_pvalue(tiny, NORMAL, GRID, B=20, seed=1).warnings == (
+        WARN_SCALE_UNDERFLOW,)
 
 
 _JOINT_FAMILIES = ("cauchy", "gumbel", "laplace", "logistic", "normal")

@@ -506,15 +506,16 @@ def _engine_and_reference(cfg, monkeypatch):
 
 
 def _both_workers(work):
-    """``work`` wrapped so that the caller's first block waits until the
-    helper has taken one: both workers then run at least one block."""
-    helper_ran = threading.Event()
+    """``work`` wrapped so that each worker's first block waits at a
+    two-party barrier: both workers hold a block before either one runs
+    ``work``, so each runs at least one block whichever raises first."""
+    barrier = threading.Barrier(2, timeout=30)
+    started = threading.local()
 
     def wrapped(reps, block):
-        if threading.current_thread() is threading.main_thread():
-            assert helper_ran.wait(timeout=30), "the helper took no block"
-        else:
-            helper_ran.set()
+        if not getattr(started, "value", False):
+            started.value = True
+            barrier.wait()
         work(reps, block)
 
     return wrapped
