@@ -8,11 +8,10 @@ range of contamination levels and writes per-estimator summaries
 Usage: python scripts/contamination_study.py --family normal --n 1000 \
            --m 2000 --out results/contamination_normal.csv
 """
-import argparse
 import csv
 import pathlib
 
-from qls.cli import warn_threads_ignored
+from qls.cli import _Parser
 from qls.families import Params, get_family
 from qls.quantiles import make_grid
 from qls.simulate import ContaminationSpec, EstimatorSpec, McConfig, run_mc
@@ -22,19 +21,15 @@ EPSILONS = [0.0, 0.03, 0.05, 0.08]
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = _Parser(description=__doc__)  # usage errors exit 1, as in qls
     parser.add_argument("--family", default="normal")
     parser.add_argument("--contaminant", default="normal",
                         help="normal or exponential, located at 1 with scale 3")
     parser.add_argument("--n", type=int, default=1000)
     parser.add_argument("--m", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=20240817)
-    parser.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility; has no effect")
     parser.add_argument("--out", default="results/contamination.csv")
     args = parser.parse_args()
-    if args.threads is not None:
-        warn_threads_ignored(args.threads)
 
     base = get_family(args.family)
     contaminant = get_family(args.contaminant)

@@ -4,9 +4,6 @@ Subcommands: fit, gof, are, influence, simulate, bench.  Exit codes: 0 on
 success, 1 for usage errors, 2 for input/parse failures, 3 for numeric or
 estimation failures.  Output goes to stdout (or --out) as text, JSON, or
 CSV; runs that consume randomness take --seed and are fully reproducible.
-simulate still accepts --threads and the QLS_THREADS environment variable,
-but neither has an effect (it says so on stderr): on the batch engine the
-caller and one helper thread take whole blocks.
 """
 from __future__ import annotations
 
@@ -14,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -358,14 +354,6 @@ def _study_from_config(cfg: dict, seed_override: int | None):
     raise DomainError(f"unknown study kind {kind!r}")
 
 
-def warn_threads_ignored(threads) -> None:
-    """The one stderr line for a thread count given to a study: on the batch
-    engine the caller and one helper thread take whole blocks whatever the
-    count."""
-    print(f"warning: threads={threads} has no effect: the caller and one helper "
-          "thread take whole blocks", file=sys.stderr)
-
-
 def _cmd_simulate(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -374,9 +362,6 @@ def _cmd_simulate(args) -> int:
         raise InputError(f"cannot read {args.config}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{args.config}: invalid JSON: {exc}") from exc
-    threads = args.threads if args.threads is not None else os.environ.get("QLS_THREADS")
-    if threads is not None:
-        warn_threads_ignored(threads)
     rows, warnings = _study_from_config(cfg, args.seed)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -469,9 +454,6 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--seed", type=_seed_arg, default=None,
                        help="override the config seed")
-    p_sim.add_argument("--threads", type=int, default=None,
-                       help="accepted for compatibility; has no effect "
-                            "(nor has QLS_THREADS)")
     for flag, kw in common.items():
         p_sim.add_argument(flag, **{**kw, **({"default": "csv"} if flag == "--format" else {})})
     p_sim.set_defaults(func=_cmd_simulate)

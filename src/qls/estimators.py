@@ -45,7 +45,7 @@ from .errors import (
     Unavailable,
 )
 from .families import FAMILIES, Family, ParamMode, Params
-from .linalg import SpdFactor, row_products, solve_spd, spd_factorize
+from .linalg import SpdFactor, solve_spd, spd_factorize
 from .quantiles import (
     QuantileGrid,
     QuantileResponse,
@@ -265,10 +265,18 @@ def _sandwich(spacing, w: np.ndarray) -> np.ndarray:
     return cov
 
 
+def _row_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sums of a * b over the last axis.  The products go into a fresh
+    C-contiguous buffer, so numpy's pairwise sum runs along each row in an
+    order fixed by the row length alone: a row's sums are the same bits
+    alone and in any block, whatever the memory order of a and b."""
+    return np.multiply(a, b, order="C").sum(axis=-1)
+
+
 def _fitted(beta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """X beta for each row of beta, one vector op per design column in
-    column order: the same bits as ``row_products(beta, x)``, whose running
-    sum would go over the short parameter axis once per (row, level)."""
+    column order: each entry sums its m products left to right, whatever
+    the number of rows."""
     out = beta[:, :1] * x[:, 0]
     for j in range(1, x.shape[1]):
         out += beta[:, j:j + 1] * x[:, j]
@@ -290,11 +298,11 @@ class FitPlan:
     single-parameter mode uses its sub-block of the Gram.
 
     ``solve`` and ``w_statistics`` work on a batch of responses, one per
-    row, and every other fit or statistic goes through them.  Their sums run
-    in an order fixed by the row alone (``linalg.row_products``, the fitted
-    values one design column at a time, and numpy's pairwise sum along each
-    C-contiguous row in ``quad``), so a row's result is the same bits
-    whichever batch it is in.
+    row, and every other fit or statistic goes through them.  Each sum over
+    the levels is numpy's pairwise sum along a row of a fresh C-contiguous
+    buffer (``_row_sums``; the squared spacing terms in ``quad``), whose
+    order depends on the row length alone, so a row's result is the same
+    bits whichever batch it is in.
 
     A QuantileGrid or OutGrid keeps each family plan built on it, keyed by
     (family, kind), with every array read-only, so ``for_family`` builds it
@@ -348,9 +356,15 @@ class FitPlan:
     @classmethod
     def from_matrices(cls, kind: str, x, sigma_star_mat) -> FitPlan:
         """Plan for a caller-supplied design and quantile covariance; the one
-        place where S is factorized (gQLS solves against it)."""
+        place where S is factorized (gQLS solves against it).  A design with
+        a non-finite entry raises RankDeficient, an S with one
+        NotPositiveDefinite."""
         x = np.asarray(x, dtype=float)
         s = None if sigma_star_mat is None else np.asarray(sigma_star_mat, dtype=float)
+        if not np.isfinite(x).all():
+            raise RankDeficient("design is rank deficient: it has non-finite entries")
+        if s is not None and not np.isfinite(s).all():
+            raise NotPositiveDefinite("quantile covariance has non-finite entries")
         if kind == "oqls":
             return cls._build(kind, x, x.T, sigma=s)
         if kind != "gqls":
@@ -391,7 +405,8 @@ class FitPlan:
         """beta for each row of y (rows x k quantile values): a rows x m
         array over the parameters the mode estimates, (mu, sigma) jointly."""
         w = self.solver(mode)[0]
-        return row_products(_absorb_known(y, self.x, mode, known_mu, known_sigma), w)
+        y = _absorb_known(y, self.x, mode, known_mu, known_sigma)
+        return _row_sums(y[:, None, :], w)
 
     def fit(self, y, mode: ParamMode = ParamMode.LOCATION_SCALE, *, n: int | None = None,
             known_mu: float = 0.0, known_sigma: float = 1.0) -> QlsFit:
@@ -410,18 +425,16 @@ class FitPlan:
                       warnings=warns + scale_warn)
 
     def quad(self, e: np.ndarray) -> np.ndarray:
-        """The quadratic form e' P e of each row of e; for a family plan the
+        """The quadratic form e' P e of each row of e: for a family plan the
         sum sum_j Delta(e)_j^2 / d_j over the k + 1 spacings, squared and
-        scaled in place and summed along each C-contiguous row (numpy's
-        pairwise sum, whose order depends on the row length alone)."""
+        scaled in place in a fresh buffer, else the row sums of e * S^-1 e."""
         if self.spacing is not None:
             _, d, f = self.spacing
             de = _level_diffs(f, e)
             de *= de
             de *= 1.0 / d
             return de.sum(axis=1)
-        pe = solve_spd(self.factor, e.T).T
-        return row_products(e * pe, np.ones((1, e.shape[1])))[:, 0]
+        return _row_sums(e, solve_spd(self.factor, e.T).T)
 
     def w_statistics(self, y: np.ndarray, beta: np.ndarray, n: int) -> np.ndarray:
         """n e' P e for each row, with e = (y - X beta) / sigma and

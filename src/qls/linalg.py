@@ -8,9 +8,6 @@ efficiency tables.  What is left here serves a quantile covariance S
 supplied by the caller: Cholesky on the SPD path (which doubles as a
 definiteness certificate) and the solve against it, whose ``scipy.linalg``
 is imported on first use, plus a determinant of a general square matrix.
-Products that fit many replicate rows at once use ``row_products``, which
-sums over the k levels in a fixed order, so a row's result does not depend
-on how many rows share the call.
 """
 from __future__ import annotations
 
@@ -25,7 +22,6 @@ __all__ = [
     "spd_factorize",
     "solve_spd",
     "det",
-    "row_products",
 ]
 
 _EPS = float(np.finfo(float).eps)
@@ -99,13 +95,3 @@ def det(m) -> float:
         raise DimensionMismatch(f"expected square matrix, got {a.shape}")
     return float(np.linalg.det(a))
 
-
-def row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b.T for a (rows x k) and b (m x k), each sum taken left to right.
-
-    Every entry adds its k products in the order 0..k-1: a running sum
-    (``cumsum``) has no other order.  A BLAS product or a pairwise reduction
-    may order the sum differently for one row than for many, which would make
-    a replicate's result depend on the size of its batch.
-    """
-    return np.cumsum(a[:, None, :] * b[None, :, :], axis=2)[:, :, -1]

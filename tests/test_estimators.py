@@ -276,6 +276,30 @@ def test_non_finite_gram_raises_rank_deficient(where, bad):
         qls_weights("oqls", x, S)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", ["oqls", "gqls"])
+def test_non_finite_caller_design_raises_rank_deficient(kind, bad):
+    x = X.copy()
+    x[3, 1] = bad
+    fit = fit_gqls if kind == "gqls" else fit_oqls
+    for call in (lambda: qls_weights(kind, x, S), lambda: asymptotic_cov(kind, x, S, 1.0, 100),
+                 lambda: fit(X[:, 1], x, S, n=100)):
+        with pytest.raises(RankDeficient):
+            call()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", ["oqls", "gqls"])
+def test_non_finite_caller_covariance_raises_not_positive_definite(kind, bad):
+    s = S.copy()
+    s[0, 0] = bad
+    fit = fit_gqls if kind == "gqls" else fit_oqls
+    for call in (lambda: qls_weights(kind, X, s), lambda: asymptotic_cov(kind, X, s, 1.0, 100),
+                 lambda: fit(X[:, 1], X, s, n=100)):
+        with pytest.raises(NotPositiveDefinite):
+            call()
+
+
 @pytest.mark.parametrize("diag", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_non_positive_or_non_finite_diagonal_raises_rank_deficient(diag):
     for gram in ([[diag]], [[diag, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, diag]]):
@@ -477,12 +501,26 @@ def test_spacing_kernels_match_exact_sums(name, bounds):
     assert _max_rel(cov, exact_cov) <= 1e-13
 
 
-def test_fitted_values_are_the_bits_of_row_products():
+def _left_to_right(beta, x):
+    # each entry of X beta as a sum of Python floats over the columns, in order
+    out = []
+    for b in beta.tolist():
+        row = []
+        for xi in x.tolist():
+            acc = b[0] * xi[0]
+            for bj, xj in zip(b[1:], xi[1:]):
+                acc += bj * xj
+            row.append(acc)
+        out.append(row)
+    return np.array(out)
+
+
+def test_fitted_values_are_the_bits_of_a_left_to_right_sum():
     rng = np.random.default_rng(8)
     for k, m in ((25, 2), (50, 2), (7, 1), (9, 3)):
         x = rng.standard_normal((k, m)) * 10.0 ** rng.integers(-8, 8, (1, m))
         beta = rng.standard_normal((174, m)) * 10.0 ** rng.integers(-5, 5, (174, 1))
-        assert estimators._fitted(beta, x).tobytes() == linalg.row_products(beta, x).tobytes()
+        assert estimators._fitted(beta, x).tobytes() == _left_to_right(beta, x).tobytes()
 
 
 @pytest.mark.parametrize("name", ["normal", "logistic", "cauchy"])
@@ -502,6 +540,54 @@ def test_plan_kernels_give_a_row_the_same_bytes_alone_and_in_a_block(name):
             assert one.tobytes() == beta[i:i + 1].tobytes()
             assert estimators._fitted(one, plan.x).tobytes() == fitted[i:i + 1].tobytes()
             assert plan.w_statistics(y[i:i + 1], one, 400).tobytes() == stats[i:i + 1].tobytes()
+
+
+def _same_rows_alone_and_in_blocks(kernel, *args):
+    # kernel(*args) on the whole block, on each of three rows alone and on a
+    # block around each, from C- and F-ordered copies of the arguments
+    rows = args[0].shape[0]
+    whole = kernel(*args)
+    for order in (np.ascontiguousarray, np.asfortranarray):
+        ordered = [order(a) for a in args]
+        assert kernel(*ordered).tobytes() == whole.tobytes()
+        for i in (0, rows // 2, rows - 1):
+            for lo, hi in ((i, i + 1), (max(i - 3, 0), i + 5)):
+                part = kernel(*[a[lo:hi] for a in ordered])
+                assert part.tobytes() == whole[lo:hi].tobytes()
+    return whole
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 8, 9, 25, 128, 129, 200])
+@pytest.mark.parametrize("kind", ["oqls", "gqls"])
+def test_row_sums_give_a_row_the_same_bytes_alone_and_in_a_block(kind, k):
+    # FitPlan.solve on family and dense plans in every mode, W on both and the
+    # dense quad: pairwise row sums of a fresh C-contiguous buffer, so no
+    # row's bits depend on its block or on the memory order of the input
+    rng = np.random.default_rng(k)
+    fam, grid = get_family("logistic"), make_grid(0.05, 0.95, k)
+    plans = [FitPlan.for_family(fam, grid, kind),
+             FitPlan.from_matrices(kind, design_matrix(fam, grid), sigma_star(fam, grid))]
+    x = plans[0].x
+    scale = 10.0 ** rng.uniform(-3, 3, (131, 1))
+    y = (0.3 + x[:, 1] + 0.2 * rng.standard_normal((131, k))) * scale
+    for plan in plans:
+        for mode in ParamMode:
+            _same_rows_alone_and_in_blocks(
+                lambda yy: plan.solve(yy, mode, known_mu=0.3, known_sigma=1.0), y)
+    for plan in plans if kind == "gqls" else plans[:1]:
+        beta = plan.solve(y)
+        _same_rows_alone_and_in_blocks(lambda yy, bb: plan.w_statistics(yy, bb, 400), y, beta)
+    if kind == "gqls":
+        e = y - estimators._fitted(plans[1].solve(y), x)
+        quad = _same_rows_alone_and_in_blocks(plans[1].quad, e)
+        assert np.allclose(quad, np.einsum("ri,ij,rj->r", e, np.linalg.inv(plans[1].sigma), e),
+                           rtol=1e-9)
+    # the row sums themselves, over widely scaled products
+    a = rng.standard_normal((131, k)) * 10.0 ** rng.uniform(-3, 3, (131, k))
+    w = rng.standard_normal((2, k))
+    out = _same_rows_alone_and_in_blocks(
+        lambda aa: estimators._row_sums(aa[:, None, :], w), a)
+    assert np.allclose(out, a @ w.T, rtol=1e-12, atol=1e-12 * np.abs(a).max())
 
 
 def _plan_arrays(plan):
