@@ -472,7 +472,8 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 SCRIPT_ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
 
 
-def test_threads_is_a_usage_error_and_qls_threads_is_not_read(capsys, tmp_path, monkeypatch):
+def test_simulate_threads_env_default(capsys, tmp_path, monkeypatch):
+    # QLS_THREADS is not read and --threads is a usage error
     cfg = {"study": "mc", "family": "normal", "n": 100, "M": 16, "seed": 8,
            "estimators": [{"method": "gqls"}]}
     path = tmp_path / "s.json"
@@ -486,6 +487,10 @@ def test_threads_is_a_usage_error_and_qls_threads_is_not_read(capsys, tmp_path, 
     code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--threads", "2")
     assert code == 1 and out == ""
     assert err.startswith("usage: ") and "unrecognized arguments: --threads 2" in err
+
+
+def test_contamination_study_threads_only_warns(tmp_path):
+    # --threads, once accepted with a warning, is now a usage error
     proc = subprocess.run([sys.executable, str(SCRIPTS / "contamination_study.py"),
                            "--threads", "3", "--out", str(tmp_path / "study.csv")],
                           capture_output=True, env=SCRIPT_ENV, timeout=300)
