@@ -5,10 +5,10 @@ cells over a wide k range.
 
 Usage: python scripts/are_tables.py [--outdir results]
 """
-import argparse
 import csv
 import pathlib
 
+from qls.cli import _Parser
 from qls.efficiency import are_table
 from qls.families import ParamMode, get_family
 from qls.quantiles import make_grid
@@ -28,7 +28,7 @@ def write_rows(path, rows):
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = _Parser(description=__doc__)  # usage errors exit 1, as in qls
     parser.add_argument("--outdir", default="results")
     args = parser.parse_args()
     outdir = pathlib.Path(args.outdir)

@@ -6,10 +6,10 @@ paired points straddling every jump so the step geometry plots faithfully.
 
 Usage: python scripts/influence_curves.py --outdir results/influence
 """
-import argparse
 import csv
 import pathlib
 
+from qls.cli import _Parser
 from qls.families import Params, get_family
 from qls.quantiles import make_grid
 from qls.robustness import influence_curve
@@ -31,7 +31,7 @@ def export(fam_name, kind, grid, x_range, outdir):
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = _Parser(description=__doc__)  # usage errors exit 1, as in qls
     parser.add_argument("--outdir", default="results/influence")
     args = parser.parse_args()
     outdir = pathlib.Path(args.outdir)

@@ -8,11 +8,11 @@ bootstrap-calibrated out-of-sample test.
 Usage: python scripts/power_study.py --test w --n 1000 --m 2000
        python scripts/power_study.py --test wout --n 100 --m 300 --B 300
 """
-import argparse
 import csv
 import pathlib
 import sys
 
+from qls.cli import _Parser
 from qls.families import Params, get_family
 from qls.quantiles import make_grid
 from qls.simulate import ContaminationSpec, run_power_study
@@ -33,7 +33,7 @@ def generators():
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = _Parser(description=__doc__)  # usage errors exit 1, as in qls
     parser.add_argument("--test", choices=("w", "wout"), default="w")
     parser.add_argument("--n", type=int, default=1000)
     parser.add_argument("--m", type=int, default=2000)

@@ -8,10 +8,10 @@ hand-made tables.
 
 Usage: python scripts/timing_bench.py --sizes 1e6,1e7 --repeats 3
 """
-import argparse
 import csv
 import pathlib
 
+from qls.cli import _Parser
 from qls.families import get_family
 from qls.simulate import run_timing
 
@@ -19,7 +19,7 @@ FAMILIES = ["cauchy", "exponential", "laplace", "levy", "logistic", "normal"]
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = _Parser(description=__doc__)  # usage errors exit 1, as in qls
     parser.add_argument("--families", default=",".join(FAMILIES))
     parser.add_argument("--methods", default="mle,oqls,gqls")
     parser.add_argument("--sizes", default="1e6,1e7")

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     WARN_NON_POSITIVE_SCALE,
@@ -536,7 +535,8 @@ def _logistic_ll(theta, x):
 def _logistic_score(theta, x):
     mu, s = theta
     z = (x - mu) / s
-    f = special.expit(z)
+    import scipy.special  # costly to import; only the logistic MLE needs it here
+    f = scipy.special.expit(z)
     smu = (2.0 * float(np.sum(f)) - x.size) / s
     ssi = (float(np.sum(z * (2.0 * f - 1.0))) - x.size) / s
     return np.array([smu, ssi])

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     WARN_TIED_QUANTILES,
@@ -115,7 +114,8 @@ def chi2_sf(x: float, dof: int) -> float:
         raise ValueError("statistic must be nonnegative")
     if dof < 1:
         raise ValueError("degrees of freedom must be >= 1")
-    return float(special.gammaincc(dof / 2.0, x / 2.0))
+    import scipy.special  # costly to import; the W_out bootstrap never needs it
+    return float(scipy.special.gammaincc(dof / 2.0, x / 2.0))
 
 
 def _observed(plan: FitPlan, y: np.ndarray, beta, n: int, what: str) -> float:
@@ -234,7 +234,8 @@ def w_pvalues(plan: FitPlan, y: np.ndarray, n: int) -> np.ndarray:
     ok = beta[:, 1] > 0
     stats[ok] = plan.w_statistics(y[ok], beta[ok], n)
     stats[~np.isfinite(stats)] = np.nan
-    return special.gammaincc((k - 2) / 2.0, stats / 2.0)  # chi2_sf of each row
+    import scipy.special
+    return scipy.special.gammaincc((k - 2) / 2.0, stats / 2.0)  # chi2_sf of each row
 
 
 # The last word of every bootstrap generator's key, [seed, _BOOTSTRAP_KEY].

@@ -508,6 +508,17 @@ def test_every_script_prints_its_help(script):
     assert proc.stdout.startswith(b"usage: ")
 
 
+@pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.py")))
+def test_every_script_usage_error_exits_1(script, tmp_path):
+    # exit 1 as in qls, whose exit 2 means unreadable input; nothing is written
+    proc = subprocess.run([sys.executable, str(SCRIPTS / script), "--bogus"],
+                          capture_output=True, env=SCRIPT_ENV, timeout=120, cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr.decode()
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"usage: ") and b"unrecognized arguments: --bogus" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bench_csv(capsys):
     code, out, _ = run_cli(capsys, "bench", "--families", "normal",
                            "--methods", "gqls", "--sizes", "5000,10000",

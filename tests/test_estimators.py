@@ -341,6 +341,56 @@ def test_import_leaves_scipy_linalg_unloaded_until_a_dense_solve():
     assert plan.xm.tobytes() == want.tobytes()
 
 
+# fits, ARE cells and W_out bootstraps on the families whose kernels are numpy
+_NUMPY_FAMILY_CALLS = (
+    "def family_values(qls, np):\n"
+    "    grid, out = qls.make_grid(0.05, 0.95, 25), []\n"
+    "    for name in ('logistic', 'cauchy', 'laplace', 'gumbel'):\n"
+    "        fam = qls.get_family(name)\n"
+    "        data = fam.sample(qls.Params(0.0, 1.0), 500, np.random.default_rng(5))\n"
+    "        for kind in ('gqls', 'oqls'):\n"
+    "            fit = qls.fit_sample(data, fam, grid, kind)\n"
+    "            out += [fit.mu, fit.sigma, *fit.asy_cov.ravel(), qls.are(kind, fam, grid).are]\n"
+    "        res = qls.bootstrap_pvalue(data, fam, grid, B=20, seed=1)\n"
+    "        out += [res.statistic, res.p_value]\n"
+    "    return np.array(out).tobytes().hex()\n"
+)
+
+
+def test_import_leaves_scipy_special_unloaded_until_a_path_needs_it():
+    # the logistic, cauchy, laplace and gumbel paths are numpy only; the
+    # normal kernels and the chi-square tail load scipy.special on first use
+    src = str(Path(estimators.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys, numpy as np, qls\n"
+        "print('scipy.special' in sys.modules)\n"
+        "import qls.cli\n"
+        "print('scipy.special' in sys.modules)\n"
+        + _NUMPY_FAMILY_CALLS +
+        "values = family_values(qls, np)\n"
+        "print('scipy.special' in sys.modules)\n"
+        "fam = qls.get_family('normal')\n"
+        "data = fam.sample(qls.Params(0.0, 1.0), 500, np.random.default_rng(5))\n"
+        "qls.fit_sample(data, fam, qls.make_grid(0.05, 0.95, 25))\n"
+        "print('scipy.special' in sys.modules)\n"
+        "print(values)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    *loaded, values_hex = out.stdout.split()
+    assert loaded == ["False", "False", "False", "True"]
+    chi2 = subprocess.run(
+        [sys.executable, "-c", "import sys, qls\n"
+         "print('scipy.special' in sys.modules, qls.chi2_sf(30.0, 23).hex(),"
+         " 'scipy.special' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert chi2.stdout.split() == ["False", qls.chi2_sf(30.0, 23).hex(), "True"]
+    scope = {}
+    exec(_NUMPY_FAMILY_CALLS, scope)
+    assert scope["family_values"](qls, np) == values_hex
+
+
 def test_asymptotic_cov_formulas():
     # location-only scalar case: cov = sigma^2 * c / n for X = 1, S = [c]
     ones = np.ones((1, 1))

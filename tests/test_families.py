@@ -100,6 +100,39 @@ def test_qf_strictly_increasing(name):
     assert np.all(np.diff(fam.qf(u)) > 0)
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="the reference needs an extended long double")
+def test_logistic_qf_is_accurate_monotone_and_exact_at_one_half():
+    fam = get_family("logistic")
+    # 1e5+ levels over [2^-1022, 1 - 2^-53]: uniform, dense at 1/2, both tails
+    rng = np.random.default_rng(15)
+    near_half = 0.5 + np.exp2(-rng.uniform(2.0, 60.0, 30000)) * rng.choice([-1.0, 1.0], 30000)
+    u = np.sort(np.concatenate([
+        rng.random(20000),
+        near_half,
+        np.nextafter(0.5, np.linspace(0.0, 1.0, 9)),
+        np.exp2(-rng.uniform(1.0, 1022.0, 30000)),
+        1.0 - np.exp2(-rng.uniform(1.0, 53.0, 30000)),
+        [2.0 ** -1022, 1.0 - 2.0 ** -53],
+    ]))
+    assert u.size >= 100000 and u[0] == 2.0 ** -1022 and u[-1] == 1.0 - 2.0 ** -53
+    q = fam.qf(u)
+    # extended-precision logit: log1p((2u - 1) / (1 - u)) about 1/2, where
+    # the ratio form loses digits, and log(u / (1 - u)) elsewhere
+    ul = u.astype(np.longdouble)
+    mid = (u > 0.3) & (u < 0.65)
+    ref = np.log(ul / (1 - ul))
+    ref[mid] = np.log1p((2 * ul[mid] - 1) / (1 - ul[mid]))
+    err = np.abs(q.astype(np.longdouble) - ref)
+    ulp = np.spacing(1.0 + np.abs(ref.astype(float)))
+    assert np.all(err <= 2 * ulp), float(np.max(err / ulp))
+    assert fam.qf(0.5) == 0.0
+    assert np.all(np.diff(q) >= 0)
+    for scalar in (0.25, np.float64(0.25), np.asarray(0.25)):
+        out = fam.qf(scalar)
+        assert np.ndim(out) == 0 and isinstance(out, np.float64)
+
+
 def test_fisher_info_values():
     assert np.allclose(get_family("cauchy").fisher_info(), np.diag([0.5, 0.5]))
     assert np.allclose(get_family("laplace").fisher_info(), np.eye(2))
