@@ -143,48 +143,51 @@ def _emit_rows(rows: list[dict], fmt: str, out: str | None) -> None:
         _emit(_rows_to_text(rows), out)
 
 
+def _output_args(p: argparse.ArgumentParser, fmt: str) -> None:
+    p.add_argument("--format", choices=("text", "json", "csv"), default=fmt)
+    p.add_argument("--out", default=None, help="write output to this file")
+
+
 def _grid_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", type=float, default=0.05, help="lowest level (default 0.05)")
     p.add_argument("--b", type=float, default=0.95, help="highest level (default 0.95)")
     p.add_argument("--k", type=int, default=25, help="number of levels (default 25)")
 
 
-def _seed_arg(text: str) -> int:
-    """--seed: a non-negative integer, else a usage error before any work."""
-    try:
-        return check_seed(int(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"seed must be a non-negative integer, got {text!r}") from None
+def _arg_type(parse, expected: str):
+    """An argparse ``type=`` function: ``parse`` of the option's text, and a
+    usage error naming what was expected when it raises ValueError."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (ValueError, OverflowError):
+            raise argparse.ArgumentTypeError(f"{expected}, got {text!r}") from None
+    return convert
 
 
-def _parse_levels(text: str) -> np.ndarray:
-    return np.asarray([float(t) for t in text.split(",") if t.strip()], dtype=float)
+def _positive_int(text: str) -> int:
+    if (value := int(text)) < 1:
+        raise ValueError(text)
+    return value
 
 
 def _parse_k_list(text: str) -> list[int]:
+    """Comma-separated sizes k and ranges lo:hi, both ends included."""
     ks: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ":" in part:
-            lo, hi = part.split(":")
-            ks.extend(range(int(lo), int(hi) + 1))
-        else:
-            ks.append(int(part))
+    for part in filter(str.strip, text.split(",")):
+        lo, sep, hi = part.partition(":")
+        ks.extend(range(int(lo), int(hi if sep else lo) + 1))
     return ks
 
 
-def _parse_grid_pairs(text: str) -> list[tuple[float, float]]:
-    pairs = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        a, b = part.split(":")
-        pairs.append((float(a), float(b)))
-    return pairs
+def _parse_pair(text: str) -> tuple[float, float]:
+    a, b = text.split(":")
+    return float(a), float(b)
+
+
+# --seed: a non-negative integer, else a usage error before any work
+_seed_arg = _arg_type(lambda text: check_seed(int(text)), "seed must be a non-negative integer")
+_count_arg = _arg_type(_positive_int, "expected a positive integer")
 
 
 def _families_arg(text: str) -> list:
@@ -244,8 +247,7 @@ def _gof_one(fam, data, args, grid) -> dict:
         row.update({"test": "w", "statistic": res.statistic, "dof": res.dof,
                     "p_value": res.p_value})
     else:
-        out_grid = gof_mod.make_out_grid(
-            _parse_levels(args.out_levels) if args.out_levels else None)
+        out_grid = gof_mod.make_out_grid(args.out_levels)
         res = gof_mod.bootstrap_pvalue(data, fam, grid, out_grid,
                                        B=args.B, seed=args.seed)
         shown_p = res.p_value if res.p_value > 0 else 1.0 / res.b_replicates
@@ -274,18 +276,12 @@ def _cmd_gof(args) -> int:
 
 def _cmd_are(args) -> int:
     fams = _families_arg(args.families)
-    grids = []
-    for a, b in _parse_grid_pairs(args.grids):
-        for k in _parse_k_list(args.k):
-            grids.append(make_grid(a, b, k))
+    grids = [make_grid(a, b, k) for a, b in args.grids for k in args.k]
     modes = [parse_mode(t) for t in args.modes.split(",") if t.strip()]
-    rows = []
-    for res in are_table(args.kind, fams, grids, modes):
-        rows.append({
-            "family": res.family, "kind": res.kind, "mode": res.mode.value,
-            "a": res.a, "b": res.b, "k": res.k,
-            "are": "NA" if res.are is None else f"{res.are:.6f}",
-        })
+    rows = [{"family": res.family, "kind": res.kind, "mode": res.mode.value,
+             "a": res.a, "b": res.b, "k": res.k,
+             "are": "NA" if res.are is None else f"{res.are:.6f}"}
+            for res in are_table(args.kind, fams, grids, modes)]
     _emit_rows(rows, args.format, args.out)
     return EXIT_OK
 
@@ -293,26 +289,36 @@ def _cmd_are(args) -> int:
 def _cmd_influence(args) -> int:
     fam = get_family(args.family)
     grid = make_grid(args.a, args.b, args.k)
-    lo, hi = (float(t) for t in args.range.split(":"))
     curve = influence_curve(args.kind, fam, Params(args.mu, args.sigma), grid,
-                            (lo, hi), points=args.points)
+                            args.range, points=args.points)
     rows = [{"x": float(x), "if_mu": float(m), "if_sigma": float(s)}
             for x, m, s in zip(curve.x, curve.if_mu, curve.if_sigma)]
     _emit_rows(rows, "csv" if args.format == "text" else args.format, args.out)
     return EXIT_OK
 
 
+def _required(cfg: dict, key: str):
+    """A key the study config must give; an input error when it is missing."""
+    if key not in cfg:
+        raise InputError(f"study config has no {key!r}")
+    return cfg[key]
+
+
+def _config_grid(cfg: dict):
+    return make_grid(float(cfg.get("a", 0.05)), float(cfg.get("b", 0.95)), int(cfg.get("k", 25)))
+
+
 def _study_from_config(cfg: dict, seed_override: int | None):
     """The study's output rows and its warning lines.  A config seed must be
     a JSON integer; the library refuses any other as InvalidSeed."""
     seed = cfg.get("seed", 0) if seed_override is None else seed_override
-    base = get_family(cfg["family"])
+    base = get_family(_required(cfg, "family"))
     base_params = Params(float(cfg.get("mu", 0.0)), float(cfg.get("sigma", 1.0)))
     cont = cfg.get("contaminant")
     if cont:
         spec = ContaminationSpec(
             base_family=base, base_params=base_params,
-            contaminant_family=get_family(cont["family"]),
+            contaminant_family=get_family(_required(cont, "family")),
             contaminant_params=Params(float(cont.get("mu", 0.0)),
                                       float(cont.get("sigma", 1.0))),
             epsilon=float(cont.get("epsilon", 0.0)),
@@ -323,29 +329,24 @@ def _study_from_config(cfg: dict, seed_override: int | None):
     kind = cfg.get("study", "mc")
     if kind == "mc":
         estimators = []
-        for e in cfg["estimators"]:
-            method = e["method"]
-            grid = None
-            if method != "mle":
-                grid = make_grid(float(e.get("a", 0.05)), float(e.get("b", 0.95)),
-                                 int(e.get("k", 25)))
+        for e in _required(cfg, "estimators"):
+            method = _required(e, "method")
             estimators.append(EstimatorSpec(
-                method=method, grid=grid,
+                method=method, grid=None if method == "mle" else _config_grid(e),
                 mode=parse_mode(e.get("mode", "loc-scale")),
                 known_mu=float(e.get("known_mu", 0.0)),
                 known_sigma=float(e.get("known_sigma", 1.0)),
             ))
-        config = McConfig(spec=spec, n=int(cfg["n"]), m=int(cfg["M"]),
+        config = McConfig(spec=spec, n=int(_required(cfg, "n")), m=int(_required(cfg, "M")),
                           estimators=tuple(estimators), seed=seed)
         summary = run_mc(config)
         return summary.as_rows(), [f"{label}: {tag}" for label, tags in summary.warnings.items()
                                    for tag in tags]
     if kind == "power":
-        h0 = [get_family(name) for name in cfg["h0_families"]]
-        grids = [make_grid(float(g.get("a", 0.05)), float(g.get("b", 0.95)),
-                           int(g.get("k", 25))) for g in cfg.get("grids", [{}])]
+        h0 = [get_family(name) for name in _required(cfg, "h0_families")]
+        grids = [_config_grid(g) for g in cfg.get("grids", [{}])]
         cells = run_power_study(
-            h0, [spec], grids, n=int(cfg["n"]), m=int(cfg["M"]),
+            h0, [spec], grids, n=int(_required(cfg, "n")), m=int(_required(cfg, "M")),
             alpha=float(cfg.get("alpha", 0.05)), test=cfg.get("test", "w"),
             B=int(cfg.get("B", 1000)), seed=seed,
         )
@@ -371,11 +372,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_bench(args) -> int:
     fams = _families_arg(args.families)
-    sizes = [int(float(t)) for t in args.sizes.split(",") if t.strip()]
-    if sorted(sizes) != sizes:
+    if sorted(args.sizes) != args.sizes:
         raise InvalidGrid("sizes must be ascending")
     methods = [t.strip() for t in args.methods.split(",") if t.strip()]
-    rows = run_timing(fams, methods, sizes, repeats=args.repeats,
+    rows = run_timing(fams, methods, args.sizes, repeats=args.repeats,
                       grid=make_grid(args.a, args.b, args.k),
                       timeout=args.timeout, seed=args.seed)
     out_rows = [{
@@ -398,8 +398,6 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = {"--format": dict(choices=("text", "json", "csv"), default="text"),
-              "--out": dict(default=None, help="write output to this file")}
 
     p_fit = sub.add_parser("fit", help="estimate location/scale from a data file")
     p_fit.add_argument("--family", required=True)
@@ -409,8 +407,7 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--mode", default="loc-scale")
     p_fit.add_argument("--known-mu", dest="known_mu", type=float, default=0.0)
     p_fit.add_argument("--known-sigma", dest="known_sigma", type=float, default=1.0)
-    for flag, kw in common.items():
-        p_fit.add_argument(flag, **kw)
+    _output_args(p_fit, "text")
     p_fit.set_defaults(func=_cmd_fit)
 
     p_gof = sub.add_parser("gof", help="goodness-of-fit tests")
@@ -418,56 +415,61 @@ def _build_parser() -> _Parser:
     p_gof.add_argument("--data", required=True)
     _grid_args(p_gof)
     p_gof.add_argument("--test", choices=("w", "wout"), default="w")
-    p_gof.add_argument("--B", type=int, default=1000)
+    p_gof.add_argument("--B", type=_count_arg, default=1000)
     p_gof.add_argument("--out-levels", dest="out_levels", default=None,
+                       type=_arg_type(lambda text: np.asarray(
+                           [float(t) for t in text.split(",") if t.strip()]),
+                           "expected comma-separated levels"),
                        help="comma-separated validation levels (default 0.01..0.99 step 0.02)")
     p_gof.add_argument("--alpha", type=float, default=0.05)
     p_gof.add_argument("--seed", type=_seed_arg, default=0)
-    for flag, kw in common.items():
-        p_gof.add_argument(flag, **kw)
+    _output_args(p_gof, "text")
     p_gof.set_defaults(func=_cmd_gof)
 
     p_are = sub.add_parser("are", help="asymptotic relative efficiency tables")
     p_are.add_argument("--kind", choices=("oqls", "gqls"), default="gqls")
     p_are.add_argument("--families", default="all")
     p_are.add_argument("--grids", default="0.05:0.95",
+                       type=_arg_type(lambda text: [
+                           _parse_pair(t) for t in text.split(",") if t.strip()],
+                           "expected comma-separated a:b pairs"),
                        help="comma-separated a:b pairs")
-    p_are.add_argument("--k", default="25", help="comma list and lo:hi ranges")
+    p_are.add_argument("--k", default="25",
+                       type=_arg_type(_parse_k_list, "expected integers and lo:hi ranges"),
+                       help="comma list and lo:hi ranges")
     p_are.add_argument("--modes", default="loc-scale")
-    for flag, kw in common.items():
-        p_are.add_argument(flag, **{**kw, **({"default": "csv"} if flag == "--format" else {})})
+    _output_args(p_are, "csv")
     p_are.set_defaults(func=_cmd_are)
 
     p_inf = sub.add_parser("influence", help="influence-function curves")
     p_inf.add_argument("--family", required=True)
     p_inf.add_argument("--kind", choices=("oqls", "gqls"), default="gqls")
     _grid_args(p_inf)
-    p_inf.add_argument("--range", default="-10:10", help="lo:hi of the x grid")
-    p_inf.add_argument("--points", type=int, default=201)
+    p_inf.add_argument("--range", default="-10:10", type=_arg_type(_parse_pair, "expected lo:hi"),
+                       help="lo:hi of the x grid")
+    p_inf.add_argument("--points", type=_count_arg, default=201)
     p_inf.add_argument("--mu", type=float, default=0.0)
     p_inf.add_argument("--sigma", type=float, default=1.0)
-    for flag, kw in common.items():
-        p_inf.add_argument(flag, **{**kw, **({"default": "csv"} if flag == "--format" else {})})
+    _output_args(p_inf, "csv")
     p_inf.set_defaults(func=_cmd_influence)
 
     p_sim = sub.add_parser("simulate", help="run a study described by a JSON config")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--seed", type=_seed_arg, default=None,
                        help="override the config seed")
-    for flag, kw in common.items():
-        p_sim.add_argument(flag, **{**kw, **({"default": "csv"} if flag == "--format" else {})})
+    _output_args(p_sim, "csv")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_bench = sub.add_parser("bench", help="timing benchmarks")
     p_bench.add_argument("--families", default="normal")
     p_bench.add_argument("--methods", default="oqls,gqls")
-    p_bench.add_argument("--sizes", default="1e6", help="ascending comma list")
-    p_bench.add_argument("--repeats", type=int, default=3)
+    p_bench.add_argument("--sizes", default="1e6", help="ascending comma list", type=_arg_type(
+        lambda text: [int(float(t)) for t in text.split(",") if t.strip()], "expected sizes"))
+    p_bench.add_argument("--repeats", type=_count_arg, default=3)
     p_bench.add_argument("--timeout", type=float, default=None)
     p_bench.add_argument("--seed", type=_seed_arg, default=0)
     _grid_args(p_bench)
-    for flag, kw in common.items():
-        p_bench.add_argument(flag, **{**kw, **({"default": "csv"} if flag == "--format" else {})})
+    _output_args(p_bench, "csv")
     p_bench.set_defaults(func=_cmd_bench)
 
     return parser

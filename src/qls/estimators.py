@@ -833,7 +833,7 @@ def fit_sample(data, fam: Family, grid: QuantileGrid, method: str = "gqls",
         return fit_mle(fam, data, mode, known_mu=known_mu)
     y = empirical_quantiles(data, grid)
     if method not in ("oqls", "gqls"):
-        raise ValueError(f"unknown method {method!r}")
+        raise DomainError(f"unknown method {method!r}")
     plan = FitPlan.for_family(fam, grid, method)
     fit = (fit_gqls if method == "gqls" else fit_oqls)(
         y, plan.x, plan.sigma, mode=mode, known_mu=known_mu, known_sigma=known_sigma, plan=plan)

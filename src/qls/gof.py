@@ -8,8 +8,9 @@ Two tests:
 * Out-of-sample: the same quadratic form evaluated on a separate set of
   levels (default 0.01, 0.03, ..., 0.99), calibrated by a parametric
   bootstrap because its null distribution is intractable for mismatched
-  grids.  When the out-levels equal the estimation levels the statistic
-  reduces to W.
+  grids.  The statistic is pivotal under the null, so one bootstrap null
+  drawn from the standard member serves any sample of the same size.  When
+  the out-levels equal the estimation levels the statistic reduces to W.
 
 Both tests refuse fits other than a joint gQLS fit with positive scale, and
 raise ScaleOverflow when the observed statistic is not finite.
@@ -23,6 +24,7 @@ import numpy as np
 from .errors import (
     WARN_TIED_QUANTILES,
     BootstrapDegenerate,
+    DomainError,
     InsufficientDof,
     NonFiniteData,
     NonPositiveScale,
@@ -114,8 +116,7 @@ def chi2_sf(x: float, dof: int) -> float:
         raise ValueError("statistic must be nonnegative")
     if dof < 1:
         raise ValueError("degrees of freedom must be >= 1")
-    import scipy.special  # costly to import; the W_out bootstrap never needs it
-    return float(scipy.special.gammaincc(dof / 2.0, x / 2.0))
+    return float(_chi2_pvalues(dof + 2, np.float64(x)))
 
 
 def _observed(plan: FitPlan, y: np.ndarray, beta, n: int, what: str) -> float:
@@ -221,24 +222,40 @@ def w_out_statistic(data, fit: QlsFit, fam: Family, out_grid: OutGrid,
     return _observed(plan_out, y_out, (fit.mu, fit.sigma), n_obs, "W_out")
 
 
-def w_pvalues(plan: FitPlan, y: np.ndarray, n: int) -> np.ndarray:
-    """In-sample test p-values of many samples at once: row i of y holds the
-    quantiles of one sample of size n at the plan's levels.  A row whose
-    joint gQLS fit has non-positive scale or whose W is not finite gets NaN,
-    as does every row when k < 3 (``w_test`` raises in each case)."""
-    k = y.shape[1]
-    stats = np.full(y.shape[0], np.nan)
-    if k < 3:
-        return stats
-    beta = plan.solve(y)
+def _row_statistics(plan: FitPlan, plan_out: FitPlan, y_fit: np.ndarray,
+                    y_out: np.ndarray, n: int) -> np.ndarray:
+    """The statistic of each row of a block of samples of size n: the gQLS
+    fit of the row of ``y_fit`` on ``plan``, tested on the row of ``y_out``
+    at ``plan_out``'s levels (W on the estimation levels, W_out on others).
+    NaN where the fitted scale is not positive or the statistic not finite."""
+    beta = plan.solve(y_fit)
     ok = beta[:, 1] > 0
-    stats[ok] = plan.w_statistics(y[ok], beta[ok], n)
+    if ok.all():
+        stats = plan_out.w_statistics(y_out, beta, n)
+    else:
+        stats = np.full(len(beta), np.nan)
+        stats[ok] = plan_out.w_statistics(y_out[ok], beta[ok], n)
     stats[~np.isfinite(stats)] = np.nan
-    import scipy.special
-    return scipy.special.gammaincc((k - 2) / 2.0, stats / 2.0)  # chi2_sf of each row
+    return stats
 
 
-# The last word of every bootstrap generator's key, [seed, _BOOTSTRAP_KEY].
+def _chi2_pvalues(k: int, stats: np.ndarray) -> np.ndarray:
+    """chi2_sf(W, k - 2) of each statistic W on k levels; all NaN if k < 3."""
+    if k < 3:
+        return np.full(stats.shape, np.nan)
+    import scipy.special  # costly to import; the W_out bootstrap never needs it
+    return scipy.special.gammaincc((k - 2) / 2.0, stats / 2.0)
+
+
+def _exceedance(null: np.ndarray, stats):
+    """The share of the sorted null strictly above each statistic (ties
+    count as non-exceedances); NaN for a NaN statistic."""
+    above = null.size - np.searchsorted(null, stats, side="right")
+    return np.where(np.isnan(stats), np.nan, above / null.size)
+
+
+# The last word of every bootstrap generator's key: [seed, _BOOTSTRAP_KEY]
+# for a bootstrap_pvalue call, [*cell_seed, _BOOTSTRAP_KEY] for a wout cell.
 # SeedSequence splits an integer key into 32-bit words and drops trailing
 # zero words ([s], [s, 0] and s give one stream), so a small tag such as
 # 2**32 + 1 ([s, 1, 1]) would replay a power-study key.  Both words of this
@@ -254,73 +271,74 @@ def _union_columns(idx: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]
     return pos, [np.searchsorted(pos, i) for i in idx]
 
 
-def _bootstrap_order_statistics(fam: Family, params: Params, n: int, seed: int,
-                                B: int, pos: np.ndarray, cols: list[np.ndarray]):
-    """Order statistics of B samples of size n from ``fam`` at ``params``,
-    one block of replicates at a time: for each block, the values at the
-    0-based positions ``pos[c]`` for each column set c in ``cols``, with
-    ``pos`` sorted and unique (``_union_columns``).
-
-    Only the wanted order statistics are drawn, from gamma spacings (Renyi
-    1953; David and Nagaraja, Order Statistics, 3rd ed., 2.5): with G_j a
-    running sum of n + 1 standard exponentials, the r-th of n sorted
-    uniforms is G_r / G_(n+1).  For the sorted wanted ranks r_1 < ... < r_m
-    the jumps of G are Gamma(r_i - r_(i-1)) draws plus the tail
-    Gamma(n + 1 - r_m), so a replicate costs m + 1 draws whatever n is.  The
-    family's quantile map is nondecreasing, so applied to these uniforms it
-    gives the sample's order statistics.
-
-    All replicates draw, one row each in replicate order, from the single
-    generator ``default_rng([seed, _BOOTSTRAP_KEY])``.  A block of rows
-    takes the same draws as its rows one by one, so a replicate's values do
-    not depend on the block size, and a run of B' < B replicates is the
-    first B' rows of a run of B.  A block keeps about ten values per wanted
-    position and row live (draws, their sums, both gathered level sets, and
-    the temporaries of the fit and the statistic), within the budget of
-    ``replicate_blocks``.
-    """
+def _bootstrap_order_statistics(fam: Family, n: int, key: tuple, B: int,
+                                pos: np.ndarray, cols: list[np.ndarray]):
+    """Order statistics of B samples of size n from the standard member of
+    ``fam``, a block of replicates at a time: per block, the values at the
+    sorted 0-based positions ``pos`` of each column set in ``cols``
+    (``_union_columns``).  Only these are drawn, from gamma spacings (Renyi
+    1953; David and Nagaraja, Order Statistics, 3rd ed., 2.5): the r-th of n
+    sorted uniforms is G_r / G_(n+1), G a running sum of n + 1 standard
+    exponentials, so for ranks r_1 < ... < r_m the jumps of G are
+    Gamma(r_i - r_(i-1)) draws plus the tail Gamma(n + 1 - r_m): m + 1 draws
+    whatever n is, mapped by the nondecreasing quantile function.
+    Replicates are rows, in order, of one generator ``default_rng([*key,
+    _BOOTSTRAP_KEY])``, so a row does not depend on the block size and a
+    run of B' < B replicates is the first B' rows of a run of B.  A block
+    keeps about ten values per position and row live, within the budget of
+    ``replicate_blocks``."""
     shapes = np.diff(np.concatenate(([0], pos + 1, [n + 1]))).astype(float)
-    rng = np.random.default_rng([seed, _BOOTSTRAP_KEY])
+    rng = np.random.default_rng([*key, _BOOTSTRAP_KEY])
     for block in replicate_blocks(range(B), 10 * sum(c.size for c in cols)):
         g = rng.standard_gamma(shapes, size=(len(block), shapes.size))
         np.cumsum(g, axis=1, out=g)
         u = g[:, :-1]
         u /= g[:, -1:]
-        x = fam._from_uniform(params, u)
+        x = fam._from_uniform(Params(), u)
         yield [x[:, c] for c in cols]
+
+
+def _bootstrap_null(fam: Family, plan: FitPlan, plan_out: FitPlan, n: int, key: tuple,
+                    B: int, pos: np.ndarray, cols: list[np.ndarray],
+                    max_failure_fraction: float = 0.10) -> np.ndarray:
+    """The sorted finite statistics of B standard-form replicates refitted on
+    ``plan`` and tested on ``plan_out``.  The gQLS fit is location-scale
+    equivariant and the statistic divides each residual by the fitted scale,
+    so its null law does not depend on (mu, sigma).  Failed replicates
+    (``_row_statistics``) are dropped; too many raise BootstrapDegenerate."""
+    stats = np.concatenate([_row_statistics(plan, plan_out, y_fit, y_out, n)
+                            for y_fit, y_out in _bootstrap_order_statistics(
+                                fam, n, key, B, pos, cols)])
+    null = np.sort(stats[~np.isnan(stats)])
+    failures = B - null.size
+    if failures > max_failure_fraction * B or null.size == 0:
+        raise BootstrapDegenerate(f"{failures} of {B} bootstrap replicates failed to fit")
+    return null
 
 
 def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
                      out_grid: OutGrid | None = None, B: int = 1000,
                      seed: int = 0, alphas=DEFAULT_ALPHAS,
                      max_failure_fraction: float = 0.10) -> GofResult:
-    """Parametric-bootstrap p-value for the out-of-sample statistic.
+    """Parametric-bootstrap p-value for the out-of-sample statistic: the
+    fraction of B replicate statistics strictly above the observed one
+    (ties count as non-exceedances); reject when it is <= alpha.
 
-    1. Fit gQLS on the data; record the observed statistic.
-    2. Draw a sample of the same size from the fitted model, refit gQLS on
-       the estimation levels, and recompute the statistic.
-    3. Repeat B times.
-    4. p-hat = fraction of replicate statistics strictly exceeding the
-       observed one (ties count as non-exceedances); reject when
-       p-hat <= alpha.
-
-    A replicate draws only the order statistics at the two level sets, from
-    gamma spacings (``_bootstrap_order_statistics``), so its cost does not
-    grow with n.  The replicates are rows of one stream from a generator
-    keyed by seed: runs are reproducible, distinct seeds give distinct
-    streams, and the first B' replicates of a run of B are those of a run of
-    B'.  Replicates whose refit fails (e.g. non-positive scale) or whose
-    statistic is not finite are dropped and the replicate count adjusted;
-    more than ``max_failure_fraction`` failures aborts.  A negative or
-    non-integer seed raises InvalidSeed, and an observed statistic that is
-    not finite ScaleOverflow.  The result's warnings hold, each once, the
-    rank tags of the estimation and the out-levels at n, ``tied_quantiles``
-    when either level set reads one value at distinct ranks of the data, and
-    the tags of the fitted scale.
+    The statistic is pivotal under the null, so the replicates are drawn
+    from the standard member of the family, not at the fitted parameters
+    (``_bootstrap_null``).  They are rows of one stream keyed by seed: runs
+    are reproducible, distinct seeds give distinct streams, and the first
+    B' replicates of a run of B are those of a run of B'.  Replicates whose
+    refit or statistic fails are dropped and counted; more than
+    ``max_failure_fraction`` of B aborts.  B < 1 raises DomainError, a
+    negative or non-integer seed InvalidSeed, and an observed statistic
+    that is not finite ScaleOverflow.  The warnings hold, each once, the
+    rank tags of both level sets at n, ``tied_quantiles`` when either reads
+    one value at distinct ranks, and the tags of the fitted scale.
     """
     check_seed(seed)
     if B < 1:
-        raise ValueError("need at least one bootstrap replicate")
+        raise DomainError("need at least one bootstrap replicate")
     if out_grid is None:
         out_grid = default_out_grid()
     data = np.asarray(data, dtype=float).ravel()
@@ -341,27 +359,12 @@ def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
     if not beta0[0, 1] > 0:
         raise NonPositiveScale("gQLS fit on the data has non-positive scale")
     observed = _observed(plan_out, values[cols[1]], beta0, n, "W_out")
-    fitted = Params(mu=float(beta0[0, 0]), sigma=float(beta0[0, 1]))
-    warns += _scale_tags(fitted.sigma)
+    warns += _scale_tags(float(beta0[0, 1]))
 
-    exceed = 0
-    failures = 0
-    for y_fit, y_out in _bootstrap_order_statistics(fam, fitted, n, seed, B, pos, cols):
-        beta = plan.solve(y_fit)
-        ok = beta[:, 1] > 0
-        if not ok.all():
-            y_out, beta = y_out[ok], beta[ok]
-        stats = plan_out.w_statistics(y_out, beta, n)
-        stats = stats[np.isfinite(stats)]
-        failures += len(beta) - len(stats)
-        exceed += int(np.count_nonzero(stats > observed))
-    b_eff = B - failures
-    if failures > max_failure_fraction * B or b_eff == 0:
-        raise BootstrapDegenerate(
-            f"{failures} of {B} bootstrap replicates failed to fit"
-        )
-    p = exceed / b_eff
+    null = _bootstrap_null(fam, plan, plan_out, n, (seed,), B, pos, cols,
+                           max_failure_fraction)
+    p = float(_exceedance(null, observed))
     return GofResult(statistic=observed, kind="out-of-sample", p_value=p,
-                     b_replicates=b_eff, failures=failures,
+                     b_replicates=null.size, failures=B - null.size,
                      decision_at={a: p <= a for a in alphas},
                      warnings=tuple(dict.fromkeys(warns)))

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DomainError
 from .estimators import FitPlan
 from .families import Family, Params
 from .quantiles import QuantileGrid, level_density
@@ -97,7 +98,7 @@ def influence_curve(kind: str, fam: Family, params: Params, grid: QuantileGrid,
                     x_range: tuple[float, float], points: int = 201) -> InfluenceCurve:
     lo, hi = float(x_range[0]), float(x_range[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise ValueError("x_range must be a finite increasing pair")
+        raise DomainError("x_range must be a finite increasing pair")
     _, q, _ = level_density(fam, grid)
     jumps = params.mu + params.sigma * q
     eps = 1e-9 * params.sigma

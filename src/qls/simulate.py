@@ -7,28 +7,23 @@ study is deterministic given its seed: replicate r uses a generator seeded
 from (seed, r), and the reduction order is fixed.
 
 Replicates run as a batch engine.  Consecutive replicates fill the rows of
-one block, sized from n so that it holds at most 1 MiB of float64
-(``quantiles.replicate_blocks``).  The loop over a block's replicates only
-fills one row of uniforms from each replicate's generator; the quantile
-transform then runs once per family on the whole block.  Each MLE column is
-fitted on the block as drawn, in one row-batched call; the block is then
-sorted once along its rows, every QLS estimator reads its rank columns from
-that sort, and one row-batched product per estimator (``FitPlan.solve``)
-fits all the rows.  A row's estimates do not depend on the block it falls
-in, so the summaries are the same for any block size, and the caller and
-one helper thread take whole blocks (``_run_blocks``) with no change to any
-result.
-
-A block's replicate generators are seeded in one vectorized pass of numpy's
-SeedSequence hash (``_replicate_generators``): replicate r's generator is
-``Generator(PCG64(...))`` on the state words that ``SeedSequence([*prefix,
-r])`` would give, so its stream is that of ``default_rng([*prefix, r])`` bit
-for bit.  The first generator of every block is compared with
-``default_rng`` itself, and a ``QlsError`` is raised if they ever differ.
+one block of at most 1 MiB (``quantiles.replicate_blocks``): each
+replicate's generator fills one row of uniforms, and the quantile transform
+runs once per family on the whole block.  Each MLE column is fitted on the
+block as drawn; the block is then sorted once along its rows, and one
+row-batched product per estimator or test (``FitPlan.solve``) fits all the
+rows.  A row's results do not depend on its block, so they are the same for
+any block size, and the caller and one helper thread take whole blocks
+(``_run_blocks``).  A block's generators are seeded in one vectorized pass
+of numpy's SeedSequence hash (``_replicate_generators``), bit for bit the
+streams of ``default_rng([*prefix, r])``; the first of every block is
+checked against ``default_rng`` itself, and a ``QlsError`` is raised if
+they ever differ.
 """
 from __future__ import annotations
 
 import contextvars
+import functools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -37,7 +32,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import gof
-from .errors import QlsError
+from .errors import DomainError, QlsError
 from .families import Family, ParamMode, Params, check_sampling, check_seed
 from .quantiles import QuantileGrid, _ranks, finite_rows, make_grid, replicate_blocks
 from .estimators import FitPlan, _mle_rows, fit_sample
@@ -71,10 +66,10 @@ class ContaminationSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
+            raise DomainError("epsilon must lie in [0, 1]")
         if self.epsilon > 0.0 and (self.contaminant_family is None
                                    or self.contaminant_params is None):
-            raise ValueError("a contaminant family and its parameters are required "
+            raise DomainError("a contaminant family and its parameters are required "
                              "when epsilon > 0")
         if not self.label:
             lab = self.base_family.name
@@ -91,16 +86,13 @@ def sample_contaminated(spec: ContaminationSpec, n: int, rng: np.random.Generato
 
 def _draw_rows(spec: ContaminationSpec, n: int, rngs: list) -> np.ndarray:
     """A (len(rngs), n) array whose row i holds n draws from the mixture made
-    with the generator ``rngs[i]``.
-
-    Each generator gives, in order, n base uniforms, then (epsilon > 0) n
-    uniforms that pick the contaminated entries at probability epsilon and
-    one uniform per contaminated entry.  The first 2n come from one fill per
-    row (successive doubles of a stream concatenate, so this is the stream
-    two separate draws would take), the contaminant uniforms from one more
-    draw per row that has hits.  Each family's quantile transform runs once
-    on all its uniforms, so a row is the same bits whatever rows it is drawn
-    with."""
+    with the generator ``rngs[i]``.  Each generator gives, in order, n base
+    uniforms, then (epsilon > 0) n uniforms that pick the contaminated
+    entries and one uniform per contaminated entry: the first 2n in one fill
+    per row (successive doubles of a stream concatenate), the rest in one
+    more draw per row that has hits.  Each family's quantile transform runs
+    once on all its uniforms, so a row is the same bits whatever rows it is
+    drawn with."""
     check_sampling(spec.base_params, n)
     mixed = spec.epsilon > 0.0
     buf = np.empty((len(rngs), 2 * n if mixed else n))
@@ -134,9 +126,9 @@ class EstimatorSpec:
 
     def __post_init__(self):
         if self.method not in ("mle", "oqls", "gqls"):
-            raise ValueError(f"unknown method {self.method!r}")
+            raise DomainError(f"unknown method {self.method!r}")
         if self.method != "mle" and self.grid is None:
-            raise ValueError(f"{self.method} needs a quantile grid")
+            raise DomainError(f"{self.method} needs a quantile grid")
         if not self.label:
             if self.method == "mle":
                 object.__setattr__(self, "label", "mle")
@@ -155,6 +147,12 @@ class EstimatorSpec:
         return ("mu", "sigma")
 
 
+def _check_study(n: int, m: int) -> None:
+    """DomainError unless a study's sample size n and replicate count m are >= 1."""
+    if n < 1 or m < 1:
+        raise DomainError(f"sample size and replicate count must be >= 1, got n={n}, m={m}")
+
+
 @dataclass(frozen=True)
 class McConfig:
     """One Monte Carlo study.  ``seed`` must be a non-negative integer
@@ -169,8 +167,7 @@ class McConfig:
     # helper thread take whole blocks
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("need at least one replicate")
+        _check_study(self.n, self.m)
         check_seed(self.seed)
         object.__setattr__(self, "estimators", tuple(self.estimators))
 
@@ -315,11 +312,10 @@ def _run_blocks(spec: ContaminationSpec, n: int, replicates: range, seed_prefix:
 
     The caller and one helper thread each take the next block until none is
     left, so ``work`` must write only its own replicates' results.  The
-    helper runs in a copy of the caller's context, which holds numpy's
-    error state from NumPy 2.0 on, and is joined before this returns or raises.  After the first
-    error neither takes another block, and that error is raised here.  A
-    worker holds one block at a time: its draw buffer is gone before
-    ``work`` runs, and its block before the next one is drawn."""
+    helper runs in a copy of the caller's context (numpy's error state) and
+    is joined before this returns or raises.  After the first error neither
+    takes another block, and that error is raised here.  A worker holds one
+    block at a time, and no draw buffer while ``work`` runs."""
     blocks = replicate_blocks(replicates, n)
     lock = threading.Lock()
     errors: list[BaseException] = []
@@ -470,30 +466,31 @@ def run_power_study(h0_families, generators, grids, n: int, m: int,
 
     generators are ContaminationSpec values (epsilon = 0 gives a pure
     family).  test "w" uses the in-sample statistic at its chi-square
-    critical value; "wout" calibrates the out-of-sample statistic with a
-    B-replicate parametric bootstrap per Monte Carlo replicate.  A cell
-    whose grid reads clamped or repeated ranks at this n carries those tags
-    in ``warnings``, as ``fit_sample`` would.  A negative or non-integer
-    seed raises InvalidSeed.
+    critical value; "wout" calibrates the out-of-sample statistic with one
+    B-replicate bootstrap null per cell, shared by its m replicates (the
+    statistic is pivotal under H0), so the rate's Monte Carlo variance gains
+    a term of order alpha (1 - alpha) / B.  A cell whose grid reads clamped
+    or repeated ranks at this n carries those tags in ``warnings``, as
+    ``fit_sample`` would.  Before any draw, n or m below 1, an unknown test
+    or a "wout" B below 1 raise DomainError, and a bad seed InvalidSeed.
     """
+    _check_study(n, m)
     check_seed(seed)
     if test not in ("w", "wout"):
-        raise ValueError(f"unknown test {test!r}")
+        raise DomainError(f"unknown test {test!r}")
+    if test == "wout" and B < 1:
+        raise DomainError("need at least one bootstrap replicate")
     if out_grid is None:
         out_grid = gof.default_out_grid()
     cells: list[PowerCell] = []
     for i_h0, h0 in enumerate(h0_families):
         for i_gen, gen in enumerate(generators):
             for i_grid, grid in enumerate(grids):
-                cell_seed = (seed, i_h0, i_gen, i_grid)
-                if test == "w":
-                    pvals = _w_cell(h0, gen, grid, n, m, cell_seed)
-                else:
-                    pvals = _wout_cell(h0, gen, grid, out_grid, n, m, B, cell_seed)
+                pvals = _cell_pvalues(h0, gen, grid, out_grid, n, m, B,
+                                      (seed, i_h0, i_gen, i_grid), test)
                 failures = int(np.count_nonzero(np.isnan(pvals)))
-                used = m - failures
-                rejections = int(np.count_nonzero(pvals <= alpha))
-                rate = rejections / used if used else float("nan")
+                rate = (int(np.count_nonzero(pvals <= alpha)) / (m - failures)
+                        if failures < m else float("nan"))
                 cells.append(PowerCell(
                     h0_family=h0.name, generator=gen.label, a=grid.a, b=grid.b,
                     k=grid.k, n=n, m=m, test=test, alpha=alpha,
@@ -503,40 +500,36 @@ def run_power_study(h0_families, generators, grids, n: int, m: int,
     return cells
 
 
-def _w_cell(h0: Family, gen: ContaminationSpec, grid: QuantileGrid, n: int, m: int,
-            cell_seed: tuple) -> np.ndarray:
-    """In-sample test p-values of a cell's m replicates on the batch engine;
-    NaN marks a failed replicate."""
+def _cell_pvalues(h0: Family, gen: ContaminationSpec, grid: QuantileGrid,
+                  out_grid: gof.OutGrid, n: int, m: int, B: int, cell_seed: tuple,
+                  test: str) -> np.ndarray:
+    """Test p-values of a cell's m replicates, NaN where one fails: one
+    batched fit and statistic per sorted block (``gof._row_statistics``),
+    then W's chi-square p-value ("w") or W_out's share of one bootstrap null
+    keyed ``cell_seed`` ("wout"; if the null fails, every replicate does)."""
     plan = FitPlan.for_family(h0, grid, "gqls")
-    idx = _ranks(n, grid.levels)[0] - 1
+    ranks = _ranks(n, grid.levels)[0] - 1
+    plan_out, ranks_out = plan, ranks
+    if test == "wout":
+        plan_out = FitPlan.for_family(h0, out_grid, "gqls")
+        ranks_out = _ranks(n, out_grid.levels)[0] - 1
+    pos, cols = gof._union_columns([ranks, ranks_out])
+    if test == "w":
+        pvalues = functools.partial(gof._chi2_pvalues, grid.k)
+    else:
+        try:
+            null = gof._bootstrap_null(h0, plan, plan_out, n, cell_seed, B, pos, cols)
+        except QlsError:
+            return np.full(m, np.nan)
+        pvalues = functools.partial(gof._exceedance, null)
     pvals = np.full(m, np.nan)
 
     def block_pvalues(reps, block):
         block.sort(axis=1)
         finite = finite_rows(block)
-        p = np.full(len(reps), np.nan)
-        p[finite] = gof.w_pvalues(plan, block[:, idx][finite], n)
-        pvals[reps.start:reps.stop] = p
-
-    _run_blocks(gen, n, range(m), cell_seed, block_pvalues)
-    return pvals
-
-
-def _wout_cell(h0: Family, gen: ContaminationSpec, grid: QuantileGrid,
-               out_grid: gof.OutGrid, n: int, m: int, B: int,
-               cell_seed: tuple) -> np.ndarray:
-    """Bootstrap out-of-sample p-values of a cell's m replicates; NaN marks
-    a failed replicate."""
-    rep_seeds = np.random.default_rng(list(cell_seed)).integers(0, 2 ** 62, size=m)
-    pvals = np.full(m, np.nan)
-
-    def block_pvalues(reps, block):
-        for r, data in zip(reps, block):
-            try:
-                pvals[r] = gof.bootstrap_pvalue(data, h0, grid, out_grid, B=B,
-                                                seed=int(rep_seeds[r])).p_value
-            except QlsError:
-                pass
+        y = block[:, pos][finite]
+        pvals[reps.start:reps.stop][finite] = pvalues(
+            gof._row_statistics(plan, plan_out, y[:, cols[0]], y[:, cols[1]], n))
 
     _run_blocks(gen, n, range(m), cell_seed, block_pvalues)
     return pvals

@@ -431,6 +431,50 @@ def test_bad_config_seeds_are_usage_errors(capsys, tmp_path, seed):
         assert code == 1 and out == "" and _one_error_line(err), err
 
 
+_MC_CONFIG = {"study": "mc", "family": "normal", "n": 50, "M": 4,
+              "estimators": [{"method": "gqls"}]}
+_POWER_CONFIG = {"study": "power", "family": "normal", "n": 50, "M": 4,
+                 "h0_families": ["normal"], "test": "wout", "B": 20}
+
+
+@pytest.mark.parametrize("argv, config, code", [
+    (("gof", "--B", "0"), None, 1),
+    (("gof", "--B", "-5"), None, 1),
+    (("gof", "--out-levels", "abc"), None, 1),
+    (("influence", "--family", "normal", "--range", "5"), None, 1),
+    (("influence", "--family", "normal", "--points", "-3"), None, 1),
+    (("are", "--k", "x"), None, 1),
+    (("are", "--grids", "0.1"), None, 1),
+    (("influence", "--family", "normal", "--range", "5:1"), None, 1),
+    (("bench", "--sizes", "abc"), None, 1),
+    (("bench", "--sizes", "100", "--repeats", "0"), None, 1),
+    (("bench", "--sizes", "100", "--methods", "foo"), None, 1),
+    ((), {**_MC_CONFIG, "M": -1}, 1),
+    ((), {**_MC_CONFIG, "M": 0}, 1),
+    ((), {**_MC_CONFIG, "n": 0}, 1),
+    ((), {**_MC_CONFIG, "contaminant": {"family": "cauchy", "epsilon": 2}}, 1),
+    ((), {**_MC_CONFIG, "estimators": [{"method": "foo"}]}, 1),
+    ((), {**_POWER_CONFIG, "test": "x"}, 1),
+    ((), {**_POWER_CONFIG, "B": 0}, 1),
+    ((), {**_POWER_CONFIG, "M": 0}, 1),
+    ((), {k: v for k, v in _MC_CONFIG.items() if k != "estimators"}, 2),
+])
+def test_bad_arguments_exit_with_one_error_line(capsys, tmp_path, normal_file, argv, config,
+                                                 code):
+    if config is not None:
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(config))
+        argv = ("simulate", "--config", str(path))
+    elif argv[0] == "gof":
+        argv = (*argv, "--family", "normal", "--data", normal_file, "--test", "wout")
+    got, out, err = run_cli(capsys, *argv)
+    lines = [line for line in err.splitlines() if "error:" in line]
+    assert (got, out, len(lines)) == (code, "", 1), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert lines[0].startswith("qls: input error: ") and "'estimators'" in lines[0]
+
+
 def test_simulate_prints_grid_tags_as_warnings(capsys, tmp_path):
     cfg = {"study": "mc", "family": "normal", "n": 2, "M": 5, "seed": 1,
            "estimators": [{"method": "gqls", "k": 25}, {"method": "mle"}]}

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from qls import quantiles
+from qls import quantiles, simulate
 from qls.errors import (
     WARN_DEGENERATE_GRID,
     WARN_RANK_CLAMPED,
     WARN_SCALE_UNDERFLOW,
     WARN_TIED_QUANTILES,
     BootstrapDegenerate,
+    DomainError,
     InsufficientDof,
     InvalidGrid,
     NonFiniteData,
@@ -22,7 +23,10 @@ from qls.errors import (
 from qls.estimators import FitPlan, QlsFit, fit_gqls, fit_mle, fit_sample
 from qls.families import FAMILIES, ParamMode, Params, get_family
 from qls.gof import (
+    _BOOTSTRAP_KEY,
     _bootstrap_order_statistics,
+    _chi2_pvalues,
+    _row_statistics,
     _union_columns,
     bootstrap_pvalue,
     chi2_sf,
@@ -31,7 +35,6 @@ from qls.gof import (
     q_decomposition,
     residual_analysis,
     w_out_statistic,
-    w_pvalues,
     w_test,
 )
 from qls.quantiles import (
@@ -255,7 +258,7 @@ def test_non_finite_replicate_statistics_are_failures(monkeypatch):
         return stats if len(stats) == 1 else stats * np.resize(spoiled, len(stats))
 
     monkeypatch.setattr(FitPlan, "w_statistics", spoil)
-    p = w_pvalues(plan, rows, 400)
+    p = _chi2_pvalues(25, _row_statistics(plan, plan, rows, rows, 400))
     assert np.isnan(p[1:3]).all()
     stat = w_statistics(plan, rows[:1], plan.solve(rows[:1]), 400)[0]
     assert p[0] == p[3] == chi2_sf(stat, 23)
@@ -357,10 +360,27 @@ def test_bootstrap_seeds_give_disjoint_replicate_streams(monkeypatch):
                                       np.random.SeedSequence(other).generate_state(8))
     assert not np.array_equal(states[6], states[7])
     idx = [_ranks(200, GRID.levels)[0] - 1]
-    draws = [next(_bootstrap_order_statistics(NORMAL, Params(0, 1), 200, seed, 50,
+    draws = [next(_bootstrap_order_statistics(NORMAL, 200, (seed,), 50,
                                               *_union_columns(idx)))[0]
              for seed in (6, 7)]
     assert not np.any(draws[0] == draws[1])
+    # a wout power cell draws its one null from [*cell_seed, _BOOTSTRAP_KEY]:
+    # not the stream of any of its replicates ([*cell_seed, r]), of run_mc
+    # or of bootstrap_pvalue under the same seed
+    cell_seed, m = (6, 1, 0, 2), 40
+    keys.clear()
+    simulate._cell_pvalues(NORMAL, simulate.ContaminationSpec(base_family=NORMAL), GRID,
+                           default_out_grid(), 200, m, 50, cell_seed, "wout")
+    null_key = [*cell_seed, _BOOTSTRAP_KEY]
+    assert null_key in keys
+    cell_state = np.random.SeedSequence(null_key).generate_state(8)
+    for other in ([*cell_seed, r] for r in range(m)):
+        assert not np.array_equal(cell_state, np.random.SeedSequence(other).generate_state(8))
+    for other in (states[6], np.random.SeedSequence([6, 0]).generate_state(8)):
+        assert not np.array_equal(cell_state, other)
+    cell_draws = next(_bootstrap_order_statistics(NORMAL, 200, cell_seed, 50,
+                                                  *_union_columns(idx)))[0]
+    assert not np.any(cell_draws == draws[0])
 
 
 def test_bootstrap_rejects_wrong_model():
@@ -435,10 +455,56 @@ def test_bootstrap_and_w_statistics_are_exact_under_powers_of_two(name, j):
             == plan.w_statistics(y, beta, 300).tobytes())
 
 
-def _bootstrap_rows(fam, params, n, seed, B, idx):
+_PIVOT_N, _PIVOT_B = 400, 40
+_PIVOT_IDX = [_ranks(_PIVOT_N, GRID.levels)[0] - 1,
+              _ranks(_PIVOT_N, default_out_grid().levels)[0] - 1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_JOINT_FAMILIES), st.floats(-1e3, 1e3), st.integers(-500, 500),
+       st.integers(0, 2 ** 32))
+def test_bootstrap_null_is_pivotal(name, t, j, seed):
+    # W_out of a replicate drawn at (mu, sigma) = (t 2^j, 2^j) equals the
+    # statistic the standard-form draw gives, within 1e-10 relative: the
+    # test forms the (mu, sigma) draws from the same gamma spacings itself,
+    # and refits and tests them on the plans directly
+    fam = get_family(name)
+    sigma = math.ldexp(1.0, j)
+    params = Params(t * sigma, sigma)
+    plan = FitPlan.for_family(fam, GRID, "gqls")
+    plan_out = FitPlan.for_family(fam, default_out_grid(), "gqls")
+    pos, cols = _union_columns(_PIVOT_IDX)
+    y_fit, y_out = next(_bootstrap_order_statistics(fam, _PIVOT_N, (seed,), _PIVOT_B, pos, cols))
+    assert len(y_fit) == _PIVOT_B
+    beta = plan.solve(y_fit)
+    standard = plan_out.w_statistics(y_out, beta, _PIVOT_N)
+    shapes = np.diff(np.concatenate(([0], pos + 1, [_PIVOT_N + 1]))).astype(float)
+    rng = np.random.default_rng([seed, _BOOTSTRAP_KEY])
+    g = np.cumsum(rng.standard_gamma(shapes, size=(_PIVOT_B, shapes.size)), axis=1)
+    x = fam._from_uniform(params, g[:, :-1] / g[:, -1:])
+    beta = plan.solve(x[:, cols[0]])
+    assert np.all(beta[:, 1] > 0)
+    scaled = plan_out.w_statistics(x[:, cols[1]], beta, _PIVOT_N)
+    assert np.all(np.isfinite(standard)) and np.all(standard > 0)
+    np.testing.assert_allclose(scaled, standard, rtol=1e-10, atol=0)
+
+
+def test_bootstrap_refuses_fewer_than_one_replicate(monkeypatch):
+    data, _, _ = normal_fit(n=200, seed=55)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before B was checked")
+
+    monkeypatch.setattr("qls.gof._order_statistics", no_work)
+    for B in (0, -5):
+        with pytest.raises(DomainError, match="at least one"):
+            bootstrap_pvalue(data, NORMAL, GRID, B=B, seed=1)
+
+
+def _bootstrap_rows(fam, n, seed, B, idx):
     """Every replicate's order statistics, one array per position set."""
     return [np.concatenate(c) for c in zip(*_bootstrap_order_statistics(
-        fam, params, n, seed, B, *_union_columns(idx)))]
+        fam, n, (seed,), B, *_union_columns(idx)))]
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -448,23 +514,22 @@ def test_bootstrap_order_statistics_equal_sorted_samples(name):
     # Kolmogorov-Smirnov over 20 000 replicates at ranks 1, n/2 and n; the
     # extreme ranks stay finite
     fam = get_family(name)
-    params = Params(0.3, 1.7)
     n = 1000
     pos = np.array([0, n // 2 - 1, n - 1])
-    x = _bootstrap_rows(fam, params, n, 11, 20_000, [pos])[0]
+    x = _bootstrap_rows(fam, n, 11, 20_000, [pos])[0]
     assert x.shape == (20_000, 3) and np.all(np.isfinite(x))
-    u = np.asarray(fam.cdf((x - params.mu) / params.sigma))
+    u = np.asarray(fam.cdf(x))
     for col, r in enumerate(pos + 1):
         assert stats.kstest(u[:, col], stats.beta(r, n + 1 - r).cdf).pvalue > 0.01, r
 
 
 def test_bootstrap_replicates_are_a_prefix_of_longer_runs():
     # B = 50 (one block) gives the first 50 rows of B = 1000 (several blocks)
-    fam, params, n = get_family("logistic"), Params(0.1, 0.9), 10_000
+    fam, n = get_family("logistic"), 10_000
     idx = [_ranks(n, GRID.levels)[0] - 1, _ranks(n, default_out_grid().levels)[0] - 1]
-    short = _bootstrap_rows(fam, params, n, 3, 50, idx)
-    long = _bootstrap_rows(fam, params, n, 3, 1000, idx)
-    assert len(list(_bootstrap_order_statistics(fam, params, n, 3, 1000,
+    short = _bootstrap_rows(fam, n, 3, 50, idx)
+    long = _bootstrap_rows(fam, n, 3, 1000, idx)
+    assert len(list(_bootstrap_order_statistics(fam, n, (3,), 1000,
                                                 *_union_columns(idx)))) > 1
     for s, l in zip(short, long):
         assert np.array_equal(s, l[:50])
@@ -473,15 +538,13 @@ def test_bootstrap_replicates_are_a_prefix_of_longer_runs():
 def test_bootstrap_one_row_blocks_give_the_same_rows(monkeypatch):
     n = 2000
     idx = [_ranks(n, GRID.levels)[0] - 1, _ranks(n, default_out_grid().levels)[0] - 1]
-    blocks = list(_bootstrap_order_statistics(NORMAL, Params(0.3, 1.7), n, 9, 300,
-                                              *_union_columns(idx)))
+    blocks = list(_bootstrap_order_statistics(NORMAL, n, (9,), 300, *_union_columns(idx)))
     assert len(blocks[0][0]) > 1
-    want = _bootstrap_rows(NORMAL, Params(0.3, 1.7), n, 9, 300, idx)
+    want = _bootstrap_rows(NORMAL, n, 9, 300, idx)
     monkeypatch.setattr(quantiles, "_BLOCK_VALUES", 1)
     assert all(len(blk[0]) == 1 for blk in
-               _bootstrap_order_statistics(NORMAL, Params(0.3, 1.7), n, 9, 300,
-                                           *_union_columns(idx)))
-    got = _bootstrap_rows(NORMAL, Params(0.3, 1.7), n, 9, 300, idx)
+               _bootstrap_order_statistics(NORMAL, n, (9,), 300, *_union_columns(idx)))
+    got = _bootstrap_rows(NORMAL, n, 9, 300, idx)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
 
@@ -489,7 +552,9 @@ def test_bootstrap_one_row_blocks_give_the_same_rows(monkeypatch):
 def test_bootstrap_matches_a_replicate_loop():
     # the batched bootstrap against a loop that draws each replicate's gamma
     # spacings in turn from the stream keyed [seed, 0x9E3779B97F4A7C15],
-    # then gathers, refits and tests that replicate alone
+    # then gathers, refits and tests that replicate alone at the fitted
+    # parameters: the pivotal null drawn in standard form reads the same
+    # p-value
     n, B, seed = 500, 80, 12
     data, _, _ = normal_fit(n=n, seed=53)
     out_grid = default_out_grid()
@@ -499,7 +564,7 @@ def test_bootstrap_matches_a_replicate_loop():
     assert res.statistic == pytest.approx(observed, rel=1e-12)
     idx_fit = _ranks(n, GRID.levels)[0] - 1
     idx_out = _ranks(n, out_grid.levels)[0] - 1
-    batched = _bootstrap_rows(NORMAL, fit.params, n, seed, B, [idx_fit, idx_out])
+    batched = _bootstrap_rows(NORMAL, n, seed, B, [idx_fit, idx_out])
     ranks = np.unique(np.concatenate([idx_fit, idx_out])) + 1
     shapes = np.diff(np.concatenate([[0], ranks, [n + 1]])).astype(float)
     x_out, s_out = design_matrix(NORMAL, out_grid), sigma_star(NORMAL, out_grid)
@@ -507,10 +572,12 @@ def test_bootstrap_matches_a_replicate_loop():
     exceed = 0
     for b in range(B):
         g = np.cumsum(rng.standard_gamma(shapes))
+        y0 = NORMAL._from_uniform(Params(), g[:-1] / g[-1])
         y = NORMAL._from_uniform(fit.params, g[:-1] / g[-1])
         y_fit = y[np.searchsorted(ranks, idx_fit + 1)]
         y_out = y[np.searchsorted(ranks, idx_out + 1)]
-        assert np.array_equal(y_fit, batched[0][b]) and np.array_equal(y_out, batched[1][b])
+        assert np.array_equal(y0[np.searchsorted(ranks, idx_fit + 1)], batched[0][b])
+        assert np.array_equal(y0[np.searchsorted(ranks, idx_out + 1)], batched[1][b])
         refit = fit_gqls(QuantileResponse(values=y_fit, n=n), X, S)
         e = y_out - x_out @ np.array([refit.mu, refit.sigma])
         exceed += n / refit.sigma ** 2 * (e @ np.linalg.solve(s_out, e)) > observed

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qls import families, gof, quantiles, simulate
-from qls.errors import DomainError, InvalidSeed, QlsError
+from qls.errors import BootstrapDegenerate, DomainError, InvalidSeed, QlsError
 from qls.estimators import FitPlan, fit_mle, fit_sample
 from qls.families import FAMILIES, ParamMode, Params, get_family
 from qls.gof import plan_w_test
@@ -16,12 +16,12 @@ from qls.simulate import (
     ContaminationSpec,
     EstimatorSpec,
     McConfig,
+    _cell_pvalues,
     _mc_estimates,
     _replicate_generators,
     _run_blocks,
     _seed_states,
     _seed_words,
-    _wout_cell,
     run_mc,
     run_power_study,
     run_timing,
@@ -283,27 +283,92 @@ def test_block_sampler_rows_equal_single_draws(name, epsilon, one_row_blocks, mo
 
 
 def test_wout_cell_data_equal_single_draws(monkeypatch):
-    # each bootstrap of a wout cell gets the sample default_rng([*cell_seed, r])
-    # draws, and the seed its cell stream gives replicate r; two workers take
-    # blocks, so the calls are matched to replicates by their seeds
-    n, m, cell_seed = 300, 500, (2 ** 33 + 5, 1, 0, 2)
+    # replicate r of a wout cell tests the sample default_rng([*cell_seed, r])
+    # draws, and its p-value is the share of the cell's one null strictly
+    # above its statistic; the reference statistic is the public one of a
+    # single fit, and the reference count a plain comparison
+    n, m, B, cell_seed = 300, 500, 50, (2 ** 33 + 5, 1, 0, 2)
     spec = contaminated(0.1)
-    calls = []
+    out_grid = gof.default_out_grid()
+    nulls = []
+    bootstrap_null = gof._bootstrap_null
 
-    def record(data, fam, grid, out_grid, B, seed):
-        calls.append((data.copy(), seed))
-        return gof.GofResult(statistic=0.0, kind="out-of-sample", p_value=0.5)
+    def record(*args, **kwargs):
+        nulls.append((args, bootstrap_null(*args, **kwargs)))
+        return nulls[-1][1]
 
-    monkeypatch.setattr(gof, "bootstrap_pvalue", record)
-    pvals = _wout_cell(NORMAL, spec, GRID, gof.default_out_grid(), n, m, 10, cell_seed)
-    assert len(calls) == m and np.all(pvals == 0.5)
-    rep_seeds = np.random.default_rng(list(cell_seed)).integers(0, 2 ** 62, size=m)
-    replicate = {int(seed): r for r, seed in enumerate(rep_seeds)}
-    assert sorted(replicate[seed] for _, seed in calls) == list(range(m))
-    for data, seed in calls:
-        r = replicate[seed]
-        single = sample_contaminated(spec, n, np.random.default_rng([*cell_seed, r]))
-        assert np.array_equal(data, single)
+    monkeypatch.setattr(gof, "_bootstrap_null", record)
+    pvals = _cell_pvalues(NORMAL, spec, GRID, out_grid, n, m, B, cell_seed, "wout")
+    assert len(nulls) == 1
+    args, null = nulls[0]
+    assert args[4] == cell_seed and args[5] == B and len(null) == B
+    for r in range(m):
+        data = sample_contaminated(spec, n, np.random.default_rng([*cell_seed, r]))
+        fit = fit_sample(data, NORMAL, GRID, "gqls")
+        stat = gof.w_out_statistic(data, fit, NORMAL, out_grid)
+        assert pvals[r] == np.count_nonzero(null > stat) / B, r
+
+
+def test_wout_cell_is_deterministic_and_block_free(monkeypatch):
+    args = (NORMAL, contaminated(0.1), GRID, gof.default_out_grid(), 200, 60, 100,
+            (5, 0, 1, 0), "wout")
+    want = _cell_pvalues(*args)
+    assert np.all(np.isfinite(want))
+    assert _cell_pvalues(*args).tobytes() == want.tobytes()
+    monkeypatch.setattr(quantiles, "_BLOCK_VALUES", 1)
+    assert _cell_pvalues(*args).tobytes() == want.tobytes()
+
+
+def test_wout_cell_holds_its_level_under_h0():
+    # one null of B replicates serves all m p-values, so the rate's Monte
+    # Carlo spread is alpha (1 - alpha) (1/m + 1/B); data away from the
+    # standard member exercise the pivot
+    m, B, alpha = 2000, 1000, 0.05
+    cells = run_power_study([NORMAL], [clean(mu=5.0, sigma=2.0)], [GRID], n=200, m=m,
+                            alpha=alpha, test="wout", B=B, seed=12)
+    assert cells[0].failures == 0
+    half_width = 4 * np.sqrt(alpha * (1 - alpha) * (1 / m + 1 / B))
+    assert abs(cells[0].rejection_rate - alpha) <= half_width
+
+
+def test_wout_cell_with_a_failed_null_fails_every_replicate(monkeypatch):
+    def degenerate(*args, **kwargs):
+        raise BootstrapDegenerate("all failed")
+
+    monkeypatch.setattr(gof, "_bootstrap_null", degenerate)
+    cells = run_power_study([NORMAL], [clean()], [GRID], n=100, m=9, test="wout", B=20,
+                            seed=1)
+    assert cells[0].failures == 9 and np.isnan(cells[0].rejection_rate)
+
+
+@pytest.mark.parametrize("bad, match", [
+    (dict(n=0), "sample size"), (dict(n=-3), "sample size"), (dict(m=0), "replicate count"),
+    (dict(m=-1), "replicate count"), (dict(test="x"), "unknown test"),
+    (dict(test="wout", B=0), "bootstrap"), (dict(test="wout", B=-2), "bootstrap"),
+])
+def test_power_study_refuses_bad_arguments_before_any_draw(bad, match, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    monkeypatch.setattr(simulate, "_run_blocks", no_work)
+    monkeypatch.setattr(gof, "_bootstrap_null", no_work)
+    kwargs = {**dict(n=100, m=5, test="w", B=20, seed=1), **bad}
+    with pytest.raises(DomainError, match=match):
+        run_power_study([NORMAL], [clean()], [GRID], **kwargs)
+
+
+def test_library_specs_refuse_bad_arguments_as_domain_errors(monkeypatch):
+    monkeypatch.setattr(simulate, "_run_blocks", None)  # any draw would fail
+    for n in (0, -1):
+        with pytest.raises(DomainError, match="sample size"):
+            McConfig(spec=clean(), n=n, m=3, estimators=(EstimatorSpec("mle"),))
+    with pytest.raises(DomainError, match="replicate"):
+        McConfig(spec=clean(), n=10, m=0, estimators=(EstimatorSpec("mle"),))
+    for eps in (-0.1, 1.5, float("nan")):
+        with pytest.raises(DomainError, match="epsilon"):
+            ContaminationSpec(base_family=NORMAL, epsilon=eps)
+    with pytest.raises(DomainError, match="unknown method"):
+        EstimatorSpec("foo")
 
 
 def _numpy_states(prefix, reps):
