@@ -31,33 +31,33 @@ def main() -> None:
     parser.add_argument("--out", default="results/contamination.csv")
     args = parser.parse_args()
 
-    base = get_family(args.family)
-    contaminant = get_family(args.contaminant)
-    estimators = [EstimatorSpec("mle")] + [
-        EstimatorSpec(method, make_grid(a, b, 25))
-        for method in ("oqls", "gqls") for a, b in BOUNDS
-    ]
-
-    path = pathlib.Path(args.out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = None
-        for eps in EPSILONS:
-            spec = ContaminationSpec(
-                base_family=base, base_params=Params(0.0, 1.0),
-                contaminant_family=contaminant,
-                contaminant_params=Params(1.0, 3.0), epsilon=eps,
-            )
-            summary = run_mc(McConfig(spec=spec, n=args.n, m=args.m,
-                                      estimators=tuple(estimators),
-                                      seed=args.seed))
-            for row in summary.as_rows():
-                row = {"epsilon": eps, **row}
-                if writer is None:
-                    writer = csv.DictWriter(fh, fieldnames=list(row.keys()))
-                    writer.writeheader()
-                writer.writerow(row)
-            print(f"epsilon={eps} done")
+    with parser.library_errors():
+        base = get_family(args.family)
+        contaminant = get_family(args.contaminant)
+        estimators = (EstimatorSpec("mle"),) + tuple(
+            EstimatorSpec(method, make_grid(a, b, 25))
+            for method in ("oqls", "gqls") for a, b in BOUNDS
+        )
+        # every study is checked before the output file is opened
+        studies = [McConfig(spec=ContaminationSpec(
+                       base_family=base, base_params=Params(0.0, 1.0),
+                       contaminant_family=contaminant,
+                       contaminant_params=Params(1.0, 3.0), epsilon=eps),
+                       n=args.n, m=args.m, estimators=estimators, seed=args.seed)
+                   for eps in EPSILONS]
+        path = pathlib.Path(args.out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = None
+            for config in studies:
+                eps = config.spec.epsilon
+                for row in run_mc(config).as_rows():
+                    row = {"epsilon": eps, **row}
+                    if writer is None:
+                        writer = csv.DictWriter(fh, fieldnames=list(row.keys()))
+                        writer.writeheader()
+                    writer.writerow(row)
+                print(f"epsilon={eps} done")
     print(f"wrote {path}")
 
 

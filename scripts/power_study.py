@@ -44,13 +44,14 @@ def main() -> None:
     args = parser.parse_args()
 
     out = args.out or f"results/power_{args.test}_n{args.n}.csv"
-    cells = run_power_study(
-        h0_families=[get_family(n) for n in H0],
-        generators=generators(),
-        grids=[make_grid(a, b, 25) for a, b in BOUNDS],
-        n=args.n, m=args.m, alpha=args.alpha, test=args.test, B=args.B,
-        seed=args.seed,
-    )
+    with parser.library_errors():
+        cells = run_power_study(
+            h0_families=[get_family(n) for n in H0],
+            generators=generators(),
+            grids=[make_grid(a, b, 25) for a, b in BOUNDS],
+            n=args.n, m=args.m, alpha=args.alpha, test=args.test, B=args.B,
+            seed=args.seed,
+        )
     path = pathlib.Path(out)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:

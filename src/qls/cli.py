@@ -8,6 +8,7 @@ CSV; runs that consume randomness take --seed and are fully reproducible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -21,7 +22,7 @@ from .efficiency import are_table
 from .errors import DomainError, InvalidGrid, QlsError
 from .estimators import FitPlan, fit_gqls, fit_sample
 from .families import FAMILIES, ParamMode, Params, check_seed, get_family, parse_mode
-from .quantiles import empirical_quantiles, make_grid
+from .quantiles import QuantileGrid, empirical_quantiles, make_grid
 from .robustness import breakdown_point, influence_curve
 from .simulate import (
     ContaminationSpec,
@@ -51,6 +52,17 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+    @contextlib.contextmanager
+    def library_errors(self):
+        """A script's body: a library error raised in it (a bad argument
+        the parser let through, such as ``--m 0``) ends the script with one
+        error line and exit 1, as a usage error does."""
+        try:
+            yield
+        except QlsError as exc:
+            print(f"{self.prog}: error: {exc}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE) from None
 
 
 class InputError(Exception):
@@ -297,58 +309,84 @@ def _cmd_influence(args) -> int:
     return EXIT_OK
 
 
-def _required(cfg: dict, key: str):
-    """A key the study config must give; an input error when it is missing."""
+_JSON_TYPES = {int: "integer", float: "number", str: "string", list: "array", dict: "object"}
+_REQUIRED = object()
+
+
+def _typed(value, kind, what: str):
+    """A config value of JSON type ``kind`` (a number may be an integer),
+    as ``kind``; an input error naming ``what`` when it has another type."""
+    kinds = (int, float) if kind is float else kind
+    if not isinstance(value, bool) and isinstance(value, kinds):
+        try:
+            return kind(value)
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise InputError(f"study config: {what} must be a JSON {_JSON_TYPES[kind]}, "
+                     f"got {json.dumps(value)[:40]}")
+
+
+def _field(cfg: dict, key: str, kind, default=_REQUIRED):
+    """``cfg[key]`` checked by ``_typed``, or ``default`` when the key is
+    absent; an input error when a key without a default is missing."""
     if key not in cfg:
-        raise InputError(f"study config has no {key!r}")
-    return cfg[key]
+        if default is _REQUIRED:
+            raise InputError(f"study config has no {key!r}")
+        return default
+    return _typed(cfg[key], kind, repr(key))
 
 
-def _config_grid(cfg: dict):
-    return make_grid(float(cfg.get("a", 0.05)), float(cfg.get("b", 0.95)), int(cfg.get("k", 25)))
+def _config_grid(cfg) -> QuantileGrid:
+    cfg = _typed(cfg, dict, "a grid")
+    return make_grid(_field(cfg, "a", float, 0.05), _field(cfg, "b", float, 0.95),
+                     _field(cfg, "k", int, 25))
 
 
-def _study_from_config(cfg: dict, seed_override: int | None):
-    """The study's output rows and its warning lines.  A config seed must be
-    a JSON integer; the library refuses any other as InvalidSeed."""
+def _study_from_config(cfg, seed_override: int | None):
+    """The study's output rows and its warning lines.  A value of the wrong
+    JSON type is an input error; a config seed must be a JSON integer, and
+    the library refuses any other as InvalidSeed."""
+    cfg = _typed(cfg, dict, "the study")
     seed = cfg.get("seed", 0) if seed_override is None else seed_override
-    base = get_family(_required(cfg, "family"))
-    base_params = Params(float(cfg.get("mu", 0.0)), float(cfg.get("sigma", 1.0)))
+    base = get_family(_field(cfg, "family", str))
+    base_params = Params(_field(cfg, "mu", float, 0.0), _field(cfg, "sigma", float, 1.0))
     cont = cfg.get("contaminant")
     if cont:
+        cont = _typed(cont, dict, "'contaminant'")
         spec = ContaminationSpec(
             base_family=base, base_params=base_params,
-            contaminant_family=get_family(_required(cont, "family")),
-            contaminant_params=Params(float(cont.get("mu", 0.0)),
-                                      float(cont.get("sigma", 1.0))),
-            epsilon=float(cont.get("epsilon", 0.0)),
+            contaminant_family=get_family(_field(cont, "family", str)),
+            contaminant_params=Params(_field(cont, "mu", float, 0.0),
+                                      _field(cont, "sigma", float, 1.0)),
+            epsilon=_field(cont, "epsilon", float, 0.0),
         )
     else:
         spec = ContaminationSpec(base_family=base, base_params=base_params)
+    n, m = _field(cfg, "n", int), _field(cfg, "M", int)
 
     kind = cfg.get("study", "mc")
     if kind == "mc":
         estimators = []
-        for e in _required(cfg, "estimators"):
-            method = _required(e, "method")
+        for e in _field(cfg, "estimators", list):
+            e = _typed(e, dict, "an estimator")
+            method = _field(e, "method", str)
             estimators.append(EstimatorSpec(
                 method=method, grid=None if method == "mle" else _config_grid(e),
-                mode=parse_mode(e.get("mode", "loc-scale")),
-                known_mu=float(e.get("known_mu", 0.0)),
-                known_sigma=float(e.get("known_sigma", 1.0)),
+                mode=parse_mode(_field(e, "mode", str, "loc-scale")),
+                known_mu=_field(e, "known_mu", float, 0.0),
+                known_sigma=_field(e, "known_sigma", float, 1.0),
             ))
-        config = McConfig(spec=spec, n=int(_required(cfg, "n")), m=int(_required(cfg, "M")),
-                          estimators=tuple(estimators), seed=seed)
-        summary = run_mc(config)
+        summary = run_mc(McConfig(spec=spec, n=n, m=m, estimators=tuple(estimators),
+                                  seed=seed))
         return summary.as_rows(), [f"{label}: {tag}" for label, tags in summary.warnings.items()
                                    for tag in tags]
     if kind == "power":
-        h0 = [get_family(name) for name in _required(cfg, "h0_families")]
-        grids = [_config_grid(g) for g in cfg.get("grids", [{}])]
+        h0 = [get_family(_typed(name, str, "a null family"))
+              for name in _field(cfg, "h0_families", list)]
+        grids = [_config_grid(g) for g in _field(cfg, "grids", list, [{}])]
         cells = run_power_study(
-            h0, [spec], grids, n=int(_required(cfg, "n")), m=int(_required(cfg, "M")),
-            alpha=float(cfg.get("alpha", 0.05)), test=cfg.get("test", "w"),
-            B=int(cfg.get("B", 1000)), seed=seed,
+            h0, [spec], grids, n=n, m=m, alpha=_field(cfg, "alpha", float, 0.05),
+            test=_field(cfg, "test", str, "w"), B=_field(cfg, "B", int, 1000), seed=seed,
         )
         return [cell.as_row() for cell in cells], [
             f"{cell.label}: {tag}" for cell in cells for tag in cell.warnings]

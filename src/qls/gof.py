@@ -258,9 +258,11 @@ def _exceedance(null: np.ndarray, stats):
 # for a bootstrap_pvalue call, [*cell_seed, _BOOTSTRAP_KEY] for a wout cell.
 # SeedSequence splits an integer key into 32-bit words and drops trailing
 # zero words ([s], [s, 0] and s give one stream), so a small tag such as
-# 2**32 + 1 ([s, 1, 1]) would replay a power-study key.  Both words of this
-# one exceed any replicate or cell index, so no run_mc ([seed, r]) or
-# power-study ([seed, i_h0, i_gen, i_grid, r]) key reaches it.
+# 2**32 + 1 ([s, 1, 1]) would replay run_timing's key [s, 1, 1, 0].  Both
+# words of this one, as of simulate._STREAM_KEY, exceed any cell or timing
+# index, so no replicate stream ([seed, _STREAM_KEY], [*cell_seed,
+# _STREAM_KEY]) or run_timing key ([seed, i_family, i_size, repeat])
+# reaches it.
 _BOOTSTRAP_KEY = 0x9E3779B97F4A7C15
 
 

@@ -3,22 +3,22 @@ studies for the goodness-of-fit tests, and timing benchmarks.
 
 Data are drawn from the mixture (1 - eps) F0 + eps G; bias and root-MSE are
 always measured against the parameters of the clean component F0.  Every
-study is deterministic given its seed: replicate r uses a generator seeded
-from (seed, r), and the reduction order is fixed.
+study is deterministic given its seed: a study (or power cell) reads one
+stream, ``default_rng([*seed_prefix, _STREAM_KEY])``, in which replicate r
+owns the w uniforms [r w, (r + 1) w) (``_row_width``), and the reduction
+order is fixed.
 
 Replicates run as a batch engine.  Consecutive replicates fill the rows of
-one block of at most 1 MiB (``quantiles.replicate_blocks``): each
-replicate's generator fills one row of uniforms, and the quantile transform
-runs once per family on the whole block.  Each MLE column is fitted on the
-block as drawn; the block is then sorted once along its rows, and one
-row-batched product per estimator or test (``FitPlan.solve``) fits all the
-rows.  A row's results do not depend on its block, so they are the same for
-any block size, and the caller and one helper thread take whole blocks
-(``_run_blocks``).  A block's generators are seeded in one vectorized pass
-of numpy's SeedSequence hash (``_replicate_generators``), bit for bit the
-streams of ``default_rng([*prefix, r])``; the first of every block is
-checked against ``default_rng`` itself, and a ``QlsError`` is raised if
-they ever differ.
+one block whose w-wide draw holds at most 1 MiB
+(``quantiles.replicate_blocks``).  A block advances its own copy of the
+stream to its first replicate (PCG64 spends one 64-bit step per double;
+L'Ecuyer et al. 2002, O'Neill 2014), draws all its rows at once and runs the
+quantile transforms once per family on the whole block.  Each MLE column is
+fitted on the block as drawn; the block is then sorted once along its rows,
+and one row-batched product per estimator or test (``FitPlan.solve``) fits
+all the rows.  A row's results do not depend on its block, so they are the
+same for any block size, and the caller and one helper thread take whole
+blocks (``_run_blocks``).
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from . import gof
 from .errors import DomainError, QlsError
@@ -78,38 +77,42 @@ class ContaminationSpec:
             object.__setattr__(self, "label", lab)
 
 
+# The last word of every replicate stream's key: [seed, _STREAM_KEY] for a
+# run_mc study, [*cell_seed, _STREAM_KEY] for a power cell.  Picked as
+# gof._BOOTSTRAP_KEY was: both of its 32-bit words exceed any cell or timing
+# index, so no other key of the program reaches it.
+_STREAM_KEY = 0xBB67AE8584CAA73B
+
+
+def _row_width(spec: ContaminationSpec, n: int) -> int:
+    """Uniforms per sample of n: n base uniforms, then, when epsilon > 0, n
+    that pick the contaminated entries and n for the contaminant."""
+    return 3 * n if spec.epsilon > 0.0 else n
+
+
 def sample_contaminated(spec: ContaminationSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n observations from the mixture.  With epsilon = 0 the stream of
-    uniforms consumed is identical to plain base-family sampling."""
-    return _draw_rows(spec, n, [rng])[0]
-
-
-def _draw_rows(spec: ContaminationSpec, n: int, rngs: list) -> np.ndarray:
-    """A (len(rngs), n) array whose row i holds n draws from the mixture made
-    with the generator ``rngs[i]``.  Each generator gives, in order, n base
-    uniforms, then (epsilon > 0) n uniforms that pick the contaminated
-    entries and one uniform per contaminated entry: the first 2n in one fill
-    per row (successive doubles of a stream concatenate), the rest in one
-    more draw per row that has hits.  Each family's quantile transform runs
-    once on all its uniforms, so a row is the same bits whatever rows it is
-    drawn with."""
+    """Draw n observations from the mixture, made of the next
+    ``_row_width(spec, n)`` uniforms of rng: entry j is the contaminant's
+    draw from the j-th uniform of the third n when the j-th of the second n
+    lies below epsilon, else the base draw from the j-th of the first n.
+    With epsilon = 0 the stream consumed is identical to plain base-family
+    sampling."""
     check_sampling(spec.base_params, n)
-    mixed = spec.epsilon > 0.0
-    buf = np.empty((len(rngs), 2 * n if mixed else n))
-    for rng, row in zip(rngs, buf):
-        rng.random(out=row)
-    x = spec.base_family._from_uniform(spec.base_params, buf[:, :n])
-    if mixed:
-        mask = buf[:, n:] < spec.epsilon
-        del buf
-        hits = np.count_nonzero(mask, axis=1).tolist()
-        picked = [rng.random(h) for rng, h in zip(rngs, hits) if h]
-        if picked:
-            uc = np.concatenate(picked)
+    return _from_uniforms(spec, n, rng.random((1, _row_width(spec, n))))[0]
+
+
+def _from_uniforms(spec: ContaminationSpec, n: int, u: np.ndarray) -> np.ndarray:
+    """The (rows, n) mixture draws made of a (rows, ``_row_width``) array of
+    uniforms, one sample per row as ``sample_contaminated`` lays it out; u is
+    overwritten.  Each family's quantile transform runs once on all its
+    uniforms, so a row is the same bits whatever rows it is drawn with."""
+    x = spec.base_family._from_uniform(spec.base_params, u[:, :n])
+    if spec.epsilon > 0.0:
+        hit = u[:, n:2 * n] < spec.epsilon
+        uc = u[:, 2 * n:][hit]
+        if uc.size:
             check_sampling(spec.contaminant_params, uc.size)
-            # boolean assignment fills the masked entries in row-major order,
-            # which is the order their uniforms were drawn in
-            x[mask] = spec.contaminant_family._from_uniform(spec.contaminant_params, uc)
+            x[hit] = spec.contaminant_family._from_uniform(spec.contaminant_params, uc)
     return x
 
 
@@ -156,7 +159,8 @@ def _check_study(n: int, m: int) -> None:
 @dataclass(frozen=True)
 class McConfig:
     """One Monte Carlo study.  ``seed`` must be a non-negative integer
-    (InvalidSeed otherwise); replicate r draws from ``default_rng([seed, r])``."""
+    (InvalidSeed otherwise); replicate r is made of the r-th run of
+    ``_row_width(spec, n)`` doubles of ``default_rng([seed, _STREAM_KEY])``."""
 
     spec: ContaminationSpec
     n: int
@@ -205,110 +209,11 @@ class McSummary:
         return rows
 
 
-# numpy.random.SeedSequence's hash at its default pool size; its output is
-# frozen by numpy's stream-compatibility policy (NEP 19)
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-_MASK32 = 0xFFFFFFFF
-
-
-def _seed_words(values) -> list[int]:
-    """The uint32 entropy words SeedSequence makes of a sequence of ints:
-    each value in little-endian 32-bit words, 0 as one word."""
-    words = []
-    for v in map(check_seed, values):
-        while True:
-            words.append(v & _MASK32)
-            v >>= 32
-            if not v:
-                break
-    return words
-
-
-def _seed_states(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of a
-    (rows, L) uint32 array of entropy words, as a (rows, 4) array.  The hash
-    constants depend only on the step, so each step is one column operation."""
-    rows, length = entropy.shape
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> _XSHIFT)
-
-    zero = np.zeros(rows, dtype=np.uint32)
-    pool = [hashmix(entropy[:, i] if i < length else zero) for i in range(_POOL_SIZE)]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for i_src in range(_POOL_SIZE, length):
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[:, i_src]))
-
-    hash_const = _INIT_B
-    state = np.empty((rows, 8), dtype=np.uint32)
-    for i_dst in range(8):
-        value = pool[i_dst % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        state[:, i_dst] = value ^ (value >> _XSHIFT)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-class _SeedState(ISeedSequence):
-    """A seed sequence whose ``generate_state(4, np.uint64)`` words were
-    computed ahead; PCG64 asks for nothing else."""
-
-    __slots__ = ("_words",)
-
-    def __init__(self, words: np.ndarray):
-        self._words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self._words
-
-
-def _replicate_generators(seed_prefix: tuple, reps: range) -> list[np.random.Generator]:
-    """The generators ``default_rng([*seed_prefix, r])`` for r in ``reps`` (not
-    empty), seeded in one vectorized SeedSequence pass.  Raises QlsError if
-    the first one differs from numpy's own."""
-    head = _seed_words(seed_prefix)
-    states = []
-    # r takes one entropy word below 2^32 and two from there on
-    cut = min(max(reps.start, 2 ** 32), reps.stop)
-    for part in (range(reps.start, cut), range(cut, reps.stop)):
-        if not part:
-            continue
-        r = np.arange(part.start, part.stop, dtype=np.uint64)
-        tail = [r & _MASK32] + ([r >> 32] if part.start >= 2 ** 32 else [])
-        entropy = np.empty((len(part), len(head) + len(tail)), dtype=np.uint32)
-        entropy[:, :len(head)] = head
-        for j, col in enumerate(tail, len(head)):
-            entropy[:, j] = col
-        states.append(_seed_states(entropy))
-    rngs = [np.random.Generator(np.random.PCG64(_SeedState(w))) for w in np.concatenate(states)]
-    reference = np.random.default_rng([*seed_prefix, reps.start])
-    if rngs[0].bit_generator.state != reference.bit_generator.state:
-        raise QlsError(f"vectorized seeding of replicate {reps.start} differs from "
-                       f"numpy's default_rng({[*seed_prefix, reps.start]})")
-    return rngs
-
-
 def _run_blocks(spec: ContaminationSpec, n: int, replicates: range, seed_prefix: tuple,
                 work) -> None:
     """Draw the replicates in (rows, n) blocks and call ``work(reps, block)``
-    on each; replicate r draws from ``default_rng([*seed_prefix, r])``.
+    on each; replicate r is made of doubles [r w, (r + 1) w) of
+    ``default_rng([*seed_prefix, _STREAM_KEY])``, w = ``_row_width(spec, n)``.
 
     The caller and one helper thread each take the next block until none is
     left, so ``work`` must write only its own replicates' results.  The
@@ -316,7 +221,10 @@ def _run_blocks(spec: ContaminationSpec, n: int, replicates: range, seed_prefix:
     is joined before this returns or raises.  After the first error neither
     takes another block, and that error is raised here.  A worker holds one
     block at a time, and no draw buffer while ``work`` runs."""
-    blocks = replicate_blocks(replicates, n)
+    check_sampling(spec.base_params, n)
+    width = _row_width(spec, n)
+    key = np.random.SeedSequence([*seed_prefix, _STREAM_KEY])
+    blocks = replicate_blocks(replicates, width)
     lock = threading.Lock()
     errors: list[BaseException] = []
 
@@ -327,7 +235,10 @@ def _run_blocks(spec: ContaminationSpec, n: int, replicates: range, seed_prefix:
     def run():
         try:
             while (reps := take()) is not None:
-                block = _draw_rows(spec, n, _replicate_generators(seed_prefix, reps))
+                bits = np.random.PCG64(key)
+                bits.advance(reps.start * width)
+                block = _from_uniforms(
+                    spec, n, np.random.Generator(bits).random((len(reps), width)))
                 work(reps, block)
                 del block
         except BaseException as exc:  # stops both workers; raised by the caller
@@ -465,7 +376,9 @@ def run_power_study(h0_families, generators, grids, n: int, m: int,
     """Rejection-proportion table over (H0 family) x (data generator) x grid.
 
     generators are ContaminationSpec values (epsilon = 0 gives a pure
-    family).  test "w" uses the in-sample statistic at its chi-square
+    family).  The cell (i_h0, i_gen, i_grid) reads one stream,
+    ``default_rng([seed, i_h0, i_gen, i_grid, _STREAM_KEY])``, laid out as
+    in ``run_mc``.  test "w" uses the in-sample statistic at its chi-square
     critical value; "wout" calibrates the out-of-sample statistic with one
     B-replicate bootstrap null per cell, shared by its m replicates (the
     statistic is pivotal under H0), so the rate's Monte Carlo variance gains
@@ -555,8 +468,12 @@ def run_timing(families, methods, sizes, repeats: int = 3,
                seed: int = 0) -> list[TimingRow]:
     """Median wall-clock sampling and fitting times.  Sampling time is kept
     separate from fitting time; a cell whose single fit exceeds the timeout
-    is marked and not repeated further (its partial median is reported)."""
+    is marked and not repeated further (its partial median is reported).
+    Before any draw, repeats below 1 raise DomainError, and a bad seed
+    InvalidSeed."""
     check_seed(seed)
+    if repeats < 1:
+        raise DomainError(f"need at least one repeat, got {repeats}")
     if grid is None:
         grid = make_grid(0.05, 0.95, 25)
     rows: list[TimingRow] = []

@@ -475,6 +475,40 @@ def test_bad_arguments_exit_with_one_error_line(capsys, tmp_path, normal_file, a
         assert lines[0].startswith("qls: input error: ") and "'estimators'" in lines[0]
 
 
+@pytest.mark.parametrize("config", [
+    [_MC_CONFIG],
+    None,
+    "mc",
+    {**_MC_CONFIG, "n": "abc"},
+    {**_MC_CONFIG, "n": 50.5},
+    {**_MC_CONFIG, "M": True},
+    {**_MC_CONFIG, "family": 3},
+    {**_MC_CONFIG, "mu": "0"},
+    {**_MC_CONFIG, "sigma": 10 ** 400},
+    {**_MC_CONFIG, "estimators": {"method": "gqls"}},
+    {**_MC_CONFIG, "estimators": ["gqls"]},
+    {**_MC_CONFIG, "estimators": [{"method": "gqls", "k": "25"}]},
+    {**_MC_CONFIG, "estimators": [{"method": "gqls", "mode": 1}]},
+    {**_MC_CONFIG, "contaminant": "cauchy"},
+    {**_MC_CONFIG, "contaminant": {"family": "cauchy", "epsilon": "0.1"}},
+    {**_POWER_CONFIG, "h0_families": "normal"},
+    {**_POWER_CONFIG, "h0_families": [["normal"]]},
+    {**_POWER_CONFIG, "grids": [25]},
+    {**_POWER_CONFIG, "B": "20"},
+    {**_POWER_CONFIG, "alpha": None},
+])
+def test_config_values_of_the_wrong_type_are_input_errors(capsys, tmp_path, config):
+    # exit 2 with one input-error line, before any draw, instead of a
+    # ValueError or AttributeError traceback
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    lines = [line for line in err.splitlines() if "error:" in line]
+    assert (code, out, len(lines)) == (2, "", 1), err
+    assert lines[0].startswith("qls: input error: study config")
+    assert "Traceback" not in err
+
+
 def test_simulate_prints_grid_tags_as_warnings(capsys, tmp_path):
     cfg = {"study": "mc", "family": "normal", "n": 2, "M": 5, "seed": 1,
            "estimators": [{"method": "gqls", "k": 25}, {"method": "mle"}]}
@@ -560,6 +594,27 @@ def test_every_script_usage_error_exits_1(script, tmp_path):
     assert proc.returncode == 1, proc.stderr.decode()
     assert proc.stdout == b""
     assert proc.stderr.startswith(b"usage: ") and b"unrecognized arguments: --bogus" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("script, argv, match", [
+    ("power_study.py", ("--m", "0"), b"replicate count must be >= 1"),
+    ("power_study.py", ("--test", "wout", "--B", "0"), b"bootstrap replicate"),
+    ("contamination_study.py", ("--m", "0"), b"replicate count must be >= 1"),
+    ("contamination_study.py", ("--family", "nope"), b"unknown family"),
+    ("timing_bench.py", ("--repeats", "0"), b"at least one repeat"),
+    ("timing_bench.py", ("--seed", "-1"), b"non-negative integer"),
+    ("timing_bench.py", ("--sizes", "abc"), b"expected sizes"),
+])
+def test_script_library_errors_exit_1_with_one_error_line(script, argv, match, tmp_path):
+    # the library's argument errors end a script as a usage error ends it:
+    # one error line, exit 1, no traceback and nothing written
+    proc = subprocess.run([sys.executable, str(SCRIPTS / script), *argv],
+                          capture_output=True, env=SCRIPT_ENV, timeout=120, cwd=tmp_path)
+    lines = [line for line in proc.stderr.splitlines() if b"error:" in line]
+    assert (proc.returncode, proc.stdout, len(lines)) == (1, b"", 1), proc.stderr.decode()
+    assert lines[0].startswith(script.encode() + b": error: ") and match in lines[0]
+    assert b"Traceback" not in proc.stderr
     assert list(tmp_path.iterdir()) == []
 
 

@@ -45,6 +45,7 @@ from qls.quantiles import (
     make_grid,
     sigma_star,
 )
+from qls.simulate import _STREAM_KEY
 
 NORMAL = get_family("normal")
 GRID = make_grid(0.05, 0.95, 25)
@@ -338,8 +339,7 @@ def test_bootstrap_seed_reproducible():
 
 def test_bootstrap_seeds_give_disjoint_replicate_streams(monkeypatch):
     # one generator per call; seeds 6 and 7 give different streams, and
-    # neither replays the generator that run_mc ([seed, r]) or a power
-    # study ([seed, i_h0, i_gen, i_grid, r]) builds from the same seed
+    # neither replays a short key such as [seed, 0] or [seed, 1, 1]
     data, _, _ = normal_fit(n=200, seed=52)
     keys = []
     real = np.random.default_rng
@@ -364,23 +364,45 @@ def test_bootstrap_seeds_give_disjoint_replicate_streams(monkeypatch):
                                               *_union_columns(idx)))[0]
              for seed in (6, 7)]
     assert not np.any(draws[0] == draws[1])
-    # a wout power cell draws its one null from [*cell_seed, _BOOTSTRAP_KEY]:
-    # not the stream of any of its replicates ([*cell_seed, r]), of run_mc
-    # or of bootstrap_pvalue under the same seed
-    cell_seed, m = (6, 1, 0, 2), 40
-    keys.clear()
-    simulate._cell_pvalues(NORMAL, simulate.ContaminationSpec(base_family=NORMAL), GRID,
-                           default_out_grid(), 200, m, 50, cell_seed, "wout")
-    null_key = [*cell_seed, _BOOTSTRAP_KEY]
-    assert null_key in keys
-    cell_state = np.random.SeedSequence(null_key).generate_state(8)
-    for other in ([*cell_seed, r] for r in range(m)):
-        assert not np.array_equal(cell_state, np.random.SeedSequence(other).generate_state(8))
-    for other in (states[6], np.random.SeedSequence([6, 0]).generate_state(8)):
-        assert not np.array_equal(cell_state, other)
-    cell_draws = next(_bootstrap_order_statistics(NORMAL, 200, cell_seed, 50,
+    cell_draws = next(_bootstrap_order_statistics(NORMAL, 200, (6, 1, 0, 2), 50,
                                                   *_union_columns(idx)))[0]
     assert not np.any(cell_draws == draws[0])
+    # every key the program builds from one seed gives its own stream:
+    # run_mc's study stream [seed, _STREAM_KEY], each power cell's stream
+    # [seed, i_h0, i_gen, i_grid, _STREAM_KEY] and wout null [..,
+    # _BOOTSTRAP_KEY], bootstrap_pvalue's [seed, _BOOTSTRAP_KEY] and
+    # run_timing's [seed, i_family, i_size, repeat].  Both 32-bit words of
+    # each tag lie far above any cell or timing index, so no index spells one.
+    assert _STREAM_KEY != _BOOTSTRAP_KEY
+    for tag in (_STREAM_KEY, _BOOTSTRAP_KEY):
+        assert min(tag & 0xFFFFFFFF, tag >> 32) >= 2 ** 30
+    real_seq = np.random.SeedSequence
+
+    def recording_seq(entropy=None, **kwargs):
+        keys.append(entropy)
+        return real_seq(entropy, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", recording_seq)
+    keys.clear()
+    clean = simulate.ContaminationSpec(base_family=NORMAL)
+    gens = [clean, simulate.ContaminationSpec(
+        base_family=NORMAL, contaminant_family=NORMAL, contaminant_params=Params(1.0, 3.0),
+        epsilon=0.05)]
+    simulate.run_mc(simulate.McConfig(spec=clean, n=50, m=3, seed=6,
+                                      estimators=(simulate.EstimatorSpec("gqls", GRID),)))
+    simulate.run_power_study([NORMAL], gens, [GRID, make_grid(0.1, 0.9, 15)], n=50, m=3,
+                             test="wout", B=20, seed=6)
+    bootstrap_pvalue(data, NORMAL, GRID, B=50, seed=6)
+    simulate.run_timing([NORMAL, get_family("cauchy")], ["gqls"], [100, 200], repeats=2,
+                        seed=6)
+    cells = [(0, i_gen, i_grid) for i_gen in range(2) for i_grid in range(2)]
+    assert keys == ([[6, _STREAM_KEY]]
+                    + [[6, *cell, tag] for cell in cells for tag in (_BOOTSTRAP_KEY, _STREAM_KEY)]
+                    + [[6, _BOOTSTRAP_KEY]]
+                    + [[6, i_f, i_n, r] for i_f in range(2) for i_n in range(2)
+                       for r in range(2)])
+    streams = {tuple(real_seq(key).generate_state(8)) for key in keys}
+    assert len(streams) == len(keys) == 18
 
 
 def test_bootstrap_rejects_wrong_model():

@@ -1,5 +1,6 @@
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -17,11 +18,9 @@ from qls.simulate import (
     EstimatorSpec,
     McConfig,
     _cell_pvalues,
+    _STREAM_KEY,
     _mc_estimates,
-    _replicate_generators,
     _run_blocks,
-    _seed_states,
-    _seed_words,
     run_mc,
     run_power_study,
     run_timing,
@@ -43,6 +42,44 @@ def contaminated(eps, fam=NORMAL):
         contaminant_family=NORMAL, contaminant_params=Params(1.0, 3.0),
         epsilon=eps,
     )
+
+
+def _one_draw_at_a_time(spec, n, rng):
+    """Reference sampler: n base draws, then (epsilon > 0) n mask uniforms,
+    then n contaminant draws whose masked entries replace the base ones,
+    each draw through the public ``Family.sample``."""
+    x = spec.base_family.sample(spec.base_params, n, rng)
+    if spec.epsilon > 0.0:
+        mask = rng.random(n) < spec.epsilon
+        x[mask] = spec.contaminant_family.sample(spec.contaminant_params, n, rng)[mask]
+    return x
+
+
+class _Replay:
+    """A stand-in generator whose ``random(k)`` serves the next k of a fixed
+    array of uniforms."""
+
+    def __init__(self, u):
+        self.u, self.used = u, 0
+
+    def random(self, size):
+        self.used += size
+        return self.u[self.used - size:self.used].copy()
+
+
+def _stream_rows(spec, n, prefix, m):
+    """Reference for the first m replicates of a study or cell keyed
+    ``prefix``: the first m w doubles of ``default_rng([*prefix,
+    _STREAM_KEY])`` in one plain draw (no jump ahead), reshaped to (m, w),
+    each row transformed on its own by the reference sampler."""
+    w = 3 * n if spec.epsilon > 0.0 else n
+    u = np.random.default_rng([*prefix, _STREAM_KEY]).random(m * w).reshape(m, w)
+    rows = []
+    for row in u:
+        replay = _Replay(row)
+        rows.append(_one_draw_at_a_time(spec, n, replay))
+        assert replay.used == w
+    return np.array(rows)
 
 
 def test_spec_validation():
@@ -224,8 +261,9 @@ ENGINE_ESTIMATORS = (
 
 @pytest.mark.parametrize("n, one_row_blocks", [(1000, False), (1000, True), (40, True)])
 def test_replicate_estimates_do_not_depend_on_the_study_size(n, one_row_blocks, monkeypatch):
-    # n = 1000 gives 131-row blocks, so m = 300 spans three blocks and m = 10
-    # one partial block; capping a block at n values gives one-row blocks
+    # n = 1000 at epsilon = 0.05 draws 3000 uniforms a row, so blocks hold 43
+    # rows: m = 300 spans seven blocks and m = 10 one partial block; capping a
+    # block at n values gives one-row blocks
     def study(m):
         return _mc_estimates(McConfig(spec=contaminated(0.05), n=n, m=m,
                                       estimators=ENGINE_ESTIMATORS, seed=21))
@@ -246,24 +284,14 @@ def test_block_rows_stay_within_one_mebibyte():
         assert all(len(b) == 1 or len(b) * n * 8 <= 2 ** 20 for b in blocks)
 
 
-def _one_draw_at_a_time(spec, n, rng):
-    """Reference sampler: the base sample, then the contamination mask, then
-    the contaminant draws, each through the public ``Family.sample``."""
-    x = spec.base_family.sample(spec.base_params, n, rng)
-    if spec.epsilon > 0.0:
-        mask = rng.random(n) < spec.epsilon
-        hits = int(mask.sum())
-        if hits:
-            x[mask] = spec.contaminant_family.sample(spec.contaminant_params, hits, rng)
-    return x
-
-
 @pytest.mark.parametrize("one_row_blocks", [False, True])
 @pytest.mark.parametrize("epsilon", [0.0, 0.1])
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_block_sampler_rows_equal_single_draws(name, epsilon, one_row_blocks, monkeypatch):
-    # n = 300 gives 436-row blocks, so 500 replicates span two blocks
+    # n = 300 draws 300 uniforms a row (436-row blocks) at epsilon = 0 and
+    # 900 (145-row blocks) at 0.1, so 500 replicates span two or four blocks
     n, m, seed = 300, 500, 13
+    w = 3 * n if epsilon > 0.0 else n
     spec = ContaminationSpec(
         base_family=get_family(name), base_params=Params(0.4, 1.3),
         contaminant_family=get_family("gumbel"), contaminant_params=Params(2.0, 3.0),
@@ -273,20 +301,23 @@ def test_block_sampler_rows_equal_single_draws(name, epsilon, one_row_blocks, mo
         m = 5
     blocks = []
     _run_blocks(spec, n, range(m), (seed,), lambda reps, block: blocks.append((reps, block)))
-    assert len(blocks) == (m if one_row_blocks else 2)
+    assert len(blocks) == (m if one_row_blocks else -(-m // (2 ** 17 // w)))
+    want = _stream_rows(spec, n, (seed,), m)
     for reps, block in blocks:
         for r, row in zip(reps, block):
-            single = sample_contaminated(spec, n, np.random.default_rng([seed, r]))
-            assert np.array_equal(row, single)
-            assert np.array_equal(row, _one_draw_at_a_time(
-                spec, n, np.random.default_rng([seed, r])))
+            assert np.array_equal(row, want[r])
+    # sample_contaminated on the study's own generator reads the same rows in turn
+    stream = np.random.default_rng([seed, _STREAM_KEY])
+    for r in range(m):
+        assert np.array_equal(sample_contaminated(spec, n, stream), want[r])
 
 
 def test_wout_cell_data_equal_single_draws(monkeypatch):
-    # replicate r of a wout cell tests the sample default_rng([*cell_seed, r])
-    # draws, and its p-value is the share of the cell's one null strictly
-    # above its statistic; the reference statistic is the public one of a
-    # single fit, and the reference count a plain comparison
+    # replicate r of a wout cell tests the sample made of the r-th run of w
+    # doubles of default_rng([*cell_seed, _STREAM_KEY]), and its p-value is
+    # the share of the cell's one null strictly above its statistic; the
+    # reference statistic is the public one of a single fit, and the
+    # reference count a plain comparison
     n, m, B, cell_seed = 300, 500, 50, (2 ** 33 + 5, 1, 0, 2)
     spec = contaminated(0.1)
     out_grid = gof.default_out_grid()
@@ -302,8 +333,7 @@ def test_wout_cell_data_equal_single_draws(monkeypatch):
     assert len(nulls) == 1
     args, null = nulls[0]
     assert args[4] == cell_seed and args[5] == B and len(null) == B
-    for r in range(m):
-        data = sample_contaminated(spec, n, np.random.default_rng([*cell_seed, r]))
+    for r, data in enumerate(_stream_rows(spec, n, cell_seed, m)):
         fit = fit_sample(data, NORMAL, GRID, "gqls")
         stat = gof.w_out_statistic(data, fit, NORMAL, out_grid)
         assert pvals[r] == np.count_nonzero(null > stat) / B, r
@@ -369,52 +399,9 @@ def test_library_specs_refuse_bad_arguments_as_domain_errors(monkeypatch):
             ContaminationSpec(base_family=NORMAL, epsilon=eps)
     with pytest.raises(DomainError, match="unknown method"):
         EstimatorSpec("foo")
-
-
-def _numpy_states(prefix, reps):
-    return np.array([np.random.SeedSequence([*prefix, r]).generate_state(4, np.uint64)
-                     for r in reps])
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=2 ** 70 - 1), min_size=1, max_size=5),
-       st.one_of(st.just(0), st.integers(min_value=0, max_value=2 ** 32 - 1)),
-       st.integers(min_value=1, max_value=4))
-def test_vectorized_seeding_equals_seed_sequence(prefix, r, rows):
-    # multi-word ints and prefixes longer than the pool of 4 words included
-    reps = range(r, min(r + rows, 2 ** 32))
-    words = np.array([_seed_words([*prefix, i]) for i in reps], dtype=np.uint32)
-    assert np.array_equal(_seed_states(words), _numpy_states(prefix, reps))
-    for i, rng in zip(reps, _replicate_generators(tuple(prefix), reps)):
-        want = np.random.default_rng([*prefix, i]).random(5)
-        assert np.array_equal(rng.random(5), want)
-
-
-def test_vectorized_seeding_across_two_word_replicate_numbers():
-    # r = 2^32 is the first replicate number with two entropy words
-    for prefix in ((0,), (7, 1, 2, 3), (2 ** 64 + 1, 0, 0, 0, 9)):
-        reps = range(2 ** 32 - 3, 2 ** 32 + 3)
-        rngs = _replicate_generators(prefix, reps)
-        assert [g.bit_generator.state for g in rngs] == [
-            np.random.default_rng([*prefix, r]).bit_generator.state for r in reps]
-
-
-def test_seed_words_follow_numpy():
-    assert _seed_words([0]) == [0]
-    assert _seed_words([2 ** 32, 5]) == [0, 1, 5]
-    assert _seed_words([np.int64(3), 2 ** 64 - 1]) == [3, 2 ** 32 - 1, 2 ** 32 - 1]
-    for bad in (-1, 1.5, 2.0, "3", None):
-        with pytest.raises(InvalidSeed):
-            _seed_words([bad])
-
-
-def test_seeding_guard_raises_when_numpy_disagrees(monkeypatch):
-    cfg = McConfig(spec=clean(), n=50, m=4, estimators=(EstimatorSpec("gqls", GRID),), seed=1)
-    monkeypatch.setattr(simulate, "_INIT_B", simulate._INIT_B ^ 1)
-    with pytest.raises(QlsError, match="differs from numpy"):
-        run_mc(cfg)
-    with pytest.raises(QlsError, match="differs from numpy"):
-        run_power_study([NORMAL], [clean()], [GRID], n=50, m=3, seed=1)
+    for repeats in (0, -2):
+        with pytest.raises(DomainError, match="at least one repeat"):
+            run_timing([NORMAL], ["gqls"], [100], repeats=repeats)
 
 
 @pytest.mark.parametrize("seed", [-1, -2 ** 40, 1.5, 2.0, "3", None])
@@ -441,7 +428,7 @@ def test_run_mc_keeps_the_grid_tags():
     ests = (EstimatorSpec("gqls", GRID), EstimatorSpec("oqls", make_grid(0.5, 0.9, 2)),
             EstimatorSpec("mle"))
     s = run_mc(McConfig(spec=clean(), n=2, m=5, estimators=ests, seed=3))
-    data = sample_contaminated(clean(), 2, np.random.default_rng([3, 0]))
+    data = _stream_rows(clean(), 2, (3,), 1)[0]
     assert s.warnings == {
         **{est.label: fit_sample(data, NORMAL, est.grid, est.method).warnings
            for est in ests[:2]},
@@ -473,8 +460,7 @@ def test_batched_estimates_match_single_fits(name):
     for spec in specs:
         cfg = McConfig(spec=spec, n=300, m=12, estimators=ests + mles, seed=8)
         batched = _mc_estimates(cfg)
-        for r in range(cfg.m):
-            draws = sample_contaminated(spec, cfg.n, np.random.default_rng([cfg.seed, r]))
+        for r, draws in enumerate(_stream_rows(spec, cfg.n, (cfg.seed,), cfg.m)):
             for j, est in enumerate(ests):
                 fit = fit_sample(draws, fam, grid, est.method, est.mode, **known)
                 want = [getattr(fit, p) for p in est.param_names]
@@ -503,7 +489,7 @@ def test_batched_failures_follow_the_single_fit_rules():
     s = run_mc(cfg)
     assert list(s.failures.values()) == [5, 0, 0]
     assert "sigma" not in s.stats[ests[0].label]
-    draws = sample_contaminated(clean(), 200, np.random.default_rng([1, 0]))
+    draws = _stream_rows(clean(), 200, (1,), 1)[0]
     assert fit_sample(draws, NORMAL, upper, mode=ParamMode.SCALE_ONLY, known_mu=100.0).sigma < 0
 
 
@@ -512,8 +498,7 @@ def test_power_w_matches_single_tests():
     cells = run_power_study([NORMAL], [gen], [GRID], n=400, m=30, alpha=0.2, test="w", seed=4)
     plan = FitPlan.for_family(NORMAL, GRID, "gqls")
     rejections = 0
-    for r in range(30):
-        data = sample_contaminated(gen, 400, np.random.default_rng([4, 0, 0, 0, r]))
+    for data in _stream_rows(gen, 400, (4, 0, 0, 0), 30):
         y = empirical_quantiles(data, GRID)
         rejections += plan_w_test(plan, y, plan.fit(y)).p_value <= 0.2
     assert cells[0].rejection_rate == rejections / 30
@@ -555,11 +540,11 @@ def test_fit_is_location_scale_equivariant(name, kind, a, b, seed):
 # ---------------------------------------------------------------------------
 
 def _serial_blocks(spec, n, replicates, seed_prefix, work):
-    """One-thread reference for ``_run_blocks``: the same blocks in order,
-    each row drawn on its own by the reference sampler."""
+    """One-thread reference for ``_run_blocks``: blocks of n-value rows in
+    order, cut from the reference rows of the whole stream."""
+    rows = _stream_rows(spec, n, seed_prefix, replicates.stop)
     for reps in quantiles.replicate_blocks(replicates, n):
-        work(reps, np.array([_one_draw_at_a_time(spec, n, np.random.default_rng([*seed_prefix, r]))
-                             for r in reps]))
+        work(reps, rows[reps.start:reps.stop].copy())
 
 
 def _engine_and_reference(cfg, monkeypatch):
@@ -605,25 +590,87 @@ def test_engine_equals_a_one_thread_reference(name, epsilon, monkeypatch):
 
 
 def test_engine_single_block_with_many_hits(monkeypatch):
-    # one block of seven rows at epsilon = 0.3: about 120 contaminant
-    # uniforms per row, each row's drawn from its own stream after its mask
+    # one block of seven rows at epsilon = 0.3: about 120 contaminated
+    # entries per row, every row's taken from its own third of the row's draw
     cfg = McConfig(spec=contaminated(0.3), n=400, m=7, seed=5,
                    estimators=(EstimatorSpec("mle"), EstimatorSpec("gqls", GRID)))
-    assert len(list(quantiles.replicate_blocks(range(cfg.m), cfg.n))) == 1
+    assert len(list(quantiles.replicate_blocks(range(cfg.m), 3 * cfg.n))) == 1
     engine, reference = _engine_and_reference(cfg, monkeypatch)
     assert engine.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.05, 1.0])
 def test_sample_contaminated_does_not_overdraw(epsilon):
-    # a caller's generator ends where the three separate draws leave it
+    # a caller's generator ends exactly w uniforms on (n at epsilon = 0, 3n
+    # otherwise), where the reference sampler's separate draws leave it
     spec = ContaminationSpec(base_family=NORMAL, contaminant_family=CAUCHY,
                              contaminant_params=Params(0.0, 2.0), epsilon=epsilon)
-    rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+    rng, ref, plain = (np.random.default_rng(17) for _ in range(3))
     for n in (1, 50, 999):
         assert sample_contaminated(spec, n, rng).tobytes() == _one_draw_at_a_time(
             spec, n, ref).tobytes()
-        assert rng.bit_generator.state == ref.bit_generator.state
+        plain.random(3 * n if epsilon > 0.0 else n)
+        assert rng.bit_generator.state == ref.bit_generator.state == plain.bit_generator.state
+
+
+class _NoHelper:
+    """A stand-in for the engine's helper thread that never runs, so the
+    caller takes every block."""
+
+    def __init__(self, target, args, name):
+        pass
+
+    def start(self):
+        pass
+
+    def join(self):
+        pass
+
+
+@pytest.mark.parametrize("study", ["mc", "w", "wout"])
+def test_study_bytes_do_not_depend_on_blocks_or_threads(study, monkeypatch):
+    # replicate r is the transform of doubles [r w, (r + 1) w) of its key's
+    # stream, whatever the blocks and whichever thread draws them: the same
+    # bytes at the default blocks, on one-row blocks, on 7-row blocks on one
+    # thread and on two, and from the jump-free reference
+    n, m = 400, 90
+    spec = contaminated(0.05)
+    if study == "mc":
+        cfg = McConfig(spec=spec, n=n, m=m, estimators=ENGINE_ESTIMATORS, seed=2 ** 40 + 9)
+
+        def run():
+            return _mc_estimates(cfg)
+    else:
+        def run():
+            return _cell_pvalues(NORMAL, spec, GRID, gof.default_out_grid(), n, m, 50,
+                                 (9, 1, 0, 2), study)
+    want = run()
+    assert np.isfinite(want[..., 0]).all()
+    with monkeypatch.context() as patch:
+        patch.setattr(quantiles, "_BLOCK_VALUES", 1)
+        assert run().tobytes() == want.tobytes()
+    with monkeypatch.context() as patch:
+        patch.setattr(quantiles, "_BLOCK_VALUES", 7 * 3 * n)
+        patch.setattr(simulate, "threading",
+                      types.SimpleNamespace(Lock=threading.Lock, Thread=_NoHelper))
+        assert run().tobytes() == want.tobytes()
+    workers = set()
+    run_blocks = simulate._run_blocks
+
+    def on_both_workers(spec, n, replicates, seed_prefix, work):
+        def recorded(reps, block):
+            workers.add(threading.current_thread().name)
+            work(reps, block)
+        run_blocks(spec, n, replicates, seed_prefix, _both_workers(recorded))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(quantiles, "_BLOCK_VALUES", 7 * 3 * n)
+        patch.setattr(simulate, "_run_blocks", on_both_workers)
+        assert run().tobytes() == want.tobytes()
+    assert len(workers) == 2
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "_run_blocks", _serial_blocks)
+        assert run().tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("failing", ["helper", "caller"])
@@ -647,7 +694,8 @@ def test_engine_error_reaches_the_caller_and_stops_both_workers(failing):
 def test_engine_stress_takes_every_block_once(monkeypatch):
     # three studies at once (six workers on fewer cores), one-row blocks and a
     # tiny switch interval: a lost update to a study's block queue would skip
-    # or repeat a replicate, or hand it another study's draws
+    # or repeat a replicate, or hand it another study's draws or another
+    # replicate's place in its stream
     n, m = 50, 300
     monkeypatch.setattr(quantiles, "_BLOCK_VALUES", n)
     taken = {seed: [] for seed in (3, 4, 5)}
@@ -669,8 +717,9 @@ def test_engine_stress_takes_every_block_once(monkeypatch):
     assert not any(caller.is_alive() for caller in callers)
     for seed, rows in taken.items():
         assert sorted(r for r, _ in rows) == list(range(m))
+        want = _stream_rows(clean(), n, (seed,), m)
         for r, first in rows:
-            assert first == NORMAL.sample(Params(), n, np.random.default_rng([seed, r]))[0]
+            assert first == want[r, 0]
 
 
 def test_engine_workers_share_the_callers_error_state():
@@ -707,7 +756,7 @@ def test_power_cells_keep_the_grid_tags():
     # cell reports it, as a fit on the same two points would
     cells = run_power_study([NORMAL], [clean()], [GRID, make_grid(0.5, 0.9, 2)],
                             n=2, m=5, test="w", seed=1)
-    data = sample_contaminated(clean(), 2, np.random.default_rng([1, 0, 0, 0, 0]))
+    data = _stream_rows(clean(), 2, (1, 0, 0, 0), 1)[0]
     assert cells[0].warnings == fit_sample(data, NORMAL, GRID).warnings == (
         "rank_clamped_to_first_order_statistic", "degenerate_grid")
     assert cells[1].warnings == ()
