@@ -21,7 +21,7 @@ from . import gof as gof_mod
 from .efficiency import are_table
 from .errors import DomainError, InvalidGrid, QlsError
 from .estimators import FitPlan, fit_gqls, fit_sample
-from .families import FAMILIES, ParamMode, Params, check_seed, get_family, parse_mode
+from .families import FAMILIES, Params, check_seed, get_family, parse_mode
 from .quantiles import QuantileGrid, empirical_quantiles, make_grid
 from .robustness import breakdown_point, influence_curve
 from .simulate import (
@@ -84,27 +84,26 @@ def read_data(path: str) -> Dataset:
     warnings: list[str] = []
     header_allowed = True
     try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        for lineno, raw in enumerate(fh, 1):
-            s = raw.strip()
-            if not s or s.startswith("#"):
-                continue
-            token = s.split(",")[0].strip()
-            try:
-                v = float(token)
-            except ValueError:
-                if header_allowed:
-                    header_allowed = False
-                    warnings.append(f"line 1-ish header skipped: {s!r}")
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                s = raw.strip()
+                if not s or s.startswith("#"):
                     continue
-                raise InputError(f"{path}:{lineno}: not a number: {s!r}") from None
-            header_allowed = False
-            if not np.isfinite(v):
-                raise InputError(f"{path}:{lineno}: non-finite value {token!r}")
-            values.append(v)
+                token = s.split(",")[0].strip()
+                try:
+                    v = float(token)
+                except ValueError:
+                    if header_allowed:
+                        header_allowed = False
+                        warnings.append(f"line 1-ish header skipped: {s!r}")
+                        continue
+                    raise InputError(f"{path}:{lineno}: not a number: {s!r}") from None
+                header_allowed = False
+                if not np.isfinite(v):
+                    raise InputError(f"{path}:{lineno}: non-finite value {token!r}")
+                values.append(v)
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise InputError(f"cannot read {path}: {exc}") from exc
     if not values:
         raise InputError(f"{path}: no numeric data found")
     return Dataset(values=np.asarray(values), source=path, warnings=tuple(warnings))
@@ -112,8 +111,11 @@ def read_data(path: str) -> Dataset:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            raise InputError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -233,9 +235,7 @@ def _cmd_fit(args) -> int:
         "warnings": list(data.warnings) + list(fit.warnings),
     }
     if se is not None:
-        names = ("mu", "sigma") if mode is ParamMode.LOCATION_SCALE else (
-            ("mu",) if mode is ParamMode.LOCATION_ONLY else ("sigma",))
-        for name, val in zip(names, se):
+        for name, val in zip(mode.names, se):
             report[f"se_{name}"] = float(val)
     if args.format == "json":
         _emit(json.dumps(report, indent=2) + "\n", args.out)
@@ -399,7 +399,7 @@ def _cmd_simulate(args) -> int:
             cfg = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise InputError(f"{args.config}: invalid JSON: {exc}") from exc
     rows, warnings = _study_from_config(cfg, args.seed)
     for warning in warnings:

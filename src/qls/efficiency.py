@@ -64,7 +64,7 @@ def are(kind: str, fam: Family, grid, mode: ParamMode = ParamMode.LOCATION_SCALE
         # in numpy floats a non-positive product gives inf or NaN, not an exception
         value = float((1.0 / np.float64(_det2(info) * _det2(cov))) ** 0.5)
     else:
-        idx = 0 if mode is ParamMode.LOCATION_ONLY else 1
+        idx = mode.columns.start  # the estimated parameter's column of the joint fit
         try:
             info = fam.fisher_info(ParamMode.LOCATION_SCALE)
             # (I0^-1)_jj: the other diagonal entry of I0 over det(I0)

@@ -71,9 +71,6 @@ DEFAULT_GRID = make_grid(0.05, 0.95, 25)
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # smallest normal float64
 
-# design columns estimated in each single-parameter mode
-_MODE_COLS = {ParamMode.LOCATION_ONLY: slice(0, 1), ParamMode.SCALE_ONLY: slice(1, 2)}
-
 
 @dataclass(frozen=True)
 class QlsFit:
@@ -138,16 +135,19 @@ def _absorb_known(yv: np.ndarray, x: np.ndarray, mode: ParamMode,
 
 def _assemble_params(beta: np.ndarray, mode: ParamMode,
                      known_mu: float, known_sigma: float) -> tuple[Params, tuple[str, ...]]:
-    if mode is ParamMode.LOCATION_SCALE:
-        params = Params(mu=float(beta[0]), sigma=float(beta[1]))
-    elif mode is ParamMode.LOCATION_ONLY:
-        params = Params(mu=float(beta[0]), sigma=float(known_sigma))
-    else:
-        params = Params(mu=float(known_mu), sigma=float(beta[0]))
+    theta = [known_mu, known_sigma]
+    theta[mode.columns] = beta
+    params = Params(mu=float(theta[0]), sigma=float(theta[1]))
     tags = _scale_tags(params.sigma)
     if mode is ParamMode.LOCATION_ONLY and tags == (WARN_NON_POSITIVE_SCALE,):
         tags = ()  # a supplied scale is not an estimate; only its underflow is tagged
     return params, tags
+
+
+def _check_known(known_mu: float, known_sigma: float = 1.0) -> None:
+    """DomainError unless the supplied location and scale are finite."""
+    if not (math.isfinite(known_mu) and math.isfinite(known_sigma)):
+        raise DomainError(f"known parameters must be finite, got {known_mu}, {known_sigma}")
 
 
 def _scale_tags(sigma: float) -> tuple[str, ...]:
@@ -396,7 +396,7 @@ class FitPlan:
         an oQLS plan without S).  RankDeficient if the mode's Gram is singular."""
         if mode is ParamMode.LOCATION_SCALE and self.weights is not None:
             return self.weights, self.cov
-        cols = _MODE_COLS.get(mode, slice(None))
+        cols = mode.columns
         return _solve(self.kind, self.xm[cols], self.gram[cols, cols], self.spacing, self.sigma)
 
     def solve(self, y: np.ndarray, mode: ParamMode = ParamMode.LOCATION_SCALE, *,
@@ -411,7 +411,9 @@ class FitPlan:
             known_mu: float = 0.0, known_sigma: float = 1.0) -> QlsFit:
         """Fit a quantile response (a QuantileResponse, or bare values with n).
         Raises ScaleOverflow when the squared scale estimate in the
-        covariance exceeds the floating-point range."""
+        covariance exceeds the floating-point range, and DomainError when
+        known_mu or known_sigma is not finite."""
+        _check_known(known_mu, known_sigma)
         yv, n_obs, warns = _response(y, n)
         beta = self.solve(yv[None, :], mode, known_mu=known_mu, known_sigma=known_sigma)[0]
         params, scale_warn = _assemble_params(beta, mode, known_mu, known_sigma)
@@ -680,16 +682,16 @@ def _unit_power(scale: float) -> float:
     return math.ldexp(1.0, exp if frac >= math.sqrt(0.5) else exp - 1)
 
 
-def _numeric_mle(fam: Family, x: np.ndarray, init) -> np.ndarray:
+def _numeric_mle(fam: Family, x: np.ndarray) -> np.ndarray:
     """Newton, else the simplex, on x / s with s the power of two nearest
-    the starting scale, so that the fixed steps and tolerances of both are
-    relative to the data's scale: the fit of x 2^j is 2^j times the fit of
-    x while no value leaves the normal range, and a row with s = 1 runs on
-    the data as given."""
+    the starting scale (``_mle_init``), so that the fixed steps and
+    tolerances of both are relative to the data's scale: the fit of x 2^j
+    is 2^j times the fit of x while no value leaves the normal range, and a
+    row with s = 1 runs on the data as given."""
     if x.min() == x.max():  # constant data: sigma = 0 (see _mle_rows), no search
         return np.array([x[0], 0.0])
     ll, score = _NUMERIC_MLE[fam.name]
-    theta0 = np.asarray(init, dtype=float) if init is not None else _mle_init(fam, x)
+    theta0 = _mle_init(fam, x)
     s = _unit_power(float(theta0[1])) if 0.0 < theta0[1] < math.inf else 1.0
     if s != 1.0:
         x, theta0 = x / s, theta0 / s
@@ -701,8 +703,8 @@ def _numeric_mle(fam: Family, x: np.ndarray, init) -> np.ndarray:
 
 
 def _mle_estimates(fam: Family, rows: np.ndarray, finite: np.ndarray,
-                   errors: dict[int, QlsError], scale_only: bool, known_mu: float,
-                   init) -> np.ndarray:
+                   errors: dict[int, QlsError], scale_only: bool,
+                   known_mu: float) -> np.ndarray:
     """(mu, sigma) of each row by the family's MLE; records each failed
     row's error in ``errors``.  The closed forms run once on all rows, with
     the same sums per row as on one row; the numeric families are maximized
@@ -733,14 +735,14 @@ def _mle_estimates(fam: Family, rows: np.ndarray, finite: np.ndarray,
         else:
             for i in np.flatnonzero(finite):
                 try:
-                    theta[i] = _numeric_mle(fam, rows[i], init)
+                    theta[i] = _numeric_mle(fam, rows[i])
                 except QlsError as exc:
                     errors[int(i)] = exc
     return theta
 
 
 def _mle_rows(fam: Family, rows: np.ndarray, mode: ParamMode = ParamMode.LOCATION_SCALE,
-              known_mu: float = 0.0, *, init=None) -> tuple[np.ndarray, dict[int, QlsError]]:
+              known_mu: float = 0.0) -> tuple[np.ndarray, dict[int, QlsError]]:
     """Maximum likelihood (mu, sigma) of each row of a (rows, n) sample array
     (see ``fit_mle``; a scale-only fit reports known_mu as mu), and the error
     of each row whose fit failed, keyed by row.  A failed row reads NaN.
@@ -771,7 +773,7 @@ def _mle_rows(fam: Family, rows: np.ndarray, mode: ParamMode = ParamMode.LOCATIO
     errors: dict[int, QlsError] = {
         int(i): NonFiniteData("sample holds NaN or infinite values")
         for i in np.flatnonzero(~finite)}
-    theta = _mle_estimates(fam, rows, finite, errors, scale_only, known_mu, init)
+    theta = _mle_estimates(fam, rows, finite, errors, scale_only, known_mu)
     low = ~(theta[:, 1] > np.maximum(_TINY, n * _EPS * np.abs(theta[:, 0])))
     for i in np.flatnonzero(finite & low):
         if int(i) in errors:
@@ -782,9 +784,7 @@ def _mle_rows(fam: Family, rows: np.ndarray, mode: ParamMode = ParamMode.LOCATIO
             theta[i] = x[0], 0.0
         elif theta[i, 1] < _TINY:
             s = math.ldexp(1.0, math.frexp(float(np.max(np.abs(x))))[1])
-            row_init = None if init is None else np.asarray(init, dtype=float) / s
-            t = _mle_estimates(fam, x[None, :] / s, finite[i:i + 1], {}, scale_only, 0.0,
-                               row_init)[0]
+            t = _mle_estimates(fam, x[None, :] / s, finite[i:i + 1], {}, scale_only, 0.0)[0]
             theta[i] = (known_mu if scale_only else t[0] * s), t[1] * s
     for i in np.flatnonzero(~np.isfinite(theta).all(axis=1)):
         errors.setdefault(int(i), ScaleOverflow(
@@ -794,23 +794,25 @@ def _mle_rows(fam: Family, rows: np.ndarray, mode: ParamMode = ParamMode.LOCATIO
 
 
 def fit_mle(fam: Family, data, mode: ParamMode = ParamMode.LOCATION_SCALE, *,
-            known_mu: float = 0.0, init=None) -> QlsFit:
+            known_mu: float = 0.0) -> QlsFit:
     """Maximum likelihood fit.
 
     Closed forms: normal (mean, population std), laplace (median, mean
     absolute deviation), exponential and levy in scale-only mode with the
     location supplied.  Cauchy, logistic, and gumbel are maximized
     numerically (Newton on the analytic score, simplex fallback), started
-    at the gQLS fit.  The joint exponential/levy MLE is not defined here
-    (the location parameter sits on the support boundary).  Raises
-    NonFiniteData when the data hold NaN or an infinity, and ScaleOverflow
-    when the scale estimate or its square exceeds the floating-point range.
+    at the gQLS fit on ``DEFAULT_GRID``.  The joint exponential/levy MLE is
+    not defined here (the location parameter sits on the support boundary).
+    Raises DomainError for a known_mu that is not finite, NonFiniteData when
+    the data hold NaN or an infinity, and ScaleOverflow when the scale
+    estimate or its square exceeds the floating-point range.
     A joint fit of constant data returns sigma = 0 tagged
     ``non_positive_scale``, and a positive scale whose square underflows is
     tagged ``scale_underflow``, as in a QLS fit.
     """
     x = np.asarray(data, dtype=float).ravel()
-    theta, errors = _mle_rows(fam, x[None, :], mode, known_mu, init=init)
+    _check_known(known_mu)
+    theta, errors = _mle_rows(fam, x[None, :], mode, known_mu)
     if errors:
         raise errors[0]
     sigma = float(theta[0, 1])

@@ -51,15 +51,24 @@ _U_CEIL = 1.0 - 1e-16
 
 
 class ParamMode(enum.Enum):
-    """Which parameters are estimated; the other one is treated as known."""
+    """Which parameters are estimated; the other one is treated as known.
+    ``columns`` slices the estimated ones out of (mu, sigma) and the design
+    [1, Q0(p)] (every column jointly, so a wider caller design keeps all of
+    its own), and ``names`` names them."""
 
     LOCATION_SCALE = "loc-scale"
     LOCATION_ONLY = "location"
     SCALE_ONLY = "scale"
 
     @property
-    def n_params(self) -> int:
-        return 2 if self is ParamMode.LOCATION_SCALE else 1
+    def columns(self) -> slice:
+        if self is ParamMode.LOCATION_ONLY:
+            return slice(0, 1)
+        return slice(1, 2) if self is ParamMode.SCALE_ONLY else slice(None)
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return ("mu", "sigma")[self.columns]
 
 
 def parse_mode(text: str) -> ParamMode:

@@ -36,7 +36,7 @@ from .quantiles import (
     QuantileGrid,
     _PlanStore,
     _order_statistics,
-    _ranks,
+    _positions,
     _tied,
     empirical_quantiles,
     levels_of,
@@ -266,22 +266,15 @@ def _exceedance(null: np.ndarray, stats):
 _BOOTSTRAP_KEY = 0x9E3779B97F4A7C15
 
 
-def _union_columns(idx: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The sorted union of the 0-based position sets ``idx``, and the columns
-    of each set in it."""
-    pos = np.unique(np.concatenate(idx))
-    return pos, [np.searchsorted(pos, i) for i in idx]
-
-
 def _bootstrap_order_statistics(fam: Family, n: int, key: tuple, B: int,
                                 pos: np.ndarray, cols: list[np.ndarray]):
     """Order statistics of B samples of size n from the standard member of
     ``fam``, a block of replicates at a time: per block, the values at the
     sorted 0-based positions ``pos`` of each column set in ``cols``
-    (``_union_columns``).  Only these are drawn, from gamma spacings (Renyi
-    1953; David and Nagaraja, Order Statistics, 3rd ed., 2.5): the r-th of n
-    sorted uniforms is G_r / G_(n+1), G a running sum of n + 1 standard
-    exponentials, so for ranks r_1 < ... < r_m the jumps of G are
+    (``quantiles._positions``).  Only these are drawn, from gamma spacings
+    (Renyi 1953; David and Nagaraja, Order Statistics, 3rd ed., 2.5): the
+    r-th of n sorted uniforms is G_r / G_(n+1), G a running sum of n + 1
+    standard exponentials, so for ranks r_1 < ... < r_m the jumps of G are
     Gamma(r_i - r_(i-1)) draws plus the tail Gamma(n + 1 - r_m): m + 1 draws
     whatever n is, mapped by the nondecreasing quantile function.
     Replicates are rows, in order, of one generator ``default_rng([*key,
@@ -348,14 +341,12 @@ def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
 
     plan = FitPlan.for_family(fam, grid, "gqls")
     plan_out = FitPlan.for_family(fam, out_grid, "gqls")
-    ranks, warns = _ranks(n, levels_of(grid))
-    ranks_out, warns_out = _ranks(n, levels_of(out_grid))
-    pos, cols = _union_columns([ranks - 1, ranks_out - 1])
+    pos, cols, tags = _positions(n, grid, out_grid)
     values, first, last = _order_statistics(data, pos)
     if not (np.isfinite(first) and np.isfinite(last)):
         raise NonFiniteData("bootstrap data hold NaN or infinite values")
-    warns += warns_out
-    if _tied(values[cols[0]], ranks) or _tied(values[cols[1]], ranks_out):
+    warns = tags[0] + tags[1]
+    if any(_tied(values[c], c) for c in cols):
         warns.append(WARN_TIED_QUANTILES)
     beta0 = plan.solve(values[None, cols[0]])
     if not beta0[0, 1] > 0:

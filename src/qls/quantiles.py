@@ -133,21 +133,25 @@ class QuantileResponse:
         return self.values.shape[0]
 
 
-def _ranks(n: int, levels: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """1-based order-statistic ranks ceil(n * p), robust to float fuzz."""
-    t = n * levels
-    nearest = np.rint(t)
-    snap = np.abs(t - nearest) <= 1e-9 * np.maximum(1.0, np.abs(t))
-    ranks = np.where(snap, nearest, np.ceil(t)).astype(np.int64)
-    warns: list[str] = []
-    if ranks[0] < 1:
-        ranks = np.maximum(ranks, 1)
-        warns.append(WARN_RANK_CLAMPED)
-    elif n * levels[0] < 1.0 - 1e-12:
-        warns.append(WARN_RANK_CLAMPED)
-    if np.any(np.diff(ranks) == 0):
-        warns.append(WARN_DEGENERATE_GRID)
-    return ranks, warns
+def _positions(n: int, *level_sets) -> tuple[np.ndarray, list[np.ndarray], list[list[str]]]:
+    """The sorted union of the 0-based positions ceil(n * p) - 1 (robust to
+    float fuzz) of each set of levels, the columns of each set in it (set s
+    with its repeats is ``pos[cols[s]]``), and each set's rank tags: a rank
+    clamped to 1 or n * p < 1, and one rank at two levels."""
+    ranks: list[np.ndarray] = []
+    tags: list[list[str]] = []
+    for levels in map(levels_of, level_sets):
+        t = n * levels
+        nearest = np.rint(t)
+        snap = np.abs(t - nearest) <= 1e-9 * np.maximum(1.0, np.abs(t))
+        r = np.maximum(np.where(snap, nearest, np.ceil(t)).astype(np.int64) - 1, 0)
+        warns = [WARN_RANK_CLAMPED] if t[0] < 1.0 - 1e-12 else []  # covers every rank below 1
+        if np.any(np.diff(r) == 0):
+            warns.append(WARN_DEGENERATE_GRID)
+        ranks.append(r)
+        tags.append(warns)
+    pos = np.unique(np.concatenate(ranks))
+    return pos, [np.searchsorted(pos, r) for r in ranks], tags
 
 
 def finite_rows(srt: np.ndarray):
@@ -225,10 +229,10 @@ def _order_statistics(data: np.ndarray, positions: np.ndarray) -> tuple[np.ndarr
     return values, float(np.fmin(a[0], b[0])), float(np.maximum(a[-1], b[-1]))
 
 
-def _tied(values: np.ndarray, ranks: np.ndarray) -> bool:
-    """Whether two levels at distinct ranks read equal values (the
-    ``tied_quantiles`` tag)."""
-    return bool(((np.diff(values) == 0.0) & (np.diff(ranks) != 0)).any())
+def _tied(values: np.ndarray, cols: np.ndarray) -> bool:
+    """Whether two levels at distinct ranks, columns ``cols`` of the union
+    (``_positions``), read equal values (the ``tied_quantiles`` tag)."""
+    return bool(((np.diff(values) == 0.0) & (np.diff(cols) != 0)).any())
 
 
 def empirical_quantiles(sample, grid) -> QuantileResponse:
@@ -240,12 +244,13 @@ def empirical_quantiles(sample, grid) -> QuantileResponse:
     if data.ndim != 1:
         data = data.ravel()
     n = data.shape[0]
-    ranks, warns = _ranks(n, levels_of(grid))
-    values, first, last = _order_statistics(data, ranks - 1)
+    pos, (cols,), (warns,) = _positions(n, grid)
+    values, first, last = _order_statistics(data, pos)
     if not (np.isfinite(first) and np.isfinite(last)):
         raise NonFiniteData(
             f"sample holds NaN or infinite values (sorted from {first} to {last})")
-    if _tied(values, ranks):
+    values = values[cols]
+    if _tied(values, cols):
         warns.append(WARN_TIED_QUANTILES)
     return QuantileResponse(values=values, n=n, warnings=tuple(warns))
 
@@ -278,13 +283,7 @@ def sigma_star(fam: Family, grid) -> np.ndarray:
 
 
 def design_matrix(fam: Family, grid, mode: ParamMode = ParamMode.LOCATION_SCALE) -> np.ndarray:
-    """Regression design: k x 2 [1, Q0(p)] jointly, or the single relevant
-    column when one parameter is known."""
-    p = levels_of(grid)
-    q = np.atleast_1d(np.asarray(fam.qf(p), dtype=float))
-    ones = np.ones_like(q)
-    if mode is ParamMode.LOCATION_SCALE:
-        return np.column_stack([ones, q])
-    if mode is ParamMode.LOCATION_ONLY:
-        return ones[:, None].copy()
-    return q[:, None].copy()
+    """Regression design: the columns of [1, Q0(p)] the mode estimates
+    (``ParamMode.columns``), k x 2 jointly."""
+    q = np.atleast_1d(np.asarray(fam.qf(levels_of(grid)), dtype=float))
+    return np.column_stack([np.ones_like(q), q])[:, mode.columns].copy()

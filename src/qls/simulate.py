@@ -33,8 +33,8 @@ import numpy as np
 from . import gof
 from .errors import DomainError, QlsError
 from .families import Family, ParamMode, Params, check_sampling, check_seed
-from .quantiles import QuantileGrid, _ranks, finite_rows, make_grid, replicate_blocks
-from .estimators import FitPlan, _mle_rows, fit_sample
+from .quantiles import QuantileGrid, _positions, finite_rows, make_grid, replicate_blocks
+from .estimators import FitPlan, _check_known, _mle_rows, fit_sample
 
 __all__ = [
     "ContaminationSpec",
@@ -54,7 +54,8 @@ __all__ = [
 @dataclass(frozen=True)
 class ContaminationSpec:
     """Mixture sampler: each observation comes from the contaminant with
-    probability epsilon, otherwise from the base distribution."""
+    probability epsilon, otherwise from the base distribution.  With
+    epsilon > 0 it needs a contaminant whose scale is positive."""
 
     base_family: Family
     base_params: Params = Params()
@@ -66,10 +67,11 @@ class ContaminationSpec:
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
             raise DomainError("epsilon must lie in [0, 1]")
-        if self.epsilon > 0.0 and (self.contaminant_family is None
-                                   or self.contaminant_params is None):
-            raise DomainError("a contaminant family and its parameters are required "
-                             "when epsilon > 0")
+        if self.epsilon > 0.0:
+            if self.contaminant_family is None or self.contaminant_params is None:
+                raise DomainError("a contaminant family and its parameters are required "
+                                  "when epsilon > 0")
+            check_sampling(self.contaminant_params, 1)
         if not self.label:
             lab = self.base_family.name
             if self.epsilon > 0.0:
@@ -109,10 +111,8 @@ def _from_uniforms(spec: ContaminationSpec, n: int, u: np.ndarray) -> np.ndarray
     x = spec.base_family._from_uniform(spec.base_params, u[:, :n])
     if spec.epsilon > 0.0:
         hit = u[:, n:2 * n] < spec.epsilon
-        uc = u[:, 2 * n:][hit]
-        if uc.size:
-            check_sampling(spec.contaminant_params, uc.size)
-            x[hit] = spec.contaminant_family._from_uniform(spec.contaminant_params, uc)
+        x[hit] = spec.contaminant_family._from_uniform(spec.contaminant_params,
+                                                       u[:, 2 * n:][hit])
     return x
 
 
@@ -132,6 +132,7 @@ class EstimatorSpec:
             raise DomainError(f"unknown method {self.method!r}")
         if self.method != "mle" and self.grid is None:
             raise DomainError(f"{self.method} needs a quantile grid")
+        _check_known(self.known_mu, self.known_sigma)
         if not self.label:
             if self.method == "mle":
                 object.__setattr__(self, "label", "mle")
@@ -143,11 +144,7 @@ class EstimatorSpec:
 
     @property
     def param_names(self) -> tuple[str, ...]:
-        if self.mode is ParamMode.LOCATION_ONLY:
-            return ("mu",)
-        if self.mode is ParamMode.SCALE_ONLY:
-            return ("sigma",)
-        return ("mu", "sigma")
+        return self.mode.names
 
 
 def _check_study(n: int, m: int) -> None:
@@ -264,30 +261,34 @@ def _five_number(v: np.ndarray) -> tuple[float, float, float, float, float]:
     return tuple(float(t) for t in q)
 
 
-def _mc_estimates(config: McConfig) -> np.ndarray:
+def _mc_estimates(config: McConfig) -> tuple[np.ndarray, dict]:
     """Estimates of every replicate: an (m, estimators, 2) array holding each
     estimator's parameters in ``param_names`` order, NaN where its fit
-    failed."""
+    failed; and the rank tags of each estimator's grid at n, by label."""
     m = config.m
     fam = config.spec.base_family
     estimates = np.full((m, len(config.estimators), 2), np.nan)
-    # the MLE gives (mu, sigma); keep the columns the estimator reports
-    mles = [(j, est, [("mu", "sigma").index(name) for name in est.param_names])
-            for j, est in enumerate(config.estimators) if est.method == "mle"]
-    # one plan and one set of ranks per QLS estimator, shared by every replicate
-    qls = [(j, est, FitPlan.for_family(fam, est.grid, est.method),
-            _ranks(config.n, est.grid.levels)[0] - 1)
-           for j, est in enumerate(config.estimators) if est.method != "mle"]
+    mles, qls, warnings = [], [], {}
+    for j, est in enumerate(config.estimators):
+        if est.method == "mle":
+            mles.append((j, est))
+            warnings[est.label] = ()
+        else:  # one plan and one set of positions per QLS estimator
+            pos, (cols,), (tags,) = _positions(config.n, est.grid)
+            qls.append((j, est, FitPlan.for_family(fam, est.grid, est.method), pos[cols]))
+            warnings[est.label] = tuple(tags)
 
     def fit(reps, block):
         rows = slice(reps.start, reps.stop)
-        for j, est, cols in mles:  # on the draws as made: sums run in draw order
+        for j, est in mles:  # on the draws as made: sums run in draw order
             try:
                 theta = _mle_rows(fam, block, est.mode, est.known_mu)[0]
             except QlsError:  # no MLE for this family and mode: every replicate fails
                 continue
             ok = _scale_ok(est, theta[:, 1])
-            estimates[rows, j, :len(cols)] = np.where(ok[:, None], theta[:, cols], np.nan)
+            # the MLE gives (mu, sigma); keep the columns the estimator reports
+            theta = theta[:, est.mode.columns]
+            estimates[rows, j, :theta.shape[1]] = np.where(ok[:, None], theta, np.nan)
         block.sort(axis=1)
         finite = finite_rows(block)
         for j, est, plan, idx in qls:
@@ -300,7 +301,7 @@ def _mc_estimates(config: McConfig) -> np.ndarray:
             estimates[rows, j, :beta.shape[1]] = np.where(ok[:, None], beta, np.nan)
 
     _run_blocks(config.spec, config.n, range(m), (config.seed,), fit)
-    return estimates
+    return estimates, warnings
 
 
 def run_mc(config: McConfig) -> McSummary:
@@ -313,13 +314,10 @@ def run_mc(config: McConfig) -> McSummary:
     result or the speed: on the batch engine the caller and one helper
     thread take whole blocks."""
     m = config.m
-    estimates = _mc_estimates(config)
+    estimates, warnings = _mc_estimates(config)
     truth = {"mu": config.spec.base_params.mu, "sigma": config.spec.base_params.sigma}
     stats: dict = {}
     failures: dict = {}
-    warnings = {est.label: () if est.method == "mle"
-                else tuple(_ranks(config.n, est.grid.levels)[1])
-                for est in config.estimators}
     for j, est in enumerate(config.estimators):
         per_param: dict = {}
         n_fail = 0
@@ -358,7 +356,7 @@ class PowerCell:
     alpha: float
     rejection_rate: float
     failures: int
-    warnings: tuple = ()  # tags of the grid at n, as fit_sample gives them
+    warnings: tuple = ()  # rank tags at n of the grid (and, for wout, the out-levels)
 
     @property
     def label(self) -> str:
@@ -382,10 +380,12 @@ def run_power_study(h0_families, generators, grids, n: int, m: int,
     critical value; "wout" calibrates the out-of-sample statistic with one
     B-replicate bootstrap null per cell, shared by its m replicates (the
     statistic is pivotal under H0), so the rate's Monte Carlo variance gains
-    a term of order alpha (1 - alpha) / B.  A cell whose grid reads clamped
-    or repeated ranks at this n carries those tags in ``warnings``, as
-    ``fit_sample`` would.  Before any draw, n or m below 1, an unknown test
-    or a "wout" B below 1 raise DomainError, and a bad seed InvalidSeed.
+    a term of order alpha (1 - alpha) / B.  A cell whose levels read clamped
+    or repeated ranks at this n carries those tags in ``warnings``, each
+    once: the grid's, and for "wout" the out-levels' too, as
+    ``bootstrap_pvalue`` gives them.  Before any draw, n or m below 1, an
+    unknown test or a "wout" B below 1 raise DomainError, and a bad seed
+    InvalidSeed.
     """
     _check_study(n, m)
     check_seed(seed)
@@ -399,53 +399,51 @@ def run_power_study(h0_families, generators, grids, n: int, m: int,
     for i_h0, h0 in enumerate(h0_families):
         for i_gen, gen in enumerate(generators):
             for i_grid, grid in enumerate(grids):
-                pvals = _cell_pvalues(h0, gen, grid, out_grid, n, m, B,
-                                      (seed, i_h0, i_gen, i_grid), test)
+                pvals, tags = _cell_pvalues(h0, gen, grid, out_grid, n, m, B,
+                                            (seed, i_h0, i_gen, i_grid), test)
                 failures = int(np.count_nonzero(np.isnan(pvals)))
                 rate = (int(np.count_nonzero(pvals <= alpha)) / (m - failures)
                         if failures < m else float("nan"))
                 cells.append(PowerCell(
                     h0_family=h0.name, generator=gen.label, a=grid.a, b=grid.b,
                     k=grid.k, n=n, m=m, test=test, alpha=alpha,
-                    rejection_rate=rate, failures=failures,
-                    warnings=tuple(_ranks(n, grid.levels)[1]),
+                    rejection_rate=rate, failures=failures, warnings=tags,
                 ))
     return cells
 
 
 def _cell_pvalues(h0: Family, gen: ContaminationSpec, grid: QuantileGrid,
                   out_grid: gof.OutGrid, n: int, m: int, B: int, cell_seed: tuple,
-                  test: str) -> np.ndarray:
+                  test: str) -> tuple[np.ndarray, tuple[str, ...]]:
     """Test p-values of a cell's m replicates, NaN where one fails: one
     batched fit and statistic per sorted block (``gof._row_statistics``),
     then W's chi-square p-value ("w") or W_out's share of one bootstrap null
-    keyed ``cell_seed`` ("wout"; if the null fails, every replicate does)."""
+    keyed ``cell_seed`` ("wout"; if the null fails, every replicate does).
+    Also the rank tags of the levels read, each once."""
     plan = FitPlan.for_family(h0, grid, "gqls")
-    ranks = _ranks(n, grid.levels)[0] - 1
-    plan_out, ranks_out = plan, ranks
-    if test == "wout":
-        plan_out = FitPlan.for_family(h0, out_grid, "gqls")
-        ranks_out = _ranks(n, out_grid.levels)[0] - 1
-    pos, cols = gof._union_columns([ranks, ranks_out])
+    sets = (grid,) if test == "w" else (grid, out_grid)
+    plan_out = FitPlan.for_family(h0, sets[-1], "gqls")
+    pos, cols, tags = _positions(n, *sets)
+    tags = tuple(dict.fromkeys(sum(tags, [])))
+    pvals = np.full(m, np.nan)
     if test == "w":
         pvalues = functools.partial(gof._chi2_pvalues, grid.k)
     else:
         try:
             null = gof._bootstrap_null(h0, plan, plan_out, n, cell_seed, B, pos, cols)
         except QlsError:
-            return np.full(m, np.nan)
+            return pvals, tags
         pvalues = functools.partial(gof._exceedance, null)
-    pvals = np.full(m, np.nan)
 
     def block_pvalues(reps, block):
         block.sort(axis=1)
         finite = finite_rows(block)
         y = block[:, pos][finite]
         pvals[reps.start:reps.stop][finite] = pvalues(
-            gof._row_statistics(plan, plan_out, y[:, cols[0]], y[:, cols[1]], n))
+            gof._row_statistics(plan, plan_out, y[:, cols[0]], y[:, cols[-1]], n))
 
     _run_blocks(gen, n, range(m), cell_seed, block_pvalues)
-    return pvals
+    return pvals, tags
 
 
 # ---------------------------------------------------------------------------

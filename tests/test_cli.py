@@ -458,6 +458,8 @@ _POWER_CONFIG = {"study": "power", "family": "normal", "n": 50, "M": 4,
     ((), {**_POWER_CONFIG, "B": 0}, 1),
     ((), {**_POWER_CONFIG, "M": 0}, 1),
     ((), {k: v for k, v in _MC_CONFIG.items() if k != "estimators"}, 2),
+    ((), {**_MC_CONFIG, "estimators": [{"method": "gqls", "known_mu": float("inf")}]}, 1),
+    ((), {**_MC_CONFIG, "contaminant": {"family": "cauchy", "sigma": -1, "epsilon": 0.01}}, 1),
 ])
 def test_bad_arguments_exit_with_one_error_line(capsys, tmp_path, normal_file, argv, config,
                                                  code):
@@ -641,3 +643,60 @@ def test_output_file_writing(capsys, tmp_path, counting_file):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["sigma"] > 0
+
+
+def test_simulate_prints_the_wout_out_level_tags(capsys, tmp_path):
+    cfg = {"study": "power", "family": "normal", "n": 30, "M": 5, "seed": 1, "B": 20,
+           "test": "wout", "h0_families": ["normal"], "grids": [{"a": 0.1, "b": 0.9, "k": 5}]}
+    path = tmp_path / "wout.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 0
+    assert err.splitlines() == [
+        "warning: normal/(0.1,0.9,k=5): rank_clamped_to_first_order_statistic",
+        "warning: normal/(0.1,0.9,k=5): degenerate_grid",
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--mode", "location", "--known-sigma", "nan"),
+    ("--mode", "scale", "--known-mu", "inf"),
+    ("--mode", "scale", "--known-mu", "nan", "--method", "oqls"),
+    ("--mode", "scale", "--known-mu", "nan", "--method", "mle", "--family", "exponential"),
+])
+def test_fit_refuses_non_finite_known_parameters(capsys, counting_file, argv):
+    # one usage-error line, where the fit printed mu: nan with exit 0, numpy
+    # RuntimeWarnings, or (scale-only MLE) ScaleOverflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "fit", "--family", "normal", "--data", counting_file,
+                                 *argv)
+    assert (code, out, len(err.splitlines())) == (1, "", 1)
+    assert err.startswith("qls: usage error: known parameters must be finite")
+
+
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_unwritable_out_is_an_input_error(capsys, tmp_path, counting_file, target):
+    out = tmp_path / "no_such_dir" / "x.csv" if target == "missing_dir" else tmp_path
+    code, stdout, err = run_cli(capsys, "fit", "--family", "normal", "--data", counting_file,
+                                "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith(f"qls: input error: cannot write {out}")
+
+
+def test_data_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("1.5\n2.5\n# r\xe9sum\xe9\n3.5\n".encode("latin-1"))
+    for argv in (("fit",), ("gof", "--test", "w")):
+        code, out, err = run_cli(capsys, *argv, "--family", "normal", "--data", str(path))
+        assert (code, out, len(err.splitlines())) == (2, "", 1)
+        assert err.startswith(f"qls: input error: cannot read {path}")
+
+
+def test_simulate_config_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "study.json"
+    path.write_bytes(json.dumps({**_MC_CONFIG, "label": "caf\xe9"}).encode("utf-16"))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith(f"qls: input error: {path}")
+

@@ -155,6 +155,26 @@ def test_non_positive_scale_tagged_not_clamped():
     assert WARN_NON_POSITIVE_SCALE in fit.warnings
 
 
+@pytest.mark.parametrize("known", [{"known_mu": float("nan")}, {"known_mu": float("inf")},
+                                   {"known_sigma": float("nan")},
+                                   {"known_sigma": -float("inf")}])
+def test_non_finite_known_parameters_are_refused(known):
+    # in every mode, as a fit would otherwise return NaN or warn; the MLE
+    # takes only known_mu.  A non-positive known scale stays the caller's
+    y = empirical_quantiles(NORMAL.sample(Params(), 200, np.random.default_rng(4)), GRID)
+    for mode in ParamMode:
+        for kind in ("gqls", "oqls"):
+            with pytest.raises(DomainError, match="must be finite"):
+                FitPlan.for_family(NORMAL, GRID, kind).fit(y, mode, **known)
+    if "known_mu" in known:
+        data = get_family("exponential").sample(Params(), 50, np.random.default_rng(5))
+        with pytest.raises(DomainError, match="must be finite"):
+            fit_mle(get_family("exponential"), data, ParamMode.SCALE_ONLY, **known)
+    fit = FitPlan.for_family(NORMAL, GRID, "gqls").fit(y, ParamMode.LOCATION_ONLY,
+                                                       known_sigma=-1.0)
+    assert fit.sigma == -1.0
+
+
 def test_single_parameter_modes():
     beta = np.array([2.0, 3.0])
     y = QuantileResponse(values=X @ beta, n=400)
@@ -217,7 +237,7 @@ def test_closed_form_inverse_matches_an_exact_rational_inverse(name, kind, mode,
     # error bound grows with the condition number, never past it
     grid = make_grid(a, min(a + 10.0 ** log_width, 0.99), k)
     plan = FitPlan.for_family(get_family(name), grid, kind)
-    cols = estimators._MODE_COLS.get(mode, slice(None))
+    cols = mode.columns
     gram = plan.gram[cols, cols]
     try:
         ginv = estimators._solve("gqls", plan.xm[cols], gram, None, None)[1]
@@ -1046,7 +1066,7 @@ def test_normal_mle_std_reuses_the_mean_bit_for_bit(n, scale):
     rows[2] = -7.0
     rows *= scale
     finite = np.ones(4, dtype=bool)
-    theta = estimators._mle_estimates(NORMAL, rows, finite, {}, False, 0.0, None)
+    theta = estimators._mle_estimates(NORMAL, rows, finite, {}, False, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         assert theta[:, 0].tobytes() == np.mean(rows, axis=1).tobytes()
         assert theta[:, 1].tobytes() == np.std(rows, axis=1).tobytes()

@@ -27,7 +27,6 @@ from qls.gof import (
     _bootstrap_order_statistics,
     _chi2_pvalues,
     _row_statistics,
-    _union_columns,
     bootstrap_pvalue,
     chi2_sf,
     default_out_grid,
@@ -39,9 +38,9 @@ from qls.gof import (
 )
 from qls.quantiles import (
     QuantileResponse,
+    _positions,
     design_matrix,
     empirical_quantiles,
-    _ranks,
     make_grid,
     sigma_star,
 )
@@ -359,13 +358,12 @@ def test_bootstrap_seeds_give_disjoint_replicate_streams(monkeypatch):
             assert not np.array_equal(states[seed],
                                       np.random.SeedSequence(other).generate_state(8))
     assert not np.array_equal(states[6], states[7])
-    idx = [_ranks(200, GRID.levels)[0] - 1]
-    draws = [next(_bootstrap_order_statistics(NORMAL, 200, (seed,), 50,
-                                              *_union_columns(idx)))[0]
+    pos_cols = _positions(200, GRID)[:2]
+    draws = [next(_bootstrap_order_statistics(NORMAL, 200, (seed,), 50, *pos_cols))[0]
              for seed in (6, 7)]
     assert not np.any(draws[0] == draws[1])
     cell_draws = next(_bootstrap_order_statistics(NORMAL, 200, (6, 1, 0, 2), 50,
-                                                  *_union_columns(idx)))[0]
+                                                  *pos_cols))[0]
     assert not np.any(cell_draws == draws[0])
     # every key the program builds from one seed gives its own stream:
     # run_mc's study stream [seed, _STREAM_KEY], each power cell's stream
@@ -478,8 +476,7 @@ def test_bootstrap_and_w_statistics_are_exact_under_powers_of_two(name, j):
 
 
 _PIVOT_N, _PIVOT_B = 400, 40
-_PIVOT_IDX = [_ranks(_PIVOT_N, GRID.levels)[0] - 1,
-              _ranks(_PIVOT_N, default_out_grid().levels)[0] - 1]
+_PIVOT_POS, _PIVOT_COLS, _ = _positions(_PIVOT_N, GRID, default_out_grid())
 
 
 @settings(max_examples=80, deadline=None)
@@ -495,7 +492,7 @@ def test_bootstrap_null_is_pivotal(name, t, j, seed):
     params = Params(t * sigma, sigma)
     plan = FitPlan.for_family(fam, GRID, "gqls")
     plan_out = FitPlan.for_family(fam, default_out_grid(), "gqls")
-    pos, cols = _union_columns(_PIVOT_IDX)
+    pos, cols = _PIVOT_POS, _PIVOT_COLS
     y_fit, y_out = next(_bootstrap_order_statistics(fam, _PIVOT_N, (seed,), _PIVOT_B, pos, cols))
     assert len(y_fit) == _PIVOT_B
     beta = plan.solve(y_fit)
@@ -523,10 +520,10 @@ def test_bootstrap_refuses_fewer_than_one_replicate(monkeypatch):
             bootstrap_pvalue(data, NORMAL, GRID, B=B, seed=1)
 
 
-def _bootstrap_rows(fam, n, seed, B, idx):
-    """Every replicate's order statistics, one array per position set."""
+def _bootstrap_rows(fam, n, seed, B, *level_sets):
+    """Every replicate's order statistics, one array per level set."""
     return [np.concatenate(c) for c in zip(*_bootstrap_order_statistics(
-        fam, n, (seed,), B, *_union_columns(idx)))]
+        fam, n, (seed,), B, *_positions(n, *level_sets)[:2]))]
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -538,7 +535,7 @@ def test_bootstrap_order_statistics_equal_sorted_samples(name):
     fam = get_family(name)
     n = 1000
     pos = np.array([0, n // 2 - 1, n - 1])
-    x = _bootstrap_rows(fam, n, 11, 20_000, [pos])[0]
+    x = _bootstrap_rows(fam, n, 11, 20_000, (pos + 1) / n)[0]
     assert x.shape == (20_000, 3) and np.all(np.isfinite(x))
     u = np.asarray(fam.cdf(x))
     for col, r in enumerate(pos + 1):
@@ -548,25 +545,26 @@ def test_bootstrap_order_statistics_equal_sorted_samples(name):
 def test_bootstrap_replicates_are_a_prefix_of_longer_runs():
     # B = 50 (one block) gives the first 50 rows of B = 1000 (several blocks)
     fam, n = get_family("logistic"), 10_000
-    idx = [_ranks(n, GRID.levels)[0] - 1, _ranks(n, default_out_grid().levels)[0] - 1]
-    short = _bootstrap_rows(fam, n, 3, 50, idx)
-    long = _bootstrap_rows(fam, n, 3, 1000, idx)
+    sets = (GRID, default_out_grid())
+    short = _bootstrap_rows(fam, n, 3, 50, *sets)
+    long = _bootstrap_rows(fam, n, 3, 1000, *sets)
     assert len(list(_bootstrap_order_statistics(fam, n, (3,), 1000,
-                                                *_union_columns(idx)))) > 1
+                                                *_positions(n, *sets)[:2]))) > 1
     for s, l in zip(short, long):
         assert np.array_equal(s, l[:50])
 
 
 def test_bootstrap_one_row_blocks_give_the_same_rows(monkeypatch):
     n = 2000
-    idx = [_ranks(n, GRID.levels)[0] - 1, _ranks(n, default_out_grid().levels)[0] - 1]
-    blocks = list(_bootstrap_order_statistics(NORMAL, n, (9,), 300, *_union_columns(idx)))
+    sets = (GRID, default_out_grid())
+    pos_cols = _positions(n, *sets)[:2]
+    blocks = list(_bootstrap_order_statistics(NORMAL, n, (9,), 300, *pos_cols))
     assert len(blocks[0][0]) > 1
-    want = _bootstrap_rows(NORMAL, n, 9, 300, idx)
+    want = _bootstrap_rows(NORMAL, n, 9, 300, *sets)
     monkeypatch.setattr(quantiles, "_BLOCK_VALUES", 1)
     assert all(len(blk[0]) == 1 for blk in
-               _bootstrap_order_statistics(NORMAL, n, (9,), 300, *_union_columns(idx)))
-    got = _bootstrap_rows(NORMAL, n, 9, 300, idx)
+               _bootstrap_order_statistics(NORMAL, n, (9,), 300, *pos_cols))
+    got = _bootstrap_rows(NORMAL, n, 9, 300, *sets)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
 
@@ -584,9 +582,9 @@ def test_bootstrap_matches_a_replicate_loop():
     fit = fit_sample(data, NORMAL, GRID, "gqls")  # the bootstrap's fitted model, same bits
     observed = w_out_statistic(data, fit, NORMAL, out_grid)
     assert res.statistic == pytest.approx(observed, rel=1e-12)
-    idx_fit = _ranks(n, GRID.levels)[0] - 1
-    idx_out = _ranks(n, out_grid.levels)[0] - 1
-    batched = _bootstrap_rows(NORMAL, n, seed, B, [idx_fit, idx_out])
+    pos, cols, _ = _positions(n, GRID, out_grid)
+    idx_fit, idx_out = pos[cols[0]], pos[cols[1]]
+    batched = _bootstrap_rows(NORMAL, n, seed, B, GRID, out_grid)
     ranks = np.unique(np.concatenate([idx_fit, idx_out])) + 1
     shapes = np.diff(np.concatenate([[0], ranks, [n + 1]])).astype(float)
     x_out, s_out = design_matrix(NORMAL, out_grid), sigma_star(NORMAL, out_grid)

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qls.errors import (
@@ -23,7 +23,7 @@ from qls.families import FAMILIES, ParamMode, Params, get_family
 from qls.linalg import spd_factorize
 from qls.efficiency import are
 from qls.estimators import FitPlan, fit_sample
-from qls.gof import bootstrap_pvalue
+from qls.gof import bootstrap_pvalue, make_out_grid
 from qls.quantiles import (
     QuantileResponse,
     design_matrix,
@@ -242,6 +242,61 @@ def test_quantiles_are_order_statistics(n, seed):
     assert np.all(np.diff(resp.values) >= 0)
 
 
+def _reference_ranks(n, levels):
+    """1-based ranks ceil(n p) and the rank tags by a scalar rule: n p within
+    1e-9 (relative, at least absolute) of an integer is that integer; a rank
+    below 1, or n p below 1, reads the first order statistic and is tagged
+    clamped; two levels at one rank tag the set degenerate."""
+    ranks, tags = [], []
+    for p in levels:
+        t = n * float(p)
+        whole = round(t)
+        ranks.append(whole if abs(t - whole) <= 1e-9 * max(1.0, abs(t)) else math.ceil(t))
+    if ranks[0] < 1 or n * float(levels[0]) < 1.0 - 1e-12:
+        tags.append(WARN_RANK_CLAMPED)
+    ranks = [max(r, 1) for r in ranks]
+    if len(set(ranks)) < len(ranks):
+        tags.append(WARN_DEGENERATE_GRID)
+    return np.array(ranks), tags
+
+
+_LEVELS = st.lists(st.floats(1e-9, 1.0, exclude_max=True), min_size=1, max_size=40,
+                   unique=True).map(sorted)
+
+
+@st.composite
+def _level_set(draw):
+    """A grid, an OutGrid or a raw level array; tiny levels clamp, dense ones repeat."""
+    kind = draw(st.sampled_from(["grid", "out", "raw"]))
+    if kind == "grid":
+        a = draw(st.floats(1e-4, 0.9))
+        return make_grid(a, draw(st.floats(a + 1e-3, 0.999)), draw(st.integers(2, 60)))
+    levels = draw(_LEVELS)
+    return make_out_grid(levels) if kind == "out" else np.array(levels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 5000), sets=st.lists(_level_set(), min_size=1, max_size=3))
+@example(n=5000, sets=[np.array([0.5 + 4e-13])])  # n p = 2500 + 2e-9: relative snap
+def test_positions_match_a_scalar_ceil_rule(n, sets):
+    pos, cols, tags = quantiles._positions(n, *sets)
+    refs = [_reference_ranks(n, quantiles.levels_of(s)) for s in sets]
+    assert pos.tolist() == sorted({r - 1 for ranks, _ in refs for r in ranks.tolist()})
+    assert len(cols) == len(tags) == len(sets)
+    for c, t, (ranks, want_tags) in zip(cols, tags, refs):
+        assert np.array_equal(pos[c], ranks - 1)
+        assert t == want_tags
+
+
+def test_positions_tag_clamped_and_repeated_ranks():
+    pos, cols, tags = quantiles._positions(30, make_grid(0.1, 0.9, 5),
+                                           make_out_grid(None))
+    assert pos[cols[0]].tolist() == [2, 8, 14, 20, 26]
+    assert pos[cols[1]][:3].tolist() == [0, 0, 1]  # levels 0.01, 0.03, 0.05
+    assert tags == [[], [WARN_RANK_CLAMPED, WARN_DEGENERATE_GRID]]
+    assert np.array_equal(np.unique(pos), pos)
+
+
 # ---------------------------------------------------------------------------
 # order statistics of one large sample: two halves sorted on two threads
 # ---------------------------------------------------------------------------
@@ -251,7 +306,7 @@ SPLIT_SIZES = [2 ** 17, 2 ** 17 + 1, 2 ** 17 + 2, 10 ** 6 + 3]
 
 def _full_sort_quantiles(data, levels):
     """The response as read from one full sort of the sample (the reference)."""
-    ranks, warns = quantiles._ranks(data.size, np.asarray(levels, dtype=float))
+    ranks, warns = _reference_ranks(data.size, levels)
     values = np.sort(data)[ranks - 1]
     if np.any((np.diff(values) == 0.0) & (np.diff(ranks) != 0)):
         warns.append(WARN_TIED_QUANTILES)

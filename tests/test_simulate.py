@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qls import families, gof, quantiles, simulate
-from qls.errors import BootstrapDegenerate, DomainError, InvalidSeed, QlsError
+from qls.errors import (
+    WARN_DEGENERATE_GRID,
+    WARN_RANK_CLAMPED,
+    BootstrapDegenerate,
+    DomainError,
+    InvalidSeed,
+    QlsError,
+)
 from qls.estimators import FitPlan, fit_mle, fit_sample
 from qls.families import FAMILIES, ParamMode, Params, get_family
 from qls.gof import plan_w_test
@@ -130,11 +137,31 @@ def test_sampling_checks_size_and_scales():
         sample_contaminated(clean(), 0, np.random.default_rng(1))
     with pytest.raises(DomainError):
         sample_contaminated(clean(sigma=0.0), 10, np.random.default_rng(1))
-    bad_contaminant = ContaminationSpec(
-        base_family=NORMAL, contaminant_family=NORMAL,
-        contaminant_params=Params(0.0, -1.0), epsilon=1.0)
     with pytest.raises(DomainError):
-        sample_contaminated(bad_contaminant, 10, np.random.default_rng(1))
+        ContaminationSpec(base_family=NORMAL, contaminant_family=NORMAL,
+                          contaminant_params=Params(0.0, -1.0), epsilon=1.0)
+
+
+@pytest.mark.parametrize("sigma", [-1.0, 0.0, float("nan")])
+def test_a_contaminant_that_cannot_be_sampled_is_refused_up_front(sigma):
+    # at epsilon = 0.01 a sample of 5 rarely draws a contaminated entry, so
+    # the contaminant is refused when the spec is made, not when one is drawn
+    with pytest.raises(DomainError, match="sigma must be positive"):
+        ContaminationSpec(base_family=NORMAL, contaminant_family=NORMAL,
+                          contaminant_params=Params(0.0, sigma), epsilon=0.01)
+    unused = ContaminationSpec(base_family=NORMAL, contaminant_family=NORMAL,
+                               contaminant_params=Params(0.0, sigma), epsilon=0.0)
+    assert sample_contaminated(unused, 5, np.random.default_rng(0)).shape == (5,)
+
+
+@pytest.mark.parametrize("known", [{"known_mu": float("nan")}, {"known_mu": float("inf")},
+                                   {"known_sigma": float("nan")},
+                                   {"known_sigma": -float("inf")}])
+@pytest.mark.parametrize("method", ["gqls", "mle"])
+def test_non_finite_known_parameters_are_refused_before_any_draw(known, method):
+    with pytest.raises(DomainError, match="must be finite"):
+        EstimatorSpec(method, None if method == "mle" else GRID, ParamMode.SCALE_ONLY,
+                      **known)
 
 
 def test_run_mc_deterministic_and_clean():
@@ -266,7 +293,7 @@ def test_replicate_estimates_do_not_depend_on_the_study_size(n, one_row_blocks, 
     # block at n values gives one-row blocks
     def study(m):
         return _mc_estimates(McConfig(spec=contaminated(0.05), n=n, m=m,
-                                      estimators=ENGINE_ESTIMATORS, seed=21))
+                                      estimators=ENGINE_ESTIMATORS, seed=21))[0]
 
     big = study(300)
     if one_row_blocks:
@@ -329,7 +356,7 @@ def test_wout_cell_data_equal_single_draws(monkeypatch):
         return nulls[-1][1]
 
     monkeypatch.setattr(gof, "_bootstrap_null", record)
-    pvals = _cell_pvalues(NORMAL, spec, GRID, out_grid, n, m, B, cell_seed, "wout")
+    pvals = _cell_pvalues(NORMAL, spec, GRID, out_grid, n, m, B, cell_seed, "wout")[0]
     assert len(nulls) == 1
     args, null = nulls[0]
     assert args[4] == cell_seed and args[5] == B and len(null) == B
@@ -342,11 +369,11 @@ def test_wout_cell_data_equal_single_draws(monkeypatch):
 def test_wout_cell_is_deterministic_and_block_free(monkeypatch):
     args = (NORMAL, contaminated(0.1), GRID, gof.default_out_grid(), 200, 60, 100,
             (5, 0, 1, 0), "wout")
-    want = _cell_pvalues(*args)
+    want = _cell_pvalues(*args)[0]
     assert np.all(np.isfinite(want))
-    assert _cell_pvalues(*args).tobytes() == want.tobytes()
+    assert _cell_pvalues(*args)[0].tobytes() == want.tobytes()
     monkeypatch.setattr(quantiles, "_BLOCK_VALUES", 1)
-    assert _cell_pvalues(*args).tobytes() == want.tobytes()
+    assert _cell_pvalues(*args)[0].tobytes() == want.tobytes()
 
 
 def test_wout_cell_holds_its_level_under_h0():
@@ -459,7 +486,7 @@ def test_batched_estimates_match_single_fits(name):
             EstimatorSpec("mle", mode=ParamMode.SCALE_ONLY, known_mu=0.4, label="mle-scale"))
     for spec in specs:
         cfg = McConfig(spec=spec, n=300, m=12, estimators=ests + mles, seed=8)
-        batched = _mc_estimates(cfg)
+        batched = _mc_estimates(cfg)[0]
         for r, draws in enumerate(_stream_rows(spec, cfg.n, (cfg.seed,), cfg.m)):
             for j, est in enumerate(ests):
                 fit = fit_sample(draws, fam, grid, est.method, est.mode, **known)
@@ -548,10 +575,10 @@ def _serial_blocks(spec, n, replicates, seed_prefix, work):
 
 
 def _engine_and_reference(cfg, monkeypatch):
-    engine = _mc_estimates(cfg)
+    engine = _mc_estimates(cfg)[0]
     with monkeypatch.context() as patch:
         patch.setattr(simulate, "_run_blocks", _serial_blocks)
-        reference = _mc_estimates(cfg)
+        reference = _mc_estimates(cfg)[0]
     return engine, reference
 
 
@@ -639,11 +666,11 @@ def test_study_bytes_do_not_depend_on_blocks_or_threads(study, monkeypatch):
         cfg = McConfig(spec=spec, n=n, m=m, estimators=ENGINE_ESTIMATORS, seed=2 ** 40 + 9)
 
         def run():
-            return _mc_estimates(cfg)
+            return _mc_estimates(cfg)[0]
     else:
         def run():
             return _cell_pvalues(NORMAL, spec, GRID, gof.default_out_grid(), n, m, 50,
-                                 (9, 1, 0, 2), study)
+                                 (9, 1, 0, 2), study)[0]
     want = run()
     assert np.isfinite(want[..., 0]).all()
     with monkeypatch.context() as patch:
@@ -765,3 +792,18 @@ def test_power_cells_keep_the_grid_tags():
                                        "test", "alpha", "rejection_rate", "failures"]
     big = run_power_study([NORMAL], [clean()], [GRID], n=200, m=2, test="w", seed=1)
     assert big[0].warnings == ()
+
+
+def test_wout_cell_reports_the_rank_tags_of_both_level_sets():
+    # at n = 30 the grid (0.1, 0.9, 5) reads ranks 3, 9, ..., 27, but the
+    # default out-levels 0.01 and 0.03 both read rank 1: a wout cell carries
+    # the out-levels' tags as bootstrap_pvalue does, a w cell only its grid's
+    grid, n = make_grid(0.1, 0.9, 5), 30
+    data = NORMAL.sample(Params(), n, np.random.default_rng(3))
+    boot = gof.bootstrap_pvalue(data, NORMAL, grid, B=20, seed=1)
+    rank_tags = tuple(t for t in boot.warnings if t in (WARN_RANK_CLAMPED, WARN_DEGENERATE_GRID))
+    assert rank_tags == (WARN_RANK_CLAMPED, WARN_DEGENERATE_GRID)
+    wout, w = (run_power_study([NORMAL], [clean()], [grid], n=n, m=5, test=test, B=20,
+                               seed=2)[0] for test in ("wout", "w"))
+    assert wout.warnings == rank_tags
+    assert w.warnings == ()
