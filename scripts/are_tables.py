@@ -32,17 +32,16 @@ def main() -> None:
     parser.add_argument("--outdir", default="results")
     args = parser.parse_args()
     outdir = pathlib.Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     fams = [get_family(n) for n in FAMILIES]
     modes = [ParamMode.LOCATION_ONLY, ParamMode.SCALE_ONLY, ParamMode.LOCATION_SCALE]
-
     gqls_grids = [make_grid(a, b, k) for a, b in BOUNDS for k in (15, 20, 25)]
-    write_rows(outdir / "are_gqls.csv", are_table("gqls", fams, gqls_grids, modes))
-
     oqls_grids = [make_grid(0.05, 0.95, k) for k in (15, 20, 25, 50, 75, 100, 200)]
-    write_rows(outdir / "are_oqls_joint.csv",
-               are_table("oqls", fams, oqls_grids, [ParamMode.LOCATION_SCALE]))
+
+    with parser.output_errors(outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
+        write_rows(outdir / "are_gqls.csv", are_table("gqls", fams, gqls_grids, modes))
+        write_rows(outdir / "are_oqls_joint.csv",
+                   are_table("oqls", fams, oqls_grids, [ParamMode.LOCATION_SCALE]))
 
 
 if __name__ == "__main__":

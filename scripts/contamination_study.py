@@ -46,18 +46,19 @@ def main() -> None:
                        n=args.n, m=args.m, estimators=estimators, seed=args.seed)
                    for eps in EPSILONS]
         path = pathlib.Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = None
-            for config in studies:
-                eps = config.spec.epsilon
-                for row in run_mc(config).as_rows():
-                    row = {"epsilon": eps, **row}
-                    if writer is None:
-                        writer = csv.DictWriter(fh, fieldnames=list(row.keys()))
-                        writer.writeheader()
-                    writer.writerow(row)
-                print(f"epsilon={eps} done")
+        with parser.output_errors(path):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = None
+                for config in studies:
+                    eps = config.spec.epsilon
+                    for row in run_mc(config).as_rows():
+                        row = {"epsilon": eps, **row}
+                        if writer is None:
+                            writer = csv.DictWriter(fh, fieldnames=list(row.keys()))
+                            writer.writeheader()
+                        writer.writerow(row)
+                    print(f"epsilon={eps} done")
     print(f"wrote {path}")
 
 

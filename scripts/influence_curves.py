@@ -35,20 +35,20 @@ def main() -> None:
     parser.add_argument("--outdir", default="results/influence")
     args = parser.parse_args()
     outdir = pathlib.Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     sym_grid = make_grid(0.05, 0.95, 25)
     asym_grid = make_grid(0.10, 0.75, 25)
-    for kind in ("oqls", "gqls"):
-        for name in SYMMETRIC:
-            lo = float(get_family(name).qf(0.01))
-            hi = float(get_family(name).qf(0.99))
-            export(name, kind, sym_grid, (1.5 * lo, 1.5 * hi), outdir)
-        for name in ASYMMETRIC:
-            fam = get_family(name)
-            lo, hi = float(fam.qf(0.01)), float(fam.qf(0.99))
-            pad = 0.25 * (hi - lo)
-            export(name, kind, asym_grid, (lo - pad, hi + pad), outdir)
+    with parser.output_errors(outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
+        for kind in ("oqls", "gqls"):
+            for name in SYMMETRIC:
+                lo = float(get_family(name).qf(0.01))
+                hi = float(get_family(name).qf(0.99))
+                export(name, kind, sym_grid, (1.5 * lo, 1.5 * hi), outdir)
+            for name in ASYMMETRIC:
+                fam = get_family(name)
+                lo, hi = float(fam.qf(0.01)), float(fam.qf(0.99))
+                pad = 0.25 * (hi - lo)
+                export(name, kind, asym_grid, (lo - pad, hi + pad), outdir)
 
 
 if __name__ == "__main__":

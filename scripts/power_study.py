@@ -53,12 +53,13 @@ def main() -> None:
             seed=args.seed,
         )
     path = pathlib.Path(out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(cells[0].as_row()))
-        writer.writeheader()
-        for c in cells:
-            writer.writerow(c.as_row())
+    with parser.output_errors(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(cells[0].as_row()))
+            writer.writeheader()
+            for c in cells:
+                writer.writerow(c.as_row())
     for c in cells:
         for tag in c.warnings:
             print(f"warning: {c.label}: {tag}", file=sys.stderr)

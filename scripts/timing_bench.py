@@ -37,12 +37,13 @@ def main() -> None:
             sorted(args.sizes), repeats=args.repeats, timeout=args.timeout, seed=args.seed,
         )
     path = pathlib.Path(args.out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].__dict__.keys()))
-        writer.writeheader()
-        for r in rows:
-            writer.writerow(r.__dict__)
+    with parser.output_errors(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0].__dict__.keys()))
+            writer.writeheader()
+            for r in rows:
+                writer.writerow(r.__dict__)
     print(f"wrote {path} ({len(rows)} rows)")
 
 

@@ -64,6 +64,17 @@ class _Parser(argparse.ArgumentParser):
             print(f"{self.prog}: error: {exc}", file=sys.stderr)
             raise SystemExit(EXIT_USAGE) from None
 
+    @contextlib.contextmanager
+    def output_errors(self, path):
+        """A script's writes to ``path``: an OSError raised in them (a parent
+        that is a file, a directory where a file goes, no permission) ends
+        the script with one error line and exit 2, as ``qls --out`` does."""
+        try:
+            yield
+        except OSError as exc:
+            print(f"{self.prog}: error: cannot write {path}: {exc}", file=sys.stderr)
+            raise SystemExit(EXIT_INPUT) from None
+
 
 class InputError(Exception):
     """Bad data file (missing, malformed, or non-finite values)."""
@@ -215,12 +226,17 @@ def _families_arg(text: str) -> list:
 # ---------------------------------------------------------------------------
 
 def _cmd_fit(args) -> int:
+    if args.method == "mle" and args.known_sigma is not None:
+        # fit_mle takes no scale: silently ignoring one would misreport the fit
+        raise DomainError("--known-sigma applies to the QLS methods only; "
+                          "the MLE does not take a known scale")
+    known_sigma = 1.0 if args.known_sigma is None else args.known_sigma
     data = read_data(args.data)
     fam = get_family(args.family)
     mode = parse_mode(args.mode)
     grid = make_grid(args.a, args.b, args.k)
     fit = fit_sample(data.values, fam, grid, args.method, mode,
-                     known_mu=args.known_mu, known_sigma=args.known_sigma)
+                     known_mu=args.known_mu, known_sigma=known_sigma)
     bp = breakdown_point(grid)
     se = fit.stderr()
     report = {
@@ -444,7 +460,8 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--method", choices=("oqls", "gqls", "mle"), default="gqls")
     p_fit.add_argument("--mode", default="loc-scale")
     p_fit.add_argument("--known-mu", dest="known_mu", type=float, default=0.0)
-    p_fit.add_argument("--known-sigma", dest="known_sigma", type=float, default=1.0)
+    p_fit.add_argument("--known-sigma", dest="known_sigma", type=float, default=None,
+                       help="the supplied scale of a location-only QLS fit (default 1)")
     _output_args(p_fit, "text")
     p_fit.set_defaults(func=_cmd_fit)
 

@@ -830,7 +830,9 @@ def fit_sample(data, fam: Family, grid: QuantileGrid, method: str = "gqls",
                mode: ParamMode = ParamMode.LOCATION_SCALE, *,
                known_mu: float = 0.0, known_sigma: float = 1.0) -> QlsFit:
     """Fit raw data: extract quantiles, plan the method for the family on the
-    grid, and fit."""
+    grid, and fit.  known_mu serves every method's fixed-location mode;
+    known_sigma applies to the QLS methods only (their location-only mode),
+    and ``method="mle"`` ignores it, since ``fit_mle`` takes no scale."""
     if method == "mle":
         return fit_mle(fam, data, mode, known_mu=known_mu)
     y = empirical_quantiles(data, grid)

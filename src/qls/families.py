@@ -19,6 +19,13 @@ distribution and quantile functions and the logistic distribution function
 call ``scipy.special``, which each imports on first use: the import costs
 more than the rest of the package, and fits, efficiency cells and bootstraps
 on the other families never need it.
+
+Two transforms turn uniforms into draws.  ``Family._iid`` makes i.i.d.
+samples (``Family.sample`` and the Monte Carlo base draws): inversion, except
+that the normal pairs its uniforms by Box-Muller in numpy, which needs no
+``scipy.special`` for an even sample size.  ``Family._from_uniform`` is the
+monotone map mu + sigma * Q0(u), the only one that takes sorted uniforms to
+order statistics.
 """
 from __future__ import annotations
 
@@ -184,6 +191,41 @@ def _normal_qf(u):
     return scipy.special.ndtri(np.asarray(u, dtype=float))
 
 
+def _normal_draws(params: Params, u: np.ndarray) -> np.ndarray:
+    """Normal i.i.d. draws mu + sigma * z made of uniforms u in [0, 1) along
+    the last axis, overwriting u (Box & Muller 1958).  Columns j and h + j,
+    h = n // 2, pair up: r = sigma sqrt(-2 log(1 - u_j)) and t = tan(pi
+    (u_(h+j) - 1/2)) give r cos(2 pi (u_(h+j) - 1/2)) and r sin(...) in the
+    half-angle form, as q - r and q t with q = 2 r/(1 + t^2), since numpy's
+    tan costs a third of its cos or sin.  An odd last column is the inversion
+    draw.  Only the output is allocated: every step runs in u or in it."""
+    n = u.shape[-1]
+    h = n // 2
+    out = np.empty(u.shape)
+    r, t = u[..., :h], u[..., h:2 * h]
+    c, s = out[..., :h], out[..., h:2 * h]
+    # 1 - u lies in (0, 1], so the log is finite
+    np.subtract(1.0, r, out=r)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    r *= params.sigma
+    t -= 0.5
+    t *= math.pi
+    np.tan(t, out=t)  # |t| <= 1.7e16, so t^2 cannot overflow
+    np.multiply(t, t, out=s)
+    s += 1.0
+    np.divide(r, s, out=c)
+    c += c
+    np.multiply(c, t, out=s)
+    c -= r
+    out[..., :2 * h] += params.mu
+    if n % 2:
+        q = _normal_qf(np.clip(u[..., -1], _U_FLOOR, _U_CEIL))
+        out[..., -1] = params.mu + params.sigma * q
+    return out
+
+
 @_vectorized
 def _exponential_pdf(z):
     out = np.zeros_like(z)
@@ -281,6 +323,9 @@ class Family:
     # scale-only scalar when regularity fails for the joint model
     _info: tuple[tuple[float, float], tuple[float, float]] | None = field(repr=False, default=None)
     _scale_info: float = field(repr=False, default=float("nan"))
+    # i.i.d. draws made of (params, uniforms along the last axis, overwritten),
+    # where a faster exact transform than inversion exists
+    _draws: Callable | None = field(repr=False, default=None)
 
     def pdf(self, z):
         """Standard density; zero outside the support."""
@@ -318,14 +363,24 @@ class Family:
         return info[:1, :1]
 
     def sample(self, params: Params, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n i.i.d. draws by inversion: mu + sigma * Q0(U), U uniform(0,1)."""
+        """n i.i.d. draws made of n uniforms of rng (``_iid``): by inversion,
+        mu + sigma * Q0(U), except for the normal, which uses Box-Muller."""
         check_sampling(params, n)
-        return self._from_uniform(params, rng.random(n))
+        return self._iid(params, rng.random(n))
+
+    def _iid(self, params: Params, u: np.ndarray) -> np.ndarray:
+        """i.i.d. draws made of uniforms u along the last axis, overwriting
+        u: the family's own draw transform, else ``_from_uniform``.  They are
+        not monotone in u, so they are no order statistics; a row's draws
+        depend on that row alone."""
+        if self._draws is None:
+            return self._from_uniform(params, u)
+        return self._draws(params, u)
 
     def _from_uniform(self, params: Params, u: np.ndarray) -> np.ndarray:
-        """mu + sigma * Q0(u), clipping u in place.  The map is nondecreasing,
-        so applied to sorted uniforms it gives the order statistics of the
-        sample those uniforms would draw."""
+        """mu + sigma * Q0(u), clipping u in place: the monotone transform.
+        The map is nondecreasing, so applied to sorted uniforms it gives the
+        order statistics of the sample those uniforms would draw."""
         # keep the quantile function finite at the edges
         np.clip(u, _U_FLOOR, _U_CEIL, out=u)
         # every _qf returns a fresh array: scale and shift it in place (the
@@ -358,7 +413,7 @@ FAMILIES: dict[str, Family] = {
     "normal": Family(
         name="normal", support=(-_INF, _INF), symmetric=True,
         _pdf=_normal_pdf, _cdf=_normal_cdf, _qf=_normal_qf,
-        _info=((1.0, 0.0), (0.0, 2.0)), _scale_info=2.0,
+        _info=((1.0, 0.0), (0.0, 2.0)), _scale_info=2.0, _draws=_normal_draws,
     ),
     "exponential": Family(
         name="exponential", support=(0.0, _INF), symmetric=False,

@@ -12,13 +12,15 @@ Replicates run as a batch engine.  Consecutive replicates fill the rows of
 one block whose w-wide draw holds at most 1 MiB
 (``quantiles.replicate_blocks``).  A block advances its own copy of the
 stream to its first replicate (PCG64 spends one 64-bit step per double;
-L'Ecuyer et al. 2002, O'Neill 2014), draws all its rows at once and runs the
-quantile transforms once per family on the whole block.  Each MLE column is
-fitted on the block as drawn; the block is then sorted once along its rows,
-and one row-batched product per estimator or test (``FitPlan.solve``) fits
-all the rows.  A row's results do not depend on its block, so they are the
-same for any block size, and the caller and one helper thread take whole
-blocks (``_run_blocks``).
+L'Ecuyer et al. 2002, O'Neill 2014), draws all its rows at once and makes
+the base draws with the family's i.i.d. transform (``Family._iid``: Box-Muller
+for the normal, inversion otherwise) and the contaminant's draws at the hits
+with its monotone quantile transform (``Family._from_uniform``), each once on
+the whole block.  Each MLE column is fitted on the block as drawn; the block
+is then sorted once along its rows, and one row-batched product per
+estimator or test (``FitPlan.solve``) fits all the rows.  A row's results do
+not depend on its block, so they are the same for any block size, and the
+caller and one helper thread take whole blocks (``_run_blocks``).
 """
 from __future__ import annotations
 
@@ -95,10 +97,10 @@ def _row_width(spec: ContaminationSpec, n: int) -> int:
 def sample_contaminated(spec: ContaminationSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n observations from the mixture, made of the next
     ``_row_width(spec, n)`` uniforms of rng: entry j is the contaminant's
-    draw from the j-th uniform of the third n when the j-th of the second n
-    lies below epsilon, else the base draw from the j-th of the first n.
-    With epsilon = 0 the stream consumed is identical to plain base-family
-    sampling."""
+    inversion draw from the j-th uniform of the third n when the j-th of the
+    second n lies below epsilon, else the j-th base draw made of the first n
+    (``Family.sample``'s).  With epsilon = 0 the stream consumed and the
+    draws are those of plain base-family sampling."""
     check_sampling(spec.base_params, n)
     return _from_uniforms(spec, n, rng.random((1, _row_width(spec, n))))[0]
 
@@ -106,9 +108,11 @@ def sample_contaminated(spec: ContaminationSpec, n: int, rng: np.random.Generato
 def _from_uniforms(spec: ContaminationSpec, n: int, u: np.ndarray) -> np.ndarray:
     """The (rows, n) mixture draws made of a (rows, ``_row_width``) array of
     uniforms, one sample per row as ``sample_contaminated`` lays it out; u is
-    overwritten.  Each family's quantile transform runs once on all its
-    uniforms, so a row is the same bits whatever rows it is drawn with."""
-    x = spec.base_family._from_uniform(spec.base_params, u[:, :n])
+    overwritten.  The base family's i.i.d. transform runs once on the base
+    uniforms and the contaminant's quantile transform once on its hits; both
+    work elementwise or within a row, so a row is the same bits whatever rows
+    it is drawn with."""
+    x = spec.base_family._iid(spec.base_params, u[:, :n])
     if spec.epsilon > 0.0:
         hit = u[:, n:2 * n] < spec.epsilon
         x[hit] = spec.contaminant_family._from_uniform(spec.contaminant_params,

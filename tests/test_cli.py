@@ -620,6 +620,31 @@ def test_script_library_errors_exit_1_with_one_error_line(script, argv, match, t
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("script, argv", [
+    ("are_tables.py", ("--outdir", "{file}")),
+    ("influence_curves.py", ("--outdir", "{file}")),
+    ("contamination_study.py", ("--out", "{file}/x.csv", "--n", "20", "--m", "2")),
+    ("power_study.py", ("--out", "{file}/x.csv", "--n", "20", "--m", "2")),
+    ("timing_bench.py", ("--out", "{file}/x.csv", "--sizes", "100", "--families", "normal",
+                         "--methods", "gqls", "--repeats", "1")),
+    ("timing_bench.py", ("--out", "{dir}", "--sizes", "100", "--families", "normal",
+                         "--methods", "gqls", "--repeats", "1")),
+])
+def test_script_unwritable_output_exits_2_with_one_error_line(script, argv, tmp_path):
+    # an output path under a file, or a directory where the file goes: one
+    # error line and exit 2, as qls gives for its --out, and nothing written
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    argv = [a.format(file=taken, dir=tmp_path) for a in argv]
+    proc = subprocess.run([sys.executable, str(SCRIPTS / script), *argv],
+                          capture_output=True, env=SCRIPT_ENV, timeout=120, cwd=tmp_path)
+    lines = [line for line in proc.stderr.splitlines() if b"error:" in line]
+    assert (proc.returncode, proc.stdout, len(lines)) == (2, b"", 1), proc.stderr.decode()
+    assert lines[0].startswith(script.encode() + b": error: cannot write ")
+    assert b"Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept"
+
+
 def test_bench_csv(capsys):
     code, out, _ = run_cli(capsys, "bench", "--families", "normal",
                            "--methods", "gqls", "--sizes", "5000,10000",
@@ -673,6 +698,25 @@ def test_fit_refuses_non_finite_known_parameters(capsys, counting_file, argv):
                                  *argv)
     assert (code, out, len(err.splitlines())) == (1, "", 1)
     assert err.startswith("qls: usage error: known parameters must be finite")
+
+
+@pytest.mark.parametrize("value", ["nan", "1", "2.5"])
+def test_fit_mle_refuses_a_known_sigma(capsys, counting_file, value):
+    # the MLE takes no known scale: a supplied one is a usage error, where
+    # it was ignored and the fit printed with exit 0
+    for mode in ("loc-scale", "scale"):
+        code, out, err = run_cli(capsys, "fit", "--family", "normal", "--data", counting_file,
+                                 "--method", "mle", "--mode", mode, "--known-sigma", value)
+        assert (code, out, len(err.splitlines())) == (1, "", 1)
+        assert err.startswith("qls: usage error: --known-sigma applies to the QLS methods only")
+
+
+def test_fit_known_sigma_still_serves_the_qls_methods(capsys, counting_file):
+    # a location-only QLS fit reports the supplied scale, and 1 without one
+    for argv, sigma in ((("--known-sigma", "2.5"), 2.5), ((), 1.0)):
+        code, out, _ = run_cli(capsys, "fit", "--family", "normal", "--data", counting_file,
+                               "--mode", "location", "--format", "json", *argv)
+        assert code == 0 and json.loads(out)["sigma"] == sigma
 
 
 @pytest.mark.parametrize("target", ["missing_dir", "directory"])

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
 from qls.errors import DomainError, Unavailable
 from qls.families import EULER_GAMMA, FAMILIES, ParamMode, Params, get_family
 
 ALL = list(FAMILIES)
 SYMMETRIC = ["cauchy", "laplace", "logistic", "normal"]
+INVERTED = [name for name in ALL if name != "normal"]
 
 
 def test_lookup_is_case_insensitive():
@@ -156,20 +157,73 @@ def test_fisher_info_scale_only_and_unavailable():
                 get_family(name).fisher_info(mode)
 
 
+class FixedRng:
+    """A stand-in generator whose ``random(n)`` serves the first n of u."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u)
+
+    def random(self, n):
+        return self.u[:n].copy()
+
+
 def test_sampling_is_inversion():
-    # with the uniforms pinned, draws are exactly mu + sigma * qf(u)
-    class FixedRng:
-        def __init__(self, u):
-            self.u = np.asarray(u)
-
-        def random(self, n):
-            return self.u[:n].copy()
-
+    # with the uniforms pinned, draws are exactly mu + sigma * qf(u) for the
+    # six families without a draw transform of their own
     u = np.array([0.2, 0.5, 0.9])
-    for name in ALL:
+    for name in INVERTED:
         fam = get_family(name)
         got = fam.sample(Params(2.0, 3.0), 3, FixedRng(u))
-        assert np.allclose(got, 2.0 + 3.0 * fam.qf(u))
+        assert got.tobytes() == (2.0 + 3.0 * fam.qf(u)).tobytes()
+
+
+def _box_muller_reference(u):
+    """Columns j and h + j of u, h = n // 2, as r cos(theta) and r sin(theta)
+    with r = sqrt(-2 log(1 - u_j)) and theta = 2 pi (u_(h+j) - 1/2), in the
+    trigonometric form; an odd last column is left out."""
+    h = u.shape[-1] // 2
+    r = np.sqrt(-2.0 * np.log1p(-u[..., :h]))
+    theta = 2.0 * math.pi * (u[..., h:2 * h] - 0.5)
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 1001])
+@pytest.mark.parametrize("params", [Params(), Params(-1.5, 2.5), Params(1e5, 1e-3)])
+def test_normal_sampling_is_box_muller(n, params):
+    # the normal's draws pair columns j and h + j (Box-Muller) and an odd
+    # last column is the inversion draw
+    fam = get_family("normal")
+    u = np.random.default_rng(n).random((4, n))
+    # both edges of [0, 1) in both columns of a pair, t = 0 and t = -1
+    h = n // 2
+    u[:2, [0, h]] = [[0.0, 0.0], [1.0 - 2.0 ** -53, 1.0 - 2.0 ** -53]]
+    u[2:, h] = 0.5, 0.25
+    kept = u.copy()
+    x = fam._iid(params, u)
+    assert not np.shares_memory(x, u)
+    z = _box_muller_reference(kept)
+    err = np.abs(x[:, :2 * h] - (params.mu + params.sigma * z))
+    assert np.all(err <= 1e-14 * (abs(params.mu) + params.sigma * (1.0 + np.abs(z))))
+    if n % 2:
+        last = fam._from_uniform(params, kept[:, -1:].copy())
+        assert x[:, -1:].tobytes() == last.tobytes()
+    # one row through the public sampler is that row of the block
+    for i, row in enumerate(kept):
+        assert fam.sample(params, n, FixedRng(row)).tobytes() == x[i].tobytes()
+
+
+def test_normal_draws_are_standard_normal():
+    # 1e6 draws: Kolmogorov-Smirnov against the normal distribution
+    # function, the first two moments, and the pairs (z_j, z_(h+j)) that
+    # share one draw of the transform uncorrelated, and so are their squares
+    n = 1_000_000
+    z = get_family("normal").sample(Params(), n, np.random.default_rng(20240817))
+    assert stats.kstest(z, "norm").pvalue > 1e-3
+    assert abs(z.mean()) < 5.0 / math.sqrt(n)
+    assert abs(z.var() - 1.0) < 5.0 * math.sqrt(2.0 / n)
+    h = n // 2
+    for a, b in ((z[:h], z[h:]), (z[:h] ** 2, z[h:] ** 2)):
+        assert abs(np.corrcoef(a, b)[0, 1]) < 5.0 / math.sqrt(h)
 
 
 def test_sampling_moments_and_support():

@@ -52,13 +52,15 @@ def contaminated(eps, fam=NORMAL):
 
 
 def _one_draw_at_a_time(spec, n, rng):
-    """Reference sampler: n base draws, then (epsilon > 0) n mask uniforms,
-    then n contaminant draws whose masked entries replace the base ones,
-    each draw through the public ``Family.sample``."""
+    """Reference sampler: n base draws through the public ``Family.sample``,
+    then (epsilon > 0) n mask uniforms, then n contaminant uniforms whose
+    masked entries replace the base draws by inversion, mu + sigma * qf(u)."""
     x = spec.base_family.sample(spec.base_params, n, rng)
     if spec.epsilon > 0.0:
         mask = rng.random(n) < spec.epsilon
-        x[mask] = spec.contaminant_family.sample(spec.contaminant_params, n, rng)[mask]
+        u = np.clip(rng.random(n)[mask], families._U_FLOOR, families._U_CEIL)
+        c = spec.contaminant_params
+        x[mask] = c.mu + c.sigma * spec.contaminant_family.qf(u)
     return x
 
 
