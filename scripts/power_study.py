@@ -43,7 +43,8 @@ def main() -> None:
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
 
-    out = args.out or f"results/power_{args.test}_n{args.n}.csv"
+    path = pathlib.Path(args.out or f"results/power_{args.test}_n{args.n}.csv")
+    parser.check_output(path)  # before the study, not after it
     with parser.library_errors():
         cells = run_power_study(
             h0_families=[get_family(n) for n in H0],
@@ -52,7 +53,6 @@ def main() -> None:
             n=args.n, m=args.m, alpha=args.alpha, test=args.test, B=args.B,
             seed=args.seed,
         )
-    path = pathlib.Path(out)
     with parser.output_errors(path):
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="", encoding="utf-8") as fh:

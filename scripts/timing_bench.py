@@ -30,13 +30,14 @@ def main() -> None:
     parser.add_argument("--out", default="results/timing.csv")
     args = parser.parse_args()
 
+    path = pathlib.Path(args.out)
+    parser.check_output(path)  # before the benchmark, not after it
     with parser.library_errors():
         rows = run_timing(
             [get_family(n) for n in args.families.split(",") if n.strip()],
             [m.strip() for m in args.methods.split(",") if m.strip()],
             sorted(args.sizes), repeats=args.repeats, timeout=args.timeout, seed=args.seed,
         )
-    path = pathlib.Path(args.out)
     with parser.output_errors(path):
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="", encoding="utf-8") as fh:

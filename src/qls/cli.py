@@ -10,8 +10,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import json
+import os
+import pathlib
 import sys
 from dataclasses import dataclass
 
@@ -74,6 +77,22 @@ class _Parser(argparse.ArgumentParser):
         except OSError as exc:
             print(f"{self.prog}: error: cannot write {path}: {exc}", file=sys.stderr)
             raise SystemExit(EXIT_INPUT) from None
+
+    def check_output(self, path) -> None:
+        """End the script as ``output_errors`` does if ``path`` cannot be
+        written: it is a directory or a read-only file, or its nearest
+        existing ancestor is a file or read-only.  Writes nothing, so a
+        script can check its output before a long study and still leave no
+        file when the study raises a library error."""
+        path = pathlib.Path(path)
+        with self.output_errors(path):
+            nearest = next(p for p in (path, *path.parents) if p.exists())
+            if nearest == path and path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            if nearest != path and not nearest.is_dir():
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(nearest))
+            if not os.access(nearest, os.W_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(nearest))
 
 
 class InputError(Exception):
@@ -230,13 +249,12 @@ def _cmd_fit(args) -> int:
         # fit_mle takes no scale: silently ignoring one would misreport the fit
         raise DomainError("--known-sigma applies to the QLS methods only; "
                           "the MLE does not take a known scale")
-    known_sigma = 1.0 if args.known_sigma is None else args.known_sigma
     data = read_data(args.data)
     fam = get_family(args.family)
     mode = parse_mode(args.mode)
     grid = make_grid(args.a, args.b, args.k)
     fit = fit_sample(data.values, fam, grid, args.method, mode,
-                     known_mu=args.known_mu, known_sigma=known_sigma)
+                     known_mu=args.known_mu, known_sigma=args.known_sigma)
     bp = breakdown_point(grid)
     se = fit.stderr()
     report = {
@@ -386,11 +404,14 @@ def _study_from_config(cfg, seed_override: int | None):
         for e in _field(cfg, "estimators", list):
             e = _typed(e, dict, "an estimator")
             method = _field(e, "method", str)
+            if method == "mle" and "known_sigma" in e:
+                raise InputError("an mle estimator takes no 'known_sigma': "
+                                 "the MLE does not take a known scale")
             estimators.append(EstimatorSpec(
                 method=method, grid=None if method == "mle" else _config_grid(e),
                 mode=parse_mode(_field(e, "mode", str, "loc-scale")),
                 known_mu=_field(e, "known_mu", float, 0.0),
-                known_sigma=_field(e, "known_sigma", float, 1.0),
+                known_sigma=_field(e, "known_sigma", float, None),
             ))
         summary = run_mc(McConfig(spec=spec, n=n, m=m, estimators=tuple(estimators),
                                   seed=seed))

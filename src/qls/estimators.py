@@ -144,10 +144,21 @@ def _assemble_params(beta: np.ndarray, mode: ParamMode,
     return params, tags
 
 
-def _check_known(known_mu: float, known_sigma: float = 1.0) -> None:
-    """DomainError unless the supplied location and scale are finite."""
-    if not (math.isfinite(known_mu) and math.isfinite(known_sigma)):
+def _check_known(known_mu: float, known_sigma: float | None = None) -> None:
+    """DomainError unless the supplied location and scale (if any) are finite."""
+    if not (math.isfinite(known_mu) and (known_sigma is None or math.isfinite(known_sigma))):
         raise DomainError(f"known parameters must be finite, got {known_mu}, {known_sigma}")
+
+
+def _known_scale(method: str, known_sigma: float | None) -> float | None:
+    """The known scale a method fits with: none for the MLE, which takes
+    none (DomainError if one is given), else known_sigma, 1 when unset."""
+    if method == "mle":
+        if known_sigma is not None:
+            raise DomainError("the MLE takes no known scale; known_sigma applies to the "
+                              "QLS methods only")
+        return None
+    return 1.0 if known_sigma is None else known_sigma
 
 
 def _scale_tags(sigma: float) -> tuple[str, ...]:
@@ -828,11 +839,13 @@ def fit_mle(fam: Family, data, mode: ParamMode = ParamMode.LOCATION_SCALE, *,
 
 def fit_sample(data, fam: Family, grid: QuantileGrid, method: str = "gqls",
                mode: ParamMode = ParamMode.LOCATION_SCALE, *,
-               known_mu: float = 0.0, known_sigma: float = 1.0) -> QlsFit:
+               known_mu: float = 0.0, known_sigma: float | None = None) -> QlsFit:
     """Fit raw data: extract quantiles, plan the method for the family on the
     grid, and fit.  known_mu serves every method's fixed-location mode;
-    known_sigma applies to the QLS methods only (their location-only mode),
-    and ``method="mle"`` ignores it, since ``fit_mle`` takes no scale."""
+    known_sigma serves the QLS methods' location-only mode (1 when unset),
+    and ``method="mle"`` refuses one with DomainError, since ``fit_mle``
+    takes no scale."""
+    known_sigma = _known_scale(method, known_sigma)
     if method == "mle":
         return fit_mle(fam, data, mode, known_mu=known_mu)
     y = empirical_quantiles(data, grid)

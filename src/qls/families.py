@@ -54,7 +54,9 @@ EULER_GAMMA = float(np.euler_gamma)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _U_FLOOR = float(np.finfo(float).tiny)
-_U_CEIL = 1.0 - 1e-16
+# one step below the largest double under 1, 1 - 2^-53, where levy's 1 - u/2
+# rounds to 1/2 and its quantile is infinite
+_U_CEIL = 1.0 - 2.0 ** -52
 
 
 class ParamMode(enum.Enum):

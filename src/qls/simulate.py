@@ -5,8 +5,9 @@ Data are drawn from the mixture (1 - eps) F0 + eps G; bias and root-MSE are
 always measured against the parameters of the clean component F0.  Every
 study is deterministic given its seed: a study (or power cell) reads one
 stream, ``default_rng([*seed_prefix, _STREAM_KEY])``, in which replicate r
-owns the w uniforms [r w, (r + 1) w) (``_row_width``), and the reduction
-order is fixed.
+owns the w uniforms [r w, (r + 1) w) (``_row_width``: n base uniforms, then
+with contamination n mask uniforms, which also give the contaminant its
+uniforms), and the reduction order is fixed.
 
 Replicates run as a batch engine.  Consecutive replicates fill the rows of
 one block whose w-wide draw holds at most 1 MiB
@@ -14,13 +15,14 @@ one block whose w-wide draw holds at most 1 MiB
 stream to its first replicate (PCG64 spends one 64-bit step per double;
 L'Ecuyer et al. 2002, O'Neill 2014), draws all its rows at once and makes
 the base draws with the family's i.i.d. transform (``Family._iid``: Box-Muller
-for the normal, inversion otherwise) and the contaminant's draws at the hits
-with its monotone quantile transform (``Family._from_uniform``), each once on
-the whole block.  Each MLE column is fitted on the block as drawn; the block
-is then sorted once along its rows, and one row-batched product per
-estimator or test (``FitPlan.solve``) fits all the rows.  A row's results do
-not depend on its block, so they are the same for any block size, and the
-caller and one helper thread take whole blocks (``_run_blocks``).
+for the normal, inversion otherwise) and the contaminant's draws at the hits,
+from their mask uniforms divided by epsilon, with its monotone quantile
+transform (``Family._from_uniform``), each once on the whole block.  Each
+MLE column is fitted on the block as drawn; the block is then sorted once
+along its rows, and one row-batched product per estimator or test
+(``FitPlan.solve``) fits all the rows.  A row's results do not depend on its
+block, so they are the same for any block size, and the caller and one
+helper thread take whole blocks (``_run_blocks``).
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from . import gof
 from .errors import DomainError, QlsError
 from .families import Family, ParamMode, Params, check_sampling, check_seed
 from .quantiles import QuantileGrid, _positions, finite_rows, make_grid, replicate_blocks
-from .estimators import FitPlan, _check_known, _mle_rows, fit_sample
+from .estimators import FitPlan, _check_known, _known_scale, _mle_rows, fit_sample
 
 __all__ = [
     "ContaminationSpec",
@@ -90,15 +92,16 @@ _STREAM_KEY = 0xBB67AE8584CAA73B
 
 def _row_width(spec: ContaminationSpec, n: int) -> int:
     """Uniforms per sample of n: n base uniforms, then, when epsilon > 0, n
-    that pick the contaminated entries and n for the contaminant."""
-    return 3 * n if spec.epsilon > 0.0 else n
+    mask uniforms that pick the contaminated entries and, divided by epsilon,
+    are the contaminant's uniforms at them."""
+    return 2 * n if spec.epsilon > 0.0 else n
 
 
 def sample_contaminated(spec: ContaminationSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n observations from the mixture, made of the next
     ``_row_width(spec, n)`` uniforms of rng: entry j is the contaminant's
-    inversion draw from the j-th uniform of the third n when the j-th of the
-    second n lies below epsilon, else the j-th base draw made of the first n
+    inversion draw from m / epsilon when the j-th uniform m of the second n
+    lies below epsilon, else the j-th base draw made of the first n
     (``Family.sample``'s).  With epsilon = 0 the stream consumed and the
     draws are those of plain base-family sampling."""
     check_sampling(spec.base_params, n)
@@ -111,12 +114,21 @@ def _from_uniforms(spec: ContaminationSpec, n: int, u: np.ndarray) -> np.ndarray
     overwritten.  The base family's i.i.d. transform runs once on the base
     uniforms and the contaminant's quantile transform once on its hits; both
     work elementwise or within a row, so a row is the same bits whatever rows
-    it is drawn with."""
+    it is drawn with.
+
+    A mask uniform m below epsilon is recycled (composition; Devroye 1986,
+    Non-Uniform Random Variate Generation): given m < epsilon,
+    m / epsilon is uniform on [0, 1) and independent of the rest of the row.
+    Its values step by 2^-53 / epsilon instead of 2^-53 (2.2e-15 at epsilon
+    = 0.05); the transform's clip to [``_U_FLOOR``, ``_U_CEIL``] keeps every
+    quantile finite."""
     x = spec.base_family._iid(spec.base_params, u[:, :n])
     if spec.epsilon > 0.0:
-        hit = u[:, n:2 * n] < spec.epsilon
-        x[hit] = spec.contaminant_family._from_uniform(spec.contaminant_params,
-                                                       u[:, 2 * n:][hit])
+        mask = u[:, n:]
+        hit = mask < spec.epsilon
+        uc = mask[hit]
+        uc /= spec.epsilon
+        x[hit] = spec.contaminant_family._from_uniform(spec.contaminant_params, uc)
     return x
 
 
@@ -128,7 +140,7 @@ class EstimatorSpec:
     grid: QuantileGrid | None = None
     mode: ParamMode = ParamMode.LOCATION_SCALE
     known_mu: float = 0.0
-    known_sigma: float = 1.0
+    known_sigma: float | None = None  # 1 for the QLS methods when unset; the MLE takes none
     label: str = ""
 
     def __post_init__(self):
@@ -137,6 +149,7 @@ class EstimatorSpec:
         if self.method != "mle" and self.grid is None:
             raise DomainError(f"{self.method} needs a quantile grid")
         _check_known(self.known_mu, self.known_sigma)
+        object.__setattr__(self, "known_sigma", _known_scale(self.method, self.known_sigma))
         if not self.label:
             if self.method == "mle":
                 object.__setattr__(self, "label", "mle")
@@ -161,7 +174,8 @@ def _check_study(n: int, m: int) -> None:
 class McConfig:
     """One Monte Carlo study.  ``seed`` must be a non-negative integer
     (InvalidSeed otherwise); replicate r is made of the r-th run of
-    ``_row_width(spec, n)`` doubles of ``default_rng([seed, _STREAM_KEY])``."""
+    ``_row_width(spec, n)`` doubles (n clean, 2n contaminated) of
+    ``default_rng([seed, _STREAM_KEY])``."""
 
     spec: ContaminationSpec
     n: int

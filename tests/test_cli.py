@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -388,6 +389,19 @@ def test_simulate_mc_config(capsys, tmp_path):
     assert all(r["failures"] == "0" for r in rows)
 
 
+def test_simulate_mle_estimator_with_a_known_sigma_is_an_input_error(capsys, tmp_path):
+    # the MLE takes no known scale: the config key is refused before the
+    # study runs, where it was accepted and had no effect
+    cfg = {"study": "mc", "family": "normal", "n": 50, "M": 4,
+           "estimators": [{"method": "gqls", "known_sigma": 2}, {"method": "mle",
+                                                                  "known_sigma": 2}]}
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert (code, out, len(err.splitlines())) == (2, "", 1), err
+    assert err.startswith("qls: input error: an mle estimator takes no 'known_sigma'")
+
+
 def test_simulate_power_config(capsys, tmp_path):
     cfg = {
         "study": "power", "family": "normal", "n": 300, "M": 20, "seed": 4,
@@ -642,6 +656,33 @@ def test_script_unwritable_output_exits_2_with_one_error_line(script, argv, tmp_
     assert (proc.returncode, proc.stdout, len(lines)) == (2, b"", 1), proc.stderr.decode()
     assert lines[0].startswith(script.encode() + b": error: cannot write ")
     assert b"Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept"
+
+
+@pytest.mark.parametrize("script, study, argv", [
+    ("power_study.py", "run_power_study", ("--out", "{file}/x.csv")),
+    ("power_study.py", "run_power_study", ("--out", "{dir}")),
+    ("timing_bench.py", "run_timing", ("--out", "{file}/x.csv")),
+    ("timing_bench.py", "run_timing", ("--out", "{dir}")),
+])
+def test_script_checks_its_output_before_the_study(script, study, argv, tmp_path,
+                                                    monkeypatch, capsys):
+    # an unwritable --out ends the script before the study runs: a stub
+    # that counts the study's calls sees none
+    module_spec = importlib.util.spec_from_file_location(script[:-3], SCRIPTS / script)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    calls = []
+    monkeypatch.setattr(module, study, lambda *args, **kwargs: calls.append(args) or [])
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    argv = [a.format(file=taken, dir=tmp_path) for a in argv]
+    monkeypatch.setattr(sys, "argv", [script, *argv])
+    with pytest.raises(SystemExit) as exc:
+        module.main()
+    err = capsys.readouterr().err
+    assert (exc.value.code, calls, len(err.splitlines())) == (2, [], 1), err
+    assert err.startswith(f"{script}: error: cannot write ")
     assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept"
 
 

@@ -175,6 +175,21 @@ def test_non_finite_known_parameters_are_refused(known):
     assert fit.sigma == -1.0
 
 
+@pytest.mark.parametrize("value", [1.0, 2.5, float("nan")])
+def test_fit_sample_mle_refuses_a_known_sigma(value):
+    # the MLE takes no known scale: one given is refused, where it was
+    # silently ignored; the QLS methods still take it, and 1 when unset
+    data = NORMAL.sample(Params(0.3, 2.0), 200, np.random.default_rng(2))
+    for mode in (ParamMode.LOCATION_SCALE, ParamMode.SCALE_ONLY):
+        with pytest.raises(DomainError, match="MLE takes no known scale"):
+            fit_sample(data, NORMAL, GRID, "mle", mode, known_sigma=value)
+    assert fit_sample(data, NORMAL, GRID, "mle").params == fit_mle(NORMAL, data).params
+    loc = ParamMode.LOCATION_ONLY
+    assert fit_sample(data, NORMAL, GRID, "gqls", loc, known_sigma=2.5).sigma == 2.5
+    assert (fit_sample(data, NORMAL, GRID, "oqls", loc).params
+            == fit_sample(data, NORMAL, GRID, "oqls", loc, known_sigma=1.0).params)
+
+
 def test_single_parameter_modes():
     beta = np.array([2.0, 3.0])
     y = QuantileResponse(values=X @ beta, n=400)

@@ -177,6 +177,15 @@ def test_sampling_is_inversion():
         assert got.tobytes() == (2.0 + 3.0 * fam.qf(u)).tobytes()
 
 
+@pytest.mark.parametrize("name", ALL)
+def test_sampling_is_finite_at_both_ends_of_the_generator_range(name):
+    # Generator.random gives doubles in [0, 1 - 2^-53]; at 1 - 2^-53 levy's
+    # 1 - u/2 rounds to 1/2, so the clip must stop one step below it
+    u = np.array([0.0, 5e-324, 0.5, 1 - 2 ** -52, 1 - 2 ** -53])
+    with np.errstate(divide="ignore"):  # levy's quantile at the floor is 0 via inf ** -2
+        assert np.isfinite(get_family(name).sample(Params(2.0, 3.0), 5, FixedRng(u))).all()
+
+
 def _box_muller_reference(u):
     """Columns j and h + j of u, h = n // 2, as r cos(theta) and r sin(theta)
     with r = sqrt(-2 log(1 - u_j)) and theta = 2 pi (u_(h+j) - 1/2), in the

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from qls import families, gof, quantiles, simulate
 from qls.errors import (
@@ -53,27 +54,30 @@ def contaminated(eps, fam=NORMAL):
 
 def _one_draw_at_a_time(spec, n, rng):
     """Reference sampler: n base draws through the public ``Family.sample``,
-    then (epsilon > 0) n mask uniforms, then n contaminant uniforms whose
-    masked entries replace the base draws by inversion, mu + sigma * qf(u)."""
+    then (epsilon > 0) n mask uniforms; each one m below epsilon replaces its
+    base draw by the contaminant's inversion of m / epsilon, mu + sigma *
+    qf(m / epsilon)."""
     x = spec.base_family.sample(spec.base_params, n, rng)
     if spec.epsilon > 0.0:
-        mask = rng.random(n) < spec.epsilon
-        u = np.clip(rng.random(n)[mask], families._U_FLOOR, families._U_CEIL)
+        m = rng.random(n)
+        mask = m < spec.epsilon
+        u = np.clip(m[mask] / spec.epsilon, families._U_FLOOR, families._U_CEIL)
         c = spec.contaminant_params
         x[mask] = c.mu + c.sigma * spec.contaminant_family.qf(u)
     return x
 
 
 class _Replay:
-    """A stand-in generator whose ``random(k)`` serves the next k of a fixed
-    array of uniforms."""
+    """A stand-in generator whose ``random(size)`` serves the next values of
+    a fixed array of uniforms, in the shape asked for."""
 
     def __init__(self, u):
         self.u, self.used = u, 0
 
     def random(self, size):
-        self.used += size
-        return self.u[self.used - size:self.used].copy()
+        k = int(np.prod(size))
+        self.used += k
+        return self.u[self.used - k:self.used].reshape(size).copy()
 
 
 def _stream_rows(spec, n, prefix, m):
@@ -81,7 +85,7 @@ def _stream_rows(spec, n, prefix, m):
     ``prefix``: the first m w doubles of ``default_rng([*prefix,
     _STREAM_KEY])`` in one plain draw (no jump ahead), reshaped to (m, w),
     each row transformed on its own by the reference sampler."""
-    w = 3 * n if spec.epsilon > 0.0 else n
+    w = 2 * n if spec.epsilon > 0.0 else n
     u = np.random.default_rng([*prefix, _STREAM_KEY]).random(m * w).reshape(m, w)
     rows = []
     for row in u:
@@ -134,6 +138,80 @@ def test_contaminant_fraction_binomial():
     assert abs(frac - 0.05) < 0.005
 
 
+# a contaminant of the layout tests, away from the base N(0.4, 1.3^2)
+CONTAMINANT = (CAUCHY, Params(3.0, 0.5))
+
+
+def _mixture(base, eps):
+    fam, c = CONTAMINANT
+    return ContaminationSpec(base_family=get_family(base), base_params=Params(0.4, 1.3),
+                             contaminant_family=fam, contaminant_params=c, epsilon=eps)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.5])
+@pytest.mark.parametrize("base", ["normal", "logistic"])
+def test_contaminated_draws_follow_the_mixture_cdf(base, eps):
+    # a contaminated entry is the contaminant's draw from its mask uniform
+    # m / eps, so the sample's law is (1 - eps) F0 + eps F1 (Box-Muller base
+    # and inversion base alike)
+    spec = _mixture(base, eps)
+    x = sample_contaminated(spec, 40_000, np.random.default_rng(23))
+    b, (fam, c) = spec.base_params, CONTAMINANT
+
+    def cdf(t):
+        return ((1 - eps) * spec.base_family.cdf((t - b.mu) / b.sigma)
+                + eps * fam.cdf((t - c.mu) / c.sigma))
+
+    assert stats.kstest(x, cdf).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.5])
+def test_contaminated_entries_are_contaminant_draws(eps):
+    # the entries whose mask uniform lies below eps (found by replaying the
+    # stream) against contaminant draws of an unrelated stream, and the
+    # other entries against base draws
+    n, spec = 40_000, _mixture("normal", eps)
+    x = sample_contaminated(spec, n, np.random.default_rng(29))
+    hit = np.random.default_rng(29).random(2 * n)[n:] < eps
+    fam, c = CONTAMINANT
+    other = np.random.default_rng(31)
+    assert stats.ks_2samp(x[hit], fam.sample(c, 20_000, other)).pvalue > 1e-3
+    assert stats.ks_2samp(x[~hit], NORMAL.sample(spec.base_params, 20_000, other)).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_epsilon_one_draws_invert_the_mask_uniforms(name):
+    # at eps = 1 every entry is contaminated and m / 1 = m: the draws are the
+    # contaminant's inversion of the second n uniforms, bit for bit
+    fam, c = get_family(name), Params(-0.7, 2.5)
+    spec = ContaminationSpec(base_family=NORMAL, contaminant_family=fam,
+                             contaminant_params=c, epsilon=1.0)
+    for n in (1, 2, 301):
+        u = np.random.default_rng(n).random(2 * n)[n:]
+        want = c.mu + c.sigma * fam.qf(np.clip(u, families._U_FLOOR, families._U_CEIL))
+        assert sample_contaminated(spec, n, np.random.default_rng(n)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("eps", [5e-324, 1 - 2 ** -53])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_extreme_epsilons_give_finite_draws(name, eps):
+    # mask uniforms at both ends of [0, eps): 0, whose ratio is clipped up to
+    # the floor, and the largest double below eps, whose ratio lies within a
+    # few ulps of 1 and is clipped down to the ceiling; then a real stream
+    fam, n = get_family(name), 500
+    spec = ContaminationSpec(base_family=NORMAL, contaminant_family=fam,
+                             contaminant_params=Params(0.0, 1.0), epsilon=eps)
+    u = np.random.default_rng(7).random(2 * n)
+    u[n:n + 3] = 0.0, np.nextafter(eps, 0.0), eps
+    with np.errstate(divide="ignore"):  # levy's quantile at the floor is 0 via inf ** -2
+        x = sample_contaminated(spec, n, _Replay(u))
+        assert np.isfinite(x).all()
+        assert np.isfinite(sample_contaminated(spec, 20_000, np.random.default_rng(8))).all()
+    # the first two entries are contaminated and the third (m = eps) is not
+    base = NORMAL.sample(Params(), n, np.random.default_rng(7))
+    assert (x[:3] != base[:3]).tolist() == [True, True, False]
+
+
 def test_sampling_checks_size_and_scales():
     with pytest.raises(DomainError):
         sample_contaminated(clean(), 0, np.random.default_rng(1))
@@ -164,6 +242,18 @@ def test_non_finite_known_parameters_are_refused_before_any_draw(known, method):
     with pytest.raises(DomainError, match="must be finite"):
         EstimatorSpec(method, None if method == "mle" else GRID, ParamMode.SCALE_ONLY,
                       **known)
+
+
+def test_estimator_spec_mle_refuses_a_known_sigma():
+    # the MLE takes no known scale: a spec that gives one is refused, and an
+    # unset one stays unset; a QLS spec reads unset as 1
+    for value in (1.0, 2.0):
+        with pytest.raises(DomainError, match="MLE takes no known scale"):
+            EstimatorSpec("mle", known_sigma=value)
+    assert EstimatorSpec("mle", mode=ParamMode.SCALE_ONLY).known_sigma is None
+    assert EstimatorSpec("gqls", GRID).known_sigma == 1.0
+    assert EstimatorSpec("gqls", GRID) == EstimatorSpec("gqls", GRID, known_sigma=1.0)
+    assert EstimatorSpec("oqls", GRID, known_sigma=2.5).known_sigma == 2.5
 
 
 def test_run_mc_deterministic_and_clean():
@@ -290,8 +380,8 @@ ENGINE_ESTIMATORS = (
 
 @pytest.mark.parametrize("n, one_row_blocks", [(1000, False), (1000, True), (40, True)])
 def test_replicate_estimates_do_not_depend_on_the_study_size(n, one_row_blocks, monkeypatch):
-    # n = 1000 at epsilon = 0.05 draws 3000 uniforms a row, so blocks hold 43
-    # rows: m = 300 spans seven blocks and m = 10 one partial block; capping a
+    # n = 1000 at epsilon = 0.05 draws 2000 uniforms a row, so blocks hold 65
+    # rows: m = 300 spans five blocks and m = 10 one partial block; capping a
     # block at n values gives one-row blocks
     def study(m):
         return _mc_estimates(McConfig(spec=contaminated(0.05), n=n, m=m,
@@ -318,9 +408,9 @@ def test_block_rows_stay_within_one_mebibyte():
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_block_sampler_rows_equal_single_draws(name, epsilon, one_row_blocks, monkeypatch):
     # n = 300 draws 300 uniforms a row (436-row blocks) at epsilon = 0 and
-    # 900 (145-row blocks) at 0.1, so 500 replicates span two or four blocks
+    # 600 (218-row blocks) at 0.1, so 500 replicates span two or three blocks
     n, m, seed = 300, 500, 13
-    w = 3 * n if epsilon > 0.0 else n
+    w = 2 * n if epsilon > 0.0 else n
     spec = ContaminationSpec(
         base_family=get_family(name), base_params=Params(0.4, 1.3),
         contaminant_family=get_family("gumbel"), contaminant_params=Params(2.0, 3.0),
@@ -620,17 +710,17 @@ def test_engine_equals_a_one_thread_reference(name, epsilon, monkeypatch):
 
 def test_engine_single_block_with_many_hits(monkeypatch):
     # one block of seven rows at epsilon = 0.3: about 120 contaminated
-    # entries per row, every row's taken from its own third of the row's draw
+    # entries per row, every row's taken from the mask half of its own draw
     cfg = McConfig(spec=contaminated(0.3), n=400, m=7, seed=5,
                    estimators=(EstimatorSpec("mle"), EstimatorSpec("gqls", GRID)))
-    assert len(list(quantiles.replicate_blocks(range(cfg.m), 3 * cfg.n))) == 1
+    assert len(list(quantiles.replicate_blocks(range(cfg.m), 2 * cfg.n))) == 1
     engine, reference = _engine_and_reference(cfg, monkeypatch)
     assert engine.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.05, 1.0])
 def test_sample_contaminated_does_not_overdraw(epsilon):
-    # a caller's generator ends exactly w uniforms on (n at epsilon = 0, 3n
+    # a caller's generator ends exactly w uniforms on (n at epsilon = 0, 2n
     # otherwise), where the reference sampler's separate draws leave it
     spec = ContaminationSpec(base_family=NORMAL, contaminant_family=CAUCHY,
                              contaminant_params=Params(0.0, 2.0), epsilon=epsilon)
@@ -638,7 +728,7 @@ def test_sample_contaminated_does_not_overdraw(epsilon):
     for n in (1, 50, 999):
         assert sample_contaminated(spec, n, rng).tobytes() == _one_draw_at_a_time(
             spec, n, ref).tobytes()
-        plain.random(3 * n if epsilon > 0.0 else n)
+        plain.random(2 * n if epsilon > 0.0 else n)
         assert rng.bit_generator.state == ref.bit_generator.state == plain.bit_generator.state
 
 
@@ -679,7 +769,7 @@ def test_study_bytes_do_not_depend_on_blocks_or_threads(study, monkeypatch):
         patch.setattr(quantiles, "_BLOCK_VALUES", 1)
         assert run().tobytes() == want.tobytes()
     with monkeypatch.context() as patch:
-        patch.setattr(quantiles, "_BLOCK_VALUES", 7 * 3 * n)
+        patch.setattr(quantiles, "_BLOCK_VALUES", 7 * 2 * n)
         patch.setattr(simulate, "threading",
                       types.SimpleNamespace(Lock=threading.Lock, Thread=_NoHelper))
         assert run().tobytes() == want.tobytes()
@@ -693,7 +783,7 @@ def test_study_bytes_do_not_depend_on_blocks_or_threads(study, monkeypatch):
         run_blocks(spec, n, replicates, seed_prefix, _both_workers(recorded))
 
     with monkeypatch.context() as patch:
-        patch.setattr(quantiles, "_BLOCK_VALUES", 7 * 3 * n)
+        patch.setattr(quantiles, "_BLOCK_VALUES", 7 * 2 * n)
         patch.setattr(simulate, "_run_blocks", on_both_workers)
         assert run().tobytes() == want.tobytes()
     assert len(workers) == 2
