@@ -404,9 +404,6 @@ def _study_from_config(cfg, seed_override: int | None):
         for e in _field(cfg, "estimators", list):
             e = _typed(e, dict, "an estimator")
             method = _field(e, "method", str)
-            if method == "mle" and "known_sigma" in e:
-                raise InputError("an mle estimator takes no 'known_sigma': "
-                                 "the MLE does not take a known scale")
             estimators.append(EstimatorSpec(
                 method=method, grid=None if method == "mle" else _config_grid(e),
                 mode=parse_mode(_field(e, "mode", str, "loc-scale")),

@@ -54,8 +54,10 @@ EULER_GAMMA = float(np.euler_gamma)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _U_FLOOR = float(np.finfo(float).tiny)
-# one step below the largest double under 1, 1 - 2^-53, where levy's 1 - u/2
-# rounds to 1/2 and its quantile is infinite
+# the clip's top must lie below 1, where every quantile function is infinite
+# and a contaminant's recycled uniform m / epsilon can land.  Every quantile
+# is finite up to 1 - 2^-53, the largest Generator.random double; the ceiling
+# stays one step below it so that draws made of that double keep their bits.
 _U_CEIL = 1.0 - 2.0 ** -52
 
 
@@ -193,35 +195,47 @@ def _normal_qf(u):
     return scipy.special.ndtri(np.asarray(u, dtype=float))
 
 
-def _normal_draws(params: Params, u: np.ndarray) -> np.ndarray:
+def _normal_draws(params: Params, u: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """Normal i.i.d. draws mu + sigma * z made of uniforms u in [0, 1) along
-    the last axis, overwriting u (Box & Muller 1958).  Columns j and h + j,
-    h = n // 2, pair up: r = sigma sqrt(-2 log(1 - u_j)) and t = tan(pi
-    (u_(h+j) - 1/2)) give r cos(2 pi (u_(h+j) - 1/2)) and r sin(...) in the
-    half-angle form, as q - r and q t with q = 2 r/(1 + t^2), since numpy's
-    tan costs a third of its cos or sin.  An odd last column is the inversion
-    draw.  Only the output is allocated: every step runs in u or in it."""
+    the last axis (Box & Muller 1958).  Columns j and h + j, h = n // 2, pair
+    up: r = sigma sqrt(-2 log(1 - u_j)) and t = tan(pi (u_(h+j) - 1/2)) give
+    r cos(2 pi (u_(h+j) - 1/2)) and r sin(...) in the half-angle form, as
+    q - r and q t with q = 2 r/(1 + t^2), since numpy's tan costs a third of
+    its cos or sin.  An odd last column is the inversion draw.
+
+    Only the output is allocated.  Without ``work`` the passes run in u's two
+    halves and the output, overwriting u: contiguous memory when u is one
+    sample.  The rows of a Monte Carlo block are strided views, on which
+    numpy's passes cost about three times as much, so for a (rows, n) u the
+    caller may hand in ``work``, a (3, R, h) buffer with R >= rows that it
+    reuses from block to block: each half of u is read once into it, every
+    pass runs there, u is left as it was and the last two passes write the
+    output.  Both ways run the same operations on the same values, so they
+    give the same bits."""
     n = u.shape[-1]
     h = n // 2
     out = np.empty(u.shape)
-    r, t = u[..., :h], u[..., h:2 * h]
-    c, s = out[..., :h], out[..., h:2 * h]
+    if work is None:
+        r, t, s = u[..., :h], u[..., h:2 * h], out[..., :h]
+    else:
+        r, t, s = work[:, :len(u)]
     # 1 - u lies in (0, 1], so the log is finite
-    np.subtract(1.0, r, out=r)
+    np.subtract(1.0, u[..., :h], out=r)
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
     r *= params.sigma
-    t -= 0.5
+    np.subtract(u[..., h:2 * h], 0.5, out=t)
     t *= math.pi
     np.tan(t, out=t)  # |t| <= 1.7e16, so t^2 cannot overflow
     np.multiply(t, t, out=s)
     s += 1.0
-    np.divide(r, s, out=c)
-    c += c
-    np.multiply(c, t, out=s)
-    c -= r
-    out[..., :2 * h] += params.mu
+    np.divide(r, s, out=s)
+    s += s  # q
+    np.multiply(s, t, out=t)
+    np.add(t, params.mu, out=out[..., h:2 * h])
+    np.subtract(s, r, out=s)
+    np.add(s, params.mu, out=out[..., :h])
     if n % 2:
         q = _normal_qf(np.clip(u[..., -1], _U_FLOOR, _U_CEIL))
         out[..., -1] = params.mu + params.sigma * q
@@ -283,8 +297,11 @@ def _levy_cdf(z):
 
 
 def _levy_qf(u):
+    # F0(x) = 2 Phi(-1/sqrt(x)), so Q0(u) = Phi^-1(u / 2)^-2: u / 2 is exact
+    # and ndtri keeps its relative accuracy in the lower tail, where the
+    # reflected 1 - u / 2 rounds to 1 below u ~ 1.1e-16
     import scipy.special
-    return scipy.special.ndtri(1.0 - 0.5 * np.asarray(u, dtype=float)) ** -2.0
+    return scipy.special.ndtri(0.5 * np.asarray(u, dtype=float)) ** -2.0
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +342,9 @@ class Family:
     # scale-only scalar when regularity fails for the joint model
     _info: tuple[tuple[float, float], tuple[float, float]] | None = field(repr=False, default=None)
     _scale_info: float = field(repr=False, default=float("nan"))
-    # i.i.d. draws made of (params, uniforms along the last axis, overwritten),
-    # where a faster exact transform than inversion exists
+    # i.i.d. draws made of (params, uniforms along the last axis, scratch),
+    # where a faster exact transform than inversion exists; the scratch is
+    # None or an ``_iid_work`` buffer
     _draws: Callable | None = field(repr=False, default=None)
 
     def pdf(self, z):
@@ -370,14 +388,21 @@ class Family:
         check_sampling(params, n)
         return self._iid(params, rng.random(n))
 
-    def _iid(self, params: Params, u: np.ndarray) -> np.ndarray:
-        """i.i.d. draws made of uniforms u along the last axis, overwriting
-        u: the family's own draw transform, else ``_from_uniform``.  They are
-        not monotone in u, so they are no order statistics; a row's draws
-        depend on that row alone."""
+    def _iid(self, params: Params, u: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+        """i.i.d. draws made of uniforms u along the last axis, which may be
+        overwritten: the family's own draw transform, else ``_from_uniform``.
+        ``work`` is None or an ``_iid_work`` buffer for at least u's rows.
+        The draws are not monotone in u, so they are no order statistics; a
+        row's draws depend on that row alone."""
         if self._draws is None:
             return self._from_uniform(params, u)
-        return self._draws(params, u)
+        return self._draws(params, u, work)
+
+    def _iid_work(self, rows: int, n: int) -> np.ndarray | None:
+        """Scratch that ``_iid`` may reuse on every (rows, n) block of uniforms,
+        or None when the family's transform needs none: Box-Muller's three
+        (rows, n // 2) buffers for the normal (``_normal_draws``)."""
+        return None if self._draws is None else np.empty((3, rows, n // 2))
 
     def _from_uniform(self, params: Params, u: np.ndarray) -> np.ndarray:
         """mu + sigma * Q0(u), clipping u in place: the monotone transform.

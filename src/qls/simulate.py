@@ -13,11 +13,14 @@ Replicates run as a batch engine.  Consecutive replicates fill the rows of
 one block whose w-wide draw holds at most 1 MiB
 (``quantiles.replicate_blocks``).  A block advances its own copy of the
 stream to its first replicate (PCG64 spends one 64-bit step per double;
-L'Ecuyer et al. 2002, O'Neill 2014), draws all its rows at once and makes
-the base draws with the family's i.i.d. transform (``Family._iid``: Box-Muller
-for the normal, inversion otherwise) and the contaminant's draws at the hits,
-from their mask uniforms divided by epsilon, with its monotone quantile
-transform (``Family._from_uniform``), each once on the whole block.  Each
+L'Ecuyer et al. 2002, O'Neill 2014), draws all its rows at once into its
+worker's reused uniform buffer and makes the base draws with the family's
+i.i.d. transform (``Family._iid``: Box-Muller for the normal, run in the
+worker's reused contiguous scratch, inversion otherwise) and the
+contaminant's draws at the hits, found by flat index and read from their
+mask uniforms divided by epsilon, with its monotone quantile transform
+(``Family._from_uniform``), each once on the whole block.  Only the block
+of draws is allocated afresh, since ``work`` may keep it.  Each
 MLE column is fitted on the block as drawn; the block is then sorted once
 along its rows, and one row-batched product per estimator or test
 (``FitPlan.solve``) fits all the rows.  A row's results do not depend on its
@@ -108,27 +111,30 @@ def sample_contaminated(spec: ContaminationSpec, n: int, rng: np.random.Generato
     return _from_uniforms(spec, n, rng.random((1, _row_width(spec, n))))[0]
 
 
-def _from_uniforms(spec: ContaminationSpec, n: int, u: np.ndarray) -> np.ndarray:
+def _from_uniforms(spec: ContaminationSpec, n: int, u: np.ndarray,
+                   work: np.ndarray | None = None) -> np.ndarray:
     """The (rows, n) mixture draws made of a (rows, ``_row_width``) array of
-    uniforms, one sample per row as ``sample_contaminated`` lays it out; u is
-    overwritten.  The base family's i.i.d. transform runs once on the base
-    uniforms and the contaminant's quantile transform once on its hits; both
-    work elementwise or within a row, so a row is the same bits whatever rows
-    it is drawn with.
+    uniforms, one sample per row as ``sample_contaminated`` lays it out; u may
+    be overwritten, and ``work`` is None or the base family's ``_iid_work``
+    scratch for at least u's rows.  The base family's i.i.d. transform runs
+    once on the base uniforms and the contaminant's quantile transform once
+    on its hits; both work elementwise or within a row, so a row is the same
+    bits whatever rows it is drawn with.
 
     A mask uniform m below epsilon is recycled (composition; Devroye 1986,
     Non-Uniform Random Variate Generation): given m < epsilon,
     m / epsilon is uniform on [0, 1) and independent of the rest of the row.
     Its values step by 2^-53 / epsilon instead of 2^-53 (2.2e-15 at epsilon
     = 0.05); the transform's clip to [``_U_FLOOR``, ``_U_CEIL``] keeps every
-    quantile finite."""
-    x = spec.base_family._iid(spec.base_params, u[:, :n])
+    quantile finite.  The hits are found as flat positions f of the draws
+    and read from u at f + (row + 1) n, one gather and one scatter by index:
+    two boolean-mask passes over the strided mask cost about twice as much."""
+    x = spec.base_family._iid(spec.base_params, u[:, :n], work)
     if spec.epsilon > 0.0:
-        mask = u[:, n:]
-        hit = mask < spec.epsilon
-        uc = mask[hit]
+        hits = np.flatnonzero(u[:, n:] < spec.epsilon)
+        uc = np.take(u, hits + (hits // n + 1) * n)
         uc /= spec.epsilon
-        x[hit] = spec.contaminant_family._from_uniform(spec.contaminant_params, uc)
+        np.put(x, hits, spec.contaminant_family._from_uniform(spec.contaminant_params, uc))
     return x
 
 
@@ -234,8 +240,12 @@ def _run_blocks(spec: ContaminationSpec, n: int, replicates: range, seed_prefix:
     left, so ``work`` must write only its own replicates' results.  The
     helper runs in a copy of the caller's context (numpy's error state) and
     is joined before this returns or raises.  After the first error neither
-    takes another block, and that error is raised here.  A worker holds one
-    block at a time, and no draw buffer while ``work`` runs."""
+    takes another block, and that error is raised here.
+
+    A worker allocates its (rows, w) uniform buffer and the base family's
+    ``_iid_work`` scratch once, at its first block (the largest), and draws
+    every block into them; ``work`` never sees either.  Each block handed to
+    ``work`` is a fresh array, which ``work`` may keep."""
     check_sampling(spec.base_params, n)
     width = _row_width(spec, n)
     key = np.random.SeedSequence([*seed_prefix, _STREAM_KEY])
@@ -249,11 +259,15 @@ def _run_blocks(spec: ContaminationSpec, n: int, replicates: range, seed_prefix:
 
     def run():
         try:
+            u = scratch = None
             while (reps := take()) is not None:
+                if u is None:  # the first block is the largest
+                    u = np.empty((len(reps), width))
+                    scratch = spec.base_family._iid_work(len(reps), n)
                 bits = np.random.PCG64(key)
                 bits.advance(reps.start * width)
-                block = _from_uniforms(
-                    spec, n, np.random.Generator(bits).random((len(reps), width)))
+                draw = np.random.Generator(bits).random(out=u[:len(reps)])
+                block = _from_uniforms(spec, n, draw, scratch)
                 work(reps, block)
                 del block
         except BaseException as exc:  # stops both workers; raised by the caller

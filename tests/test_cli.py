@@ -389,17 +389,22 @@ def test_simulate_mc_config(capsys, tmp_path):
     assert all(r["failures"] == "0" for r in rows)
 
 
-def test_simulate_mle_estimator_with_a_known_sigma_is_an_input_error(capsys, tmp_path):
-    # the MLE takes no known scale: the config key is refused before the
-    # study runs, where it was accepted and had no effect
+def test_mle_with_a_known_sigma_is_a_usage_error_on_both_paths(capsys, tmp_path,
+                                                               counting_file):
+    # the MLE takes no known scale: `qls fit --known-sigma` and a `qls
+    # simulate` config estimator's "known_sigma" are the same mistake, one
+    # usage-error line and exit 1 before any work
     cfg = {"study": "mc", "family": "normal", "n": 50, "M": 4,
            "estimators": [{"method": "gqls", "known_sigma": 2}, {"method": "mle",
                                                                   "known_sigma": 2}]}
     path = tmp_path / "study.json"
     path.write_text(json.dumps(cfg))
-    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
-    assert (code, out, len(err.splitlines())) == (2, "", 1), err
-    assert err.startswith("qls: input error: an mle estimator takes no 'known_sigma'")
+    for argv in (("simulate", "--config", str(path)),
+                 ("fit", "--family", "normal", "--data", counting_file, "--method", "mle",
+                  "--known-sigma", "2")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, len(err.splitlines())) == (1, "", 1), err
+        assert err.startswith("qls: usage error: ") and "QLS methods only" in err
 
 
 def test_simulate_power_config(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,11 +180,21 @@ def test_sampling_is_inversion():
 
 @pytest.mark.parametrize("name", ALL)
 def test_sampling_is_finite_at_both_ends_of_the_generator_range(name):
-    # Generator.random gives doubles in [0, 1 - 2^-53]; at 1 - 2^-53 levy's
-    # 1 - u/2 rounds to 1/2, so the clip must stop one step below it
+    # Generator.random gives doubles in [0, 1 - 2^-53]; the clip keeps both
+    # ends inside (0, 1), and no quantile divides by zero there
     u = np.array([0.0, 5e-324, 0.5, 1 - 2 ** -52, 1 - 2 ** -53])
-    with np.errstate(divide="ignore"):  # levy's quantile at the floor is 0 via inf ** -2
+    with np.errstate(all="raise"):
         assert np.isfinite(get_family(name).sample(Params(2.0, 3.0), 5, FixedRng(u))).all()
+
+
+@pytest.mark.parametrize("u", [1e-300, 1e-16, 1e-15, 1e-8, 0.3, 0.9, 1 - 2 ** -52])
+def test_levy_qf_matches_a_high_precision_reference(u):
+    # Q0(u) = 1 / (2 erfinv(1 - u)^2) at 400 digits; below u ~ 1.1e-16 the
+    # reflected form ndtri(1 - u / 2) ** -2 read 1 - u / 2 as 1 and gave 0
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(400):
+        ref = 1 / (2 * mpmath.erfinv(1 - mpmath.mpf(u)) ** 2)
+        assert abs(get_family("levy").qf(u) - ref) <= 1e-14 * ref
 
 
 def _box_muller_reference(u):
@@ -219,6 +230,40 @@ def test_normal_sampling_is_box_muller(n, params):
     # one row through the public sampler is that row of the block
     for i, row in enumerate(kept):
         assert fam.sample(params, n, FixedRng(row)).tobytes() == x[i].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 1001])
+@pytest.mark.parametrize("params", [Params(-1.5, 2.5), Params(1e5, 1e-3)])
+def test_normal_draws_of_a_strided_block_equal_single_rows(n, params):
+    # the base half of a (rows, 2n) block, as the Monte Carlo engine hands it
+    # over: with a scratch of more rows than the block, filled with NaN and
+    # used twice, u is only read; without, the draws run in its strided
+    # halves.  Each row is the bytes of that row drawn alone.
+    fam = get_family("normal")
+    work = fam._iid_work(8, n)
+    work.fill(np.nan)
+    for seed in (n, n + 1):
+        block = np.random.default_rng(seed).random((5, 2 * n))
+        kept = block.copy()
+        x = fam._iid(params, block[:, :n], work)
+        assert block.tobytes() == kept.tobytes()
+        y = fam._iid(params, block[:, :n])
+        for i, row in enumerate(kept):
+            want = fam.sample(params, n, FixedRng(row[:n])).tobytes()
+            assert x[i].tobytes() == want and y[i].tobytes() == want
+
+
+def test_normal_sample_allocates_only_its_draws_and_output():
+    # Box-Muller runs in the sample's own uniforms and its output: the peak
+    # is the two arrays, about twice the sample's bytes
+    fam, rng = get_family("normal"), np.random.default_rng(3)
+    tracemalloc.start()
+    try:
+        x = fam.sample(Params(), 10 ** 6, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.05 * x.nbytes, peak / x.nbytes
 
 
 def test_normal_draws_are_standard_normal():

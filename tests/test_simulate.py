@@ -203,13 +203,36 @@ def test_extreme_epsilons_give_finite_draws(name, eps):
                              contaminant_params=Params(0.0, 1.0), epsilon=eps)
     u = np.random.default_rng(7).random(2 * n)
     u[n:n + 3] = 0.0, np.nextafter(eps, 0.0), eps
-    with np.errstate(divide="ignore"):  # levy's quantile at the floor is 0 via inf ** -2
+    with np.errstate(all="raise"):
         x = sample_contaminated(spec, n, _Replay(u))
         assert np.isfinite(x).all()
         assert np.isfinite(sample_contaminated(spec, 20_000, np.random.default_rng(8))).all()
     # the first two entries are contaminated and the third (m = eps) is not
     base = NORMAL.sample(Params(), n, np.random.default_rng(7))
     assert (x[:3] != base[:3]).tolist() == [True, True, False]
+
+
+@pytest.mark.parametrize("eps", [0.0, 5e-324, 0.05, 1 - 2 ** -53, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 1001])
+def test_block_draws_equal_single_rows(n, eps):
+    # a (rows, w) block through _from_uniforms with the base family's reused
+    # scratch, as the engine draws it: each row is the bytes of that row
+    # drawn alone, by sample_contaminated and by the reference sampler; with
+    # hits forced at a mask uniform of 0 and at the largest double below eps
+    spec = ContaminationSpec(base_family=NORMAL, base_params=Params(1e5, 1e-3),
+                             contaminant_family=CAUCHY, contaminant_params=Params(1.0, 3.0),
+                             epsilon=eps)
+    w = simulate._row_width(spec, n)
+    u = np.random.default_rng(n).random((6, w))
+    if eps > 0.0:
+        u[1, -1], u[3, n] = 0.0, np.nextafter(eps, 0.0)
+    kept = u.copy()
+    x = simulate._from_uniforms(spec, n, u, NORMAL._iid_work(8, n))
+    for i, row in enumerate(kept):
+        want = sample_contaminated(spec, n, _Replay(row)).tobytes()
+        assert x[i].tobytes() == want == _one_draw_at_a_time(spec, n, _Replay(row)).tobytes()
+    if eps > 0.0:  # the forced hits are the contaminant's, far from the base's 1e5
+        assert abs(x[1, -1] - 1e5) > 1.0 and abs(x[3, 0] - 1e5) > 1.0
 
 
 def test_sampling_checks_size_and_scales():
@@ -862,7 +885,7 @@ def test_from_uniform_bits_and_no_aliasing(name):
     u[0, :3] = 0.0, 1.0, 5e-324
     params = Params(-2.5, 3.75)
     kept = u.copy()
-    with np.errstate(divide="ignore"):  # levy's quantile at u = 5e-324 is 0 via inf ** -2
+    with np.errstate(all="raise"):  # the clip keeps every quantile finite
         out = fam._from_uniform(params, u)
         want = params.mu + params.sigma * fam._qf(np.clip(kept, families._U_FLOOR,
                                                           families._U_CEIL))
