@@ -195,7 +195,7 @@ def _normal_qf(u):
     return scipy.special.ndtri(np.asarray(u, dtype=float))
 
 
-def _normal_draws(params: Params, u: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+def _normal_draws(params: Params, u: np.ndarray) -> np.ndarray:
     """Normal i.i.d. draws mu + sigma * z made of uniforms u in [0, 1) along
     the last axis (Box & Muller 1958).  Columns j and h + j, h = n // 2, pair
     up: r = sigma sqrt(-2 log(1 - u_j)) and t = tan(pi (u_(h+j) - 1/2)) give
@@ -203,22 +203,21 @@ def _normal_draws(params: Params, u: np.ndarray, work: np.ndarray | None = None)
     q - r and q t with q = 2 r/(1 + t^2), since numpy's tan costs a third of
     its cos or sin.  An odd last column is the inversion draw.
 
-    Only the output is allocated.  Without ``work`` the passes run in u's two
-    halves and the output, overwriting u: contiguous memory when u is one
-    sample.  The rows of a Monte Carlo block are strided views, on which
-    numpy's passes cost about three times as much, so for a (rows, n) u the
-    caller may hand in ``work``, a (3, R, h) buffer with R >= rows that it
-    reuses from block to block: each half of u is read once into it, every
-    pass runs there, u is left as it was and the last two passes write the
-    output.  Both ways run the same operations on the same values, so they
-    give the same bits."""
+    One sample (a 1-D u or one row) is contiguous: the passes run in u's two
+    halves and the output, overwriting u, and only the output is allocated.
+    The halves of the rows of a Monte Carlo block are strided views, on
+    which numpy's passes cost about three times as much, so for more rows
+    each half of u is read once into a fresh contiguous (3, rows, h)
+    scratch, every pass runs there, u is left as it was and the last two
+    passes write the output.  Both ways run the same operations on the same
+    values, so they give the same bits."""
     n = u.shape[-1]
     h = n // 2
     out = np.empty(u.shape)
-    if work is None:
+    if u.ndim == 1 or len(u) == 1:
         r, t, s = u[..., :h], u[..., h:2 * h], out[..., :h]
     else:
-        r, t, s = work[:, :len(u)]
+        r, t, s = np.empty((3, len(u), h))
     # 1 - u lies in (0, 1], so the log is finite
     np.subtract(1.0, u[..., :h], out=r)
     np.log(r, out=r)
@@ -298,10 +297,18 @@ def _levy_cdf(z):
 
 def _levy_qf(u):
     # F0(x) = 2 Phi(-1/sqrt(x)), so Q0(u) = Phi^-1(u / 2)^-2: u / 2 is exact
-    # and ndtri keeps its relative accuracy in the lower tail, where the
-    # reflected 1 - u / 2 rounds to 1 below u ~ 1.1e-16
+    # down to 2^-1022 and ndtri keeps its relative accuracy in the lower
+    # tail, where the reflected 1 - u / 2 rounds to 1 below u ~ 1.1e-16.  A
+    # subnormal u / 2 drops its last bit (and 2^-1074 / 2 is 0), so there
+    # Phi^-1 is taken from log(u / 2) instead.
     import scipy.special
-    return scipy.special.ndtri(0.5 * np.asarray(u, dtype=float)) ** -2.0
+    u = np.asarray(u, dtype=float)
+    z = scipy.special.ndtri(0.5 * u)
+    sub = (u > 0.0) & (u < _U_FLOOR)
+    if sub.any():
+        log_half = np.log(np.where(sub, u, 1.0)) - math.log(2.0)
+        z = np.where(sub, scipy.special.ndtri_exp(log_half), z)
+    return z ** -2.0
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +349,8 @@ class Family:
     # scale-only scalar when regularity fails for the joint model
     _info: tuple[tuple[float, float], tuple[float, float]] | None = field(repr=False, default=None)
     _scale_info: float = field(repr=False, default=float("nan"))
-    # i.i.d. draws made of (params, uniforms along the last axis, scratch),
-    # where a faster exact transform than inversion exists; the scratch is
-    # None or an ``_iid_work`` buffer
+    # i.i.d. draws made of (params, uniforms along the last axis), where a
+    # faster exact transform than inversion exists
     _draws: Callable | None = field(repr=False, default=None)
 
     def pdf(self, z):
@@ -388,21 +394,14 @@ class Family:
         check_sampling(params, n)
         return self._iid(params, rng.random(n))
 
-    def _iid(self, params: Params, u: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    def _iid(self, params: Params, u: np.ndarray) -> np.ndarray:
         """i.i.d. draws made of uniforms u along the last axis, which may be
         overwritten: the family's own draw transform, else ``_from_uniform``.
-        ``work`` is None or an ``_iid_work`` buffer for at least u's rows.
         The draws are not monotone in u, so they are no order statistics; a
         row's draws depend on that row alone."""
         if self._draws is None:
             return self._from_uniform(params, u)
-        return self._draws(params, u, work)
-
-    def _iid_work(self, rows: int, n: int) -> np.ndarray | None:
-        """Scratch that ``_iid`` may reuse on every (rows, n) block of uniforms,
-        or None when the family's transform needs none: Box-Muller's three
-        (rows, n // 2) buffers for the normal (``_normal_draws``)."""
-        return None if self._draws is None else np.empty((3, rows, n // 2))
+        return self._draws(params, u)
 
     def _from_uniform(self, params: Params, u: np.ndarray) -> np.ndarray:
         """mu + sigma * Q0(u), clipping u in place: the monotone transform.

@@ -60,7 +60,7 @@ __all__ = [
 DEFAULT_ALPHAS = (0.01, 0.05, 0.10)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutGrid(_PlanStore):
     """Validation levels, decoupled from the estimation grid."""
 

@@ -15,10 +15,11 @@ studies take order statistics from row-sorted blocks of replicates, split by
 """
 from __future__ import annotations
 
+import contextvars
 import math
 import threading
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -47,11 +48,30 @@ __all__ = [
 _BLOCK_VALUES = 2 ** 17
 
 
-class _PlanStore:
-    """Base of the level grids: each grid object keeps the family plans built
-    on it (``FitPlan.for_family``), one per (family, kind).  The plans derive
-    from the levels, so a pickle or copy of the grid leaves them out and
-    starts a store of its own."""
+class _Value:
+    """Equality of two dataclass values of one type field by field, arrays
+    by ``np.array_equal``, and a hash that agrees with it."""
+
+    def _fields(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in zip(self._fields(), other._fields()))
+
+    def __hash__(self):
+        return hash(tuple(tuple(v.tolist()) if isinstance(v, np.ndarray) else v
+                          for v in self._fields()))
+
+
+class _PlanStore(_Value):
+    """Base of the level grids, equal when their fields are: each grid
+    object keeps the family plans built on it (``FitPlan.for_family``), one
+    per (family, kind), outside its fields.  The plans derive from the
+    levels, so a pickle or copy of the grid leaves them out and starts a
+    store of its own."""
 
     def _new_store(self) -> None:
         object.__setattr__(self, "_plans", {})
@@ -64,7 +84,7 @@ class _PlanStore:
         self._new_store()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantileGrid(_PlanStore):
     """k probability levels, equally spaced from a to b (inclusive)."""
 
@@ -113,8 +133,8 @@ def levels_of(grid, interior: bool = False) -> np.ndarray:
     return levels
 
 
-@dataclass(frozen=True)
-class QuantileResponse:
+@dataclass(frozen=True, eq=False)
+class QuantileResponse(_Value):
     """Empirical quantiles at the grid levels (nondecreasing) plus source n."""
 
     values: np.ndarray
@@ -167,29 +187,36 @@ def replicate_blocks(replicates: range, n: int) -> Iterator[range]:
     return (replicates[i:i + rows] for i in range(0, len(replicates), rows))
 
 
-def _sorted_halves(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two halves of the sample, each sorted: the first on a helper
-    thread while the caller sorts the second (``np.sort`` releases the GIL).
-    The helper is joined before this returns or raises, and its exception,
-    if any, is raised here."""
-    h = data.shape[0] // 2
-    out: dict = {}
+def _two_threads(tasks, run) -> None:
+    """Call ``run(take)`` on the caller and on one helper thread; ``take()``
+    hands out the next of ``tasks`` under one lock, and None once every task
+    is taken or either thread has raised.  The helper runs in a copy of the
+    caller's context (numpy's error state) and is joined before this returns
+    or raises; the first error is raised here.  Each call starts a helper of
+    its own rather than sharing a pool: a task may call this again (a study's
+    numeric MLE reaches the split sort), which a bounded pool would deadlock."""
+    tasks = iter(tasks)
+    lock = threading.Lock()
+    errors: list[BaseException] = []
 
-    def sort_first():
+    def take():
+        with lock:
+            return None if errors else next(tasks, None)
+
+    def guarded():
         try:
-            out["first"] = np.sort(data[:h])
-        except BaseException as exc:  # handed to the caller below
-            out["error"] = exc
+            run(take)
+        except BaseException as exc:  # stops both threads; raised by the caller
+            with lock:
+                errors.append(exc)
 
-    helper = threading.Thread(target=sort_first, name="qls-sort-half")
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(guarded,),
+                              name="qls-helper")
     helper.start()
-    try:
-        second = np.sort(data[h:])
-    finally:
-        helper.join()
-    if "error" in out:
-        raise out["error"]
-    return out["first"], second
+    guarded()
+    helper.join()
+    if errors:
+        raise errors[0]
 
 
 def _order_statistics(data: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -198,9 +225,9 @@ def _order_statistics(data: np.ndarray, positions: np.ndarray) -> tuple[np.ndarr
     whether the sample is finite); EmptySample for an empty one.
 
     Up to ``_BLOCK_VALUES`` values this is one ``np.sort``.  A larger sample
-    is sorted as two halves (``_sorted_halves``), and the value at position
-    r is the r-th smallest of the two runs a and b: with i of the r + 1
-    smallest taken from a and j = r + 1 - i from b, the right i is the
+    is sorted as two halves on two threads (``_two_threads``), and the value
+    at position r is the r-th smallest of the two runs a and b: with i of the
+    r + 1 smallest taken from a and j = r + 1 - i from b, the right i is the
     least one with a[i] >= b[j - 1], found by a binary search vectorized
     over the positions, and the value is max(a[i - 1], b[j - 1]).  Either
     way the values are elements of the sample, the same as a full sort's
@@ -212,8 +239,16 @@ def _order_statistics(data: np.ndarray, positions: np.ndarray) -> tuple[np.ndarr
     if data.shape[0] <= _BLOCK_VALUES:
         srt = np.sort(data)
         return srt[positions], float(srt[0]), float(srt[-1])
-    a, b = _sorted_halves(data)
-    h, m = a.shape[0], b.shape[0]
+    h = data.shape[0] // 2
+    halves = [data[:h], data[h:]]
+
+    def sort(take):  # np.sort releases the GIL
+        while (i := take()) is not None:
+            halves[i] = np.sort(halves[i])
+
+    _two_threads(range(2), sort)
+    a, b = halves
+    m = b.shape[0]
     lo = np.maximum(positions + 1 - m, 0)
     hi = np.minimum(positions + 1, h)
     while np.any(active := lo < hi):

@@ -66,9 +66,10 @@ def if_estimator(x, kind: str, fam: Family, params: Params, grid: QuantileGrid):
 
     Returns a pair of floats for scalar x, else a pair of arrays.
     """
-    p, q, f = level_density(fam, grid)
-    w = FitPlan.for_family(fam, grid, kind).solver()[0]  # 2 x k
-    jumps = params.mu + params.sigma * q
+    plan = FitPlan.for_family(fam, grid, kind)
+    p, _, f = plan.spacing  # the levels and f0(Q0(p)); Q0(p) is the design column
+    w = plan.solver()[0]  # 2 x k
+    jumps = params.mu + params.sigma * plan.x[:, 1]
     xv = np.asarray(x, dtype=float)
     scalar = xv.ndim == 0
     xv = np.atleast_1d(xv)
@@ -99,8 +100,7 @@ def influence_curve(kind: str, fam: Family, params: Params, grid: QuantileGrid,
     lo, hi = float(x_range[0]), float(x_range[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise DomainError("x_range must be a finite increasing pair")
-    _, q, _ = level_density(fam, grid)
-    jumps = params.mu + params.sigma * q
+    jumps = params.mu + params.sigma * FitPlan.for_family(fam, grid, kind).x[:, 1]
     eps = 1e-9 * params.sigma
     xs = np.concatenate([
         np.linspace(lo, hi, int(points)),

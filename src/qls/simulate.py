@@ -15,23 +15,21 @@ one block whose w-wide draw holds at most 1 MiB
 stream to its first replicate (PCG64 spends one 64-bit step per double;
 L'Ecuyer et al. 2002, O'Neill 2014), draws all its rows at once into its
 worker's reused uniform buffer and makes the base draws with the family's
-i.i.d. transform (``Family._iid``: Box-Muller for the normal, run in the
-worker's reused contiguous scratch, inversion otherwise) and the
-contaminant's draws at the hits, found by flat index and read from their
-mask uniforms divided by epsilon, with its monotone quantile transform
-(``Family._from_uniform``), each once on the whole block.  Only the block
-of draws is allocated afresh, since ``work`` may keep it.  Each
-MLE column is fitted on the block as drawn; the block is then sorted once
-along its rows, and one row-batched product per estimator or test
-(``FitPlan.solve``) fits all the rows.  A row's results do not depend on its
-block, so they are the same for any block size, and the caller and one
-helper thread take whole blocks (``_run_blocks``).
+i.i.d. transform (``Family._iid``: Box-Muller for the normal, run in a
+contiguous scratch, inversion otherwise) and the contaminant's draws at the
+hits, found by flat index and read from their mask uniforms divided by
+epsilon, with its monotone quantile transform (``Family._from_uniform``),
+each once on the whole block.  The block of draws is allocated afresh,
+since ``work`` may keep it.  Each MLE column is fitted on the block as
+drawn; the block is then sorted once along its rows, and one row-batched
+product per estimator or test (``FitPlan.solve``) fits all the rows.  A
+row's results do not depend on its block, so they are the same for any
+block size, and the caller and one helper thread take whole blocks
+(``_run_blocks``, through ``quantiles._two_threads``).
 """
 from __future__ import annotations
 
-import contextvars
 import functools
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -40,7 +38,8 @@ import numpy as np
 from . import gof
 from .errors import DomainError, QlsError
 from .families import Family, ParamMode, Params, check_sampling, check_seed
-from .quantiles import QuantileGrid, _positions, finite_rows, make_grid, replicate_blocks
+from .quantiles import (QuantileGrid, _positions, _two_threads, finite_rows, make_grid,
+                        replicate_blocks)
 from .estimators import FitPlan, _check_known, _known_scale, _mle_rows, fit_sample
 
 __all__ = [
@@ -111,15 +110,13 @@ def sample_contaminated(spec: ContaminationSpec, n: int, rng: np.random.Generato
     return _from_uniforms(spec, n, rng.random((1, _row_width(spec, n))))[0]
 
 
-def _from_uniforms(spec: ContaminationSpec, n: int, u: np.ndarray,
-                   work: np.ndarray | None = None) -> np.ndarray:
+def _from_uniforms(spec: ContaminationSpec, n: int, u: np.ndarray) -> np.ndarray:
     """The (rows, n) mixture draws made of a (rows, ``_row_width``) array of
     uniforms, one sample per row as ``sample_contaminated`` lays it out; u may
-    be overwritten, and ``work`` is None or the base family's ``_iid_work``
-    scratch for at least u's rows.  The base family's i.i.d. transform runs
-    once on the base uniforms and the contaminant's quantile transform once
-    on its hits; both work elementwise or within a row, so a row is the same
-    bits whatever rows it is drawn with.
+    be overwritten.  The base family's i.i.d. transform runs once on the base
+    uniforms and the contaminant's quantile transform once on its hits; both
+    work elementwise or within a row, so a row is the same bits whatever rows
+    it is drawn with.
 
     A mask uniform m below epsilon is recycled (composition; Devroye 1986,
     Non-Uniform Random Variate Generation): given m < epsilon,
@@ -129,7 +126,7 @@ def _from_uniforms(spec: ContaminationSpec, n: int, u: np.ndarray,
     quantile finite.  The hits are found as flat positions f of the draws
     and read from u at f + (row + 1) n, one gather and one scatter by index:
     two boolean-mask passes over the strided mask cost about twice as much."""
-    x = spec.base_family._iid(spec.base_params, u[:, :n], work)
+    x = spec.base_family._iid(spec.base_params, u[:, :n])
     if spec.epsilon > 0.0:
         hits = np.flatnonzero(u[:, n:] < spec.epsilon)
         uc = np.take(u, hits + (hits // n + 1) * n)
@@ -237,50 +234,30 @@ def _run_blocks(spec: ContaminationSpec, n: int, replicates: range, seed_prefix:
     ``default_rng([*seed_prefix, _STREAM_KEY])``, w = ``_row_width(spec, n)``.
 
     The caller and one helper thread each take the next block until none is
-    left, so ``work`` must write only its own replicates' results.  The
-    helper runs in a copy of the caller's context (numpy's error state) and
-    is joined before this returns or raises.  After the first error neither
-    takes another block, and that error is raised here.
+    left (``quantiles._two_threads``), so ``work`` must write only its own
+    replicates' results.  After the first error neither takes another block,
+    and that error is raised here.
 
-    A worker allocates its (rows, w) uniform buffer and the base family's
-    ``_iid_work`` scratch once, at its first block (the largest), and draws
-    every block into them; ``work`` never sees either.  Each block handed to
-    ``work`` is a fresh array, which ``work`` may keep."""
+    A worker allocates its (rows, w) uniform buffer once, at its first block
+    (the largest), and draws every block into it; ``work`` never sees it.
+    Each block handed to ``work`` is a fresh array, which ``work`` may keep."""
     check_sampling(spec.base_params, n)
     width = _row_width(spec, n)
     key = np.random.SeedSequence([*seed_prefix, _STREAM_KEY])
-    blocks = replicate_blocks(replicates, width)
-    lock = threading.Lock()
-    errors: list[BaseException] = []
 
-    def take():
-        with lock:
-            return None if errors else next(blocks, None)
+    def run(take):
+        u = None
+        while (reps := take()) is not None:
+            if u is None:  # the first block is the largest
+                u = np.empty((len(reps), width))
+            bits = np.random.PCG64(key)
+            bits.advance(reps.start * width)
+            draw = np.random.Generator(bits).random(out=u[:len(reps)])
+            block = _from_uniforms(spec, n, draw)
+            work(reps, block)
+            del block
 
-    def run():
-        try:
-            u = scratch = None
-            while (reps := take()) is not None:
-                if u is None:  # the first block is the largest
-                    u = np.empty((len(reps), width))
-                    scratch = spec.base_family._iid_work(len(reps), n)
-                bits = np.random.PCG64(key)
-                bits.advance(reps.start * width)
-                draw = np.random.Generator(bits).random(out=u[:len(reps)])
-                block = _from_uniforms(spec, n, draw, scratch)
-                work(reps, block)
-                del block
-        except BaseException as exc:  # stops both workers; raised by the caller
-            with lock:
-                errors.append(exc)
-
-    helper = threading.Thread(target=contextvars.copy_context().run, args=(run,),
-                              name="qls-blocks")
-    helper.start()
-    run()
-    helper.join()
-    if errors:
-        raise errors[0]
+    _two_threads(replicate_blocks(replicates, width), run)
 
 
 def _scale_ok(est: EstimatorSpec, sigma):

@@ -717,7 +717,7 @@ def test_copies_of_a_grid_start_their_own_plan_store(make):
     grid = make()
     plan = FitPlan.for_family(NORMAL, grid, "gqls")
     for other in (pickle.loads(pickle.dumps(grid)), copy.deepcopy(grid), copy.copy(grid)):
-        assert other._plans == {} and np.array_equal(other.levels, grid.levels)
+        assert other._plans == {} and other == grid
         again = FitPlan.for_family(NORMAL, other, "gqls")
         assert again is not plan and not again.weights.flags.writeable
         assert _plan_bytes(again) == _plan_bytes(plan)

@@ -187,14 +187,26 @@ def test_sampling_is_finite_at_both_ends_of_the_generator_range(name):
         assert np.isfinite(get_family(name).sample(Params(2.0, 3.0), 5, FixedRng(u))).all()
 
 
-@pytest.mark.parametrize("u", [1e-300, 1e-16, 1e-15, 1e-8, 0.3, 0.9, 1 - 2 ** -52])
+LEVY_LEVELS = [5e-324, 1e-320, 3e-310, 2.0 ** -1022 - 2.0 ** -1074,
+               1e-300, 1e-16, 1e-15, 1e-8, 0.3, 0.9, 1 - 2 ** -52]
+
+
+@pytest.mark.parametrize("u", LEVY_LEVELS)
 def test_levy_qf_matches_a_high_precision_reference(u):
     # Q0(u) = 1 / (2 erfinv(1 - u)^2) at 400 digits; below u ~ 1.1e-16 the
-    # reflected form ndtri(1 - u / 2) ** -2 read 1 - u / 2 as 1 and gave 0
+    # reflected form ndtri(1 - u / 2) ** -2 read 1 - u / 2 as 1 and gave 0,
+    # and at subnormal u the halved level u / 2 loses bits (0 at 5e-324)
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(400):
         ref = 1 / (2 * mpmath.erfinv(1 - mpmath.mpf(u)) ** 2)
         assert abs(get_family("levy").qf(u) - ref) <= 1e-14 * ref
+
+
+def test_levy_qf_of_an_array_is_its_scalar_values():
+    levy = get_family("levy")
+    q = levy.qf(np.array(LEVY_LEVELS))
+    assert q.shape == (len(LEVY_LEVELS),)
+    assert q.tolist() == [float(levy.qf(u)) for u in LEVY_LEVELS]
 
 
 def _box_muller_reference(u):
@@ -236,21 +248,16 @@ def test_normal_sampling_is_box_muller(n, params):
 @pytest.mark.parametrize("params", [Params(-1.5, 2.5), Params(1e5, 1e-3)])
 def test_normal_draws_of_a_strided_block_equal_single_rows(n, params):
     # the base half of a (rows, 2n) block, as the Monte Carlo engine hands it
-    # over: with a scratch of more rows than the block, filled with NaN and
-    # used twice, u is only read; without, the draws run in its strided
-    # halves.  Each row is the bytes of that row drawn alone.
+    # over: the draws run in a contiguous scratch of their own, so u is only
+    # read, and each row is the bytes of that row drawn alone, in place
     fam = get_family("normal")
-    work = fam._iid_work(8, n)
-    work.fill(np.nan)
     for seed in (n, n + 1):
         block = np.random.default_rng(seed).random((5, 2 * n))
         kept = block.copy()
-        x = fam._iid(params, block[:, :n], work)
+        x = fam._iid(params, block[:, :n])
         assert block.tobytes() == kept.tobytes()
-        y = fam._iid(params, block[:, :n])
         for i, row in enumerate(kept):
-            want = fam.sample(params, n, FixedRng(row[:n])).tobytes()
-            assert x[i].tobytes() == want and y[i].tobytes() == want
+            assert x[i].tobytes() == fam.sample(params, n, FixedRng(row[:n])).tobytes()
 
 
 def test_normal_sample_allocates_only_its_draws_and_output():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from qls import quantiles, simulate
+from qls import gof, quantiles, simulate
 from qls.errors import (
     WARN_DEGENERATE_GRID,
     WARN_RANK_CLAMPED,
@@ -265,6 +265,47 @@ def test_non_finite_replicate_statistics_are_failures(monkeypatch):
     # the bootstrap drops such replicates, as it drops failed refits
     res = bootstrap_pvalue(data, NORMAL, GRID, B=20, seed=1, max_failure_fraction=0.5)
     assert res.failures == 10 and res.b_replicates == 10
+
+
+def test_row_statistics_fail_only_the_rows_without_a_positive_scale():
+    # a constant row fits sigma = 0 and a decreasing one sigma < 0: those two
+    # read NaN, and each other row equals its statistic computed alone
+    plan = FitPlan.for_family(NORMAL, GRID, "gqls")
+    out = default_out_grid()
+    plan_out = FitPlan.for_family(NORMAL, out, "gqls")
+    samples = [NORMAL.sample(Params(), 400, np.random.default_rng(s)) for s in (31, 32)]
+    y_fit = np.stack([empirical_quantiles(samples[0], GRID).values, np.ones(GRID.k),
+                      empirical_quantiles(samples[1], GRID).values,
+                      -empirical_quantiles(samples[0], GRID).values])
+    y_out = np.stack([empirical_quantiles(samples[0], out).values, np.ones(out.r),
+                      empirical_quantiles(samples[1], out).values,
+                      -empirical_quantiles(samples[0], out).values])
+    assert (plan.solve(y_fit)[:, 1] > 0).tolist() == [True, False, True, False]
+    stats = _row_statistics(plan, plan_out, y_fit, y_out, 400)
+    assert np.isnan(stats[[1, 3]]).all()
+    for i in (0, 2):
+        alone = _row_statistics(plan, plan_out, y_fit[i:i + 1], y_out[i:i + 1], 400)[0]
+        assert np.isfinite(alone) and stats[i] == alone
+
+
+def test_bootstrap_refuses_a_null_past_its_failure_fraction(monkeypatch):
+    # a quarter of the 20 replicate statistics fail: past the default 10% the
+    # null is refused, and at 25% the other 15 form it
+    data, _, _ = normal_fit(n=400, seed=25)
+    row_statistics = gof._row_statistics
+
+    def spoil(plan, plan_out, y_fit, y_out, n):
+        stats = row_statistics(plan, plan_out, y_fit, y_out, n)
+        stats[::4] = np.nan
+        return stats
+
+    monkeypatch.setattr(gof, "_row_statistics", spoil)
+    with pytest.raises(BootstrapDegenerate, match="5 of 20"):
+        bootstrap_pvalue(data, NORMAL, GRID, B=20, seed=2)
+    with pytest.raises(BootstrapDegenerate, match="5 of 20"):
+        bootstrap_pvalue(data, NORMAL, GRID, B=20, seed=2, max_failure_fraction=0.2)
+    res = bootstrap_pvalue(data, NORMAL, GRID, B=20, seed=2, max_failure_fraction=0.25)
+    assert res.failures == 5 and res.b_replicates == 15
 
 
 def test_w_level_mini_calibration():

@@ -61,6 +61,30 @@ def test_make_grid_rejects(a, b, k):
         make_grid(a, b, k)
 
 
+def test_grids_and_responses_compare_by_value():
+    # equal fields, arrays by value, give equal objects with equal hashes
+    # (a zero of either sign included); the plan store takes no part
+    grid = make_grid(0.05, 0.95, 25)
+    FitPlan.for_family(get_family("normal"), grid, "gqls")
+    twin = make_grid(0.05, 0.95, 25)
+    assert grid == twin and not grid != twin and hash(grid) == hash(twin)
+    assert grid._plans and not twin._plans
+    assert {twin: "plan"}[grid] == "plan" and len({grid, twin}) == 1
+    for other in (make_grid(0.05, 0.95, 24), make_grid(0.05, 0.9, 25), (0.05, 0.95, 25), None):
+        assert grid != other and not grid == other
+    out = make_out_grid([0.1, 0.5, 0.9])
+    assert out == make_out_grid([0.1, 0.5, 0.9]) and hash(out) == hash(
+        make_out_grid(np.array([0.1, 0.5, 0.9])))
+    assert out != make_out_grid([0.1, 0.5, 0.8]) and out != make_out_grid([0.1, 0.5])
+    resp = QuantileResponse(np.array([-0.0, 1.0, 2.0]), 10, ("tied_quantiles",))
+    same = QuantileResponse([0.0, 1.0, 2.0], 10, ("tied_quantiles",))
+    assert resp == same and hash(resp) == hash(same)
+    for other in (QuantileResponse(resp.values, 11, resp.warnings),
+                  QuantileResponse(resp.values, 10),
+                  QuantileResponse([0.0, 1.0, 3.0], 10, resp.warnings)):
+        assert resp != other
+
+
 def test_empirical_quantiles_rank_convention():
     data = np.arange(1.0, 11.0)  # order statistics are 1..10
     resp = empirical_quantiles(data, [0.25])
@@ -373,11 +397,13 @@ def test_split_sort_leaves_no_thread_behind(monkeypatch):
         fit_sample(bad, normal, grid)
     assert threading.active_count() == before
 
-    # an error in the helper thread reaches the caller, after the join
+    # an error in either thread reaches the caller, after the join: the
+    # first half's sort fails, whichever thread takes it
     plain_sort = np.sort
+    first_half = data[:data.size // 2]
 
     def failing_sort(a, *args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
+        if np.shares_memory(a, first_half):
             raise MemoryError("sorting the first half")
         return plain_sort(a, *args, **kwargs)
 

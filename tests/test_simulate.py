@@ -8,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from qls import families, gof, quantiles, simulate
+from qls import estimators, families, gof, quantiles, simulate
 from qls.errors import (
     WARN_DEGENERATE_GRID,
     WARN_RANK_CLAMPED,
     BootstrapDegenerate,
     DomainError,
     InvalidSeed,
+    NoConvergence,
     QlsError,
+    RankDeficient,
 )
 from qls.estimators import FitPlan, fit_mle, fit_sample
 from qls.families import FAMILIES, ParamMode, Params, get_family
@@ -215,10 +217,10 @@ def test_extreme_epsilons_give_finite_draws(name, eps):
 @pytest.mark.parametrize("eps", [0.0, 5e-324, 0.05, 1 - 2 ** -53, 1.0])
 @pytest.mark.parametrize("n", [1, 2, 7, 1000, 1001])
 def test_block_draws_equal_single_rows(n, eps):
-    # a (rows, w) block through _from_uniforms with the base family's reused
-    # scratch, as the engine draws it: each row is the bytes of that row
-    # drawn alone, by sample_contaminated and by the reference sampler; with
-    # hits forced at a mask uniform of 0 and at the largest double below eps
+    # a (rows, w) block through _from_uniforms, as the engine draws it: its
+    # uniforms are only read, and each row is the bytes of that row drawn
+    # alone, by sample_contaminated and by the reference sampler; with hits
+    # forced at a mask uniform of 0 and at the largest double below eps
     spec = ContaminationSpec(base_family=NORMAL, base_params=Params(1e5, 1e-3),
                              contaminant_family=CAUCHY, contaminant_params=Params(1.0, 3.0),
                              epsilon=eps)
@@ -227,7 +229,8 @@ def test_block_draws_equal_single_rows(n, eps):
     if eps > 0.0:
         u[1, -1], u[3, n] = 0.0, np.nextafter(eps, 0.0)
     kept = u.copy()
-    x = simulate._from_uniforms(spec, n, u, NORMAL._iid_work(8, n))
+    x = simulate._from_uniforms(spec, n, u)
+    assert u.tobytes() == kept.tobytes()
     for i, row in enumerate(kept):
         want = sample_contaminated(spec, n, _Replay(row)).tobytes()
         assert x[i].tobytes() == want == _one_draw_at_a_time(spec, n, _Replay(row)).tobytes()
@@ -793,7 +796,7 @@ def test_study_bytes_do_not_depend_on_blocks_or_threads(study, monkeypatch):
         assert run().tobytes() == want.tobytes()
     with monkeypatch.context() as patch:
         patch.setattr(quantiles, "_BLOCK_VALUES", 7 * 2 * n)
-        patch.setattr(simulate, "threading",
+        patch.setattr(quantiles, "threading",
                       types.SimpleNamespace(Lock=threading.Lock, Thread=_NoHelper))
         assert run().tobytes() == want.tobytes()
     workers = set()
@@ -876,6 +879,72 @@ def test_engine_workers_share_the_callers_error_state():
     assert len(seen) == 6 and len({name for name, _ in seen}) == 2
     assert all(state == caller for _, state in seen)
     assert caller["divide"] == "raise" and np.geterr()["divide"] != "raise"
+
+
+def test_split_sort_inside_a_study_worker(monkeypatch):
+    # at n = 2^17 + 1 every block is one row, and each numeric MLE starts
+    # from a gQLS fit whose quantiles take the split sort: a second helper
+    # thread started from inside a worker.  The estimates are the one-thread
+    # reference's, and no thread is left behind.
+    n = quantiles._BLOCK_VALUES + 1
+    sizes = []
+    order_statistics = quantiles._order_statistics
+
+    def recorded(data, positions):
+        sizes.append(data.shape[0])
+        return order_statistics(data, positions)
+
+    monkeypatch.setattr(quantiles, "_order_statistics", recorded)
+    cfg = McConfig(spec=clean(CAUCHY, 0.3, 2.0), n=n, m=4, seed=12,
+                   estimators=(EstimatorSpec("mle"),))
+    before = threading.active_count()
+    engine, reference = _engine_and_reference(cfg, monkeypatch)
+    assert threading.active_count() == before
+    assert sizes.count(n) >= 8  # four rows, in the engine and in the reference
+    assert np.isfinite(engine).all() and engine.tobytes() == reference.tobytes()
+
+
+def test_a_failed_numeric_mle_row_fails_only_its_replicate(monkeypatch):
+    # the cauchy MLE raises on replicate 5's data: that replicate of the mle
+    # column reads NaN and is counted, and every other estimate keeps its bytes
+    spec = clean(CAUCHY)
+    cfg = McConfig(spec=spec, n=60, m=12, seed=4,
+                   estimators=(EstimatorSpec("mle"), EstimatorSpec("gqls", GRID)))
+    want = _mc_estimates(cfg)[0]
+    bad = _stream_rows(spec, cfg.n, (cfg.seed,), cfg.m)[5]
+    numeric_mle = estimators._numeric_mle
+
+    def failing(fam, x):
+        if np.array_equal(x, bad):
+            raise NoConvergence("replicate 5")
+        return numeric_mle(fam, x)
+
+    monkeypatch.setattr(estimators, "_numeric_mle", failing)
+    got = _mc_estimates(cfg)[0]
+    assert np.isnan(got[5, 0]).all() and np.isfinite(want).all()
+    got[5, 0] = want[5, 0]
+    assert got.tobytes() == want.tobytes()
+    summary = run_mc(cfg)
+    assert summary.failures == {"mle": 1, cfg.estimators[1].label: 0}
+    assert summary.stats["mle"]["mu"].n_used == cfg.m - 1
+
+
+def test_a_qls_column_with_a_singular_gram_fails_every_replicate():
+    # two levels 1e-12 apart give an oQLS design of rank one: the column's
+    # solve raises RankDeficient, every replicate of it fails, and the other
+    # columns keep the bytes of a study without it
+    singular = EstimatorSpec("oqls", make_grid(0.3, 0.3 + 1e-12, 2))
+    with pytest.raises(RankDeficient):
+        FitPlan.for_family(NORMAL, singular.grid, "oqls").solver()
+    others = (EstimatorSpec("mle"), EstimatorSpec("gqls", GRID))
+    cfg = McConfig(spec=contaminated(0.05), n=200, m=40, seed=8,
+                   estimators=(others[0], singular, others[1]))
+    got = _mc_estimates(cfg)[0]
+    want = _mc_estimates(McConfig(spec=cfg.spec, n=cfg.n, m=cfg.m, seed=cfg.seed,
+                                  estimators=others))[0]
+    assert np.isnan(got[:, 1]).all()
+    assert got[:, [0, 2]].tobytes() == want.tobytes()
+    assert run_mc(cfg).failures[singular.label] == cfg.m
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
