@@ -56,8 +56,10 @@ def are(kind: str, fam: Family, grid, mode: ParamMode = ParamMode.LOCATION_SCALE
     families whose joint information does not exist (exponential, levy)
     the scale-only cell falls back to the genuine one-parameter model with
     the location treated as known.  The two conventions agree whenever the
-    information matrix is diagonal.
+    information matrix is diagonal.  A raw level array is taken as a grid.
     """
+    if not isinstance(grid, QuantileGrid):
+        grid = QuantileGrid(grid)
     if mode is ParamMode.LOCATION_SCALE:
         info = fam.fisher_info(mode)  # raises Unavailable where undefined
         cov = standardized_cov(kind, fam, grid, mode)
@@ -76,10 +78,8 @@ def are(kind: str, fam: Family, grid, mode: ParamMode = ParamMode.LOCATION_SCALE
             mle_var = 1.0 / float(info[0, 0])
             cov_jj = float(standardized_cov(kind, fam, grid, mode)[0, 0])
         value = mle_var / cov_jj
-    a = float(grid.a) if hasattr(grid, "a") else float(np.min(np.asarray(grid)))
-    b = float(grid.b) if hasattr(grid, "b") else float(np.max(np.asarray(grid)))
-    k = int(grid.k) if hasattr(grid, "k") else int(np.asarray(grid).size)
-    return AreResult(family=fam.name, kind=kind, mode=mode, a=a, b=b, k=k, are=value)
+    return AreResult(family=fam.name, kind=kind, mode=mode, a=grid.a, b=grid.b, k=grid.k,
+                     are=value)
 
 
 def are_table(kind: str, families: Iterable[Family], grids: Iterable[QuantileGrid],

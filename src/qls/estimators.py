@@ -104,12 +104,17 @@ class QlsFit:
 
 
 def _response(y, n) -> tuple[np.ndarray, int, tuple[str, ...]]:
-    """Quantile values, source sample size and warning tags of a response."""
+    """Quantile values, source sample size and warning tags of a response;
+    NonFiniteData when bare values hold NaN or an infinity (a
+    QuantileResponse refuses them when it is made)."""
     if isinstance(y, QuantileResponse):
         return np.asarray(y.values, dtype=float), y.n, tuple(y.warnings)
     if n is None:
         raise ValueError("n is required when the response is a bare array")
-    return np.asarray(y, dtype=float).ravel(), int(n), ()
+    yv = np.asarray(y, dtype=float).ravel()
+    if not np.isfinite(yv).all():
+        raise NonFiniteData("quantile response holds NaN or infinite values")
+    return yv, int(n), ()
 
 
 def _full_design(x) -> np.ndarray:
@@ -297,15 +302,14 @@ def _fitted(beta: np.ndarray, x: np.ndarray) -> np.ndarray:
 class FitPlan:
     """One estimator kind on one k x m design and quantile covariance.
 
-    xm is X'P (gQLS) or X' (oQLS) and gram = X'PX or X'X.  weights W
-    (beta = W Y) and cov, the standardized covariance of beta, belong to
-    the joint fit and are None when the joint Gram is singular.  A family
-    plan of either kind holds S only as ``spacing`` = (p, d, f), the levels,
-    their k + 1 spacings and the standard densities: gQLS sums X'PX and X'P
-    over the spacings, the oQLS sandwich is a sum over them
-    (``_sandwich``), and so is ``quad``.  A plan for a caller-supplied S
-    holds the matrix as sigma and, for gQLS, its Cholesky factor.  A
-    single-parameter mode uses its sub-block of the Gram.
+    xm is X'P (gQLS) or X' (oQLS) and gram = X'PX or X'X; ``solver`` gives
+    each mode's weights W (beta = W Y) and the standardized covariance of
+    beta.  A family plan of either kind holds S only as ``spacing`` =
+    (p, d, f), the levels, their k + 1 spacings and the standard densities:
+    gQLS sums X'PX and X'P over the spacings, the oQLS sandwich is a sum
+    over them (``_sandwich``), and so is ``quad``.  A plan for a
+    caller-supplied S holds the matrix as sigma and, for gQLS, its Cholesky
+    factor.  A single-parameter mode uses its sub-block of the Gram.
 
     ``solve`` and ``w_statistics`` work on a batch of responses, one per
     row, and every other fit or statistic goes through them.  Each sum over
@@ -314,20 +318,19 @@ class FitPlan:
     order depends on the row length alone, so a row's result is the same
     bits whichever batch it is in.
 
-    A QuantileGrid or OutGrid keeps each family plan built on it, keyed by
-    (family, kind), with every array read-only, so ``for_family`` builds it
-    once per grid object and hands the same plan out afterwards.
+    A QuantileGrid keeps each family plan built on it, keyed by (family,
+    kind), with every array read-only, so ``for_family`` builds it once per
+    grid object and hands the same plan out afterwards.
     """
 
     kind: str
     x: np.ndarray
     xm: np.ndarray
     gram: np.ndarray
-    weights: np.ndarray | None
-    cov: np.ndarray | None
     spacing: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     factor: SpdFactor | None = None
     sigma: np.ndarray | None = None
+    _solved: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def for_family(cls, fam: Family, grid, kind: str) -> FitPlan:
@@ -387,28 +390,29 @@ class FitPlan:
     @classmethod
     def _build(cls, kind, x, xm, gram=None, **mats) -> FitPlan:
         gram = xm @ x if gram is None else gram
-        gram = 0.5 * (gram + gram.T)
-        try:
-            weights, cov = _solve(kind, xm, gram, mats.get("spacing"), mats.get("sigma"))
-        except RankDeficient:  # a single-parameter mode may still be estimable
-            weights = cov = None
-        return cls(kind=kind, x=x, xm=xm, gram=gram, weights=weights, cov=cov, **mats)
+        return cls(kind=kind, x=x, xm=xm, gram=0.5 * (gram + gram.T), **mats)
 
     def _read_only(self) -> FitPlan:
         """This plan, with every array it holds made read-only."""
-        for a in (self.x, self.xm, self.gram, self.weights, self.cov, *(self.spacing or ())):
-            if a is not None:
-                a.setflags(write=False)
+        for a in (self.x, self.xm, self.gram, *(self.spacing or ())):
+            a.setflags(write=False)
         return self
 
     def solver(self, mode: ParamMode = ParamMode.LOCATION_SCALE) -> tuple[np.ndarray, np.ndarray]:
         """(W, C) for a mode: beta = W Y over the estimated columns and C the
         standardized covariance of beta (sigma^2 and 1/n stripped; S = I for
-        an oQLS plan without S).  RankDeficient if the mode's Gram is singular."""
-        if mode is ParamMode.LOCATION_SCALE and self.weights is not None:
-            return self.weights, self.cov
-        cols = mode.columns
-        return _solve(self.kind, self.xm[cols], self.gram[cols, cols], self.spacing, self.sigma)
+        an oQLS plan without S), solved on the mode's first call and kept
+        read-only: threads racing on a fresh plan all get the pair kept
+        first.  RankDeficient if the mode's Gram is singular."""
+        solved = self._solved.get(mode)
+        if solved is None:
+            cols = mode.columns
+            solved = _solve(self.kind, self.xm[cols], self.gram[cols, cols], self.spacing,
+                            self.sigma)
+            for a in solved:
+                a.setflags(write=False)
+            solved = self._solved.setdefault(mode, solved)
+        return solved
 
     def solve(self, y: np.ndarray, mode: ParamMode = ParamMode.LOCATION_SCALE, *,
               known_mu: float = 0.0, known_sigma: float = 1.0) -> np.ndarray:
@@ -454,7 +458,7 @@ class FitPlan:
         levels.  No sigma^2 is formed, so the statistic of the data times 2^j
         is the same bits as that of the data; one past the floating-point
         range reads inf or NaN, without a warning, for the caller to refuse."""
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             e = _fitted(beta, self.x)
             np.subtract(y, e, out=e)
             e /= beta[:, 1:2]

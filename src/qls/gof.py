@@ -34,12 +34,10 @@ from .estimators import FitPlan, QlsFit, _response, _scale_tags
 from .families import Family, ParamMode, Params, check_seed
 from .quantiles import (
     QuantileGrid,
-    _PlanStore,
     _order_statistics,
     _positions,
     _tied,
     empirical_quantiles,
-    levels_of,
     replicate_blocks,
 )
 
@@ -60,36 +58,23 @@ __all__ = [
 DEFAULT_ALPHAS = (0.01, 0.05, 0.10)
 
 
-@dataclass(frozen=True, eq=False)
-class OutGrid(_PlanStore):
-    """Validation levels, decoupled from the estimation grid."""
-
-    levels: np.ndarray
-
-    def __post_init__(self):
-        lv = levels_of(self.levels, interior=True)
-        lv.setflags(write=False)
-        object.__setattr__(self, "levels", lv)
-        self._new_store()
-
-    @property
-    def r(self) -> int:
-        return self.levels.shape[0]
+# validation levels are a grid like the estimation levels
+OutGrid = QuantileGrid
 
 
-_DEFAULT_OUT_GRID = OutGrid(levels=0.01 + 0.02 * np.arange(50))
+_DEFAULT_OUT_GRID = QuantileGrid(0.01 + 0.02 * np.arange(50))
 
 
-def default_out_grid() -> OutGrid:
-    """Fifty levels 0.01 + 0.02 j, j = 0..49: one shared OutGrid, so its
-    plans are built once per process."""
+def default_out_grid() -> QuantileGrid:
+    """Fifty levels 0.01 + 0.02 j, j = 0..49: one shared grid, so its plans
+    are built once per process."""
     return _DEFAULT_OUT_GRID
 
 
-def make_out_grid(levels=None) -> OutGrid:
+def make_out_grid(levels=None) -> QuantileGrid:
     if levels is None:
         return default_out_grid()
-    return OutGrid(levels=np.asarray(levels, dtype=float))
+    return QuantileGrid(levels)
 
 
 @dataclass(frozen=True)
@@ -211,7 +196,7 @@ def plan_w_test(plan: FitPlan, y, fit: QlsFit, n: int | None = None,
                      warnings=tuple(dict.fromkeys(warns + fit.warnings)))
 
 
-def w_out_statistic(data, fit: QlsFit, fam: Family, out_grid: OutGrid,
+def w_out_statistic(data, fit: QlsFit, fam: Family, out_grid: QuantileGrid,
                     n: int | None = None) -> float:
     """Out-of-sample quadratic form at the validation levels."""
     _require_gqls(fit, "the out-of-sample statistic")
@@ -229,13 +214,8 @@ def _row_statistics(plan: FitPlan, plan_out: FitPlan, y_fit: np.ndarray,
     at ``plan_out``'s levels (W on the estimation levels, W_out on others).
     NaN where the fitted scale is not positive or the statistic not finite."""
     beta = plan.solve(y_fit)
-    ok = beta[:, 1] > 0
-    if ok.all():
-        stats = plan_out.w_statistics(y_out, beta, n)
-    else:
-        stats = np.full(len(beta), np.nan)
-        stats[ok] = plan_out.w_statistics(y_out[ok], beta[ok], n)
-    stats[~np.isfinite(stats)] = np.nan
+    stats = plan_out.w_statistics(y_out, beta, n)
+    stats[~((beta[:, 1] > 0) & np.isfinite(stats))] = np.nan
     return stats
 
 
@@ -312,7 +292,7 @@ def _bootstrap_null(fam: Family, plan: FitPlan, plan_out: FitPlan, n: int, key: 
 
 
 def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
-                     out_grid: OutGrid | None = None, B: int = 1000,
+                     out_grid: QuantileGrid | None = None, B: int = 1000,
                      seed: int = 0, alphas=DEFAULT_ALPHAS,
                      max_failure_fraction: float = 0.10) -> GofResult:
     """Parametric-bootstrap p-value for the out-of-sample statistic: the

@@ -1,10 +1,11 @@
 """Quantile grids, empirical quantiles, and the standardized regression pieces.
 
-The grid places k levels equally spaced on [a, b]; any level array must
-increase strictly.  The empirical quantile at level p is the ceil(n*p)-th
-order statistic, read from one sort of the sample, or above 1 MiB from two
-halves sorted on two threads.  From a family's standard forms we assemble the
-standardized covariance of sample quantiles
+A grid holds strictly increasing levels in (0, 1), checked when it is made;
+``make_grid`` spaces k of them equally on [a, b].  The empirical quantile at
+level p is the ceil(n*p)-th order statistic, read from one sort of the
+sample, or above 1 MiB from two halves sorted on two threads.  From a
+family's standard forms we assemble the standardized covariance of sample
+quantiles
 
     s_ij = p_i (1 - p_j) / (f0(Q0(p_i)) f0(Q0(p_j)))   for i <= j,
 
@@ -19,7 +20,7 @@ import contextvars
 import math
 import threading
 from collections.abc import Iterator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -66,36 +67,31 @@ class _Value:
                           for v in self._fields()))
 
 
-class _PlanStore(_Value):
-    """Base of the level grids, equal when their fields are: each grid
+@dataclass(frozen=True, eq=False)
+class QuantileGrid(_Value):
+    """Probability levels, checked once when the grid is made and read-only;
+    a, b and k are the first level, the last and their count.  Each grid
     object keeps the family plans built on it (``FitPlan.for_family``), one
-    per (family, kind), outside its fields.  The plans derive from the
-    levels, so a pickle or copy of the grid leaves them out and starts a
-    store of its own."""
+    per (family, kind), outside its fields, so a pickle or copy of the grid
+    starts a store of its own."""
 
-    def _new_store(self) -> None:
-        object.__setattr__(self, "_plans", {})
+    levels: np.ndarray
+
+    def __post_init__(self):
+        levels = levels_of(np.array(self.levels, dtype=float), interior=True)
+        levels.setflags(write=False)
+        self.__dict__.update(levels=levels, a=float(levels[0]), b=float(levels[-1]),
+                             k=levels.shape[0], _plans={})
+
+    def __repr__(self):
+        return f"QuantileGrid(a={self.a!r}, b={self.b!r}, k={self.k!r})"
 
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_plans"}
+        return {"levels": self.levels}
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self._new_store()
-
-
-@dataclass(frozen=True, eq=False)
-class QuantileGrid(_PlanStore):
-    """k probability levels, equally spaced from a to b (inclusive)."""
-
-    a: float
-    b: float
-    k: int
-    levels: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.levels.setflags(write=False)
-        self._new_store()
+        self.__post_init__()
 
 
 def make_grid(a: float, b: float, k: int) -> QuantileGrid:
@@ -104,22 +100,29 @@ def make_grid(a: float, b: float, k: int) -> QuantileGrid:
         raise InvalidGrid(f"need 0 < a < b < 1, got a={a}, b={b}")
     if int(k) != k or k < 2:
         raise InvalidGrid(f"need integer k >= 2, got k={k}")
-    return QuantileGrid(a=float(a), b=float(b), k=int(k), levels=np.linspace(a, b, int(k)))
+    grid = QuantileGrid(np.linspace(a, b, int(k)))
+    # linspace ends at a and b exactly; results that report them share these floats
+    grid.__dict__.update(a=float(a), b=float(b))
+    return grid
 
 
 def levels_of(grid, interior: bool = False) -> np.ndarray:
-    """Levels of a QuantileGrid, an OutGrid-like object or a raw array;
-    InvalidGrid unless they form a non-empty, strictly increasing 1-D array,
-    all in (0, 1) and with a finite reciprocal of every gap of [0, p, 1]
-    when ``interior``."""
-    levels = np.asarray(getattr(grid, "levels", grid), dtype=float)
+    """The levels of a QuantileGrid, as checked when it was made, or of a
+    raw level array, checked here: InvalidGrid unless they form a non-empty,
+    strictly increasing 1-D array, all in [0, 1], or in (0, 1) and with a
+    finite reciprocal of every gap of [0, p, 1] when ``interior``."""
+    if isinstance(grid, QuantileGrid):
+        return grid.levels
+    levels = np.asarray(grid, dtype=float)
     if levels.ndim != 1 or levels.size == 0:
         raise InvalidGrid("levels must be a non-empty 1-D array")
     steps = np.diff(levels)
     if not (steps > 0.0).all():
         raise InvalidGrid("levels must be strictly increasing")
+    if not (levels[0] >= 0.0 and levels[-1] <= 1.0):  # they increase strictly
+        raise InvalidGrid("all levels must lie in [0, 1]")
     if interior:
-        if not (levels[0] > 0.0 and levels[-1] < 1.0):  # they increase strictly
+        if not (levels[0] > 0.0 and levels[-1] < 1.0):
             raise InvalidGrid("all levels must be interior to (0, 1)")
         # a family plan divides by each gap of [0, p, 1].  Doubles at or
         # above 2^-969 lie at least 2^-1021 apart and 1 - p_k >= 2^-53, so
@@ -143,6 +146,8 @@ class QuantileResponse(_Value):
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
+        if not np.isfinite(vals).all():
+            raise NonFiniteData("quantile response holds NaN or infinite values")
         if np.any(np.diff(vals) < 0):
             raise ValueError("quantile response must be nondecreasing")
         vals.setflags(write=False)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from qls import cli
+from qls import quantiles as quantiles_mod
 from qls.cli import Dataset, main, read_data, InputError
 from qls.estimators import FitPlan
 from qls.families import Params, get_family
@@ -669,6 +670,8 @@ def test_script_unwritable_output_exits_2_with_one_error_line(script, argv, tmp_
     ("power_study.py", "run_power_study", ("--out", "{dir}")),
     ("timing_bench.py", "run_timing", ("--out", "{file}/x.csv")),
     ("timing_bench.py", "run_timing", ("--out", "{dir}")),
+    ("contract_digest.py", "digests", ("{file}/x.json",)),
+    ("contract_digest.py", "digests", ("{dir}",)),
 ])
 def test_script_checks_its_output_before_the_study(script, study, argv, tmp_path,
                                                     monkeypatch, capsys):
@@ -790,3 +793,41 @@ def test_simulate_config_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith(f"qls: input error: {path}")
 
+
+
+def _contract_digest_module():
+    spec = importlib.util.spec_from_file_location("contract_digest",
+                                                  SCRIPTS / "contract_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_DIGEST_SLICE = ("run_mc/normal/", "run_mc/laplace/eps=0.05/n=301", "sample/logistic/",
+                 "fit_sample/cauchy/gqls/", "power/w/n=50", "bootstrap/logistic/",
+                 "fit_big/logistic/gqls", "matrix/gumbel/")
+
+
+def test_contract_digests_repeat_and_do_not_depend_on_the_block_size(monkeypatch):
+    # the replicate blocks and the split-sort threshold follow _BLOCK_VALUES;
+    # no output of the catalogue may depend on them
+    digest = _contract_digest_module()
+    first = digest.digests(_DIGEST_SLICE)
+    assert len(first) == 21 and not any(v.startswith("error:") for v in first.values())
+    assert digest.digests(_DIGEST_SLICE) == first
+    monkeypatch.setattr(quantiles_mod, "_BLOCK_VALUES", 2 ** 12)
+    assert digest.digests(_DIGEST_SLICE) == first
+
+
+def test_contract_digest_diff_names_each_difference(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"x": "1", "y": "2", "z": "3"}))
+    b.write_text(json.dumps({"x": "1", "y": "9", "w": "4"}))
+    script = [sys.executable, str(SCRIPTS / "contract_digest.py"), "--diff"]
+    proc = subprocess.run([*script, str(a), str(b)], capture_output=True, env=SCRIPT_ENV,
+                          timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout.decode().splitlines() == ["only in B: w", "differs: y", "only in A: z"]
+    proc = subprocess.run([*script, str(a), str(a)], capture_output=True, env=SCRIPT_ENV,
+                          timeout=120)
+    assert proc.returncode == 0 and proc.stdout == b"no difference over 3 entries\n"

@@ -178,3 +178,18 @@ def test_are_result_is_a_frozen_slotted_value():
         cell.are = 1.0
     with pytest.raises((AttributeError, TypeError)):
         cell.extra = 1
+
+
+def test_cells_share_the_bounds_they_were_given():
+    # a table of many cells holds no float of its own for a or b: make_grid
+    # keeps the caller's floats and each cell refers to them
+    a, b = 0.05 + 1e-3, 0.95 - 1e-3
+    grid = make_grid(a, b, 25)
+    assert grid.a is a and grid.b is b
+    assert grid.a == grid.levels[0] and grid.b == grid.levels[-1]
+    for kind in ("gqls", "oqls"):
+        cell = are(kind, get_family("logistic"), make_grid(a, b, 12))
+        assert cell.a is a and cell.b is b and cell.k == 12
+    # a raw level array reads its first and last level and its count
+    cell = are("gqls", get_family("logistic"), [0.1, 0.4, 0.8])
+    assert (cell.a, cell.b, cell.k) == (0.1, 0.8, 3)

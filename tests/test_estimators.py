@@ -155,6 +155,23 @@ def test_non_positive_scale_tagged_not_clamped():
     assert WARN_NON_POSITIVE_SCALE in fit.warnings
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_quantile_response_is_refused(bad):
+    # refused as a response and as bare values, at either end
+    values = np.array([bad, -1.0, 0.0, 1.0, 2.0])
+    grid = make_grid(0.1, 0.9, 5)
+    x5, s5 = design_matrix(NORMAL, grid), sigma_star(NORMAL, grid)
+    with pytest.raises(NonFiniteData):
+        fit_gqls(QuantileResponse(values, 100), x5, s5)
+    for fit in (fit_gqls, fit_oqls):
+        with pytest.raises(NonFiniteData):
+            fit(values, x5, s5, n=100)
+    with pytest.raises(NonFiniteData):
+        FitPlan.for_family(NORMAL, grid, "gqls").fit(values[::-1], n=100)
+    with pytest.raises(NonFiniteData):
+        QuantileResponse(values[1:].tolist() + [bad], 100)
+
+
 @pytest.mark.parametrize("known", [{"known_mu": float("nan")}, {"known_mu": float("inf")},
                                    {"known_sigma": float("nan")},
                                    {"known_sigma": -float("inf")}])
@@ -676,8 +693,9 @@ def test_row_sums_give_a_row_the_same_bytes_alone_and_in_a_block(kind, k):
 
 
 def _plan_arrays(plan):
-    return {"x": plan.x, "xm": plan.xm, "gram": plan.gram, "weights": plan.weights,
-            "cov": plan.cov, **{f"spacing{i}": a for i, a in enumerate(plan.spacing)}}
+    weights, cov = plan.solver()
+    return {"x": plan.x, "xm": plan.xm, "gram": plan.gram, "weights": weights,
+            "cov": cov, **{f"spacing{i}": a for i, a in enumerate(plan.spacing)}}
 
 
 def _plan_bytes(plan):
@@ -719,8 +737,10 @@ def test_copies_of_a_grid_start_their_own_plan_store(make):
     for other in (pickle.loads(pickle.dumps(grid)), copy.deepcopy(grid), copy.copy(grid)):
         assert other._plans == {} and other == grid
         again = FitPlan.for_family(NORMAL, other, "gqls")
-        assert again is not plan and not again.weights.flags.writeable
+        assert again is not plan and not again.solver()[0].flags.writeable
         assert _plan_bytes(again) == _plan_bytes(plan)
+        assert (other.a, other.b, other.k, repr(other)) == (grid.a, grid.b, grid.k, repr(grid))
+        assert not other.levels.flags.writeable
     assert len(pickle.dumps(grid)) == len(pickle.dumps(make()))
 
 
@@ -737,16 +757,19 @@ def test_stored_plan_arrays_are_read_only(kind):
 
 
 def test_plan_store_gives_threads_racing_on_a_fresh_grid_one_plan():
-    # eight threads ask one fresh grid for the same two plans at once, with
-    # the interpreter switching threads as often as it can
+    # eight threads ask one fresh grid for the same two plans, and each plan
+    # for its scale-only solve, at once, with the interpreter switching
+    # threads as often as it can
     grid = make_grid(0.03, 0.97, 60)
     keys = [(get_family("cauchy"), "gqls"), (NORMAL, "oqls")]
     seen = [None] * 8
+    solved = [None] * 8
     start = threading.Barrier(len(seen))
 
     def build(i):
         start.wait(timeout=30)
         seen[i] = [FitPlan.for_family(fam, grid, kind) for fam, kind in keys[::1 - 2 * (i % 2)]]
+        solved[i] = [plan.solver(ParamMode.SCALE_ONLY) for plan in seen[i]]
 
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -760,9 +783,40 @@ def test_plan_store_gives_threads_racing_on_a_fresh_grid_one_plan():
         sys.setswitchinterval(previous)
     assert not any(t.is_alive() for t in threads)
     for i, plans in enumerate(seen):
-        for plan, (fam, kind) in zip(plans, keys[::1 - 2 * (i % 2)]):
+        for plan, pair, (fam, kind) in zip(plans, solved[i], keys[::1 - 2 * (i % 2)]):
             assert plan is FitPlan.for_family(fam, grid, kind)
             assert _plan_bytes(plan) == _plan_bytes(FitPlan._family_plan(fam, grid, kind))
+            assert pair is plan.solver(ParamMode.SCALE_ONLY)
+
+
+@pytest.mark.parametrize("kind", ["gqls", "oqls"])
+def test_solver_solves_each_mode_once_and_hands_out_read_only_arrays(kind, monkeypatch):
+    plans = [FitPlan.for_family(NORMAL, make_grid(0.05, 0.95, 12), kind),
+             FitPlan.from_matrices(kind, X, S)]
+    calls = []
+    solve = estimators._solve
+    monkeypatch.setattr(estimators, "_solve", lambda *args: calls.append(1) or solve(*args))
+    for plan in plans:
+        for mode in ParamMode:
+            w, cov = plan.solver(mode)
+            again = plan.solver(mode)
+            assert again[0] is w and again[1] is cov
+            assert not w.flags.writeable and not cov.flags.writeable
+            with pytest.raises(ValueError):
+                w[0, 0] = 1.0
+    assert len(calls) == 2 * len(ParamMode)
+
+
+def test_a_singular_joint_gram_leaves_the_single_modes_solvable():
+    # two levels 1e-12 apart: the joint oQLS Gram X'X is singular, the
+    # location column alone is not
+    plan = FitPlan.for_family(NORMAL, make_grid(0.3, 0.3 + 1e-12, 2), "oqls")
+    with pytest.raises(RankDeficient):
+        plan.solver()
+    w, cov = plan.solver(ParamMode.LOCATION_ONLY)
+    assert w.shape == (1, 2) and np.isfinite(w).all() and cov[0, 0] > 0
+    with pytest.raises(RankDeficient):  # a failed solve is not kept
+        plan.solver()
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from qls import gof, quantiles, simulate
+from qls import estimators, gof, quantiles, simulate
 from qls.errors import (
     WARN_DEGENERATE_GRID,
     WARN_RANK_CLAMPED,
@@ -277,7 +277,7 @@ def test_row_statistics_fail_only_the_rows_without_a_positive_scale():
     y_fit = np.stack([empirical_quantiles(samples[0], GRID).values, np.ones(GRID.k),
                       empirical_quantiles(samples[1], GRID).values,
                       -empirical_quantiles(samples[0], GRID).values])
-    y_out = np.stack([empirical_quantiles(samples[0], out).values, np.ones(out.r),
+    y_out = np.stack([empirical_quantiles(samples[0], out).values, np.ones(out.k),
                       empirical_quantiles(samples[1], out).values,
                       -empirical_quantiles(samples[0], out).values])
     assert (plan.solve(y_fit)[:, 1] > 0).tolist() == [True, False, True, False]
@@ -322,9 +322,37 @@ def test_w_level_mini_calibration():
 # out-of-sample test
 # ---------------------------------------------------------------------------
 
+def test_out_grids_are_quantile_grids():
+    levels = [0.1, 0.25, 0.5, 0.9]
+    grid = make_out_grid(levels)
+    assert gof.OutGrid is quantiles.QuantileGrid and type(grid) is quantiles.QuantileGrid
+    assert grid == quantiles.QuantileGrid(levels) and grid != make_out_grid(levels[:3])
+    assert (grid.a, grid.b, grid.k) == (0.1, 0.9, 4)
+    assert repr(grid) == "QuantileGrid(a=0.1, b=0.9, k=4)"
+    # the grid keeps a read-only copy: the caller's array stays writable
+    mine = np.array(levels)
+    assert not make_out_grid(mine).levels.flags.writeable and mine.flags.writeable
+    assert make_grid(0.1, 0.9, 5) == quantiles.QuantileGrid(np.linspace(0.1, 0.9, 5))
+
+
+def test_matrix_tests_never_solve_for_the_weights(monkeypatch):
+    # W on a caller's matrices is the fit's business: w_test and
+    # q_decomposition read only the Gram and the quadratic form
+    y = empirical_quantiles(NORMAL.sample(Params(1.0, 2.0), 400, np.random.default_rng(4)),
+                            GRID)
+    x, s = design_matrix(NORMAL, GRID), sigma_star(NORMAL, GRID)
+    fit = fit_gqls(y, x, s)
+    calls = []
+    monkeypatch.setattr(estimators, "_solve", lambda *args: calls.append(args))
+    result = w_test(y, x, s, fit)
+    q, q1, q2 = q_decomposition(y, x, s, Params(1.0, 2.0), fit)
+    assert calls == []
+    assert result.dof == GRID.k - 2 and q == pytest.approx(q1 + q2, rel=1e-9)
+
+
 def test_default_out_grid_levels():
     og = default_out_grid()
-    assert og.r == 50
+    assert og.k == 50
     assert og.levels[0] == pytest.approx(0.01)
     assert og.levels[1] == pytest.approx(0.03)
     assert og.levels[-1] == pytest.approx(0.99)

@@ -61,6 +61,26 @@ def test_make_grid_rejects(a, b, k):
         make_grid(a, b, k)
 
 
+def test_make_grid_refuses_levels_that_repeat():
+    # b one ulp above a: the three linspace levels cannot all differ, which
+    # make_grid reports at once, not at the grid's first use
+    b = float(np.nextafter(0.5, 1.0))
+    with pytest.raises(InvalidGrid, match="strictly increasing"):
+        make_grid(0.5, b, 3)
+    assert make_grid(0.5, b, 2).levels.tolist() == [0.5, b]
+
+
+@pytest.mark.parametrize("bad", [2.0, 1.5, np.inf, -0.5])
+def test_levels_outside_the_unit_interval_are_an_invalid_grid(bad):
+    data = np.arange(100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidGrid, match=r"\[0, 1\]"):
+            empirical_quantiles(data, sorted([0.5, bad]))
+    # levels 0 and 1 read the smallest and the largest value
+    assert empirical_quantiles(data[::-1], [0.0, 1.0]).values.tolist() == [0.0, 99.0]
+
+
 def test_grids_and_responses_compare_by_value():
     # equal fields, arrays by value, give equal objects with equal hashes
     # (a zero of either sign included); the plan store takes no part
