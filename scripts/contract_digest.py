@@ -5,11 +5,14 @@ Writes, for each readable name of a fixed catalogue, the sha256 of the
 float64 bytes (or the repr) of what that call returns for fixed seeds and
 inputs, or of the name of the error it raises:
 
-  run_mc/...          per-replicate estimates, grid tags and summary of a
-                      study per family, epsilon (cauchy(1, 3) contaminant)
-                      and n: joint gqls and oqls, location-only gqls with
-                      a known sigma, scale-only oqls with a known mu, and
-                      the MLE where the family has one
+  run_mc/<study>/...  a study per family, epsilon (cauchy(1, 3) contaminant)
+                      and n, with estimators labelled gqls and oqls (joint),
+                      gqls_location (a known sigma), oqls_scale (a known mu)
+                      and mle where the family has one: each label's
+                      per-replicate estimates (<study>/<label>) and summary
+                      (<study>/summary/<label>), and the grid tags
+                      (<study>/tags); so a change to one estimator names
+                      that estimator's entries alone
   sample/...          sample_contaminated draws
   fit_sample/...      fits of every method in every mode
   are/..., influence/...
@@ -89,7 +92,12 @@ def _mc(name: str, epsilon: float, n: int) -> str:
                       seed=20240 + n)
     estimates, tags = _mc_estimates(config)
     summary = run_mc(config)
-    return _digest(estimates, tags, summary.stats, summary.failures, summary.warnings)
+    out = {"tags": _digest(tags)}
+    for j, est in enumerate(ests):
+        out[est.label] = _digest(estimates[:, j])
+        out[f"summary/{est.label}"] = _digest(summary.stats[est.label],
+                                              summary.failures[est.label])
+    return out
 
 
 def _fit(fit) -> tuple:
@@ -153,7 +161,8 @@ def _matrix(name: str, what: str) -> str:
 
 
 def catalogue() -> dict:
-    """Each entry's name and a call that returns its digest."""
+    """Each entry's name and a call that returns its digest, or a dict of
+    digests by the names of its parts."""
     entries = {}
     names = sorted(FAMILIES)
     for name in names:
@@ -163,6 +172,8 @@ def catalogue() -> dict:
             entries[f"sample/{name}/eps={eps:g}"] = (
                 lambda nm, e: _digest(sample_contaminated(_spec(nm, e), 301,
                                                           np.random.default_rng(9))), name, eps)
+        if name in ("cauchy", "logistic", "gumbel"):
+            entries[f"run_mc/{name}/eps=0.3/n=301"] = (_mc, name, 0.3, 301)
         for method in ("gqls", "oqls", "mle"):
             for mode, label in MODE_NAMES.items():
                 entries[f"fit_sample/{name}/{method}/{label}"] = (_fit_sample, name, method, mode)
@@ -193,16 +204,21 @@ def catalogue() -> dict:
 
 def digests(prefixes=None) -> dict:
     """The digest of every catalogue entry whose name starts with one of
-    ``prefixes`` (all when None); an entry that raises a library error has
-    the digest ``error:<type name>``."""
+    ``prefixes`` (all when None), an entry of parts as <name>/<part>; an
+    entry that raises a library error has the digest ``error:<type name>``."""
     out = {}
     for name, (call, *args) in catalogue().items():
         if prefixes is not None and not name.startswith(tuple(prefixes)):
             continue
         try:
-            out[name] = call(*args)
+            result = call(*args)
         except QlsError as exc:  # the error's type is part of the contract
             out[name] = f"error:{type(exc).__name__}"
+            continue
+        if isinstance(result, dict):
+            out.update((f"{name}/{part}", value) for part, value in result.items())
+        else:
+            out[name] = result
     return out
 
 

@@ -528,136 +528,102 @@ def qls_weights(kind: str, x: np.ndarray, sigma_star_mat: np.ndarray | None = No
 # maximum likelihood baselines
 # ---------------------------------------------------------------------------
 
-def _cauchy_ll(theta, x):
-    mu, s = theta
-    z = (x - mu) / s
-    return -x.size * math.log(math.pi * s) - float(np.sum(np.log1p(z * z)))
+def _cauchy_kernel(z):
+    """log f0(z) = -log(pi (1 + z^2)) and its first two derivatives in z,
+    finite for every finite z: with r = hypot(1, z), c = 1/r and s = z/r,
+    d1 = -2 s c, d2 = 2 (s^2 - c^2) c^2, and log(1 + z^2) = 2 log r from
+    |z| = 1 on, where z^2 may overflow."""
+    r = np.hypot(1.0, z)
+    c = 1.0 / r
+    s = z * c
+    with np.errstate(over="ignore"):
+        zz = z * z
+    lf = -math.log(math.pi) - np.where(zz < 1.0, np.log1p(zz), 2.0 * np.log(r))
+    return lf, -2.0 * s * c, 2.0 * (s * s - c * c) * c * c
 
 
-def _cauchy_score(theta, x):
-    mu, s = theta
-    z = (x - mu) / s
-    w = 1.0 / (1.0 + z * z)
-    smu = 2.0 / s * float(np.sum(z * w))
-    ssi = (2.0 * float(np.sum(z * z * w)) - x.size) / s
-    return np.array([smu, ssi])
+def _logistic_kernel(z):
+    """log f0(z) = -|z| - 2 log(1 + e^-|z|), d1 = -tanh(z/2) and
+    d2 = -2 f0(z) = -2 e^-|z| / (1 + e^-|z|)^2."""
+    e = np.exp(-np.abs(z))
+    return -np.abs(z) - 2.0 * np.log1p(e), -np.tanh(0.5 * z), -2.0 * e / ((1.0 + e) * (1.0 + e))
 
 
-def _logistic_ll(theta, x):
-    mu, s = theta
-    z = (x - mu) / s
-    return float(np.sum(-z - 2.0 * np.logaddexp(0.0, -z))) - x.size * math.log(s)
-
-
-def _logistic_score(theta, x):
-    mu, s = theta
-    z = (x - mu) / s
-    import scipy.special  # costly to import; only the logistic MLE needs it here
-    f = scipy.special.expit(z)
-    smu = (2.0 * float(np.sum(f)) - x.size) / s
-    ssi = (float(np.sum(z * (2.0 * f - 1.0))) - x.size) / s
-    return np.array([smu, ssi])
-
-
-def _gumbel_ll(theta, x):
-    mu, s = theta
-    z = (x - mu) / s
+def _gumbel_kernel(z):
+    """log f0(z) = -z - e^-z, d1 = e^-z - 1 and d2 = -e^-z; below z = -709.78
+    log f0 is below the floating-point range, and e^-z overflows to make it -inf."""
     with np.errstate(over="ignore"):
         e = np.exp(-z)
-    val = float(np.sum(-z - e)) - x.size * math.log(s)
-    return val if np.isfinite(val) else -np.inf
+    return -z - e, e - 1.0, -e
 
 
-def _gumbel_score(theta, x):
-    mu, s = theta
-    z = (x - mu) / s
-    with np.errstate(over="ignore"):
-        e = np.exp(-z)
-    smu = float(np.sum(1.0 - e)) / s
-    ssi = (float(np.sum(z * (1.0 - e))) - x.size) / s
-    return np.array([smu, ssi])
+_NUMERIC_MLE = {"cauchy": _cauchy_kernel, "logistic": _logistic_kernel, "gumbel": _gumbel_kernel}
 
 
-_NUMERIC_MLE = {
-    "cauchy": (_cauchy_ll, _cauchy_score),
-    "logistic": (_logistic_ll, _logistic_score),
-    "gumbel": (_gumbel_ll, _gumbel_score),
-}
-
-_MAX_NEWTON_ITER = 500
-
-
-def _score_jacobian(score, theta, x):
-    m = theta.size
-    jac = np.empty((m, m))
-    for j in range(m):
-        h = 1e-6 * (1.0 + abs(theta[j]))
-        up = theta.copy()
-        dn = theta.copy()
-        up[j] += h
-        dn[j] -= h
-        if dn[1] <= 0:
-            dn[1] = theta[1]  # one-sided near the sigma > 0 boundary
-            h = 0.5 * h
-        jac[:, j] = (score(up, x) - score(dn, x)) / (up[j] - dn[j])
-    return jac
+def _loglik(kernel, t, x):
+    """L(t) = n log b + sum_i log f0(b x_i - a) at t = (a, b), b > 0, with
+    its gradient and Hessian in t; (-inf, None, None) where L is not finite."""
+    a, b = t
+    with np.errstate(over="ignore", invalid="ignore"):
+        lf, d1, d2 = kernel(b * x - a)
+        ll = x.size * math.log(b) + float(np.sum(lf))
+        if not math.isfinite(ll):
+            return -math.inf, None, None
+        d2x = d2 * x
+        s1, s1x, s2, s2x, s2xx = np.sum([d1, d1 * x, d2, d2x, d2x * x], axis=1).tolist()
+    nb = x.size / b
+    return ll, np.array([-s1, nb + s1x]), np.array([[s2, -s2x], [-s2x, s2xx - nb / b]])
 
 
-def _newton_mle(ll, score, theta0, x):
-    """Maximize the log-likelihood by damped Newton on the analytic score.
+def _newton_mle(kernel, theta0, x):
+    """Maximize L(t) = n log b + sum_i log f0(b x_i - a) over t = (a, b) =
+    (mu / sigma, 1 / sigma) from theta0 = (mu0, sigma0); returns (mu, sigma).
+    For a log-concave f0, as the logistic and gumbel are, L is concave in t
+    (Pratt 1981).
 
-    Convergence: parameter step < 1e-9 (1 + |theta|) componentwise and
-    relative log-likelihood change < 1e-12.
+    Start: sigma0 is doubled, mu0 kept (t halved), while L is not finite or
+    still rises.  Step: Newton's where the Hessian H is negative definite,
+    else the gradient g divided by |diag H| (the cauchy is not log-concave),
+    backtracked by Armijo with b kept positive.  A step whose predicted rise
+    g'p (for a Newton step, the Newton decrement) is at most 1e-10 (n + |L|),
+    where Armijo's 1e-4 of it is lost in the rounding of L, is taken in full,
+    and the fit has converged when such a step moves each t_j by at most
+    1e-9 (1 + |t_j|).  Raises NoConvergence when L is finite at no doubled
+    scale, when the line search fails, and after 100 steps.
     """
-    theta = np.asarray(theta0, dtype=float).copy()
-    cur = ll(theta, x)
-    if not np.isfinite(cur):
-        raise NoConvergence("log-likelihood not finite at the starting point")
-    for it in range(1, _MAX_NEWTON_ITER + 1):
-        s = score(theta, x)
-        jac = _score_jacobian(score, theta, x)
-        try:
-            step = np.linalg.solve(jac, -s)
-        except np.linalg.LinAlgError:
-            step = s / max(1.0, float(np.linalg.norm(s)))
+    t = np.array([theta0[0], 1.0]) / theta0[1]
+    cur = _loglik(kernel, t, x)
+    while True:
+        if t[1] * 0.5 == 0.0:
+            raise NoConvergence("log-likelihood not finite at any scale")
+        wider = _loglik(kernel, 0.5 * t, x)
+        if cur[0] > -math.inf and not wider[0] > cur[0]:
+            break
+        t, cur = 0.5 * t, wider
+    for it in range(1, 101):
+        ll, g, h = cur
+        det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
+        if h[0, 0] < 0.0 and det > 0.0:
+            p = np.array([h[0, 1] * g[1] - h[1, 1] * g[0],
+                          h[1, 0] * g[0] - h[0, 0] * g[1]]) / det
+        else:  # a nan or infinite step fails the line search below
+            p = g / np.abs(np.diag(h))
+        rise = float(g @ p)
+        flat = rise <= 1e-10 * (x.size + abs(ll))
         lam = 1.0
-        while theta[1] + lam * step[1] <= 0.0:
+        while t[1] + lam * p[1] <= 0.0:
             lam *= 0.5
-            if lam < 1e-30:
-                raise NoConvergence(f"sigma pinned at the boundary (iteration {it})")
-        cand = theta
-        nxt = cur
-        for _ in range(50):
-            cand = theta + lam * step
-            nxt = ll(cand, x)
-            if np.isfinite(nxt) and nxt >= cur - 1e-12 * abs(cur):
+        for _ in range(60):
+            nxt = _loglik(kernel, t + lam * p, x)
+            if nxt[0] >= ll + 1e-4 * lam * rise or (flat and nxt[0] > -math.inf):
                 break
             lam *= 0.5
         else:
             raise NoConvergence(f"line search failed at iteration {it}")
-        moved = lam * step
-        rel = abs(nxt - cur) / max(1.0, abs(nxt))
-        theta, cur = cand, nxt
-        if np.all(np.abs(moved) < 1e-9 * (1.0 + np.abs(theta))) and rel < 1e-12:
-            return theta
-    raise NoConvergence(f"Newton did not converge in {_MAX_NEWTON_ITER} iterations")
-
-
-def _simplex_mle(ll, theta0, x):
-    import scipy.optimize  # only this fallback needs it, and it is costly to import
-
-    def neg(t):
-        if t[1] <= 0:
-            return np.inf
-        return -ll(t, x)
-
-    res = scipy.optimize.minimize(
-        neg, theta0, method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 5000, "maxfev": 10000},
-    )
-    if not np.isfinite(res.fun):
-        raise NoConvergence(f"simplex failed after {res.nit} iterations")
-    return np.asarray(res.x, dtype=float)
+        t, cur = t + lam * p, nxt
+        if flat and np.all(np.abs(lam * p) <= 1e-9 * (1.0 + np.abs(t))):
+            return t[0] / t[1], 1.0 / t[1]
+    raise NoConvergence("Newton did not converge in 100 iterations")
 
 
 def _robust_init(fam: Family, data: np.ndarray) -> np.ndarray:
@@ -691,30 +657,28 @@ _INV_INFO = {name: np.linalg.inv(FAMILIES[name].fisher_info())
 
 
 def _unit_power(scale: float) -> float:
-    """The power of two nearest ``scale`` > 0 on a log scale; scaling by it
-    loses no bits."""
+    """The power of two nearest ``scale`` > 0 on a log scale, at most 2^1023;
+    scaling by it loses no bits."""
     frac, exp = math.frexp(scale)  # scale = frac 2^exp, 0.5 <= frac < 1
-    return math.ldexp(1.0, exp if frac >= math.sqrt(0.5) else exp - 1)
+    return math.ldexp(1.0, min(exp if frac >= math.sqrt(0.5) else exp - 1, 1023))
 
 
 def _numeric_mle(fam: Family, x: np.ndarray) -> np.ndarray:
-    """Newton, else the simplex, on x / s with s the power of two nearest
-    the starting scale (``_mle_init``), so that the fixed steps and
-    tolerances of both are relative to the data's scale: the fit of x 2^j
-    is 2^j times the fit of x while no value leaves the normal range, and a
-    row with s = 1 runs on the data as given."""
+    """``_newton_mle`` on x / s - m, with s the power of two nearest the
+    starting scale (``_mle_init``) and m the starting location over s, so
+    that its tolerances are relative to the data's scale and no term of
+    b x - a cancels a large location: the fit of x 2^j is 2^j times the fit
+    of x while no value leaves the normal range."""
     if x.min() == x.max():  # constant data: sigma = 0 (see _mle_rows), no search
         return np.array([x[0], 0.0])
-    ll, score = _NUMERIC_MLE[fam.name]
-    theta0 = _mle_init(fam, x)
-    s = _unit_power(float(theta0[1])) if 0.0 < theta0[1] < math.inf else 1.0
-    if s != 1.0:
-        x, theta0 = x / s, theta0 / s
-    try:
-        theta = _newton_mle(ll, score, theta0, x)
-    except NoConvergence:
-        theta = _simplex_mle(ll, theta0, x)
-    return theta if s == 1.0 else theta * s
+    mu0, sigma0 = _mle_init(fam, x)
+    if not sigma0 < math.inf:
+        raise ScaleOverflow("the starting scale exceeds the floating-point range; "
+                            "rescale the data")
+    s = _unit_power(float(sigma0))
+    m = mu0 / s
+    mu, sigma = _newton_mle(_NUMERIC_MLE[fam.name], (0.0, sigma0 / s), x / s - m)
+    return np.array([m + mu, sigma]) * s
 
 
 def _mle_estimates(fam: Family, rows: np.ndarray, finite: np.ndarray,
@@ -815,9 +779,10 @@ def fit_mle(fam: Family, data, mode: ParamMode = ParamMode.LOCATION_SCALE, *,
     Closed forms: normal (mean, population std), laplace (median, mean
     absolute deviation), exponential and levy in scale-only mode with the
     location supplied.  Cauchy, logistic, and gumbel are maximized
-    numerically (Newton on the analytic score, simplex fallback), started
-    at the gQLS fit on ``DEFAULT_GRID``.  The joint exponential/levy MLE is
-    not defined here (the location parameter sits on the support boundary).
+    numerically (Newton on the exact derivatives of the log-density),
+    started at the gQLS fit on ``DEFAULT_GRID``.  The joint exponential/levy
+    MLE is not defined here (the location parameter sits on the support
+    boundary).
     Raises DomainError for a known_mu that is not finite, NonFiniteData when
     the data hold NaN or an infinity, and ScaleOverflow when the scale
     estimate or its square exceeds the floating-point range.
@@ -849,12 +814,12 @@ def fit_sample(data, fam: Family, grid: QuantileGrid, method: str = "gqls",
     known_sigma serves the QLS methods' location-only mode (1 when unset),
     and ``method="mle"`` refuses one with DomainError, since ``fit_mle``
     takes no scale."""
+    if method not in ("oqls", "gqls", "mle"):
+        raise DomainError(f"unknown method {method!r}")
     known_sigma = _known_scale(method, known_sigma)
     if method == "mle":
         return fit_mle(fam, data, mode, known_mu=known_mu)
     y = empirical_quantiles(data, grid)
-    if method not in ("oqls", "gqls"):
-        raise DomainError(f"unknown method {method!r}")
     plan = FitPlan.for_family(fam, grid, method)
     fit = (fit_gqls if method == "gqls" else fit_oqls)(
         y, plan.x, plan.sigma, mode=mode, known_mu=known_mu, known_sigma=known_sigma, plan=plan)

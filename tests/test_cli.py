@@ -813,7 +813,10 @@ def test_contract_digests_repeat_and_do_not_depend_on_the_block_size(monkeypatch
     # no output of the catalogue may depend on them
     digest = _contract_digest_module()
     first = digest.digests(_DIGEST_SLICE)
-    assert len(first) == 21 and not any(v.startswith("error:") for v in first.values())
+    # a study is 11 entries: tags, and the estimates and summary of each of 5 labels
+    assert len(first) == 71 and not any(v.startswith("error:") for v in first.values())
+    assert {"run_mc/laplace/eps=0.05/n=301/mle",
+            "run_mc/laplace/eps=0.05/n=301/summary/mle"} <= first.keys()
     assert digest.digests(_DIGEST_SLICE) == first
     monkeypatch.setattr(quantiles_mod, "_BLOCK_VALUES", 2 ** 12)
     assert digest.digests(_DIGEST_SLICE) == first

@@ -14,13 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qls
-from qls import estimators, linalg, quantiles
+from qls import estimators, linalg, quantiles, simulate
 from qls.efficiency import are
 from qls.errors import (
     WARN_NON_POSITIVE_SCALE,
     DomainError,
     EmptySample,
-    NoConvergence,
     NonFiniteData,
     NotPositiveDefinite,
     QlsError,
@@ -205,6 +204,17 @@ def test_fit_sample_mle_refuses_a_known_sigma(value):
     assert fit_sample(data, NORMAL, GRID, "gqls", loc, known_sigma=2.5).sigma == 2.5
     assert (fit_sample(data, NORMAL, GRID, "oqls", loc).params
             == fit_sample(data, NORMAL, GRID, "oqls", loc, known_sigma=1.0).params)
+
+
+def test_fit_sample_checks_its_method_first(monkeypatch):
+    # an unknown method is the error, whatever the data: before the data's
+    # own checks and before any quantile is read
+    sorts = []
+    monkeypatch.setattr(estimators, "empirical_quantiles", lambda *a: sorts.append(a))
+    for data in ([1.0, np.nan, 2.0], [], NORMAL.sample(Params(), 50, np.random.default_rng(1))):
+        with pytest.raises(DomainError, match="unknown method 'bogus'"):
+            fit_sample(data, NORMAL, GRID, "bogus")
+    assert not sorts
 
 
 def test_single_parameter_modes():
@@ -393,7 +403,8 @@ def test_import_leaves_scipy_linalg_unloaded_until_a_dense_solve():
     assert plan.xm.tobytes() == want.tobytes()
 
 
-# fits, ARE cells and W_out bootstraps on the families whose kernels are numpy
+# fits, numeric MLEs, ARE cells and W_out bootstraps on the families whose
+# kernels are numpy
 _NUMPY_FAMILY_CALLS = (
     "def family_values(qls, np):\n"
     "    grid, out = qls.make_grid(0.05, 0.95, 25), []\n"
@@ -403,7 +414,10 @@ _NUMPY_FAMILY_CALLS = (
     "        for kind in ('gqls', 'oqls'):\n"
     "            fit = qls.fit_sample(data, fam, grid, kind)\n"
     "            out += [fit.mu, fit.sigma, *fit.asy_cov.ravel(), qls.are(kind, fam, grid).are]\n"
-    "        res = qls.bootstrap_pvalue(data, fam, grid, B=20, seed=1)\n"
+    "        if name != 'laplace':  # the numeric MLE\n"
+    "            fit = qls.fit_mle(fam, data)\n"
+    "            out += [fit.mu, fit.sigma, *fit.asy_cov.ravel()]\n"
+    "        res =qls.bootstrap_pvalue(data, fam, grid, B=20, seed=1)\n"
     "        out += [res.statistic, res.p_value]\n"
     "    return np.array(out).tobytes().hex()\n"
 )
@@ -919,25 +933,30 @@ def _loglik_grid_oracle(fam_ll, data, center, span, steps=41, refinements=4):
     return best
 
 
-def test_mle_cauchy_matches_grid_oracle():
-    from qls.estimators import _cauchy_ll
+def _pdf_loglik(fam):
+    """The log-likelihood of (mu, sigma) built from ``Family.pdf`` alone: it
+    shares no code with the MLE's log-density kernels."""
+    def ll(theta, data):
+        mu, sigma = theta
+        return float(np.sum(np.log(fam.pdf((data - mu) / sigma)))) - data.size * math.log(sigma)
+    return ll
 
+
+def test_mle_cauchy_matches_grid_oracle():
     cauchy = get_family("cauchy")
     data = cauchy.sample(Params(0.0, 1.0), 10_000, np.random.default_rng(17))
     fit = fit_mle(cauchy, data)
-    oracle = _loglik_grid_oracle(_cauchy_ll, data, (fit.mu, fit.sigma), (0.05, 0.05))
+    oracle = _loglik_grid_oracle(_pdf_loglik(cauchy), data, (fit.mu, fit.sigma), (0.05, 0.05))
     assert fit.mu == pytest.approx(oracle[0], abs=1e-4)
     assert fit.sigma == pytest.approx(oracle[1], abs=1e-4)
 
 
 @pytest.mark.parametrize("name", ["cauchy", "logistic", "gumbel"])
 def test_mle_numeric_gradient_vanishes(name):
-    from qls import estimators as est
-
     fam = get_family(name)
     data = fam.sample(Params(0.3, 1.7), 5_000, np.random.default_rng(4))
     fit = fit_mle(fam, data)
-    ll, _ = est._NUMERIC_MLE[name]
+    ll = _pdf_loglik(fam)
 
     theta = np.array([fit.mu, fit.sigma])
     grad = np.empty(2)
@@ -949,6 +968,63 @@ def test_mle_numeric_gradient_vanishes(name):
         # per-observation log-likelihood keeps the finite difference stable
         grad[j] = (ll(up, data) - ll(dn, data)) / (2 * h * data.size)
     assert np.linalg.norm(grad) <= 1e-6
+
+
+@pytest.mark.parametrize("name", ["cauchy", "logistic", "gumbel"])
+def test_mle_kernel_matches_the_family_density(name):
+    fam, kernel = get_family(name), estimators._NUMERIC_MLE[name]
+    z = np.linspace(-30.0, 30.0, 6001)
+    with np.errstate(divide="ignore"):
+        z = z[np.log(fam.pdf(z)) > np.log(np.finfo(float).tiny)]  # no underflow
+    lf, d1, d2 = kernel(z)
+    log_pdf = np.log(fam.pdf(z))
+    assert np.allclose(lf, log_pdf, rtol=1e-13, atol=0.0)
+    h = 1e-3
+    up, dn = np.log(fam.pdf(z + h)), np.log(fam.pdf(z - h))
+    assert np.allclose(d1, (up - dn) / (2.0 * h), rtol=1e-5, atol=1e-5)
+    assert np.allclose(d2, (up - 2.0 * log_pdf + dn) / (h * h), rtol=1e-5, atol=1e-5)
+    # every value is finite wherever log f0 is; gumbel's log f0 = -z - e^-z
+    # lies below the floating-point range from z = -709.78 down, and reads -inf
+    far = np.array([-1e200, -1e3, 1e3, 1e200])
+    lf, d1, d2 = kernel(far)
+    below = far < 0 if name == "gumbel" else np.zeros(4, dtype=bool)
+    assert np.all(lf[below] == -np.inf)
+    assert np.isfinite(np.concatenate([lf, d1, d2])[np.tile(~below, 3)]).all()
+
+
+@pytest.mark.parametrize("epsilon", [0.05, 0.3])
+@pytest.mark.parametrize("name", ["cauchy", "logistic", "gumbel"])
+def test_numeric_mle_maximizes_contaminated_samples(name, epsilon):
+    # a cauchy(1, 3) contaminant puts draws far below the location, where
+    # the gumbel log-density exceeds the floating-point range at the start
+    # and Family.pdf underflows at the fit (gumbel below z = -6.6, logistic
+    # beyond |z| = 710); the reference log-density is scipy.stats', which
+    # shares no code with the kernels
+    import scipy.optimize
+    import scipy.stats
+
+    fam = get_family(name)
+    spec = ContaminationSpec(fam, Params(0.0, 1.0), get_family("cauchy"), Params(1.0, 3.0),
+                             epsilon)
+    rng = np.random.default_rng(24)
+    rows = np.array([simulate.sample_contaminated(spec, 301, rng) for _ in range(40)])
+    theta, errors = estimators._mle_rows(fam, rows)
+    assert not errors
+    logpdf = {"cauchy": scipy.stats.cauchy, "logistic": scipy.stats.logistic,
+              "gumbel": scipy.stats.gumbel_r}[name].logpdf
+    for x, (mu, sigma) in zip(rows, theta):
+        def mean_ll(t):
+            return np.mean(logpdf((x - t[0]) / t[1])) - math.log(t[1]) if t[1] > 0 else -np.inf
+
+        h = 1e-5 * sigma
+        score = [(mean_ll((mu + h, sigma)) - mean_ll((mu - h, sigma))) / (2.0 * h),
+                 (mean_ll((mu, sigma + h)) - mean_ll((mu, sigma - h))) / (2.0 * h)]
+        assert np.abs(np.array(score) * sigma).max() <= 1e-8
+        best = mean_ll((mu, sigma))
+        polish = scipy.optimize.minimize(lambda t: -mean_ll(t), [mu, sigma],
+                                         method="Nelder-Mead",
+                                         options={"xatol": 1e-12, "fatol": 1e-15})
+        assert -polish.fun - best <= 1e-9 * abs(best)
 
 
 def test_mle_recovers_truth_roughly():
@@ -1112,6 +1188,16 @@ def test_numeric_mle_is_scale_equivariant(name, n, seed, j, e):
     assert abs(theta[0, 1] / d - base.sigma) <= 1e-8 * base.sigma
 
 
+@pytest.mark.parametrize("name", ["cauchy", "logistic", "gumbel"])
+def test_numeric_mle_at_the_top_of_the_range_is_a_scale_overflow(name):
+    # a starting scale above 2^1023 made the power-of-two rescale itself
+    # overflow (a bare OverflowError for gumbel); the scale, or its square,
+    # now exceeds the range as a package error
+    x = np.array([-1.7e308] * 4 + [1.7e308] * 4)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ScaleOverflow):
+        fit_mle(get_family(name), x)
+
+
 def test_mle_rows_degenerate_rows_leave_the_others_alone():
     rows = NORMAL.sample(Params(0.4, 1.3), 5 * 200, np.random.default_rng(9)).reshape(5, 200)
     rows[1] = 0.1
@@ -1152,20 +1238,6 @@ def test_mle_asy_cov_uses_the_inverse_information():
     fit = fit_mle(get_family("gumbel"), data)
     info = get_family("gumbel").fisher_info()
     assert np.array_equal(fit.asy_cov, fit.sigma ** 2 / 400 * np.linalg.inv(info))
-
-
-def test_mle_simplex_fallback_converges(monkeypatch):
-    cauchy = get_family("cauchy")
-    data = cauchy.sample(Params(0.3, 1.7), 2_000, np.random.default_rng(12))
-    newton = fit_mle(cauchy, data)
-
-    def no_newton(*args, **kwargs):
-        raise NoConvergence("forced")
-
-    monkeypatch.setattr(estimators, "_newton_mle", no_newton)
-    simplex = fit_mle(cauchy, data)
-    assert simplex.mu == pytest.approx(newton.mu, abs=1e-7)
-    assert simplex.sigma == pytest.approx(newton.sigma, rel=1e-7)
 
 
 def test_import_leaves_scipy_optimize_unloaded():
