@@ -16,7 +16,8 @@ inputs, or of the name of the error it raises:
   sample/...          sample_contaminated draws
   fit_sample/...      fits of every method in every mode
   are/..., influence/...
-  bootstrap/...       bootstrap_pvalue results
+  bootstrap/...       bootstrap_pvalue results (n = 500, B = 200, one or two
+                      blocks; and logistic at n = 10000, B = 1000, six blocks)
   power/...           w and wout power tables at n = 50 and 1000
   fit_big/...         fit_sample on 2^18 + 3 values (the split sort)
   matrix/...          w_test, q_decomposition, residual_analysis,
@@ -121,10 +122,10 @@ def _influence(name: str, kind: str) -> str:
     return _digest(curve.x, curve.if_mu, curve.if_sigma, curve.jumps)
 
 
-def _bootstrap(name: str, out_levels) -> str:
+def _bootstrap(name: str, out_levels, n: int = 500, B: int = 200) -> str:
     out_grid = None if out_levels is None else make_out_grid(out_levels)
-    return _digest(bootstrap_pvalue(_sample(name, 500, 11), get_family(name), GRID, out_grid,
-                                    B=200, seed=3))
+    return _digest(bootstrap_pvalue(_sample(name, n, 11), get_family(name), GRID, out_grid,
+                                    B=B, seed=3))
 
 
 def _power(test: str, n: int) -> str:
@@ -190,6 +191,9 @@ def catalogue() -> dict:
     for name in ("normal", "logistic", "cauchy"):
         entries[f"bootstrap/{name}/default"] = (_bootstrap, name, None)
         entries[f"bootstrap/{name}/out9"] = (_bootstrap, name, np.linspace(0.1, 0.9, 9))
+    # the benchmark's shape: six blocks of spacings
+    entries["bootstrap/logistic/default/n=10000/B=1000"] = (_bootstrap, "logistic", None,
+                                                             10_000, 1000)
     for test in ("w", "wout"):
         for n in (50, 1000):
             entries[f"power/{test}/n={n}"] = (_power, test, n)

@@ -627,9 +627,15 @@ def _newton_mle(kernel, theta0, x):
 
 
 def _robust_init(fam: Family, data: np.ndarray) -> np.ndarray:
-    q25, q50, q75 = np.quantile(data, [0.25, 0.5, 0.75])
+    """The start (mu0, sigma0) from the median and the interquartile range.
+    The quartiles are taken of the data halved, which is exact above the
+    subnormal range and keeps every difference finite up to the top of the
+    range, and the start is formed in Python floats: a scale beyond the
+    range reads inf, with no numpy warning."""
+    h25, h50, h75 = (float(h) for h in np.quantile(0.5 * data, [0.25, 0.5, 0.75]))
+    q50 = 2.0 * h50
     denom = float(fam.qf(0.75) - fam.qf(0.25))
-    sigma0 = max((q75 - q25) / denom, 1e-12 * (1.0 + abs(q50)))
+    sigma0 = max(2.0 * ((h75 - h25) / denom), 1e-12 * (1.0 + abs(q50)))
     mu0 = q50 - sigma0 * float(fam.qf(0.5))
     return np.array([mu0, sigma0])
 

@@ -17,6 +17,7 @@ raise ScaleOverflow when the observed statistic is not finite.
 """
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,7 @@ from .estimators import FitPlan, QlsFit, _response, _scale_tags
 from .families import Family, ParamMode, Params, check_seed
 from .quantiles import (
     QuantileGrid,
+    _ahead,
     _order_statistics,
     _positions,
     _tied,
@@ -261,16 +263,34 @@ def _bootstrap_order_statistics(fam: Family, n: int, key: tuple, B: int,
     _BOOTSTRAP_KEY])``, so a row does not depend on the block size and a
     run of B' < B replicates is the first B' rows of a run of B.  A block
     keeps about ten values per position and row live, within the budget of
-    ``replicate_blocks``."""
+    ``replicate_blocks``.
+
+    The gamma draws run block after block on a helper thread, ahead of
+    their running sums and quantile transform (``quantiles._ahead``); they
+    are the only use of the generator, so the rows are those of one thread.
+    The helper starts when this is called, so the caller can do other work
+    before taking the first block, and is joined when the returned
+    generator is run out or closed."""
     shapes = np.diff(np.concatenate(([0], pos + 1, [n + 1]))).astype(float)
     rng = np.random.default_rng([*key, _BOOTSTRAP_KEY])
-    for block in replicate_blocks(range(B), 10 * sum(c.size for c in cols)):
-        g = rng.standard_gamma(shapes, size=(len(block), shapes.size))
-        np.cumsum(g, axis=1, out=g)
-        u = g[:, :-1]
-        u /= g[:, -1:]
-        x = fam._from_uniform(Params(), u)
-        yield [x[:, c] for c in cols]
+    blocks = replicate_blocks(range(B), 10 * sum(c.size for c in cols))
+    rows = _spacing_rows(fam, _ahead(rng.standard_gamma(shapes, size=(len(block), shapes.size))
+                                     for block in blocks), cols)
+    next(rows)  # starts the helper
+    return rows
+
+
+def _spacing_rows(fam: Family, draws, cols: list[np.ndarray]):
+    """Enter ``draws`` (a ``quantiles._ahead`` of gamma spacing blocks),
+    yield once, then yield each block's order statistics by column set."""
+    with draws as spacings:
+        yield
+        for g in spacings:
+            np.cumsum(g, axis=1, out=g)
+            u = g[:, :-1]
+            u /= g[:, -1:]
+            x = fam._from_uniform(Params(), u)
+            yield [x[:, c] for c in cols]
 
 
 def _bootstrap_null(fam: Family, plan: FitPlan, plan_out: FitPlan, n: int, key: tuple,
@@ -279,11 +299,21 @@ def _bootstrap_null(fam: Family, plan: FitPlan, plan_out: FitPlan, n: int, key: 
     """The sorted finite statistics of B standard-form replicates refitted on
     ``plan`` and tested on ``plan_out``.  The gQLS fit is location-scale
     equivariant and the statistic divides each residual by the fitted scale,
-    so its null law does not depend on (mu, sigma).  Failed replicates
-    (``_row_statistics``) are dropped; too many raise BootstrapDegenerate."""
-    stats = np.concatenate([_row_statistics(plan, plan_out, y_fit, y_out, n)
-                            for y_fit, y_out in _bootstrap_order_statistics(
-                                fam, n, key, B, pos, cols)])
+    so its null law does not depend on (mu, sigma)."""
+    return _sorted_null(plan, plan_out, n, B,
+                        _bootstrap_order_statistics(fam, n, key, B, pos, cols),
+                        max_failure_fraction)
+
+
+def _sorted_null(plan: FitPlan, plan_out: FitPlan, n: int, B: int, blocks,
+                 max_failure_fraction: float) -> np.ndarray:
+    """The sorted finite statistics (``_row_statistics``) of the B replicates
+    in ``blocks`` (``_bootstrap_order_statistics``), which this closes
+    whether it returns or raises.  Failed replicates are dropped; too many
+    raise BootstrapDegenerate."""
+    with contextlib.closing(blocks):
+        stats = np.concatenate([_row_statistics(plan, plan_out, y_fit, y_out, n)
+                                for y_fit, y_out in blocks])
     null = np.sort(stats[~np.isnan(stats)])
     failures = B - null.size
     if failures > max_failure_fraction * B or null.size == 0:
@@ -322,20 +352,21 @@ def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
     plan = FitPlan.for_family(fam, grid, "gqls")
     plan_out = FitPlan.for_family(fam, out_grid, "gqls")
     pos, cols, tags = _positions(n, grid, out_grid)
-    values, first, last = _order_statistics(data, pos)
-    if not (np.isfinite(first) and np.isfinite(last)):
-        raise NonFiniteData("bootstrap data hold NaN or infinite values")
-    warns = tags[0] + tags[1]
-    if any(_tied(values[c], c) for c in cols):
-        warns.append(WARN_TIED_QUANTILES)
-    beta0 = plan.solve(values[None, cols[0]])
-    if not beta0[0, 1] > 0:
-        raise NonPositiveScale("gQLS fit on the data has non-positive scale")
-    observed = _observed(plan_out, values[cols[1]], beta0, n, "W_out")
-    warns += _scale_tags(float(beta0[0, 1]))
-
-    null = _bootstrap_null(fam, plan, plan_out, n, (seed,), B, pos, cols,
-                           max_failure_fraction)
+    # the first spacings are drawn while the data are sorted and tested
+    blocks = _bootstrap_order_statistics(fam, n, (seed,), B, pos, cols)
+    with contextlib.closing(blocks):
+        values, first, last = _order_statistics(data, pos)
+        if not (np.isfinite(first) and np.isfinite(last)):
+            raise NonFiniteData("bootstrap data hold NaN or infinite values")
+        warns = tags[0] + tags[1]
+        if any(_tied(values[c], c) for c in cols):
+            warns.append(WARN_TIED_QUANTILES)
+        beta0 = plan.solve(values[None, cols[0]])
+        if not beta0[0, 1] > 0:
+            raise NonPositiveScale("gQLS fit on the data has non-positive scale")
+        observed = _observed(plan_out, values[cols[1]], beta0, n, "W_out")
+        warns += _scale_tags(float(beta0[0, 1]))
+        null = _sorted_null(plan, plan_out, n, B, blocks, max_failure_fraction)
     p = float(_exceedance(null, observed))
     return GofResult(statistic=observed, kind="out-of-sample", p_value=p,
                      b_replicates=null.size, failures=B - null.size,

@@ -16,8 +16,10 @@ studies take order statistics from row-sorted blocks of replicates, split by
 """
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import math
+import queue
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
@@ -222,6 +224,75 @@ def _two_threads(tasks, run) -> None:
     helper.join()
     if errors:
         raise errors[0]
+
+
+@contextlib.contextmanager
+def _ahead(items):
+    """Advance the iterator ``items`` ahead of the caller on one helper
+    thread named ``qls-helper`` and yield an iterator over its items in
+    order.  The helper keeps at most two items ready.  When none is ready
+    and the helper is not advancing ``items``, the caller advances it
+    itself, so a helper that starts late or never runs delays nothing.
+    ``items`` is advanced under one lock, one item at a time and in order,
+    and an error it raises is raised by the caller where its item would
+    have come.  The helper runs in a copy of the caller's context and is
+    stopped and joined when the block exits, also when the caller stops
+    early or raises."""
+    items = iter(items)
+    lock = threading.Lock()  # held while items is advanced
+    ready = queue.SimpleQueue()  # the helper's (more, item) entries, in order
+    room = queue.SimpleQueue()  # one token per entry the helper may add
+    room.put(None)
+    room.put(None)
+    stopped = False
+
+    def step():
+        try:
+            return True, next(items)
+        except StopIteration:
+            return False, None
+        except BaseException as exc:  # raised by the caller, in order
+            return False, exc
+
+    def produce():
+        more = True
+        while more:
+            room.get()
+            with lock:
+                if stopped:
+                    return
+                more, _ = entry = step()
+                ready.put(entry)
+
+    def take():
+        if ready.empty() and lock.acquire(blocking=False):
+            try:  # the helper is not advancing items: if still behind, advance here
+                if ready.empty():
+                    return step()
+            finally:
+                lock.release()
+        entry = ready.get()  # ready, or the helper holds the lock to add it
+        room.put(None)
+        return entry
+
+    def consume():
+        while True:
+            more, item = take()
+            if not more:
+                if item is not None:
+                    raise item
+                return
+            yield item
+
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(produce,),
+                              name="qls-helper")
+    helper.start()
+    try:
+        yield consume()
+    finally:
+        stopped = True
+        room.put(None)  # a helper waiting for room wakes and sees the stop
+        helper.join()
 
 
 def _order_statistics(data: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, float, float]:

@@ -1166,8 +1166,8 @@ def test_supplied_scale_that_underflows_is_tagged(method):
        st.integers(min_value=-990, max_value=990),
        st.integers(min_value=-300, max_value=300))
 def test_numeric_mle_is_scale_equivariant(name, n, seed, j, e):
-    # Newton and the simplex run on the data divided by a power of two near
-    # the starting scale, so their fixed steps and tolerances are relative
+    # Newton runs on the data divided by a power of two near the starting
+    # scale, so its fixed steps and tolerances are relative
     fam = get_family(name)
     x = fam.sample(Params(0.3, 1.0), n, np.random.default_rng(seed))
     base = fit_mle(fam, x)
@@ -1196,6 +1196,40 @@ def test_numeric_mle_at_the_top_of_the_range_is_a_scale_overflow(name):
     x = np.array([-1.7e308] * 4 + [1.7e308] * 4)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ScaleOverflow):
         fit_mle(get_family(name), x)
+
+
+@pytest.mark.parametrize("name", ["cauchy", "logistic", "gumbel", "normal"])
+def test_robust_start_at_the_top_of_the_range_raises_no_warning(name):
+    # the quartiles are taken of the halved data, so neither np.quantile's
+    # interpolation nor the interquartile range overflows: the cauchy and
+    # logistic starts are finite, and a robust scale beyond the range (a
+    # quartile spread of 3.4e308 over gumbel's 1.57 or the normal's 1.35)
+    # reads inf; on ordinary data the start is the plain formula's bits
+    fam = get_family(name)
+    x = np.array([-1.7e308] * 4 + [1.7e308] * 4 + [0.0, 1.0])
+    half_spread = float(fam.qf(0.75) - fam.qf(0.25)) / 2
+    with np.errstate(all="raise"):
+        mu0, sigma0 = estimators._robust_init(fam, x)
+        estimators._robust_init(fam, x[:8])
+    if name in ("cauchy", "logistic"):
+        assert (mu0, sigma0) == (0.5, 1.7e308 / half_spread)
+    else:
+        assert sigma0 == math.inf
+    y = fam.sample(Params(0.3, 2.0), 101, np.random.default_rng(4))
+    q25, q50, q75 = np.quantile(y, [0.25, 0.5, 0.75])
+    sigma = (q75 - q25) / float(fam.qf(0.75) - fam.qf(0.25))
+    assert tuple(estimators._robust_init(fam, y)) == (q50 - sigma * float(fam.qf(0.5)), sigma)
+
+
+def test_cauchy_mle_of_a_two_point_sample_at_the_top_of_the_range():
+    # 4 values at each of -a and a: the cauchy likelihood peaks at (0, a),
+    # which the robust start now reaches where it was a ScaleOverflow
+    x = np.array([-1.7e308] * 4 + [1.7e308] * 4)
+    with np.errstate(all="raise"):
+        theta, errors = estimators._mle_rows(get_family("cauchy"), x[None, :])
+    assert not errors
+    assert theta[0, 1] == pytest.approx(1.7e308, rel=1e-12)
+    assert abs(theta[0, 0]) <= 1e-12 * 1.7e308
 
 
 def test_mle_rows_degenerate_rows_leave_the_others_alone():

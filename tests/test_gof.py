@@ -638,6 +638,112 @@ def test_bootstrap_one_row_blocks_give_the_same_rows(monkeypatch):
         assert np.array_equal(g, w)
 
 
+def _serial_null(fam, plan, plan_out, n, seed, B, pos, cols):
+    """The null drawn block after block on the caller alone, the way the
+    bootstrap drew it before its gamma spacings were drawn ahead."""
+    shapes = np.diff(np.concatenate(([0], pos + 1, [n + 1]))).astype(float)
+    rng = np.random.default_rng([seed, _BOOTSTRAP_KEY])
+    stats = []
+    for block in quantiles.replicate_blocks(range(B), 10 * sum(c.size for c in cols)):
+        g = rng.standard_gamma(shapes, size=(len(block), shapes.size))
+        np.cumsum(g, axis=1, out=g)
+        u = g[:, :-1]
+        u /= g[:, -1:]
+        x = fam._from_uniform(Params(), u)
+        stats.append(_row_statistics(plan, plan_out, x[:, cols[0]], x[:, cols[1]], n))
+    stats = np.concatenate(stats)
+    return np.sort(stats[~np.isnan(stats)])
+
+
+@pytest.mark.parametrize("name, n", [("logistic", 10_000), ("normal", 1000)])
+def test_drawn_ahead_null_equals_a_serial_reference(name, n):
+    # B = 1, exactly one block, exactly two blocks, and a B that is not a
+    # multiple of the block: the same bytes as one thread drawing each
+    # block in turn, through the wout cell's _bootstrap_null and through
+    # bootstrap_pvalue, whose draws start before the data are sorted
+    fam, out_grid = get_family(name), default_out_grid()
+    plan = FitPlan.for_family(fam, GRID, "gqls")
+    plan_out = FitPlan.for_family(fam, out_grid, "gqls")
+    pos, cols, _ = _positions(n, GRID, out_grid)
+    rows = len(next(quantiles.replicate_blocks(range(10 ** 6), 10 * sum(c.size for c in cols))))
+    data = fam.sample(Params(0.2, 1.5), n, np.random.default_rng(8))
+    for B in (1, rows, 2 * rows, 1000):
+        if B == 1000:
+            assert B % rows
+        want = _serial_null(fam, plan, plan_out, n, 21, B, pos, cols)
+        got = gof._bootstrap_null(fam, plan, plan_out, n, (21,), B, pos, cols)
+        assert got.tobytes() == want.tobytes(), B
+        res = bootstrap_pvalue(data, fam, GRID, out_grid, B=B, seed=21)
+        assert res.b_replicates == want.size
+        assert res.p_value == np.count_nonzero(want > res.statistic) / want.size
+
+
+def _helper_threads():
+    return [t.name for t in quantiles.threading.enumerate() if t.name.startswith("qls-")]
+
+
+class _FailingGenerator:
+    """A generator whose second ``standard_gamma`` call raises."""
+
+    def __init__(self, rng):
+        self.rng, self.threads = rng, []
+
+    def standard_gamma(self, *args, **kwargs):
+        self.threads.append(quantiles.threading.current_thread().name)
+        if len(self.threads) == 2:
+            raise RuntimeError("second spacing block")
+        return self.rng.standard_gamma(*args, **kwargs)
+
+
+def test_an_error_in_the_spacing_draws_reaches_the_caller(monkeypatch):
+    # whichever thread draws the second block, its error is raised by the
+    # caller after the helper is joined, and no block past it is drawn
+    fam, n = get_family("logistic"), 10_000
+    data = fam.sample(Params(), n, np.random.default_rng(2))
+    plan = FitPlan.for_family(fam, GRID, "gqls")
+    plan_out = FitPlan.for_family(fam, default_out_grid(), "gqls")
+    pos, cols, _ = _positions(n, GRID, default_out_grid())
+    made = []
+    default_rng = np.random.default_rng
+
+    def failing_rng(key):
+        made.append(_FailingGenerator(default_rng(key)))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", failing_rng)
+    with pytest.raises(RuntimeError, match="second spacing block") as first:
+        bootstrap_pvalue(data, fam, GRID, B=1000, seed=4)
+    with pytest.raises(RuntimeError, match="second spacing block") as second:
+        gof._bootstrap_null(fam, plan, plan_out, n, (4,), 1000, pos, cols)
+    assert not _helper_threads(), (first, second)  # joined while the errors live
+    assert [len(gen.threads) for gen in made] == [2, 2]
+
+
+def test_an_error_in_the_block_statistics_stops_the_draws(monkeypatch):
+    # _row_statistics raising on the second block: the error reaches the
+    # caller after the helper is stopped and joined
+    fam, n = get_family("logistic"), 10_000
+    data = fam.sample(Params(), n, np.random.default_rng(3))
+    plan = FitPlan.for_family(fam, GRID, "gqls")
+    plan_out = FitPlan.for_family(fam, default_out_grid(), "gqls")
+    pos, cols, _ = _positions(n, GRID, default_out_grid())
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) % 2 == 0:
+            raise ZeroDivisionError("second block")
+        return _row_statistics(*args)
+
+    monkeypatch.setattr(gof, "_row_statistics", failing)
+    with pytest.raises(ZeroDivisionError, match="second block") as first:
+        bootstrap_pvalue(data, fam, GRID, B=1000, seed=5)
+    with pytest.raises(ZeroDivisionError, match="second block") as second:
+        gof._bootstrap_null(fam, plan, plan_out, n, (5,), 1000, pos, cols)
+    assert not _helper_threads(), (first, second)  # joined while the errors live
+    assert len(calls) == 4
+
+
 def test_bootstrap_matches_a_replicate_loop():
     # the batched bootstrap against a loop that draws each replicate's gamma
     # spacings in turn from the stream keyed [seed, 0x9E3779B97F4A7C15],

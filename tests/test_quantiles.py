@@ -1,6 +1,8 @@
 import math
 import multiprocessing
 import threading
+import time
+import types
 import warnings
 
 import numpy as np
@@ -450,6 +452,102 @@ def test_split_sort_works_in_a_fork_child():
         child.join(timeout=120)
     assert not child.is_alive() and child.exitcode == 0
     assert np.array_equal(values, parent)
+
+
+def _wait_for(done, seconds=5.0):
+    deadline = time.monotonic() + seconds
+    while not done() and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
+def test_ahead_keeps_order_with_at_most_two_items_ready():
+    advanced = []
+
+    def items():
+        for i in range(40):
+            advanced.append(i)
+            yield i
+
+    with quantiles._ahead(items()) as it:
+        assert next(it) == 0
+        _wait_for(lambda: len(advanced) >= 3)
+        time.sleep(0.02)
+        assert len(advanced) == 3  # the item taken and two ready
+        assert list(it) == list(range(1, 40))
+
+
+def test_ahead_raises_the_helpers_error_in_the_caller():
+    raised_on = []
+
+    def items():
+        yield 0
+        raised_on.append(threading.current_thread().name)
+        raise LookupError("the second item")
+
+    with pytest.raises(LookupError, match="second item"):
+        with quantiles._ahead(items()) as it:
+            assert next(it) == 0
+            _wait_for(lambda: raised_on)
+            next(it)
+    assert raised_on == ["qls-helper"]
+
+
+def test_ahead_stops_its_helper_when_the_caller_leaves_early():
+    # after an early exit or a raise in the caller the helper is joined (the
+    # conftest guard), having advanced at most the item taken and two more
+    advanced = []
+
+    def items():
+        while True:
+            advanced.append(None)
+            yield len(advanced)
+
+    with quantiles._ahead(items()) as it:
+        assert next(it) == 1
+    stopped_at = len(advanced)
+    with pytest.raises(KeyError, match="caller"):
+        with quantiles._ahead(items()) as it:
+            next(it)
+            raise KeyError("caller")
+    assert stopped_at <= 3 and len(advanced) <= stopped_at + 3
+
+
+class _NoHelper:
+    """A helper thread that never runs."""
+
+    def __init__(self, target, args, name):
+        pass
+
+    def start(self):
+        pass
+
+    def join(self):
+        pass
+
+
+def test_ahead_runs_on_the_caller_when_the_helper_never_does(monkeypatch):
+    monkeypatch.setattr(quantiles, "threading",
+                        types.SimpleNamespace(Lock=threading.Lock, Thread=_NoHelper))
+    threads = set()
+
+    def items():
+        for i in range(10):
+            threads.add(threading.current_thread().name)
+            yield i
+
+    with quantiles._ahead(items()) as it:
+        assert list(it) == list(range(10))
+    assert threads == {threading.current_thread().name}
+
+
+def test_ahead_helper_sees_the_callers_error_state():
+    def items():
+        while True:
+            yield np.geterr()["divide"]
+
+    with np.errstate(divide="raise"):
+        with quantiles._ahead(items()) as it:
+            assert [next(it) for _ in range(5)] == ["raise"] * 5
 
 
 @pytest.mark.parametrize("name", ["normal", "cauchy"])
