@@ -19,6 +19,9 @@ inputs, or of the name of the error it raises:
   bootstrap/...       bootstrap_pvalue results (n = 500, B = 200, one or two
                       blocks; and logistic at n = 10000, B = 1000, six blocks)
   power/...           w and wout power tables at n = 50 and 1000
+  gof_all/...         exit code, stdout and stderr of qls gof --family all
+                      (w, and wout at B = 1000) on a file of 80 values and a
+                      header, so that the reader and the out-levels warn
   fit_big/...         fit_sample on 2^18 + 3 values (the split sort)
   matrix/...          w_test, q_decomposition, residual_analysis,
                       asymptotic_cov and qls_weights on caller matrices
@@ -30,14 +33,18 @@ Usage: python scripts/contract_digest.py OUT.json
 and exits 1 if there are any.  Run the first form with each tree's src on
 PYTHONPATH to compare the trees.
 """
+import contextlib
 import hashlib
+import io
 import json
 import pathlib
 import sys
+import tempfile
 
 import numpy as np
 
 from qls.cli import _Parser
+from qls.cli import main as qls_main
 from qls.efficiency import are, are_table
 from qls.errors import QlsError
 from qls.estimators import asymptotic_cov, fit_gqls, fit_sample, qls_weights
@@ -138,6 +145,18 @@ def _power(test: str, n: int) -> str:
     return _digest(cells)
 
 
+def _gof_all(test: str) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "data.csv"
+        path.write_text("value\n" + "".join(f"{v:.17g}\n" for v in _sample("logistic", 80, 19)),
+                        encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = qls_main(["gof", "--family", "all", "--data", str(path), "--test", test,
+                             "--B", "1000", "--seed", "23"])
+    return _digest(code, out.getvalue(), err.getvalue())
+
+
 def _fit_big(method: str) -> str:
     fam = get_family("logistic")
     return _digest(*_fit(fit_sample(_sample("logistic", 2 ** 18 + 3, 5), fam, GRID, method)))
@@ -197,6 +216,8 @@ def catalogue() -> dict:
     for test in ("w", "wout"):
         for n in (50, 1000):
             entries[f"power/{test}/n={n}"] = (_power, test, n)
+    for test in ("w", "wout"):
+        entries[f"gof_all/{test}"] = (_gof_all, test)
     for method in ("gqls", "oqls"):
         entries[f"fit_big/logistic/{method}"] = (_fit_big, method)
     for name in ("normal", "gumbel"):

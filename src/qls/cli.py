@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import csv
 import errno
+import functools
 import io
 import json
 import os
@@ -281,9 +282,8 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _gof_one(fam, data, args, grid) -> dict:
+def _gof_one(fam, y, args, grid, bootstrap) -> dict:
     plan = FitPlan.for_family(fam, grid, "gqls")
-    y = empirical_quantiles(data, grid)
     fit = fit_gqls(y, plan.x, None, plan=plan)
     for tag in fit.warnings:  # the gof rows have no warnings column
         print(f"warning: {fam.name}: {tag}", file=sys.stderr)
@@ -293,9 +293,7 @@ def _gof_one(fam, data, args, grid) -> dict:
         row.update({"test": "w", "statistic": res.statistic, "dof": res.dof,
                     "p_value": res.p_value})
     else:
-        out_grid = gof_mod.make_out_grid(args.out_levels)
-        res = gof_mod.bootstrap_pvalue(data, fam, grid, out_grid,
-                                       B=args.B, seed=args.seed)
+        res = bootstrap()
         shown_p = res.p_value if res.p_value > 0 else 1.0 / res.b_replicates
         row.update({"test": "wout", "statistic": res.statistic,
                     "B": res.b_replicates, "p_value": res.p_value,
@@ -315,7 +313,12 @@ def _cmd_gof(args) -> int:
     grid = make_grid(args.a, args.b, args.k)
     fams = ([get_family(n) for n in ALL_GOF_FAMILIES]
             if args.family.strip().lower() == "all" else [get_family(args.family)])
-    rows = [_gof_one(fam, data.values, args, grid) for fam in fams]
+    y = empirical_quantiles(data.values, grid)
+    # every family's bootstrap, from one sort and one draw, made in the first one's turn
+    boot = functools.cache(lambda: gof_mod._bootstrap_pvalues(
+        data.values, fams, grid, gof_mod.make_out_grid(args.out_levels), B=args.B,
+        seed=args.seed))
+    rows = [_gof_one(fam, y, args, grid, lambda: next(boot())) for fam in fams]
     _emit_rows(rows, args.format, args.out)
     return EXIT_OK
 

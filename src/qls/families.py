@@ -316,11 +316,11 @@ def _levy_qf(u):
 # ---------------------------------------------------------------------------
 
 def check_sampling(params: Params, n: int) -> None:
-    """Raise DomainError unless n >= 1 draws with a positive scale are asked for."""
+    """Raise DomainError unless n >= 1 draws with finite mu and sigma > 0 are asked for."""
     if n < 1:
         raise DomainError("sample size must be >= 1")
-    if not params.sigma > 0:
-        raise DomainError("sigma must be positive to sample")
+    if not (0.0 < params.sigma < math.inf and math.isfinite(params.mu)):
+        raise DomainError(f"sigma must be positive and mu and sigma finite to sample: {params}")
 
 
 def check_seed(seed) -> int:
@@ -364,7 +364,7 @@ class Family:
     def qf(self, u):
         """Standard quantile function on the open interval (0, 1)."""
         arr = np.asarray(u, dtype=float)
-        if ((arr <= 0.0) | (arr >= 1.0)).any():
+        if not ((arr > 0.0) & (arr < 1.0)).all():  # NaN too
             raise DomainError(f"{self.name}: quantile level must lie in (0, 1)")
         return self._qf(u)
 

@@ -17,7 +17,7 @@ raise ScaleOverflow when the observed statistic is not finite.
 """
 from __future__ import annotations
 
-import contextlib
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +29,7 @@ from .errors import (
     InsufficientDof,
     NonFiniteData,
     NonPositiveScale,
+    QlsError,
     ScaleOverflow,
 )
 from .estimators import FitPlan, QlsFit, _response, _scale_tags
@@ -99,8 +100,8 @@ class GofResult:
 
 def chi2_sf(x: float, dof: int) -> float:
     """Chi-square survival function via the regularized incomplete gamma."""
-    if x < 0:
-        raise ValueError("statistic must be nonnegative")
+    if not x >= 0:  # NaN too
+        raise ValueError(f"statistic must be nonnegative, got {x}")
     if dof < 1:
         raise ValueError("degrees of freedom must be >= 1")
     return float(_chi2_pvalues(dof + 2, np.float64(x)))
@@ -248,77 +249,51 @@ def _exceedance(null: np.ndarray, stats):
 _BOOTSTRAP_KEY = 0x9E3779B97F4A7C15
 
 
-def _bootstrap_order_statistics(fam: Family, n: int, key: tuple, B: int,
-                                pos: np.ndarray, cols: list[np.ndarray]):
-    """Order statistics of B samples of size n from the standard member of
-    ``fam``, a block of replicates at a time: per block, the values at the
-    sorted 0-based positions ``pos`` of each column set in ``cols``
-    (``quantiles._positions``).  Only these are drawn, from gamma spacings
-    (Renyi 1953; David and Nagaraja, Order Statistics, 3rd ed., 2.5): the
-    r-th of n sorted uniforms is G_r / G_(n+1), G a running sum of n + 1
-    standard exponentials, so for ranks r_1 < ... < r_m the jumps of G are
-    Gamma(r_i - r_(i-1)) draws plus the tail Gamma(n + 1 - r_m): m + 1 draws
-    whatever n is, mapped by the nondecreasing quantile function.
-    Replicates are rows, in order, of one generator ``default_rng([*key,
-    _BOOTSTRAP_KEY])``, so a row does not depend on the block size and a
-    run of B' < B replicates is the first B' rows of a run of B.  A block
-    keeps about ten values per position and row live, within the budget of
-    ``replicate_blocks``.
-
-    The gamma draws run block after block on a helper thread, ahead of
-    their running sums and quantile transform (``quantiles._ahead``); they
-    are the only use of the generator, so the rows are those of one thread.
-    The helper starts when this is called, so the caller can do other work
-    before taking the first block, and is joined when the returned
-    generator is run out or closed."""
+def _spacings(n: int, key: tuple, B: int, pos: np.ndarray, cols: list[np.ndarray]):
+    """A ``quantiles._ahead`` context (entering starts a helper thread,
+    leaving joins it) over the gamma spacings of B samples of size n at the
+    sorted 0-based positions ``pos``, in blocks of replicates that keep ten
+    values per column of ``cols`` and row live.  The r-th of n sorted
+    uniforms is G_r / G_(n+1), G a running sum of n + 1 standard
+    exponentials (Renyi 1953), so ranks r_1 < ... < r_m take the m + 1 draws
+    Gamma(r_i - r_(i-1)) and Gamma(n + 1 - r_m), whatever n and the family.
+    Replicates are rows, in order, of ``default_rng([*key, _BOOTSTRAP_KEY])``,
+    whatever the block size: the first B' rows are a run of B'."""
     shapes = np.diff(np.concatenate(([0], pos + 1, [n + 1]))).astype(float)
     rng = np.random.default_rng([*key, _BOOTSTRAP_KEY])
-    blocks = replicate_blocks(range(B), 10 * sum(c.size for c in cols))
-    rows = _spacing_rows(fam, _ahead(rng.standard_gamma(shapes, size=(len(block), shapes.size))
-                                     for block in blocks), cols)
-    next(rows)  # starts the helper
-    return rows
+    return _ahead(rng.standard_gamma(shapes, size=(len(block), shapes.size))
+                  for block in replicate_blocks(range(B), 10 * sum(c.size for c in cols)))
 
 
-def _spacing_rows(fam: Family, draws, cols: list[np.ndarray]):
-    """Enter ``draws`` (a ``quantiles._ahead`` of gamma spacing blocks),
-    yield once, then yield each block's order statistics by column set."""
-    with draws as spacings:
-        yield
-        for g in spacings:
-            np.cumsum(g, axis=1, out=g)
-            u = g[:, :-1]
-            u /= g[:, -1:]
+def _nulls(tests, n: int, B: int, spacings, cols: list[np.ndarray],
+           max_failure_fraction: float = 0.10) -> list:
+    """Per (fam, plan, plan_out) of ``tests``, the sorted finite
+    ``_row_statistics`` (fit at ``cols[0]``, test at ``cols[1]``) of B
+    standard-form replicates of ``fam`` from the entered ``spacings``, or a
+    BootstrapDegenerate, returned, if over ``max_failure_fraction`` of B
+    failed.  Each block becomes sorted uniforms once; ``_from_uniform``
+    writes into them only its idempotent clip, so each family maps the bits
+    it would map alone."""
+    stats = [[] for _ in tests]
+    for g in spacings if tests else ():
+        np.cumsum(g, axis=1, out=g)
+        u = g[:, :-1]
+        u /= g[:, -1:]
+        for (fam, plan, plan_out), rows in zip(tests, stats):
             x = fam._from_uniform(Params(), u)
-            yield [x[:, c] for c in cols]
+            rows.append(_row_statistics(plan, plan_out, x[:, cols[0]], x[:, cols[1]], n))
+    nulls = []
+    for stat in map(np.concatenate, stats):
+        null = np.sort(stat[~np.isnan(stat)])
+        failures = B - null.size
+        nulls.append(BootstrapDegenerate(f"{failures} of {B} bootstrap replicates failed to fit")
+                     if failures > max_failure_fraction * B or null.size == 0 else null)
+    return nulls
 
 
-def _bootstrap_null(fam: Family, plan: FitPlan, plan_out: FitPlan, n: int, key: tuple,
-                    B: int, pos: np.ndarray, cols: list[np.ndarray],
-                    max_failure_fraction: float = 0.10) -> np.ndarray:
-    """The sorted finite statistics of B standard-form replicates refitted on
-    ``plan`` and tested on ``plan_out``.  The gQLS fit is location-scale
-    equivariant and the statistic divides each residual by the fitted scale,
-    so its null law does not depend on (mu, sigma)."""
-    return _sorted_null(plan, plan_out, n, B,
-                        _bootstrap_order_statistics(fam, n, key, B, pos, cols),
-                        max_failure_fraction)
-
-
-def _sorted_null(plan: FitPlan, plan_out: FitPlan, n: int, B: int, blocks,
-                 max_failure_fraction: float) -> np.ndarray:
-    """The sorted finite statistics (``_row_statistics``) of the B replicates
-    in ``blocks`` (``_bootstrap_order_statistics``), which this closes
-    whether it returns or raises.  Failed replicates are dropped; too many
-    raise BootstrapDegenerate."""
-    with contextlib.closing(blocks):
-        stats = np.concatenate([_row_statistics(plan, plan_out, y_fit, y_out, n)
-                                for y_fit, y_out in blocks])
-    null = np.sort(stats[~np.isnan(stats)])
-    failures = B - null.size
-    if failures > max_failure_fraction * B or null.size == 0:
-        raise BootstrapDegenerate(f"{failures} of {B} bootstrap replicates failed to fit")
-    return null
+def _check_replicates(B) -> None:
+    if isinstance(B, bool) or not isinstance(B, numbers.Integral) or B < 1:
+        raise DomainError(f"need an integer of at least one bootstrap replicate, got {B!r}")
 
 
 def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
@@ -331,44 +306,63 @@ def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
 
     The statistic is pivotal under the null, so the replicates are drawn
     from the standard member of the family, not at the fitted parameters
-    (``_bootstrap_null``).  They are rows of one stream keyed by seed: runs
-    are reproducible, distinct seeds give distinct streams, and the first
-    B' replicates of a run of B are those of a run of B'.  Replicates whose
+    (``_nulls``): the gQLS fit is location-scale equivariant and the
+    statistic divides each residual by the fitted scale.  The replicates
+    are rows of one stream keyed by seed (``_spacings``): runs are
+    reproducible, distinct seeds give distinct streams, and the first B'
+    replicates of a run of B are those of a run of B'.  Replicates whose
     refit or statistic fails are dropped and counted; more than
-    ``max_failure_fraction`` of B aborts.  B < 1 raises DomainError, a
-    negative or non-integer seed InvalidSeed, and an observed statistic
-    that is not finite ScaleOverflow.  The warnings hold, each once, the
-    rank tags of both level sets at n, ``tied_quantiles`` when either reads
-    one value at distinct ranks, and the tags of the fitted scale.
+    ``max_failure_fraction`` of B aborts.  B other than an integer >= 1
+    raises DomainError, a negative or non-integer seed InvalidSeed, and an
+    observed statistic that is not finite ScaleOverflow.  The warnings
+    hold, each once, the rank tags of both level sets at n,
+    ``tied_quantiles`` when either reads one value at distinct ranks, and
+    the tags of the fitted scale.
     """
+    return next(_bootstrap_pvalues(data, [fam], grid, out_grid, B, seed, alphas,
+                                   max_failure_fraction))
+
+
+def _bootstrap_pvalues(data, fams, grid: QuantileGrid, out_grid: QuantileGrid | None = None,
+                       B: int = 1000, seed: int = 0, alphas=DEFAULT_ALPHAS,
+                       max_failure_fraction: float = 0.10):
+    """Yield ``bootstrap_pvalue`` under each family of ``fams`` in turn, all
+    made from one sort of the data and one draw of spacings before the
+    first; a family's error is raised in its turn."""
     check_seed(seed)
-    if B < 1:
-        raise DomainError("need at least one bootstrap replicate")
-    if out_grid is None:
-        out_grid = default_out_grid()
+    _check_replicates(B)
+    out_grid = default_out_grid() if out_grid is None else out_grid
     data = np.asarray(data, dtype=float).ravel()
     n = data.shape[0]
-
-    plan = FitPlan.for_family(fam, grid, "gqls")
-    plan_out = FitPlan.for_family(fam, out_grid, "gqls")
     pos, cols, tags = _positions(n, grid, out_grid)
+    results, tests = [], []
     # the first spacings are drawn while the data are sorted and tested
-    blocks = _bootstrap_order_statistics(fam, n, (seed,), B, pos, cols)
-    with contextlib.closing(blocks):
+    with _spacings(n, (seed,), B, pos, cols) as spacings:
         values, first, last = _order_statistics(data, pos)
         if not (np.isfinite(first) and np.isfinite(last)):
             raise NonFiniteData("bootstrap data hold NaN or infinite values")
         warns = tags[0] + tags[1]
         if any(_tied(values[c], c) for c in cols):
             warns.append(WARN_TIED_QUANTILES)
-        beta0 = plan.solve(values[None, cols[0]])
-        if not beta0[0, 1] > 0:
-            raise NonPositiveScale("gQLS fit on the data has non-positive scale")
-        observed = _observed(plan_out, values[cols[1]], beta0, n, "W_out")
-        warns += _scale_tags(float(beta0[0, 1]))
-        null = _sorted_null(plan, plan_out, n, B, blocks, max_failure_fraction)
-    p = float(_exceedance(null, observed))
-    return GofResult(statistic=observed, kind="out-of-sample", p_value=p,
-                     b_replicates=null.size, failures=B - null.size,
-                     decision_at={a: p <= a for a in alphas},
-                     warnings=tuple(dict.fromkeys(warns)))
+        for fam in fams:
+            try:
+                plan, plan_out = (FitPlan.for_family(fam, g, "gqls") for g in (grid, out_grid))
+                beta0 = plan.solve(values[None, cols[0]])
+                if not beta0[0, 1] > 0:
+                    raise NonPositiveScale("gQLS fit on the data has non-positive scale")
+                results.append((_observed(plan_out, values[cols[1]], beta0, n, "W_out"),
+                                [*warns, *_scale_tags(float(beta0[0, 1]))]))
+                tests.append((fam, plan, plan_out))
+            except QlsError as exc:
+                results.append(exc)
+        nulls = iter(_nulls(tests, n, B, spacings, cols, max_failure_fraction))
+    for res in results:
+        null = res if isinstance(res, QlsError) else next(nulls)
+        if isinstance(null, QlsError):
+            raise null
+        observed, fam_warns = res
+        p = float(_exceedance(null, observed))
+        yield GofResult(statistic=observed, kind="out-of-sample", p_value=p,
+                        b_replicates=null.size, failures=B - null.size,
+                        decision_at={a: p <= a for a in alphas},
+                        warnings=tuple(dict.fromkeys(fam_warns)))

@@ -51,12 +51,12 @@ def if_quantile(x, p: float, fam: Family, params: Params):
 
     Right-continuous in x with a single downward jump of size
     sigma / f0(Q0(p)) at the population quantile (the indicator is
-    inclusive: 1{x <= quantile}).
+    inclusive: 1{x <= quantile}); NaN at a NaN x.
     """
     _, q, f = level_density(fam, np.asarray([p], dtype=float))
     jump = params.mu + params.sigma * q[0]
     xv = np.asarray(x, dtype=float)
-    ind = (xv <= jump).astype(float)
+    ind = np.where(np.isnan(xv), np.nan, xv <= jump)
     out = params.sigma * (p - ind) / f[0]
     return float(out) if xv.ndim == 0 else out
 
@@ -64,7 +64,7 @@ def if_quantile(x, p: float, fam: Family, params: Params):
 def if_estimator(x, kind: str, fam: Family, params: Params, grid: QuantileGrid):
     """Influence of a point mass at x on (mu_hat, sigma_hat).
 
-    Returns a pair of floats for scalar x, else a pair of arrays.
+    Returns a pair of floats for scalar x, else a pair of arrays (NaN at NaN).
     """
     plan = FitPlan.for_family(fam, grid, kind)
     p, _, f = plan.spacing  # the levels and f0(Q0(p)); Q0(p) is the design column
@@ -73,7 +73,7 @@ def if_estimator(x, kind: str, fam: Family, params: Params, grid: QuantileGrid):
     xv = np.asarray(x, dtype=float)
     scalar = xv.ndim == 0
     xv = np.atleast_1d(xv)
-    ind = (xv[None, :] <= jumps[:, None]).astype(float)
+    ind = np.where(np.isnan(xv), np.nan, xv[None, :] <= jumps[:, None])
     ifq = params.sigma * (p[:, None] - ind) / f[:, None]
     out = w @ ifq
     if scalar:

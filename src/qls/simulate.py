@@ -393,15 +393,18 @@ def run_power_study(h0_families, generators, grids, n: int, m: int,
     or repeated ranks at this n carries those tags in ``warnings``, each
     once: the grid's, and for "wout" the out-levels' too, as
     ``bootstrap_pvalue`` gives them.  Before any draw, n or m below 1, an
-    unknown test or a "wout" B below 1 raise DomainError, and a bad seed
-    InvalidSeed.
+    unknown test, a "wout" B other than an integer >= 1 or a generator
+    whose base parameters cannot be sampled raise DomainError, and a bad
+    seed InvalidSeed.
     """
     _check_study(n, m)
     check_seed(seed)
     if test not in ("w", "wout"):
         raise DomainError(f"unknown test {test!r}")
-    if test == "wout" and B < 1:
-        raise DomainError("need at least one bootstrap replicate")
+    if test == "wout":
+        gof._check_replicates(B)
+    for gen in generators:
+        check_sampling(gen.base_params, n)
     if out_grid is None:
         out_grid = gof.default_out_grid()
     cells: list[PowerCell] = []
@@ -438,9 +441,9 @@ def _cell_pvalues(h0: Family, gen: ContaminationSpec, grid: QuantileGrid,
     if test == "w":
         pvalues = functools.partial(gof._chi2_pvalues, grid.k)
     else:
-        try:
-            null = gof._bootstrap_null(h0, plan, plan_out, n, cell_seed, B, pos, cols)
-        except QlsError:
+        with gof._spacings(n, cell_seed, B, pos, cols) as spacings:
+            (null,) = gof._nulls([(h0, plan, plan_out)], n, B, spacings, cols)
+        if isinstance(null, QlsError):
             return pvals, tags
         pvalues = functools.partial(gof._exceedance, null)
 

@@ -12,10 +12,14 @@ import numpy as np
 import pytest
 
 from qls import cli
+from qls import families as families_mod
+from qls import gof as gof_mod
 from qls import quantiles as quantiles_mod
 from qls.cli import Dataset, main, read_data, InputError
+from qls.errors import DegenerateDensity
 from qls.estimators import FitPlan
 from qls.families import Params, get_family
+from qls.quantiles import make_grid
 
 
 @pytest.fixture()
@@ -318,6 +322,116 @@ def test_gof_wout_prints_the_out_levels_tags(capsys, tmp_path):
     assert err.splitlines() == ["warning: normal: rank_clamped_to_first_order_statistic"]
     assert list(json.loads(out)[0]) == ["family", "mu", "sigma", "test", "statistic", "B",
                                         "p_value", "p_display", "reject"]
+
+
+def _single_family_runs(capsys, args):
+    """The exit codes, csv rows and stderr lines of ``args`` run for each
+    family of ``--family all`` in turn, each run stopping at its error."""
+    codes, rows, err = [], [], []
+    for name in cli.ALL_GOF_FAMILIES:
+        code, out, e = run_cli(capsys, "gof", "--family", name, *args)
+        codes.append(code)
+        rows += out.splitlines()[1:]
+        err += e.splitlines()
+    return codes, rows, err
+
+
+@pytest.mark.parametrize("test", ["w", "wout"])
+def test_gof_all_equals_the_single_family_runs(capsys, tmp_path, test):
+    # at n = 80 the out-levels clamp their first rank, so every family warns
+    data = _write(tmp_path, "eighty.csv", get_family("logistic").sample(
+        Params(1.0, 2.0), 80, np.random.default_rng(31)))
+    args = ("--data", data, "--test", test, "--B", "400", "--seed", "5", "--format", "csv")
+    code, out, err = run_cli(capsys, "gof", "--family", "all", *args)
+    codes, rows, single_err = _single_family_runs(capsys, args)
+    assert code == 0 and codes == [0] * 5
+    assert out.splitlines()[1:] == rows and err.splitlines() == single_err
+    assert len(single_err) == (5 if test == "wout" else 0)
+
+
+def test_gof_all_reports_a_familys_error_in_its_turn(capsys, monkeypatch, tmp_path):
+    # the bootstrap of every family runs at once, yet the families before
+    # the failing one print their warnings first, as single runs would, and
+    # the first failing family ends the run
+    data = _write(tmp_path, "eighty.csv", get_family("logistic").sample(
+        Params(1.0, 2.0), 80, np.random.default_rng(31)))
+    for_family = FitPlan.for_family.__func__
+
+    def failing(cls, fam, grid, kind):
+        if fam.name in ("laplace", "normal") and grid.k == 50:  # the default out-levels
+            raise DegenerateDensity(f"{fam.name}: no density")
+        return for_family(cls, fam, grid, kind)
+
+    monkeypatch.setattr(FitPlan, "for_family", classmethod(failing))
+    args = ("--data", data, "--test", "wout", "--B", "100", "--format", "csv")
+    code, out, err = run_cli(capsys, "gof", "--family", "all", *args)
+    codes, _, single_err = _single_family_runs(capsys, args)
+    assert codes == [0, 0, 3, 0, 3]
+    assert code == 3 and out == ""
+    assert err.splitlines() == single_err[:3] and "laplace: no density" in err
+
+
+def test_gof_all_bad_out_levels_come_after_the_first_fits_tags(capsys, tmp_path):
+    few = _write(tmp_path, "few.csv", [0.3, -1.2, 0.8, 2.1, -0.4])
+    args = ("--data", few, "--test", "wout", "--out-levels", "0.5,0.2")
+    code, _, err = run_cli(capsys, "gof", "--family", "all", *args)
+    single = run_cli(capsys, "gof", "--family", "cauchy", *args)
+    assert code == single[0] == 1 and err == single[2]
+    assert err.splitlines()[0].startswith("warning: cauchy: ")
+
+
+def test_gof_all_draws_one_spacing_sequence(capsys, monkeypatch, tmp_path):
+    # five families, one generator and one standard_gamma call per block:
+    # the six blocks of B = 1000 on 75 columns, all drawn once
+    data = _write(tmp_path, "n.csv", get_family("normal").sample(
+        Params(), 2000, np.random.default_rng(4)))
+    made = []
+    default_rng = np.random.default_rng
+
+    class Spy:
+        def __init__(self, key):
+            self.rng, self.key, self.blocks = default_rng(key), key, []
+
+        def standard_gamma(self, shape, size):
+            self.blocks.append(size)
+            return self.rng.standard_gamma(shape, size)
+
+    def spy_rng(key):
+        made.append(Spy(key))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", spy_rng)
+    code, _, _ = run_cli(capsys, "gof", "--family", "all", "--data", data,
+                         "--test", "wout", "--B", "1000", "--seed", "8")
+    assert code == 0
+    assert [spy.key for spy in made] == [[8, gof_mod._BOOTSTRAP_KEY]]
+    rows = [size[0] for size in made[0].blocks]
+    assert sum(rows) == 1000 and len(rows) == -(-1000 // (2 ** 17 // 750))
+
+
+def test_families_write_only_their_clip_into_the_shared_uniforms(monkeypatch, tmp_path):
+    # each family is handed the block the one before it left, and leaves it
+    # as np.clip to [_U_FLOOR, _U_CEIL] would: the clip is idempotent, so
+    # every family maps the bits it would map alone
+    data = get_family("normal").sample(Params(), 2000, np.random.default_rng(6))
+    fams = [get_family(name) for name in cli.ALL_GOF_FAMILIES]
+    seen = []
+    from_uniform = families_mod.Family._from_uniform
+
+    def spy(self, params, u):
+        before = u.copy()
+        if seen and seen[-1][0] is u.base:
+            assert np.array_equal(before, seen[-1][1]), self.name
+        x = from_uniform(self, params, u)
+        assert np.array_equal(u, np.clip(before, families_mod._U_FLOOR, families_mod._U_CEIL))
+        assert not np.shares_memory(x, u)
+        seen.append((u.base, u.copy(), self.name))
+        return x
+
+    monkeypatch.setattr(families_mod.Family, "_from_uniform", spy)
+    list(gof_mod._bootstrap_pvalues(data, fams, make_grid(0.05, 0.95, 25), B=500, seed=2))
+    names = [name for _, _, name in seen]
+    assert names == list(cli.ALL_GOF_FAMILIES) * (len(names) // 5) and len(names) > 5
 
 
 # ---------------------------------------------------------------------------

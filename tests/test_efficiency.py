@@ -193,3 +193,16 @@ def test_cells_share_the_bounds_they_were_given():
     # a raw level array reads its first and last level and its count
     cell = are("gqls", get_family("logistic"), [0.1, 0.4, 0.8])
     assert (cell.a, cell.b, cell.k) == (0.1, 0.8, 3)
+
+
+@pytest.mark.parametrize("name", ["cauchy", "gumbel", "laplace", "logistic", "normal"])
+@pytest.mark.parametrize("bounds", [(0.02, 0.98), (0.05, 0.95), (0.10, 0.90)])
+def test_gqls_efficiency_never_falls_along_nested_grids(name, bounds):
+    # k = 2^j + 1 equally spaced levels on fixed bounds: each grid holds the
+    # levels of the one before, and the gQLS fit is the best linear fit of
+    # its quantiles, so a level added can only keep or raise its efficiency
+    # (up to rounding, 1e-12 relative)
+    fam = get_family(name)
+    for mode in MODES.values():
+        ares = [are("gqls", fam, make_grid(*bounds, 2 ** j + 1), mode).are for j in range(1, 12)]
+        assert all(b >= a * (1 - 1e-12) for a, b in zip(ares, ares[1:])), (mode, ares)

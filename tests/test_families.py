@@ -43,6 +43,13 @@ def test_qf_domain_error():
             get_family("normal").qf(u)
 
 
+@pytest.mark.parametrize("name", ALL)
+def test_qf_refuses_nan_levels(name):
+    for u in (float("nan"), np.array([0.2, np.nan, 0.7]), np.array([[0.5], [np.nan]])):
+        with pytest.raises(DomainError, match="must lie in"):
+            get_family(name).qf(u)
+
+
 def test_cdf_point_values():
     assert get_family("normal").cdf(0.0) == pytest.approx(0.5)
     assert get_family("exponential").cdf(math.log(2.0)) == pytest.approx(0.5)

@@ -24,9 +24,10 @@ from qls.estimators import FitPlan, QlsFit, fit_gqls, fit_mle, fit_sample
 from qls.families import FAMILIES, ParamMode, Params, get_family
 from qls.gof import (
     _BOOTSTRAP_KEY,
-    _bootstrap_order_statistics,
     _chi2_pvalues,
+    _nulls,
     _row_statistics,
+    _spacings,
     bootstrap_pvalue,
     chi2_sf,
     default_out_grid,
@@ -85,6 +86,8 @@ def test_chi2_sf_monotonicity():
         assert chi2_sf(x, 4) < chi2_sf(x, 8) < chi2_sf(x, 11)
     with pytest.raises(ValueError):
         chi2_sf(-1.0, 3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        chi2_sf(float("nan"), 3)
     with pytest.raises(ValueError):
         chi2_sf(1.0, 0)
 
@@ -427,12 +430,9 @@ def test_bootstrap_seeds_give_disjoint_replicate_streams(monkeypatch):
             assert not np.array_equal(states[seed],
                                       np.random.SeedSequence(other).generate_state(8))
     assert not np.array_equal(states[6], states[7])
-    pos_cols = _positions(200, GRID)[:2]
-    draws = [next(_bootstrap_order_statistics(NORMAL, 200, (seed,), 50, *pos_cols))[0]
-             for seed in (6, 7)]
+    draws = [_bootstrap_blocks(NORMAL, 200, (seed,), 50, GRID, GRID)[0][0] for seed in (6, 7)]
     assert not np.any(draws[0] == draws[1])
-    cell_draws = next(_bootstrap_order_statistics(NORMAL, 200, (6, 1, 0, 2), 50,
-                                                  *pos_cols))[0]
+    cell_draws = _bootstrap_blocks(NORMAL, 200, (6, 1, 0, 2), 50, GRID, GRID)[0][0]
     assert not np.any(cell_draws == draws[0])
     # every key the program builds from one seed gives its own stream:
     # run_mc's study stream [seed, _STREAM_KEY], each power cell's stream
@@ -555,17 +555,16 @@ def test_bootstrap_null_is_pivotal(name, t, j, seed):
     # W_out of a replicate drawn at (mu, sigma) = (t 2^j, 2^j) equals the
     # statistic the standard-form draw gives, within 1e-10 relative: the
     # test forms the (mu, sigma) draws from the same gamma spacings itself,
-    # and refits and tests them on the plans directly
+    # and refits and tests them on the plans directly; the null is sorted,
+    # so the statistics are compared sorted
     fam = get_family(name)
     sigma = math.ldexp(1.0, j)
     params = Params(t * sigma, sigma)
     plan = FitPlan.for_family(fam, GRID, "gqls")
     plan_out = FitPlan.for_family(fam, default_out_grid(), "gqls")
     pos, cols = _PIVOT_POS, _PIVOT_COLS
-    y_fit, y_out = next(_bootstrap_order_statistics(fam, _PIVOT_N, (seed,), _PIVOT_B, pos, cols))
-    assert len(y_fit) == _PIVOT_B
-    beta = plan.solve(y_fit)
-    standard = plan_out.w_statistics(y_out, beta, _PIVOT_N)
+    standard = _null(fam, plan, plan_out, _PIVOT_N, (seed,), _PIVOT_B, pos, cols)
+    assert len(standard) == _PIVOT_B
     shapes = np.diff(np.concatenate(([0], pos + 1, [_PIVOT_N + 1]))).astype(float)
     rng = np.random.default_rng([seed, _BOOTSTRAP_KEY])
     g = np.cumsum(rng.standard_gamma(shapes, size=(_PIVOT_B, shapes.size)), axis=1)
@@ -574,7 +573,7 @@ def test_bootstrap_null_is_pivotal(name, t, j, seed):
     assert np.all(beta[:, 1] > 0)
     scaled = plan_out.w_statistics(x[:, cols[1]], beta, _PIVOT_N)
     assert np.all(np.isfinite(standard)) and np.all(standard > 0)
-    np.testing.assert_allclose(scaled, standard, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(np.sort(scaled), standard, rtol=1e-10, atol=0)
 
 
 def test_bootstrap_refuses_fewer_than_one_replicate(monkeypatch):
@@ -589,10 +588,56 @@ def test_bootstrap_refuses_fewer_than_one_replicate(monkeypatch):
             bootstrap_pvalue(data, NORMAL, GRID, B=B, seed=1)
 
 
-def _bootstrap_rows(fam, n, seed, B, *level_sets):
+@pytest.mark.parametrize("B", [2.5, 3.0, True, False, "10", None])
+def test_bootstrap_refuses_a_replicate_count_that_is_no_integer(B, monkeypatch):
+    # a float, even an integral one, and a bool are refused before any draw,
+    # by bootstrap_pvalue and by a wout power study alike
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before B was checked")
+
+    monkeypatch.setattr(gof, "_spacings", no_work)
+    monkeypatch.setattr(gof, "_order_statistics", no_work)
+    with pytest.raises(DomainError, match="integer"):
+        bootstrap_pvalue(np.arange(50.0), NORMAL, GRID, B=B, seed=1)
+    with pytest.raises(DomainError, match="integer"):
+        simulate.run_power_study([NORMAL], [simulate.ContaminationSpec(base_family=NORMAL)],
+                                 [GRID], n=50, m=3, test="wout", B=B)
+
+
+def test_bootstrap_takes_a_numpy_integer_count():
+    data, _, _ = normal_fit(n=200, seed=55)
+    want = bootstrap_pvalue(data, NORMAL, GRID, B=30, seed=1)
+    assert bootstrap_pvalue(data, NORMAL, GRID, B=np.int64(30), seed=1) == want
+
+
+def _null(fam, plan, plan_out, n, key, B, pos, cols):
+    """The one family's null that ``_nulls`` makes of ``_spacings``."""
+    with _spacings(n, key, B, pos, cols) as spacings:
+        (null,) = _nulls([(fam, plan, plan_out)], n, B, spacings, cols)
+    return null
+
+
+def _bootstrap_blocks(fam, n, key, B, grid, out_grid):
+    """The order statistics of each block of replicates that ``_nulls``
+    refits and tests, as it hands them to ``_row_statistics``: per block,
+    the values at the estimation levels and at the out-levels."""
+    pos, cols, _ = _positions(n, grid, out_grid)
+    blocks = []
+
+    def record(plan, plan_out, y_fit, y_out, n):
+        blocks.append([y_fit, y_out])
+        return np.ones(len(y_fit))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gof, "_row_statistics", record)
+        _null(fam, None, None, n, key, B, pos, cols)
+    return blocks
+
+
+def _bootstrap_rows(fam, n, seed, B, grid, out_grid):
     """Every replicate's order statistics, one array per level set."""
-    return [np.concatenate(c) for c in zip(*_bootstrap_order_statistics(
-        fam, n, (seed,), B, *_positions(n, *level_sets)[:2]))]
+    return [np.concatenate(c) for c in zip(*_bootstrap_blocks(fam, n, (seed,), B, grid,
+                                                              out_grid))]
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -604,7 +649,8 @@ def test_bootstrap_order_statistics_equal_sorted_samples(name):
     fam = get_family(name)
     n = 1000
     pos = np.array([0, n // 2 - 1, n - 1])
-    x = _bootstrap_rows(fam, n, 11, 20_000, (pos + 1) / n)[0]
+    levels = (pos + 1) / n
+    x = _bootstrap_rows(fam, n, 11, 20_000, levels, levels)[0]
     assert x.shape == (20_000, 3) and np.all(np.isfinite(x))
     u = np.asarray(fam.cdf(x))
     for col, r in enumerate(pos + 1):
@@ -617,8 +663,7 @@ def test_bootstrap_replicates_are_a_prefix_of_longer_runs():
     sets = (GRID, default_out_grid())
     short = _bootstrap_rows(fam, n, 3, 50, *sets)
     long = _bootstrap_rows(fam, n, 3, 1000, *sets)
-    assert len(list(_bootstrap_order_statistics(fam, n, (3,), 1000,
-                                                *_positions(n, *sets)[:2]))) > 1
+    assert len(_bootstrap_blocks(fam, n, (3,), 1000, *sets)) > 1
     for s, l in zip(short, long):
         assert np.array_equal(s, l[:50])
 
@@ -626,13 +671,11 @@ def test_bootstrap_replicates_are_a_prefix_of_longer_runs():
 def test_bootstrap_one_row_blocks_give_the_same_rows(monkeypatch):
     n = 2000
     sets = (GRID, default_out_grid())
-    pos_cols = _positions(n, *sets)[:2]
-    blocks = list(_bootstrap_order_statistics(NORMAL, n, (9,), 300, *pos_cols))
+    blocks = _bootstrap_blocks(NORMAL, n, (9,), 300, *sets)
     assert len(blocks[0][0]) > 1
     want = _bootstrap_rows(NORMAL, n, 9, 300, *sets)
     monkeypatch.setattr(quantiles, "_BLOCK_VALUES", 1)
-    assert all(len(blk[0]) == 1 for blk in
-               _bootstrap_order_statistics(NORMAL, n, (9,), 300, *pos_cols))
+    assert all(len(blk[0]) == 1 for blk in _bootstrap_blocks(NORMAL, n, (9,), 300, *sets))
     got = _bootstrap_rows(NORMAL, n, 9, 300, *sets)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -659,7 +702,7 @@ def _serial_null(fam, plan, plan_out, n, seed, B, pos, cols):
 def test_drawn_ahead_null_equals_a_serial_reference(name, n):
     # B = 1, exactly one block, exactly two blocks, and a B that is not a
     # multiple of the block: the same bytes as one thread drawing each
-    # block in turn, through the wout cell's _bootstrap_null and through
+    # block in turn, through the wout cell's _spacings and _nulls and through
     # bootstrap_pvalue, whose draws start before the data are sorted
     fam, out_grid = get_family(name), default_out_grid()
     plan = FitPlan.for_family(fam, GRID, "gqls")
@@ -671,7 +714,7 @@ def test_drawn_ahead_null_equals_a_serial_reference(name, n):
         if B == 1000:
             assert B % rows
         want = _serial_null(fam, plan, plan_out, n, 21, B, pos, cols)
-        got = gof._bootstrap_null(fam, plan, plan_out, n, (21,), B, pos, cols)
+        got = _null(fam, plan, plan_out, n, (21,), B, pos, cols)
         assert got.tobytes() == want.tobytes(), B
         res = bootstrap_pvalue(data, fam, GRID, out_grid, B=B, seed=21)
         assert res.b_replicates == want.size
@@ -714,7 +757,7 @@ def test_an_error_in_the_spacing_draws_reaches_the_caller(monkeypatch):
     with pytest.raises(RuntimeError, match="second spacing block") as first:
         bootstrap_pvalue(data, fam, GRID, B=1000, seed=4)
     with pytest.raises(RuntimeError, match="second spacing block") as second:
-        gof._bootstrap_null(fam, plan, plan_out, n, (4,), 1000, pos, cols)
+        _null(fam, plan, plan_out, n, (4,), 1000, pos, cols)
     assert not _helper_threads(), (first, second)  # joined while the errors live
     assert [len(gen.threads) for gen in made] == [2, 2]
 
@@ -739,7 +782,7 @@ def test_an_error_in_the_block_statistics_stops_the_draws(monkeypatch):
     with pytest.raises(ZeroDivisionError, match="second block") as first:
         bootstrap_pvalue(data, fam, GRID, B=1000, seed=5)
     with pytest.raises(ZeroDivisionError, match="second block") as second:
-        gof._bootstrap_null(fam, plan, plan_out, n, (5,), 1000, pos, cols)
+        _null(fam, plan, plan_out, n, (5,), 1000, pos, cols)
     assert not _helper_threads(), (first, second)  # joined while the errors live
     assert len(calls) == 4
 

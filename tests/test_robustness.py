@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qls.families import FAMILIES, Params, get_family
+from qls.efficiency import standardized_cov
+from qls.families import FAMILIES, ParamMode, Params, get_family
 from qls.quantiles import make_grid
 from qls.robustness import (
     breakdown_point,
@@ -162,3 +163,37 @@ def test_influence_curve_straddles_jumps():
     for j in curve.jumps:
         assert np.any(np.isclose(curve.x, j - eps, rtol=0, atol=1e-15))
         assert np.any(np.isclose(curve.x, j + eps, rtol=0, atol=1e-15))
+
+
+def test_influence_is_nan_at_a_nan_point():
+    # NaN compares false with every jump; it must not read as the influence
+    # at +inf
+    fam, params = get_family("logistic"), Params(0.5, 2.0)
+    assert math.isnan(if_quantile(float("nan"), 0.3, fam, params))
+    got = if_quantile(np.array([-1.0, np.nan, 4.0]), 0.3, fam, params)
+    assert np.isnan(got[1])
+    assert got[[0, 2]].tolist() == if_quantile(np.array([-1.0, 4.0]), 0.3, fam, params).tolist()
+    for kind in ("gqls", "oqls"):
+        assert all(math.isnan(v) for v in if_estimator(float("nan"), kind, fam, params, GRID))
+        xs = np.array([-30.0, np.nan, 0.1, 30.0])
+        want = if_estimator(xs[[0, 2, 3]], kind, fam, params, GRID)
+        for got, ref in zip(if_estimator(xs, kind, fam, params, GRID), want):
+            assert np.isnan(got[1])
+            np.testing.assert_allclose(got[[0, 2, 3]], ref, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@pytest.mark.parametrize("kind", ["gqls", "oqls"])
+def test_influence_second_moment_equals_the_standardized_covariance(name, kind):
+    # E[IF IF'] over the standard member, exactly: the influence is constant
+    # on each of the k + 1 intervals between the level quantiles, so it is
+    # the sum of (p_j - p_(j-1)) IF_j IF_j', IF_j taken at Q0 of the
+    # interval's middle level; it equals the asymptotic covariance C
+    fam = get_family(name)
+    for grid in (GRID, make_grid(0.10, 0.90, 9), make_grid(0.02, 0.98, 40)):
+        edges = np.concatenate(([0.0], grid.levels, [1.0]))
+        mid = fam.qf((edges[:-1] + edges[1:]) / 2)
+        ifs = np.stack(if_estimator(mid, kind, fam, Params(0.0, 1.0), grid))
+        second = (ifs * np.diff(edges)) @ ifs.T
+        cov = standardized_cov(kind, fam, grid, ParamMode.LOCATION_SCALE)
+        assert np.max(np.abs(second - cov)) <= 1e-12 * np.max(np.abs(cov)), grid

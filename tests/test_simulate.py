@@ -1,6 +1,7 @@
 import sys
 import threading
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +249,38 @@ def test_sampling_checks_size_and_scales():
                           contaminant_params=Params(0.0, -1.0), epsilon=1.0)
 
 
+@pytest.mark.parametrize("params", [Params(float("inf"), 1.0), Params(float("nan"), 1.0),
+                                    Params(0.0, float("inf")), Params(1e300, float("nan"))])
+def test_non_finite_parameters_are_refused_before_any_draw(params, monkeypatch):
+    # no inf or NaN draw and no numpy RuntimeWarning: the sampler, a
+    # contaminated sample, a study and a power table refuse the parameters
+    # before the generator is touched
+    class Untouched:
+        def __getattr__(self, name):
+            raise AssertionError(f"drew from the generator ({name})")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the parameters were checked")
+
+    monkeypatch.setattr(gof, "_spacings", no_work)
+    spec = clean(mu=params.mu, sigma=params.sigma)
+    match = "mu and sigma finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=match):
+            NORMAL.sample(params, 10, Untouched())
+        with pytest.raises(DomainError, match=match):
+            sample_contaminated(spec, 10, Untouched())
+        with pytest.raises(DomainError, match=match):
+            run_mc(McConfig(spec=spec, n=20, m=3, estimators=(EstimatorSpec("gqls", GRID),)))
+        for test in ("w", "wout"):
+            with pytest.raises(DomainError, match=match):
+                run_power_study([NORMAL], [spec], [GRID], n=20, m=3, test=test, B=10)
+        with pytest.raises(DomainError, match=match):
+            ContaminationSpec(base_family=NORMAL, contaminant_family=NORMAL,
+                              contaminant_params=params, epsilon=0.1)
+
+
 @pytest.mark.parametrize("sigma", [-1.0, 0.0, float("nan")])
 def test_a_contaminant_that_cannot_be_sampled_is_refused_up_front(sigma):
     # at epsilon = 0.01 a sample of 5 rarely draws a contaminated entry, so
@@ -466,18 +499,23 @@ def test_wout_cell_data_equal_single_draws(monkeypatch):
     n, m, B, cell_seed = 300, 500, 50, (2 ** 33 + 5, 1, 0, 2)
     spec = contaminated(0.1)
     out_grid = gof.default_out_grid()
-    nulls = []
-    bootstrap_null = gof._bootstrap_null
+    sources, nulls = [], []
+    spacings, make_nulls = gof._spacings, gof._nulls
+
+    def record_source(*args):
+        sources.append(args)
+        return spacings(*args)
 
     def record(*args, **kwargs):
-        nulls.append((args, bootstrap_null(*args, **kwargs)))
-        return nulls[-1][1]
+        nulls.append(make_nulls(*args, **kwargs))
+        return nulls[-1]
 
-    monkeypatch.setattr(gof, "_bootstrap_null", record)
+    monkeypatch.setattr(gof, "_spacings", record_source)
+    monkeypatch.setattr(gof, "_nulls", record)
     pvals = _cell_pvalues(NORMAL, spec, GRID, out_grid, n, m, B, cell_seed, "wout")[0]
-    assert len(nulls) == 1
-    args, null = nulls[0]
-    assert args[4] == cell_seed and args[5] == B and len(null) == B
+    assert len(sources) == len(nulls) == 1 and len(nulls[0]) == 1
+    args, null = sources[0], nulls[0][0]
+    assert args[1] == cell_seed and args[2] == B and len(null) == B
     for r, data in enumerate(_stream_rows(spec, n, cell_seed, m)):
         fit = fit_sample(data, NORMAL, GRID, "gqls")
         stat = gof.w_out_statistic(data, fit, NORMAL, out_grid)
@@ -508,9 +546,9 @@ def test_wout_cell_holds_its_level_under_h0():
 
 def test_wout_cell_with_a_failed_null_fails_every_replicate(monkeypatch):
     def degenerate(*args, **kwargs):
-        raise BootstrapDegenerate("all failed")
+        return [BootstrapDegenerate("all failed")]
 
-    monkeypatch.setattr(gof, "_bootstrap_null", degenerate)
+    monkeypatch.setattr(gof, "_nulls", degenerate)
     cells = run_power_study([NORMAL], [clean()], [GRID], n=100, m=9, test="wout", B=20,
                             seed=1)
     assert cells[0].failures == 9 and np.isnan(cells[0].rejection_rate)
@@ -526,7 +564,7 @@ def test_power_study_refuses_bad_arguments_before_any_draw(bad, match, monkeypat
         raise AssertionError("work started before the arguments were checked")
 
     monkeypatch.setattr(simulate, "_run_blocks", no_work)
-    monkeypatch.setattr(gof, "_bootstrap_null", no_work)
+    monkeypatch.setattr(gof, "_spacings", no_work)
     kwargs = {**dict(n=100, m=5, test="w", B=20, seed=1), **bad}
     with pytest.raises(DomainError, match=match):
         run_power_study([NORMAL], [clean()], [GRID], **kwargs)
