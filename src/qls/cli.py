@@ -11,7 +11,6 @@ import argparse
 import contextlib
 import csv
 import errno
-import functools
 import io
 import json
 import os
@@ -293,7 +292,7 @@ def _gof_one(fam, y, args, grid, bootstrap) -> dict:
         row.update({"test": "w", "statistic": res.statistic, "dof": res.dof,
                     "p_value": res.p_value})
     else:
-        res = bootstrap()
+        res = next(bootstrap)
         shown_p = res.p_value if res.p_value > 0 else 1.0 / res.b_replicates
         row.update({"test": "wout", "statistic": res.statistic,
                     "B": res.b_replicates, "p_value": res.p_value,
@@ -315,10 +314,9 @@ def _cmd_gof(args) -> int:
             if args.family.strip().lower() == "all" else [get_family(args.family)])
     y = empirical_quantiles(data.values, grid)
     # every family's bootstrap, from one sort and one draw, made in the first one's turn
-    boot = functools.cache(lambda: gof_mod._bootstrap_pvalues(
-        data.values, fams, grid, gof_mod.make_out_grid(args.out_levels), B=args.B,
-        seed=args.seed))
-    rows = [_gof_one(fam, y, args, grid, lambda: next(boot())) for fam in fams]
+    bootstrap = gof_mod._bootstrap_pvalues(data.values, fams, grid, args.out_levels, B=args.B,
+                                           seed=args.seed)
+    rows = [_gof_one(fam, y, args, grid, bootstrap) for fam in fams]
     _emit_rows(rows, args.format, args.out)
     return EXIT_OK
 

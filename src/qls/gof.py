@@ -328,10 +328,11 @@ def _bootstrap_pvalues(data, fams, grid: QuantileGrid, out_grid: QuantileGrid | 
                        max_failure_fraction: float = 0.10):
     """Yield ``bootstrap_pvalue`` under each family of ``fams`` in turn, all
     made from one sort of the data and one draw of spacings before the
-    first; a family's error is raised in its turn."""
+    first; a family's error is raised in its turn.  ``out_grid`` may also be
+    raw levels, made a grid (``make_out_grid``) at the first item."""
     check_seed(seed)
     _check_replicates(B)
-    out_grid = default_out_grid() if out_grid is None else out_grid
+    out_grid = out_grid if isinstance(out_grid, QuantileGrid) else make_out_grid(out_grid)
     data = np.asarray(data, dtype=float).ravel()
     n = data.shape[0]
     pos, cols, tags = _positions(n, grid, out_grid)

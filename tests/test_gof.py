@@ -555,16 +555,18 @@ def test_bootstrap_null_is_pivotal(name, t, j, seed):
     # W_out of a replicate drawn at (mu, sigma) = (t 2^j, 2^j) equals the
     # statistic the standard-form draw gives, within 1e-10 relative: the
     # test forms the (mu, sigma) draws from the same gamma spacings itself,
-    # and refits and tests them on the plans directly; the null is sorted,
-    # so the statistics are compared sorted
+    # and refits and tests them on the plans directly
     fam = get_family(name)
     sigma = math.ldexp(1.0, j)
     params = Params(t * sigma, sigma)
     plan = FitPlan.for_family(fam, GRID, "gqls")
     plan_out = FitPlan.for_family(fam, default_out_grid(), "gqls")
     pos, cols = _PIVOT_POS, _PIVOT_COLS
-    standard = _null(fam, plan, plan_out, _PIVOT_N, (seed,), _PIVOT_B, pos, cols)
-    assert len(standard) == _PIVOT_B
+    (y_fit, y_out), = _bootstrap_blocks(fam, _PIVOT_N, (seed,), _PIVOT_B, GRID,
+                                        default_out_grid())
+    assert len(y_fit) == _PIVOT_B
+    beta = plan.solve(y_fit)
+    standard = plan_out.w_statistics(y_out, beta, _PIVOT_N)
     shapes = np.diff(np.concatenate(([0], pos + 1, [_PIVOT_N + 1]))).astype(float)
     rng = np.random.default_rng([seed, _BOOTSTRAP_KEY])
     g = np.cumsum(rng.standard_gamma(shapes, size=(_PIVOT_B, shapes.size)), axis=1)
@@ -573,7 +575,10 @@ def test_bootstrap_null_is_pivotal(name, t, j, seed):
     assert np.all(beta[:, 1] > 0)
     scaled = plan_out.w_statistics(x[:, cols[1]], beta, _PIVOT_N)
     assert np.all(np.isfinite(standard)) and np.all(standard > 0)
-    np.testing.assert_allclose(np.sort(scaled), standard, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(scaled, standard, rtol=1e-10, atol=0)
+    # the null that _nulls returns is these statistics, sorted
+    null = _null(fam, plan, plan_out, _PIVOT_N, (seed,), _PIVOT_B, pos, cols)
+    assert np.array_equal(null, np.sort(standard))
 
 
 def test_bootstrap_refuses_fewer_than_one_replicate(monkeypatch):
