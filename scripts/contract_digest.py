@@ -17,11 +17,15 @@ inputs, or of the name of the error it raises:
   fit_sample/...      fits of every method in every mode
   are/..., influence/...
   bootstrap/...       bootstrap_pvalue results (n = 500, B = 200, one or two
-                      blocks; and logistic at n = 10000, B = 1000, six blocks)
+                      blocks; logistic at n = 10000, B = 1000, six blocks;
+                      and rounded, heavily tied data at n = 60, where the
+                      out-levels clamp, so the order of the tags counts)
   power/...           w and wout power tables at n = 50 and 1000
   gof_all/...         exit code, stdout and stderr of qls gof --family all
                       (w, and wout at B = 1000) on a file of 80 values and a
                       header, so that the reader and the out-levels warn
+  gof/...             the same, per family of --family all, and one wout run
+                      with --out-levels
   fit_big/...         fit_sample on 2^18 + 3 values (the split sort)
   matrix/...          w_test, q_decomposition, residual_analysis,
                       asymptotic_cov and qls_weights on caller matrices
@@ -43,7 +47,7 @@ import tempfile
 
 import numpy as np
 
-from qls.cli import _Parser
+from qls.cli import ALL_GOF_FAMILIES, _Parser
 from qls.cli import main as qls_main
 from qls.efficiency import are, are_table
 from qls.errors import QlsError
@@ -129,10 +133,11 @@ def _influence(name: str, kind: str) -> str:
     return _digest(curve.x, curve.if_mu, curve.if_sigma, curve.jumps)
 
 
-def _bootstrap(name: str, out_levels, n: int = 500, B: int = 200) -> str:
+def _bootstrap(name: str, out_levels, n: int = 500, B: int = 200, tied: bool = False) -> str:
     out_grid = None if out_levels is None else make_out_grid(out_levels)
-    return _digest(bootstrap_pvalue(_sample(name, n, 11), get_family(name), GRID, out_grid,
-                                    B=B, seed=3))
+    data = _sample(name, n, 11)
+    return _digest(bootstrap_pvalue(np.round(data) if tied else data, get_family(name), GRID,
+                                    out_grid, B=B, seed=3))
 
 
 def _power(test: str, n: int) -> str:
@@ -145,15 +150,15 @@ def _power(test: str, n: int) -> str:
     return _digest(cells)
 
 
-def _gof_all(test: str) -> str:
+def _gof(family: str, test: str, *options: str) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "data.csv"
         path.write_text("value\n" + "".join(f"{v:.17g}\n" for v in _sample("logistic", 80, 19)),
                         encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = qls_main(["gof", "--family", "all", "--data", str(path), "--test", test,
-                             "--B", "1000", "--seed", "23"])
+            code = qls_main(["gof", "--family", family, "--data", str(path), "--test", test,
+                             "--B", "1000", "--seed", "23", *options])
     return _digest(code, out.getvalue(), err.getvalue())
 
 
@@ -213,11 +218,17 @@ def catalogue() -> dict:
     # the benchmark's shape: six blocks of spacings
     entries["bootstrap/logistic/default/n=10000/B=1000"] = (_bootstrap, "logistic", None,
                                                              10_000, 1000)
+    entries["bootstrap/tied/logistic/default/n=60"] = (_bootstrap, "logistic", None, 60, 200,
+                                                       True)
     for test in ("w", "wout"):
         for n in (50, 1000):
             entries[f"power/{test}/n={n}"] = (_power, test, n)
     for test in ("w", "wout"):
-        entries[f"gof_all/{test}"] = (_gof_all, test)
+        entries[f"gof_all/{test}"] = (_gof, "all", test)
+        for name in ALL_GOF_FAMILIES:
+            entries[f"gof/{name}/{test}"] = (_gof, name, test)
+    entries["gof/logistic/wout/out-levels"] = (_gof, "logistic", "wout", "--out-levels",
+                                               "0.1,0.3,0.5,0.7,0.9")
     for method in ("gqls", "oqls"):
         entries[f"fit_big/logistic/{method}"] = (_fit_big, method)
     for name in ("normal", "gumbel"):

@@ -23,9 +23,9 @@ import numpy as np
 from . import gof as gof_mod
 from .efficiency import are_table
 from .errors import DomainError, InvalidGrid, QlsError
-from .estimators import FitPlan, fit_gqls, fit_sample
+from .estimators import fit_sample
 from .families import FAMILIES, Params, check_seed, get_family, parse_mode
-from .quantiles import QuantileGrid, empirical_quantiles, make_grid
+from .quantiles import QuantileGrid, make_grid
 from .robustness import breakdown_point, influence_curve
 from .simulate import (
     ContaminationSpec,
@@ -281,42 +281,29 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _gof_one(fam, y, args, grid, bootstrap) -> dict:
-    plan = FitPlan.for_family(fam, grid, "gqls")
-    fit = fit_gqls(y, plan.x, None, plan=plan)
-    for tag in fit.warnings:  # the gof rows have no warnings column
-        print(f"warning: {fam.name}: {tag}", file=sys.stderr)
-    row = {"family": fam.name, "mu": fit.mu, "sigma": fit.sigma}
-    if args.test == "w":
-        res = gof_mod.plan_w_test(plan, y, fit)
-        row.update({"test": "w", "statistic": res.statistic, "dof": res.dof,
-                    "p_value": res.p_value})
-    else:
-        res = next(bootstrap)
-        shown_p = res.p_value if res.p_value > 0 else 1.0 / res.b_replicates
-        row.update({"test": "wout", "statistic": res.statistic,
-                    "B": res.b_replicates, "p_value": res.p_value,
-                    "p_display": (f"<{shown_p:.4g}" if res.p_value == 0
-                                  else f"{res.p_value:.4g}")})
-    for tag in res.warnings:  # the out-levels' tags, which the fit does not see
-        if tag not in fit.warnings:
-            print(f"warning: {fam.name}: {tag}", file=sys.stderr)
-    row["reject"] = bool(res.p_value <= args.alpha)
-    return row
-
-
 def _cmd_gof(args) -> int:
     data = read_data(args.data)
     for warning in data.warnings:  # the gof rows have no warnings column
         print(f"warning: {warning}", file=sys.stderr)
-    grid = make_grid(args.a, args.b, args.k)
     fams = ([get_family(n) for n in ALL_GOF_FAMILIES]
             if args.family.strip().lower() == "all" else [get_family(args.family)])
-    y = empirical_quantiles(data.values, grid)
-    # every family's bootstrap, from one sort and one draw, made in the first one's turn
-    bootstrap = gof_mod._bootstrap_pvalues(data.values, fams, grid, args.out_levels, B=args.B,
-                                           seed=args.seed)
-    rows = [_gof_one(fam, y, args, grid, bootstrap) for fam in fams]
+    rows = []
+    for fam, (fit, res) in zip(fams, gof_mod._gof(
+            data.values, fams, make_grid(args.a, args.b, args.k), args.test, args.out_levels,
+            B=args.B, seed=args.seed)):
+        failed = isinstance(res, QlsError)
+        tags = (fit.warnings if fit else ()) + (() if failed else res.warnings)
+        for tag in dict.fromkeys(tags):  # the fit's, then the out-levels' (no warnings column)
+            print(f"warning: {fam.name}: {tag}", file=sys.stderr)
+        if failed:
+            raise res
+        count = {"dof": res.dof} if args.test == "w" else {"B": res.b_replicates}
+        row = {"family": fam.name, "mu": fit.mu, "sigma": fit.sigma, "test": args.test,
+               "statistic": res.statistic, **count, "p_value": res.p_value}
+        if args.test == "wout":
+            row["p_display"] = (f"<{1.0 / res.b_replicates:.4g}" if res.p_value == 0
+                                else f"{res.p_value:.4g}")
+        rows.append({**row, "reject": bool(res.p_value <= args.alpha)})
     _emit_rows(rows, args.format, args.out)
     return EXIT_OK
 

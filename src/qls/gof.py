@@ -17,17 +17,16 @@ raise ScaleOverflow when the observed statistic is not finite.
 """
 from __future__ import annotations
 
+import contextlib
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
-    WARN_TIED_QUANTILES,
     BootstrapDegenerate,
     DomainError,
     InsufficientDof,
-    NonFiniteData,
     NonPositiveScale,
     QlsError,
     ScaleOverflow,
@@ -37,9 +36,8 @@ from .families import Family, ParamMode, Params, check_seed
 from .quantiles import (
     QuantileGrid,
     _ahead,
-    _order_statistics,
     _positions,
-    _tied,
+    _read_sorted,
     empirical_quantiles,
     replicate_blocks,
 )
@@ -75,9 +73,10 @@ def default_out_grid() -> QuantileGrid:
 
 
 def make_out_grid(levels=None) -> QuantileGrid:
+    """The default out-levels, a grid itself (its plans kept), or a new grid of levels."""
     if levels is None:
         return default_out_grid()
-    return QuantileGrid(levels)
+    return levels if isinstance(levels, QuantileGrid) else QuantileGrid(levels)
 
 
 @dataclass(frozen=True)
@@ -203,11 +202,10 @@ def w_out_statistic(data, fit: QlsFit, fam: Family, out_grid: QuantileGrid,
                     n: int | None = None) -> float:
     """Out-of-sample quadratic form at the validation levels."""
     _require_gqls(fit, "the out-of-sample statistic")
-    data = np.asarray(data, dtype=float).ravel()
-    n_obs = data.shape[0] if n is None else int(n)
-    y_out = empirical_quantiles(data, out_grid).values
+    y_out = empirical_quantiles(data, out_grid)
     plan_out = FitPlan.for_family(fam, out_grid, "gqls")
-    return _observed(plan_out, y_out, (fit.mu, fit.sigma), n_obs, "W_out")
+    return _observed(plan_out, y_out.values, (fit.mu, fit.sigma),
+                     y_out.n if n is None else int(n), "W_out")
 
 
 def _row_statistics(plan: FitPlan, plan_out: FitPlan, y_fit: np.ndarray,
@@ -319,51 +317,60 @@ def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
     ``tied_quantiles`` when either reads one value at distinct ranks, and
     the tags of the fitted scale.
     """
-    return next(_bootstrap_pvalues(data, [fam], grid, out_grid, B, seed, alphas,
-                                   max_failure_fraction))
+    _, res = next(_gof(data, [fam], grid, "wout", out_grid, B, seed, alphas,
+                       max_failure_fraction))
+    if isinstance(res, QlsError):
+        raise res
+    return res
 
 
-def _bootstrap_pvalues(data, fams, grid: QuantileGrid, out_grid: QuantileGrid | None = None,
-                       B: int = 1000, seed: int = 0, alphas=DEFAULT_ALPHAS,
-                       max_failure_fraction: float = 0.10):
-    """Yield ``bootstrap_pvalue`` under each family of ``fams`` in turn, all
-    made from one sort of the data and one draw of spacings before the
-    first; a family's error is raised in its turn.  ``out_grid`` may also be
-    raw levels, made a grid (``make_out_grid``) at the first item."""
+def _gof(data, fams, grid: QuantileGrid, test: str, out_levels=None, B: int = 1000,
+         seed: int = 0, alphas=DEFAULT_ALPHAS, max_failure_fraction: float = 0.10):
+    """Yield per family of ``fams`` its joint gQLS fit at ``grid`` (no
+    covariance, so no sigma^2; None if its plan fails) and its ``plan_w_test``
+    (test "w") or ``bootstrap_pvalue`` at ``make_out_grid(out_levels)``, or
+    the QlsError it raised.  All come from one sort, made before the first
+    is yielded, after the checks that concern every family; for "wout" every
+    null comes from one draw of spacings, started before the sort."""
     check_seed(seed)
     _check_replicates(B)
-    out_grid = out_grid if isinstance(out_grid, QuantileGrid) else make_out_grid(out_grid)
-    data = np.asarray(data, dtype=float).ravel()
+    sets = (grid, make_out_grid(out_levels)) if test == "wout" else (grid,)
+    data = np.asarray(data, dtype=float).reshape(-1)
     n = data.shape[0]
-    pos, cols, tags = _positions(n, grid, out_grid)
-    results, tests = [], []
-    # the first spacings are drawn while the data are sorted and tested
-    with _spacings(n, (seed,), B, pos, cols) as spacings:
-        values, first, last = _order_statistics(data, pos)
-        if not (np.isfinite(first) and np.isfinite(last)):
-            raise NonFiniteData("bootstrap data hold NaN or infinite values")
-        warns = tags[0] + tags[1]
-        if any(_tied(values[c], c) for c in cols):
-            warns.append(WARN_TIED_QUANTILES)
+    pos, cols, tags = _positions(n, *sets)
+    pairs, tests = [], []
+    with (_spacings(n, (seed,), B, pos, cols) if test == "wout"
+          else contextlib.nullcontext()) as spacings:
+        values, tied = _read_sorted(data, pos, cols)
+        y = values[cols[0]]
         for fam in fams:
+            fit = None
             try:
-                plan, plan_out = (FitPlan.for_family(fam, g, "gqls") for g in (grid, out_grid))
-                beta0 = plan.solve(values[None, cols[0]])
-                if not beta0[0, 1] > 0:
-                    raise NonPositiveScale("gQLS fit on the data has non-positive scale")
-                results.append((_observed(plan_out, values[cols[1]], beta0, n, "W_out"),
-                                [*warns, *_scale_tags(float(beta0[0, 1]))]))
+                plan = FitPlan.for_family(fam, grid, "gqls")
+                beta = plan.solve(y[None, :])
+                fit = QlsFit(kind="gqls", params=Params(*map(float, beta[0])),
+                             mode=ParamMode.LOCATION_SCALE,
+                             warnings=(*tags[0], *tied[0], *_scale_tags(float(beta[0, 1]))))
+                if test == "w":
+                    pairs.append((fit, plan_w_test(plan, y, fit, n, alphas)))
+                    continue
+                plan_out = FitPlan.for_family(fam, sets[1], "gqls")
+                _require_gqls(fit, "the out-of-sample test")
+                pairs.append((fit, _observed(plan_out, values[cols[1]], beta, n, "W_out")))
                 tests.append((fam, plan, plan_out))
             except QlsError as exc:
-                results.append(exc)
+                pairs.append((fit, exc))
         nulls = iter(_nulls(tests, n, B, spacings, cols, max_failure_fraction))
-    for res in results:
-        null = res if isinstance(res, QlsError) else next(nulls)
-        if isinstance(null, QlsError):
-            raise null
-        observed, fam_warns = res
-        p = float(_exceedance(null, observed))
-        yield GofResult(statistic=observed, kind="out-of-sample", p_value=p,
-                        b_replicates=null.size, failures=B - null.size,
-                        decision_at={a: p <= a for a in alphas},
-                        warnings=tuple(dict.fromkeys(fam_warns)))
+    for fit, res in pairs:
+        if isinstance(res, float):  # an observed W_out and its family's null
+            null = next(nulls)
+            if isinstance(null, QlsError):
+                res = null
+            else:
+                p = float(_exceedance(null, res))
+                res = GofResult(statistic=res, kind="out-of-sample", p_value=p,
+                                b_replicates=null.size, failures=B - null.size,
+                                decision_at={a: p <= a for a in alphas},
+                                warnings=tuple(dict.fromkeys(
+                                    [*tags[0], *tags[1], *tied[0], *tied[1], *fit.warnings])))
+        yield fit, res

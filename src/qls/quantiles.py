@@ -80,7 +80,7 @@ class QuantileGrid(_Value):
     levels: np.ndarray
 
     def __post_init__(self):
-        levels = levels_of(np.array(self.levels, dtype=float), interior=True)
+        levels = np.array(levels_of(self.levels, interior=True))  # a grid's levels, copied
         levels.setflags(write=False)
         self.__dict__.update(levels=levels, a=float(levels[0]), b=float(levels[-1]),
                              k=levels.shape[0], _plans={})
@@ -111,11 +111,14 @@ def make_grid(a: float, b: float, k: int) -> QuantileGrid:
 def levels_of(grid, interior: bool = False) -> np.ndarray:
     """The levels of a QuantileGrid, as checked when it was made, or of a
     raw level array, checked here: InvalidGrid unless they form a non-empty,
-    strictly increasing 1-D array, all in [0, 1], or in (0, 1) and with a
-    finite reciprocal of every gap of [0, p, 1] when ``interior``."""
+    strictly increasing 1-D array of numbers, all in [0, 1], or in (0, 1) and
+    with a finite reciprocal of every gap of [0, p, 1] when ``interior``."""
     if isinstance(grid, QuantileGrid):
         return grid.levels
-    levels = np.asarray(grid, dtype=float)
+    try:
+        levels = np.asarray(grid, dtype=float)
+    except (TypeError, ValueError):  # a string, a ragged list, a complex number, an object
+        raise InvalidGrid(f"levels must be numbers, got {type(grid).__name__}") from None
     if levels.ndim != 1 or levels.size == 0:
         raise InvalidGrid("levels must be a non-empty 1-D array")
     steps = np.diff(levels)
@@ -340,30 +343,29 @@ def _order_statistics(data: np.ndarray, positions: np.ndarray) -> tuple[np.ndarr
     return values, float(np.fmin(a[0], b[0])), float(np.maximum(a[-1], b[-1]))
 
 
-def _tied(values: np.ndarray, cols: np.ndarray) -> bool:
-    """Whether two levels at distinct ranks, columns ``cols`` of the union
-    (``_positions``), read equal values (the ``tied_quantiles`` tag)."""
-    return bool(((np.diff(values) == 0.0) & (np.diff(cols) != 0)).any())
-
-
-def empirical_quantiles(sample, grid) -> QuantileResponse:
-    """Extract the ceil(n*p)-th order statistics at each grid level, as a
-    full sort would give them (``_order_statistics``).  Raises NonFiniteData
-    when the sample holds NaN or an infinity; tags the response
-    ``tied_quantiles`` when two levels at distinct ranks read equal values."""
-    data = np.asarray(sample, dtype=float)
-    if data.ndim != 1:
-        data = data.ravel()
-    n = data.shape[0]
-    pos, (cols,), (warns,) = _positions(n, grid)
+def _read_sorted(data: np.ndarray, pos: np.ndarray,
+                 cols: list[np.ndarray]) -> tuple[np.ndarray, list[tuple[str, ...]]]:
+    """The values of the 1-D ``data`` at the union positions ``pos`` of one
+    sort (``_order_statistics``), and per level set, columns ``cols[s]`` of
+    the union (``_positions``), its ``tied_quantiles`` tag if two of its
+    levels at distinct ranks read one value.  NonFiniteData for NaN or inf."""
     values, first, last = _order_statistics(data, pos)
     if not (np.isfinite(first) and np.isfinite(last)):
         raise NonFiniteData(
             f"sample holds NaN or infinite values (sorted from {first} to {last})")
-    values = values[cols]
-    if _tied(values, cols):
-        warns.append(WARN_TIED_QUANTILES)
-    return QuantileResponse(values=values, n=n, warnings=tuple(warns))
+    tied = [((np.diff(values[c]) == 0.0) & (np.diff(c) != 0)).any() for c in cols]
+    return values, [(WARN_TIED_QUANTILES,) if t else () for t in tied]
+
+
+def empirical_quantiles(sample, grid) -> QuantileResponse:
+    """Extract the ceil(n*p)-th order statistics at each grid level, as a
+    full sort would give them (``_read_sorted``).  Raises NonFiniteData
+    when the sample holds NaN or an infinity; tags the response
+    ``tied_quantiles`` when two levels at distinct ranks read equal values."""
+    data = np.asarray(sample, dtype=float).reshape(-1)  # a view of any 1-D array
+    pos, (cols,), (warns,) = _positions(data.shape[0], grid)
+    values, (tied,) = _read_sorted(data, pos, [cols])
+    return QuantileResponse(values=values[cols], n=data.shape[0], warnings=(*warns, *tied))
 
 
 def level_density(fam: Family, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -371,13 +372,106 @@ def test_gof_all_reports_a_familys_error_in_its_turn(capsys, monkeypatch, tmp_pa
     assert err.splitlines() == single_err[:3] and "laplace: no density" in err
 
 
-def test_gof_all_bad_out_levels_come_after_the_first_fits_tags(capsys, tmp_path):
+def test_gof_all_bad_out_levels_are_one_usage_error_before_any_family(capsys, tmp_path):
+    # the out-levels join the estimation levels in the one sort, so they are
+    # checked before any family is fitted: no family's tags come first
     few = _write(tmp_path, "few.csv", [0.3, -1.2, 0.8, 2.1, -0.4])
     args = ("--data", few, "--test", "wout", "--out-levels", "0.5,0.2")
-    code, _, err = run_cli(capsys, "gof", "--family", "all", *args)
+    code, out, err = run_cli(capsys, "gof", "--family", "all", *args)
     single = run_cli(capsys, "gof", "--family", "cauchy", *args)
-    assert code == single[0] == 1 and err == single[2]
-    assert err.splitlines()[0].startswith("warning: cauchy: ")
+    assert code == single[0] == 1 and out == single[1] == "" and err == single[2]
+    assert err.splitlines() == ["qls: usage error: levels must be strictly increasing"]
+
+
+@pytest.mark.parametrize("test", ["w", "wout"])
+def test_gof_sorts_once_and_solves_each_family_once(capsys, monkeypatch, tmp_path, test):
+    # one sort serves the fit and the bootstrap; each family's fit is one
+    # single-row solve (the bootstrap null's refits are blocks of rows)
+    data = _write(tmp_path, "n.csv", get_family("normal").sample(
+        Params(), 2000, np.random.default_rng(4)))
+    sorts, solves = [], []
+    order_statistics, solve = quantiles_mod._order_statistics, FitPlan.solve
+
+    def sort_spy(data, positions):
+        sorts.append(data.shape[0])
+        return order_statistics(data, positions)
+
+    def solve_spy(self, y, *args, **kwargs):
+        if y.shape[0] == 1:
+            solves.append(self)
+        return solve(self, y, *args, **kwargs)
+
+    monkeypatch.setattr(quantiles_mod, "_order_statistics", sort_spy)
+    monkeypatch.setattr(FitPlan, "solve", solve_spy)
+    code, out, _ = run_cli(capsys, "gof", "--family", "all", "--data", data, "--test", test,
+                           "--B", "300", "--format", "csv")
+    assert code == 0 and len(out.splitlines()) == 6
+    assert sorts == [2000]
+    assert len(solves) == len(set(map(id, solves))) == 5
+
+
+def test_gof_w_draws_nothing_and_starts_no_thread(capsys, monkeypatch, tmp_path):
+    data = _write(tmp_path, "n.csv", get_family("normal").sample(
+        Params(), 2000, np.random.default_rng(4)))
+    want = run_cli(capsys, "gof", "--family", "all", "--data", data)
+    started = []
+    start = threading.Thread.start
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the w test drew bootstrap spacings")
+
+    def start_spy(self):
+        started.append(self.name)
+        return start(self)
+
+    monkeypatch.setattr(gof_mod, "_spacings", no_draw)
+    monkeypatch.setattr(threading.Thread, "start", start_spy)
+    assert run_cli(capsys, "gof", "--family", "all", "--data", data) == want
+    assert want[0] == 0 and started == []
+
+
+@pytest.mark.parametrize("test", ["w", "wout"])
+def test_gof_answers_on_data_whose_squared_scale_leaves_the_float_range(capsys, tmp_path, test):
+    # the gof fit forms no sigma^2: at 2^600 it would overflow and at 2^-600
+    # underflow, yet W and W_out divide each residual by sigma, so the
+    # statistics and p-values are the bits of the unscaled data, and the fit
+    # scales exactly
+    values = get_family("logistic").sample(Params(1.0, 2.0), 300, np.random.default_rng(12))
+    args = ("gof", "--family", "all", "--test", test, "--B", "200", "--format", "json")
+    code, out, _ = run_cli(capsys, *args, "--data", _write(tmp_path, "x.csv", values))
+    assert code == 0
+    want = json.loads(out)
+    for power in (600, -600):
+        scaled = _write(tmp_path, f"x{power}.csv", np.ldexp(values, power))
+        code, out, _ = run_cli(capsys, *args, "--data", scaled)
+        assert code == 0
+        rows = json.loads(out)
+        assert [row["family"] for row in rows] == list(cli.ALL_GOF_FAMILIES)
+        for row, ref in zip(rows, want):
+            assert row["mu"] == np.ldexp(ref["mu"], power)
+            assert row["sigma"] == np.ldexp(ref["sigma"], power)
+            assert (row["statistic"], row["p_value"]) == (ref["statistic"], ref["p_value"])
+        if power > 0:  # qls fit forms the covariance, whose sigma^2 overflows
+            code, _, err = run_cli(capsys, "fit", "--family", "logistic", "--data", scaled)
+            assert code == 3 and "ScaleOverflow" in err
+
+
+def test_gof_a_failed_out_level_plan_comes_after_the_fits_tags(capsys, monkeypatch, tmp_path):
+    few = _write(tmp_path, "few.csv", [0.3, -1.2, 0.8, 2.1, -0.4])
+    for_family = FitPlan.for_family.__func__
+
+    def failing(cls, fam, grid, kind):
+        if grid.k == 50:  # the default out-levels
+            raise DegenerateDensity(f"{fam.name}: no density")
+        return for_family(cls, fam, grid, kind)
+
+    monkeypatch.setattr(FitPlan, "for_family", classmethod(failing))
+    code, out, err = run_cli(capsys, "gof", "--family", "all", "--data", few, "--test", "wout",
+                             "--B", "50")
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["warning: cauchy: rank_clamped_to_first_order_statistic",
+                                "warning: cauchy: degenerate_grid",
+                                "qls: DegenerateDensity: cauchy: no density"]
 
 
 def test_gof_all_draws_one_spacing_sequence(capsys, monkeypatch, tmp_path):
@@ -429,7 +523,7 @@ def test_families_write_only_their_clip_into_the_shared_uniforms(monkeypatch, tm
         return x
 
     monkeypatch.setattr(families_mod.Family, "_from_uniform", spy)
-    list(gof_mod._bootstrap_pvalues(data, fams, make_grid(0.05, 0.95, 25), B=500, seed=2))
+    list(gof_mod._gof(data, fams, make_grid(0.05, 0.95, 25), "wout", B=500, seed=2))
     names = [name for _, _, name in seen]
     assert names == list(cli.ALL_GOF_FAMILIES) * (len(names) // 5) and len(names) > 5
 

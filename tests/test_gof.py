@@ -587,7 +587,7 @@ def test_bootstrap_refuses_fewer_than_one_replicate(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before B was checked")
 
-    monkeypatch.setattr("qls.gof._order_statistics", no_work)
+    monkeypatch.setattr("qls.gof._read_sorted", no_work)
     for B in (0, -5):
         with pytest.raises(DomainError, match="at least one"):
             bootstrap_pvalue(data, NORMAL, GRID, B=B, seed=1)
@@ -601,7 +601,7 @@ def test_bootstrap_refuses_a_replicate_count_that_is_no_integer(B, monkeypatch):
         raise AssertionError("work started before B was checked")
 
     monkeypatch.setattr(gof, "_spacings", no_work)
-    monkeypatch.setattr(gof, "_order_statistics", no_work)
+    monkeypatch.setattr(gof, "_read_sorted", no_work)
     with pytest.raises(DomainError, match="integer"):
         bootstrap_pvalue(np.arange(50.0), NORMAL, GRID, B=B, seed=1)
     with pytest.raises(DomainError, match="integer"):

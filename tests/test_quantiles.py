@@ -107,6 +107,25 @@ def test_grids_and_responses_compare_by_value():
         assert resp != other
 
 
+def test_a_grid_of_a_grid_copies_it_and_non_numeric_levels_are_an_invalid_grid():
+    grid = make_grid(0.1, 0.9, 5)
+    FitPlan.for_family(get_family("normal"), grid, "gqls")
+    copy = quantiles.QuantileGrid(grid)
+    assert copy == grid and copy is not grid and not copy._plans
+    assert copy.levels is not grid.levels and not copy.levels.flags.writeable
+    assert make_out_grid(grid) is grid  # its plans are kept
+    data = np.arange(50.0)
+    for bad in ("abc", ["0.1", "x"], {"a": 0.5}, object(), [0.1, [0.2]], [0.1, 1j]):
+        with pytest.raises(InvalidGrid):
+            quantiles.QuantileGrid(bad)
+        with pytest.raises(InvalidGrid):
+            make_out_grid(bad)
+        with pytest.raises(InvalidGrid):
+            empirical_quantiles(data, bad)
+        with pytest.raises(InvalidGrid):
+            bootstrap_pvalue(data, get_family("normal"), make_grid(0.05, 0.95, 9), bad, B=10)
+
+
 def test_empirical_quantiles_rank_convention():
     data = np.arange(1.0, 11.0)  # order statistics are 1..10
     resp = empirical_quantiles(data, [0.25])

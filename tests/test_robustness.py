@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qls.efficiency import standardized_cov
+from qls.errors import DomainError
 from qls.families import FAMILIES, ParamMode, Params, get_family
 from qls.quantiles import make_grid
 from qls.robustness import (
@@ -177,9 +178,24 @@ def test_influence_is_nan_at_a_nan_point():
         assert all(math.isnan(v) for v in if_estimator(float("nan"), kind, fam, params, GRID))
         xs = np.array([-30.0, np.nan, 0.1, 30.0])
         want = if_estimator(xs[[0, 2, 3]], kind, fam, params, GRID)
-        for got, ref in zip(if_estimator(xs, kind, fam, params, GRID), want):
+        alone = [if_estimator(x, kind, fam, params, GRID) for x in xs[[0, 2, 3]]]
+        for got, ref, single in zip(if_estimator(xs, kind, fam, params, GRID), want,
+                                    zip(*alone)):
             assert np.isnan(got[1])
-            np.testing.assert_allclose(got[[0, 2, 3]], ref, rtol=1e-14, atol=0)
+            # a point's influence is the same bits in any batch and alone
+            assert got[[0, 2, 3]].tobytes() == ref.tobytes() == np.array(single).tobytes()
+
+
+def test_influence_refuses_parameters_of_no_distribution():
+    # the influence reads each point's interval between the jumps
+    # mu + sigma Q0(p), which increase only for a finite mu and 0 < sigma < inf
+    fam = get_family("logistic")
+    for params in (Params(0.0, 0.0), Params(0.0, -1.0), Params(0.0, math.inf),
+                   Params(math.nan, 1.0), Params(-math.inf, 1.0), Params(0.0, math.nan)):
+        with pytest.raises(DomainError):
+            if_estimator(0.5, "gqls", fam, params, GRID)
+        with pytest.raises(DomainError):
+            influence_curve("oqls", fam, params, GRID, (-1.0, 1.0))
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))

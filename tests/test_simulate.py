@@ -593,7 +593,7 @@ def test_negative_and_non_integer_seeds_are_refused_up_front(seed, monkeypatch):
         raise AssertionError("work started before the seed was checked")
 
     monkeypatch.setattr(simulate, "_run_blocks", no_work)
-    monkeypatch.setattr(gof, "_order_statistics", no_work)
+    monkeypatch.setattr(gof, "_read_sorted", no_work)
     with pytest.raises(InvalidSeed):
         McConfig(spec=clean(), n=10, m=2, estimators=(EstimatorSpec("mle"),), seed=seed)
     for test in ("w", "wout"):
