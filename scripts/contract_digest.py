@@ -3,7 +3,8 @@
 
 Writes, for each readable name of a fixed catalogue, the sha256 of the
 float64 bytes (or the repr) of what that call returns for fixed seeds and
-inputs, or of the name of the error it raises:
+inputs, or of the name of the error it raises; a test result is hashed by
+the name and repr of each field in GOF_FIELDS:
 
   run_mc/<study>/...  a study per family, epsilon (cauchy(1, 3) contaminant)
                       and n, with estimators labelled gqls and oqls (joint),
@@ -65,6 +66,9 @@ CONTAMINANT = (get_family("cauchy"), Params(1.0, 3.0))
 SCALE_ONLY_MLE = ("exponential", "levy")
 MODE_NAMES = {ParamMode.LOCATION_SCALE: "joint", ParamMode.LOCATION_ONLY: "location",
               ParamMode.SCALE_ONLY: "scale"}
+# what a test answers; a result is hashed by these fields, each by name, so
+# trees whose GofResult holds other fields beside them still compare
+GOF_FIELDS = ("statistic", "kind", "p_value", "dof", "b_replicates", "failures", "warnings")
 
 
 def _part(value) -> bytes:
@@ -79,6 +83,10 @@ def _digest(*parts) -> str:
         h.update(_part(part))
         h.update(b"\0")
     return h.hexdigest()
+
+
+def _gof_result(res) -> str:
+    return _digest(*((name, getattr(res, name)) for name in GOF_FIELDS))
 
 
 def _spec(name: str, epsilon: float) -> ContaminationSpec:
@@ -136,8 +144,8 @@ def _influence(name: str, kind: str) -> str:
 def _bootstrap(name: str, out_levels, n: int = 500, B: int = 200, tied: bool = False) -> str:
     out_grid = None if out_levels is None else make_out_grid(out_levels)
     data = _sample(name, n, 11)
-    return _digest(bootstrap_pvalue(np.round(data) if tied else data, get_family(name), GRID,
-                                    out_grid, B=B, seed=3))
+    return _gof_result(bootstrap_pvalue(np.round(data) if tied else data, get_family(name),
+                                        GRID, out_grid, B=B, seed=3))
 
 
 def _power(test: str, n: int) -> str:
@@ -173,7 +181,7 @@ def _matrix(name: str, what: str) -> str:
     y = empirical_quantiles(_sample(name, 400, 13), GRID)
     fit = fit_gqls(y, x, s)
     if what == "w_test":
-        return _digest(w_test(y, x, s, fit))
+        return _gof_result(w_test(y, x, s, fit))
     if what == "q_decomposition":
         return _digest(q_decomposition(y, x, s, Params(1.5, 2.0), fit))
     if what == "residual_analysis":

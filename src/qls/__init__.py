@@ -59,10 +59,8 @@ from .robustness import (
 from .efficiency import AreResult, are, are_curve, are_table
 from .gof import (
     GofResult,
-    OutGrid,
     bootstrap_pvalue,
     chi2_sf,
-    default_out_grid,
     make_out_grid,
     q_decomposition,
     residual_analysis,
@@ -105,7 +103,6 @@ __all__ = [
     "NonFiniteData",
     "NonPositiveScale",
     "NotPositiveDefinite",
-    "OutGrid",
     "ParamMode",
     "Params",
     "QlsError",
@@ -122,7 +119,6 @@ __all__ = [
     "bootstrap_pvalue",
     "breakdown_point",
     "chi2_sf",
-    "default_out_grid",
     "design_matrix",
     "empirical_quantiles",
     "family_names",

@@ -104,9 +104,6 @@ class Params:
     mu: float = 0.0
     sigma: float = 1.0
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.mu, self.sigma)
-
 
 def _vectorized(fn: Callable[[np.ndarray], np.ndarray]):
     """Run a piecewise kernel on atleast-1d input, unwrap scalar results."""

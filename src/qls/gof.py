@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,11 +44,9 @@ from .quantiles import (
 
 __all__ = [
     "GofResult",
-    "OutGrid",
     "ResidualDiagnostics",
     "bootstrap_pvalue",
     "chi2_sf",
-    "default_out_grid",
     "make_out_grid",
     "q_decomposition",
     "residual_analysis",
@@ -56,33 +54,26 @@ __all__ = [
     "w_test",
 ]
 
-DEFAULT_ALPHAS = (0.01, 0.05, 0.10)
-
-
-# validation levels are a grid like the estimation levels
-OutGrid = QuantileGrid
-
+# a bootstrap whose failed replicates exceed this share of B is refused
+_MAX_FAILURE_FRACTION = 0.10
 
 _DEFAULT_OUT_GRID = QuantileGrid(0.01 + 0.02 * np.arange(50))
 
 
-def default_out_grid() -> QuantileGrid:
-    """Fifty levels 0.01 + 0.02 j, j = 0..49: one shared grid, so its plans
-    are built once per process."""
-    return _DEFAULT_OUT_GRID
-
-
 def make_out_grid(levels=None) -> QuantileGrid:
-    """The default out-levels, a grid itself (its plans kept), or a new grid of levels."""
+    """The default out-levels, fifty levels 0.01 + 0.02 j, j = 0..49 (one
+    shared grid, so its plans are built once per process); a grid itself
+    (its plans kept); or a new grid of levels."""
     if levels is None:
-        return default_out_grid()
+        return _DEFAULT_OUT_GRID
     return levels if isinstance(levels, QuantileGrid) else QuantileGrid(levels)
 
 
 @dataclass(frozen=True)
 class GofResult:
-    """A test's statistic and p-value; ``warnings`` holds the tags of the
-    data, the grids and the fit it was computed from."""
+    """A test's statistic and p-value (a caller rejects at level alpha when
+    ``p_value <= alpha``); ``warnings`` holds the tags of the data, the
+    grids and the fit it was computed from."""
 
     statistic: float
     kind: str  # "in-sample" | "out-of-sample"
@@ -90,11 +81,7 @@ class GofResult:
     dof: int | None = None
     b_replicates: int | None = None
     failures: int = 0
-    decision_at: dict = field(default_factory=dict)
     warnings: tuple[str, ...] = ()
-
-    def reject(self, alpha: float = 0.05) -> bool:
-        return self.p_value <= alpha
 
 
 def chi2_sf(x: float, dof: int) -> float:
@@ -175,14 +162,12 @@ def q_decomposition(y, x, sigma_star_mat: np.ndarray, beta_true: Params,
                         np.array([beta_true.mu, beta_true.sigma]), n_obs)
 
 
-def w_test(y, x, sigma_star_mat: np.ndarray, fit: QlsFit, n: int | None = None,
-           alphas=DEFAULT_ALPHAS) -> GofResult:
+def w_test(y, x, sigma_star_mat: np.ndarray, fit: QlsFit, n: int | None = None) -> GofResult:
     """In-sample test: W = (n/sigma_hat^2) e' S^-1 e, chi-square k-2 dof."""
-    return plan_w_test(FitPlan.from_matrices("gqls", x, sigma_star_mat), y, fit, n, alphas)
+    return plan_w_test(FitPlan.from_matrices("gqls", x, sigma_star_mat), y, fit, n)
 
 
-def plan_w_test(plan: FitPlan, y, fit: QlsFit, n: int | None = None,
-                alphas=DEFAULT_ALPHAS) -> GofResult:
+def plan_w_test(plan: FitPlan, y, fit: QlsFit, n: int | None = None) -> GofResult:
     """``w_test`` on a gQLS plan of the estimation levels.  The result's
     warnings are the response's tags followed by the fit's, each once."""
     _require_gqls(fit, "the in-sample test")
@@ -192,9 +177,7 @@ def plan_w_test(plan: FitPlan, y, fit: QlsFit, n: int | None = None,
         raise InsufficientDof("need k >= 3 levels for a k-2 dof statistic")
     stat = _observed(plan, yv, (fit.mu, fit.sigma), n_obs, "W")
     dof = k - 2
-    p = chi2_sf(stat, dof)
-    return GofResult(statistic=stat, kind="in-sample", p_value=p, dof=dof,
-                     decision_at={a: p <= a for a in alphas},
+    return GofResult(statistic=stat, kind="in-sample", p_value=chi2_sf(stat, dof), dof=dof,
                      warnings=tuple(dict.fromkeys(warns + fit.warnings)))
 
 
@@ -263,12 +246,11 @@ def _spacings(n: int, key: tuple, B: int, pos: np.ndarray, cols: list[np.ndarray
                   for block in replicate_blocks(range(B), 10 * sum(c.size for c in cols)))
 
 
-def _nulls(tests, n: int, B: int, spacings, cols: list[np.ndarray],
-           max_failure_fraction: float = 0.10) -> list:
+def _nulls(tests, n: int, B: int, spacings, cols: list[np.ndarray]) -> list:
     """Per (fam, plan, plan_out) of ``tests``, the sorted finite
     ``_row_statistics`` (fit at ``cols[0]``, test at ``cols[1]``) of B
     standard-form replicates of ``fam`` from the entered ``spacings``, or a
-    BootstrapDegenerate, returned, if over ``max_failure_fraction`` of B
+    BootstrapDegenerate, returned, if over ``_MAX_FAILURE_FRACTION`` of B
     failed.  Each block becomes sorted uniforms once; ``_from_uniform``
     writes into them only its idempotent clip, so each family maps the bits
     it would map alone."""
@@ -285,7 +267,7 @@ def _nulls(tests, n: int, B: int, spacings, cols: list[np.ndarray],
         null = np.sort(stat[~np.isnan(stat)])
         failures = B - null.size
         nulls.append(BootstrapDegenerate(f"{failures} of {B} bootstrap replicates failed to fit")
-                     if failures > max_failure_fraction * B or null.size == 0 else null)
+                     if failures > _MAX_FAILURE_FRACTION * B or null.size == 0 else null)
     return nulls
 
 
@@ -296,8 +278,7 @@ def _check_replicates(B) -> None:
 
 def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
                      out_grid: QuantileGrid | None = None, B: int = 1000,
-                     seed: int = 0, alphas=DEFAULT_ALPHAS,
-                     max_failure_fraction: float = 0.10) -> GofResult:
+                     seed: int = 0) -> GofResult:
     """Parametric-bootstrap p-value for the out-of-sample statistic: the
     fraction of B replicate statistics strictly above the observed one
     (ties count as non-exceedances); reject when it is <= alpha.
@@ -309,23 +290,22 @@ def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
     are rows of one stream keyed by seed (``_spacings``): runs are
     reproducible, distinct seeds give distinct streams, and the first B'
     replicates of a run of B are those of a run of B'.  Replicates whose
-    refit or statistic fails are dropped and counted; more than
-    ``max_failure_fraction`` of B aborts.  B other than an integer >= 1
+    refit or statistic fails are dropped and counted; more than 10% of B
+    (``_MAX_FAILURE_FRACTION``) raises BootstrapDegenerate.  B other than an integer >= 1
     raises DomainError, a negative or non-integer seed InvalidSeed, and an
     observed statistic that is not finite ScaleOverflow.  The warnings
     hold, each once, the rank tags of both level sets at n,
     ``tied_quantiles`` when either reads one value at distinct ranks, and
     the tags of the fitted scale.
     """
-    _, res = next(_gof(data, [fam], grid, "wout", out_grid, B, seed, alphas,
-                       max_failure_fraction))
+    _, res = next(_gof(data, [fam], grid, "wout", out_grid, B, seed))
     if isinstance(res, QlsError):
         raise res
     return res
 
 
 def _gof(data, fams, grid: QuantileGrid, test: str, out_levels=None, B: int = 1000,
-         seed: int = 0, alphas=DEFAULT_ALPHAS, max_failure_fraction: float = 0.10):
+         seed: int = 0):
     """Yield per family of ``fams`` its joint gQLS fit at ``grid`` (no
     covariance, so no sigma^2; None if its plan fails) and its ``plan_w_test``
     (test "w") or ``bootstrap_pvalue`` at ``make_out_grid(out_levels)``, or
@@ -352,7 +332,7 @@ def _gof(data, fams, grid: QuantileGrid, test: str, out_levels=None, B: int = 10
                              mode=ParamMode.LOCATION_SCALE,
                              warnings=(*tags[0], *tied[0], *_scale_tags(float(beta[0, 1]))))
                 if test == "w":
-                    pairs.append((fit, plan_w_test(plan, y, fit, n, alphas)))
+                    pairs.append((fit, plan_w_test(plan, y, fit, n)))
                     continue
                 plan_out = FitPlan.for_family(fam, sets[1], "gqls")
                 _require_gqls(fit, "the out-of-sample test")
@@ -360,17 +340,16 @@ def _gof(data, fams, grid: QuantileGrid, test: str, out_levels=None, B: int = 10
                 tests.append((fam, plan, plan_out))
             except QlsError as exc:
                 pairs.append((fit, exc))
-        nulls = iter(_nulls(tests, n, B, spacings, cols, max_failure_fraction))
+        nulls = iter(_nulls(tests, n, B, spacings, cols))
     for fit, res in pairs:
         if isinstance(res, float):  # an observed W_out and its family's null
             null = next(nulls)
             if isinstance(null, QlsError):
                 res = null
             else:
-                p = float(_exceedance(null, res))
-                res = GofResult(statistic=res, kind="out-of-sample", p_value=p,
+                res = GofResult(statistic=res, kind="out-of-sample",
+                                p_value=float(_exceedance(null, res)),
                                 b_replicates=null.size, failures=B - null.size,
-                                decision_at={a: p <= a for a in alphas},
                                 warnings=tuple(dict.fromkeys(
                                     [*tags[0], *tags[1], *tied[0], *tied[1], *fit.warnings])))
         yield fit, res

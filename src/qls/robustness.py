@@ -52,22 +52,24 @@ def if_quantile(x, p: float, fam: Family, params: Params):
 
     Right-continuous in x with a single downward jump of size
     sigma / f0(Q0(p)) at the population quantile (the indicator is
-    inclusive: 1{x <= quantile}); NaN at a NaN x.
+    inclusive: 1{x <= quantile}); NaN at a NaN x.  DomainError unless mu is
+    finite and 0 < sigma < inf (``_jumps``).
     """
     _, q, f = level_density(fam, np.asarray([p], dtype=float))
-    jump = params.mu + params.sigma * q[0]
+    jump = _jumps(params, q)[0]
     xv = np.asarray(x, dtype=float)
     ind = np.where(np.isnan(xv), np.nan, xv <= jump)
     out = params.sigma * (p - ind) / f[0]
     return float(out) if xv.ndim == 0 else out
 
 
-def _jumps(params: Params, plan: FitPlan) -> np.ndarray:
-    """The population quantiles mu + sigma Q0(p) of the plan's levels, where
-    the influence jumps; DomainError unless mu is finite and 0 < sigma < inf."""
+def _jumps(params: Params, q0: np.ndarray) -> np.ndarray:
+    """The population quantiles mu + sigma Q0(p) of the standard quantiles
+    ``q0``, where the influence jumps; DomainError unless mu is finite and
+    0 < sigma < inf."""
     if not (0.0 < params.sigma < math.inf and math.isfinite(params.mu)):
         raise DomainError(f"influence needs a finite mu and 0 < sigma < inf, got {params}")
-    return params.mu + params.sigma * plan.x[:, 1]
+    return params.mu + params.sigma * q0
 
 
 def if_estimator(x, kind: str, fam: Family, params: Params, grid: QuantileGrid):
@@ -76,7 +78,7 @@ def if_estimator(x, kind: str, fam: Family, params: Params, grid: QuantileGrid):
     between the ``_jumps`` are summed once each, in an order fixed by k
     (``_row_sums``): a point reads the same bits alone and in any batch."""
     plan = FitPlan.for_family(fam, grid, kind)
-    jumps = _jumps(params, plan)
+    jumps = _jumps(params, plan.x[:, 1])
     p, _, f = plan.spacing  # the levels and f0(Q0(p)); Q0(p) is the design column
     # row r: the quantile influences of a point above the first r jumps alone
     ifq = params.sigma * (p - (np.arange(p.size + 1)[:, None] <= np.arange(p.size))) / f
@@ -108,7 +110,7 @@ def influence_curve(kind: str, fam: Family, params: Params, grid: QuantileGrid,
     lo, hi = float(x_range[0]), float(x_range[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise DomainError("x_range must be a finite increasing pair")
-    jumps = _jumps(params, FitPlan.for_family(fam, grid, kind))
+    jumps = _jumps(params, FitPlan.for_family(fam, grid, kind).x[:, 1])
     eps = 1e-9 * params.sigma
     xs = np.unique(np.concatenate([np.linspace(lo, hi, int(points)), jumps - eps, jumps + eps]))
     if_mu, if_sigma = if_estimator(xs, kind, fam, params, grid)

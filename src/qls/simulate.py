@@ -379,17 +379,18 @@ class PowerCell:
 
 def run_power_study(h0_families, generators, grids, n: int, m: int,
                     alpha: float = 0.05, test: str = "w", B: int = 1000,
-                    out_grid: gof.OutGrid | None = None, seed: int = 0) -> list[PowerCell]:
+                    seed: int = 0) -> list[PowerCell]:
     """Rejection-proportion table over (H0 family) x (data generator) x grid.
 
     generators are ContaminationSpec values (epsilon = 0 gives a pure
     family).  The cell (i_h0, i_gen, i_grid) reads one stream,
     ``default_rng([seed, i_h0, i_gen, i_grid, _STREAM_KEY])``, laid out as
     in ``run_mc``.  test "w" uses the in-sample statistic at its chi-square
-    critical value; "wout" calibrates the out-of-sample statistic with one
-    B-replicate bootstrap null per cell, shared by its m replicates (the
-    statistic is pivotal under H0), so the rate's Monte Carlo variance gains
-    a term of order alpha (1 - alpha) / B.  A cell whose levels read clamped
+    critical value; "wout" calibrates the out-of-sample statistic at the
+    default out-levels (``gof.make_out_grid()``) with one B-replicate
+    bootstrap null per cell, shared by its m replicates (the statistic is
+    pivotal under H0), so the rate's Monte Carlo variance gains a term of
+    order alpha (1 - alpha) / B.  A cell whose levels read clamped
     or repeated ranks at this n carries those tags in ``warnings``, each
     once: the grid's, and for "wout" the out-levels' too, as
     ``bootstrap_pvalue`` gives them.  Before any draw, n or m below 1, an
@@ -405,13 +406,11 @@ def run_power_study(h0_families, generators, grids, n: int, m: int,
         gof._check_replicates(B)
     for gen in generators:
         check_sampling(gen.base_params, n)
-    if out_grid is None:
-        out_grid = gof.default_out_grid()
     cells: list[PowerCell] = []
     for i_h0, h0 in enumerate(h0_families):
         for i_gen, gen in enumerate(generators):
             for i_grid, grid in enumerate(grids):
-                pvals, tags = _cell_pvalues(h0, gen, grid, out_grid, n, m, B,
+                pvals, tags = _cell_pvalues(h0, gen, grid, n, m, B,
                                             (seed, i_h0, i_gen, i_grid), test)
                 failures = int(np.count_nonzero(np.isnan(pvals)))
                 rate = (int(np.count_nonzero(pvals <= alpha)) / (m - failures)
@@ -424,16 +423,15 @@ def run_power_study(h0_families, generators, grids, n: int, m: int,
     return cells
 
 
-def _cell_pvalues(h0: Family, gen: ContaminationSpec, grid: QuantileGrid,
-                  out_grid: gof.OutGrid, n: int, m: int, B: int, cell_seed: tuple,
-                  test: str) -> tuple[np.ndarray, tuple[str, ...]]:
+def _cell_pvalues(h0: Family, gen: ContaminationSpec, grid: QuantileGrid, n: int, m: int,
+                  B: int, cell_seed: tuple, test: str) -> tuple[np.ndarray, tuple[str, ...]]:
     """Test p-values of a cell's m replicates, NaN where one fails: one
     batched fit and statistic per sorted block (``gof._row_statistics``),
     then W's chi-square p-value ("w") or W_out's share of one bootstrap null
     keyed ``cell_seed`` ("wout"; if the null fails, every replicate does).
     Also the rank tags of the levels read, each once."""
     plan = FitPlan.for_family(h0, grid, "gqls")
-    sets = (grid,) if test == "w" else (grid, out_grid)
+    sets = (grid,) if test == "w" else (grid, gof.make_out_grid())
     plan_out = FitPlan.for_family(h0, sets[-1], "gqls")
     pos, cols, tags = _positions(n, *sets)
     tags = tuple(dict.fromkeys(sum(tags, [])))

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+import qls
 from qls import estimators, gof, quantiles, simulate
 from qls.errors import (
     WARN_DEGENERATE_GRID,
@@ -30,7 +33,6 @@ from qls.gof import (
     _spacings,
     bootstrap_pvalue,
     chi2_sf,
-    default_out_grid,
     make_out_grid,
     q_decomposition,
     residual_analysis,
@@ -227,7 +229,7 @@ def test_w_statistics_are_exactly_invariant_under_powers_of_two(j):
     assert w_test(y2, X, S, fit2).statistic == w_test(y, X, S, fit).statistic
     assert np.array_equal(plan.w_statistics(y2.values[None], beta2, 400),
                           plan.w_statistics(y.values[None], np.ldexp(beta2, -j), 400))
-    out = default_out_grid()
+    out = make_out_grid()
     assert (w_out_statistic(scaled, fit2, NORMAL, out)
             == w_out_statistic(data, fit, NORMAL, out))
     res, res2 = (bootstrap_pvalue(d, NORMAL, GRID, B=30, seed=4) for d in (data, scaled))
@@ -242,7 +244,7 @@ def test_non_finite_observed_statistics_raise(monkeypatch):
     with pytest.raises(ScaleOverflow):
         w_test(y, X, S, tiny)
     with pytest.raises(ScaleOverflow):
-        w_out_statistic(data, tiny, NORMAL, default_out_grid())
+        w_out_statistic(data, tiny, NORMAL, make_out_grid())
     monkeypatch.setattr(FitPlan, "w_statistics",
                         lambda self, y, beta, n: np.full(len(y), np.nan))
     with pytest.raises(ScaleOverflow):
@@ -266,7 +268,8 @@ def test_non_finite_replicate_statistics_are_failures(monkeypatch):
     stat = w_statistics(plan, rows[:1], plan.solve(rows[:1]), 400)[0]
     assert p[0] == p[3] == chi2_sf(stat, 23)
     # the bootstrap drops such replicates, as it drops failed refits
-    res = bootstrap_pvalue(data, NORMAL, GRID, B=20, seed=1, max_failure_fraction=0.5)
+    monkeypatch.setattr(gof, "_MAX_FAILURE_FRACTION", 0.5)
+    res = bootstrap_pvalue(data, NORMAL, GRID, B=20, seed=1)
     assert res.failures == 10 and res.b_replicates == 10
 
 
@@ -274,7 +277,7 @@ def test_row_statistics_fail_only_the_rows_without_a_positive_scale():
     # a constant row fits sigma = 0 and a decreasing one sigma < 0: those two
     # read NaN, and each other row equals its statistic computed alone
     plan = FitPlan.for_family(NORMAL, GRID, "gqls")
-    out = default_out_grid()
+    out = make_out_grid()
     plan_out = FitPlan.for_family(NORMAL, out, "gqls")
     samples = [NORMAL.sample(Params(), 400, np.random.default_rng(s)) for s in (31, 32)]
     y_fit = np.stack([empirical_quantiles(samples[0], GRID).values, np.ones(GRID.k),
@@ -305,10 +308,25 @@ def test_bootstrap_refuses_a_null_past_its_failure_fraction(monkeypatch):
     monkeypatch.setattr(gof, "_row_statistics", spoil)
     with pytest.raises(BootstrapDegenerate, match="5 of 20"):
         bootstrap_pvalue(data, NORMAL, GRID, B=20, seed=2)
+    monkeypatch.setattr(gof, "_MAX_FAILURE_FRACTION", 0.2)
     with pytest.raises(BootstrapDegenerate, match="5 of 20"):
-        bootstrap_pvalue(data, NORMAL, GRID, B=20, seed=2, max_failure_fraction=0.2)
-    res = bootstrap_pvalue(data, NORMAL, GRID, B=20, seed=2, max_failure_fraction=0.25)
+        bootstrap_pvalue(data, NORMAL, GRID, B=20, seed=2)
+    monkeypatch.setattr(gof, "_MAX_FAILURE_FRACTION", 0.25)
+    res = bootstrap_pvalue(data, NORMAL, GRID, B=20, seed=2)
     assert res.failures == 5 and res.b_replicates == 15
+
+
+def test_a_test_answers_with_its_statistic_and_p_value_alone():
+    # one spelling per answer: a caller decides with p_value <= alpha, the
+    # failure rule is the module's, and the default out-levels have one name
+    for fn in (bootstrap_pvalue, w_test, gof.plan_w_test):
+        assert not {"alphas", "max_failure_fraction"} & set(inspect.signature(fn).parameters)
+    assert "out_grid" not in inspect.signature(simulate.run_power_study).parameters
+    assert [f.name for f in dataclasses.fields(gof.GofResult)] == [
+        "statistic", "kind", "p_value", "dof", "b_replicates", "failures", "warnings"]
+    assert not hasattr(gof.GofResult, "reject")
+    assert not {"OutGrid", "default_out_grid"} & (set(qls.__all__) | set(gof.__all__))
+    assert not hasattr(Params(), "as_tuple")
 
 
 def test_w_level_mini_calibration():
@@ -328,7 +346,7 @@ def test_w_level_mini_calibration():
 def test_out_grids_are_quantile_grids():
     levels = [0.1, 0.25, 0.5, 0.9]
     grid = make_out_grid(levels)
-    assert gof.OutGrid is quantiles.QuantileGrid and type(grid) is quantiles.QuantileGrid
+    assert type(grid) is quantiles.QuantileGrid
     assert grid == quantiles.QuantileGrid(levels) and grid != make_out_grid(levels[:3])
     assert (grid.a, grid.b, grid.k) == (0.1, 0.9, 4)
     assert repr(grid) == "QuantileGrid(a=0.1, b=0.9, k=4)"
@@ -354,7 +372,7 @@ def test_matrix_tests_never_solve_for_the_weights(monkeypatch):
 
 
 def test_default_out_grid_levels():
-    og = default_out_grid()
+    og = make_out_grid()
     assert og.k == 50
     assert og.levels[0] == pytest.approx(0.01)
     assert og.levels[1] == pytest.approx(0.03)
@@ -398,7 +416,6 @@ def test_bootstrap_counting_rule():
     res = bootstrap_pvalue(data, NORMAL, GRID, B=60, seed=2)
     assert 0.0 <= res.p_value <= 1.0
     assert res.kind == "out-of-sample"
-    assert res.decision_at[0.05] == (res.p_value <= 0.05)
 
 
 def test_bootstrap_seed_reproducible():
@@ -545,7 +562,7 @@ def test_bootstrap_and_w_statistics_are_exact_under_powers_of_two(name, j):
 
 
 _PIVOT_N, _PIVOT_B = 400, 40
-_PIVOT_POS, _PIVOT_COLS, _ = _positions(_PIVOT_N, GRID, default_out_grid())
+_PIVOT_POS, _PIVOT_COLS, _ = _positions(_PIVOT_N, GRID, make_out_grid())
 
 
 @settings(max_examples=80, deadline=None)
@@ -560,10 +577,10 @@ def test_bootstrap_null_is_pivotal(name, t, j, seed):
     sigma = math.ldexp(1.0, j)
     params = Params(t * sigma, sigma)
     plan = FitPlan.for_family(fam, GRID, "gqls")
-    plan_out = FitPlan.for_family(fam, default_out_grid(), "gqls")
+    plan_out = FitPlan.for_family(fam, make_out_grid(), "gqls")
     pos, cols = _PIVOT_POS, _PIVOT_COLS
     (y_fit, y_out), = _bootstrap_blocks(fam, _PIVOT_N, (seed,), _PIVOT_B, GRID,
-                                        default_out_grid())
+                                        make_out_grid())
     assert len(y_fit) == _PIVOT_B
     beta = plan.solve(y_fit)
     standard = plan_out.w_statistics(y_out, beta, _PIVOT_N)
@@ -665,7 +682,7 @@ def test_bootstrap_order_statistics_equal_sorted_samples(name):
 def test_bootstrap_replicates_are_a_prefix_of_longer_runs():
     # B = 50 (one block) gives the first 50 rows of B = 1000 (several blocks)
     fam, n = get_family("logistic"), 10_000
-    sets = (GRID, default_out_grid())
+    sets = (GRID, make_out_grid())
     short = _bootstrap_rows(fam, n, 3, 50, *sets)
     long = _bootstrap_rows(fam, n, 3, 1000, *sets)
     assert len(_bootstrap_blocks(fam, n, (3,), 1000, *sets)) > 1
@@ -675,7 +692,7 @@ def test_bootstrap_replicates_are_a_prefix_of_longer_runs():
 
 def test_bootstrap_one_row_blocks_give_the_same_rows(monkeypatch):
     n = 2000
-    sets = (GRID, default_out_grid())
+    sets = (GRID, make_out_grid())
     blocks = _bootstrap_blocks(NORMAL, n, (9,), 300, *sets)
     assert len(blocks[0][0]) > 1
     want = _bootstrap_rows(NORMAL, n, 9, 300, *sets)
@@ -709,7 +726,7 @@ def test_drawn_ahead_null_equals_a_serial_reference(name, n):
     # multiple of the block: the same bytes as one thread drawing each
     # block in turn, through the wout cell's _spacings and _nulls and through
     # bootstrap_pvalue, whose draws start before the data are sorted
-    fam, out_grid = get_family(name), default_out_grid()
+    fam, out_grid = get_family(name), make_out_grid()
     plan = FitPlan.for_family(fam, GRID, "gqls")
     plan_out = FitPlan.for_family(fam, out_grid, "gqls")
     pos, cols, _ = _positions(n, GRID, out_grid)
@@ -749,8 +766,8 @@ def test_an_error_in_the_spacing_draws_reaches_the_caller(monkeypatch):
     fam, n = get_family("logistic"), 10_000
     data = fam.sample(Params(), n, np.random.default_rng(2))
     plan = FitPlan.for_family(fam, GRID, "gqls")
-    plan_out = FitPlan.for_family(fam, default_out_grid(), "gqls")
-    pos, cols, _ = _positions(n, GRID, default_out_grid())
+    plan_out = FitPlan.for_family(fam, make_out_grid(), "gqls")
+    pos, cols, _ = _positions(n, GRID, make_out_grid())
     made = []
     default_rng = np.random.default_rng
 
@@ -773,8 +790,8 @@ def test_an_error_in_the_block_statistics_stops_the_draws(monkeypatch):
     fam, n = get_family("logistic"), 10_000
     data = fam.sample(Params(), n, np.random.default_rng(3))
     plan = FitPlan.for_family(fam, GRID, "gqls")
-    plan_out = FitPlan.for_family(fam, default_out_grid(), "gqls")
-    pos, cols, _ = _positions(n, GRID, default_out_grid())
+    plan_out = FitPlan.for_family(fam, make_out_grid(), "gqls")
+    pos, cols, _ = _positions(n, GRID, make_out_grid())
     calls = []
 
     def failing(*args):
@@ -800,7 +817,7 @@ def test_bootstrap_matches_a_replicate_loop():
     # p-value
     n, B, seed = 500, 80, 12
     data, _, _ = normal_fit(n=n, seed=53)
-    out_grid = default_out_grid()
+    out_grid = make_out_grid()
     res = bootstrap_pvalue(data, NORMAL, GRID, out_grid, B=B, seed=seed)
     fit = fit_sample(data, NORMAL, GRID, "gqls")  # the bootstrap's fitted model, same bits
     observed = w_out_statistic(data, fit, NORMAL, out_grid)

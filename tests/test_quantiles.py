@@ -331,7 +331,7 @@ _LEVELS = st.lists(st.floats(1e-9, 1.0, exclude_max=True), min_size=1, max_size=
 
 @st.composite
 def _level_set(draw):
-    """A grid, an OutGrid or a raw level array; tiny levels clamp, dense ones repeat."""
+    """A grid, an out-level grid or a raw level array; tiny levels clamp, dense ones repeat."""
     kind = draw(st.sampled_from(["grid", "out", "raw"]))
     if kind == "grid":
         a = draw(st.floats(1e-4, 0.9))

@@ -188,10 +188,15 @@ def test_influence_is_nan_at_a_nan_point():
 
 def test_influence_refuses_parameters_of_no_distribution():
     # the influence reads each point's interval between the jumps
-    # mu + sigma Q0(p), which increase only for a finite mu and 0 < sigma < inf
+    # mu + sigma Q0(p), which increase only for a finite mu and 0 < sigma < inf;
+    # a single quantile's influence takes the same check
     fam = get_family("logistic")
     for params in (Params(0.0, 0.0), Params(0.0, -1.0), Params(0.0, math.inf),
                    Params(math.nan, 1.0), Params(-math.inf, 1.0), Params(0.0, math.nan)):
+        with pytest.raises(DomainError):
+            if_quantile(0.0, 0.3, fam, params)
+        with pytest.raises(DomainError):
+            if_quantile(np.array([-1.0, 1.0]), 0.3, fam, params)
         with pytest.raises(DomainError):
             if_estimator(0.5, "gqls", fam, params, GRID)
         with pytest.raises(DomainError):

@@ -498,7 +498,7 @@ def test_wout_cell_data_equal_single_draws(monkeypatch):
     # reference count a plain comparison
     n, m, B, cell_seed = 300, 500, 50, (2 ** 33 + 5, 1, 0, 2)
     spec = contaminated(0.1)
-    out_grid = gof.default_out_grid()
+    out_grid = gof.make_out_grid()
     sources, nulls = [], []
     spacings, make_nulls = gof._spacings, gof._nulls
 
@@ -512,7 +512,7 @@ def test_wout_cell_data_equal_single_draws(monkeypatch):
 
     monkeypatch.setattr(gof, "_spacings", record_source)
     monkeypatch.setattr(gof, "_nulls", record)
-    pvals = _cell_pvalues(NORMAL, spec, GRID, out_grid, n, m, B, cell_seed, "wout")[0]
+    pvals = _cell_pvalues(NORMAL, spec, GRID, n, m, B, cell_seed, "wout")[0]
     assert len(sources) == len(nulls) == 1 and len(nulls[0]) == 1
     args, null = sources[0], nulls[0][0]
     assert args[1] == cell_seed and args[2] == B and len(null) == B
@@ -523,8 +523,7 @@ def test_wout_cell_data_equal_single_draws(monkeypatch):
 
 
 def test_wout_cell_is_deterministic_and_block_free(monkeypatch):
-    args = (NORMAL, contaminated(0.1), GRID, gof.default_out_grid(), 200, 60, 100,
-            (5, 0, 1, 0), "wout")
+    args = (NORMAL, contaminated(0.1), GRID, 200, 60, 100, (5, 0, 1, 0), "wout")
     want = _cell_pvalues(*args)[0]
     assert np.all(np.isfinite(want))
     assert _cell_pvalues(*args)[0].tobytes() == want.tobytes()
@@ -825,8 +824,7 @@ def test_study_bytes_do_not_depend_on_blocks_or_threads(study, monkeypatch):
             return _mc_estimates(cfg)[0]
     else:
         def run():
-            return _cell_pvalues(NORMAL, spec, GRID, gof.default_out_grid(), n, m, 50,
-                                 (9, 1, 0, 2), study)[0]
+            return _cell_pvalues(NORMAL, spec, GRID, n, m, 50, (9, 1, 0, 2), study)[0]
     want = run()
     assert np.isfinite(want[..., 0]).all()
     with monkeypatch.context() as patch:
