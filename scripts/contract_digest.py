@@ -13,7 +13,9 @@ the name and repr of each field in GOF_FIELDS:
                       per-replicate estimates (<study>/<label>) and summary
                       (<study>/summary/<label>), and the grid tags
                       (<study>/tags); so a change to one estimator names
-                      that estimator's entries alone
+                      that estimator's entries alone.  run_mc/readme is
+                      the README study (5% N(1, 3^2) in N(0, 1), n = 1000,
+                      m = 300: gqls, oqls and mle), three replicate blocks
   sample/...          sample_contaminated draws
   fit_sample/...      fits of every method in every mode
   are/..., influence/...
@@ -108,12 +110,28 @@ def _mc(name: str, epsilon: float, n: int) -> str:
         ests.append(EstimatorSpec("mle", mode=ParamMode.SCALE_ONLY, known_mu=0.5))
     else:
         ests.append(EstimatorSpec("mle"))
-    config = McConfig(spec=_spec(name, epsilon), n=n, m=120, estimators=tuple(ests),
-                      seed=20240 + n)
+    return _study(McConfig(spec=_spec(name, epsilon), n=n, m=120, estimators=tuple(ests),
+                           seed=20240 + n))
+
+
+def _readme_mc() -> dict:
+    """The README study: N(0, 1) with 5% N(1, 3^2), n = 1000, at m = 300,
+    which spans several replicate blocks."""
+    normal = get_family("normal")
+    spec = ContaminationSpec(base_family=normal, base_params=Params(0.0, 1.0),
+                             contaminant_family=normal, contaminant_params=Params(1.0, 3.0),
+                             epsilon=0.05)
+    ests = (EstimatorSpec("gqls", GRID, label="gqls"),
+            EstimatorSpec("oqls", make_grid(0.10, 0.90, 25), label="oqls"),
+            EstimatorSpec("mle"))
+    return _study(McConfig(spec=spec, n=1000, m=300, estimators=ests, seed=2024))
+
+
+def _study(config: McConfig) -> dict:
     estimates, tags = _mc_estimates(config)
     summary = run_mc(config)
     out = {"tags": _digest(tags)}
-    for j, est in enumerate(ests):
+    for j, est in enumerate(config.estimators):
         out[est.label] = _digest(estimates[:, j])
         out[f"summary/{est.label}"] = _digest(summary.stats[est.label],
                                               summary.failures[est.label])
@@ -212,6 +230,7 @@ def catalogue() -> dict:
                 entries[f"fit_sample/{name}/{method}/{label}"] = (_fit_sample, name, method, mode)
         for kind in ("gqls", "oqls"):
             entries[f"influence/{name}/{kind}"] = (_influence, name, kind)
+    entries["run_mc/readme"] = (_readme_mc,)
     for kind in ("gqls", "oqls"):
         entries[f"are/table/{kind}"] = (
             lambda kd: _digest(are_table(kd, [FAMILIES[nm] for nm in names],

@@ -10,22 +10,23 @@ with contamination n mask uniforms, which also give the contaminant its
 uniforms), and the reduction order is fixed.
 
 Replicates run as a batch engine.  Consecutive replicates fill the rows of
-one block whose w-wide draw holds at most 1 MiB
-(``quantiles.replicate_blocks``).  A block advances its own copy of the
-stream to its first replicate (PCG64 spends one 64-bit step per double;
-L'Ecuyer et al. 2002, O'Neill 2014), draws all its rows at once into its
-worker's reused uniform buffer and makes the base draws with the family's
-i.i.d. transform (``Family._iid``: Box-Muller for the normal, run in a
-contiguous scratch, inversion otherwise) and the contaminant's draws at the
-hits, found by flat index and read from their mask uniforms divided by
-epsilon, with its monotone quantile transform (``Family._from_uniform``),
-each once on the whole block.  The block of draws is allocated afresh,
-since ``work`` may keep it.  Each MLE column is fitted on the block as
-drawn; the block is then sorted once along its rows, and one row-batched
-product per estimator or test (``FitPlan.solve``) fits all the rows.  A
-row's results do not depend on its block, so they are the same for any
-block size, and the caller and one helper thread take whole blocks
-(``_run_blocks``, through ``quantiles._two_threads``).
+one block of at most 2^17 draws (1 MiB; ``quantiles.replicate_blocks`` on
+n, not on w), so a contaminated block has as many rows as a clean one and
+its w-wide uniform draw holds up to 2 MiB.  A block advances its own copy
+of the stream to its first replicate (PCG64 spends one 64-bit step per
+double; L'Ecuyer et al. 2002, O'Neill 2014), draws all its rows at once
+into its worker's reused uniform buffer and makes the base draws with the
+family's i.i.d. transform (``Family._iid``: Box-Muller for the normal,
+inversion otherwise, each run on contiguous memory) and the contaminant's
+draws at the hits, found by flat index and read from their mask uniforms
+divided by epsilon, with its monotone quantile transform
+(``Family._from_uniform``), each once on the whole block.  The block of
+draws is allocated afresh, since ``work`` may keep it.  Each MLE column is
+fitted on the block as drawn; the block is then sorted once along its rows,
+and one row-batched product per estimator or test (``FitPlan.solve``) fits
+all the rows.  A row's results do not depend on its block, so they are the
+same for any block size, and the caller and one helper thread take whole
+blocks (``_run_blocks``, through ``quantiles._two_threads``).
 """
 from __future__ import annotations
 
@@ -114,9 +115,10 @@ def _from_uniforms(spec: ContaminationSpec, n: int, u: np.ndarray) -> np.ndarray
     """The (rows, n) mixture draws made of a (rows, ``_row_width``) array of
     uniforms, one sample per row as ``sample_contaminated`` lays it out; u may
     be overwritten.  The base family's i.i.d. transform runs once on the base
-    uniforms and the contaminant's quantile transform once on its hits; both
-    work elementwise or within a row, so a row is the same bits whatever rows
-    it is drawn with.
+    uniforms (with contamination a strided half of u, which it first reads
+    into contiguous memory) and the contaminant's quantile transform once on
+    its hits; both work elementwise or within a row, so a row is the same
+    bits whatever rows it is drawn with.
 
     A mask uniform m below epsilon is recycled (composition; Devroye 1986,
     Non-Uniform Random Variate Generation): given m < epsilon,
@@ -232,6 +234,11 @@ def _run_blocks(spec: ContaminationSpec, n: int, replicates: range, seed_prefix:
     """Draw the replicates in (rows, n) blocks and call ``work(reps, block)``
     on each; replicate r is made of doubles [r w, (r + 1) w) of
     ``default_rng([*seed_prefix, _STREAM_KEY])``, w = ``_row_width(spec, n)``.
+    A block holds at most ``quantiles._BLOCK_VALUES`` draws (rows x n, one
+    row when a sample is larger), whatever w: every block makes about the
+    same number of GIL-releasing numpy calls, so a contaminated study at
+    w = 2n cuts as few blocks, and hands the GIL between the two threads as
+    seldom, as a clean one.
 
     The caller and one helper thread each take the next block until none is
     left (``quantiles._two_threads``), so ``work`` must write only its own
@@ -239,7 +246,8 @@ def _run_blocks(spec: ContaminationSpec, n: int, replicates: range, seed_prefix:
     and that error is raised here.
 
     A worker allocates its (rows, w) uniform buffer once, at its first block
-    (the largest), and draws every block into it; ``work`` never sees it.
+    (the largest; 2 MiB for a contaminated block of 2^17 draws), and draws
+    every block into it; ``work`` never sees it.
     Each block handed to ``work`` is a fresh array, which ``work`` may keep."""
     check_sampling(spec.base_params, n)
     width = _row_width(spec, n)
@@ -257,7 +265,7 @@ def _run_blocks(spec: ContaminationSpec, n: int, replicates: range, seed_prefix:
             work(reps, block)
             del block
 
-    _two_threads(replicate_blocks(replicates, width), run)
+    _two_threads(replicate_blocks(replicates, n), run)
 
 
 def _scale_ok(est: EstimatorSpec, sigma):

@@ -1011,7 +1011,8 @@ def _contract_digest_module():
     return module
 
 
-_DIGEST_SLICE = ("run_mc/normal/", "run_mc/laplace/eps=0.05/n=301", "sample/logistic/",
+_DIGEST_SLICE = ("run_mc/normal/", "run_mc/laplace/eps=0.05/n=301", "run_mc/readme",
+                 "sample/logistic/",
                  "fit_sample/cauchy/gqls/", "power/w/n=50", "bootstrap/logistic/",
                  "fit_big/logistic/gqls", "matrix/gumbel/")
 
@@ -1021,9 +1022,10 @@ def test_contract_digests_repeat_and_do_not_depend_on_the_block_size(monkeypatch
     # no output of the catalogue may depend on them
     digest = _contract_digest_module()
     first = digest.digests(_DIGEST_SLICE)
-    # a study is 11 entries: tags, and the estimates and summary of each of 5 labels;
+    # a study is 11 entries: tags, and the estimates and summary of each of 5 labels
+    # (7 and 3 for the README study, whose 300 replicates span three blocks);
     # bootstrap/logistic/ holds the six-block run at the benchmark's shape
-    assert len(first) == 72 and not any(v.startswith("error:") for v in first.values())
+    assert len(first) == 79 and not any(v.startswith("error:") for v in first.values())
     assert {"run_mc/laplace/eps=0.05/n=301/mle",
             "run_mc/laplace/eps=0.05/n=301/summary/mle"} <= first.keys()
     assert digest.digests(_DIGEST_SLICE) == first

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from qls.efficiency import standardized_cov
-from qls.errors import DomainError
+from qls.errors import DomainError, ScaleOverflow
+from qls.estimators import FitPlan, fit_sample
 from qls.families import FAMILIES, ParamMode, Params, get_family
-from qls.quantiles import make_grid
+from qls.quantiles import _positions, empirical_quantiles, make_grid
 from qls.robustness import (
     breakdown_point,
     if_estimator,
@@ -25,6 +26,40 @@ def test_breakdown_point_values():
     assert bp.upper == pytest.approx(0.25)
     assert bp.value == pytest.approx(0.10)
     assert breakdown_point(make_grid(0.02, 0.98, 25)).value == pytest.approx(0.02)
+
+
+@pytest.mark.parametrize("kind", ["gqls", "oqls"])
+def test_finite_sample_breakdown_follows_the_grid_positions(kind):
+    # Donoho & Huber 1983: replacing the m largest (or smallest) of n values
+    # by +1e300 (or -1e300) leaves the fit's bits alone while no replaced
+    # value lies at a position the grid reads, and carries the scale away
+    # once one does.  At n = 1000 the grid (0.05, 0.95, 25) reads positions
+    # 49 to 949 (0-based): n a - 1 = 49 values may go at the bottom and
+    # n (1 - b) = 50 at the top.
+    fam, n = get_family("logistic"), 1000
+    bp, pos = breakdown_point(GRID), _positions(n, GRID)[0]
+    safe = {-1.0: int(pos[0]), 1.0: n - 1 - int(pos[-1])}
+    assert (safe[-1.0], safe[1.0]) == (round(n * bp.lower) - 1, round(n * bp.upper)) == (49, 50)
+    x = fam.sample(Params(0.3, 2.0), n, np.random.default_rng(5))
+    order = np.argsort(x)
+    clean = fit_sample(x, fam, GRID, kind)
+    plan = FitPlan.for_family(fam, GRID, kind)
+
+    def replaced(side, m):
+        y = x.copy()
+        y[order[n - m:] if side > 0 else order[:m]] = side * 1e300
+        return y
+
+    for side, last in safe.items():
+        for m in range(last + 1):
+            fit = fit_sample(replaced(side, m), fam, GRID, kind)
+            assert fit.params == clean.params and fit.warnings == clean.warnings, (side, m)
+            assert fit.asy_cov.tobytes() == clean.asy_cov.tobytes(), (side, m)
+        y = replaced(side, last + 1)
+        assert plan.solve(empirical_quantiles(y, GRID).values[None])[0, 1] > 1e200
+        # the fit refuses a scale whose square overflows, as documented
+        with pytest.raises(ScaleOverflow):
+            fit_sample(y, fam, GRID, kind)
 
 
 def test_if_quantile_normal_median():

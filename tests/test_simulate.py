@@ -215,14 +215,12 @@ def test_extreme_epsilons_give_finite_draws(name, eps):
     assert (x[:3] != base[:3]).tolist() == [True, True, False]
 
 
-@pytest.mark.parametrize("eps", [0.0, 5e-324, 0.05, 1 - 2 ** -53, 1.0])
-@pytest.mark.parametrize("n", [1, 2, 7, 1000, 1001])
-def test_block_draws_equal_single_rows(n, eps):
+def _check_block_rows(base, n, eps):
     # a (rows, w) block through _from_uniforms, as the engine draws it: its
     # uniforms are only read, and each row is the bytes of that row drawn
     # alone, by sample_contaminated and by the reference sampler; with hits
     # forced at a mask uniform of 0 and at the largest double below eps
-    spec = ContaminationSpec(base_family=NORMAL, base_params=Params(1e5, 1e-3),
+    spec = ContaminationSpec(base_family=base, base_params=Params(1e5, 1e-3),
                              contaminant_family=CAUCHY, contaminant_params=Params(1.0, 3.0),
                              epsilon=eps)
     w = simulate._row_width(spec, n)
@@ -237,6 +235,21 @@ def test_block_draws_equal_single_rows(n, eps):
         assert x[i].tobytes() == want == _one_draw_at_a_time(spec, n, _Replay(row)).tobytes()
     if eps > 0.0:  # the forced hits are the contaminant's, far from the base's 1e5
         assert abs(x[1, -1] - 1e5) > 1.0 and abs(x[3, 0] - 1e5) > 1.0
+
+
+@pytest.mark.parametrize("eps", [0.0, 5e-324, 0.05, 1 - 2 ** -53, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 1001])
+def test_block_draws_equal_single_rows(n, eps):
+    _check_block_rows(NORMAL, n, eps)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05, 1.0])
+@pytest.mark.parametrize("n", [1, 1000, 1001])
+@pytest.mark.parametrize("name", sorted(set(FAMILIES) - {"normal"}))
+def test_inverted_block_draws_equal_single_rows(name, n, eps):
+    # the inverted families read a contaminated block's strided base half
+    # into contiguous memory, where a single row's base uniforms already are
+    _check_block_rows(get_family(name), n, eps)
 
 
 def test_sampling_checks_size_and_scales():
@@ -439,9 +452,10 @@ ENGINE_ESTIMATORS = (
 
 @pytest.mark.parametrize("n, one_row_blocks", [(1000, False), (1000, True), (40, True)])
 def test_replicate_estimates_do_not_depend_on_the_study_size(n, one_row_blocks, monkeypatch):
-    # n = 1000 at epsilon = 0.05 draws 2000 uniforms a row, so blocks hold 65
-    # rows: m = 300 spans five blocks and m = 10 one partial block; capping a
-    # block at n values gives one-row blocks
+    # a block holds at most 2^17 draws, 131 rows at n = 1000 (whatever the
+    # 2000 uniforms a contaminated row is made of): m = 300 spans three blocks
+    # and m = 10 one partial block; capping a block at n values gives one-row
+    # blocks
     def study(m):
         return _mc_estimates(McConfig(spec=contaminated(0.05), n=n, m=m,
                                       estimators=ENGINE_ESTIMATORS, seed=21))[0]
@@ -462,14 +476,34 @@ def test_block_rows_stay_within_one_mebibyte():
         assert all(len(b) == 1 or len(b) * n * 8 <= 2 ** 20 for b in blocks)
 
 
+def test_study_blocks_count_draws_and_bootstrap_blocks_keep_their_size():
+    # a contaminated study at n = 1000 reads 2000 uniforms a row, but its
+    # blocks are cut by their draws: 131 rows, as in a clean study
+    n, m = 1000, 300
+    for spec in (clean(), contaminated(0.05)):
+        shapes = []  # the two workers may finish their blocks in either order
+        _run_blocks(spec, n, range(m), (3,), lambda reps, block: shapes.append(
+            (reps.start, len(reps), block.shape)))
+        assert [rows for _, rows, _ in sorted(shapes)] == [131, 131, 38]
+        assert all(shape == (rows, n) and rows * n <= quantiles._BLOCK_VALUES
+                   for _, rows, shape in shapes)
+    # the W_out bootstrap at the benchmark's layout (n = 10^4, the default
+    # grid and out-levels: 71 positions, 75 read columns) keeps ten values
+    # per read column and row: 174-row blocks of 72 spacings
+    pos, cols, _ = quantiles._positions(10 ** 4, GRID, gof.make_out_grid())
+    assert pos.size == 71 and sum(c.size for c in cols) == 75
+    with gof._spacings(10 ** 4, (3,), 400, pos, cols) as blocks:
+        assert [g.shape for g in blocks] == [(174, 72), (174, 72), (52, 72)]
+
+
 @pytest.mark.parametrize("one_row_blocks", [False, True])
 @pytest.mark.parametrize("epsilon", [0.0, 0.1])
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_block_sampler_rows_equal_single_draws(name, epsilon, one_row_blocks, monkeypatch):
-    # n = 300 draws 300 uniforms a row (436-row blocks) at epsilon = 0 and
-    # 600 (218-row blocks) at 0.1, so 500 replicates span two or three blocks
+    # a block holds at most 2^17 draws, 436 rows at n = 300, whether a row is
+    # made of 300 uniforms (epsilon = 0) or 600 (0.1): 500 replicates span
+    # two blocks
     n, m, seed = 300, 500, 13
-    w = 2 * n if epsilon > 0.0 else n
     spec = ContaminationSpec(
         base_family=get_family(name), base_params=Params(0.4, 1.3),
         contaminant_family=get_family("gumbel"), contaminant_params=Params(2.0, 3.0),
@@ -479,7 +513,7 @@ def test_block_sampler_rows_equal_single_draws(name, epsilon, one_row_blocks, mo
         m = 5
     blocks = []
     _run_blocks(spec, n, range(m), (seed,), lambda reps, block: blocks.append((reps, block)))
-    assert len(blocks) == (m if one_row_blocks else -(-m // (2 ** 17 // w)))
+    assert len(blocks) == (m if one_row_blocks else -(-m // (2 ** 17 // n)))
     want = _stream_rows(spec, n, (seed,), m)
     for reps, block in blocks:
         for r, row in zip(reps, block):
@@ -776,7 +810,7 @@ def test_engine_single_block_with_many_hits(monkeypatch):
     # entries per row, every row's taken from the mask half of its own draw
     cfg = McConfig(spec=contaminated(0.3), n=400, m=7, seed=5,
                    estimators=(EstimatorSpec("mle"), EstimatorSpec("gqls", GRID)))
-    assert len(list(quantiles.replicate_blocks(range(cfg.m), 2 * cfg.n))) == 1
+    assert len(list(quantiles.replicate_blocks(range(cfg.m), cfg.n))) == 1
     engine, reference = _engine_and_reference(cfg, monkeypatch)
     assert engine.tobytes() == reference.tobytes()
 
@@ -831,7 +865,7 @@ def test_study_bytes_do_not_depend_on_blocks_or_threads(study, monkeypatch):
         patch.setattr(quantiles, "_BLOCK_VALUES", 1)
         assert run().tobytes() == want.tobytes()
     with monkeypatch.context() as patch:
-        patch.setattr(quantiles, "_BLOCK_VALUES", 7 * 2 * n)
+        patch.setattr(quantiles, "_BLOCK_VALUES", 7 * n)
         patch.setattr(quantiles, "threading",
                       types.SimpleNamespace(Lock=threading.Lock, Thread=_NoHelper))
         assert run().tobytes() == want.tobytes()
@@ -845,7 +879,7 @@ def test_study_bytes_do_not_depend_on_blocks_or_threads(study, monkeypatch):
         run_blocks(spec, n, replicates, seed_prefix, _both_workers(recorded))
 
     with monkeypatch.context() as patch:
-        patch.setattr(quantiles, "_BLOCK_VALUES", 7 * 2 * n)
+        patch.setattr(quantiles, "_BLOCK_VALUES", 7 * n)
         patch.setattr(simulate, "_run_blocks", on_both_workers)
         assert run().tobytes() == want.tobytes()
     assert len(workers) == 2
