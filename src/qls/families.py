@@ -393,20 +393,12 @@ class Family:
 
     def _iid(self, params: Params, u: np.ndarray) -> np.ndarray:
         """i.i.d. draws made of uniforms u along the last axis, which may be
-        overwritten: the family's own draw transform, else the inversion of
-        ``_from_uniform``.  The draws are not monotone in u, so they are no
-        order statistics; a row's draws depend on that row alone.
-
-        A strided u (the base half of the rows of a contaminated Monte Carlo
-        block) costs numpy's passes more, so there the clip reads it once
-        into fresh contiguous memory and the quantile passes run on that, as
-        ``_normal_draws`` does; u is left as it was.  The passes run the same
-        operations on the same values either way, so they give the same bits."""
-        if self._draws is not None:
-            return self._draws(params, u)
-        if u.flags.c_contiguous:
+        overwritten: the family's own draw transform, else ``_from_uniform``.
+        The draws are not monotone in u, so they are no order statistics; a
+        row's draws depend on that row alone."""
+        if self._draws is None:
             return self._from_uniform(params, u)
-        return self._scaled_qf(params, np.clip(u, _U_FLOOR, _U_CEIL))
+        return self._draws(params, u)
 
     def _from_uniform(self, params: Params, u: np.ndarray) -> np.ndarray:
         """mu + sigma * Q0(u), clipping u in place: the monotone transform.
@@ -414,11 +406,6 @@ class Family:
         order statistics of the sample those uniforms would draw."""
         # keep the quantile function finite at the edges
         np.clip(u, _U_FLOOR, _U_CEIL, out=u)
-        return self._scaled_qf(params, u)
-
-    def _scaled_qf(self, params: Params, u: np.ndarray) -> np.ndarray:
-        """mu + sigma * Q0(u) of uniforms u already clipped to [``_U_FLOOR``,
-        ``_U_CEIL``]."""
         # every _qf returns a fresh array: scale and shift it in place (the
         # same bits as mu + sigma * q, without two more temporaries)
         q = self._qf(u)

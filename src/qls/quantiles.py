@@ -12,10 +12,7 @@ quantiles
 the levels and densities from which a fit plan sums its closed-form inverse
 (``level_density``), and the design whose columns are 1 and Q0(p_i).  Replicate
 studies take order statistics from row-sorted blocks of replicates, split by
-``replicate_blocks`` so that each block stays within 2^17 values (1 MiB): a
-Monte Carlo block counts its draws (with contamination they are made of a
-2 MiB block of uniforms), a W_out bootstrap block ten values per read column
-and row.
+``replicate_blocks`` so that each block holds at most 2^17 values (1 MiB).
 """
 from __future__ import annotations
 
@@ -49,11 +46,8 @@ __all__ = [
     "design_matrix",
 ]
 
-# float64 values in one block of replicate rows: 1 MiB.  A Monte Carlo block
-# counts its draws (rows x n), not the uniforms they are made of (rows x 2n
-# with contamination, a 2 MiB buffer per worker); a W_out bootstrap block
-# counts ten values per read column.  A larger single sample is sorted as
-# two halves on two threads (``_order_statistics``).
+# float64 values in one block of replicate rows: 1 MiB; a larger single
+# sample is sorted as two halves on two threads (``_order_statistics``)
 _BLOCK_VALUES = 2 ** 17
 
 

@@ -10,14 +10,12 @@ with contamination n mask uniforms, which also give the contaminant its
 uniforms), and the reduction order is fixed.
 
 Replicates run as a batch engine.  Consecutive replicates fill the rows of
-one block of at most 2^17 draws (1 MiB; ``quantiles.replicate_blocks`` on
-n, not on w), so a contaminated block has as many rows as a clean one and
-its w-wide uniform draw holds up to 2 MiB.  A block advances its own copy
-of the stream to its first replicate (PCG64 spends one 64-bit step per
-double; L'Ecuyer et al. 2002, O'Neill 2014), draws all its rows at once
-into its worker's reused uniform buffer and makes the base draws with the
-family's i.i.d. transform (``Family._iid``: Box-Muller for the normal,
-inversion otherwise, each run on contiguous memory) and the contaminant's
+one block of at most 2^17 draws, 1 MiB (``_run_blocks``).  A block advances
+its own copy of the stream to its first replicate (PCG64 spends one 64-bit
+step per double; L'Ecuyer et al. 2002, O'Neill 2014), draws all its rows at
+once into its worker's reused uniform buffer and makes the base draws with
+the family's i.i.d. transform (``Family._iid``: Box-Muller for the normal,
+run in a contiguous scratch, inversion otherwise) and the contaminant's
 draws at the hits, found by flat index and read from their mask uniforms
 divided by epsilon, with its monotone quantile transform
 (``Family._from_uniform``), each once on the whole block.  The block of
@@ -115,10 +113,9 @@ def _from_uniforms(spec: ContaminationSpec, n: int, u: np.ndarray) -> np.ndarray
     """The (rows, n) mixture draws made of a (rows, ``_row_width``) array of
     uniforms, one sample per row as ``sample_contaminated`` lays it out; u may
     be overwritten.  The base family's i.i.d. transform runs once on the base
-    uniforms (with contamination a strided half of u, which it first reads
-    into contiguous memory) and the contaminant's quantile transform once on
-    its hits; both work elementwise or within a row, so a row is the same
-    bits whatever rows it is drawn with.
+    uniforms and the contaminant's quantile transform once on its hits; both
+    work elementwise or within a row, so a row is the same bits whatever rows
+    it is drawn with.
 
     A mask uniform m below epsilon is recycled (composition; Devroye 1986,
     Non-Uniform Random Variate Generation): given m < epsilon,

@@ -215,12 +215,14 @@ def test_extreme_epsilons_give_finite_draws(name, eps):
     assert (x[:3] != base[:3]).tolist() == [True, True, False]
 
 
-def _check_block_rows(base, n, eps):
+@pytest.mark.parametrize("eps", [0.0, 5e-324, 0.05, 1 - 2 ** -53, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 1001])
+def test_block_draws_equal_single_rows(n, eps):
     # a (rows, w) block through _from_uniforms, as the engine draws it: its
     # uniforms are only read, and each row is the bytes of that row drawn
     # alone, by sample_contaminated and by the reference sampler; with hits
     # forced at a mask uniform of 0 and at the largest double below eps
-    spec = ContaminationSpec(base_family=base, base_params=Params(1e5, 1e-3),
+    spec = ContaminationSpec(base_family=NORMAL, base_params=Params(1e5, 1e-3),
                              contaminant_family=CAUCHY, contaminant_params=Params(1.0, 3.0),
                              epsilon=eps)
     w = simulate._row_width(spec, n)
@@ -235,21 +237,6 @@ def _check_block_rows(base, n, eps):
         assert x[i].tobytes() == want == _one_draw_at_a_time(spec, n, _Replay(row)).tobytes()
     if eps > 0.0:  # the forced hits are the contaminant's, far from the base's 1e5
         assert abs(x[1, -1] - 1e5) > 1.0 and abs(x[3, 0] - 1e5) > 1.0
-
-
-@pytest.mark.parametrize("eps", [0.0, 5e-324, 0.05, 1 - 2 ** -53, 1.0])
-@pytest.mark.parametrize("n", [1, 2, 7, 1000, 1001])
-def test_block_draws_equal_single_rows(n, eps):
-    _check_block_rows(NORMAL, n, eps)
-
-
-@pytest.mark.parametrize("eps", [0.0, 0.05, 1.0])
-@pytest.mark.parametrize("n", [1, 1000, 1001])
-@pytest.mark.parametrize("name", sorted(set(FAMILIES) - {"normal"}))
-def test_inverted_block_draws_equal_single_rows(name, n, eps):
-    # the inverted families read a contaminated block's strided base half
-    # into contiguous memory, where a single row's base uniforms already are
-    _check_block_rows(get_family(name), n, eps)
 
 
 def test_sampling_checks_size_and_scales():
