@@ -7,12 +7,13 @@ inputs, or of the name of the error it raises; a test result is hashed by
 the name and repr of each field in GOF_FIELDS:
 
   run_mc/<study>/...  a study per family, epsilon (cauchy(1, 3) contaminant)
-                      and n, with estimators labelled gqls and oqls (joint),
-                      gqls_location (a known sigma), oqls_scale (a known mu)
-                      and mle where the family has one: each label's
-                      per-replicate estimates (<study>/<label>) and summary
-                      (<study>/summary/<label>), and the grid tags
-                      (<study>/tags); so a change to one estimator names
+                      and n (epsilon = 0.3 at n = 301 only), with estimators
+                      labelled gqls and oqls (joint), gqls_location (a known
+                      sigma), oqls_scale (a known mu) and mle where the
+                      family has one: each label's per-replicate estimates
+                      (<study>/<label>) and summary (<study>/summary/<label>),
+                      the grid tags (<study>/tags), and the means
+                      (<study>/means); so a change to one estimator names
                       that estimator's entries alone.  run_mc/readme is
                       the README study (5% N(1, 3^2) in N(0, 1), n = 1000,
                       m = 300: gqls, oqls and mle), three replicate blocks
@@ -23,7 +24,8 @@ the name and repr of each field in GOF_FIELDS:
                       blocks; logistic at n = 10000, B = 1000, six blocks;
                       and rounded, heavily tied data at n = 60, where the
                       out-levels clamp, so the order of the tags counts)
-  power/...           w and wout power tables at n = 50 and 1000
+  power/...           w and wout power tables at n = 50 and 1000: the cells
+                      (power/<table>/cells) and the means (power/<table>/means)
   gof_all/...         exit code, stdout and stderr of qls gof --family all
                       (w, and wout at B = 1000) on a file of 80 values and a
                       header, so that the reader and the out-levels warn
@@ -33,17 +35,28 @@ the name and repr of each field in GOF_FIELDS:
   matrix/...          w_test, q_decomposition, residual_analysis,
                       asymptotic_cov and qls_weights on caller matrices
 
+The means are values, not digests, so that two trees whose bytes differ
+can still be compared in distribution: a study's means entry holds, for
+each label and parameter (<label>/<param>), the mean of the finite
+per-replicate estimates and its standard error, sd / sqrt(count); a power
+table's holds, for each cell (<h0>/<generator>/(a,b,k=K)), the rejection
+rate and its binomial standard error, sqrt(rate (1 - rate) / replicates
+that did not fail).
+
 Usage: python scripts/contract_digest.py OUT.json
        python scripts/contract_digest.py --diff A.json B.json
 
---diff lists the names whose digests differ or that only one file holds,
-and exits 1 if there are any.  Run the first form with each tree's src on
-PYTHONPATH to compare the trees.
+--diff lists the names whose digests or means differ or that only one file
+holds, and exits 1 if there are any.  Under a means entry that differs it
+prints each value of both sides with its standard error and the z of the
+difference, (B - A) / sqrt(se_A^2 + se_B^2).  Run the first form with each
+tree's src on PYTHONPATH to compare the trees.
 """
 import contextlib
 import hashlib
 import io
 import json
+import math
 import pathlib
 import sys
 import tempfile
@@ -114,7 +127,7 @@ def _mc(name: str, epsilon: float, n: int) -> str:
                            seed=20240 + n))
 
 
-def _readme_mc() -> dict:
+def _readme_config() -> McConfig:
     """The README study: N(0, 1) with 5% N(1, 3^2), n = 1000, at m = 300,
     which spans several replicate blocks."""
     normal = get_family("normal")
@@ -124,17 +137,24 @@ def _readme_mc() -> dict:
     ests = (EstimatorSpec("gqls", GRID, label="gqls"),
             EstimatorSpec("oqls", make_grid(0.10, 0.90, 25), label="oqls"),
             EstimatorSpec("mle"))
-    return _study(McConfig(spec=spec, n=1000, m=300, estimators=ests, seed=2024))
+    return McConfig(spec=spec, n=1000, m=300, estimators=ests, seed=2024)
 
 
 def _study(config: McConfig) -> dict:
     estimates, tags = _mc_estimates(config)
     summary = run_mc(config)
-    out = {"tags": _digest(tags)}
+    out, means = {"tags": _digest(tags)}, {}
     for j, est in enumerate(config.estimators):
         out[est.label] = _digest(estimates[:, j])
         out[f"summary/{est.label}"] = _digest(summary.stats[est.label],
                                               summary.failures[est.label])
+        for c, pname in enumerate(est.param_names):
+            v = estimates[:, j, c]
+            v = v[np.isfinite(v)]
+            if v.size:
+                se = float(np.std(v, ddof=1) / math.sqrt(v.size)) if v.size > 1 else math.nan
+                means[f"{est.label}/{pname}"] = [float(np.mean(v)), se]
+    out["means"] = means
     return out
 
 
@@ -166,14 +186,20 @@ def _bootstrap(name: str, out_levels, n: int = 500, B: int = 200, tied: bool = F
                                         GRID, out_grid, B=B, seed=3))
 
 
-def _power(test: str, n: int) -> str:
+def _power(test: str, n: int) -> dict:
     gens = [_spec("normal", 0.0), _spec("logistic", 0.05)]
     m, b = {("w", 50): (400, 0), ("w", 1000): (60, 0),
             ("wout", 50): (200, 200), ("wout", 1000): (40, 100)}[test, n]
     cells = run_power_study([get_family("normal"), get_family("cauchy")], gens,
                             [GRID, make_grid(0.10, 0.90, 9)], n=n, m=m, test=test,
                             B=max(b, 1), seed=17)
-    return _digest(cells)
+    means = {}
+    for cell in cells:
+        rate, used = cell.rejection_rate, cell.m - cell.failures
+        se = math.sqrt(rate * (1.0 - rate) / used) if used else math.nan
+        means[f"{cell.h0_family}/{cell.generator}/({cell.a:g},{cell.b:g},k={cell.k})"] = [
+            rate, se]
+    return {"cells": _digest(cells), "means": means}
 
 
 def _gof(family: str, test: str, *options: str) -> str:
@@ -223,14 +249,13 @@ def catalogue() -> dict:
             entries[f"sample/{name}/eps={eps:g}"] = (
                 lambda nm, e: _digest(sample_contaminated(_spec(nm, e), 301,
                                                           np.random.default_rng(9))), name, eps)
-        if name in ("cauchy", "logistic", "gumbel"):
-            entries[f"run_mc/{name}/eps=0.3/n=301"] = (_mc, name, 0.3, 301)
+        entries[f"run_mc/{name}/eps=0.3/n=301"] = (_mc, name, 0.3, 301)
         for method in ("gqls", "oqls", "mle"):
             for mode, label in MODE_NAMES.items():
                 entries[f"fit_sample/{name}/{method}/{label}"] = (_fit_sample, name, method, mode)
         for kind in ("gqls", "oqls"):
             entries[f"influence/{name}/{kind}"] = (_influence, name, kind)
-    entries["run_mc/readme"] = (_readme_mc,)
+    entries["run_mc/readme"] = (lambda: _study(_readme_config()),)
     for kind in ("gqls", "oqls"):
         entries[f"are/table/{kind}"] = (
             lambda kd: _digest(are_table(kd, [FAMILIES[nm] for nm in names],
@@ -267,8 +292,9 @@ def catalogue() -> dict:
 
 def digests(prefixes=None) -> dict:
     """The digest of every catalogue entry whose name starts with one of
-    ``prefixes`` (all when None), an entry of parts as <name>/<part>; an
-    entry that raises a library error has the digest ``error:<type name>``."""
+    ``prefixes`` (all when None), an entry of parts as <name>/<part>, and
+    the means of each study and power table; an entry that raises a
+    library error has the digest ``error:<type name>``."""
     out = {}
     for name, (call, *args) in catalogue().items():
         if prefixes is not None and not name.startswith(tuple(prefixes)):
@@ -285,8 +311,33 @@ def digests(prefixes=None) -> dict:
     return out
 
 
+def _z(a: list, b: list) -> float:
+    """(B - A) over the square root of the summed squared standard errors."""
+    (x, se_x), (y, se_y) = a, b
+    spread = math.hypot(se_x, se_y)
+    if spread > 0.0 or math.isnan(spread):
+        return (y - x) / spread
+    return 0.0 if x == y else math.copysign(math.inf, y - x)
+
+
+def _mean_lines(a: dict, b: dict) -> list:
+    """One line per value of two means entries: both sides and their z."""
+    lines = []
+    for key in sorted(a.keys() | b.keys()):
+        if key not in b or key not in a:
+            side, (v, se) = ("A", a[key]) if key in a else ("B", b[key])
+            lines.append(f"  {key}: only in {side}: {v:.6g} (se {se:.3g})")
+            continue
+        (x, se_x), (y, se_y) = a[key], b[key]
+        lines.append(f"  {key}: A {x:.6g} (se {se_x:.3g})  B {y:.6g} (se {se_y:.3g})"
+                     f"  z {_z(a[key], b[key]):+.2f}")
+    return lines
+
+
 def diff(a: dict, b: dict) -> list:
-    """Lines naming each entry whose digests differ or that one side lacks."""
+    """Lines naming each entry whose digests or means differ or that one
+    side lacks; under a means entry that differs, both sides' values and the
+    z of each difference."""
     lines = []
     for name in sorted(a.keys() | b.keys()):
         if name not in b:
@@ -295,6 +346,8 @@ def diff(a: dict, b: dict) -> list:
             lines.append(f"only in B: {name}")
         elif a[name] != b[name]:
             lines.append(f"differs: {name}")
+            if isinstance(a[name], dict) and isinstance(b[name], dict):
+                lines.extend(_mean_lines(a[name], b[name]))
     return lines
 
 
@@ -320,7 +373,7 @@ def main() -> None:
     result = digests()
     with parser.output_errors(path):
         path.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    errors = sum(v.startswith("error:") for v in result.values())
+    errors = sum(isinstance(v, str) and v.startswith("error:") for v in result.values())
     print(f"wrote {len(result)} digests ({errors} record an error) to {path}")
 
 

@@ -54,10 +54,10 @@ EULER_GAMMA = float(np.euler_gamma)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _U_FLOOR = float(np.finfo(float).tiny)
-# the clip's top must lie below 1, where every quantile function is infinite
-# and a contaminant's recycled uniform m / epsilon can land.  Every quantile
-# is finite up to 1 - 2^-53, the largest Generator.random double; the ceiling
-# stays one step below it so that draws made of that double keep their bits.
+# the clip's top must lie below 1, where every quantile function is
+# infinite.  Every quantile is finite up to 1 - 2^-53, the largest
+# Generator.random double; the ceiling stays one step below it so that draws
+# made of that double keep their bits.
 _U_CEIL = 1.0 - 2.0 ** -52
 
 
@@ -151,12 +151,9 @@ def _laplace_cdf(z):
 
 @_vectorized
 def _laplace_qf(u):
-    # piecewise exactly; avoids cancellation near u = 0.5
-    out = np.empty_like(u)
-    lo = u <= 0.5
-    out[lo] = np.log(2.0 * u[lo])
-    out[~lo] = -np.log(2.0 * (1.0 - u[~lo]))
-    return out
+    # piecewise exactly; avoids cancellation near u = 0.5.  The branch not
+    # taken is finite on [0, 1], so it raises no warning of its own
+    return np.where(u <= 0.5, np.log(2.0 * u), -np.log(2.0 * (1.0 - u)))
 
 
 def _logistic_pdf(z):

@@ -6,8 +6,8 @@ always measured against the parameters of the clean component F0.  Every
 study is deterministic given its seed: a study (or power cell) reads one
 stream, ``default_rng([*seed_prefix, _STREAM_KEY])``, in which replicate r
 owns the w uniforms [r w, (r + 1) w) (``_row_width``: n base uniforms, then
-with contamination n mask uniforms, which also give the contaminant its
-uniforms), and the reduction order is fixed.
+with contamination K gap uniforms, K contaminant uniforms and one overflow
+slot), and the reduction order is fixed.
 
 Replicates run as a batch engine.  Consecutive replicates fill the rows of
 one block of at most 2^17 draws, 1 MiB (``_run_blocks``).  A block advances
@@ -16,19 +16,20 @@ step per double; L'Ecuyer et al. 2002, O'Neill 2014), draws all its rows at
 once into its worker's reused uniform buffer and makes the base draws with
 the family's i.i.d. transform (``Family._iid``: Box-Muller for the normal,
 run in a contiguous scratch, inversion otherwise) and the contaminant's
-draws at the hits, found by flat index and read from their mask uniforms
-divided by epsilon, with its monotone quantile transform
-(``Family._from_uniform``), each once on the whole block.  The block of
-draws is allocated afresh, since ``work`` may keep it.  Each MLE column is
-fitted on the block as drawn; the block is then sorted once along its rows,
-and one row-batched product per estimator or test (``FitPlan.solve``) fits
-all the rows.  A row's results do not depend on its block, so they are the
+draws at the hits, which geometric gaps skip to (``_gap_ends``), with its
+monotone quantile transform (``Family._from_uniform``), each once on the
+whole block.  The block of draws is allocated afresh, since ``work`` may
+keep it.  Each MLE column is fitted on the block as drawn; the block is
+then sorted once along its rows, and one row-batched product per estimator
+or test (``FitPlan.solve``) fits all the rows.  A row's results do not depend on its block, so they are the
 same for any block size, and the caller and one helper thread take whole
 blocks (``_run_blocks``, through ``quantiles._two_threads``).
 """
 from __future__ import annotations
 
 import functools
+import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -91,22 +92,54 @@ class ContaminationSpec:
 _STREAM_KEY = 0xBB67AE8584CAA73B
 
 
+def _gap_count(n: int, epsilon: float) -> int:
+    """K, the gaps a contaminated row of n draws reads from its own uniforms:
+    10 standard deviations and 10 more above its mean count of hits, n
+    epsilon, and never more than n + 1, whose gaps always reach past the
+    row.  A row of 1000 draws at epsilon = 0.05 has more than its K = 129
+    hits with a probability below 1e-20."""
+    mean = n * epsilon
+    return min(n + 1, math.ceil(mean + 10.0 * math.sqrt(mean * (1.0 - epsilon)) + 10.0))
+
+
 def _row_width(spec: ContaminationSpec, n: int) -> int:
-    """Uniforms per sample of n: n base uniforms, then, when epsilon > 0, n
-    mask uniforms that pick the contaminated entries and, divided by epsilon,
-    are the contaminant's uniforms at them."""
-    return 2 * n if spec.epsilon > 0.0 else n
+    """Uniforms per sample of n: n base uniforms, then, when epsilon > 0, K =
+    ``_gap_count(n, epsilon)`` gap uniforms, K contaminant uniforms and one
+    overflow slot.  That is n + 2K + 1: 1259 at (n, epsilon) = (1000,
+    0.05), wider than 2n from about epsilon = 0.34 at n = 1000 (2339 at
+    0.5) and 3n + 3 at epsilon = 1."""
+    return n + 2 * _gap_count(n, spec.epsilon) + 1 if spec.epsilon > 0.0 else n
 
 
 def sample_contaminated(spec: ContaminationSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n observations from the mixture, made of the next
-    ``_row_width(spec, n)`` uniforms of rng: entry j is the contaminant's
-    inversion draw from m / epsilon when the j-th uniform m of the second n
-    lies below epsilon, else the j-th base draw made of the first n
-    (``Family.sample``'s).  With epsilon = 0 the stream consumed and the
-    draws are those of plain base-family sampling."""
+    ``_row_width(spec, n)`` uniforms of rng, laid out as ``_from_uniforms``
+    reads them: the base draws of the first n (``Family.sample``'s), with
+    the hits of geometric gaps replaced by the contaminant's inversion
+    draws.  With epsilon = 0 the stream consumed and the draws are those of
+    plain base-family sampling.  n must be an integer >= 1 (DomainError
+    before any draw otherwise)."""
+    n = _count(n, "sample size")
     check_sampling(spec.base_params, n)
     return _from_uniforms(spec, n, rng.random((1, _row_width(spec, n))))[0]
+
+
+def _gap_ends(epsilon: float, n: int, g: np.ndarray) -> np.ndarray:
+    """cumsum(G + 1) along the rows of gap uniforms g, with G =
+    floor(log(1 - g) / log1p(-epsilon)): gap i of a row is the count of
+    trials that miss before its hit i, which lies at the i-th end - 1.  G
+    is geometric, P(G >= j) = (1 - epsilon)^j (Devroye 1986, Non-Uniform
+    Random Variate Generation, ch. X).  log(1 - g) is held above (n + 1)
+    log1p(-epsilon), so G stays at most n + 1, which ends the row as any
+    larger gap would, and the quotient cannot overflow at a tiny epsilon;
+    at epsilon = 1 every G is 0."""
+    rate = -math.inf if epsilon == 1.0 else math.log1p(-epsilon)
+    t = np.log(1.0 - g)  # 1 - g is exact for a double of [0, 1)
+    np.maximum(t, (n + 1) * rate, out=t)
+    t /= rate
+    np.floor(t, out=t)
+    t += 1.0
+    return np.cumsum(t, axis=1, out=t)
 
 
 def _from_uniforms(spec: ContaminationSpec, n: int, u: np.ndarray) -> np.ndarray:
@@ -117,21 +150,43 @@ def _from_uniforms(spec: ContaminationSpec, n: int, u: np.ndarray) -> np.ndarray
     work elementwise or within a row, so a row is the same bits whatever rows
     it is drawn with.
 
-    A mask uniform m below epsilon is recycled (composition; Devroye 1986,
-    Non-Uniform Random Variate Generation): given m < epsilon,
-    m / epsilon is uniform on [0, 1) and independent of the rest of the row.
-    Its values step by 2^-53 / epsilon instead of 2^-53 (2.2e-15 at epsilon
-    = 0.05); the transform's clip to [``_U_FLOOR``, ``_U_CEIL``] keeps every
-    quantile finite.  The hits are found as flat positions f of the draws
-    and read from u at f + (row + 1) n, one gather and one scatter by index:
-    two boolean-mask passes over the strided mask cost about twice as much."""
+    Which entries the contaminant takes is n Bernoulli(epsilon) trials, made
+    by skipping over them (``_gap_ends``): the K gap uniforms after the n
+    base ones give the hits, and hit i takes the contaminant's draw from the
+    i-th of the next K uniforms.  One log, floor and row-wise cumsum run on
+    the (rows, K) gap view, then one gather of the hits' uniforms and one
+    scatter by flat index, so no pass runs over an n-wide mask.  A row
+    whose K gaps end before n (``_gap_count`` makes that rarer than 1e-20)
+    goes on with ``_overflow_hits``, from its last uniform."""
     x = spec.base_family._iid(spec.base_params, u[:, :n])
     if spec.epsilon > 0.0:
-        hits = np.flatnonzero(u[:, n:] < spec.epsilon)
-        uc = np.take(u, hits + (hits // n + 1) * n)
-        uc /= spec.epsilon
-        np.put(x, hits, spec.contaminant_family._from_uniform(spec.contaminant_params, uc))
+        k = _gap_count(n, spec.epsilon)
+        ends = _gap_ends(spec.epsilon, n, u[:, n:n + k])
+        hit = ends <= n
+        at = ends + (np.arange(len(u)) * n - 1.0)[:, None]
+        np.put(x, at[hit].astype(np.intp), spec.contaminant_family._from_uniform(
+            spec.contaminant_params, u[:, n + k:n + 2 * k][hit]))
+        for i in np.flatnonzero(ends[:, -1] < n):
+            _overflow_hits(spec, n, x[i], ends[i, -1], u[i, -1])
     return x
+
+
+def _overflow_hits(spec: ContaminationSpec, n: int, x: np.ndarray, start: float,
+                   slot: float) -> None:
+    """Write into the row x the hits at and after position start, for a row
+    whose K gaps ended before n: rounds of K gap uniforms, then K
+    contaminant uniforms, drawn from ``default_rng(slot * 2^53)``, the
+    row's overflow slot as an integer, until the gaps pass n.  The row thus
+    stays a function of its own uniforms."""
+    k = _gap_count(n, spec.epsilon)
+    rng = np.random.default_rng(int(slot * 2.0 ** 53))
+    while start < n:
+        more = rng.random((1, 2 * k))
+        ends = start + _gap_ends(spec.epsilon, n, more[:, :k])[0]
+        hit = ends <= n
+        x[ends[hit].astype(np.intp) - 1] = spec.contaminant_family._from_uniform(
+            spec.contaminant_params, more[0, k:][hit])
+        start = ends[-1]
 
 
 @dataclass(frozen=True)
@@ -166,17 +221,31 @@ class EstimatorSpec:
         return self.mode.names
 
 
-def _check_study(n: int, m: int) -> None:
-    """DomainError unless a study's sample size n and replicate count m are >= 1."""
-    if n < 1 or m < 1:
-        raise DomainError(f"sample size and replicate count must be >= 1, got n={n}, m={m}")
+def _count(value, what: str) -> int:
+    """value as a Python int; DomainError unless it is an integer >= 1 (a
+    bool or a float, even an integral one, is refused)."""
+    if not isinstance(value, bool):
+        try:
+            count = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if count >= 1:
+                return count
+    raise DomainError(f"{what} must be >= 1 and an integer, got {value!r}")
+
+
+def _check_study(n, m) -> tuple[int, int]:
+    """A study's sample size n and replicate count m as Python ints;
+    DomainError unless each is an integer >= 1."""
+    return _count(n, "sample size"), _count(m, "replicate count")
 
 
 @dataclass(frozen=True)
 class McConfig:
     """One Monte Carlo study.  ``seed`` must be a non-negative integer
     (InvalidSeed otherwise); replicate r is made of the r-th run of
-    ``_row_width(spec, n)`` doubles (n clean, 2n contaminated) of
+    ``_row_width(spec, n)`` doubles (n clean, n + 2K + 1 contaminated) of
     ``default_rng([seed, _STREAM_KEY])``."""
 
     spec: ContaminationSpec
@@ -188,7 +257,9 @@ class McConfig:
     # helper thread take whole blocks
 
     def __post_init__(self):
-        _check_study(self.n, self.m)
+        n, m = _check_study(self.n, self.m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
         check_seed(self.seed)
         object.__setattr__(self, "estimators", tuple(self.estimators))
 
@@ -233,9 +304,9 @@ def _run_blocks(spec: ContaminationSpec, n: int, replicates: range, seed_prefix:
     ``default_rng([*seed_prefix, _STREAM_KEY])``, w = ``_row_width(spec, n)``.
     A block holds at most ``quantiles._BLOCK_VALUES`` draws (rows x n, one
     row when a sample is larger), whatever w: every block makes about the
-    same number of GIL-releasing numpy calls, so a contaminated study at
-    w = 2n cuts as few blocks, and hands the GIL between the two threads as
-    seldom, as a clean one.
+    same number of GIL-releasing numpy calls, so a contaminated study, whose
+    rows are wider, cuts as few blocks, and hands the GIL between the two
+    threads as seldom, as a clean one.
 
     The caller and one helper thread each take the next block until none is
     left (``quantiles._two_threads``), so ``work`` must write only its own
@@ -243,8 +314,8 @@ def _run_blocks(spec: ContaminationSpec, n: int, replicates: range, seed_prefix:
     and that error is raised here.
 
     A worker allocates its (rows, w) uniform buffer once, at its first block
-    (the largest; 2 MiB for a contaminated block of 2^17 draws), and draws
-    every block into it; ``work`` never sees it.
+    (the largest; 1.26 MiB for a block of 131 rows at n = 1000 and epsilon
+    = 0.05, w = 1259), and draws every block into it; ``work`` never sees it.
     Each block handed to ``work`` is a fresh array, which ``work`` may keep."""
     check_sampling(spec.base_params, n)
     width = _row_width(spec, n)
@@ -403,7 +474,7 @@ def run_power_study(h0_families, generators, grids, n: int, m: int,
     whose base parameters cannot be sampled raise DomainError, and a bad
     seed InvalidSeed.
     """
-    _check_study(n, m)
+    n, m = _check_study(n, m)
     check_seed(seed)
     if test not in ("w", "wout"):
         raise DomainError(f"unknown test {test!r}")

@@ -16,6 +16,7 @@ from qls import cli
 from qls import families as families_mod
 from qls import gof as gof_mod
 from qls import quantiles as quantiles_mod
+from qls import simulate
 from qls.cli import Dataset, main, read_data, InputError
 from qls.errors import DegenerateDensity
 from qls.estimators import FitPlan
@@ -1019,15 +1020,32 @@ _DIGEST_SLICE = ("run_mc/normal/", "run_mc/laplace/eps=0.05/n=301", "run_mc/read
 
 def test_contract_digests_repeat_and_do_not_depend_on_the_block_size(monkeypatch):
     # the replicate blocks and the split-sort threshold follow _BLOCK_VALUES;
-    # no output of the catalogue may depend on them
+    # no output of the catalogue may depend on them, means included
     digest = _contract_digest_module()
     first = digest.digests(_DIGEST_SLICE)
-    # a study is 11 entries: tags, and the estimates and summary of each of 5 labels
-    # (7 and 3 for the README study, whose 300 replicates span three blocks);
+    # a study is 12 entries: tags, the estimates and summary of each of 5
+    # labels, and the means (8 for the README study, whose 300 replicates
+    # span three blocks); a power table is its cells and its means;
     # bootstrap/logistic/ holds the six-block run at the benchmark's shape
-    assert len(first) == 79 and not any(v.startswith("error:") for v in first.values())
+    assert len(first) == 98
+    assert not any(isinstance(v, str) and v.startswith("error:") for v in first.values())
     assert {"run_mc/laplace/eps=0.05/n=301/mle",
-            "run_mc/laplace/eps=0.05/n=301/summary/mle"} <= first.keys()
+            "run_mc/laplace/eps=0.05/n=301/summary/mle",
+            "run_mc/normal/eps=0.3/n=301/means", "power/w/n=50/means"} <= first.keys()
+    # a study's means are each label's parameter means, as run_mc reports
+    # them, with a positive standard error; a table's are its rates
+    study = first["run_mc/normal/eps=0.05/n=301/means"]
+    assert set(study) == {"gqls/mu", "gqls/sigma", "oqls/mu", "oqls/sigma", "gqls_location/mu",
+                          "oqls_scale/sigma", "mle/mu", "mle/sigma"}
+    readme = first["run_mc/readme/means"]
+    summary = simulate.run_mc(digest._readme_config())
+    for label, per_param in summary.stats.items():
+        for pname, s in per_param.items():
+            mean, se = readme[f"{label}/{pname}"]
+            assert mean == s.mean and 0.0 < se < 0.1
+    table = first["power/w/n=50/means"]
+    assert len(table) == 8 and all(0.0 <= rate <= 1.0 and se >= 0.0
+                                   for rate, se in table.values())
     assert digest.digests(_DIGEST_SLICE) == first
     monkeypatch.setattr(quantiles_mod, "_BLOCK_VALUES", 2 ** 12)
     assert digest.digests(_DIGEST_SLICE) == first
@@ -1045,3 +1063,17 @@ def test_contract_digest_diff_names_each_difference(tmp_path):
     proc = subprocess.run([*script, str(a), str(a)], capture_output=True, env=SCRIPT_ENV,
                           timeout=120)
     assert proc.returncode == 0 and proc.stdout == b"no difference over 3 entries\n"
+
+
+def test_contract_digest_diff_prints_both_means_and_their_z():
+    digest = _contract_digest_module()
+    a = {"s/x": "1", "s/means": {"g/mu": [1.0, 0.3], "g/sigma": [2.0, 0.0], "m/mu": [0.5, 0.1]}}
+    b = {"s/x": "2", "s/means": {"g/mu": [1.5, 0.4], "g/sigma": [2.0, 0.0], "o/mu": [0.2, 0.1]}}
+    assert digest.diff(a, b) == [
+        "differs: s/means",
+        "  g/mu: A 1 (se 0.3)  B 1.5 (se 0.4)  z +1.00",
+        "  g/sigma: A 2 (se 0)  B 2 (se 0)  z +0.00",
+        "  m/mu: only in A: 0.5 (se 0.1)",
+        "  o/mu: only in B: 0.2 (se 0.1)",
+        "differs: s/x"]
+    assert digest.diff(a, a) == []

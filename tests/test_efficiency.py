@@ -1,8 +1,10 @@
 import dataclasses
+import math
 import pickle
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from qls.efficiency import AreResult, are, are_curve, are_table, standardized_cov
 from qls.errors import Unavailable
@@ -206,3 +208,64 @@ def test_gqls_efficiency_never_falls_along_nested_grids(name, bounds):
     for mode in MODES.values():
         ares = [are("gqls", fam, make_grid(*bounds, 2 ** j + 1), mode).are for j in range(1, 12)]
         assert all(b >= a * (1 - 1e-12) for a, b in zip(ares, ares[1:])), (mode, ares)
+
+
+# -f'/f of each standard density with a joint Fisher information, written
+# out here so that the censored-sample information shares no code with qls
+_SCORE = {
+    "cauchy": lambda z: 2.0 * z / (1.0 + z * z),
+    "gumbel": lambda z: 1.0 - math.exp(-z),
+    "laplace": lambda z: math.copysign(1.0, z),
+    "logistic": lambda z: math.tanh(0.5 * z),
+    "normal": lambda z: z,
+}
+
+
+def _censored_efficiency(fam, mode, a, b):
+    """Efficiency of the MLE of a doubly Type-II censored sample that keeps
+    the levels in [a, b] (Ogawa 1951; Sarhan & Greenberg 1962; Chernoff,
+    Gastwirth & Johns 1967): its information per observation is the
+    integral of s s' f between the cuts, s = (psi, z psi - 1) the
+    location-scale score, plus g g' / a at the left cut and g g' / (1 - b)
+    at the right, g = (f, z f), by quad on Family.pdf; against I0 by the
+    convention of ``are`` (joint: determinants to the 1/2, single modes:
+    the marginal variance of the joint fit)."""
+    psi, lo, hi = _SCORE[fam.name], float(fam.qf(a)), float(fam.qf(b))
+    score = (psi, lambda z: z * psi(z) - 1.0)
+    info = np.empty((2, 2))
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        info[i, j] = info[j, i] = integrate.quad(
+            lambda z: score[i](z) * score[j](z) * float(fam.pdf(z)), lo, hi, points=[0.0],
+            epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+    for z, mass in ((lo, a), (hi, 1.0 - b)):
+        g = np.array([1.0, z]) * float(fam.pdf(z))
+        info += np.outer(g, g) / mass
+    info0 = fam.fisher_info(ParamMode.LOCATION_SCALE)
+    if mode is ParamMode.LOCATION_SCALE:
+        return math.sqrt(np.linalg.det(info) / np.linalg.det(info0))
+    j = mode.columns.start
+    return np.linalg.inv(info0)[j, j] / np.linalg.inv(info)[j, j]
+
+
+@pytest.mark.parametrize("name", ["cauchy", "gumbel", "laplace", "logistic", "normal"])
+def test_gqls_efficiency_tends_to_the_censored_sample_bound(name):
+    # as k grows, gQLS on (0.05, 0.95) tends from below to the efficiency of
+    # the censored sample.  Measured over the 14 cells whose gap is not 0,
+    # the gap falls as c / (k - 1)^2, c from 0.7 to 2.7 (gap ratio 3.993 to
+    # 4.000 from k = 101 to 201), and the Richardson value A(201) + (A(201)
+    # - A(101)) / 3 misses the bound by c' / (k - 1)^4, c' at most 220
+    # (1.4e-7 at k = 201).  So the tolerances are the rate's: a gap at most
+    # 3 / 200^2 at k = 201, a ratio within 1% of 4, and 4e-7 after
+    # Richardson.  Laplace location reads 1 at every odd k, the bound.
+    fam = get_family(name)
+    for mode in MODES.values():
+        bound = _censored_efficiency(fam, mode, 0.05, 0.95)
+        gap = {k: bound - are("gqls", fam, make_grid(0.05, 0.95, k), mode).are
+               for k in (101, 201)}
+        if name == "laplace" and mode is ParamMode.LOCATION_ONLY:
+            assert bound == pytest.approx(1.0, abs=1e-12)
+            assert abs(gap[101]) < 1e-12 and abs(gap[201]) < 1e-12
+            continue
+        assert 0.0 < gap[201] <= 3.0 / 200 ** 2, (mode, gap)
+        assert gap[101] / gap[201] == pytest.approx(4.0, rel=0.01), (mode, gap)
+        assert abs(gap[201] - (gap[101] - gap[201]) / 3.0) <= 4e-7, (mode, gap)

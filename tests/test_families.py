@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from qls import families
 from qls.errors import DomainError, Unavailable
 from qls.families import EULER_GAMMA, FAMILIES, ParamMode, Params, get_family
 
@@ -140,6 +142,40 @@ def test_logistic_qf_is_accurate_monotone_and_exact_at_one_half():
     for scalar in (0.25, np.float64(0.25), np.asarray(0.25)):
         out = fam.qf(scalar)
         assert np.ndim(out) == 0 and isinstance(out, np.float64)
+
+
+def _laplace_qf_piecewise(u):
+    """The laplace quantile filled branch by branch through boolean masks."""
+    out = np.empty_like(u)
+    lo = u <= 0.5
+    out[lo] = np.log(2.0 * u[lo])
+    out[~lo] = -np.log(2.0 * (1.0 - u[~lo]))
+    return out
+
+
+def _with_warnings(fn, u):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(u)
+    return np.asarray(out, dtype=float).tobytes(), [(w.category, str(w.message)) for w in caught]
+
+
+def test_laplace_qf_equals_its_piecewise_form():
+    # one np.where gives the bytes and the warnings of the two masked
+    # branches: on a study block of clipped uniforms, on raw uniforms, and at
+    # the edges, in an array and one at a time
+    rng = np.random.default_rng(37)
+    edges = np.array([0.0, 2.0 ** -1074, 0.5, np.nextafter(0.5, 1.0), 1.0 - 2.0 ** -53, 1.0,
+                      np.nan])
+    block = np.clip(rng.random((131, 1000)), families._U_FLOOR, families._U_CEIL)
+    for u in (block, rng.random((131, 1000)), edges, edges[::-1].reshape(7, 1)):
+        got = _with_warnings(families._laplace_qf, u.copy())
+        assert got == _with_warnings(_laplace_qf_piecewise, u.copy())
+    assert _with_warnings(families._laplace_qf, edges)[1] == [
+        (RuntimeWarning, "divide by zero encountered in log")] * 2
+    for v in edges:
+        got = _with_warnings(families._laplace_qf, float(v))
+        assert got == _with_warnings(_laplace_qf_piecewise, np.array([v]))
 
 
 def test_fisher_info_values():

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import types
@@ -55,19 +56,50 @@ def contaminated(eps, fam=NORMAL):
     )
 
 
+def _walk(eps, n, gaps, values, slot):
+    """Reference for the hits of a contaminated row, walked one gap at a
+    time: gap uniform g skips floor(log(1 - g) / log1p(-eps)) entries, and
+    the entry after them is a hit, which takes the next contaminant uniform,
+    until the walk passes n.  After the row's own K gaps the walk goes on
+    with rounds of K gap and then K contaminant uniforms from
+    default_rng(slot * 2^53).  Returns the hits' positions and uniforms."""
+    k, rate = len(gaps), (math.log1p(-eps) if eps < 1.0 else -math.inf)
+    positions, uniforms, at, i, more = [], [], 0, 0, None
+    while at < n:
+        if i == k:
+            if more is None:
+                more = np.random.default_rng(int(slot * 2 ** 53))
+            gaps, values = np.split(more.random(2 * k), 2)
+            i = 0
+        skip = math.log(1.0 - gaps[i]) / rate
+        if skip >= n - at:
+            break
+        at += math.floor(skip)
+        positions.append(at)
+        uniforms.append(values[i])
+        at, i = at + 1, i + 1
+    return positions, uniforms
+
+
 def _one_draw_at_a_time(spec, n, rng):
     """Reference sampler: n base draws through the public ``Family.sample``,
-    then (epsilon > 0) n mask uniforms; each one m below epsilon replaces its
-    base draw by the contaminant's inversion of m / epsilon, mu + sigma *
-    qf(m / epsilon)."""
+    then (epsilon > 0) K gap uniforms, K contaminant uniforms and one
+    overflow slot, K = ``simulate._gap_count(n, epsilon)``; the hits that
+    ``_walk`` finds take the contaminant's inversion draws, mu + sigma *
+    qf(u)."""
     x = spec.base_family.sample(spec.base_params, n, rng)
     if spec.epsilon > 0.0:
-        m = rng.random(n)
-        mask = m < spec.epsilon
-        u = np.clip(m[mask] / spec.epsilon, families._U_FLOOR, families._U_CEIL)
+        k = simulate._gap_count(n, spec.epsilon)
+        at, u = _walk(spec.epsilon, n, rng.random(k), rng.random(k), rng.random(1)[0])
         c = spec.contaminant_params
-        x[mask] = c.mu + c.sigma * spec.contaminant_family.qf(u)
+        u = np.clip(np.array(u), families._U_FLOOR, families._U_CEIL)
+        x[at] = c.mu + c.sigma * spec.contaminant_family.qf(u)
     return x
+
+
+def _width(spec, n):
+    """w: n, or n + 2K + 1 with contamination."""
+    return n + 2 * simulate._gap_count(n, spec.epsilon) + 1 if spec.epsilon > 0.0 else n
 
 
 class _Replay:
@@ -88,7 +120,7 @@ def _stream_rows(spec, n, prefix, m):
     ``prefix``: the first m w doubles of ``default_rng([*prefix,
     _STREAM_KEY])`` in one plain draw (no jump ahead), reshaped to (m, w),
     each row transformed on its own by the reference sampler."""
-    w = 2 * n if spec.epsilon > 0.0 else n
+    w = _width(spec, n)
     u = np.random.default_rng([*prefix, _STREAM_KEY]).random(m * w).reshape(m, w)
     rows = []
     for row in u:
@@ -154,8 +186,8 @@ def _mixture(base, eps):
 @pytest.mark.parametrize("eps", [0.05, 0.5])
 @pytest.mark.parametrize("base", ["normal", "logistic"])
 def test_contaminated_draws_follow_the_mixture_cdf(base, eps):
-    # a contaminated entry is the contaminant's draw from its mask uniform
-    # m / eps, so the sample's law is (1 - eps) F0 + eps F1 (Box-Muller base
+    # a contaminated entry is the contaminant's draw from a uniform of its
+    # own, so the sample's law is (1 - eps) F0 + eps F1 (Box-Muller base
     # and inversion base alike)
     spec = _mixture(base, eps)
     x = sample_contaminated(spec, 40_000, np.random.default_rng(23))
@@ -170,12 +202,15 @@ def test_contaminated_draws_follow_the_mixture_cdf(base, eps):
 
 @pytest.mark.parametrize("eps", [0.05, 0.5])
 def test_contaminated_entries_are_contaminant_draws(eps):
-    # the entries whose mask uniform lies below eps (found by replaying the
-    # stream) against contaminant draws of an unrelated stream, and the
-    # other entries against base draws
+    # the hits (found by replaying the stream's gap uniforms through the
+    # reference walk) against contaminant draws of an unrelated stream, and
+    # the other entries against base draws
     n, spec = 40_000, _mixture("normal", eps)
+    k = simulate._gap_count(n, eps)
     x = sample_contaminated(spec, n, np.random.default_rng(29))
-    hit = np.random.default_rng(29).random(2 * n)[n:] < eps
+    u = np.random.default_rng(29).random(_width(spec, n))
+    hit = np.zeros(n, dtype=bool)
+    hit[_walk(eps, n, u[n:n + k], u[n + k:n + 2 * k], u[-1])[0]] = True
     fam, c = CONTAMINANT
     other = np.random.default_rng(31)
     assert stats.ks_2samp(x[hit], fam.sample(c, 20_000, other)).pvalue > 1e-3
@@ -184,35 +219,49 @@ def test_contaminated_entries_are_contaminant_draws(eps):
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_epsilon_one_draws_invert_the_mask_uniforms(name):
-    # at eps = 1 every entry is contaminated and m / 1 = m: the draws are the
-    # contaminant's inversion of the second n uniforms, bit for bit
+    # at eps = 1 every gap is 0 (K = n + 1 of them), so every entry is a
+    # hit: the draws are the contaminant's inversion of the first n of the
+    # K contaminant uniforms, bit for bit, with no numpy warning
     fam, c = get_family(name), Params(-0.7, 2.5)
     spec = ContaminationSpec(base_family=NORMAL, contaminant_family=fam,
                              contaminant_params=c, epsilon=1.0)
     for n in (1, 2, 301):
-        u = np.random.default_rng(n).random(2 * n)[n:]
+        k = n + 1
+        assert _width(spec, n) == n + 2 * k + 1 == simulate._row_width(spec, n)
+        u = np.random.default_rng(n).random(_width(spec, n))[n + k:2 * n + k]
         want = c.mu + c.sigma * fam.qf(np.clip(u, families._U_FLOOR, families._U_CEIL))
-        assert sample_contaminated(spec, n, np.random.default_rng(n)).tobytes() == want.tobytes()
+        with np.errstate(all="raise"):
+            x = sample_contaminated(spec, n, np.random.default_rng(n))
+        assert x.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("eps", [5e-324, 1 - 2 ** -53])
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_extreme_epsilons_give_finite_draws(name, eps):
-    # mask uniforms at both ends of [0, eps): 0, whose ratio is clipped up to
-    # the floor, and the largest double below eps, whose ratio lies within a
-    # few ulps of 1 and is clipped down to the ceiling; then a real stream
+    # gap uniforms at both ends of [0, 1): 0, which skips no entry, and the
+    # largest double below 1, which skips one entry at eps = 1 - 2^-53 and
+    # every entry left at eps = 5e-324; contaminant uniforms 0, clipped up
+    # to the floor, and the largest double below 1, clipped down to the
+    # ceiling; then a real stream, in which eps = 5e-324 gives no hit
     fam, n = get_family(name), 500
     spec = ContaminationSpec(base_family=NORMAL, contaminant_family=fam,
                              contaminant_params=Params(0.0, 1.0), epsilon=eps)
-    u = np.random.default_rng(7).random(2 * n)
-    u[n:n + 3] = 0.0, np.nextafter(eps, 0.0), eps
+    k, top = simulate._gap_count(n, eps), np.nextafter(1.0, 0.0)
+    u = np.random.default_rng(7).random(_width(spec, n))
+    u[n:n + 2], u[n + k:n + k + 2] = (0.0, top), (0.0, top)
     with np.errstate(all="raise"):
         x = sample_contaminated(spec, n, _Replay(u))
         assert np.isfinite(x).all()
-        assert np.isfinite(sample_contaminated(spec, 20_000, np.random.default_rng(8))).all()
-    # the first two entries are contaminated and the third (m = eps) is not
+        clean_draws = sample_contaminated(spec, 20_000, np.random.default_rng(8))
+        assert np.isfinite(clean_draws).all()
     base = NORMAL.sample(Params(), n, np.random.default_rng(7))
-    assert (x[:3] != base[:3]).tolist() == [True, True, False]
+    if eps == 5e-324:  # one hit, at entry 0, and none in the real stream
+        assert (x != base).tolist() == [True] + [False] * (n - 1)
+        plain = NORMAL.sample(Params(), 20_000, np.random.default_rng(8))
+        assert clean_draws.tobytes() == plain.tobytes()
+    else:  # entry 1 is skipped
+        assert (x[:3] != base[:3]).tolist() == [True, False, True]
+    assert x.tobytes() == _one_draw_at_a_time(spec, n, _Replay(u)).tobytes()
 
 
 @pytest.mark.parametrize("eps", [0.0, 5e-324, 0.05, 1 - 2 ** -53, 1.0])
@@ -221,14 +270,19 @@ def test_block_draws_equal_single_rows(n, eps):
     # a (rows, w) block through _from_uniforms, as the engine draws it: its
     # uniforms are only read, and each row is the bytes of that row drawn
     # alone, by sample_contaminated and by the reference sampler; with hits
-    # forced at a mask uniform of 0 and at the largest double below eps
+    # forced by gap uniforms of 0: every gap of row 1, so that its first K
+    # entries are hits and, where K < n, its walk goes on from its overflow
+    # slot; and the first gap of row 3, whose contaminant uniform is 0
     spec = ContaminationSpec(base_family=NORMAL, base_params=Params(1e5, 1e-3),
                              contaminant_family=CAUCHY, contaminant_params=Params(1.0, 3.0),
                              epsilon=eps)
     w = simulate._row_width(spec, n)
+    assert w == _width(spec, n)
     u = np.random.default_rng(n).random((6, w))
     if eps > 0.0:
-        u[1, -1], u[3, n] = 0.0, np.nextafter(eps, 0.0)
+        k = simulate._gap_count(n, eps)
+        u[1, n:n + k] = 0.0
+        u[3, n], u[3, n + k] = 0.0, 0.0
     kept = u.copy()
     x = simulate._from_uniforms(spec, n, u)
     assert u.tobytes() == kept.tobytes()
@@ -236,7 +290,143 @@ def test_block_draws_equal_single_rows(n, eps):
         want = sample_contaminated(spec, n, _Replay(row)).tobytes()
         assert x[i].tobytes() == want == _one_draw_at_a_time(spec, n, _Replay(row)).tobytes()
     if eps > 0.0:  # the forced hits are the contaminant's, far from the base's 1e5
-        assert abs(x[1, -1] - 1e5) > 1.0 and abs(x[3, 0] - 1e5) > 1.0
+        assert (np.abs(x[1, :min(k, n)] - 1e5) > 1.0).all() and abs(x[3, 0] - 1e5) > 1.0
+
+
+def test_row_width_follows_the_gap_count():
+    # K = min(n + 1, ceil(n eps + 10 sqrt(n eps (1 - eps)) + 10)) gaps, and
+    # as many contaminant uniforms, and one overflow slot
+    for n, eps, k, w in [(1000, 0.05, 129, 1259), (1000, 0.5, 669, 2339),
+                         (1000, 1.0, 1001, 3003), (301, 0.3, 180, 662), (1, 1.0, 2, 6),
+                         (1000, 5e-324, 10, 1021)]:
+        assert simulate._gap_count(n, eps) == k
+        assert simulate._row_width(contaminated(eps), n) == w == n + 2 * k + 1
+    for n in (1, 2, 7, 300, 1001, 10 ** 6):
+        assert simulate._row_width(clean(), n) == n
+        for eps in (1e-6, 0.01, 0.05, 0.3, 0.9, 1.0):
+            mean = n * eps
+            want = math.ceil(mean + 10 * math.sqrt(mean * (1 - eps)) + 10)
+            assert simulate._gap_count(n, eps) == min(n + 1, want)
+
+
+FAR = (get_family("exponential"), Params(100.0, 1.0))  # every draw above 100
+
+
+def _far_mixture(eps):
+    return ContaminationSpec(base_family=NORMAL, base_params=Params(0.0, 1.0),
+                             contaminant_family=FAR[0], contaminant_params=FAR[1],
+                             epsilon=eps)
+
+
+def _engine_rows(spec, n, m, seed):
+    rows = np.empty((m, n))
+
+    def keep(reps, block):
+        rows[reps.start:reps.stop] = block
+
+    simulate._run_blocks(spec, n, range(m), (seed,), keep)
+    return rows
+
+
+def _binomial_pvalue(counts, n, eps):
+    """Chi-square p-value of per-row hit counts against Binomial(n, eps),
+    over about 12 bins of equal probability."""
+    law = stats.binom(n, eps)
+    edges = np.unique(law.ppf(np.linspace(0.0, 1.0, 13)[1:-1]))
+    expected = np.diff(np.concatenate([[0.0], law.cdf(edges), [1.0]])) * len(counts)
+    observed = np.bincount(np.searchsorted(edges, counts), minlength=len(expected))
+    return stats.chisquare(observed, expected).pvalue
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.3])
+def test_engine_hits_are_binomial_and_uniform(eps):
+    # the engine's blocks, against references outside its code: each row's
+    # hit count against Binomial(n, eps) (chi-square), the hits' positions
+    # against the uniform law on the row (chi-square over 20 bins of 50
+    # entries, and KS), and their values against the contaminant's draws
+    # from an unrelated stream
+    n, m = 1000, 2000
+    x = _engine_rows(_far_mixture(eps), n, m, 41)
+    hit = x > 50.0
+    assert _binomial_pvalue(hit.sum(axis=1), n, eps) > 1e-3
+    at = np.nonzero(hit)[1]
+    assert stats.chisquare(np.bincount(at // 50, minlength=20)).pvalue > 1e-3
+    assert stats.kstest((at + 0.5) / n, "uniform").pvalue > 1e-3
+    other = FAR[0].sample(FAR[1], 20_000, np.random.default_rng(43))
+    assert stats.ks_2samp(x[hit], other).pvalue > 1e-3
+    assert stats.kstest(x[~hit], "norm").pvalue > 1e-3
+
+
+def test_forced_overflow_keeps_row_bits_and_the_law(monkeypatch):
+    # with two gaps a row (about 50 hits at n = 1000) goes on from its
+    # overflow slot: a row is the same bits on the default blocks, on one
+    # thread, on both, on one-row blocks, drawn alone and in the reference
+    # walk, and its hit count stays binomial
+    monkeypatch.setattr(simulate, "_gap_count", lambda n, epsilon: 2)
+    n, m, seed = 1000, 300, 47
+    spec = _far_mixture(0.05)
+    assert simulate._row_width(spec, n) == n + 5
+    want = _stream_rows(spec, n, (seed,), m)
+    assert _binomial_pvalue((want > 50.0).sum(axis=1), n, 0.05) > 1e-3
+    assert (want > 50.0).sum(axis=1).min() > 2  # every row overflowed
+    assert _engine_rows(spec, n, m, seed).tobytes() == want.tobytes()
+    workers = set()
+    run_blocks = simulate._run_blocks
+
+    def on_both_workers(spec, n, replicates, seed_prefix, work):
+        def recorded(reps, block):
+            workers.add(threading.current_thread().name)
+            work(reps, block)
+        run_blocks(spec, n, replicates, seed_prefix, _both_workers(recorded))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(quantiles, "_BLOCK_VALUES", 7 * n)
+        patch.setattr(simulate, "_run_blocks", on_both_workers)
+        assert _engine_rows(spec, n, m, seed).tobytes() == want.tobytes()
+    assert len(workers) == 2
+    with monkeypatch.context() as patch:
+        patch.setattr(quantiles, "_BLOCK_VALUES", 7 * n)
+        patch.setattr(quantiles, "threading",
+                      types.SimpleNamespace(Lock=threading.Lock, Thread=_NoHelper))
+        assert _engine_rows(spec, n, m, seed).tobytes() == want.tobytes()
+    with monkeypatch.context() as patch:
+        patch.setattr(quantiles, "_BLOCK_VALUES", n)
+        assert _engine_rows(spec, n, 20, seed).tobytes() == want[:20].tobytes()
+    stream = np.random.default_rng([seed, _STREAM_KEY])
+    for r in range(20):
+        assert sample_contaminated(spec, n, stream).tobytes() == want[r].tobytes()
+
+
+def test_study_sizes_are_integers(monkeypatch):
+    # a numpy integer n or m is taken as the Python int it equals; a float,
+    # even an integral one, a bool or a string is refused before any draw
+    spec, ests = contaminated(0.05), (EstimatorSpec("gqls", GRID), EstimatorSpec("mle"))
+    cfg = McConfig(spec=spec, n=np.int64(50), m=np.int32(20), estimators=ests, seed=3)
+    assert type(cfg.n) is int and type(cfg.m) is int
+    plain = McConfig(spec=spec, n=50, m=20, estimators=ests, seed=3)
+    assert _mc_estimates(cfg)[0].tobytes() == _mc_estimates(plain)[0].tobytes()
+    cells = run_power_study([NORMAL], [spec], [GRID], n=np.int64(50), m=np.uint8(20), seed=3)
+    assert type(cells[0].n) is int and type(cells[0].m) is int
+    assert cells == run_power_study([NORMAL], [spec], [GRID], n=50, m=20, seed=3)
+    assert sample_contaminated(spec, np.int64(50), np.random.default_rng(1)).tobytes() == (
+        sample_contaminated(spec, 50, np.random.default_rng(1)).tobytes())
+
+    class Untouched:
+        def __getattr__(self, name):
+            raise AssertionError(f"drew from the generator ({name})")
+
+    monkeypatch.setattr(simulate, "_run_blocks", None)  # any draw would fail
+    for bad in (100.5, 10.0, np.float64(10.0), True, False, "10", None):
+        with pytest.raises(DomainError, match="sample size"):
+            McConfig(spec=spec, n=bad, m=3, estimators=ests)
+        with pytest.raises(DomainError, match="replicate count"):
+            McConfig(spec=spec, n=10, m=bad, estimators=ests)
+        with pytest.raises(DomainError, match="sample size"):
+            run_power_study([NORMAL], [spec], [GRID], n=bad, m=3)
+        with pytest.raises(DomainError, match="replicate count"):
+            run_power_study([NORMAL], [spec], [GRID], n=50, m=bad)
+        with pytest.raises(DomainError, match="sample size"):
+            sample_contaminated(spec, bad, Untouched())
 
 
 def test_sampling_checks_size_and_scales():
@@ -794,7 +984,8 @@ def test_engine_equals_a_one_thread_reference(name, epsilon, monkeypatch):
 
 def test_engine_single_block_with_many_hits(monkeypatch):
     # one block of seven rows at epsilon = 0.3: about 120 contaminated
-    # entries per row, every row's taken from the mask half of its own draw
+    # entries per row, every row's found by its own 222 gap uniforms and
+    # drawn from its own 222 contaminant uniforms (w = 845)
     cfg = McConfig(spec=contaminated(0.3), n=400, m=7, seed=5,
                    estimators=(EstimatorSpec("mle"), EstimatorSpec("gqls", GRID)))
     assert len(list(quantiles.replicate_blocks(range(cfg.m), cfg.n))) == 1
@@ -804,15 +995,16 @@ def test_engine_single_block_with_many_hits(monkeypatch):
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.05, 1.0])
 def test_sample_contaminated_does_not_overdraw(epsilon):
-    # a caller's generator ends exactly w uniforms on (n at epsilon = 0, 2n
-    # otherwise), where the reference sampler's separate draws leave it
+    # a caller's generator ends exactly w uniforms on (n at epsilon = 0,
+    # n + 2K + 1 otherwise), where the reference sampler's separate draws
+    # leave it
     spec = ContaminationSpec(base_family=NORMAL, contaminant_family=CAUCHY,
                              contaminant_params=Params(0.0, 2.0), epsilon=epsilon)
     rng, ref, plain = (np.random.default_rng(17) for _ in range(3))
     for n in (1, 50, 999):
         assert sample_contaminated(spec, n, rng).tobytes() == _one_draw_at_a_time(
             spec, n, ref).tobytes()
-        plain.random(2 * n if epsilon > 0.0 else n)
+        plain.random(_width(spec, n))
         assert rng.bit_generator.state == ref.bit_generator.state == plain.bit_generator.state
 
 
