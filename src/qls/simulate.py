@@ -21,9 +21,10 @@ monotone quantile transform (``Family._from_uniform``), each once on the
 whole block.  The block of draws is allocated afresh, since ``work`` may
 keep it.  Each MLE column is fitted on the block as drawn; the block is
 then sorted once along its rows, and one row-batched product per estimator
-or test (``FitPlan.solve``) fits all the rows.  A row's results do not depend on its block, so they are the
-same for any block size, and the caller and one helper thread take whole
-blocks (``_run_blocks``, through ``quantiles._two_threads``).
+or test (``FitPlan.solve``) fits all the rows.  A row's results do not
+depend on its block, so they are the same for any block size, and the
+caller and one helper thread take whole blocks (``_run_blocks``, through
+``quantiles._two_threads``).
 """
 from __future__ import annotations
 
@@ -469,7 +470,8 @@ def run_power_study(h0_families, generators, grids, n: int, m: int,
     order alpha (1 - alpha) / B.  A cell whose levels read clamped
     or repeated ranks at this n carries those tags in ``warnings``, each
     once: the grid's, and for "wout" the out-levels' too, as
-    ``bootstrap_pvalue`` gives them.  Before any draw, n or m below 1, an
+    ``bootstrap_pvalue`` gives them.  Before any draw, an n or m other
+    than an integer >= 1 (a numpy integer is taken as its Python int), an
     unknown test, a "wout" B other than an integer >= 1 or a generator
     whose base parameters cannot be sampled raise DomainError, and a bad
     seed InvalidSeed.
