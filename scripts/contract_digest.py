@@ -16,7 +16,10 @@ the name and repr of each field in GOF_FIELDS:
                       (<study>/means); so a change to one estimator names
                       that estimator's entries alone.  run_mc/readme is
                       the README study (5% N(1, 3^2) in N(0, 1), n = 1000,
-                      m = 300: gqls, oqls and mle), three replicate blocks
+                      m = 300: gqls, oqls and mle), three replicate blocks;
+                      run_mc/logistic/eps=0.3/n=1000 is a wide study on an
+                      inverted base (30% cauchy(1, 3) in logistic, m = 300:
+                      gqls, oqls and mle), which spans three blocks too
   sample/...          sample_contaminated draws
   fit_sample/...      fits of every method in every mode
   are/..., influence/...
@@ -140,6 +143,14 @@ def _readme_config() -> McConfig:
     return McConfig(spec=spec, n=1000, m=300, estimators=ests, seed=2024)
 
 
+def _wide_config() -> McConfig:
+    """30% cauchy(1, 3) in logistic(0.5, 2) at n = 1000 and m = 300: rows of
+    w = 1911 uniforms on an inverted base family, over three blocks."""
+    ests = (EstimatorSpec("gqls", GRID, label="gqls"),
+            EstimatorSpec("oqls", OQLS_GRID, label="oqls"), EstimatorSpec("mle"))
+    return McConfig(spec=_spec("logistic", 0.3), n=1000, m=300, estimators=ests, seed=21240)
+
+
 def _study(config: McConfig) -> dict:
     estimates, tags = _mc_estimates(config)
     summary = run_mc(config)
@@ -256,6 +267,7 @@ def catalogue() -> dict:
         for kind in ("gqls", "oqls"):
             entries[f"influence/{name}/{kind}"] = (_influence, name, kind)
     entries["run_mc/readme"] = (lambda: _study(_readme_config()),)
+    entries["run_mc/logistic/eps=0.3/n=1000"] = (lambda: _study(_wide_config()),)
     for kind in ("gqls", "oqls"):
         entries[f"are/table/{kind}"] = (
             lambda kd: _digest(are_table(kd, [FAMILIES[nm] for nm in names],

@@ -24,7 +24,7 @@ from . import gof as gof_mod
 from .efficiency import are_table
 from .errors import DomainError, InvalidGrid, QlsError
 from .estimators import fit_sample
-from .families import FAMILIES, Params, check_seed, get_family, parse_mode
+from .families import FAMILIES, Params, check_count, check_seed, get_family, parse_mode
 from .quantiles import QuantileGrid, make_grid
 from .robustness import breakdown_point, influence_curve
 from .simulate import (
@@ -209,12 +209,6 @@ def _arg_type(parse, expected: str):
     return convert
 
 
-def _positive_int(text: str) -> int:
-    if (value := int(text)) < 1:
-        raise ValueError(text)
-    return value
-
-
 def _parse_k_list(text: str) -> list[int]:
     """Comma-separated sizes k and ranges lo:hi, both ends included."""
     ks: list[int] = []
@@ -231,7 +225,7 @@ def _parse_pair(text: str) -> tuple[float, float]:
 
 # --seed: a non-negative integer, else a usage error before any work
 _seed_arg = _arg_type(lambda text: check_seed(int(text)), "seed must be a non-negative integer")
-_count_arg = _arg_type(_positive_int, "expected a positive integer")
+_count_arg = _arg_type(lambda text: check_count(int(text), "count"), "expected a positive integer")
 
 
 def _families_arg(text: str) -> list:

@@ -309,12 +309,28 @@ def _levy_qf(u):
 # family descriptor
 # ---------------------------------------------------------------------------
 
-def check_sampling(params: Params, n: int) -> None:
-    """Raise DomainError unless n >= 1 draws with finite mu and sigma > 0 are asked for."""
-    if n < 1:
-        raise DomainError("sample size must be >= 1")
+def check_count(value, what: str) -> int:
+    """value as a Python int; DomainError unless it is an integer >= 1 (a
+    numpy integer is taken as its Python int; a bool or a float, even an
+    integral one, is refused)."""
+    if not isinstance(value, bool):
+        try:
+            count = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if count >= 1:
+                return count
+    raise DomainError(f"{what} must be >= 1 (at least one) and an integer, got {value!r}")
+
+
+def check_sampling(params: Params, n: int) -> int:
+    """n as a Python int; DomainError unless an integer n >= 1 of draws with
+    finite mu and sigma > 0 is asked for."""
+    n = check_count(n, "sample size")
     if not (0.0 < params.sigma < math.inf and math.isfinite(params.mu)):
         raise DomainError(f"sigma must be positive and mu and sigma finite to sample: {params}")
+    return n
 
 
 def check_seed(seed) -> int:

@@ -14,11 +14,15 @@ Two tests:
 
 Both tests refuse fits other than a joint gQLS fit with positive scale, and
 raise ScaleOverflow when the observed statistic is not finite.
+
+The bootstrap reads its order statistics from the spacing source
+(``_spacing_source`` over ``_spacings``); its consumer ``_statistics``
+refits and tests each row there and on a power cell's drawn source
+(``simulate._drawn_source``).
 """
 from __future__ import annotations
 
 import contextlib
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +36,7 @@ from .errors import (
     ScaleOverflow,
 )
 from .estimators import FitPlan, QlsFit, _response, _scale_tags
-from .families import Family, ParamMode, Params, check_seed
+from .families import Family, ParamMode, Params, check_count, check_seed
 from .quantiles import (
     QuantileGrid,
     _ahead,
@@ -246,34 +250,53 @@ def _spacings(n: int, key: tuple, B: int, pos: np.ndarray, cols: list[np.ndarray
                   for block in replicate_blocks(range(B), 10 * sum(c.size for c in cols)))
 
 
-def _nulls(tests, n: int, B: int, spacings, cols: list[np.ndarray]) -> list:
-    """Per (fam, plan, plan_out) of ``tests``, the sorted finite
-    ``_row_statistics`` (fit at ``cols[0]``, test at ``cols[1]``) of B
-    standard-form replicates of ``fam`` from the entered ``spacings``, or a
-    BootstrapDegenerate, returned, if over ``_MAX_FAILURE_FRACTION`` of B
-    failed.  Each block becomes sorted uniforms once; ``_from_uniform``
-    writes into them only its idempotent clip, so each family maps the bits
-    it would map alone."""
-    stats = [[] for _ in tests]
-    for g in spacings if tests else ():
+def _spacing_source(spacings, consumers) -> None:
+    """Each block of the entered ``spacings`` becomes sorted uniforms once,
+    on the caller (the running sum over its last column); then per (fam,
+    consume) of ``consumers``, ``consume(reps, y, finite)`` with y the
+    standard member's order statistics (``_from_uniform`` writes into the
+    uniforms only its idempotent clip, so each family maps the bits it
+    would map alone) and every row finite.  Without a consumer no block is
+    taken."""
+    done = 0
+    for g in spacings if consumers else ():
         np.cumsum(g, axis=1, out=g)
         u = g[:, :-1]
         u /= g[:, -1:]
-        for (fam, plan, plan_out), rows in zip(tests, stats):
-            x = fam._from_uniform(Params(), u)
-            rows.append(_row_statistics(plan, plan_out, x[:, cols[0]], x[:, cols[1]], n))
+        reps, done = range(done, done + len(g)), done + len(g)
+        finite = np.ones(len(g), dtype=bool)
+        for fam, consume in consumers:
+            consume(reps, fam._from_uniform(Params(), u), finite)
+
+
+def _statistics(plan: FitPlan, plan_out: FitPlan, cols: list[np.ndarray], n: int,
+                out: np.ndarray):
+    """A consumer of an order-statistic source that writes into ``out``, at
+    its replicates, the ``_row_statistics`` of each finite row (fit at
+    columns ``cols[0]``, tested at ``cols[-1]``); other rows keep theirs."""
+    def consume(reps, y, finite):
+        y = y[finite]
+        out[reps.start:reps.stop][finite] = _row_statistics(plan, plan_out, y[:, cols[0]],
+                                                            y[:, cols[-1]], n)
+    return consume
+
+
+def _nulls(tests, n: int, B: int, spacings, cols: list[np.ndarray]) -> list:
+    """Per (fam, plan, plan_out) of ``tests``, the sorted finite
+    ``_row_statistics`` (fit at ``cols[0]``, test at ``cols[1]``) of B
+    standard-form replicates of ``fam`` from the entered ``spacings``
+    (``_spacing_source``), or a BootstrapDegenerate, returned, if over
+    ``_MAX_FAILURE_FRACTION`` of B failed."""
+    stats = np.full((len(tests), B), np.nan)
+    _spacing_source(spacings, [(fam, _statistics(plan, plan_out, cols, n, out))
+                               for (fam, plan, plan_out), out in zip(tests, stats)])
     nulls = []
-    for stat in map(np.concatenate, stats):
+    for stat in stats:
         null = np.sort(stat[~np.isnan(stat)])
         failures = B - null.size
         nulls.append(BootstrapDegenerate(f"{failures} of {B} bootstrap replicates failed to fit")
                      if failures > _MAX_FAILURE_FRACTION * B or null.size == 0 else null)
     return nulls
-
-
-def _check_replicates(B) -> None:
-    if isinstance(B, bool) or not isinstance(B, numbers.Integral) or B < 1:
-        raise DomainError(f"need an integer of at least one bootstrap replicate, got {B!r}")
 
 
 def bootstrap_pvalue(data, fam: Family, grid: QuantileGrid,
@@ -313,7 +336,7 @@ def _gof(data, fams, grid: QuantileGrid, test: str, out_levels=None, B: int = 10
     is yielded, after the checks that concern every family; for "wout" every
     null comes from one draw of spacings, started before the sort."""
     check_seed(seed)
-    _check_replicates(B)
+    B = check_count(B, "bootstrap replicate count")
     sets = (grid, make_out_grid(out_levels)) if test == "wout" else (grid,)
     data = np.asarray(data, dtype=float).reshape(-1)
     n = data.shape[0]

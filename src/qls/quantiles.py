@@ -180,14 +180,8 @@ def _positions(n: int, *level_sets) -> tuple[np.ndarray, list[np.ndarray], list[
             warns.append(WARN_DEGENERATE_GRID)
         ranks.append(r)
         tags.append(warns)
-    pos = np.unique(np.concatenate(ranks))
+    pos = np.unique(np.concatenate(ranks or [np.empty(0, np.int64)]))
     return pos, [np.searchsorted(pos, r) for r in ranks], tags
-
-
-def finite_rows(srt: np.ndarray):
-    """Whether each row of a row-sorted array is free of NaN and infinities.
-    NaN sorts last and -inf first, so the two end values decide."""
-    return np.isfinite(srt[..., 0]) & np.isfinite(srt[..., -1])
 
 
 def replicate_blocks(replicates: range, n: int) -> Iterator[range]:

@@ -19,18 +19,20 @@ run in a contiguous scratch, inversion otherwise) and the contaminant's
 draws at the hits, which geometric gaps skip to (``_gap_ends``), with its
 monotone quantile transform (``Family._from_uniform``), each once on the
 whole block.  The block of draws is allocated afresh, since ``work`` may
-keep it.  Each MLE column is fitted on the block as drawn; the block is
-then sorted once along its rows, and one row-batched product per estimator
-or test (``FitPlan.solve``) fits all the rows.  A row's results do not
-depend on its block, so they are the same for any block size, and the
-caller and one helper thread take whole blocks (``_run_blocks``, through
+keep it.  Studies and power cells read their order statistics from this
+drawn source (``_drawn_source``): a hook sees each block as drawn (the
+MLE columns, whose sums run in draw order), then the block is sorted once
+along its rows and gathered, with one finite mask, at the sorted union of
+its consumers' positions.  The consumers are the QLS columns of a study,
+one row-batched product each (``FitPlan.solve``), and a power cell's
+statistics (``gof._statistics``).  A row's results do not depend on its
+block, so they are the same for any block size, and the caller and one
+helper thread take whole blocks (``_run_blocks``, through
 ``quantiles._two_threads``).
 """
 from __future__ import annotations
 
-import functools
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 
@@ -38,9 +40,8 @@ import numpy as np
 
 from . import gof
 from .errors import DomainError, QlsError
-from .families import Family, ParamMode, Params, check_sampling, check_seed
-from .quantiles import (QuantileGrid, _positions, _two_threads, finite_rows, make_grid,
-                        replicate_blocks)
+from .families import Family, ParamMode, Params, check_count, check_sampling, check_seed
+from .quantiles import QuantileGrid, _positions, _two_threads, make_grid, replicate_blocks
 from .estimators import FitPlan, _check_known, _known_scale, _mle_rows, fit_sample
 
 __all__ = [
@@ -120,8 +121,7 @@ def sample_contaminated(spec: ContaminationSpec, n: int, rng: np.random.Generato
     draws.  With epsilon = 0 the stream consumed and the draws are those of
     plain base-family sampling.  n must be an integer >= 1 (DomainError
     before any draw otherwise)."""
-    n = _count(n, "sample size")
-    check_sampling(spec.base_params, n)
+    n = check_sampling(spec.base_params, n)
     return _from_uniforms(spec, n, rng.random((1, _row_width(spec, n))))[0]
 
 
@@ -209,45 +209,22 @@ class EstimatorSpec:
         _check_known(self.known_mu, self.known_sigma)
         object.__setattr__(self, "known_sigma", _known_scale(self.method, self.known_sigma))
         if not self.label:
-            if self.method == "mle":
-                object.__setattr__(self, "label", "mle")
-            else:
-                g = self.grid
-                object.__setattr__(
-                    self, "label", f"{self.method}({g.a:g},{g.b:g},k={g.k})"
-                )
+            g = self.grid
+            object.__setattr__(self, "label", "mle" if self.method == "mle"
+                               else f"{self.method}({g.a:g},{g.b:g},k={g.k})")
 
     @property
     def param_names(self) -> tuple[str, ...]:
         return self.mode.names
 
 
-def _count(value, what: str) -> int:
-    """value as a Python int; DomainError unless it is an integer >= 1 (a
-    bool or a float, even an integral one, is refused)."""
-    if not isinstance(value, bool):
-        try:
-            count = operator.index(value)
-        except TypeError:
-            pass
-        else:
-            if count >= 1:
-                return count
-    raise DomainError(f"{what} must be >= 1 and an integer, got {value!r}")
-
-
-def _check_study(n, m) -> tuple[int, int]:
-    """A study's sample size n and replicate count m as Python ints;
-    DomainError unless each is an integer >= 1."""
-    return _count(n, "sample size"), _count(m, "replicate count")
-
-
 @dataclass(frozen=True)
 class McConfig:
     """One Monte Carlo study.  ``seed`` must be a non-negative integer
-    (InvalidSeed otherwise); replicate r is made of the r-th run of
-    ``_row_width(spec, n)`` doubles (n clean, n + 2K + 1 contaminated) of
-    ``default_rng([seed, _STREAM_KEY])``."""
+    (InvalidSeed otherwise), n and m integers >= 1 and ``estimators`` a
+    sequence of EstimatorSpec (DomainError otherwise); replicate r is made
+    of the r-th run of ``_row_width(spec, n)`` doubles (n clean, n + 2K + 1
+    contaminated) of ``default_rng([seed, _STREAM_KEY])``."""
 
     spec: ContaminationSpec
     n: int
@@ -258,11 +235,17 @@ class McConfig:
     # helper thread take whole blocks
 
     def __post_init__(self):
-        n, m = _check_study(self.n, self.m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", check_count(self.n, "sample size"))
+        object.__setattr__(self, "m", check_count(self.m, "replicate count"))
         check_seed(self.seed)
-        object.__setattr__(self, "estimators", tuple(self.estimators))
+        try:
+            ests = tuple(self.estimators)
+        except TypeError:  # one EstimatorSpec, or None
+            ests = (None,)
+        if not all(isinstance(est, EstimatorSpec) for est in ests):
+            raise DomainError(f"estimators must be a sequence of EstimatorSpec, "
+                              f"got {self.estimators!r}")
+        object.__setattr__(self, "estimators", ests)
 
 
 @dataclass(frozen=True)
@@ -304,10 +287,9 @@ def _run_blocks(spec: ContaminationSpec, n: int, replicates: range, seed_prefix:
     on each; replicate r is made of doubles [r w, (r + 1) w) of
     ``default_rng([*seed_prefix, _STREAM_KEY])``, w = ``_row_width(spec, n)``.
     A block holds at most ``quantiles._BLOCK_VALUES`` draws (rows x n, one
-    row when a sample is larger), whatever w: every block makes about the
-    same number of GIL-releasing numpy calls, so a contaminated study, whose
-    rows are wider, cuts as few blocks, and hands the GIL between the two
-    threads as seldom, as a clean one.
+    row when a sample is larger), whatever w, so a contaminated study cuts
+    as few blocks, and hands the GIL between the threads as seldom, as a
+    clean one.
 
     The caller and one helper thread each take the next block until none is
     left (``quantiles._two_threads``), so ``work`` must write only its own
@@ -337,56 +319,64 @@ def _run_blocks(spec: ContaminationSpec, n: int, replicates: range, seed_prefix:
     _two_threads(replicate_blocks(replicates, n), run)
 
 
-def _scale_ok(est: EstimatorSpec, sigma):
-    """A replicate fails on a non-positive scale unless the scale was known."""
-    return est.mode is ParamMode.LOCATION_ONLY or sigma > 0
+def _drawn_source(spec: ContaminationSpec, n: int, replicates: range, seed_prefix: tuple,
+                  pos: np.ndarray, consume, on_draws=None) -> None:
+    """Per block of ``_run_blocks``: ``on_draws(reps, block)``, if given,
+    on the draws as made, one sort along the rows, then ``consume(reps, y,
+    finite)`` with y the rows' order statistics at the sorted 0-based
+    positions pos and finite whether a row is free of NaN and infinities
+    (NaN sorts last and -inf first, so the two end values decide).  Both
+    run on either worker, as ``work`` does."""
+    def run(reps, block):
+        if on_draws is not None:
+            on_draws(reps, block)
+        block.sort(axis=1)
+        consume(reps, block[:, pos], np.isfinite(block[:, 0]) & np.isfinite(block[:, -1]))
 
-
-def _five_number(v: np.ndarray) -> tuple[float, float, float, float, float]:
-    q = np.quantile(v, [0.0, 0.25, 0.5, 0.75, 1.0])
-    return tuple(float(t) for t in q)
+    _run_blocks(spec, n, replicates, seed_prefix, run)
 
 
 def _mc_estimates(config: McConfig) -> tuple[np.ndarray, dict]:
     """Estimates of every replicate: an (m, estimators, 2) array holding each
     estimator's parameters in ``param_names`` order, NaN where its fit
-    failed; and the rank tags of each estimator's grid at n, by label."""
-    m = config.m
+    failed; and the rank tags of each estimator's grid at n, by label.  The
+    MLE columns are fitted on the draws as made, since their sums run in
+    draw order; the QLS columns read one drawn source at the union of their
+    grids' positions."""
     fam = config.spec.base_family
-    estimates = np.full((m, len(config.estimators), 2), np.nan)
-    mles, qls, warnings = [], [], {}
-    for j, est in enumerate(config.estimators):
-        if est.method == "mle":
-            mles.append((j, est))
-            warnings[est.label] = ()
-        else:  # one plan and one set of positions per QLS estimator
-            pos, (cols,), (tags,) = _positions(config.n, est.grid)
-            qls.append((j, est, FitPlan.for_family(fam, est.grid, est.method), pos[cols]))
-            warnings[est.label] = tuple(tags)
+    estimates = np.full((config.m, len(config.estimators), 2), np.nan)
+    mles = [(j, est) for j, est in enumerate(config.estimators) if est.method == "mle"]
+    qls = [(j, est) for j, est in enumerate(config.estimators) if est.method != "mle"]
+    pos, cols, tags = _positions(config.n, *(est.grid for _, est in qls))
+    plans = [FitPlan.for_family(fam, est.grid, est.method) for _, est in qls]
+    tags = iter(tags)
+    warnings = {est.label: () if est.method == "mle" else tuple(next(tags))
+                for est in config.estimators}
 
-    def fit(reps, block):
-        rows = slice(reps.start, reps.stop)
-        for j, est in mles:  # on the draws as made: sums run in draw order
+    def put(reps, j, est, theta, finite):
+        # a replicate fails on a non-positive scale unless the scale was known
+        ok = finite & ((theta[:, -1] > 0) | (est.mode is ParamMode.LOCATION_ONLY))
+        estimates[reps.start:reps.stop, j, :theta.shape[1]] = np.where(ok[:, None], theta, np.nan)
+
+    def fit_mles(reps, block):
+        for j, est in mles:
             try:
                 theta = _mle_rows(fam, block, est.mode, est.known_mu)[0]
             except QlsError:  # no MLE for this family and mode: every replicate fails
                 continue
-            ok = _scale_ok(est, theta[:, 1])
             # the MLE gives (mu, sigma); keep the columns the estimator reports
-            theta = theta[:, est.mode.columns]
-            estimates[rows, j, :theta.shape[1]] = np.where(ok[:, None], theta, np.nan)
-        block.sort(axis=1)
-        finite = finite_rows(block)
-        for j, est, plan, idx in qls:
+            put(reps, j, est, theta[:, est.mode.columns], True)
+
+    def fit(reps, y, finite):
+        for (j, est), plan, c in zip(qls, plans, cols):
             try:
-                beta = plan.solve(block[:, idx], est.mode, known_mu=est.known_mu,
+                beta = plan.solve(y[:, c], est.mode, known_mu=est.known_mu,
                                   known_sigma=est.known_sigma)
             except QlsError:  # the mode's Gram is singular: every replicate fails
                 continue
-            ok = finite & _scale_ok(est, beta[:, -1])
-            estimates[rows, j, :beta.shape[1]] = np.where(ok[:, None], beta, np.nan)
+            put(reps, j, est, beta, finite)
 
-    _run_blocks(config.spec, config.n, range(m), (config.seed,), fit)
+    _drawn_source(config.spec, config.n, range(config.m), (config.seed,), pos, fit, fit_mles)
     return estimates, warnings
 
 
@@ -399,29 +389,20 @@ def run_mc(config: McConfig) -> McSummary:
     ``config.workers`` is accepted for compatibility and does not change the
     result or the speed: on the batch engine the caller and one helper
     thread take whole blocks."""
-    m = config.m
     estimates, warnings = _mc_estimates(config)
     truth = {"mu": config.spec.base_params.mu, "sigma": config.spec.base_params.sigma}
     stats: dict = {}
     failures: dict = {}
     for j, est in enumerate(config.estimators):
-        per_param: dict = {}
-        n_fail = 0
+        stats[est.label], failures[est.label] = {}, 0
         for c, pname in enumerate(est.param_names):
-            col = estimates[:, j, c]
-            ok = col[np.isfinite(col)]
-            n_fail = max(n_fail, m - ok.size)
-            if ok.size == 0:
-                continue
-            mean = float(np.mean(ok))
-            bias = mean - truth[pname]
-            sqrt_mse = float(np.sqrt(np.mean((ok - truth[pname]) ** 2)))
-            mn, q1, med, q3, mx = _five_number(ok)
-            per_param[pname] = ParamSummary(mean=mean, bias=bias, sqrt_mse=sqrt_mse,
-                                            minimum=mn, q1=q1, median=med, q3=q3,
-                                            maximum=mx, n_used=ok.size)
-        stats[est.label] = per_param
-        failures[est.label] = n_fail
+            ok = estimates[:, j, c][np.isfinite(estimates[:, j, c])]
+            failures[est.label] = max(failures[est.label], config.m - ok.size)
+            if ok.size:
+                mean = float(np.mean(ok))
+                stats[est.label][pname] = ParamSummary(
+                    mean, mean - truth[pname], float(np.sqrt(np.mean((ok - truth[pname]) ** 2))),
+                    *map(float, np.quantile(ok, [0.0, 0.25, 0.5, 0.75, 1.0])), ok.size)
     return McSummary(config=config, stats=stats, failures=failures, warnings=warnings)
 
 
@@ -476,12 +457,12 @@ def run_power_study(h0_families, generators, grids, n: int, m: int,
     whose base parameters cannot be sampled raise DomainError, and a bad
     seed InvalidSeed.
     """
-    n, m = _check_study(n, m)
+    n, m = check_count(n, "sample size"), check_count(m, "replicate count")
     check_seed(seed)
     if test not in ("w", "wout"):
         raise DomainError(f"unknown test {test!r}")
     if test == "wout":
-        gof._check_replicates(B)
+        B = check_count(B, "bootstrap replicate count")
     for gen in generators:
         check_sampling(gen.base_params, n)
     cells: list[PowerCell] = []
@@ -503,35 +484,26 @@ def run_power_study(h0_families, generators, grids, n: int, m: int,
 
 def _cell_pvalues(h0: Family, gen: ContaminationSpec, grid: QuantileGrid, n: int, m: int,
                   B: int, cell_seed: tuple, test: str) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Test p-values of a cell's m replicates, NaN where one fails: one
-    batched fit and statistic per sorted block (``gof._row_statistics``),
-    then W's chi-square p-value ("w") or W_out's share of one bootstrap null
-    keyed ``cell_seed`` ("wout"; if the null fails, every replicate does).
-    Also the rank tags of the levels read, each once."""
+    """Test p-values of a cell's m replicates, NaN where one fails: the
+    statistics of the drawn source (``gof._statistics``), then W's
+    chi-square p-value ("w") or W_out's share of one bootstrap null keyed
+    ``cell_seed`` ("wout"; if the null fails, every replicate does).  Also
+    the rank tags of the levels read, each once."""
     plan = FitPlan.for_family(h0, grid, "gqls")
     sets = (grid,) if test == "w" else (grid, gof.make_out_grid())
     plan_out = FitPlan.for_family(h0, sets[-1], "gqls")
     pos, cols, tags = _positions(n, *sets)
     tags = tuple(dict.fromkeys(sum(tags, [])))
-    pvals = np.full(m, np.nan)
-    if test == "w":
-        pvalues = functools.partial(gof._chi2_pvalues, grid.k)
-    else:
+    stats = np.full(m, np.nan)
+    if test == "wout":
         with gof._spacings(n, cell_seed, B, pos, cols) as spacings:
             (null,) = gof._nulls([(h0, plan, plan_out)], n, B, spacings, cols)
         if isinstance(null, QlsError):
-            return pvals, tags
-        pvalues = functools.partial(gof._exceedance, null)
-
-    def block_pvalues(reps, block):
-        block.sort(axis=1)
-        finite = finite_rows(block)
-        y = block[:, pos][finite]
-        pvals[reps.start:reps.stop][finite] = pvalues(
-            gof._row_statistics(plan, plan_out, y[:, cols[0]], y[:, cols[-1]], n))
-
-    _run_blocks(gen, n, range(m), cell_seed, block_pvalues)
-    return pvals, tags
+            return stats, tags
+    _drawn_source(gen, n, range(m), cell_seed, pos,
+                  gof._statistics(plan, plan_out, cols, n, stats))
+    return (gof._chi2_pvalues(grid.k, stats) if test == "w"
+            else gof._exceedance(null, stats)), tags
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -23,6 +24,27 @@ def test_lookup_is_case_insensitive():
     assert get_family("lévy").name == "levy"
     with pytest.raises(DomainError):
         get_family("weibull")
+
+
+def test_one_count_rule():
+    # sample sizes, study replicates and bootstrap replicates share one rule:
+    # an integer >= 1, returned as a Python int, and one message form;
+    # sampling checks its size by it before any draw
+    for what in ("sample size", "replicate count", "bootstrap replicate count"):
+        count = families.check_count(np.uint8(3), what)
+        assert count == 3 and type(count) is int
+        for bad in (0, -1, 2.0, np.float64(2.0), True, "3", None):
+            with pytest.raises(DomainError, match="^" + re.escape(
+                    f"{what} must be >= 1 (at least one) and an integer, got {bad!r}") + "$"):
+                families.check_count(bad, what)
+
+    class Untouched:
+        def __getattr__(self, name):
+            raise AssertionError(f"drew from the generator ({name})")
+
+    for bad in (0, 2.0, True):
+        with pytest.raises(DomainError, match="sample size"):
+            get_family("logistic").sample(Params(), bad, Untouched())
 
 
 def test_pdf_point_values():

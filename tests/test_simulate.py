@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, optimize, stats
+import scipy.special
 
 from qls import estimators, families, gof, quantiles, simulate
 from qls.errors import (
@@ -615,6 +616,124 @@ def test_run_timing_timeout_marker():
 
 
 # ---------------------------------------------------------------------------
+# exact finite-sample means
+# ---------------------------------------------------------------------------
+
+# A QLS estimate is W y, with W the fixed 2 x k map of its grid and y the
+# order statistics at ranks ceil(n p), so E[estimate] = W E[y] exactly.  The
+# oracle below builds W from scipy's laws and takes each E[X_(r)] by quad
+# over the Beta(r, n + 1 - r) density of F(X_(r)); it calls none of the
+# package's code.
+_ORACLE_QF = {"normal": scipy.special.ndtri, "logistic": scipy.special.logit,
+              "gumbel": lambda u: -math.log(-math.log(u))}
+_ORACLE_LAW = {"normal": stats.norm, "logistic": stats.logistic, "gumbel": stats.gumbel_r}
+_ORACLE_GRIDS = {"gqls": (0.05, 0.95, 25), "oqls": (0.10, 0.90, 25)}
+_MIXTURE_EPS, _MIXTURE_MU, _MIXTURE_SIGMA = 0.05, 1.0, 3.0  # the README study's contaminant
+
+
+def _oracle_ranks(n, levels):
+    """ceil(n p), n p within 1e-9 of an integer counting as that integer."""
+    t = n * levels
+    near = np.abs(t - np.rint(t)) <= 1e-9 * np.maximum(1.0, t)
+    return np.maximum(np.where(near, np.rint(t), np.ceil(t)).astype(int), 1)
+
+
+def _oracle_map(law, levels, kind):
+    """W: (X'X)^-1 X' for oQLS, (X'S^-1 X)^-1 X'S^-1 for gQLS, X = [1, Q0(p)]."""
+    q = law.ppf(levels)
+    x = np.column_stack([np.ones_like(q), q])
+    if kind == "oqls":
+        return np.linalg.solve(x.T @ x, x.T)
+    f = law.pdf(q)
+    s = (np.minimum.outer(levels, levels) * (1.0 - np.maximum.outer(levels, levels))
+         / np.outer(f, f))
+    sx = np.linalg.solve(s, x)
+    return np.linalg.solve(x.T @ sx, sx.T)
+
+
+def _beta_log_density(r, n):
+    c = scipy.special.betaln(r, n + 1 - r)
+    return lambda u: (r - 1) * math.log(u) + (n - r) * math.log1p(-u) - c
+
+
+def _oracle_order_mean(name, r, n):
+    """E[X_(r)] of n standard draws: the integral of Q0(u) Beta(u; r, n + 1 - r)
+    over the Beta's central 1 - 2e-15 (the tails hold under 1e-13)."""
+    qf, log_density = _ORACLE_QF[name], _beta_log_density(r, n)
+    lo, hi = scipy.special.betaincinv(r, n + 1 - r, [1e-15, 1.0 - 1e-15])
+    return integrate.quad(lambda u: qf(u) * math.exp(log_density(u)), lo, hi,
+                          points=[(r - 1) / (n - 1)], limit=200)[0]
+
+
+def _mixture_order_mean(r, n):
+    """E[X_(r)] of n draws from (1 - eps) N(0, 1) + eps N(mu, sigma^2): the
+    integral of x Beta(F(x); r, n + 1 - r) f(x), over the x whose F(x) spans
+    the Beta's central 1 - 2e-15."""
+    def cdf(x):
+        return ((1.0 - _MIXTURE_EPS) * scipy.special.ndtr(x)
+                + _MIXTURE_EPS * scipy.special.ndtr((x - _MIXTURE_MU) / _MIXTURE_SIGMA))
+
+    def pdf(x):
+        z = (x - _MIXTURE_MU) / _MIXTURE_SIGMA
+        return ((1.0 - _MIXTURE_EPS) * math.exp(-0.5 * x * x)
+                + _MIXTURE_EPS * math.exp(-0.5 * z * z) / _MIXTURE_SIGMA) / math.sqrt(2 * math.pi)
+
+    def at(u):
+        return optimize.brentq(lambda x: cdf(x) - u, -60.0, 60.0, xtol=1e-14)
+
+    log_density = _beta_log_density(r, n)
+    lo, hi = (at(u) for u in scipy.special.betaincinv(r, n + 1 - r, [1e-15, 1.0 - 1e-15]))
+    return integrate.quad(lambda x: x * math.exp(log_density(cdf(x))) * pdf(x), lo, hi,
+                          points=[at((r - 0.5) / n)], limit=200)[0]
+
+
+def _oracle_mean(name, kind, n, mu=0.0, sigma=1.0):
+    """W E[y] for the grid of ``kind``: (mu, sigma) of a pure family, or of
+    the README mixture's estimate on normal quantiles (name "mixture")."""
+    levels = np.linspace(*_ORACLE_GRIDS[kind])
+    ranks = _oracle_ranks(n, levels)
+    if name == "mixture":
+        ey = np.array([_mixture_order_mean(r, n) for r in ranks])
+    else:
+        ey = mu + sigma * np.array([_oracle_order_mean(name, r, n) for r in ranks])
+    return _oracle_map(_ORACLE_LAW.get(name, stats.norm), levels, kind) @ ey
+
+
+@pytest.mark.parametrize("name, n", [(name, n) for name in ("normal", "logistic", "gumbel")
+                                     for n in (50, 250)] + [("mixture", 100)])
+def test_study_means_equal_exact_finite_sample_means(name, n):
+    # every gqls and oqls mean of a study of 4000 replicates lies within 4
+    # standard errors of W E[y]; the standard error is the summary's
+    # spread, sqrt(mse - bias^2), over sqrt(n_used)
+    if name == "mixture":
+        spec, mu, sigma = contaminated(_MIXTURE_EPS), 0.0, 1.0
+        assert spec.contaminant_params == Params(_MIXTURE_MU, _MIXTURE_SIGMA)
+    else:
+        mu, sigma = 0.5, 2.0
+        spec = clean(get_family(name), mu, sigma)
+    ests = tuple(EstimatorSpec(kind, make_grid(*grid), label=kind)
+                 for kind, grid in _ORACLE_GRIDS.items())
+    summary = run_mc(McConfig(spec=spec, n=n, m=4000, estimators=ests, seed=n + 7))
+    for kind in _ORACLE_GRIDS:
+        exact = _oracle_mean(name, kind, n, mu, sigma)
+        for c, pname in enumerate(("mu", "sigma")):
+            s = summary.stats[kind][pname]
+            se = math.sqrt((s.sqrt_mse ** 2 - s.bias ** 2) / s.n_used)
+            assert s.n_used == 4000 and abs(s.mean - exact[c]) <= 4.0 * se, (
+                kind, pname, s.mean, exact[c], (s.mean - exact[c]) / se)
+
+
+def test_gqls_location_bias_of_the_rank_rule():
+    # where n p is an integer, the ceil(n p) rule reads rank n p at level p
+    # and n - n p at 1 - p, one below the mirror n + 1 - n p: at n = 250
+    # the levels 0.2, 0.5 and 0.8 do, so the normal's gQLS location is
+    # biased by -7.36e-4 sigma (README), and its scale is not exact either
+    mu, sigma = _oracle_mean("normal", "gqls", 250)
+    assert -7.37e-4 < mu < -7.35e-4 and abs(sigma - 1.0) > 1e-4
+    assert _oracle_ranks(250, np.array([0.2, 0.5, 0.8])).tolist() == [50, 125, 200]
+
+
+# ---------------------------------------------------------------------------
 # batch engine
 # ---------------------------------------------------------------------------
 
@@ -795,6 +914,19 @@ def test_library_specs_refuse_bad_arguments_as_domain_errors(monkeypatch):
     for repeats in (0, -2):
         with pytest.raises(DomainError, match="at least one repeat"):
             run_timing([NORMAL], ["gqls"], [100], repeats=repeats)
+
+
+@pytest.mark.parametrize("estimators", [EstimatorSpec("mle"), ("mle",), None, "mle",
+                                        (EstimatorSpec("mle"), "gqls"), [None]])
+def test_study_estimators_are_checked_before_any_draw(estimators, monkeypatch):
+    # one EstimatorSpec rather than a sequence of them, or a sequence holding
+    # anything else, is a DomainError when the config is made, not a bare
+    # TypeError or a later AttributeError from run_mc
+    monkeypatch.setattr(simulate, "_run_blocks", None)  # any draw would fail
+    with pytest.raises(DomainError, match="sequence of EstimatorSpec"):
+        McConfig(spec=clean(), n=10, m=3, estimators=estimators)
+    assert McConfig(spec=clean(), n=10, m=3, estimators=[EstimatorSpec("mle")]).estimators == (
+        EstimatorSpec("mle"),)
 
 
 @pytest.mark.parametrize("seed", [-1, -2 ** 40, 1.5, 2.0, "3", None])
